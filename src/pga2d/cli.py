@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import EvaluationError, ParseError, RenderError
@@ -55,11 +56,20 @@ def main(argv=None) -> int:
         sys.stdout.write(format_dual_table())
         return 0
 
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+        return 1
     try:
         with open(args.script, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(
+            f"error: {args.script}: not valid UTF-8 text ({exc.reason} at byte {exc.start})",
+            file=sys.stderr,
+        )
         return 1
     try:
         program = parse(source)

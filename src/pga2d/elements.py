@@ -5,6 +5,10 @@ third coordinate homogeneous); a point (x, y, z) is the 2-vector
 x*e20 + y*e01 + z*e12.  Classification into euclidean/ideal uses a tolerance
 relative to the element's largest coefficient, since homogeneous coordinates
 carry no absolute scale.
+
+Every constructor checks that its fields are finite (and, for lines, points
+and ideal points, not all zero).  A view's fields are therefore trusted by
+mv(), which wraps them without validating them again.
 """
 
 from __future__ import annotations
@@ -13,15 +17,18 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .multivector import DEFAULT_TOL, Multivector
+from .multivector import DEFAULT_TOL, Multivector, _unchecked
 from .multivector import zero as _zero_mv
+
+# Sets a field of a frozen dataclass from inside its own __init__.
+_set = object.__setattr__
 
 
 def _view_scale(*coeffs: float) -> float:
     return max(abs(c) for c in coeffs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Line:
     """Oriented line with tuple convention [a, b, c]: the locus ax + by + c = 0."""
 
@@ -29,23 +36,27 @@ class Line:
     b: float
     c: float
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
-            raise DomainError(f"non-finite line coefficients [{self.a}, {self.b}, {self.c}]")
-        if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
+    def __init__(self, a: float, b: float, c: float):
+        a, b, c = float(a), float(b), float(c)
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise DomainError(f"non-finite line coefficients [{a}, {b}, {c}]")
+        if a == 0.0 and b == 0.0 and c == 0.0:
             raise DomainError("zero element is not a line")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def mv(self) -> Multivector:
-        return Multivector((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
+        return _unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Line":
-        residue = (u - u.grade(1)).max_abs()
-        if residue > tol * max(1.0, u.max_abs()):
+        g0, g1, g2, g3 = u.grade_sizes()
+        residue = max(g0, g2, g3)
+        if residue > tol * max(1.0, g1, residue):
             raise DomainError(f"not a pure line: {u!r}")
-        return cls(u[2], u[3], u[1])
+        c = u.coeffs
+        return cls(c[2], c[3], c[1])
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         return math.hypot(self.a, self.b) <= tol * _view_scale(self.a, self.b, self.c)
@@ -58,7 +69,7 @@ class Line:
         return f"Line[{self.a:g}, {self.b:g}, {self.c:g}]"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
     """Point with tuple convention (x, y, z); euclidean position (x/z, y/z)."""
 
@@ -66,27 +77,31 @@ class Point:
     y: float
     z: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise DomainError(f"non-finite point coordinates ({self.x}, {self.y}, {self.z})")
-        if self.x == 0.0 and self.y == 0.0 and self.z == 0.0:
+    def __init__(self, x: float, y: float, z: float):
+        x, y, z = float(x), float(y), float(z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise DomainError(f"non-finite point coordinates ({x}, {y}, {z})")
+        if x == 0.0 and y == 0.0 and z == 0.0:
             raise DomainError("zero element is not a point")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     @classmethod
     def from_xy(cls, x: float, y: float) -> "Point":
         return cls(x, y, 1.0)
 
     def mv(self) -> Multivector:
-        return Multivector((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
+        return _unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Point":
-        residue = (u - u.grade(2)).max_abs()
-        if residue > tol * max(1.0, u.max_abs()):
+        g0, g1, g2, g3 = u.grade_sizes()
+        residue = max(g0, g1, g3)
+        if residue > tol * max(1.0, g2, residue):
             raise DomainError(f"not a pure point: {u!r}")
-        return cls(u[4], u[5], u[6])
+        c = u.coeffs
+        return cls(c[4], c[5], c[6])
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.z) <= tol * _view_scale(self.x, self.y, self.z)
@@ -95,23 +110,24 @@ class Point:
         return f"Point({self.x:g}, {self.y:g}, {self.z:g})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IdealPoint:
     """Point on the ideal line, read as a free vector (u, v)."""
 
     u: float
     v: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise DomainError(f"non-finite ideal point ({self.u}, {self.v})")
-        if self.u == 0.0 and self.v == 0.0:
+    def __init__(self, u: float, v: float):
+        u, v = float(u), float(v)
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise DomainError(f"non-finite ideal point ({u}, {v})")
+        if u == 0.0 and v == 0.0:
             raise DomainError("zero element is not an ideal point")
+        _set(self, "u", u)
+        _set(self, "v", v)
 
     def mv(self) -> Multivector:
-        return Multivector((0.0, 0.0, 0.0, 0.0, self.u, self.v, 0.0, 0.0))
+        return _unchecked((0.0, 0.0, 0.0, 0.0, self.u, self.v, 0.0, 0.0))
 
     def as_point(self) -> Point:
         return Point(self.u, self.v, 0.0)
@@ -126,26 +142,28 @@ class IdealPoint:
         return f"IdealPoint({self.u:g}, {self.v:g})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pseudoscalar:
     """Grade-3 element s*e012; only its signed magnitude is meaningful."""
 
     s: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", float(self.s))
-        if not math.isfinite(self.s):
-            raise DomainError(f"non-finite pseudoscalar {self.s}")
+    def __init__(self, s: float):
+        s = float(s)
+        if not math.isfinite(s):
+            raise DomainError(f"non-finite pseudoscalar {s}")
+        _set(self, "s", s)
 
     def mv(self) -> Multivector:
-        return Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
+        return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Pseudoscalar":
-        residue = (u - u.grade(3)).max_abs()
-        if residue > tol * max(1.0, u.max_abs()):
+        g0, g1, g2, g3 = u.grade_sizes()
+        residue = max(g0, g1, g2)
+        if residue > tol * max(1.0, g3, residue):
             raise DomainError(f"not a pure pseudoscalar: {u!r}")
-        return cls(u[7])
+        return cls(u.coeffs[7])
 
     def __repr__(self) -> str:
         return f"Pseudoscalar({self.s:g})"

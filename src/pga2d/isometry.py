@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from .elements import IdealPoint, Line, Point, as_mv
 from .errors import ClassificationError, ConstructionError, DomainError, IncidenceError
 from .metric import normalize
-from .multivector import DEFAULT_TOL, Multivector
+from .multivector import DEFAULT_TOL, Multivector, _unchecked
+
+# Sets a field of a frozen dataclass from inside its own __init__.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Motor:
     """Even-subalgebra element s + bx*e20 + by*e01 + bz*e12."""
 
@@ -27,21 +30,28 @@ class Motor:
     by: float
     bz: float
 
-    def __post_init__(self):
-        for name in ("s", "bx", "by", "bz"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (self.s, self.bx, self.by, self.bz)):
+    def __init__(self, s: float, bx: float, by: float, bz: float):
+        s, bx, by, bz = float(s), float(bx), float(by), float(bz)
+        if not (
+            math.isfinite(s) and math.isfinite(bx) and math.isfinite(by) and math.isfinite(bz)
+        ):
             raise DomainError("non-finite motor components")
+        _set(self, "s", s)
+        _set(self, "bx", bx)
+        _set(self, "by", by)
+        _set(self, "bz", bz)
 
     def mv(self) -> Multivector:
-        return Multivector((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
+        return _unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Motor":
-        residue = (u - u.grade(0) - u.grade(2)).max_abs()
-        if residue > tol * max(1.0, u.max_abs()):
+        g0, g1, g2, g3 = u.grade_sizes()
+        residue = max(g1, g3)
+        if residue > tol * max(1.0, g0, g2, residue):
             raise DomainError(f"not an even element: {u!r}")
-        return cls(u[0], u[4], u[5], u[6])
+        c = u.coeffs
+        return cls(c[0], c[4], c[5], c[6])
 
     def weight(self) -> float:
         """Square root of g * reverse(g); 1 for a normalized motor."""
@@ -60,28 +70,32 @@ class Motor:
 IDENTITY_MOTOR = Motor(1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OddVersor:
     """Grade-1 plus grade-3 element: a line together with a pseudoscalar weight."""
 
     line: Line
     lam: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
-        if not math.isfinite(self.lam):
+    def __init__(self, line: Line, lam: float):
+        lam = float(lam)
+        if not math.isfinite(lam):
             raise DomainError("non-finite versor pseudoscalar part")
+        _set(self, "line", line)
+        _set(self, "lam", lam)
 
     def mv(self) -> Multivector:
         m = self.line
-        return Multivector((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
+        return _unchecked((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "OddVersor":
-        residue = (u - u.grade(1) - u.grade(3)).max_abs()
-        if residue > tol * max(1.0, u.max_abs()):
+        g0, g1, g2, g3 = u.grade_sizes()
+        residue = max(g0, g2)
+        if residue > tol * max(1.0, g1, g3, residue):
             raise DomainError(f"not an odd element: {u!r}")
-        return cls(Line(u[2], u[3], u[1]), u[7])
+        c = u.coeffs
+        return cls(Line(c[2], c[3], c[1]), c[7])
 
     def normalized(self, tol: float = DEFAULT_TOL) -> "OddVersor":
         n = math.hypot(self.line.a, self.line.b)

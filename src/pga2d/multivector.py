@@ -9,13 +9,23 @@ wedge is the meet.  Coefficients are stored densely in the fixed blade order
 
 chosen so that the line tuple [a, b, c] = a*e1 + b*e2 + c*e0 and the point
 tuple (x, y, z) = x*e20 + y*e01 + z*e12 each occupy contiguous slots.
+
+Validation happens at the boundary: the public ``Multivector(...)``
+constructor checks that every coefficient is finite.  Results the kernel
+computes itself skip that check; products, sums and scalings are checked for
+overflow only, since finite operands cannot produce inf or nan any other way,
+and permutations, sign flips and grade parts of finite values are not checked
+at all.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
+
+from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
 
@@ -47,25 +57,6 @@ _CAYLEY = (
     ((1, 7), (0, 0), (1, 4), (1, 5), (0, 0), (0, 0), (-1, 1), (0, 0)),
 )
 
-# Grade-filtered views of the same table.  For homogeneous u, v the outer
-# product keeps the grade (k+m) part of uv and the dot product the |k-m|
-# part; extending blade-wise realizes the bilinear extension.
-_OUTER = tuple(
-    tuple(
-        (s, k) if s and BLADE_GRADES[k] == BLADE_GRADES[i] + BLADE_GRADES[j] else (0, 0)
-        for j, (s, k) in enumerate(row)
-    )
-    for i, row in enumerate(_CAYLEY)
-)
-
-_DOT = tuple(
-    tuple(
-        (s, k) if s and BLADE_GRADES[k] == abs(BLADE_GRADES[i] - BLADE_GRADES[j]) else (0, 0)
-        for j, (s, k) in enumerate(row)
-    )
-    for i, row in enumerate(_CAYLEY)
-)
-
 # Poincare duality: the unique grade-complementing blade map with signs fixed
 # by  blade ^ dual(blade) = e012.  In this basis every sign comes out +1, so
 # the map is a pure coefficient swap and an exact involution.  The signs are
@@ -84,22 +75,60 @@ class Multivector:
         if len(coeffs) != DIM:
             raise ValueError(f"expected {DIM} coefficients, got {len(coeffs)}")
         if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError(f"non-finite coefficient in {coeffs}")
+            raise DomainError(f"non-finite coefficient in {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
     # -- ring operations ---------------------------------------------------
+    #
+    # gp, outer and dot are unrolled from _CAYLEY (outer keeps the entries of
+    # grade k+m, dot those of grade |k-m|).  Each slot adds its terms in the
+    # row-major order of the table, so the sums round exactly as a loop over
+    # the table would.  The test suite re-derives them from the table.
 
     def gp(self, other: "Multivector") -> "Multivector":
         """Geometric product."""
-        return _tabled_product(self, other, _CAYLEY)
+        a0, a1, a2, a3, a4, a5, a6, a7 = self.coeffs
+        b0, b1, b2, b3, b4, b5, b6, b7 = other.coeffs
+        return _checked((
+            a0 * b0 + a2 * b2 + a3 * b3 - a6 * b6,
+            a0 * b1 + a1 * b0 - a2 * b5 + a3 * b4 - a4 * b3 + a5 * b2 - a6 * b7 - a7 * b6,
+            a0 * b2 + a2 * b0 - a3 * b6 + a6 * b3,
+            a0 * b3 + a2 * b6 + a3 * b0 - a6 * b2,
+            a0 * b4 - a1 * b3 + a2 * b7 + a3 * b1 + a4 * b0 - a5 * b6 + a6 * b5 + a7 * b2,
+            a0 * b5 + a1 * b2 - a2 * b1 + a3 * b7 + a4 * b6 + a5 * b0 - a6 * b4 + a7 * b3,
+            a0 * b6 + a2 * b3 - a3 * b2 + a6 * b0,
+            a0 * b7 + a1 * b6 + a2 * b4 + a3 * b5 + a4 * b2 + a5 * b3 + a6 * b1 + a7 * b0,
+        ))
 
     def outer(self, other: "Multivector") -> "Multivector":
         """Outer (wedge) product; acts as the meet on lines and points."""
-        return _tabled_product(self, other, _OUTER)
+        a0, a1, a2, a3, a4, a5, a6, a7 = self.coeffs
+        b0, b1, b2, b3, b4, b5, b6, b7 = other.coeffs
+        return _checked((
+            a0 * b0,
+            a0 * b1 + a1 * b0,
+            a0 * b2 + a2 * b0,
+            a0 * b3 + a3 * b0,
+            a0 * b4 - a1 * b3 + a3 * b1 + a4 * b0,
+            a0 * b5 + a1 * b2 - a2 * b1 + a5 * b0,
+            a0 * b6 + a2 * b3 - a3 * b2 + a6 * b0,
+            a0 * b7 + a1 * b6 + a2 * b4 + a3 * b5 + a4 * b2 + a5 * b3 + a6 * b1 + a7 * b0,
+        ))
 
     def dot(self, other: "Multivector") -> "Multivector":
         """Inner product: lowest-grade part of the geometric product."""
-        return _tabled_product(self, other, _DOT)
+        a0, a1, a2, a3, a4, a5, a6, a7 = self.coeffs
+        b0, b1, b2, b3, b4, b5, b6, b7 = other.coeffs
+        return _checked((
+            a0 * b0 + a2 * b2 + a3 * b3 - a6 * b6,
+            a0 * b1 + a1 * b0 - a2 * b5 + a3 * b4 - a4 * b3 + a5 * b2 - a6 * b7 - a7 * b6,
+            a0 * b2 + a2 * b0 - a3 * b6 + a6 * b3,
+            a0 * b3 + a2 * b6 + a3 * b0 - a6 * b2,
+            a0 * b4 + a2 * b7 + a4 * b0 + a7 * b2,
+            a0 * b5 + a3 * b7 + a5 * b0 + a7 * b3,
+            a0 * b6 + a6 * b0,
+            a0 * b7 + a7 * b0,
+        ))
 
     def commutator(self, other: "Multivector") -> "Multivector":
         """Grade-2 part of the geometric product (cross product of points)."""
@@ -107,11 +136,8 @@ class Multivector:
 
     def dual(self) -> "Multivector":
         """Duality map sending grade k to grade 3-k, blade ^ dual(blade) = e012."""
-        out = [0.0] * DIM
-        for i, c in enumerate(self.coeffs):
-            s, k = _DUAL[i]
-            out[k] = s * c
-        return Multivector(out)
+        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
+        return _unchecked((c7, c6, c4, c5, c2, c3, c1, c0))
 
     def join(self, other: "Multivector") -> "Multivector":
         """Regressive product: dual of the wedge of the duals (span operator)."""
@@ -119,30 +145,35 @@ class Multivector:
 
     def reverse(self) -> "Multivector":
         """Reverse the order of all 1-vector factors: negates grades 2 and 3."""
-        c = self.coeffs
-        return Multivector((c[0], c[1], c[2], c[3], -c[4], -c[5], -c[6], -c[7]))
+        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
+        return _unchecked((c0, c1, c2, c3, -c4, -c5, -c6, -c7))
 
     def grade(self, k: int) -> "Multivector":
         """Projection onto grade k; k outside 0..3 is a contract violation."""
-        if not 0 <= k <= 3:
-            raise ValueError(f"grade must be in 0..3, got {k}")
-        return Multivector(
-            tuple(c if BLADE_GRADES[i] == k else 0.0 for i, c in enumerate(self.coeffs))
-        )
+        c = self.coeffs
+        if k == 0:
+            return _unchecked((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        if k == 1:
+            return _unchecked((0.0, c[1], c[2], c[3], 0.0, 0.0, 0.0, 0.0))
+        if k == 2:
+            return _unchecked((0.0, 0.0, 0.0, 0.0, c[4], c[5], c[6], 0.0))
+        if k == 3:
+            return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
+        raise ValueError(f"grade must be in 0..3, got {k}")
 
     def scaled(self, factor: float) -> "Multivector":
-        return Multivector(tuple(factor * c for c in self.coeffs))
+        return _checked(tuple(map(float(factor).__mul__, self.coeffs)))
 
     # -- vector-space plumbing ----------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _checked(tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _checked(tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Multivector":
-        return self.scaled(-1.0)
+        return _unchecked(tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -180,7 +211,12 @@ class Multivector:
         return self.coeffs[7]
 
     def max_abs(self) -> float:
-        return max(abs(c) for c in self.coeffs)
+        return max(map(abs, self.coeffs))
+
+    def grade_sizes(self) -> tuple[float, float, float, float]:
+        """Largest |coefficient| of each grade 0..3, read from the slots directly."""
+        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
+        return abs(c0), max(abs(c1), abs(c2), abs(c3)), max(abs(c4), abs(c5), abs(c6)), abs(c7)
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_abs() <= tol
@@ -197,19 +233,26 @@ class Multivector:
         return "Multivector<{}>".format(" + ".join(terms) if terms else "0")
 
 
-def _tabled_product(u: Multivector, v: Multivector, table) -> Multivector:
-    out = [0.0] * DIM
-    for i, ui in enumerate(u.coeffs):
-        if ui == 0.0:
-            continue
-        row = table[i]
-        for j, vj in enumerate(v.coeffs):
-            if vj == 0.0:
-                continue
-            s, k = row[j]
-            if s:
-                out[k] += s * ui * vj
-    return Multivector(out)
+_new = object.__new__
+_set_coeffs = Multivector.coeffs.__set__  # the slot itself, past the frozen __setattr__
+
+
+def _unchecked(coeffs: tuple[float, ...]) -> Multivector:
+    """Wrap eight floats already known to be finite, without validating them."""
+    u = _new(Multivector)
+    _set_coeffs(u, coeffs)
+    return u
+
+
+def _checked(coeffs: tuple[float, ...]) -> Multivector:
+    """Wrap eight computed floats; DomainError unless all are finite.
+
+    Finite operands yield inf or nan only by overflow (or through a non-finite
+    scale factor).  A finite sum proves every slot finite, so the slot-by-slot
+    test runs only when the sum is not: a slot overflowed, or only the sum did."""
+    if not math.isfinite(sum(coeffs)) and not all(map(math.isfinite, coeffs)):
+        raise DomainError("result is not finite (coefficient overflow or non-finite factor)")
+    return _unchecked(coeffs)
 
 
 def basis(index: int) -> Multivector:
@@ -264,22 +307,6 @@ def reverse(u: Multivector) -> Multivector:
 
 def grade(u: Multivector, k: int) -> Multivector:
     return u.grade(k)
-
-
-def add(u: Multivector, v: Multivector) -> Multivector:
-    return u + v
-
-
-def sub(u: Multivector, v: Multivector) -> Multivector:
-    return u - v
-
-
-def scale(u: Multivector, factor: float) -> Multivector:
-    return u.scaled(factor)
-
-
-def from_coeffs(values: Iterable[float]) -> Multivector:
-    return Multivector(tuple(values))
 
 
 def cayley_table() -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -145,17 +145,20 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
 
 def _element_from_mv(u: Multivector, lineno: int, tol: float):
     """View a computed multivector as a tagged environment value."""
-    if u.is_zero(tol * max(1.0, u.max_abs())):
+    sizes = u.grade_sizes()
+    cutoff = tol * max(1.0, *sizes)
+    grades = {k for k, size in enumerate(sizes) if size > cutoff}
+    if not grades:
         raise EvaluationError("result is the zero element (dependent arguments?)", lineno)
-    grades = {k for k in range(4) if not u.grade(k).is_zero(tol * max(1.0, u.max_abs()))}
+    c = u.coeffs
     if grades == {0}:
-        return u.scalar_part()
+        return c[0]
     if grades == {1}:
-        return Line(u[2], u[3], u[1])
+        return Line(c[2], c[3], c[1])
     if grades == {2}:
-        return Point(u[4], u[5], u[6])
+        return Point(c[4], c[5], c[6])
     if grades == {3}:
-        return Pseudoscalar(u[7])
+        return Pseudoscalar(c[7])
     if grades <= {0, 2}:
         return Motor.from_mv(u, tol)
     if grades <= {1, 3}:

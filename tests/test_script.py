@@ -311,6 +311,39 @@ def test_cli_tol_flag(tmp_path, capsys):
     assert main(["run", str(script), "--tol", "1e-6"]) == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 1 0\nprint A\n")
+    assert main(["run", str(script), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
+
+
+def test_cli_accepts_zero_tol(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 1 0\nprint A\n")
+    assert main(["run", str(script), "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "A = (1.000000, 0.000000)\n"
+
+
+def test_cli_rejects_non_utf8_script(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_bytes(b"point A 0 0\n# caf\xe9\n")
+    assert main(["run", str(script)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
+
+
+def test_cli_overflow_is_an_evaluation_error(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("line m 1e300 1e300 1e300\nline n 1e300 -1e300 0\nmeet P m n\n")
+    assert main(["run", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and "overflow" in err and err.count("\n") == 1
+
+
 def test_cli_tables(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out
