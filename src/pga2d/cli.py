@@ -78,12 +78,17 @@ def main(argv=None) -> int:
         return 1
     try:
         env, output = evaluate(program, tol=args.tol)
-        sys.stdout.write(output)
-        if args.svg:
-            render_svg(env, args.svg, tol=args.tol)
-    except (EvaluationError, RenderError, OSError) as exc:
+    except EvaluationError as exc:
+        sys.stdout.write(exc.output)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(output)
+    if args.svg:
+        try:
+            render_svg(env, args.svg, tol=args.tol)
+        except (RenderError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

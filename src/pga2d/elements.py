@@ -14,27 +14,20 @@ mv(), which wraps them without validating them again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .multivector import DEFAULT_TOL, Multivector, _unchecked
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked
 from .multivector import zero as _zero_mv
-
-# Sets a field of a frozen dataclass from inside its own __init__.
-_set = object.__setattr__
 
 
 def _view_scale(*coeffs: float) -> float:
     return max(abs(c) for c in coeffs)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Line:
+class Line(Frozen):
     """Oriented line with tuple convention [a, b, c]: the locus ax + by + c = 0."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
         a, b, c = float(a), float(b), float(c)
@@ -69,13 +62,10 @@ class Line:
         return f"Line[{self.a:g}, {self.b:g}, {self.c:g}]"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Point:
+class Point(Frozen):
     """Point with tuple convention (x, y, z); euclidean position (x/z, y/z)."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
         x, y, z = float(x), float(y), float(z)
@@ -110,12 +100,10 @@ class Point:
         return f"Point({self.x:g}, {self.y:g}, {self.z:g})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class IdealPoint:
+class IdealPoint(Frozen):
     """Point on the ideal line, read as a free vector (u, v)."""
 
-    u: float
-    v: float
+    __slots__ = ("u", "v")
 
     def __init__(self, u: float, v: float):
         u, v = float(u), float(v)
@@ -142,11 +130,10 @@ class IdealPoint:
         return f"IdealPoint({self.u:g}, {self.v:g})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Pseudoscalar:
+class Pseudoscalar(Frozen):
     """Grade-3 element s*e012; only its signed magnitude is meaningful."""
 
-    s: float
+    __slots__ = ("s",)
 
     def __init__(self, s: float):
         s = float(s)

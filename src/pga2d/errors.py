@@ -44,7 +44,14 @@ class ParseError(ScriptError):
 
 
 class EvaluationError(ScriptError):
-    """A statement failed while the script was being executed."""
+    """A statement failed while the script was being executed.
+
+    ``output`` is the text that the statements before it printed.
+    """
+
+    def __init__(self, message: str, lineno: int | None = None, output: str = ""):
+        super().__init__(message, lineno)
+        self.output = output
 
 
 class RenderError(Exception):

@@ -13,13 +13,12 @@ Sign conventions, fixed here and pinned by golden tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .elements import IdealPoint, Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError, OrientationError
 from .metric import ideal_inner, normalize
-from .multivector import DEFAULT_TOL, Multivector
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set
 
 
 class MeasurementKind(Enum):
@@ -31,23 +30,27 @@ class MeasurementKind(Enum):
     LINE_IDEAL_POINT_ANGLE = "line-ideal-point-angle"
 
 
-@dataclass(frozen=True, slots=True)
-class Measurement:
+class Measurement(Frozen):
     """A single measured value: radians for angles, length units for distances."""
 
-    value: float
-    kind: MeasurementKind
+    __slots__ = ("value", "kind")
+
+    def __init__(self, value: float, kind: MeasurementKind):
+        _set(self, "value", value)
+        _set(self, "kind", kind)
 
     def __float__(self) -> float:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Orthogonal split of an element; the two parts sum back to the input."""
 
-    parallel_part: Multivector
-    orthogonal_part: Multivector
+    __slots__ = ("parallel_part", "orthogonal_part")
+
+    def __init__(self, parallel_part: Multivector, orthogonal_part: Multivector):
+        _set(self, "parallel_part", parallel_part)
+        _set(self, "orthogonal_part", orthogonal_part)
 
     def total(self) -> Multivector:
         return self.parallel_part + self.orthogonal_part
@@ -212,13 +215,15 @@ def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Poi
     return Point.from_mv(product, tol)
 
 
-@dataclass(frozen=True, slots=True)
-class TripleLineProduct:
+class TripleLineProduct(Frozen):
     """Grade components of a three-line product, plus a degeneracy flag."""
 
-    line_part: Line
-    pseudo_part: Pseudoscalar
-    degenerate: bool
+    __slots__ = ("line_part", "pseudo_part", "degenerate")
+
+    def __init__(self, line_part: Line, pseudo_part: Pseudoscalar, degenerate: bool):
+        _set(self, "line_part", line_part)
+        _set(self, "pseudo_part", pseudo_part)
+        _set(self, "degenerate", degenerate)
 
 
 def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleLineProduct:

@@ -10,25 +10,17 @@ axis point or, when the bivector is ideal, a translation.  An odd versor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .elements import IdealPoint, Line, Point, as_mv
 from .errors import ClassificationError, ConstructionError, DomainError, IncidenceError
 from .metric import normalize
-from .multivector import DEFAULT_TOL, Multivector, _unchecked
-
-# Sets a field of a frozen dataclass from inside its own __init__.
-_set = object.__setattr__
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Motor:
+class Motor(Frozen):
     """Even-subalgebra element s + bx*e20 + by*e01 + bz*e12."""
 
-    s: float
-    bx: float
-    by: float
-    bz: float
+    __slots__ = ("s", "bx", "by", "bz")
 
     def __init__(self, s: float, bx: float, by: float, bz: float):
         s, bx, by, bz = float(s), float(bx), float(by), float(bz)
@@ -70,12 +62,10 @@ class Motor:
 IDENTITY_MOTOR = Motor(1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class OddVersor:
+class OddVersor(Frozen):
     """Grade-1 plus grade-3 element: a line together with a pseudoscalar weight."""
 
-    line: Line
-    lam: float
+    __slots__ = ("line", "lam")
 
     def __init__(self, line: Line, lam: float):
         lam = float(lam)
@@ -104,8 +94,7 @@ class OddVersor:
         return OddVersor(Line(self.line.a / n, self.line.b / n, self.line.c / n), self.lam / n)
 
 
-@dataclass(frozen=True, slots=True)
-class GlideDecomposition:
+class GlideDecomposition(Frozen):
     """Axis and signed translation distance of a glide reflection.
 
     Recomposition is exact: axis + (translation_distance/2)*e012 equals the
@@ -114,8 +103,11 @@ class GlideDecomposition:
     (the odd sandwich flips the weight of every point image).
     """
 
-    axis: Line
-    translation_distance: float
+    __slots__ = ("axis", "translation_distance")
+
+    def __init__(self, axis: Line, translation_distance: float):
+        _set(self, "axis", axis)
+        _set(self, "translation_distance", translation_distance)
 
 
 def _versor_mv(v) -> Multivector:

@@ -63,6 +63,21 @@ def ideal_norm(x, tol: float = DEFAULT_TOL) -> float:
     raise ClassificationError(f"{x!r} is euclidean; use norm")
 
 
+def unit_direction(u: float, v: float, w: float = 0.0) -> tuple[float, float, float]:
+    """(u, v, w) divided by the length of (u, v), which must not be zero.
+
+    The length overflows to inf only when |u| or |v| is near the largest
+    float; only then are all three first divided by max(|u|, |v|), so every
+    input with a finite length gets the plain quotients.
+    """
+    n = math.hypot(u, v)
+    if n == math.inf:
+        s = max(abs(u), abs(v))
+        u, v, w = u / s, v / s, w / s
+        n = math.hypot(u, v)
+    return u / n, v / n, w / n
+
+
 def normalize(x, tol: float = DEFAULT_TOL):
     """Scale to unit norm (euclidean) or unit ideal norm (ideal); same type out.
 
@@ -72,8 +87,7 @@ def normalize(x, tol: float = DEFAULT_TOL):
     """
     tag = classify(x, tol)
     if tag is NormTag.EUCLIDEAN_LINE:
-        n = math.hypot(x.a, x.b)
-        return Line(x.a / n, x.b / n, x.c / n)
+        return Line(*unit_direction(x.a, x.b, x.c))
     if tag is NormTag.EUCLIDEAN_POINT:
         return Point(x.x / x.z, x.y / x.z, 1.0)
     if tag is NormTag.IDEAL_LINE:
@@ -82,14 +96,13 @@ def normalize(x, tol: float = DEFAULT_TOL):
         return Line(x.a / x.c, x.b / x.c, 1.0)
     if tag is NormTag.IDEAL_POINT:
         if isinstance(x, IdealPoint):
-            n = math.hypot(x.u, x.v)
-            if n == 0.0:
+            if x.u == 0.0 and x.v == 0.0:
                 raise DomainError("cannot normalize a zero ideal point")
-            return IdealPoint(x.u / n, x.v / n)
-        n = math.hypot(x.x, x.y)
-        if n == 0.0:
+            u, v, _ = unit_direction(x.u, x.v)
+            return IdealPoint(u, v)
+        if x.x == 0.0 and x.y == 0.0:
             raise DomainError("cannot normalize a zero point")
-        return Point(x.x / n, x.y / n, x.z / n)
+        return Point(*unit_direction(x.x, x.y, x.z))
     if tag is NormTag.PSEUDOSCALAR:
         if x.s == 0.0:
             raise DomainError("cannot normalize a zero pseudoscalar")

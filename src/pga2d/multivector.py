@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError
@@ -63,20 +62,61 @@ _CAYLEY = (
 # re-derived from the defining property by the test-suite oracle.
 _DUAL = ((1, 7), (1, 6), (1, 4), (1, 5), (1, 2), (1, 3), (1, 1), (1, 0))
 
+# Sets a field of a Frozen value; only its own __init__ calls it.
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Multivector:
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    constructor's parameters, and its ``__init__`` sets each one once with
+    ``_set``.  Two values are equal when they are of the same class and their
+    ``_key()`` tuples are equal, and then they hash alike.  Pickle and copy
+    rebuild a value by calling its constructor with every field, so a
+    restored value has passed the same checks as the original.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        """The fields that == and hash() compare: all of them, unless a class narrows it."""
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Multivector(Frozen):
     """Immutable element of the algebra, eight blade coefficients."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[float, ...]):
+        coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) != DIM:
             raise ValueError(f"expected {DIM} coefficients, got {len(coeffs)}")
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError(f"non-finite coefficient in {coeffs}")
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
 
     # -- ring operations ---------------------------------------------------
     #

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .elements import IdealPoint, Line, Point
 from .errors import RenderError
-from .metric import normalize
+from .metric import normalize, unit_direction
 from .multivector import DEFAULT_TOL
 
 VIEW = 512.0
@@ -34,13 +34,11 @@ def _gather(env: dict, tol: float):
     for name, value in env.items():
         if isinstance(value, Point):
             if value.is_ideal(tol):
-                n = math.hypot(value.x, value.y)
-                drawables.append(("arrow", name, (value.x / n, value.y / n)))
+                drawables.append(("arrow", name, unit_direction(value.x, value.y)[:2]))
             else:
                 drawables.append(("point", name, (value.x / value.z, value.y / value.z)))
         elif isinstance(value, IdealPoint):
-            n = math.hypot(value.u, value.v)
-            drawables.append(("arrow", name, (value.u / n, value.v / n)))
+            drawables.append(("arrow", name, unit_direction(value.u, value.v)[:2]))
         elif isinstance(value, Line) and not value.is_ideal(tol):
             ln = normalize(value, tol)
             drawables.append(("line", name, (ln.a, ln.b, ln.c)))

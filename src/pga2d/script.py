@@ -8,16 +8,14 @@ odd versors, or plain numbers.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
 
 from . import geometry, isometry
 from .elements import IdealPoint, Line, Point, Pseudoscalar
 from .errors import AlgebraError, EvaluationError, ParseError, RenderError
 from .isometry import Motor, OddVersor
-from .metric import normalize
-from .multivector import DEFAULT_TOL, Multivector
+from .metric import normalize, unit_direction
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -44,18 +42,25 @@ _SIGNATURES: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Statement:
-    # the line number is diagnostic provenance, not program content
-    lineno: int = field(compare=False)
-    verb: str
-    result: str | None
-    args: tuple
+class Statement(Frozen):
+    __slots__ = ("lineno", "verb", "result", "args")
+
+    def __init__(self, lineno: int, verb: str, result: str | None, args: tuple):
+        _set(self, "lineno", lineno)
+        _set(self, "verb", verb)
+        _set(self, "result", result)
+        _set(self, "args", args)
+
+    def _key(self) -> tuple:
+        # the line number is diagnostic provenance, not program content
+        return self.verb, self.result, self.args
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
-    statements: tuple[Statement, ...]
+class Program(Frozen):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements: tuple[Statement, ...]):
+        _set(self, "statements", statements)
 
 
 def parse(source: str) -> Program:
@@ -125,12 +130,12 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     if isinstance(value, Pseudoscalar):
         return _fmt(value.s)
     if isinstance(value, IdealPoint):
-        n = math.hypot(value.u, value.v)
-        return f"ideal ({_fmt(value.u / n)}, {_fmt(value.v / n)})"
+        u, v, _ = unit_direction(value.u, value.v)
+        return f"ideal ({_fmt(u)}, {_fmt(v)})"
     if isinstance(value, Point):
         if value.is_ideal(tol):
-            n = math.hypot(value.x, value.y)
-            return f"ideal ({_fmt(value.x / n)}, {_fmt(value.y / n)})"
+            u, v, _ = unit_direction(value.x, value.y)
+            return f"ideal ({_fmt(u)}, {_fmt(v)})"
         return f"({_fmt(value.x / value.z)}, {_fmt(value.y / value.z)})"
     if isinstance(value, Line):
         ln = normalize(value, tol)
@@ -190,18 +195,23 @@ def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
     """Run a parsed program; returns the final environment and printed text.
 
     Execution stops at the first failing statement, re-raised as an
-    EvaluationError carrying the line number.
+    EvaluationError carrying the line number and the text printed before it.
     """
     env: dict[str, object] = {}
     out: list[str] = []
     for st in program.statements:
         try:
             _execute(st, env, out, tol)
-        except EvaluationError:
+        except EvaluationError as exc:
+            exc.output = _joined(out)
             raise
         except (AlgebraError, RenderError, OSError) as exc:
-            raise EvaluationError(str(exc), st.lineno) from exc
-    return env, "".join(f"{line}\n" for line in out)
+            raise EvaluationError(str(exc), st.lineno, _joined(out)) from exc
+    return env, _joined(out)
+
+
+def _joined(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:

@@ -20,6 +20,7 @@ from pga2d.metric import (
     norm,
     normalize,
     polar,
+    unit_direction,
 )
 from pga2d.multivector import Multivector, e0, e1, e12, e20, zero
 
@@ -107,6 +108,34 @@ def test_normalize_zero_is_domain_error():
         Line(0, 0, 0)
     with pytest.raises(DomainError):
         normalize(Pseudoscalar(0.0))
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_unit_direction_is_the_plain_quotient_while_the_length_is_finite(u, v, w):
+    n = math.hypot(u, v)
+    if n == 0.0:
+        return
+    got = unit_direction(u, v, w)
+    if math.isfinite(n):
+        assert got == (u / n, v / n, w / n)
+    else:
+        assert math.hypot(got[0], got[1]) == pytest.approx(1.0, abs=1e-15)
+        assert math.isfinite(got[2])
+
+
+def test_normalize_huge_elements_keeps_their_direction():
+    ln = normalize(Line(1.7e308, 1.7e308, -1.7e308))
+    assert (ln.a, ln.b, ln.c) == pytest.approx((0.5**0.5, 0.5**0.5, -(0.5**0.5)), rel=1e-15)
+    ip = normalize(IdealPoint(-1.7e308, 0.0))
+    assert (ip.u, ip.v) == (-1.0, 0.0)
+    pt = normalize(Point(1.2e308, 1.6e308, 0.0))
+    assert (pt.x, pt.y, pt.z) == pytest.approx((0.6, 0.8, 0.0), rel=1e-15)
+    with pytest.raises(DomainError):
+        normalize(Point(0.0, 0.0, 1.0), tol=math.inf)
 
 
 def test_polar_examples():

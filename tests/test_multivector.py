@@ -1,5 +1,8 @@
 """Ring-level tests: product tables, grade laws, duality, join, reversal."""
 
+import math
+import pickle
+import struct
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 
 import gen
 import oracle
+from pga2d.elements import Line
+from pga2d.errors import DomainError
 from pga2d.multivector import (
     BLADE_GRADES,
     BLADE_NAMES,
@@ -301,3 +306,12 @@ def test_componentwise_operations():
     assert (u - u) == zero
     assert u.scaled(0.0) == zero
     assert 2.0 * u == u + u
+
+
+def test_unpickling_runs_the_validating_constructor():
+    one, inf = struct.pack(">d", 1.0), struct.pack(">d", math.inf)
+    for value in (Line(1, 0, 0), Multivector((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))):
+        data = pickle.dumps(value, protocol=4)
+        assert data.count(one) == 1
+        with pytest.raises(DomainError):
+            pickle.loads(data.replace(one, inf))

@@ -1,15 +1,19 @@
 """Construction language: parsing, evaluation, golden runs, SVG, CLI."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pga2d
 from pga2d.cli import main
 from pga2d.errors import EvaluationError, ParseError, RenderError
 from pga2d.elements import Point
 from pga2d.isometry import Motor
 from pga2d.render import build_svg
-from pga2d.script import evaluate, format_program, parse
+from pga2d.script import evaluate, format_program, format_value, parse
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
 
@@ -126,6 +130,29 @@ def test_evaluate_type_errors_are_evaluation_errors():
     assert "mirror" in str(err.value)
 
 
+def test_evaluate_keeps_output_printed_before_the_failure():
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse("point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"))
+    assert err.value.lineno == 5
+    assert err.value.output == "A = (1.000000, 2.000000)\n"
+
+
+@pytest.mark.parametrize(
+    "source, printed",
+    [
+        ("ideal v 1.7e308 1.7e308\nprint v\n", "v = ideal (0.707107, 0.707107)\n"),
+        ("line m 1.7e308 1.7e308 0\nprint m\n", "m = [0.707107, 0.707107, 0.000000]\n"),
+    ],
+)
+def test_evaluate_unit_directions_of_huge_coordinates(source, printed):
+    _, output = evaluate(parse(source))
+    assert output == printed
+
+
+def test_format_value_of_huge_ideal_point():
+    assert format_value(Point(1.7e308, -1.7e308, 0.0)) == "ideal (0.707107, -0.707107)"
+
+
 def test_evaluate_rejects_midline_of_antiparallel():
     with pytest.raises(EvaluationError) as err:
         evaluate(parse("line m 1 0 0\nline n -1 0 -2\nmidline b m n\n"))
@@ -230,6 +257,12 @@ def test_svg_ideal_points_become_arrows():
     svg = build_svg(env)
     assert svg.count("<path") == 1
     assert svg.count("<circle") == 1
+
+
+def test_svg_arrow_of_huge_ideal_point_matches_unit_one():
+    huge, _ = evaluate(parse("ideal v 1.7e308 1.7e308\n"))
+    unit, _ = evaluate(parse("ideal v 1 1\n"))
+    assert build_svg(huge) == build_svg(unit)
 
 
 def test_svg_is_deterministic(tmp_path):
@@ -342,6 +375,32 @@ def test_cli_overflow_is_an_evaluation_error(tmp_path, capsys):
     assert main(["run", str(script)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ") and "overflow" in err and err.count("\n") == 1
+
+
+def test_cli_writes_output_printed_before_an_evaluation_error(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n")
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "A = (1.000000, 2.000000)\n"
+    assert captured.err.startswith("error: line 5: ") and captured.err.count("\n") == 1
+
+
+def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
+    env = dict(os.environ)
+    src = str(Path(pga2d.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = "import sys, pga2d.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert loaded.stdout == "[]\n"
+    run = subprocess.run(
+        [sys.executable, "-m", "pga2d.cli", "run", str(SCRIPTS / "rotation_case.pga")],
+        env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (SCRIPTS / "rotation_case.expected.txt").read_text()
 
 
 def test_cli_tables(capsys):

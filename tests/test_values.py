@@ -1,0 +1,140 @@
+"""Contract of the immutable value classes: equality, hashing, immutability,
+pickling, copying and the pinned repr strings."""
+
+import copy
+import pickle
+
+import pytest
+
+from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
+from pga2d.geometry import Decomposition, Measurement, MeasurementKind, TripleLineProduct
+from pga2d.isometry import GlideDecomposition, Motor, OddVersor
+from pga2d.multivector import Multivector
+from pga2d.script import Program, Statement
+
+_MV = Multivector((1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.5))
+_STATEMENT = Statement(3, "point", "A", (1.0, 2.0))
+
+# (value, an equal value built separately, an unequal value of the same class,
+#  one field name, the pinned repr)
+CASES = [
+    (
+        _MV,
+        Multivector([1, 0, 2, 0, 0, 0, 0, 0.5]),
+        Multivector((1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.25)),
+        "coeffs",
+        "Multivector<1 + 2*e1 + 0.5*e012>",
+    ),
+    (Line(1, 0, 0), Line(1.0, 0.0, 0.0), Line(0, 1, 0), "a", "Line[1, 0, 0]"),
+    (Point(1, 2, 1), Point(1.0, 2.0, 1.0), Point(1, 2, 2), "z", "Point(1, 2, 1)"),
+    (IdealPoint(3, 4), IdealPoint(3.0, 4.0), IdealPoint(4, 3), "u", "IdealPoint(3, 4)"),
+    (Pseudoscalar(2), Pseudoscalar(2.0), Pseudoscalar(-2), "s", "Pseudoscalar(2)"),
+    (
+        Measurement(5.0, MeasurementKind.POINT_POINT_DISTANCE),
+        Measurement(5.0, MeasurementKind.POINT_POINT_DISTANCE),
+        Measurement(5.0, MeasurementKind.LINE_POINT_DISTANCE),
+        "value",
+        "Measurement(value=5.0, kind=<MeasurementKind.POINT_POINT_DISTANCE: "
+        "'point-point-distance'>)",
+    ),
+    (
+        Decomposition(_MV, _MV.scaled(2.0)),
+        Decomposition(_MV, _MV.scaled(2.0)),
+        Decomposition(_MV.scaled(2.0), _MV),
+        "parallel_part",
+        "Decomposition(parallel_part=Multivector<1 + 2*e1 + 0.5*e012>, "
+        "orthogonal_part=Multivector<2 + 4*e1 + 1*e012>)",
+    ),
+    (
+        TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
+        TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
+        TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), True),
+        "degenerate",
+        "TripleLineProduct(line_part=Line[0, 1, -2], pseudo_part=Pseudoscalar(0.5), "
+        "degenerate=False)",
+    ),
+    (Motor(1, 0, 0.5, 0), Motor(1.0, 0.0, 0.5, 0.0), Motor(1, 0.5, 0, 0), "bz", "Motor(1, 0, 0.5, 0)"),
+    (
+        OddVersor(Line(1, 0, 0), 0.5),
+        OddVersor(Line(1.0, 0.0, 0.0), 0.5),
+        OddVersor(Line(1, 0, 0), -0.5),
+        "lam",
+        "OddVersor(line=Line[1, 0, 0], lam=0.5)",
+    ),
+    (
+        GlideDecomposition(Line(0, 1, 0), 2.0),
+        GlideDecomposition(Line(0, 1, 0), 2.0),
+        GlideDecomposition(Line(0, 1, 0), 3.0),
+        "translation_distance",
+        "GlideDecomposition(axis=Line[0, 1, 0], translation_distance=2.0)",
+    ),
+    (
+        _STATEMENT,
+        Statement(3, "point", "A", (1.0, 2.0)),
+        Statement(3, "point", "B", (1.0, 2.0)),
+        "verb",
+        "Statement(lineno=3, verb='point', result='A', args=(1.0, 2.0))",
+    ),
+    (
+        Program((_STATEMENT, Statement(4, "print", None, ("A",)))),
+        Program((_STATEMENT, Statement(4, "print", None, ("A",)))),
+        Program((_STATEMENT,)),
+        "statements",
+        "Program(statements=(Statement(lineno=3, verb='point', result='A', args=(1.0, 2.0)), "
+        "Statement(lineno=4, verb='print', result=None, args=('A',))))",
+    ),
+]
+
+
+IDS = [type(case[0]).__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("value, same, other, field, text", CASES, ids=IDS)
+def test_equality_and_hash(value, same, other, field, text):
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != other and not value == other
+    assert len({value, same, other}) == 2
+
+
+@pytest.mark.parametrize("value, same, other, field, text", CASES, ids=IDS)
+def test_values_of_another_class_are_unequal(value, same, other, field, text):
+    stranger = next(case[0] for case in CASES if type(case[0]) is not type(value))
+    assert value != stranger
+    assert value != tuple(value.__class__.__slots__)
+
+
+@pytest.mark.parametrize("value, same, other, field, text", CASES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(value, same, other, field, text):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("value, same, other, field, text", CASES, ids=IDS)
+def test_pickle_and_copies_round_trip(value, same, other, field, text):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(value, protocol))
+        assert type(restored) is type(value) and restored == value
+        assert repr(restored) == text
+    for clone in (copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+        assert hash(clone) == hash(value)
+        assert repr(clone) == text
+
+
+@pytest.mark.parametrize("value, same, other, field, text", CASES, ids=IDS)
+def test_repr_is_pinned(value, same, other, field, text):
+    assert repr(value) == text
+
+
+def test_statement_lineno_is_shown_but_not_compared():
+    moved = Statement(9, "point", "A", (1.0, 2.0))
+    assert moved == _STATEMENT and hash(moved) == hash(_STATEMENT)
+    assert "lineno=9" in repr(moved) and "lineno=3" in repr(_STATEMENT)
+    assert pickle.loads(pickle.dumps(moved)).lineno == 9
+    assert copy.deepcopy(moved).lineno == 9
+
