@@ -13,7 +13,7 @@ import math
 
 from .elements import IdealPoint, Line, Point, as_mv
 from .errors import ClassificationError, ConstructionError, DomainError, IncidenceError
-from .metric import normalize
+from .metric import normalize, unit_direction
 from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked
 
 
@@ -286,32 +286,18 @@ def _transports(g: Motor, a: Point, m: Line, a2: Point, m2: Line, tol: float) ->
     return _points_match(img_pt, a2, tol) and _lines_match(img_ln, m2, tol)
 
 
-def _rotor_fixing_point(a: Point, m: Line, m2: Line, tol: float) -> Motor:
-    """Motor of the rotation about a carrying the oriented line m to m2;
-    both lines must pass through a."""
-    if _lines_match(m, m2, tol):
-        return IDENTITY_MOTOR
-    total = m.mv() + m2.mv()
-    if math.hypot(total[2], total[3]) > tol * max(1.0, total.max_abs()):
-        bisector = normalize(Line.from_mv(total, tol), tol)
-        return Motor.from_mv(bisector.mv().gp(m.mv()), tol)
-    # anti-parallel mirror pair: half turn about the fixed point
-    return Motor.from_mv(a.mv(), tol)
-
-
 def solve_point_line_transport(
     a: Point, m: Line, a2: Point, m2: Line, tol: float = DEFAULT_TOL
 ) -> Motor:
     """The unique direct isometry g with sandwich a -> a2 and m -> m2.
 
-    Built from the classical construction: join the points, take the
-    perpendicular bisector r through their midpoint, intersect it with the
-    oriented line difference c = m - m2 to find the fixed point, and compose
-    r with the line from a to that fixed point.  An ideal intersection makes
-    the same formulas produce a translator.  Degenerate configurations
-    (coincident points, identical lines, r parallel to c) fall back to an
-    explicit translate-then-rotate composition; the postcondition is checked
-    either way and failures are rejected.
+    g is the translator taking a to a2, then the rotor about a2 that turns
+    the moved line m' onto m2: the normalized 1 + m2*m' (Roelfs and De
+    Keninck, arXiv:2107.03771).  Translation keeps directions, so the turn
+    comes from m and m2 directly; its half angle is taken in a form that
+    does not cancel near a half turn.  The scalar part of g is >= 0 (g and
+    -g are the same isometry).  ConstructionError is raised when g fails to
+    carry a to a2 and m to m2.
     """
     for x, name in ((a, "a"), (a2, "a2")):
         if x.is_ideal(tol):
@@ -327,51 +313,17 @@ def solve_point_line_transport(
         if abs(defect) > check_tol * max(1.0, abs(pt.x), abs(pt.y)):
             raise IncidenceError(f"required incidence {label} fails (defect {defect:g})")
 
-    if _points_match(an, a2n, tol) and _lines_match(mn, m2n, tol):
-        return IDENTITY_MOTOR
-
-    g = _transport_via_construction(an, mn, a2n, m2n, tol)
-    if g is not None and _transports(g, an, mn, a2n, m2n, check_tol):
-        return g
-    g = _transport_via_composition(an, mn, a2n, m2n, tol)
-    if _transports(g, an, mn, a2n, m2n, check_tol):
-        return g
-    raise ConstructionError("no direct isometry transports the given pairs")
-
-
-def _transport_via_construction(
-    an: Point, mn: Line, a2n: Point, m2n: Line, tol: float
-) -> Motor | None:
-    joining = an.mv().join(a2n.mv())
-    scale = max(1.0, an.mv().max_abs(), a2n.mv().max_abs())
-    if joining.max_abs() <= tol * scale:
-        return None  # coincident points: rotation about them, handled by fallback
-    c = mn.mv() - m2n.mv()
-    if c.max_abs() <= tol:
-        return None  # identical oriented lines: pure slide along m
-    mid = an.mv() + a2n.mv()
-    r_mv = mid.dot(joining)
-    if math.hypot(r_mv[2], r_mv[3]) <= tol * max(1.0, r_mv.max_abs()):
-        return None
-    r = normalize(Line.from_mv(r_mv, tol), tol)
-    center = r.mv().outer(c)
-    if center.max_abs() <= tol * max(1.0, c.max_abs()):
-        return None  # perpendicular bisector coincides with the line bisector
-    s_mv = an.mv().join(center)
-    if math.hypot(s_mv[2], s_mv[3]) <= tol * max(1.0, s_mv.max_abs()):
-        return None
-    s = normalize(Line.from_mv(s_mv, tol), tol)
-    return Motor.from_mv(r.mv().gp(s.mv()), tol)
-
-
-def _transport_via_composition(
-    an: Point, mn: Line, a2n: Point, m2n: Line, tol: float
-) -> Motor:
-    if _points_match(an, a2n, tol):
-        shift = IDENTITY_MOTOR
-        m1 = mn
+    shift = translator_by(a2n.x - an.x, a2n.y - an.y)
+    c = mn.a * m2n.a + mn.b * m2n.b
+    s = mn.a * m2n.b - mn.b * m2n.a
+    # (1 + c, s) and (|s|, sign(s) * (1 - c)) point the same way, as
+    # (1 + c) * (1 - c) = s * s; the second does not cancel near a half turn
+    if c >= 0.0:
+        ch, sh, _ = unit_direction(1.0 + c, s)
     else:
-        shift = translator_by(a2n.x - an.x, a2n.y - an.y)
-        m1 = normalize(sandwich(shift, mn, tol), tol)
-    turn = _rotor_fixing_point(a2n, m1, m2n, tol)
-    return Motor.from_mv(turn.mv().gp(shift.mv()), tol).normalized(tol)
+        ch, sh, _ = unit_direction(abs(s), math.copysign(1.0 - c, s))
+    turn = Motor(ch, -sh * a2n.x, -sh * a2n.y, -sh)
+    g = Motor.from_mv(turn.mv().gp(shift.mv()), tol)
+    if not _transports(g, an, mn, a2n, m2n, check_tol):
+        raise ConstructionError("no direct isometry transports the given pairs")
+    return g

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 import oracle
@@ -578,3 +580,64 @@ def test_solve_random_instances():
         m2 = normalize(sandwich(g_true, m))
         g = solve_point_line_transport(a, m, a2, m2)
         _check_transport(g, a, m, a2, m2)
+
+
+def test_solve_tiny_turn_on_a_small_figure():
+    # a figure of size 1e-2 turned by about 1.1e-7 rad is a valid transport
+    a = Point(-0.004555133768986475, 0.006820232028580861, 1)
+    m = Line(0.34982891440251884, -0.9368136050719775, 0.007982803655484996)
+    a2 = Point(-0.004555132938421336, 0.0068202330058551785, 1)
+    m2 = Line(0.3498288112587642, -0.93681364358835, 0.007982804073310293)
+    g = solve_point_line_transport(a, m, a2, m2)
+    _check_transport(g, a, m, a2, m2)
+
+
+def _known_motor(kind, size, a, direction, center, turn, tiny):
+    if kind == "turn":
+        return rotator(center, turn)
+    if kind == "tiny turn":
+        return rotator(center, tiny)
+    if kind == "near half turn":
+        return rotator(center, math.copysign(math.pi - abs(tiny), tiny))
+    if kind == "half turn":
+        return Motor(0.0, center.x, center.y, 1.0)
+    if kind == "slide":
+        return translator_by(size * turn * direction[0], size * turn * direction[1])
+    if kind == "shift":
+        return translator_by(center.x - a.x, center.y - a.y)
+    if kind == "turn in place":
+        return rotator(a, turn)
+    return IDENTITY_MOTOR
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ("turn", "tiny turn", "near half turn", "half turn", "slide", "shift",
+         "turn in place", "identity")
+    ),
+    log_size=st.floats(-2.0, 5.0),
+    coords=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    turn=st.floats(-math.pi, math.pi),
+    log_tiny=st.floats(-9.0, -3.0),
+)
+def test_solve_recovers_a_known_motor(kind, log_size, coords, phi, turn, log_tiny):
+    size = 10.0 ** log_size
+    a = Point(size * coords[0], size * coords[1], 1.0)
+    center = Point(size * coords[2], size * coords[3], 1.0)
+    direction = (math.cos(phi), math.sin(phi))
+    m = Line(-direction[1], direction[0], direction[1] * a.x - direction[0] * a.y)
+    tiny = math.copysign(10.0 ** log_tiny, turn)
+    g_true = _known_motor(kind, size, a, direction, center, turn, tiny)
+    a2 = normalize(sandwich(g_true, a))
+    m2 = normalize(sandwich(g_true, m))
+    g = solve_point_line_transport(a, m, a2, m2)
+    img_p = normalize(sandwich(g, a))
+    assert abs(img_p.x - a2.x) <= 1e-9 * max(1.0, abs(a2.x))
+    assert abs(img_p.y - a2.y) <= 1e-9 * max(1.0, abs(a2.y))
+    img_m = normalize(sandwich(g, m))
+    assert abs(img_m.a - m2.a) <= 1e-9
+    assert abs(img_m.b - m2.b) <= 1e-9
+    assert abs(img_m.c - m2.c) <= 1e-9 * max(1.0, abs(m2.c))
+    assert g.s >= 0.0

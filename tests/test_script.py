@@ -386,6 +386,21 @@ def test_cli_writes_output_printed_before_an_evaluation_error(tmp_path, capsys):
     assert captured.err.startswith("error: line 5: ") and captured.err.count("\n") == 1
 
 
+def test_cli_solves_a_tiny_turn_on_a_small_figure(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text(
+        "point A -0.004555133768986475 0.006820232028580861\n"
+        "line m 0.34982891440251884 -0.9368136050719775 0.007982803655484996\n"
+        "point A2 -0.004555132938421336 0.0068202330058551785\n"
+        "line m2 0.3498288112587642 -0.93681364358835 0.007982804073310293\n"
+        "solve g A m A2 m2\n"
+        "apply B g A\n"
+        "print B\n"
+    )
+    assert main(["run", str(script)]) == 0
+    assert capsys.readouterr().out == "B = (-0.004555, 0.006820)\n"
+
+
 def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
     env = dict(os.environ)
     src = str(Path(pga2d.__file__).resolve().parent.parent)
