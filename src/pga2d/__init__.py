@@ -65,17 +65,6 @@ from .metric import (
     normalize,
     polar,
 )
-from .multivector import (
-    DEFAULT_TOL,
-    Multivector,
-    commutator,
-    dot,
-    dual,
-    gp,
-    grade,
-    join,
-    outer,
-    reverse,
-)
+from .multivector import DEFAULT_TOL, Multivector
 
 __version__ = "0.1.0"

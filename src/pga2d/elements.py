@@ -1,14 +1,16 @@
-"""Typed views of homogeneous elements: lines, points, ideal points, pseudoscalars.
+"""Typed views of homogeneous elements: lines, points, pseudoscalars.
 
 A line [a, b, c] is the 1-vector a*e1 + b*e2 + c*e0 (the locus ax + by + c = 0,
 third coordinate homogeneous); a point (x, y, z) is the 2-vector
-x*e20 + y*e01 + z*e12.  Classification into euclidean/ideal uses a tolerance
-relative to the element's largest coefficient, since homogeneous coordinates
-carry no absolute scale.
+x*e20 + y*e01 + z*e12.  An ideal point is the point (u, v, 0): IdealPoint is
+the Point with z fixed at 0, so every operation on points takes it.
+Classification into euclidean/ideal uses a tolerance relative to the
+element's largest coefficient, since homogeneous coordinates carry no
+absolute scale.
 
-Every constructor checks that its fields are finite (and, for lines, points
-and ideal points, not all zero).  A view's fields are therefore trusted by
-mv(), which wraps them without validating them again.
+Every constructor checks that its fields are finite (and, for lines and
+points, not all zero).  A view's fields are therefore trusted by mv(), which
+wraps them without validating them again.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ import math
 from .errors import DomainError
 from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked
 from .multivector import zero as _zero_mv
-
-
-def _view_scale(*coeffs: float) -> float:
-    return max(abs(c) for c in coeffs)
 
 
 class Line(Frozen):
@@ -44,15 +42,14 @@ class Line(Frozen):
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Line":
-        g0, g1, g2, g3 = u.grade_sizes()
-        residue = max(g0, g2, g3)
-        if residue > tol * max(1.0, g1, residue):
+        if u.grades(tol) - {1}:
             raise DomainError(f"not a pure line: {u!r}")
         c = u.coeffs
         return cls(c[2], c[3], c[1])
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
-        return math.hypot(self.a, self.b) <= tol * _view_scale(self.a, self.b, self.c)
+        a, b, c = self.a, self.b, self.c
+        return math.hypot(a, b) <= tol * max(abs(a), abs(b), abs(c))
 
     def direction(self) -> tuple[float, float]:
         """Unnormalized direction vector; the polar point is this rotated 90 deg CCW."""
@@ -77,33 +74,32 @@ class Point(Frozen):
         _set(self, "y", y)
         _set(self, "z", z)
 
-    @classmethod
-    def from_xy(cls, x: float, y: float) -> "Point":
-        return cls(x, y, 1.0)
-
     def mv(self) -> Multivector:
         return _unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Point":
-        g0, g1, g2, g3 = u.grade_sizes()
-        residue = max(g0, g1, g3)
-        if residue > tol * max(1.0, g2, residue):
+        if u.grades(tol) - {2}:
             raise DomainError(f"not a pure point: {u!r}")
         c = u.coeffs
         return cls(c[4], c[5], c[6])
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.z) <= tol * _view_scale(self.x, self.y, self.z)
+        x, y, z = self.x, self.y, self.z
+        return abs(z) <= tol * max(abs(x), abs(y), abs(z))
 
     def __repr__(self) -> str:
         return f"Point({self.x:g}, {self.y:g}, {self.z:g})"
 
 
-class IdealPoint(Frozen):
-    """Point on the ideal line, read as a free vector (u, v)."""
+class IdealPoint(Point):
+    """The point (u, v, 0) on the ideal line, read as a free vector (u, v).
 
-    __slots__ = ("u", "v")
+    Equality, hash and pickle go by (u, v); an IdealPoint is never equal to
+    a plain Point, even one with the same coordinates.
+    """
+
+    __slots__ = ()
 
     def __init__(self, u: float, v: float):
         u, v = float(u), float(v)
@@ -111,23 +107,30 @@ class IdealPoint(Frozen):
             raise DomainError(f"non-finite ideal point ({u}, {v})")
         if u == 0.0 and v == 0.0:
             raise DomainError("zero element is not an ideal point")
-        _set(self, "u", u)
-        _set(self, "v", v)
+        _set(self, "x", u)
+        _set(self, "y", v)
+        _set(self, "z", 0.0)
 
-    def mv(self) -> Multivector:
-        return _unchecked((0.0, 0.0, 0.0, 0.0, self.u, self.v, 0.0, 0.0))
+    @property
+    def u(self) -> float:
+        return self.x
+
+    @property
+    def v(self) -> float:
+        return self.y
+
+    # Frozen reads the fields from __slots__, which is empty here
+    def _key(self) -> tuple:
+        return self.x, self.y
+
+    def __reduce__(self):
+        return IdealPoint, (self.x, self.y)
 
     def as_point(self) -> Point:
-        return Point(self.u, self.v, 0.0)
-
-    @classmethod
-    def from_point(cls, p: Point, tol: float = DEFAULT_TOL) -> "IdealPoint":
-        if not p.is_ideal(tol):
-            raise DomainError(f"{p!r} is not ideal")
-        return cls(p.x, p.y)
+        return Point(self.x, self.y, 0.0)
 
     def __repr__(self) -> str:
-        return f"IdealPoint({self.u:g}, {self.v:g})"
+        return f"IdealPoint({self.x:g}, {self.y:g})"
 
 
 class Pseudoscalar(Frozen):
@@ -146,9 +149,7 @@ class Pseudoscalar(Frozen):
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Pseudoscalar":
-        g0, g1, g2, g3 = u.grade_sizes()
-        residue = max(g0, g1, g2)
-        if residue > tol * max(1.0, g3, residue):
+        if u.grades(tol) - {3}:
             raise DomainError(f"not a pure pseudoscalar: {u!r}")
         return cls(u.coeffs[7])
 
@@ -160,7 +161,7 @@ def as_mv(x) -> Multivector:
     """Coerce a typed view (or multivector, or number) to a raw multivector."""
     if isinstance(x, Multivector):
         return x
-    if isinstance(x, (Line, Point, IdealPoint, Pseudoscalar)):
+    if isinstance(x, (Line, Point, Pseudoscalar)):
         return x.mv()
     if isinstance(x, (int, float)):
         s = float(x)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .elements import IdealPoint, Line, Point, Pseudoscalar
+from .elements import Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError, OrientationError
 from .metric import ideal_inner, normalize
 from .multivector import DEFAULT_TOL, Frozen, Multivector, _set
@@ -61,14 +61,9 @@ def _require_euclidean(x, tol, what="argument"):
         raise ClassificationError(f"{what} {x!r} must be euclidean")
 
 
-def _as_ideal_point(x, tol) -> IdealPoint:
-    if isinstance(x, IdealPoint):
-        return x
-    if isinstance(x, Point):
-        if not x.is_ideal(tol):
-            raise ClassificationError(f"{x!r} is euclidean, not an ideal point")
-        return IdealPoint(x.x, x.y)
-    raise TypeError(f"expected an ideal point, got {type(x).__name__}")
+def _require_ideal(p: Point, tol):
+    if not p.is_ideal(tol):
+        raise ClassificationError(f"{p!r} is euclidean, not an ideal point")
 
 
 def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
@@ -118,17 +113,16 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> Measurement:
         cos_a = m.mv().dot(n.mv()).scalar_part()
         sin_a = abs(m.mv().outer(n.mv())[6])
         return Measurement(math.atan2(sin_a, cos_a), MeasurementKind.INTERSECTING_LINES_ANGLE)
-    x_pointish = isinstance(x, (Point, IdealPoint))
-    y_pointish = isinstance(y, (Point, IdealPoint))
-    if x_pointish and y_pointish:
-        u = normalize(_as_ideal_point(x, tol))
-        v = normalize(_as_ideal_point(y, tol))
-        c = max(-1.0, min(1.0, ideal_inner(u, v)))
+    if isinstance(x, Point) and isinstance(y, Point):
+        _require_ideal(x, tol)
+        _require_ideal(y, tol)
+        c = max(-1.0, min(1.0, ideal_inner(normalize(x, tol), normalize(y, tol))))
         return Measurement(math.acos(c), MeasurementKind.IDEAL_POINTS_ANGLE)
-    if isinstance(x, Line) or isinstance(y, Line):
-        m, other = (x, y) if isinstance(x, Line) else (y, x)
+    m, other = (x, y) if isinstance(x, Line) else (y, x)
+    if isinstance(m, Line) and isinstance(other, Point):
         _require_euclidean(m, tol, "line")
-        u = normalize(_as_ideal_point(other, tol))
+        _require_ideal(other, tol)
+        u = normalize(other, tol)
         m = normalize(m, tol)
         ideal_line = m.mv().dot(u.mv())
         c = max(-1.0, min(1.0, ideal_line[1]))

@@ -38,9 +38,7 @@ class Motor(Frozen):
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Motor":
-        g0, g1, g2, g3 = u.grade_sizes()
-        residue = max(g1, g3)
-        if residue > tol * max(1.0, g0, g2, residue):
+        if not u.grades(tol) <= {0, 2}:
             raise DomainError(f"not an even element: {u!r}")
         c = u.coeffs
         return cls(c[0], c[4], c[5], c[6])
@@ -80,9 +78,7 @@ class OddVersor(Frozen):
 
     @classmethod
     def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "OddVersor":
-        g0, g1, g2, g3 = u.grade_sizes()
-        residue = max(g0, g2)
-        if residue > tol * max(1.0, g1, g3, residue):
+        if not u.grades(tol) <= {1, 3}:
             raise DomainError(f"not an odd element: {u!r}")
         c = u.coeffs
         return cls(Line(c[2], c[3], c[1]), c[7])
@@ -125,10 +121,10 @@ def _typed_like(x, result: Multivector, tol: float):
         return result
     if isinstance(x, Line):
         return Line.from_mv(result, tol)
-    if isinstance(x, Point):
-        return Point.from_mv(result, tol)
     if isinstance(x, IdealPoint):
         return IdealPoint(result[4], result[5])
+    if isinstance(x, Point):
+        return Point.from_mv(result, tol)
     return result
 
 
@@ -184,8 +180,7 @@ def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
     e12 coefficient.
     """
     bm = as_mv(b)
-    residue = (bm - bm.grade(2)).max_abs()
-    if residue > tol * max(1.0, bm.max_abs()):
+    if bm.grades(tol) - {2}:
         raise DomainError(f"exponential argument must be a pure bivector, got {bm!r}")
     t = bm[6]
     k = _sinc(t)
@@ -224,10 +219,14 @@ def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
     return exp_bivector(normalize(p, tol).mv().scaled(alpha / 2.0), tol)
 
 
-def translator(v: IdealPoint, d: float, tol: float = DEFAULT_TOL) -> Motor:
-    """Motor whose sandwich translates by distance d perpendicular (CCW) to v."""
+def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
+    """Motor whose sandwich translates by distance d perpendicular (CCW) to
+    the ideal point v: exp((d/2) v) = 1 + (d/2) v for v of unit ideal norm,
+    read as (x, y, 0) since it classifies as ideal."""
+    if not v.is_ideal(tol):
+        raise ClassificationError(f"translation direction {v!r} must be ideal")
     vn = normalize(v, tol)
-    return exp_bivector(vn.mv().scaled(d / 2.0), tol)
+    return Motor(1.0, 0.5 * d * vn.x, 0.5 * d * vn.y, 0.0)
 
 
 def translator_by(dx: float, dy: float) -> Motor:
@@ -253,7 +252,8 @@ def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     """Two normalized mirror lines (p, q) with rotor_from_lines(p, q) equal to
     the normalized motor: q is gp(g, p) for a line p through the axis."""
     gn = g.normalized(tol)
-    if abs(gn.bz) > tol:
+    # the axis point (bx, by, bz) is euclidean by Point.is_ideal's test
+    if abs(gn.bz) > tol * max(abs(gn.bx), abs(gn.by), abs(gn.bz)):
         center = Point(gn.bx / gn.bz, gn.by / gn.bz, 1.0)
         p = Line(0.0, 1.0, -center.y / center.z)
     else:

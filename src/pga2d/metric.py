@@ -30,8 +30,6 @@ def classify(x, tol: float = DEFAULT_TOL) -> NormTag:
         return NormTag.IDEAL_LINE if x.is_ideal(tol) else NormTag.EUCLIDEAN_LINE
     if isinstance(x, Point):
         return NormTag.IDEAL_POINT if x.is_ideal(tol) else NormTag.EUCLIDEAN_POINT
-    if isinstance(x, IdealPoint):
-        return NormTag.IDEAL_POINT
     if isinstance(x, Pseudoscalar):
         return NormTag.PSEUDOSCALAR
     raise TypeError(f"cannot classify {type(x).__name__}")
@@ -55,7 +53,7 @@ def ideal_norm(x, tol: float = DEFAULT_TOL) -> float:
     """Ideal norm: free-vector length for ideal points, signed weight otherwise."""
     tag = classify(x, tol)
     if tag is NormTag.IDEAL_POINT:
-        return math.hypot(x.u, x.v) if isinstance(x, IdealPoint) else math.hypot(x.x, x.y)
+        return math.hypot(x.x, x.y)
     if tag is NormTag.IDEAL_LINE:
         return x.c
     if tag is NormTag.PSEUDOSCALAR:
@@ -95,14 +93,10 @@ def normalize(x, tol: float = DEFAULT_TOL):
             raise DomainError("cannot normalize a zero line")
         return Line(x.a / x.c, x.b / x.c, 1.0)
     if tag is NormTag.IDEAL_POINT:
-        if isinstance(x, IdealPoint):
-            if x.u == 0.0 and x.v == 0.0:
-                raise DomainError("cannot normalize a zero ideal point")
-            u, v, _ = unit_direction(x.u, x.v)
-            return IdealPoint(u, v)
         if x.x == 0.0 and x.y == 0.0:
             raise DomainError("cannot normalize a zero point")
-        return Point(*unit_direction(x.x, x.y, x.z))
+        u, v, w = unit_direction(x.x, x.y, x.z)
+        return IdealPoint(u, v) if isinstance(x, IdealPoint) else Point(u, v, w)
     if tag is NormTag.PSEUDOSCALAR:
         if x.s == 0.0:
             raise DomainError("cannot normalize a zero pseudoscalar")
@@ -123,9 +117,9 @@ def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> IdealPoint:
     return IdealPoint(m.b, -m.a)
 
 
-def ideal_inner(u: IdealPoint, v: IdealPoint) -> float:
+def ideal_inner(u: Point, v: Point) -> float:
     """Positive-definite inner product on the ideal line (free-vector dot)."""
-    return u.u * v.u + u.v * v.v
+    return u.x * v.x + u.y * v.y
 
 
 def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:

@@ -223,18 +223,6 @@ class Multivector(Frozen):
     def __rmul__(self, other):
         return self.scaled(float(other))
 
-    def __xor__(self, other: "Multivector") -> "Multivector":
-        return self.outer(other)
-
-    def __or__(self, other: "Multivector") -> "Multivector":
-        return self.dot(other)
-
-    def __and__(self, other: "Multivector") -> "Multivector":
-        return self.join(other)
-
-    def __invert__(self) -> "Multivector":
-        return self.reverse()
-
     def __iter__(self) -> Iterator[float]:
         return iter(self.coeffs)
 
@@ -253,10 +241,13 @@ class Multivector(Frozen):
     def max_abs(self) -> float:
         return max(map(abs, self.coeffs))
 
-    def grade_sizes(self) -> tuple[float, float, float, float]:
-        """Largest |coefficient| of each grade 0..3, read from the slots directly."""
+    def grades(self, tol: float = DEFAULT_TOL) -> set[int]:
+        """The grades 0..3 present: those whose largest |coefficient| exceeds
+        tol * max(1, the largest |coefficient| of any grade)."""
         c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
-        return abs(c0), max(abs(c1), abs(c2), abs(c3)), max(abs(c4), abs(c5), abs(c6)), abs(c7)
+        sizes = (abs(c0), max(abs(c1), abs(c2), abs(c3)), max(abs(c4), abs(c5), abs(c6)), abs(c7))
+        cutoff = tol * max(1.0, *sizes)
+        return {k for k in range(4) if sizes[k] > cutoff}
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_abs() <= tol
@@ -314,39 +305,6 @@ e12 = basis(6)
 e012 = basis(7)
 
 blades = dict(zip(BLADE_NAMES, (one, e0, e1, e2, e20, e01, e12, e012)))
-
-
-# Functional aliases matching the operation names used throughout the package.
-def gp(u: Multivector, v: Multivector) -> Multivector:
-    return u.gp(v)
-
-
-def outer(u: Multivector, v: Multivector) -> Multivector:
-    return u.outer(v)
-
-
-def dot(u: Multivector, v: Multivector) -> Multivector:
-    return u.dot(v)
-
-
-def commutator(u: Multivector, v: Multivector) -> Multivector:
-    return u.commutator(v)
-
-
-def dual(u: Multivector) -> Multivector:
-    return u.dual()
-
-
-def join(u: Multivector, v: Multivector) -> Multivector:
-    return u.join(v)
-
-
-def reverse(u: Multivector) -> Multivector:
-    return u.reverse()
-
-
-def grade(u: Multivector, k: int) -> Multivector:
-    return u.grade(k)
 
 
 def cayley_table() -> tuple[tuple[tuple[int, int], ...], ...]:

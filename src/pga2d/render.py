@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .elements import IdealPoint, Line, Point
+from .elements import Line, Point
 from .errors import RenderError
 from .metric import normalize, unit_direction
 from .multivector import DEFAULT_TOL
@@ -37,8 +37,6 @@ def _gather(env: dict, tol: float):
                 drawables.append(("arrow", name, unit_direction(value.x, value.y)[:2]))
             else:
                 drawables.append(("point", name, (value.x / value.z, value.y / value.z)))
-        elif isinstance(value, IdealPoint):
-            drawables.append(("arrow", name, unit_direction(value.u, value.v)[:2]))
         elif isinstance(value, Line) and not value.is_ideal(tol):
             ln = normalize(value, tol)
             drawables.append(("line", name, (ln.a, ln.b, ln.c)))

@@ -129,9 +129,6 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
         return _fmt(value)
     if isinstance(value, Pseudoscalar):
         return _fmt(value.s)
-    if isinstance(value, IdealPoint):
-        u, v, _ = unit_direction(value.u, value.v)
-        return f"ideal ({_fmt(u)}, {_fmt(v)})"
     if isinstance(value, Point):
         if value.is_ideal(tol):
             u, v, _ = unit_direction(value.x, value.y)
@@ -150,9 +147,7 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
 
 def _element_from_mv(u: Multivector, lineno: int, tol: float):
     """View a computed multivector as a tagged environment value."""
-    sizes = u.grade_sizes()
-    cutoff = tol * max(1.0, *sizes)
-    grades = {k for k, size in enumerate(sizes) if size > cutoff}
+    grades = u.grades(tol)
     if not grades:
         raise EvaluationError("result is the zero element (dependent arguments?)", lineno)
     c = u.coeffs
@@ -187,8 +182,7 @@ def _type_names(types) -> str:
     return " or ".join(t.__name__ for t in types)
 
 
-_POINTISH = (Point, IdealPoint)
-_MEASURABLE = (Point, IdealPoint, Line)
+_MEASURABLE = (Point, Line)
 
 
 def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
@@ -223,8 +217,8 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
     elif verb == "line":
         env[st.result] = Line(args[0], args[1], args[2])
     elif verb == "join":
-        p = _want(env, args[0], _POINTISH, lineno, "join argument")
-        q = _want(env, args[1], _POINTISH, lineno, "join argument")
+        p = _want(env, args[0], Point, lineno, "join argument")
+        q = _want(env, args[1], Point, lineno, "join argument")
         env[st.result] = _element_from_mv(p.mv().join(q.mv()), lineno, tol)
     elif verb == "meet":
         m = _want(env, args[0], Line, lineno, "meet argument")
@@ -250,9 +244,7 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
         p = _want(env, args[0], Point, lineno, "rotation center")
         env[st.result] = isometry.rotator(p, args[1], tol)
     elif verb == "translator":
-        v = _want(env, args[0], _POINTISH, lineno, "translation direction")
-        if isinstance(v, Point):
-            v = IdealPoint.from_point(v, tol)
+        v = _want(env, args[0], Point, lineno, "translation direction")
         env[st.result] = isometry.translator(v, args[1], tol)
     elif verb == "apply":
         g = _want(env, args[0], (Motor, OddVersor), lineno, "versor")

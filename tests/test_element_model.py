@@ -1,0 +1,172 @@
+"""One element model: an ideal point is the Point (u, v, 0), and one grade test.
+
+IdealPoint(u, v) and an ideal Point(u, v, 0) go through the same code: every
+operation that needs a euclidean point rejects both alike, and a script gives
+the same output whichever way its ideal point was made.
+"""
+
+import math
+import pickle
+import random
+
+import pytest
+
+from pga2d.cli import main
+from pga2d.elements import IdealPoint, Line, Point
+from pga2d.errors import ClassificationError
+from pga2d.geometry import distance, midpoint, perp_line_through, project, triple_points
+from pga2d.isometry import (
+    IDENTITY_MOTOR,
+    reflect,
+    rotator,
+    sandwich,
+    solve_point_line_transport,
+)
+from pga2d.metric import factor_point, normalize
+from pga2d.multivector import Multivector
+from pga2d.script import evaluate, parse
+
+# -- the contract ----------------------------------------------------------------
+
+
+def test_ideal_point_is_the_point_with_zero_weight():
+    u = IdealPoint(3, 4)
+    assert isinstance(u, Point)
+    assert u.z == 0.0
+    assert (u.u, u.v) == (u.x, u.y) == (3.0, 4.0)
+    assert u != Point(3, 4, 0) and Point(3, 4, 0) != u
+    assert u.is_ideal(0.0)
+    assert u.mv() == Point(3, 4, 0).mv()
+    assert pickle.loads(pickle.dumps(u)) == u
+    # the operations that return their input's kind keep IdealPoint
+    assert sandwich(IDENTITY_MOTOR, u) == u
+    assert normalize(u) == IdealPoint(0.6, 0.8)
+    assert type(reflect(Line(1, 0, 0), u)) is IdealPoint
+    assert type(normalize(Point(3, 4, 0))) is Point
+
+
+# -- euclidean-only operations reject both forms alike -----------------------------
+
+_A, _B = Point(1, 2, 1), Point(-1, 0.5, 1)
+_M = Line(0, 1, -2)  # through _A
+
+EUCLIDEAN_ONLY = {
+    "midpoint": lambda v: midpoint(v, _A),
+    "rotator": lambda v: rotator(v, 0.5),
+    "perp_line_through": lambda v: perp_line_through(_M, v),
+    "factor_point": lambda v: factor_point(v),
+    "solve_point_line_transport": lambda v: solve_point_line_transport(v, _M, _A, _M),
+    "triple_points": lambda v: triple_points(_A, v, _B),
+    "distance": lambda v: distance(v, _A),
+    "distance_line_point": lambda v: distance(_M, v),
+    "project": lambda v: project(v, _M),
+    "project_onto": lambda v: project(_M, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EUCLIDEAN_ONLY))
+def test_ideal_point_forms_are_rejected_alike(name):
+    call = EUCLIDEAN_ONLY[name]
+    messages = []
+    for v in (IdealPoint(1, 0), Point(1, 0, 0)):
+        with pytest.raises(ClassificationError) as err:
+            call(v)
+        # a message may quote the value, whose repr names its class
+        messages.append(str(err.value).replace(repr(v), "<v>"))
+    assert messages[0] == messages[1]
+
+
+# -- scripts: `ideal V ...` and a computed ideal V behave alike ----------------------
+
+# both define p, q and V, so the two environments draw the same lines
+_MADE = "line p 0 1 0\nline q 0 1 -2\nideal V -2 0\n"
+_MET = "line p 0 1 0\nline q 0 1 -2\nmeet V p q\n"
+_FIGURE = "point A 1 2\npoint C -1 0.5\nline m 1 1 0\nline n 0 1 -2\n"
+
+SCRIPT_BODIES = {
+    "succeeds": (
+        "join j A V\nprint j\nangle t m V\nprint t\nideal W 1 1\nangle s V W\nprint s\n"
+        "reflect R m V\nprint R\ntranslator T V 1.5\napply B T A\nprint B\n"
+        "rotator g A 0.3\napply U g V\nprint U\nprint V\nsvg {svg}\n"
+    ),
+    "dist_point": "dist d V A\n",
+    "dist_line": "dist d n V\n",
+    "project": "project P V m\n",
+    "project_onto": "project P m V\n",
+    "rotator": "rotator g V 1\n",
+    "midpoint": "midpoint M A V\n",
+    "solve": "solve g V n A n\n",
+    "solve_target": "solve g A n V n\n",
+}
+
+
+def _run(tmp_path, tag, prefix, body, capsys):
+    svg = tmp_path / f"{tag}.svg"
+    script = tmp_path / f"{tag}.pga"
+    script.write_text(prefix + _FIGURE + body.format(svg=svg))
+    code = main(["run", str(script)])
+    captured = capsys.readouterr()
+    value = evaluate(parse(prefix))[0]["V"]
+    err = captured.err.replace(repr(value), "<V>")
+    return code, captured.out, err, svg.read_bytes() if svg.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_BODIES))
+def test_script_treats_made_and_computed_ideal_points_alike(name, tmp_path, capsys):
+    body = SCRIPT_BODIES[name]
+    made = _run(tmp_path, "made", _MADE, body, capsys)
+    met = _run(tmp_path, "met", _MET, body, capsys)
+    assert made == met
+    code, out, err, svg = made
+    if name == "succeeds":
+        assert (code, err) == (0, "") and svg.startswith(b"<?xml")
+        assert "V = ideal (-1.000000, 0.000000)\n" in out
+    else:
+        assert code == 2 and err.startswith("error: line 8: ") and err.count("\n") == 1
+
+
+# -- one grade test ----------------------------------------------------------------
+
+
+def _sizes(u: Multivector) -> list[float]:
+    c = [abs(x) for x in u.coeffs]
+    return [c[0], max(c[1:4]), max(c[4:7]), c[7]]
+
+
+def _residue_rejects(u: Multivector, own: set[int], tol: float) -> bool:
+    """The pure-element check as each from_mv wrote it out before grades()."""
+    g = _sizes(u)
+    residue = max(g[k] for k in range(4) if k not in own)
+    return residue > tol * max(1.0, *(g[k] for k in own), residue)
+
+
+def _operands(n: int):
+    r = random.Random(20240605)
+    for i in range(n):
+        coeffs = [
+            0.0 if r.random() < 0.3 else r.choice((-1, 1)) * 10.0 ** r.uniform(-14, 4)
+            for _ in range(8)
+        ]
+        tol = r.choice((1e-9, 1e-6, 1e-3, 0.0))
+        if i % 2:
+            # put one slot at the cutoff of the others, or one float either side
+            slot = r.randrange(8)
+            coeffs[slot] = 0.0
+            cutoff = tol * max(1.0, *map(abs, coeffs))
+            coeffs[slot] = r.choice(
+                (cutoff, math.nextafter(cutoff, math.inf), math.nextafter(cutoff, 0.0))
+            )
+        yield Multivector(coeffs), tol
+
+
+def test_grades_matches_the_residue_checks_it_replaces():
+    owners = ({1}, {2}, {3}, {0, 2}, {1, 3})
+    for u, tol in _operands(1000):
+        grades = u.grades(tol)
+        g = _sizes(u)
+        assert grades == {k for k in range(4) if g[k] > tol * max(1.0, *g)}
+        for own in owners:
+            assert bool(grades - own) == _residue_rejects(u, own, tol)
+        # exp_bivector's form: everything outside grade 2 against the whole
+        bivector = u.grade(2)
+        assert bool(grades - {2}) == ((u - bivector).max_abs() > tol * max(1.0, u.max_abs()))

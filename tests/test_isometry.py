@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gen
 import oracle
 from pga2d.elements import IdealPoint, Line, Point
-from pga2d.errors import DomainError, IncidenceError
+from pga2d.errors import ClassificationError, DomainError, IncidenceError
 from pga2d.geometry import angle, distance
 from pga2d.isometry import (
     IDENTITY_MOTOR,
@@ -269,6 +269,16 @@ def test_translator_convention():
     assert euclid(sandwich(g, Point(1, 1, 1))) == pytest.approx((4.0, -3.0))
 
 
+def test_translator_takes_any_ideal_point_and_rejects_a_euclidean_one():
+    expected = translator(IdealPoint(0, 1), 1.0)
+    assert translator(Point(0, 2, 0), 1.0) == expected
+    # a point within tol of the ideal line translates; its weight is dropped
+    assert translator(Point(0, 2, 1e-12), 1.0) == expected
+    # a euclidean point is a rotation centre, not a direction
+    with pytest.raises(ClassificationError):
+        translator(Point(1, 2, 1), 1.0)
+
+
 def test_translator_open_faced_sandwich():
     # the translator's ideal bivector anticommutes with every bivector, so
     # the two one-sided products agree on points (euclidean or ideal)
@@ -352,6 +362,20 @@ def test_factor_motor_identity_and_halfturn():
     assert rotor_from_lines(p, q).mv().approx_eq(one, 1e-12)
     p, q = factor_motor(Motor.from_mv(e12))
     assert rotor_from_lines(p, q).mv().approx_eq(e12, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "center, theta", [((3, 4), 1e-10), ((0.01, 0.02), 1e-10), ((0.01, 0.02), -1e-9)]
+)
+def test_factor_motor_keeps_a_tiny_rotation_a_rotation(center, theta):
+    # the axis point's weight bz is below tol, yet the axis is euclidean
+    g = rotator(Point(*center, 1), theta)
+    h = rotor_from_lines(*factor_motor(g))
+    origin = Point(0, 0, 1)
+    moved = euclid(sandwich(g, origin))
+    again = euclid(sandwich(h, origin))
+    displacement = math.hypot(*moved)
+    assert math.dist(moved, again) <= 1e-5 * displacement
 
 
 # -- glide reflections --------------------------------------------------------------------

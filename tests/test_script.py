@@ -386,6 +386,14 @@ def test_cli_writes_output_printed_before_an_evaluation_error(tmp_path, capsys):
     assert captured.err.startswith("error: line 5: ") and captured.err.count("\n") == 1
 
 
+def test_cli_translator_rejects_a_euclidean_direction(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 1 2\ntranslator T A 1\n")
+    assert main(["run", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
 def test_cli_solves_a_tiny_turn_on_a_small_figure(tmp_path, capsys):
     script = tmp_path / "s.pga"
     script.write_text(
