@@ -4,9 +4,9 @@ A line [a, b, c] is the 1-vector a*e1 + b*e2 + c*e0 (the locus ax + by + c = 0,
 third coordinate homogeneous); a point (x, y, z) is the 2-vector
 x*e20 + y*e01 + z*e12.  An ideal point is the point (u, v, 0): IdealPoint is
 the Point with z fixed at 0, so every operation on points takes it.
-Classification into euclidean/ideal uses a tolerance relative to the
-element's largest coefficient, since homogeneous coordinates carry no
-absolute scale.
+Classification into euclidean/ideal is near_zero of the euclidean norm
+against the element's largest coefficient, since homogeneous coordinates
+carry no absolute scale.
 
 Every constructor checks that its fields are finite (and, for lines and
 points, not all zero).  A view's fields are therefore trusted by mv(), which
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked, near_zero
 from .multivector import zero as _zero_mv
 
 
@@ -49,7 +49,7 @@ class Line(Frozen):
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         a, b, c = self.a, self.b, self.c
-        return math.hypot(a, b) <= tol * max(abs(a), abs(b), abs(c))
+        return near_zero(math.hypot(a, b), max(abs(a), abs(b), abs(c)), tol)
 
     def direction(self) -> tuple[float, float]:
         """Unnormalized direction vector; the polar point is this rotated 90 deg CCW."""
@@ -86,7 +86,7 @@ class Point(Frozen):
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         x, y, z = self.x, self.y, self.z
-        return abs(z) <= tol * max(abs(x), abs(y), abs(z))
+        return near_zero(z, max(abs(x), abs(y), abs(z)), tol)
 
     def __repr__(self) -> str:
         return f"Point({self.x:g}, {self.y:g}, {self.z:g})"
@@ -125,9 +125,6 @@ class IdealPoint(Point):
 
     def __reduce__(self):
         return IdealPoint, (self.x, self.y)
-
-    def as_point(self) -> Point:
-        return Point(self.x, self.y, 0.0)
 
     def __repr__(self) -> str:
         return f"IdealPoint({self.x:g}, {self.y:g})"

@@ -8,6 +8,10 @@ Sign conventions, fixed here and pinned by golden tests:
   distance(P, m) = -distance(m, P);
 * point-to-point and parallel-line distances are nonnegative;
 * angles lie in [0, pi].
+
+Lines are normalized before they are tested, so the e12 part of a meet is a
+sine and the e012 part of a product of three is at most 1: near_zero tests
+both against 1, the product of the lines' norms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from enum import Enum
 from .elements import Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError, OrientationError
 from .metric import ideal_inner, normalize
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, near_zero
 
 
 class MeasurementKind(Enum):
@@ -85,7 +89,7 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
         _require_euclidean(y, tol, "line")
         m, n = normalize(x, tol), normalize(y, tol)
         meet = m.mv().outer(n.mv())
-        if abs(meet[6]) > tol * max(1.0, meet.max_abs()):
+        if not near_zero(meet[6], 1.0, tol):
             raise DomainError("lines intersect; the gap is undefined (use angle)")
         value = math.hypot(meet[4], meet[5])
         return Measurement(value, MeasurementKind.PARALLEL_LINES_DISTANCE)
@@ -147,7 +151,7 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
     _require_euclidean(n, tol, "line")
     mn_, nn_ = normalize(m, tol), normalize(n, tol)
     meet = mn_.mv().outer(nn_.mv())
-    parallel = abs(meet[6]) <= tol * max(1.0, meet.max_abs())
+    parallel = near_zero(meet[6], 1.0, tol)
     if parallel and mn_.mv().dot(nn_.mv()).scalar_part() < 0.0:
         raise OrientationError(
             "anti-parallel lines: their sum is ideal; negate one argument first"
@@ -229,10 +233,9 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleL
     an, bn, cn = (normalize(m, tol) for m in (a, b, c))
     product = an.mv().gp(bn.mv().gp(cn.mv()))
     pseudo = Pseudoscalar(product.pseudo_part())
-    degenerate = abs(pseudo.s) <= tol * max(1.0, product.max_abs())
+    degenerate = near_zero(pseudo.s, 1.0, tol)
     for m, n in ((an, bn), (bn, cn), (cn, an)):
-        meet = m.mv().outer(n.mv())
-        if abs(meet[6]) <= tol * max(1.0, meet.max_abs()):
+        if near_zero(m.mv().outer(n.mv())[6], 1.0, tol):
             degenerate = True
     return TripleLineProduct(Line.from_mv(product.grade(1), tol), pseudo, degenerate)
 

@@ -10,11 +10,12 @@ axis point or, when the bivector is ideal, a translation.  An odd versor
 from __future__ import annotations
 
 import math
+import sys
 
 from .elements import IdealPoint, Line, Point, as_mv
 from .errors import ClassificationError, ConstructionError, DomainError, IncidenceError
 from .metric import normalize, unit_direction
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked, near_zero
 
 
 class Motor(Frozen):
@@ -48,8 +49,10 @@ class Motor(Frozen):
         return math.hypot(self.s, self.bz)
 
     def normalized(self, tol: float = DEFAULT_TOL) -> "Motor":
+        """Divided by its weight, which must not be near_zero against the
+        largest component (a motor with no euclidean weight is null)."""
         w = self.weight()
-        if w <= tol:
+        if near_zero(w, max(abs(self.s), abs(self.bx), abs(self.by), abs(self.bz)), tol):
             raise DomainError(f"{self!r} is null and cannot be normalized")
         return Motor(self.s / w, self.bx / w, self.by / w, self.bz / w)
 
@@ -84,10 +87,11 @@ class OddVersor(Frozen):
         return cls(Line(c[2], c[3], c[1]), c[7])
 
     def normalized(self, tol: float = DEFAULT_TOL) -> "OddVersor":
-        n = math.hypot(self.line.a, self.line.b)
-        if n <= tol * max(abs(self.line.a), abs(self.line.b), abs(self.line.c), abs(self.lam)):
+        m = self.line
+        n = math.hypot(m.a, m.b)
+        if near_zero(n, max(abs(m.a), abs(m.b), abs(m.c), abs(self.lam)), tol):
             raise DomainError("versor with ideal line part cannot be normalized")
-        return OddVersor(Line(self.line.a / n, self.line.b / n, self.line.c / n), self.lam / n)
+        return OddVersor(Line(m.a / n, m.b / n, m.c / n), self.lam / n)
 
 
 class GlideDecomposition(Frozen):
@@ -253,37 +257,18 @@ def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     the normalized motor: q is gp(g, p) for a line p through the axis."""
     gn = g.normalized(tol)
     # the axis point (bx, by, bz) is euclidean by Point.is_ideal's test
-    if abs(gn.bz) > tol * max(abs(gn.bx), abs(gn.by), abs(gn.bz)):
+    if not near_zero(gn.bz, max(abs(gn.bx), abs(gn.by), abs(gn.bz)), tol):
         center = Point(gn.bx / gn.bz, gn.by / gn.bz, 1.0)
         p = Line(0.0, 1.0, -center.y / center.z)
     else:
+        # a translation: its ideal part against the normalized weight 1
         w = math.hypot(gn.bx, gn.by)
-        if w <= tol:
+        if near_zero(w, 1.0, tol):
             p = Line(0.0, 1.0, 0.0)
         else:
             p = Line(-gn.by / w, gn.bx / w, 0.0)
     q = Line.from_mv(gn.mv().gp(p.mv()), tol)
     return p, q
-
-
-def _lines_match(m: Line, n: Line, tol: float) -> bool:
-    """Projective equality with positive scale, for normalized euclidean lines."""
-    return (
-        abs(m.a - n.a) <= tol and abs(m.b - n.b) <= tol and abs(m.c - n.c) <= tol * max(
-            1.0, abs(m.c), abs(n.c)
-        )
-    )
-
-
-def _points_match(p: Point, q: Point, tol: float) -> bool:
-    scale = max(1.0, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
-    return abs(p.x - q.x) <= tol * scale and abs(p.y - q.y) <= tol * scale
-
-
-def _transports(g: Motor, a: Point, m: Line, a2: Point, m2: Line, tol: float) -> bool:
-    img_pt = normalize(sandwich(g, a, tol), tol)
-    img_ln = normalize(sandwich(g, m, tol), tol)
-    return _points_match(img_pt, a2, tol) and _lines_match(img_ln, m2, tol)
 
 
 def solve_point_line_transport(
@@ -296,8 +281,10 @@ def solve_point_line_transport(
     Keninck, arXiv:2107.03771).  Translation keeps directions, so the turn
     comes from m and m2 directly; its half angle is taken in a form that
     does not cancel near a half turn.  The scalar part of g is >= 0 (g and
-    -g are the same isometry).  ConstructionError is raised when g fails to
-    carry a to a2 and m to m2.
+    -g are the same isometry).  IncidenceError is raised when a is not on m
+    or a2 not on m2, and ConstructionError when g fails to carry a to a2 and
+    m to m2; both tests are near_zero against the figure's size, the largest
+    coordinate of the normalized points and offset of the normalized lines.
     """
     for x, name in ((a, "a"), (a2, "a2")):
         if x.is_ideal(tol):
@@ -307,10 +294,15 @@ def solve_point_line_transport(
             raise ClassificationError(f"line {name} must be euclidean")
     an, a2n = normalize(a, tol), normalize(a2, tol)
     mn, m2n = normalize(m, tol), normalize(m2, tol)
+    # below the smallest normal float rounding is absolute, so the size stops there
+    size = max(
+        abs(an.x), abs(an.y), abs(a2n.x), abs(a2n.y), abs(mn.c), abs(m2n.c), sys.float_info.min
+    )
+    # a floor, so that tol = 0 does not demand exact incidence of rounded input
     check_tol = max(tol, 1e-9)
     for pt, ln, label in ((an, mn, "a on m"), ((a2n), m2n, "a2 on m2")):
         defect = ln.mv().outer(pt.mv()).pseudo_part()
-        if abs(defect) > check_tol * max(1.0, abs(pt.x), abs(pt.y)):
+        if not near_zero(defect, size, check_tol):
             raise IncidenceError(f"required incidence {label} fails (defect {defect:g})")
 
     shift = translator_by(a2n.x - an.x, a2n.y - an.y)
@@ -324,6 +316,13 @@ def solve_point_line_transport(
         ch, sh, _ = unit_direction(abs(s), math.copysign(1.0 - c, s))
     turn = Motor(ch, -sh * a2n.x, -sh * a2n.y, -sh)
     g = Motor.from_mv(turn.mv().gp(shift.mv()), tol)
-    if not _transports(g, an, mn, a2n, m2n, check_tol):
+    image_a = normalize(sandwich(g, an, tol), tol)
+    image_m = normalize(sandwich(g, mn, tol), tol)
+    # image_m must be m2 with a positive scale; unit normals count against 1
+    misses = (
+        (image_a.x - a2n.x, size), (image_a.y - a2n.y, size),
+        (image_m.a - m2n.a, 1.0), (image_m.b - m2n.b, 1.0), (image_m.c - m2n.c, size),
+    )
+    if not all(near_zero(miss, scale, check_tol) for miss, scale in misses):
         raise ConstructionError("no direct isometry transports the given pairs")
     return g

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .elements import IdealPoint, Line, Point, Pseudoscalar, as_mv
 from .errors import ClassificationError, DomainError
-from .multivector import DEFAULT_TOL, Multivector, e1, e2, e012
+from .multivector import DEFAULT_TOL, Multivector, e1, e012, near_zero
 
 
 class NormTag(Enum):
@@ -127,16 +127,14 @@ def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     with gp(m, n) equal to the point exactly.
 
     m is the horizontal-ish line through p obtained by dotting e1 into the
-    point (always euclidean when p is), and n = gp(m, p) is the line through
-    p perpendicular to m; mn recovers p because m squares to 1.
+    point, -y*e0 + z*e2: it is euclidean whenever p is, because p's weight z
+    is not near_zero against p's largest coefficient.  n = gp(m, p) is the
+    line through p perpendicular to m; mn recovers p because m squares to 1.
     """
     if p.is_ideal(tol):
         raise ClassificationError(f"{p!r} is ideal; it does not factor into lines")
-    if abs(abs(p.z) - 1.0) > tol * max(1.0, abs(p.z)):
+    if not near_zero(abs(p.z) - 1.0, 1.0, tol):
         raise DomainError(f"{p!r} must have weight +-1 to factor into orthonormal lines")
-    raw = e1.dot(p.mv())
-    if raw.grade(1).max_abs() <= tol:
-        raw = e2.dot(p.mv())
-    m = normalize(Line.from_mv(raw, tol))
+    m = normalize(Line.from_mv(e1.dot(p.mv()), tol))
     n = Line.from_mv(m.mv().gp(p.mv()), tol)
     return m, n

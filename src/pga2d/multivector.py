@@ -28,6 +28,20 @@ from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
 
+
+def near_zero(value: float, scale: float, tol: float) -> bool:
+    """The package's one tolerance rule: value counts as zero when
+    |value| <= tol * scale.
+
+    Every zero test and every euclidean/ideal decision goes through here.
+    scale is the size of the operands that produced value (for example the
+    largest coefficient of each factor of a product, or 1 for a sine of two
+    normalized lines), so a decision does not change when a figure is moved
+    or uniformly scaled.  With tol = 0 only an exact zero counts.
+    """
+    return abs(value) <= tol * scale
+
+
 BLADE_NAMES = ("1", "e0", "e1", "e2", "e20", "e01", "e12", "e012")
 BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 DIM = 8
@@ -241,16 +255,16 @@ class Multivector(Frozen):
     def max_abs(self) -> float:
         return max(map(abs, self.coeffs))
 
-    def grades(self, tol: float = DEFAULT_TOL) -> set[int]:
-        """The grades 0..3 present: those whose largest |coefficient| exceeds
-        tol * max(1, the largest |coefficient| of any grade)."""
+    def grades(self, tol: float = DEFAULT_TOL, scale: float | None = None) -> set[int]:
+        """The grades 0..3 present: those whose largest |coefficient| is not
+        near_zero against scale, the size of the operands that produced this
+        value.  When those are unknown, scale is the largest grade's size."""
         c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
         sizes = (abs(c0), max(abs(c1), abs(c2), abs(c3)), max(abs(c4), abs(c5), abs(c6)), abs(c7))
-        cutoff = tol * max(1.0, *sizes)
-        return {k for k in range(4) if sizes[k] > cutoff}
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.max_abs() <= tol
+        if scale is None:
+            scale = max(sizes)
+        # an exact zero is absent whatever the scale, without a call
+        return {k for k in range(4) if sizes[k] and not near_zero(sizes[k], scale, tol)}
 
     def approx_eq(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).max_abs() <= tol

@@ -13,9 +13,9 @@ import math
 from pathlib import Path
 
 from .elements import Line, Point
-from .errors import RenderError
+from .errors import DomainError, RenderError
 from .metric import normalize, unit_direction
-from .multivector import DEFAULT_TOL
+from .multivector import DEFAULT_TOL, near_zero
 
 VIEW = 512.0
 _POINT_RADIUS = 4.0
@@ -67,20 +67,22 @@ def _world_window(drawables):
     return x0, x1, y0, y1
 
 
-def _clip_line(a: float, b: float, c: float, window):
-    """Intersections of ax + by + c = 0 with the window border, if visible."""
+def _clip_line(a: float, b: float, c: float, window, tol: float):
+    """Intersections of the normalized line ax + by + c = 0 with the window
+    border, if visible.  A normal component counts against 1 and a crossing's
+    distance outside the border against the window's span."""
     x0, x1, y0, y1 = window
-    eps = 1e-9 * max(x1 - x0, y1 - y0)
+    span = max(x1 - x0, y1 - y0)
     candidates = []
-    if abs(b) > 1e-15:
+    if not near_zero(b, 1.0, tol):
         for x in (x0, x1):
             y = -(a * x + c) / b
-            if y0 - eps <= y <= y1 + eps:
+            if y0 <= y <= y1 or near_zero(max(y0 - y, y - y1), span, tol):
                 candidates.append((x, y))
-    if abs(a) > 1e-15:
+    if not near_zero(a, 1.0, tol):
         for y in (y0, y1):
             x = -(b * y + c) / a
-            if x0 - eps <= x <= x1 + eps:
+            if x0 <= x <= x1 or near_zero(max(x0 - x, x - x1), span, tol):
                 candidates.append((x, y))
     best = None
     for i in range(len(candidates)):
@@ -89,19 +91,25 @@ def _clip_line(a: float, b: float, c: float, window):
             d = math.hypot(p[0] - q[0], p[1] - q[1])
             if best is None or d > best[0]:
                 best = (d, p, q)
-    if best is None or best[0] <= eps:
+    if best is None or near_zero(best[0], span, tol):
         return None
     return best[1], best[2]
 
 
 def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     """Compose the SVG document for the drawable elements of env."""
-    drawables = _gather(env, tol)
+    try:
+        drawables = _gather(env, tol)
+    except DomainError as exc:  # a line whose offset overflows when normalized
+        raise RenderError(f"cannot draw the figure: {exc}") from exc
     if not drawables:
         raise RenderError("nothing to render")
     window = _world_window(drawables)
     x0, x1, y0, _y1 = window
-    scale = VIEW / (x1 - x0)
+    width = x1 - x0  # 0 when the unit pad is lost next to a huge coordinate
+    if not 0.0 < width < math.inf:
+        raise RenderError("the figure is too large to fit the viewport")
+    scale = VIEW / width
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (x - x0) * scale, VIEW - (y - y0) * scale
@@ -137,7 +145,7 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
             )
             label(px, py, name)
         elif kind == "line":
-            clip = _clip_line(*payload, window)
+            clip = _clip_line(*payload, window, tol)
             if clip is None:
                 continue
             (wx1, wy1), (wx2, wy2) = clip

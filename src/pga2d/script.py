@@ -15,7 +15,7 @@ from .elements import IdealPoint, Line, Point, Pseudoscalar
 from .errors import AlgebraError, EvaluationError, ParseError, RenderError
 from .isometry import Motor, OddVersor
 from .metric import normalize, unit_direction
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, near_zero
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -145,9 +145,10 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-def _element_from_mv(u: Multivector, lineno: int, tol: float):
-    """View a computed multivector as a tagged environment value."""
-    grades = u.grades(tol)
+def _element_from_mv(u: Multivector, lineno: int, tol: float, scale: float | None = None):
+    """View a computed multivector as a tagged environment value; scale is
+    the size of the operands that produced it (see Multivector.grades)."""
+    grades = u.grades(tol, scale)
     if not grades:
         raise EvaluationError("result is the zero element (dependent arguments?)", lineno)
     c = u.coeffs
@@ -211,7 +212,15 @@ def _joined(lines: list[str]) -> str:
 def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
     verb, args, lineno = st.verb, st.args, st.lineno
     if verb == "point":
-        env[st.result] = Point(args[0], args[1], 1.0)
+        x, y = args
+        # the weight 1 must stay a thousand times above the ideal cutoff
+        if near_zero(1e-3, max(abs(x), abs(y)), tol):
+            raise EvaluationError(
+                f"point ({x:g}, {y:g}) is out of range: coordinates must stay within "
+                f"1e-3/tol = {1e-3 / tol:g} of the origin",
+                lineno,
+            )
+        env[st.result] = Point(x, y, 1.0)
     elif verb == "ideal":
         env[st.result] = IdealPoint(args[0], args[1])
     elif verb == "line":
@@ -219,11 +228,13 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
     elif verb == "join":
         p = _want(env, args[0], Point, lineno, "join argument")
         q = _want(env, args[1], Point, lineno, "join argument")
-        env[st.result] = _element_from_mv(p.mv().join(q.mv()), lineno, tol)
+        scale = max(abs(p.x), abs(p.y), abs(p.z)) * max(abs(q.x), abs(q.y), abs(q.z))
+        env[st.result] = _element_from_mv(p.mv().join(q.mv()), lineno, tol, scale)
     elif verb == "meet":
         m = _want(env, args[0], Line, lineno, "meet argument")
         n = _want(env, args[1], Line, lineno, "meet argument")
-        env[st.result] = _element_from_mv(m.mv().outer(n.mv()), lineno, tol)
+        scale = max(abs(m.a), abs(m.b), abs(m.c)) * max(abs(n.a), abs(n.b), abs(n.c))
+        env[st.result] = _element_from_mv(m.mv().outer(n.mv()), lineno, tol, scale)
     elif verb == "dist":
         x = _want(env, args[0], (Point, Line), lineno, "dist argument")
         y = _want(env, args[1], (Point, Line), lineno, "dist argument")

@@ -134,10 +134,11 @@ def _sizes(u: Multivector) -> list[float]:
 
 
 def _residue_rejects(u: Multivector, own: set[int], tol: float) -> bool:
-    """The pure-element check as each from_mv wrote it out before grades()."""
+    """The pure-element check as each from_mv wrote it out before grades(),
+    with its cutoff scaled by the operand's own size (no floor at 1)."""
     g = _sizes(u)
     residue = max(g[k] for k in range(4) if k not in own)
-    return residue > tol * max(1.0, *(g[k] for k in own), residue)
+    return residue > tol * max(*(g[k] for k in own), residue)
 
 
 def _operands(n: int):
@@ -152,7 +153,7 @@ def _operands(n: int):
             # put one slot at the cutoff of the others, or one float either side
             slot = r.randrange(8)
             coeffs[slot] = 0.0
-            cutoff = tol * max(1.0, *map(abs, coeffs))
+            cutoff = tol * max(map(abs, coeffs))
             coeffs[slot] = r.choice(
                 (cutoff, math.nextafter(cutoff, math.inf), math.nextafter(cutoff, 0.0))
             )
@@ -164,9 +165,9 @@ def test_grades_matches_the_residue_checks_it_replaces():
     for u, tol in _operands(1000):
         grades = u.grades(tol)
         g = _sizes(u)
-        assert grades == {k for k in range(4) if g[k] > tol * max(1.0, *g)}
+        assert grades == {k for k in range(4) if g[k] > tol * max(g)}
         for own in owners:
             assert bool(grades - own) == _residue_rejects(u, own, tol)
         # exp_bivector's form: everything outside grade 2 against the whole
         bivector = u.grade(2)
-        assert bool(grades - {2}) == ((u - bivector).max_abs() > tol * max(1.0, u.max_abs()))
+        assert bool(grades - {2}) == ((u - bivector).max_abs() > tol * u.max_abs())

@@ -191,7 +191,7 @@ def test_ideal_norm_is_independent_of_reference_point():
         expected = ideal_norm(p)
         for _ in range(100):
             q = normalize(gen.random_point(r))
-            joined = p.as_point().mv().join(q.mv())
+            joined = p.mv().join(q.mv())
             assert abs(math.hypot(joined[2], joined[3]) - expected) <= 1e-9
 
 

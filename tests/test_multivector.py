@@ -293,7 +293,7 @@ def test_incidence_criterion_iff():
         assert wedge.approx_eq(mv(e012=defect), 1e-13)
         assert wedge.grade(3) == wedge
         if abs(defect) > 1e-9:
-            assert not wedge.is_zero(1e-12)
+            assert wedge.max_abs() > 1e-12
 
 
 # -- vector-space plumbing ----------------------------------------------------

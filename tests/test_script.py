@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pga2d
 from pga2d.cli import main
@@ -13,7 +15,7 @@ from pga2d.errors import EvaluationError, ParseError, RenderError
 from pga2d.elements import Point
 from pga2d.isometry import Motor
 from pga2d.render import build_svg
-from pga2d.script import evaluate, format_program, format_value, parse
+from pga2d.script import _SIGNATURES, evaluate, format_program, format_value, parse
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
 
@@ -265,6 +267,16 @@ def test_svg_arrow_of_huge_ideal_point_matches_unit_one():
     assert build_svg(huge) == build_svg(unit)
 
 
+@pytest.mark.parametrize(
+    "source",
+    ["point A 1e300 0\n", "point A 1.7e308 0\n", "line m 0 2.775124969067914e-14 1e300\n"],
+)
+def test_svg_of_a_figure_too_far_to_draw_is_a_render_error(source):
+    env, _ = evaluate(parse(source), tol=0.0)
+    with pytest.raises(RenderError):
+        build_svg(env, tol=0.0)
+
+
 def test_svg_is_deterministic(tmp_path):
     env, _ = evaluate(parse("point A 0 0\npoint B 3 4\njoin l A B\n"))
     first = build_svg(env)
@@ -409,6 +421,16 @@ def test_cli_solves_a_tiny_turn_on_a_small_figure(tmp_path, capsys):
     assert capsys.readouterr().out == "B = (-0.004555, 0.006820)\n"
 
 
+def test_cli_point_beyond_the_supported_range(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 0 0\npoint B 2e9 0\ndist d A B\nprint d\n")
+    assert main(["run", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and "1e-3/tol" in err and err.count("\n") == 1
+    assert main(["run", str(script), "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "d = 2000000000.000000\n"
+
+
 def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
     env = dict(os.environ)
     src = str(Path(pga2d.__file__).resolve().parent.parent)
@@ -433,3 +455,45 @@ def test_cli_tables(capsys):
     assert "dual(e0) = e12" in out
     # spot entries of the printed table
     assert "-e0" in out and "e012" in out
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "-1", "2", "0.5", "1e-6", "1e6", "2e9", "1e300", "1.7e308", "5e-324",
+         "-0", "nan", "inf", "-inf"]
+    ),
+    st.floats(-1e3, 1e3).map(repr),
+)
+
+
+@st.composite
+def _scripts(draw):
+    """Mostly well-formed statements over every verb but svg (which writes a
+    file), with operands of any kind and literals from tiny to huge."""
+    lines = []
+    for i in range(draw(st.integers(1, 12))):
+        verb = draw(st.sampled_from(sorted(set(_SIGNATURES) - {"svg"})))
+        tokens = [verb]
+        for kind in _SIGNATURES[verb]:
+            if kind == "new":
+                tokens.append(f"N{i}")
+            elif kind == "ref":
+                tokens.append(f"N{draw(st.integers(0, max(i - 1, 0)))}")
+            else:
+                tokens.append(draw(_NUMBERS))
+        if draw(st.integers(0, 19)) == 0:
+            tokens.pop()
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_scripts(), tol=st.sampled_from([1e-9, 0.0, 1e-3]))
+def test_fuzzed_scripts_raise_only_script_errors(source, tol):
+    try:
+        env, _ = evaluate(parse(source), tol)
+        build_svg(env, tol)
+    except (ParseError, EvaluationError, RenderError):
+        pass
