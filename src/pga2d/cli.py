@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import EvaluationError, ParseError, RenderError
@@ -56,8 +55,9 @@ def main(argv=None) -> int:
         sys.stdout.write(format_dual_table())
         return 0
 
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+    # at a tol of 1 or more every point is ideal, even the origin
+    if not 0.0 <= args.tol < 1.0:
+        print(f"error: --tol must be at least 0 and below 1, got {args.tol}", file=sys.stderr)
         return 1
     try:
         with open(args.script, encoding="utf-8") as handle:

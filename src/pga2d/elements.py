@@ -8,9 +8,10 @@ Classification into euclidean/ideal is near_zero of the euclidean norm
 against the element's largest coefficient, since homogeneous coordinates
 carry no absolute scale.
 
+Operations compute on the three fields (a meet or a join is one cross
+product); mv() gives the 8-slot multivector, for the algebra and the tests.
 Every constructor checks that its fields are finite (and, for lines and
-points, not all zero).  A view's fields are therefore trusted by mv(), which
-wraps them without validating them again.
+points, not all zero), so mv() wraps them without validating them again.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked, near_zero
-from .multivector import zero as _zero_mv
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, _unchecked, near_zero
 
 
 class Line(Frozen):
@@ -50,10 +50,6 @@ class Line(Frozen):
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         a, b, c = self.a, self.b, self.c
         return near_zero(math.hypot(a, b), max(abs(a), abs(b), abs(c)), tol)
-
-    def direction(self) -> tuple[float, float]:
-        """Unnormalized direction vector; the polar point is this rotated 90 deg CCW."""
-        return (self.b, -self.a)
 
     def __repr__(self) -> str:
         return f"Line[{self.a:g}, {self.b:g}, {self.c:g}]"
@@ -144,23 +140,18 @@ class Pseudoscalar(Frozen):
     def mv(self) -> Multivector:
         return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
 
-    @classmethod
-    def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Pseudoscalar":
-        if u.grades(tol) - {3}:
-            raise DomainError(f"not a pure pseudoscalar: {u!r}")
-        return cls(u.coeffs[7])
-
     def __repr__(self) -> str:
         return f"Pseudoscalar({self.s:g})"
 
 
-def as_mv(x) -> Multivector:
-    """Coerce a typed view (or multivector, or number) to a raw multivector."""
-    if isinstance(x, Multivector):
-        return x
-    if isinstance(x, (Line, Point, Pseudoscalar)):
-        return x.mv()
-    if isinstance(x, (int, float)):
-        s = float(x)
-        return _zero_mv if s == 0.0 else Multivector((s, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    raise TypeError(f"cannot interpret {type(x).__name__} as a multivector")
+def cross(u: tuple, v: tuple) -> tuple[float, float, float]:
+    """u x v, checked for overflow: the meet (x, y, z) of two lines [a, b, c],
+    or the joining line of two points."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return _finite((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
+
+
+def incidence(m: Line, p: Point) -> float:
+    """The e012 part of m ^ p, checked for overflow: zero when p is on m."""
+    return _finite((m.c * p.z + m.a * p.x + m.b * p.y,))[0]

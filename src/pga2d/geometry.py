@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .elements import Line, Point, Pseudoscalar
+from .elements import Line, Point, Pseudoscalar, cross, incidence
 from .errors import ClassificationError, DomainError, OrientationError
-from .metric import ideal_inner, normalize
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, near_zero
+from .metric import _unit, euclidean, ideal_inner, normalize
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, near_zero
 
 
 class MeasurementKind(Enum):
@@ -60,11 +60,6 @@ class Decomposition(Frozen):
         return self.parallel_part + self.orthogonal_part
 
 
-def _require_euclidean(x, tol, what="argument"):
-    if x.is_ideal(tol):
-        raise ClassificationError(f"{what} {x!r} must be euclidean")
-
-
 def _require_ideal(p: Point, tol):
     if not p.is_ideal(tol):
         raise ClassificationError(f"{p!r} is euclidean, not an ideal point")
@@ -80,25 +75,20 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
     if isinstance(x, Point) and isinstance(y, Point):
         if x.is_ideal(tol) or y.is_ideal(tol):
             raise ClassificationError("point distance requires euclidean points")
-        p, q = normalize(x, tol), normalize(y, tol)
-        j = p.mv().join(q.mv())
-        value = math.hypot(j[2], j[3])
+        p, q = _unit(x), _unit(y)
+        # the normal (a, b) of the line joining two points of weight 1
+        value = math.hypot(*_finite((p.y - q.y, q.x - p.x)))
         return Measurement(value, MeasurementKind.POINT_POINT_DISTANCE)
     if isinstance(x, Line) and isinstance(y, Line):
-        _require_euclidean(x, tol, "line")
-        _require_euclidean(y, tol, "line")
-        m, n = normalize(x, tol), normalize(y, tol)
-        meet = m.mv().outer(n.mv())
-        if not near_zero(meet[6], 1.0, tol):
+        m, n = euclidean(x, tol, "line"), euclidean(y, tol, "line")
+        gx, gy, sine = cross((m.a, m.b, m.c), (n.a, n.b, n.c))
+        if not near_zero(sine, 1.0, tol):
             raise DomainError("lines intersect; the gap is undefined (use angle)")
-        value = math.hypot(meet[4], meet[5])
+        value = math.hypot(gx, gy)
         return Measurement(value, MeasurementKind.PARALLEL_LINES_DISTANCE)
     if isinstance(x, Line) and isinstance(y, Point):
-        _require_euclidean(x, tol, "line")
-        _require_euclidean(y, tol, "point")
-        m, p = normalize(x, tol), normalize(y, tol)
-        value = m.mv().outer(p.mv()).pseudo_part()
-        return Measurement(value, MeasurementKind.LINE_POINT_DISTANCE)
+        m, p = euclidean(x, tol, "line"), euclidean(y, tol, "point")
+        return Measurement(incidence(m, p), MeasurementKind.LINE_POINT_DISTANCE)
     if isinstance(x, Point) and isinstance(y, Line):
         flipped = distance(y, x, tol)
         return Measurement(-flipped.value, flipped.kind)
@@ -109,13 +99,15 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> Measurement:
     """Angle in [0, pi] between two lines, two ideal points, or a line and
     an ideal point (measured against the line's direction)."""
     if isinstance(x, Line) and isinstance(y, Line):
-        if x.is_ideal(tol) and y.is_ideal(tol):
-            raise DomainError("two ideal lines subtend no angle")
-        _require_euclidean(x, tol, "line")
-        _require_euclidean(y, tol, "line")
-        m, n = normalize(x, tol), normalize(y, tol)
-        cos_a = m.mv().dot(n.mv()).scalar_part()
-        sin_a = abs(m.mv().outer(n.mv())[6])
+        try:
+            m, n = euclidean(x, tol, "line"), euclidean(y, tol, "line")
+        except ClassificationError:
+            if x.is_ideal(tol) and y.is_ideal(tol):
+                raise DomainError("two ideal lines subtend no angle") from None
+            raise
+        # the scalar m . n and the e12 part of m ^ n
+        cos_a = m.a * n.a + m.b * n.b
+        sin_a = abs(m.a * n.b - m.b * n.a)
         return Measurement(math.atan2(sin_a, cos_a), MeasurementKind.INTERSECTING_LINES_ANGLE)
     if isinstance(x, Point) and isinstance(y, Point):
         _require_ideal(x, tol)
@@ -124,21 +116,18 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> Measurement:
         return Measurement(math.acos(c), MeasurementKind.IDEAL_POINTS_ANGLE)
     m, other = (x, y) if isinstance(x, Line) else (y, x)
     if isinstance(m, Line) and isinstance(other, Point):
-        _require_euclidean(m, tol, "line")
+        m = euclidean(m, tol, "line")
         _require_ideal(other, tol)
         u = normalize(other, tol)
-        m = normalize(m, tol)
-        ideal_line = m.mv().dot(u.mv())
-        c = max(-1.0, min(1.0, ideal_line[1]))
+        # m . u is the ideal line c*e0 with c the cosine
+        c = max(-1.0, min(1.0, m.b * u.x - m.a * u.y))
         return Measurement(math.acos(c), MeasurementKind.LINE_IDEAL_POINT_ANGLE)
     raise TypeError(f"no angle between {type(x).__name__} and {type(y).__name__}")
 
 
 def midpoint(p: Point, q: Point, tol: float = DEFAULT_TOL) -> Point:
     """Point halfway between two euclidean points, returned with weight 1."""
-    _require_euclidean(p, tol, "point")
-    _require_euclidean(q, tol, "point")
-    pn, qn = normalize(p, tol), normalize(q, tol)
+    pn, qn = euclidean(p, tol, "point"), euclidean(q, tol, "point")
     return Point(0.5 * (pn.x + qn.x), 0.5 * (pn.y + qn.y), 1.0)
 
 
@@ -147,25 +136,20 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
     or the parallel mid-line.  Anti-parallel inputs (whose sum degenerates to
     the ideal line) are rejected; negate one argument to pick the other
     orientation."""
-    _require_euclidean(m, tol, "line")
-    _require_euclidean(n, tol, "line")
-    mn_, nn_ = normalize(m, tol), normalize(n, tol)
-    meet = mn_.mv().outer(nn_.mv())
-    parallel = near_zero(meet[6], 1.0, tol)
-    if parallel and mn_.mv().dot(nn_.mv()).scalar_part() < 0.0:
+    m, n = euclidean(m, tol, "line"), euclidean(n, tol, "line")
+    # parallel (the e12 part of m ^ n) and opposed (the scalar m . n)
+    if near_zero(m.a * n.b - m.b * n.a, 1.0, tol) and m.a * n.a + m.b * n.b < 0.0:
         raise OrientationError(
             "anti-parallel lines: their sum is ideal; negate one argument first"
         )
-    s = mn_.mv() + nn_.mv()
-    return normalize(Line.from_mv(s, tol), tol)
+    return normalize(Line(*_finite((m.a + n.a, m.b + n.b, m.c + n.c))), tol)
 
 
 def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
     """Line through p perpendicular to m, with m's norm and m's orientation
     rotated a quarter turn counterclockwise."""
-    _require_euclidean(m, tol, "line")
-    _require_euclidean(p, tol, "point")
-    return Line.from_mv(m.mv().dot(normalize(p, tol).mv()), tol)
+    euclidean(m, tol, "line")  # the result keeps m's norm
+    return Line.from_mv(m.mv().dot(euclidean(p, tol, "point").mv()), tol)
 
 
 def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
@@ -182,33 +166,26 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
       ideal difference vector;
     * point onto point: the base point plus the ideal difference.
     """
-    if isinstance(x, (Line, Point)) and x.is_ideal(tol):
+    if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
+        raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
+    if x.is_ideal(tol):
         raise ClassificationError(f"cannot project ideal {x!r}")
-    if isinstance(onto, (Line, Point)) and onto.is_ideal(tol):
+    if onto.is_ideal(tol):
         raise ClassificationError(f"cannot project onto ideal {onto!r}")
+    u, w = _unit(x).mv(), _unit(onto).mv()
     if isinstance(x, Line) and isinstance(onto, Line):
-        m, n = normalize(x, tol).mv(), normalize(onto, tol).mv()
-        return Decomposition(n.scaled(m.dot(n).scalar_part()), m.outer(n).gp(n))
-    if isinstance(x, Line) and isinstance(onto, Point):
-        m, p = normalize(x, tol).mv(), normalize(onto, tol).mv()
-        return Decomposition(m.dot(p).gp(p).scaled(-1.0), m.outer(p).gp(p).scaled(-1.0))
-    if isinstance(x, Point) and isinstance(onto, Line):
-        p, m = normalize(x, tol).mv(), normalize(onto, tol).mv()
-        return Decomposition(m.gp(m.dot(p)), m.gp(m.outer(p)))
-    if isinstance(x, Point) and isinstance(onto, Point):
-        p, q = normalize(x, tol).mv(), normalize(onto, tol).mv()
-        return Decomposition(
-            q.scaled(-q.dot(p).scalar_part()), q.gp(q.commutator(p)).scaled(-1.0)
-        )
-    raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
+        return Decomposition(w.scaled(u.dot(w).scalar_part()), u.outer(w).gp(w))
+    if isinstance(x, Line):
+        return Decomposition(u.dot(w).gp(w).scaled(-1.0), u.outer(w).gp(w).scaled(-1.0))
+    if isinstance(onto, Line):
+        return Decomposition(w.gp(w.dot(u)), w.gp(w.outer(u)))
+    return Decomposition(w.scaled(-w.dot(u).scalar_part()), w.gp(w.commutator(u)).scaled(-1.0))
 
 
 def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Point:
     """Product of three euclidean points of weight 1: the alternating sum
     a - b + c with weight -1 (projectively the same point)."""
-    for p in (a, b, c):
-        _require_euclidean(p, tol, "point")
-    an, bn, cn = (normalize(p, tol) for p in (a, b, c))
+    an, bn, cn = (euclidean(p, tol, "point") for p in (a, b, c))
     product = an.mv().gp(bn.mv().gp(cn.mv()))
     return Point.from_mv(product, tol)
 
@@ -228,9 +205,7 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleL
     """Product of three normalized euclidean lines, split into its grade-1
     part (the join of two altitude feet of the triangle they bound) and its
     grade-3 part.  Concurrent or parallel triples are flagged, not rejected."""
-    for m in (a, b, c):
-        _require_euclidean(m, tol, "line")
-    an, bn, cn = (normalize(m, tol) for m in (a, b, c))
+    an, bn, cn = (euclidean(m, tol, "line") for m in (a, b, c))
     product = an.mv().gp(bn.mv().gp(cn.mv()))
     pseudo = Pseudoscalar(product.pseudo_part())
     degenerate = near_zero(pseudo.s, 1.0, tol)
@@ -242,9 +217,7 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleL
 
 def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
     """Sum of the six permutation products abc + acb + ...: a pure line."""
-    for m in (a, b, c):
-        _require_euclidean(m, tol, "line")
-    ma, mb, mc = (normalize(m, tol).mv() for m in (a, b, c))
+    ma, mb, mc = (euclidean(m, tol, "line").mv() for m in (a, b, c))
     total = (
         ma.gp(mb.gp(mc))
         + ma.gp(mc.gp(mb))

@@ -5,6 +5,9 @@ A motor (scalar plus bivector) acts through the two-sided sandwich
 g x reverse(g) and realizes a direct isometry: a rotation about its bivector
 axis point or, when the bivector is ideal, a translation.  An odd versor
 (line plus pseudoscalar) realizes a reflection or glide reflection.
+
+On points and lines a sandwich is a 3x3 linear map; only a raw Multivector
+operand is multiplied out over 8 slots.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 import math
 import sys
 
-from .elements import IdealPoint, Line, Point, as_mv
+from .elements import IdealPoint, Line, Point, cross, incidence
 from .errors import ClassificationError, ConstructionError, DomainError, IncidenceError
-from .metric import normalize, unit_direction
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, _unchecked, near_zero
+from .metric import _unit, euclidean, normalize, unit_direction
+from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, _unchecked, near_zero
 
 
 class Motor(Frozen):
@@ -110,43 +113,42 @@ class GlideDecomposition(Frozen):
         _set(self, "translation_distance", translation_distance)
 
 
-def _versor_mv(v) -> Multivector:
-    if isinstance(v, (Motor, OddVersor)):
-        return v.mv()
-    if isinstance(v, Line):
-        return v.mv()
-    if isinstance(v, Multivector):
-        return v
-    raise TypeError(f"cannot use {type(v).__name__} as a versor")
-
-
-def _typed_like(x, result: Multivector, tol: float):
-    if isinstance(x, Multivector):
-        return result
-    if isinstance(x, Line):
-        return Line.from_mv(result, tol)
-    if isinstance(x, IdealPoint):
-        return IdealPoint(result[4], result[5])
-    if isinstance(x, Point):
-        return Point.from_mv(result, tol)
-    return result
-
-
 def sandwich(v, x, tol: float = DEFAULT_TOL):
-    """Two-sided action v x reverse(v); returns the same kind of element as x."""
-    vm = _versor_mv(v)
-    result = vm.gp(as_mv(x).gp(vm.reverse()))
-    return _typed_like(x, result, tol)
+    """Two-sided action v x reverse(v) of a Motor or OddVersor; returns the
+    same kind of element as x.  Expanded, it maps points (x, y, z) by the rows
+    (r, t, p), (t2, r2, q), (0, 0, w) and lines [a, b, c] by (r, t, 0),
+    (t2, r2, 0), (pl, ql, w), each quadratic in v's components."""
+    if isinstance(v, Motor):
+        s, bx, by, bz = v.s, v.bx, v.by, v.bz
+        r, t, w = s * s - bz * bz, 2.0 * s * bz, s * s + bz * bz
+        t2, r2 = -t, r
+        e, f, g, h = bx * bz, by * s, bx * s, by * bz
+    elif isinstance(v, OddVersor):
+        a, b, c, lam = v.line.a, v.line.b, v.line.c, v.lam
+        r, t, w = a * a - b * b, 2.0 * a * b, -(a * a + b * b)
+        t2, r2 = t, -r
+        e, f, g, h = a * c, -lam * b, -lam * a, b * c
+    else:
+        raise TypeError(f"cannot use {type(v).__name__} as a versor")
+    if isinstance(x, Line):
+        pl, ql = 2.0 * (e + f), 2.0 * (h - g)
+        a, b, c = x.a, x.b, x.c
+        return Line(*_finite((r * a + t * b, t2 * a + r2 * b, pl * a + ql * b + w * c)))
+    if isinstance(x, Point):
+        p, q = 2.0 * (e - f), 2.0 * (g + h)
+        px, py, pz = x.x, x.y, x.z
+        image = _finite((r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz))
+        return IdealPoint(image[0], image[1]) if isinstance(x, IdealPoint) else Point(*image)
+    vm = v.mv()
+    return vm.gp(x.mv().gp(vm.reverse()))
 
 
 def reflect(a: Line, x, tol: float = DEFAULT_TOL):
-    """Reflection in the euclidean line a: the sandwich a x a (no reversal,
-    since a line is its own reverse)."""
+    """Reflection in the euclidean line a: the sandwich by a normalized, an odd
+    versor without pseudoscalar part (a line is its own reverse)."""
     if a.is_ideal(tol):
         raise DomainError("the ideal line is not a mirror")
-    am = normalize(a, tol).mv()
-    result = am.gp(as_mv(x).gp(am))
-    return _typed_like(x, result, tol)
+    return sandwich(OddVersor(_unit(a), 0.0), x, tol)
 
 
 def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
@@ -157,8 +159,9 @@ def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
     """
     if a.is_ideal(tol) or b.is_ideal(tol):
         raise DomainError("mirrors must be euclidean lines")
-    an, bn = normalize(a, tol), normalize(b, tol)
-    return Motor.from_mv(bn.mv().gp(an.mv()), tol)
+    an, bn = _unit(a), _unit(b)
+    # gp(bn, an): the scalar bn . an and the bivector bn ^ an
+    return Motor(bn.a * an.a + bn.b * an.b, *cross((bn.a, bn.b, bn.c), (an.a, an.b, an.c)))
 
 
 def _sinc(t: float) -> float:
@@ -183,7 +186,7 @@ def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
     1 + V.  Both branches are covered by cos(z) + sinc(z) * b with z the
     e12 coefficient.
     """
-    bm = as_mv(b)
+    bm = b.mv()
     if bm.grades(tol) - {2}:
         raise DomainError(f"exponential argument must be a pure bivector, got {bm!r}")
     t = bm[6]
@@ -218,9 +221,12 @@ def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
     half-angle exponential of this basis is clockwise in the usual drawing
     orientation); golden tests pin the convention.
     """
-    if p.is_ideal(tol):
-        raise ClassificationError(f"rotation center {p!r} must be euclidean")
-    return exp_bivector(normalize(p, tol).mv().scaled(alpha / 2.0), tol)
+    c = euclidean(p, tol, "rotation center")
+    # exp_bivector of the bivector (alpha/2) * c, on c's fields
+    h = alpha / 2.0
+    bx, by, t = _finite((c.x * h, c.y * h, c.z * h))
+    k = _sinc(t)
+    return Motor(math.cos(t), k * bx, k * by, k * t)
 
 
 def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
@@ -240,12 +246,10 @@ def translator_by(dx: float, dy: float) -> Motor:
 
 def glide_decompose(v: OddVersor, tol: float = DEFAULT_TOL) -> GlideDecomposition:
     """Split an odd versor m + lam*e012 into its reflection axis and the
-    glide translation distance 2*lam (measured against the axis direction)."""
-    if v.line.is_ideal(tol):
-        raise DomainError("versor with ideal line part is not a glide reflection")
-    n = math.hypot(v.line.a, v.line.b)
-    axis = Line(v.line.a / n, v.line.b / n, v.line.c / n)
-    return GlideDecomposition(axis, 2.0 * v.lam / n)
+    glide translation distance 2*lam (measured against the axis direction),
+    both read from the normalized versor."""
+    n = v.normalized(tol)
+    return GlideDecomposition(n.line, 2.0 * n.lam)
 
 
 def glide_recompose(d: GlideDecomposition) -> OddVersor:
@@ -286,14 +290,10 @@ def solve_point_line_transport(
     m to m2; both tests are near_zero against the figure's size, the largest
     coordinate of the normalized points and offset of the normalized lines.
     """
-    for x, name in ((a, "a"), (a2, "a2")):
+    for x, name in ((a, "point a"), (a2, "point a2"), (m, "line m"), (m2, "line m2")):
         if x.is_ideal(tol):
-            raise ClassificationError(f"point {name} must be euclidean")
-    for x, name in ((m, "m"), (m2, "m2")):
-        if x.is_ideal(tol):
-            raise ClassificationError(f"line {name} must be euclidean")
-    an, a2n = normalize(a, tol), normalize(a2, tol)
-    mn, m2n = normalize(m, tol), normalize(m2, tol)
+            raise ClassificationError(f"{name} must be euclidean")
+    an, a2n, mn, m2n = _unit(a), _unit(a2), _unit(m), _unit(m2)
     # below the smallest normal float rounding is absolute, so the size stops there
     size = max(
         abs(an.x), abs(an.y), abs(a2n.x), abs(a2n.y), abs(mn.c), abs(m2n.c), sys.float_info.min
@@ -301,11 +301,12 @@ def solve_point_line_transport(
     # a floor, so that tol = 0 does not demand exact incidence of rounded input
     check_tol = max(tol, 1e-9)
     for pt, ln, label in ((an, mn, "a on m"), ((a2n), m2n, "a2 on m2")):
-        defect = ln.mv().outer(pt.mv()).pseudo_part()
+        defect = incidence(ln, pt)
         if not near_zero(defect, size, check_tol):
             raise IncidenceError(f"required incidence {label} fails (defect {defect:g})")
 
-    shift = translator_by(a2n.x - an.x, a2n.y - an.y)
+    # the translator (1, hx, hy, 0) by a2 - a (translator_by)
+    hx, hy = 0.5 * (a2n.y - an.y), -0.5 * (a2n.x - an.x)
     c = mn.a * m2n.a + mn.b * m2n.b
     s = mn.a * m2n.b - mn.b * m2n.a
     # (1 + c, s) and (|s|, sign(s) * (1 - c)) point the same way, as
@@ -314,8 +315,9 @@ def solve_point_line_transport(
         ch, sh, _ = unit_direction(1.0 + c, s)
     else:
         ch, sh, _ = unit_direction(abs(s), math.copysign(1.0 - c, s))
-    turn = Motor(ch, -sh * a2n.x, -sh * a2n.y, -sh)
-    g = Motor.from_mv(turn.mv().gp(shift.mv()), tol)
+    # turn * shift, the turn being (ch, -sh * a2n.x, -sh * a2n.y, -sh)
+    bx, by = ch * hx - sh * a2n.x - sh * hy, ch * hy - sh * a2n.y + sh * hx
+    g = Motor(*_finite((ch, bx, by, -sh)))
     image_a = normalize(sandwich(g, an, tol), tol)
     image_m = normalize(sandwich(g, mn, tol), tol)
     # image_m must be m2 with a positive scale; unit normals count against 1

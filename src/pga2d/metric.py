@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .elements import IdealPoint, Line, Point, Pseudoscalar, as_mv
+from .elements import IdealPoint, Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError
 from .multivector import DEFAULT_TOL, Multivector, e1, e012, near_zero
 
@@ -84,10 +84,8 @@ def normalize(x, tol: float = DEFAULT_TOL):
     only up to the sign of c, which is divided out.
     """
     tag = classify(x, tol)
-    if tag is NormTag.EUCLIDEAN_LINE:
-        return Line(*unit_direction(x.a, x.b, x.c))
-    if tag is NormTag.EUCLIDEAN_POINT:
-        return Point(x.x / x.z, x.y / x.z, 1.0)
+    if tag is NormTag.EUCLIDEAN_LINE or tag is NormTag.EUCLIDEAN_POINT:
+        return _unit(x)
     if tag is NormTag.IDEAL_LINE:
         if x.c == 0.0:
             raise DomainError("cannot normalize a zero line")
@@ -104,10 +102,24 @@ def normalize(x, tol: float = DEFAULT_TOL):
     raise TypeError(f"cannot normalize {type(x).__name__}")
 
 
+def _unit(x):
+    """normalize of a line or point known to be euclidean."""
+    if isinstance(x, Line):
+        return Line(*unit_direction(x.a, x.b, x.c))
+    return Point(x.x / x.z, x.y / x.z, 1.0)
+
+
+def euclidean(x, tol: float, what: str):
+    """normalize of a line or point that must be euclidean, classified once."""
+    if x.is_ideal(tol):
+        raise ClassificationError(f"{what} {x!r} must be euclidean")
+    return _unit(x)
+
+
 def polar(x) -> Multivector:
     """Multiplication by the pseudoscalar: a line maps to its perpendicular
     ideal point, a euclidean point to the ideal line, ideal elements to 0."""
-    return e012.gp(as_mv(x))
+    return e012.gp(x.mv())
 
 
 def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> IdealPoint:

@@ -215,6 +215,10 @@ class Multivector(Frozen):
             return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
         raise ValueError(f"grade must be in 0..3, got {k}")
 
+    def mv(self) -> "Multivector":
+        """Itself, as a typed view's mv() is its multivector."""
+        return self
+
     def scaled(self, factor: float) -> "Multivector":
         return _checked(tuple(map(float(factor).__mul__, self.coeffs)))
 
@@ -289,15 +293,20 @@ def _unchecked(coeffs: tuple[float, ...]) -> Multivector:
     return u
 
 
-def _checked(coeffs: tuple[float, ...]) -> Multivector:
-    """Wrap eight computed floats; DomainError unless all are finite.
+def _finite(values: tuple[float, ...]) -> tuple[float, ...]:
+    """values, computed from finite operands; DomainError unless all are finite.
 
     Finite operands yield inf or nan only by overflow (or through a non-finite
-    scale factor).  A finite sum proves every slot finite, so the slot-by-slot
-    test runs only when the sum is not: a slot overflowed, or only the sum did."""
-    if not math.isfinite(sum(coeffs)) and not all(map(math.isfinite, coeffs)):
+    scale factor).  A finite sum proves every value finite, so the one-by-one
+    test runs only when the sum is not: a value overflowed, or only the sum did."""
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise DomainError("result is not finite (coefficient overflow or non-finite factor)")
-    return _unchecked(coeffs)
+    return values
+
+
+def _checked(coeffs: tuple[float, ...]) -> Multivector:
+    """Wrap eight computed floats; DomainError unless all are finite."""
+    return _unchecked(_finite(coeffs))
 
 
 def basis(index: int) -> Multivector:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .elements import Line, Point
 from .errors import DomainError, RenderError
-from .metric import normalize, unit_direction
+from .metric import _unit, unit_direction
 from .multivector import DEFAULT_TOL, near_zero
 
 VIEW = 512.0
@@ -38,7 +38,7 @@ def _gather(env: dict, tol: float):
             else:
                 drawables.append(("point", name, (value.x / value.z, value.y / value.z)))
         elif isinstance(value, Line) and not value.is_ideal(tol):
-            ln = normalize(value, tol)
+            ln = _unit(value)
             drawables.append(("line", name, (ln.a, ln.b, ln.c)))
     return drawables
 

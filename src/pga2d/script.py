@@ -3,7 +3,8 @@
 One statement per line, '#' starts a comment.  Every defining verb names its
 result first; names are single-assignment and must be defined before use
 (checked while parsing).  Values are points, ideal points, lines, motors,
-odd versors, or plain numbers.
+odd versors, or plain numbers.  Each verb's result type is fixed by the
+verb, and only project multiplies 8-slot multivectors.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import re
 
 from . import geometry, isometry
-from .elements import IdealPoint, Line, Point, Pseudoscalar
+from .elements import IdealPoint, Line, Point, Pseudoscalar, cross
 from .errors import AlgebraError, EvaluationError, ParseError, RenderError
 from .isometry import Motor, OddVersor
 from .metric import normalize, unit_direction
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _set, near_zero
+from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -145,26 +146,13 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-def _element_from_mv(u: Multivector, lineno: int, tol: float, scale: float | None = None):
-    """View a computed multivector as a tagged environment value; scale is
-    the size of the operands that produced it (see Multivector.grades)."""
-    grades = u.grades(tol, scale)
-    if not grades:
+def _cross(u: tuple, v: tuple, lineno: int, tol: float) -> tuple[float, float, float]:
+    """The join of two points or meet of two lines, unless it is near_zero
+    against the product of their largest coefficients."""
+    w = cross(u, v)
+    if near_zero(max(map(abs, w)), max(map(abs, u)) * max(map(abs, v)), tol):
         raise EvaluationError("result is the zero element (dependent arguments?)", lineno)
-    c = u.coeffs
-    if grades == {0}:
-        return c[0]
-    if grades == {1}:
-        return Line(c[2], c[3], c[1])
-    if grades == {2}:
-        return Point(c[4], c[5], c[6])
-    if grades == {3}:
-        return Pseudoscalar(c[7])
-    if grades <= {0, 2}:
-        return Motor.from_mv(u, tol)
-    if grades <= {1, 3}:
-        return OddVersor.from_mv(u, tol)
-    raise EvaluationError("result mixes even and odd grades", lineno)
+    return w
 
 
 def _want(env, name: str, types, lineno: int, what: str):
@@ -228,13 +216,11 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
     elif verb == "join":
         p = _want(env, args[0], Point, lineno, "join argument")
         q = _want(env, args[1], Point, lineno, "join argument")
-        scale = max(abs(p.x), abs(p.y), abs(p.z)) * max(abs(q.x), abs(q.y), abs(q.z))
-        env[st.result] = _element_from_mv(p.mv().join(q.mv()), lineno, tol, scale)
+        env[st.result] = Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), lineno, tol))
     elif verb == "meet":
         m = _want(env, args[0], Line, lineno, "meet argument")
         n = _want(env, args[1], Line, lineno, "meet argument")
-        scale = max(abs(m.a), abs(m.b), abs(m.c)) * max(abs(n.a), abs(n.b), abs(n.c))
-        env[st.result] = _element_from_mv(m.mv().outer(n.mv()), lineno, tol, scale)
+        env[st.result] = Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), lineno, tol))
     elif verb == "dist":
         x = _want(env, args[0], (Point, Line), lineno, "dist argument")
         y = _want(env, args[1], (Point, Line), lineno, "dist argument")
@@ -270,8 +256,9 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
     elif verb == "project":
         x = _want(env, args[0], (Point, Line), lineno, "project argument")
         y = _want(env, args[1], (Point, Line), lineno, "project target")
-        decomposition = geometry.project(x, y, tol)
-        env[st.result] = _element_from_mv(decomposition.parallel_part, lineno, tol)
+        # the parallel part of a line is a line, of a point a point
+        c = geometry.project(x, y, tol).parallel_part.coeffs
+        env[st.result] = Line(c[2], c[3], c[1]) if isinstance(x, Line) else Point(*c[4:7])
     elif verb == "midpoint":
         p = _want(env, args[0], Point, lineno, "point")
         q = _want(env, args[1], Point, lineno, "point")

@@ -14,11 +14,20 @@ import pytest
 from pga2d.cli import main
 from pga2d.elements import IdealPoint, Line, Point
 from pga2d.errors import ClassificationError
-from pga2d.geometry import distance, midpoint, perp_line_through, project, triple_points
+from pga2d.geometry import (
+    angle,
+    distance,
+    midline,
+    midpoint,
+    perp_line_through,
+    project,
+    triple_points,
+)
 from pga2d.isometry import (
     IDENTITY_MOTOR,
     reflect,
     rotator,
+    rotor_from_lines,
     sandwich,
     solve_point_line_transport,
 )
@@ -171,3 +180,36 @@ def test_grades_matches_the_residue_checks_it_replaces():
         # exp_bivector's form: everything outside grade 2 against the whole
         bivector = u.grade(2)
         assert bool(grades - {2}) == ((u - bivector).max_abs() > tol * u.max_abs())
+
+
+# -- euclidean-only operations classify each operand once ----------------------------
+
+
+def test_each_euclidean_only_operand_is_classified_once(monkeypatch):
+    seen = []
+    for cls in (Line, Point):
+
+        def counted(self, tol=1e-9, is_ideal=cls.is_ideal):
+            seen.append(self)
+            return is_ideal(self, tol)
+
+        monkeypatch.setattr(cls, "is_ideal", counted)
+    a, b, m, n = _A, _B, _M, Line(1, 1, 0)
+    m2 = Line(0, 2, 3)  # parallel to m
+    a2 = Point(-2, 2, 2)  # on n
+    cases = [
+        (lambda: distance(a, b), [a, b]),
+        (lambda: distance(m, b), [m, b]),
+        (lambda: distance(m, m2), [m, m2]),
+        (lambda: angle(m, n), [m, n]),
+        (lambda: midpoint(a, b), [a, b]),
+        (lambda: midline(m, n), [m, n]),
+        (lambda: rotator(a, 0.5), [a]),
+        (lambda: rotor_from_lines(m, n), [m, n]),
+        (lambda: reflect(m, b), [m]),
+        (lambda: solve_point_line_transport(a, m, a2, n), [a, m, a2, n]),
+    ]
+    for call, operands in cases:
+        seen.clear()
+        call()
+        assert [sum(x is op for x in seen) for op in operands] == [1] * len(operands)

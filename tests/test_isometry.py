@@ -455,6 +455,15 @@ def test_glide_decompose_rejects_ideal_axis():
         glide_decompose(OddVersor(Line(0, 0, 1), 1.0))
 
 
+def test_glide_decompose_and_normalized_agree_on_an_ideal_line_part():
+    # the line part's norm 1 is near zero against the pseudoscalar part
+    v = OddVersor(Line(1, 0, 0), 2e9)
+    with pytest.raises(DomainError):
+        v.normalized()
+    with pytest.raises(DomainError):
+        glide_decompose(v)
+
+
 def test_triangle_product_axis_joins_altitude_feet():
     r = gen.rng(79)
     for _ in range(100):

@@ -1,19 +1,36 @@
-"""The unrolled kernel against a loop over the oracle's product table.
+"""The unrolled kernel against a loop over the oracle's product table, and
+the typed closed forms against the kernel products they replace.
 
 The reference product walks the (sign, index) entries of
 oracle.generate_cayley() row by row, skipping zero coefficients, and adds
 each term into its output slot.  The kernel's unrolled products add their
 terms in the same order, so the two agree exactly (==, not within a
-tolerance), up to the sign of zero.
+tolerance), up to the sign of zero.  A typed form that keeps the kernel's
+terms and drops only its zero ones agrees with it exactly too; the sandwich,
+whose coefficients multiply the versor by itself first, agrees within a few
+ulps of the operands' scale.
 """
 
 import math
+import sys
 
 import pytest
 
 import gen
 import oracle
+from pga2d.elements import IdealPoint, Line, Point, cross
 from pga2d.errors import DomainError
+from pga2d.geometry import angle, distance, midline
+from pga2d.isometry import (
+    Motor,
+    OddVersor,
+    reflect,
+    rotor_from_lines,
+    sandwich,
+    solve_point_line_transport,
+    translator_by,
+)
+from pga2d.metric import normalize
 from pga2d.multivector import Multivector, blades, one
 
 CAYLEY = oracle.generate_cayley()
@@ -151,3 +168,91 @@ def test_public_constructor_rejects_non_finite(bad):
         coeffs[slot] = bad
         with pytest.raises(DomainError):
             Multivector(tuple(coeffs))
+
+
+# -- the typed closed forms ----------------------------------------------------------
+
+
+def _spread(r, n):
+    """n coefficients of random sign, magnitudes spread over 1e-3..1e3."""
+    values = r.uniform(-1.0, 1.0, size=n) * 10.0 ** r.uniform(-3.0, 3.0, size=n)
+    return [float(x) for x in values]
+
+
+def _parallel(r, m):
+    """A line parallel to m, of another norm and either orientation."""
+    k = _spread(r, 1)[0]
+    return Line(k * m.a, k * m.b, _spread(r, 1)[0])
+
+
+def test_join_and_meet_are_the_kernel_products_exactly():
+    r = gen.rng(90)
+    for _ in range(500):
+        p, q = Point(*_spread(r, 3)), Point(*_spread(r, 3))
+        for v in (q, IdealPoint(q.x, q.y), Point(q.x, q.y, 0.0)):
+            j = p.mv().join(v.mv()).coeffs
+            assert cross((p.x, p.y, p.z), (v.x, v.y, v.z)) == (j[2], j[3], j[1])
+        m = Line(*_spread(r, 3))
+        for n in (Line(*_spread(r, 3)), _parallel(r, m)):
+            o = m.mv().outer(n.mv()).coeffs
+            assert cross((m.a, m.b, m.c), (n.a, n.b, n.c)) == (o[4], o[5], o[6])
+
+
+def test_measurements_are_the_kernel_products_exactly():
+    r = gen.rng(91)
+    for _ in range(500):
+        p, q = Point(*_spread(r, 3)), Point(*_spread(r, 3))
+        pn, qn = normalize(p).mv(), normalize(q).mv()
+        j = pn.join(qn)
+        assert distance(p, q).value == math.hypot(j[2], j[3])
+        m = Line(*_spread(r, 3))
+        mn = normalize(m).mv()
+        assert distance(m, p).value == mn.outer(pn).pseudo_part()
+        for n in (Line(*_spread(r, 3)), _parallel(r, m)):
+            nn = normalize(n).mv()
+            meet = mn.outer(nn)
+            assert angle(m, n).value == math.atan2(abs(meet[6]), mn.dot(nn)[0])
+            if n.a * m.a + n.b * m.b > 0.0 or abs(meet[6]) > 1e-6:
+                assert midline(m, n) == normalize(Line.from_mv(mn + nn))
+            assert rotor_from_lines(m, n) == Motor.from_mv(nn.gp(mn))
+            if abs(meet[6]) < 1e-9:
+                assert distance(m, n).value == math.hypot(meet[4], meet[5])
+        for u in (IdealPoint(q.x, q.y), Point(q.x, q.y, 0.0)):
+            cosine = max(-1.0, min(1.0, mn.dot(normalize(u).mv())[1]))
+            assert angle(m, u).value == math.acos(cosine)
+
+
+def test_solver_motor_is_the_kernel_product_of_turn_and_shift_exactly():
+    r = gen.rng(92)
+    for _ in range(300):
+        a, a2 = (gen.random_point(r, 10.0 ** r.uniform(-3.0, 3.0)) for _ in range(2))
+        m, m2 = gen.random_line_through(r, a), gen.random_line_through(r, a2)
+        g = solve_point_line_transport(a, m, a2, m2)
+        an, a2n = normalize(a), normalize(a2)
+        # the turn about a2 has the motor's scalar and e12 parts
+        turn = Motor(g.s, g.bz * a2n.x, g.bz * a2n.y, g.bz)
+        shift = translator_by(a2n.x - an.x, a2n.y - an.y)
+        assert g.mv() == turn.mv().gp(shift.mv())
+
+
+ULPS = 8 * sys.float_info.epsilon
+
+
+def test_sandwich_is_the_kernel_product_within_a_few_ulps():
+    r = gen.rng(93)
+    for _ in range(500):
+        x, y, z = _spread(r, 3)
+        operands = (Point(x, y, z), IdealPoint(x, y), Point(x, y, 0.0), Line(*_spread(r, 3)))
+        versors = (Motor(*_spread(r, 4)), OddVersor(Line(*_spread(r, 3)), _spread(r, 1)[0]))
+        mirror = Line(*_spread(r, 3))
+        for v in versors:
+            vm = v.mv()
+            for e in operands:
+                got = sandwich(v, e)
+                assert type(got) is type(e)
+                want = vm.gp(e.mv().gp(vm.reverse()))
+                assert (got.mv() - want).max_abs() <= ULPS * vm.max_abs() ** 2 * e.mv().max_abs()
+        am = normalize(mirror).mv()
+        for e in operands:
+            miss = (reflect(mirror, e).mv() - am.gp(e.mv().gp(am))).max_abs()
+            assert miss <= ULPS * am.max_abs() ** 2 * e.mv().max_abs()

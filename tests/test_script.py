@@ -356,14 +356,17 @@ def test_cli_tol_flag(tmp_path, capsys):
     assert main(["run", str(script), "--tol", "1e-6"]) == 0
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "1"])
 def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
+    # at a tol of 1 every point is ideal, and the origin has no direction
     script = tmp_path / "s.pga"
-    script.write_text("point A 1 0\nprint A\n")
-    assert main(["run", str(script), "--tol", tol]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
+    for source in ("point A 1 0\nprint A\n", "point A 0 0\nprint A\n"):
+        script.write_text(source)
+        for svg in ([], ["--svg", str(tmp_path / "fig.svg")]):
+            assert main(["run", str(script), "--tol", tol, *svg]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
 
 
 def test_cli_accepts_zero_tol(tmp_path, capsys):
@@ -387,6 +390,17 @@ def test_cli_overflow_is_an_evaluation_error(tmp_path, capsys):
     assert main(["run", str(script)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ") and "overflow" in err and err.count("\n") == 1
+
+
+def test_cli_overflow_in_a_sandwich_keeps_the_kernel_message(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text(
+        "ideal V 1 0\ntranslator g V 1e308\nline m 1e300 1e300 1e300\napply k g m\n"
+    )
+    assert main(["run", str(script)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: result is not finite (coefficient overflow or non-finite factor)\n"
+    )
 
 
 def test_cli_writes_output_printed_before_an_evaluation_error(tmp_path, capsys):
