@@ -5,12 +5,12 @@ class AlgebraError(ValueError):
     """Base class for misuse of an algebraic operation."""
 
 
-class ClassificationError(AlgebraError):
-    """A euclidean operation was applied to an ideal element, or vice versa."""
-
-
 class DomainError(AlgebraError):
     """Argument lies outside the operation's domain (zero element, ideal mirror, ...)."""
+
+
+class ClassificationError(DomainError):
+    """A euclidean operation was applied to an ideal element, or vice versa."""
 
 
 class OrientationError(DomainError):

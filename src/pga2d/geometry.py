@@ -20,8 +20,8 @@ import math
 from enum import Enum
 
 from .elements import Line, Point, Pseudoscalar, cross, incidence
-from .errors import ClassificationError, DomainError, OrientationError
-from .metric import _unit, euclidean, ideal_inner, normalize
+from .errors import DomainError, OrientationError
+from .metric import euclidean, ideal, ideal_inner, normalize
 from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, near_zero
 
 
@@ -60,11 +60,6 @@ class Decomposition(Frozen):
         return self.parallel_part + self.orthogonal_part
 
 
-def _require_ideal(p: Point, tol):
-    if not p.is_ideal(tol):
-        raise ClassificationError(f"{p!r} is euclidean, not an ideal point")
-
-
 def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
     """Distance between two elements per their kinds.
 
@@ -73,9 +68,7 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
     the argument order.  Intersecting lines are rejected (use angle).
     """
     if isinstance(x, Point) and isinstance(y, Point):
-        if x.is_ideal(tol) or y.is_ideal(tol):
-            raise ClassificationError("point distance requires euclidean points")
-        p, q = _unit(x), _unit(y)
+        p, q = euclidean(x, tol, "point"), euclidean(y, tol, "point")
         # the normal (a, b) of the line joining two points of weight 1
         value = math.hypot(*_finite((p.y - q.y, q.x - p.x)))
         return Measurement(value, MeasurementKind.POINT_POINT_DISTANCE)
@@ -99,26 +92,17 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> Measurement:
     """Angle in [0, pi] between two lines, two ideal points, or a line and
     an ideal point (measured against the line's direction)."""
     if isinstance(x, Line) and isinstance(y, Line):
-        try:
-            m, n = euclidean(x, tol, "line"), euclidean(y, tol, "line")
-        except ClassificationError:
-            if x.is_ideal(tol) and y.is_ideal(tol):
-                raise DomainError("two ideal lines subtend no angle") from None
-            raise
+        m, n = euclidean(x, tol, "line"), euclidean(y, tol, "line")
         # the scalar m . n and the e12 part of m ^ n
         cos_a = m.a * n.a + m.b * n.b
         sin_a = abs(m.a * n.b - m.b * n.a)
         return Measurement(math.atan2(sin_a, cos_a), MeasurementKind.INTERSECTING_LINES_ANGLE)
     if isinstance(x, Point) and isinstance(y, Point):
-        _require_ideal(x, tol)
-        _require_ideal(y, tol)
-        c = max(-1.0, min(1.0, ideal_inner(normalize(x, tol), normalize(y, tol))))
+        c = max(-1.0, min(1.0, ideal_inner(ideal(x, tol, "point"), ideal(y, tol, "point"))))
         return Measurement(math.acos(c), MeasurementKind.IDEAL_POINTS_ANGLE)
     m, other = (x, y) if isinstance(x, Line) else (y, x)
     if isinstance(m, Line) and isinstance(other, Point):
-        m = euclidean(m, tol, "line")
-        _require_ideal(other, tol)
-        u = normalize(other, tol)
+        m, u = euclidean(m, tol, "line"), ideal(other, tol, "point")
         # m . u is the ideal line c*e0 with c the cosine
         c = max(-1.0, min(1.0, m.b * u.x - m.a * u.y))
         return Measurement(math.acos(c), MeasurementKind.LINE_IDEAL_POINT_ANGLE)
@@ -168,11 +152,8 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
     """
     if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
         raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
-    if x.is_ideal(tol):
-        raise ClassificationError(f"cannot project ideal {x!r}")
-    if onto.is_ideal(tol):
-        raise ClassificationError(f"cannot project onto ideal {onto!r}")
-    u, w = _unit(x).mv(), _unit(onto).mv()
+    u = euclidean(x, tol, "projected element").mv()
+    w = euclidean(onto, tol, "projection target").mv()
     if isinstance(x, Line) and isinstance(onto, Line):
         return Decomposition(w.scaled(u.dot(w).scalar_part()), u.outer(w).gp(w))
     if isinstance(x, Line):

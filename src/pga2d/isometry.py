@@ -16,8 +16,8 @@ import math
 import sys
 
 from .elements import IdealPoint, Line, Point, cross, incidence
-from .errors import ClassificationError, ConstructionError, DomainError, IncidenceError
-from .metric import _unit, euclidean, normalize, unit_direction
+from .errors import ConstructionError, DomainError, IncidenceError
+from .metric import euclidean, ideal, normalize, unit_direction
 from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, _unchecked, near_zero
 
 
@@ -113,7 +113,7 @@ class GlideDecomposition(Frozen):
         _set(self, "translation_distance", translation_distance)
 
 
-def sandwich(v, x, tol: float = DEFAULT_TOL):
+def sandwich(v, x):
     """Two-sided action v x reverse(v) of a Motor or OddVersor; returns the
     same kind of element as x.  Expanded, it maps points (x, y, z) by the rows
     (r, t, p), (t2, r2, q), (0, 0, w) and lines [a, b, c] by (r, t, 0),
@@ -146,9 +146,7 @@ def sandwich(v, x, tol: float = DEFAULT_TOL):
 def reflect(a: Line, x, tol: float = DEFAULT_TOL):
     """Reflection in the euclidean line a: the sandwich by a normalized, an odd
     versor without pseudoscalar part (a line is its own reverse)."""
-    if a.is_ideal(tol):
-        raise DomainError("the ideal line is not a mirror")
-    return sandwich(OddVersor(_unit(a), 0.0), x, tol)
+    return sandwich(OddVersor(euclidean(a, tol, "mirror"), 0.0), x)
 
 
 def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
@@ -157,9 +155,7 @@ def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
     Intersecting mirrors give the rotation about their common point by twice
     their angle; parallel mirrors a translation by twice their gap.
     """
-    if a.is_ideal(tol) or b.is_ideal(tol):
-        raise DomainError("mirrors must be euclidean lines")
-    an, bn = _unit(a), _unit(b)
+    an, bn = euclidean(a, tol, "mirror"), euclidean(b, tol, "mirror")
     # gp(bn, an): the scalar bn . an and the bivector bn ^ an
     return Motor(bn.a * an.a + bn.b * an.b, *cross((bn.a, bn.b, bn.c), (an.a, an.b, an.c)))
 
@@ -178,6 +174,12 @@ def _inv_sinc(t: float) -> float:
     return t / math.sin(t)
 
 
+def _exp(bx: float, by: float, t: float) -> Motor:
+    """exp of the bivector bx*e20 + by*e01 + t*e12: cos t + sinc(t) * b."""
+    k = _sinc(t)
+    return Motor(math.cos(t), k * bx, k * by, k * t)
+
+
 def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
     """Closed-form exponential of a pure bivector.
 
@@ -189,9 +191,7 @@ def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
     bm = b.mv()
     if bm.grades(tol) - {2}:
         raise DomainError(f"exponential argument must be a pure bivector, got {bm!r}")
-    t = bm[6]
-    k = _sinc(t)
-    return Motor(math.cos(t), k * bm[4], k * bm[5], k * t)
+    return _exp(bm[4], bm[5], bm[6])
 
 
 def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> Multivector:
@@ -222,21 +222,17 @@ def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
     orientation); golden tests pin the convention.
     """
     c = euclidean(p, tol, "rotation center")
-    # exp_bivector of the bivector (alpha/2) * c, on c's fields
+    # the bivector (alpha/2) * c
     h = alpha / 2.0
-    bx, by, t = _finite((c.x * h, c.y * h, c.z * h))
-    k = _sinc(t)
-    return Motor(math.cos(t), k * bx, k * by, k * t)
+    return _exp(*_finite((c.x * h, c.y * h, c.z * h)))
 
 
 def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
     """Motor whose sandwich translates by distance d perpendicular (CCW) to
     the ideal point v: exp((d/2) v) = 1 + (d/2) v for v of unit ideal norm,
     read as (x, y, 0) since it classifies as ideal."""
-    if not v.is_ideal(tol):
-        raise ClassificationError(f"translation direction {v!r} must be ideal")
-    vn = normalize(v, tol)
-    return Motor(1.0, 0.5 * d * vn.x, 0.5 * d * vn.y, 0.0)
+    vn = ideal(v, tol, "translation direction")
+    return _exp(0.5 * d * vn.x, 0.5 * d * vn.y, 0.0)
 
 
 def translator_by(dx: float, dy: float) -> Motor:
@@ -290,10 +286,8 @@ def solve_point_line_transport(
     m to m2; both tests are near_zero against the figure's size, the largest
     coordinate of the normalized points and offset of the normalized lines.
     """
-    for x, name in ((a, "point a"), (a2, "point a2"), (m, "line m"), (m2, "line m2")):
-        if x.is_ideal(tol):
-            raise ClassificationError(f"{name} must be euclidean")
-    an, a2n, mn, m2n = _unit(a), _unit(a2), _unit(m), _unit(m2)
+    an, a2n = euclidean(a, tol, "point a"), euclidean(a2, tol, "point a2")
+    mn, m2n = euclidean(m, tol, "line m"), euclidean(m2, tol, "line m2")
     # below the smallest normal float rounding is absolute, so the size stops there
     size = max(
         abs(an.x), abs(an.y), abs(a2n.x), abs(a2n.y), abs(mn.c), abs(m2n.c), sys.float_info.min
@@ -318,8 +312,8 @@ def solve_point_line_transport(
     # turn * shift, the turn being (ch, -sh * a2n.x, -sh * a2n.y, -sh)
     bx, by = ch * hx - sh * a2n.x - sh * hy, ch * hy - sh * a2n.y + sh * hx
     g = Motor(*_finite((ch, bx, by, -sh)))
-    image_a = normalize(sandwich(g, an, tol), tol)
-    image_m = normalize(sandwich(g, mn, tol), tol)
+    image_a = normalize(sandwich(g, an), tol)
+    image_m = normalize(sandwich(g, mn), tol)
     # image_m must be m2 with a positive scale; unit normals count against 1
     misses = (
         (image_a.x - a2n.x, size), (image_a.y - a2n.y, size),

@@ -91,10 +91,7 @@ def normalize(x, tol: float = DEFAULT_TOL):
             raise DomainError("cannot normalize a zero line")
         return Line(x.a / x.c, x.b / x.c, 1.0)
     if tag is NormTag.IDEAL_POINT:
-        if x.x == 0.0 and x.y == 0.0:
-            raise DomainError("cannot normalize a zero point")
-        u, v, w = unit_direction(x.x, x.y, x.z)
-        return IdealPoint(u, v) if isinstance(x, IdealPoint) else Point(u, v, w)
+        return _unit_ideal(x)
     if tag is NormTag.PSEUDOSCALAR:
         if x.s == 0.0:
             raise DomainError("cannot normalize a zero pseudoscalar")
@@ -109,11 +106,29 @@ def _unit(x):
     return Point(x.x / x.z, x.y / x.z, 1.0)
 
 
+def _unit_ideal(p):
+    """normalize of a point known to be ideal."""
+    if p.x == 0.0 and p.y == 0.0:
+        raise DomainError("cannot normalize a zero point")
+    u, v, w = unit_direction(p.x, p.y, p.z)
+    return IdealPoint(u, v) if isinstance(p, IdealPoint) else Point(u, v, w)
+
+
 def euclidean(x, tol: float, what: str):
-    """normalize of a line or point that must be euclidean, classified once."""
+    """normalize of a line or point that must be euclidean, classified once.
+
+    This and ideal are the only gates on an operand's kind: what names the
+    operand's role in the message."""
     if x.is_ideal(tol):
         raise ClassificationError(f"{what} {x!r} must be euclidean")
     return _unit(x)
+
+
+def ideal(p: Point, tol: float, what: str):
+    """normalize of a point that must be ideal, classified once."""
+    if not p.is_ideal(tol):
+        raise ClassificationError(f"{what} {p!r} must be ideal")
+    return _unit_ideal(p)
 
 
 def polar(x) -> Multivector:
@@ -124,8 +139,7 @@ def polar(x) -> Multivector:
 
 def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> IdealPoint:
     """Direction of a euclidean line: its wedge with the ideal line e0."""
-    if m.is_ideal(tol):
-        raise ClassificationError(f"{m!r} has no direction point")
+    euclidean(m, tol, "line")  # the result keeps m's norm
     return IdealPoint(m.b, -m.a)
 
 
@@ -143,8 +157,7 @@ def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     is not near_zero against p's largest coefficient.  n = gp(m, p) is the
     line through p perpendicular to m; mn recovers p because m squares to 1.
     """
-    if p.is_ideal(tol):
-        raise ClassificationError(f"{p!r} is ideal; it does not factor into lines")
+    euclidean(p, tol, "point")  # p itself is factored, with its weight's sign
     if not near_zero(abs(p.z) - 1.0, 1.0, tol):
         raise DomainError(f"{p!r} must have weight +-1 to factor into orthonormal lines")
     m = normalize(Line.from_mv(e1.dot(p.mv()), tol))

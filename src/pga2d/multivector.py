@@ -259,14 +259,12 @@ class Multivector(Frozen):
     def max_abs(self) -> float:
         return max(map(abs, self.coeffs))
 
-    def grades(self, tol: float = DEFAULT_TOL, scale: float | None = None) -> set[int]:
+    def grades(self, tol: float = DEFAULT_TOL) -> set[int]:
         """The grades 0..3 present: those whose largest |coefficient| is not
-        near_zero against scale, the size of the operands that produced this
-        value.  When those are unknown, scale is the largest grade's size."""
+        near_zero against the largest grade's size."""
         c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
         sizes = (abs(c0), max(abs(c1), abs(c2), abs(c3)), max(abs(c4), abs(c5), abs(c6)), abs(c7))
-        if scale is None:
-            scale = max(sizes)
+        scale = max(sizes)
         # an exact zero is absent whatever the scale, without a call
         return {k for k in range(4) if sizes[k] and not near_zero(sizes[k], scale, tol)}
 

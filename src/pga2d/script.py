@@ -2,9 +2,9 @@
 
 One statement per line, '#' starts a comment.  Every defining verb names its
 result first; names are single-assignment and must be defined before use
-(checked while parsing).  Values are points, ideal points, lines, motors,
-odd versors, or plain numbers.  Each verb's result type is fixed by the
-verb, and only project multiplies 8-slot multivectors.
+(checked while parsing).  Values are points, ideal points, lines, motors
+or plain numbers.  Each verb's result type is fixed by the verb, and only
+project multiplies 8-slot multivectors.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 
 from . import geometry, isometry
-from .elements import IdealPoint, Line, Point, Pseudoscalar, cross
+from .elements import IdealPoint, Line, Point, cross
 from .errors import AlgebraError, EvaluationError, ParseError, RenderError
-from .isometry import Motor, OddVersor
+from .isometry import Motor
 from .metric import normalize, unit_direction
 from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
 
@@ -128,8 +128,6 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     """Render an environment value with fixed 6-decimal formatting."""
     if isinstance(value, float):
         return _fmt(value)
-    if isinstance(value, Pseudoscalar):
-        return _fmt(value.s)
     if isinstance(value, Point):
         if value.is_ideal(tol):
             u, v, _ = unit_direction(value.x, value.y)
@@ -140,17 +138,15 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
         return f"[{_fmt(ln.a)}, {_fmt(ln.b)}, {_fmt(ln.c)}]"
     if isinstance(value, Motor):
         return f"motor({_fmt(value.s)}, {_fmt(value.bx)}, {_fmt(value.by)}, {_fmt(value.bz)})"
-    if isinstance(value, OddVersor):
-        m = value.line
-        return f"versor([{_fmt(m.a)}, {_fmt(m.b)}, {_fmt(m.c)}], {_fmt(value.lam)})"
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
 def _cross(u: tuple, v: tuple, lineno: int, tol: float) -> tuple[float, float, float]:
     """The join of two points or meet of two lines, unless it is near_zero
-    against the product of their largest coefficients."""
+    against the product of their largest coefficients (divided by one of
+    them: the product can overflow, and then every result reads as zero)."""
     w = cross(u, v)
-    if near_zero(max(map(abs, w)), max(map(abs, u)) * max(map(abs, v)), tol):
+    if near_zero(max(map(abs, w)) / max(map(abs, u)), max(map(abs, v)), tol):
         raise EvaluationError("result is the zero element (dependent arguments?)", lineno)
     return w
 
@@ -244,9 +240,9 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
         v = _want(env, args[0], Point, lineno, "translation direction")
         env[st.result] = isometry.translator(v, args[1], tol)
     elif verb == "apply":
-        g = _want(env, args[0], (Motor, OddVersor), lineno, "versor")
+        g = _want(env, args[0], Motor, lineno, "versor")
         x = _want(env, args[1], _MEASURABLE, lineno, "apply operand")
-        env[st.result] = isometry.sandwich(g, x, tol)
+        env[st.result] = isometry.sandwich(g, x)
     elif verb == "solve":
         a = _want(env, args[0], Point, lineno, "point")
         m = _want(env, args[1], Line, lineno, "line")

@@ -5,9 +5,11 @@ operation that needs a euclidean point rejects both alike, and a script gives
 the same output whichever way its ideal point was made.
 """
 
+import ast
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from pga2d.isometry import (
     rotor_from_lines,
     sandwich,
     solve_point_line_transport,
+    translator,
 )
 from pga2d.metric import factor_point, normalize
 from pga2d.multivector import Multivector
@@ -182,10 +185,11 @@ def test_grades_matches_the_residue_checks_it_replaces():
         assert bool(grades - {2}) == ((u - bivector).max_abs() > tol * u.max_abs())
 
 
-# -- euclidean-only operations classify each operand once ----------------------------
+# -- euclidean-only and ideal-only operations classify each operand once -------------
 
 
-def test_each_euclidean_only_operand_is_classified_once(monkeypatch):
+def _assert_classified_once(monkeypatch, cases):
+    """Each call tests is_ideal on each of its listed operands exactly once."""
     seen = []
     for cls in (Line, Point):
 
@@ -194,6 +198,13 @@ def test_each_euclidean_only_operand_is_classified_once(monkeypatch):
             return is_ideal(self, tol)
 
         monkeypatch.setattr(cls, "is_ideal", counted)
+    for call, operands in cases:
+        seen.clear()
+        call()
+        assert [sum(x is op for x in seen) for op in operands] == [1] * len(operands)
+
+
+def test_each_euclidean_only_operand_is_classified_once(monkeypatch):
     a, b, m, n = _A, _B, _M, Line(1, 1, 0)
     m2 = Line(0, 2, 3)  # parallel to m
     a2 = Point(-2, 2, 2)  # on n
@@ -209,7 +220,68 @@ def test_each_euclidean_only_operand_is_classified_once(monkeypatch):
         (lambda: reflect(m, b), [m]),
         (lambda: solve_point_line_transport(a, m, a2, n), [a, m, a2, n]),
     ]
-    for call, operands in cases:
-        seen.clear()
-        call()
-        assert [sum(x is op for x in seen) for op in operands] == [1] * len(operands)
+    _assert_classified_once(monkeypatch, cases)
+
+
+def test_each_ideal_only_operand_is_classified_once(monkeypatch):
+    v, w, m = IdealPoint(1, 2), Point(-3, 1, 0), _M
+    cases = [
+        (lambda: angle(v, w), [v, w]),
+        (lambda: angle(m, v), [m, v]),
+        (lambda: translator(v, 2.0), [v]),
+    ]
+    _assert_classified_once(monkeypatch, cases)
+
+
+# -- the two gates, as a lint --------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
+# metric.euclidean and metric.ideal gate every operand; norm and ideal_norm
+# reject the kind whose norm they do not measure
+GATES = {("metric", f) for f in ("euclidean", "ideal", "norm", "ideal_norm")}
+
+
+def _kind_raises(tree: ast.AST, module: str):
+    """(line, function) of each ClassificationError raised outside the gates."""
+
+    def walk(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, owner)
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "ClassificationError" and (module, owner) not in GATES:
+                yield node.lineno, owner
+
+    yield from walk(tree, None)
+
+
+def test_every_kind_rejection_is_raised_by_a_gate():
+    found = [
+        f"{path.name}:{lineno} in {owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, owner in _kind_raises(ast.parse(path.read_text(), str(path)), path.stem)
+    ]
+    assert found == []
+
+
+def test_the_gate_lint_catches_the_inline_checks():
+    inline = (
+        "def _require_ideal(p, tol):\n"
+        "    if not p.is_ideal(tol):\n"
+        "        raise ClassificationError(f'{p!r} is euclidean, not an ideal point')\n"
+        "def solve(a, m, tol):\n"
+        "    for x, name in ((a, 'point a'), (m, 'line m')):\n"
+        "        if x.is_ideal(tol):\n"
+        "            raise errors.ClassificationError(f'{name} must be euclidean')\n"
+        "def euclidean(x, tol, what):\n"
+        "    raise ClassificationError\n"
+    )
+    assert list(_kind_raises(ast.parse(inline), "geometry")) == [
+        (3, "_require_ideal"),
+        (7, "solve"),
+        (9, "euclidean"),
+    ]
+    assert list(_kind_raises(ast.parse(inline), "metric")) == [(3, "_require_ideal"), (7, "solve")]

@@ -403,6 +403,15 @@ def test_cli_overflow_in_a_sandwich_keeps_the_kernel_message(tmp_path, capsys):
     )
 
 
+def test_meet_of_lines_whose_size_product_overflows():
+    # max|u| * max|v| = 1e316 overflows; the meet's true zero-test ratio is 1e-8
+    source = "line m 1e158 1e150 0\nline n 1e158 0 1e150\nmeet P m n\nprint P\n"
+    assert evaluate(parse(source))[1] == "P = (0.000000, 1.000000)\n"
+    # lines 1e-200 apart: their meet is the zero element at the default tol
+    with pytest.raises(EvaluationError, match="zero element"):
+        evaluate(parse("line m 1e200 0 1\nline n 1e200 0 2\nmeet P m n\n"))
+
+
 def test_cli_writes_output_printed_before_an_evaluation_error(tmp_path, capsys):
     script = tmp_path / "s.pga"
     script.write_text("point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n")

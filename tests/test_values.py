@@ -2,11 +2,13 @@
 pickling, copying and the pinned repr strings."""
 
 import copy
+import math
 import pickle
 
 import pytest
 
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
+from pga2d.errors import DomainError
 from pga2d.geometry import Decomposition, Measurement, MeasurementKind, TripleLineProduct
 from pga2d.isometry import GlideDecomposition, Motor, OddVersor
 from pga2d.multivector import Multivector
@@ -138,3 +140,32 @@ def test_statement_lineno_is_shown_but_not_compared():
     assert pickle.loads(pickle.dumps(moved)).lineno == 9
     assert copy.deepcopy(moved).lineno == 9
 
+
+
+# every element constructor rejects a non-finite field, and lines and points
+# also all zeros
+REJECTED = [
+    (Line, (math.nan, 1, 0)),
+    (Line, (1, math.inf, 0)),
+    (Line, (0, 0, 0)),
+    (Point, (math.nan, 0, 1)),
+    (Point, (0, 0, -math.inf)),
+    (Point, (0, 0, 0)),
+    (IdealPoint, (math.inf, 1)),
+    (IdealPoint, (0, math.nan)),
+    (IdealPoint, (0, 0)),
+    (Pseudoscalar, (math.nan,)),
+    (Pseudoscalar, (math.inf,)),
+    (Motor, (1, 0, 0, math.nan)),
+    (Motor, (-math.inf, 0, 0, 0)),
+    (OddVersor, (Line(1, 0, 0), math.nan)),
+    (OddVersor, (Line(1, 0, 0), math.inf)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args", REJECTED, ids=[f"{cls.__name__}{args}" for cls, args in REJECTED]
+)
+def test_constructor_rejects_non_finite_or_zero_fields(cls, args):
+    with pytest.raises(DomainError):
+        cls(*args)
