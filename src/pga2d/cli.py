@@ -62,7 +62,8 @@ def main(argv=None) -> int:
     try:
         with open(args.script, encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
+        program = parse(source)
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
@@ -70,11 +71,6 @@ def main(argv=None) -> int:
             f"error: {args.script}: not valid UTF-8 text ({exc.reason} at byte {exc.start})",
             file=sys.stderr,
         )
-        return 1
-    try:
-        program = parse(source)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         env, output = evaluate(program, tol=args.tol)

@@ -11,7 +11,8 @@ carry no absolute scale.
 Operations compute on the three fields (a meet or a join is one cross
 product); mv() gives the 8-slot multivector, for the algebra and the tests.
 Every constructor checks that its fields are finite (and, for lines and
-points, not all zero), so mv() wraps them without validating them again.
+points, not all zero), so mv() wraps them without validating them again;
+IdealPoint's is Point's, applied to (u, v, 0).
 """
 
 from __future__ import annotations
@@ -98,14 +99,7 @@ class IdealPoint(Point):
     __slots__ = ()
 
     def __init__(self, u: float, v: float):
-        u, v = float(u), float(v)
-        if not (math.isfinite(u) and math.isfinite(v)):
-            raise DomainError(f"non-finite ideal point ({u}, {v})")
-        if u == 0.0 and v == 0.0:
-            raise DomainError("zero element is not an ideal point")
-        _set(self, "x", u)
-        _set(self, "y", v)
-        _set(self, "z", 0.0)
+        Point.__init__(self, u, v, 0.0)
 
     @property
     def u(self) -> float:

@@ -7,7 +7,9 @@ axis point or, when the bivector is ideal, a translation.  An odd versor
 (line plus pseudoscalar) realizes a reflection or glide reflection.
 
 On points and lines a sandwich is a 3x3 linear map; only a raw Multivector
-operand is multiplied out over 8 slots.
+operand is multiplied out over 8 slots.  Normalizing a motor, an odd versor
+or a translation axis divides by a length only through
+metric.unit_direction.
 """
 
 from __future__ import annotations
@@ -54,10 +56,12 @@ class Motor(Frozen):
     def normalized(self, tol: float = DEFAULT_TOL) -> "Motor":
         """Divided by its weight, which must not be near_zero against the
         largest component (a motor with no euclidean weight is null)."""
-        w = self.weight()
-        if near_zero(w, max(abs(self.s), abs(self.bx), abs(self.by), abs(self.bz)), tol):
+        s, bx, by, bz = self.s, self.bx, self.by, self.bz
+        if near_zero(self.weight(), max(abs(s), abs(bx), abs(by), abs(bz)), tol):
             raise DomainError(f"{self!r} is null and cannot be normalized")
-        return Motor(self.s / w, self.bx / w, self.by / w, self.bz / w)
+        # the weight is the length of (s, bz)
+        us, uz, ux = unit_direction(s, bz, bx)
+        return Motor(us, ux, unit_direction(s, bz, by)[2], uz)
 
     def __repr__(self) -> str:
         return f"Motor({self.s:g}, {self.bx:g}, {self.by:g}, {self.bz:g})"
@@ -90,11 +94,10 @@ class OddVersor(Frozen):
         return cls(Line(c[2], c[3], c[1]), c[7])
 
     def normalized(self, tol: float = DEFAULT_TOL) -> "OddVersor":
-        m = self.line
-        n = math.hypot(m.a, m.b)
-        if near_zero(n, max(abs(m.a), abs(m.b), abs(m.c), abs(self.lam)), tol):
+        a, b, c, lam = self.line.a, self.line.b, self.line.c, self.lam
+        if near_zero(math.hypot(a, b), max(abs(a), abs(b), abs(c), abs(lam)), tol):
             raise DomainError("versor with ideal line part cannot be normalized")
-        return OddVersor(Line(m.a / n, m.b / n, m.c / n), self.lam / n)
+        return OddVersor(Line(*unit_direction(a, b, c)), unit_direction(a, b, lam)[2])
 
 
 class GlideDecomposition(Frozen):
@@ -262,12 +265,12 @@ def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
         p = Line(0.0, 1.0, -center.y / center.z)
     else:
         # a translation: its ideal part against the normalized weight 1
-        w = math.hypot(gn.bx, gn.by)
-        if near_zero(w, 1.0, tol):
+        if near_zero(math.hypot(gn.bx, gn.by), 1.0, tol):
             p = Line(0.0, 1.0, 0.0)
         else:
-            p = Line(-gn.by / w, gn.bx / w, 0.0)
-    q = Line.from_mv(gn.mv().gp(p.mv()), tol)
+            p = Line(*unit_direction(-gn.by, gn.bx))
+    # p passes through the axis, so the product's e012 part is only rounding
+    q = Line.from_mv(gn.mv().gp(p.mv()).grade(1), tol)
     return p, q
 
 
@@ -299,8 +302,8 @@ def solve_point_line_transport(
         if not near_zero(defect, size, check_tol):
             raise IncidenceError(f"required incidence {label} fails (defect {defect:g})")
 
-    # the translator (1, hx, hy, 0) by a2 - a (translator_by)
-    hx, hy = 0.5 * (a2n.y - an.y), -0.5 * (a2n.x - an.x)
+    # the translator by a2 - a; a difference that overflows fails as the kernel's overflow
+    t = translator_by(*_finite((a2n.x - an.x, a2n.y - an.y)))
     c = mn.a * m2n.a + mn.b * m2n.b
     s = mn.a * m2n.b - mn.b * m2n.a
     # (1 + c, s) and (|s|, sign(s) * (1 - c)) point the same way, as
@@ -310,7 +313,7 @@ def solve_point_line_transport(
     else:
         ch, sh, _ = unit_direction(abs(s), math.copysign(1.0 - c, s))
     # turn * shift, the turn being (ch, -sh * a2n.x, -sh * a2n.y, -sh)
-    bx, by = ch * hx - sh * a2n.x - sh * hy, ch * hy - sh * a2n.y + sh * hx
+    bx, by = ch * t.bx - sh * a2n.x - sh * t.by, ch * t.by - sh * a2n.y + sh * t.bx
     g = Motor(*_finite((ch, bx, by, -sh)))
     image_a = normalize(sandwich(g, an), tol)
     image_m = normalize(sandwich(g, mn), tol)

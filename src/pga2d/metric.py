@@ -10,6 +10,7 @@ line c*e0, and the signed magnitude s for a pseudoscalar s*e012.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .elements import IdealPoint, Line, Point, Pseudoscalar
@@ -64,12 +65,13 @@ def ideal_norm(x, tol: float = DEFAULT_TOL) -> float:
 def unit_direction(u: float, v: float, w: float = 0.0) -> tuple[float, float, float]:
     """(u, v, w) divided by the length of (u, v), which must not be zero.
 
-    The length overflows to inf only when |u| or |v| is near the largest
-    float; only then are all three first divided by max(|u|, |v|), so every
-    input with a finite length gets the plain quotients.
+    The one place a length is a divisor.  A length that overflows to inf, or
+    falls below the smallest normal float and so keeps too few bits, is
+    taken again after all three are divided by max(|u|, |v|); every length
+    in [sys.float_info.min, inf) gets the plain quotients.
     """
     n = math.hypot(u, v)
-    if n == math.inf:
+    if n == math.inf or n < sys.float_info.min:
         s = max(abs(u), abs(v))
         u, v, w = u / s, v / s, w / s
         n = math.hypot(u, v)
@@ -96,7 +98,6 @@ def normalize(x, tol: float = DEFAULT_TOL):
         if x.s == 0.0:
             raise DomainError("cannot normalize a zero pseudoscalar")
         return Pseudoscalar(1.0)
-    raise TypeError(f"cannot normalize {type(x).__name__}")
 
 
 def _unit(x):

@@ -13,7 +13,7 @@ import re
 
 from . import geometry, isometry
 from .elements import IdealPoint, Line, Point, cross
-from .errors import AlgebraError, EvaluationError, ParseError, RenderError
+from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .isometry import Motor
 from .metric import normalize, unit_direction
 from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
@@ -141,22 +141,21 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-def _cross(u: tuple, v: tuple, lineno: int, tol: float) -> tuple[float, float, float]:
+def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
     """The join of two points or meet of two lines, unless it is near_zero
     against the product of their largest coefficients (divided by one of
     them: the product can overflow, and then every result reads as zero)."""
     w = cross(u, v)
     if near_zero(max(map(abs, w)) / max(map(abs, u)), max(map(abs, v)), tol):
-        raise EvaluationError("result is the zero element (dependent arguments?)", lineno)
+        raise DomainError("result is the zero element (dependent arguments?)")
     return w
 
 
-def _want(env, name: str, types, lineno: int, what: str):
+def _want(env, name: str, types, what: str):
     value = env[name]
     if not isinstance(value, types):
         raise EvaluationError(
-            f"{what} must be {_type_names(types)}, but {name!r} is {type(value).__name__}",
-            lineno,
+            f"{what} must be {_type_names(types)}, but {name!r} is {type(value).__name__}"
         )
     return value
 
@@ -182,7 +181,7 @@ def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
         try:
             _execute(st, env, out, tol)
         except EvaluationError as exc:
-            exc.output = _joined(out)
+            exc.lineno, exc.output = st.lineno, _joined(out)
             raise
         except (AlgebraError, RenderError, OSError) as exc:
             raise EvaluationError(str(exc), st.lineno, _joined(out)) from exc
@@ -194,15 +193,14 @@ def _joined(lines: list[str]) -> str:
 
 
 def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
-    verb, args, lineno = st.verb, st.args, st.lineno
+    verb, args = st.verb, st.args
     if verb == "point":
         x, y = args
         # the weight 1 must stay a thousand times above the ideal cutoff
         if near_zero(1e-3, max(abs(x), abs(y)), tol):
-            raise EvaluationError(
+            raise DomainError(
                 f"point ({x:g}, {y:g}) is out of range: coordinates must stay within "
-                f"1e-3/tol = {1e-3 / tol:g} of the origin",
-                lineno,
+                f"1e-3/tol = {1e-3 / tol:g} of the origin"
             )
         env[st.result] = Point(x, y, 1.0)
     elif verb == "ideal":
@@ -210,58 +208,58 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
     elif verb == "line":
         env[st.result] = Line(args[0], args[1], args[2])
     elif verb == "join":
-        p = _want(env, args[0], Point, lineno, "join argument")
-        q = _want(env, args[1], Point, lineno, "join argument")
-        env[st.result] = Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), lineno, tol))
+        p = _want(env, args[0], Point, "join argument")
+        q = _want(env, args[1], Point, "join argument")
+        env[st.result] = Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), tol))
     elif verb == "meet":
-        m = _want(env, args[0], Line, lineno, "meet argument")
-        n = _want(env, args[1], Line, lineno, "meet argument")
-        env[st.result] = Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), lineno, tol))
+        m = _want(env, args[0], Line, "meet argument")
+        n = _want(env, args[1], Line, "meet argument")
+        env[st.result] = Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
     elif verb == "dist":
-        x = _want(env, args[0], (Point, Line), lineno, "dist argument")
-        y = _want(env, args[1], (Point, Line), lineno, "dist argument")
+        x = _want(env, args[0], (Point, Line), "dist argument")
+        y = _want(env, args[1], (Point, Line), "dist argument")
         env[st.result] = geometry.distance(x, y, tol).value
     elif verb == "angle":
-        x = _want(env, args[0], _MEASURABLE, lineno, "angle argument")
-        y = _want(env, args[1], _MEASURABLE, lineno, "angle argument")
+        x = _want(env, args[0], _MEASURABLE, "angle argument")
+        y = _want(env, args[1], _MEASURABLE, "angle argument")
         env[st.result] = geometry.angle(x, y, tol).value
     elif verb == "reflect":
-        m = _want(env, args[0], Line, lineno, "mirror")
-        x = _want(env, args[1], _MEASURABLE, lineno, "reflect operand")
+        m = _want(env, args[0], Line, "mirror")
+        x = _want(env, args[1], _MEASURABLE, "reflect operand")
         env[st.result] = isometry.reflect(m, x, tol)
     elif verb == "rotor":
-        a = _want(env, args[0], Line, lineno, "mirror")
-        b = _want(env, args[1], Line, lineno, "mirror")
+        a = _want(env, args[0], Line, "mirror")
+        b = _want(env, args[1], Line, "mirror")
         env[st.result] = isometry.rotor_from_lines(a, b, tol)
     elif verb == "rotator":
-        p = _want(env, args[0], Point, lineno, "rotation center")
+        p = _want(env, args[0], Point, "rotation center")
         env[st.result] = isometry.rotator(p, args[1], tol)
     elif verb == "translator":
-        v = _want(env, args[0], Point, lineno, "translation direction")
+        v = _want(env, args[0], Point, "translation direction")
         env[st.result] = isometry.translator(v, args[1], tol)
     elif verb == "apply":
-        g = _want(env, args[0], Motor, lineno, "versor")
-        x = _want(env, args[1], _MEASURABLE, lineno, "apply operand")
+        g = _want(env, args[0], Motor, "versor")
+        x = _want(env, args[1], _MEASURABLE, "apply operand")
         env[st.result] = isometry.sandwich(g, x)
     elif verb == "solve":
-        a = _want(env, args[0], Point, lineno, "point")
-        m = _want(env, args[1], Line, lineno, "line")
-        a2 = _want(env, args[2], Point, lineno, "point")
-        m2 = _want(env, args[3], Line, lineno, "line")
+        a = _want(env, args[0], Point, "point")
+        m = _want(env, args[1], Line, "line")
+        a2 = _want(env, args[2], Point, "point")
+        m2 = _want(env, args[3], Line, "line")
         env[st.result] = isometry.solve_point_line_transport(a, m, a2, m2, tol)
     elif verb == "project":
-        x = _want(env, args[0], (Point, Line), lineno, "project argument")
-        y = _want(env, args[1], (Point, Line), lineno, "project target")
+        x = _want(env, args[0], (Point, Line), "project argument")
+        y = _want(env, args[1], (Point, Line), "project target")
         # the parallel part of a line is a line, of a point a point
         c = geometry.project(x, y, tol).parallel_part.coeffs
         env[st.result] = Line(c[2], c[3], c[1]) if isinstance(x, Line) else Point(*c[4:7])
     elif verb == "midpoint":
-        p = _want(env, args[0], Point, lineno, "point")
-        q = _want(env, args[1], Point, lineno, "point")
+        p = _want(env, args[0], Point, "point")
+        q = _want(env, args[1], Point, "point")
         env[st.result] = geometry.midpoint(p, q, tol)
     elif verb == "midline":
-        m = _want(env, args[0], Line, lineno, "line")
-        n = _want(env, args[1], Line, lineno, "line")
+        m = _want(env, args[0], Line, "line")
+        n = _want(env, args[1], Line, "line")
         env[st.result] = geometry.midline(m, n, tol)
     elif verb == "print":
         out.append(f"{args[0]} = {format_value(env[args[0]], tol)}")
@@ -270,4 +268,4 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
 
         render_svg(env, args[0], tol)
     else:  # pragma: no cover - parser rejects unknown verbs
-        raise EvaluationError(f"unhandled verb {verb!r}", lineno)
+        raise EvaluationError(f"unhandled verb {verb!r}")

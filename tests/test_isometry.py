@@ -364,6 +364,24 @@ def test_factor_motor_identity_and_halfturn():
     assert rotor_from_lines(p, q).mv().approx_eq(e12, 1e-12)
 
 
+def test_factor_motor_at_zero_tolerance():
+    # g * p has an e012 part made only of rounding, which tol = 0 must not see
+    r = gen.rng(76)
+    for make in (gen.random_rotation_motor, gen.random_translation_motor):
+        for _ in range(200):
+            g = make(r)
+            p, q = factor_motor(g, tol=0.0)
+            again = rotor_from_lines(p, q, tol=0.0).mv()
+            assert again.approx_eq(g.normalized(tol=0.0).mv(), 1e-12)
+
+
+def test_normalized_versors_of_subnormal_weight_have_unit_weight():
+    g = Motor(5e-324, 0.0, 0.0, 5e-324).normalized()
+    assert g.weight() == pytest.approx(1.0, abs=1e-15)
+    m = OddVersor(Line(5e-324, 5e-324, 0.0), 0.0).normalized().line
+    assert math.hypot(m.a, m.b) == pytest.approx(1.0, abs=1e-15)
+
+
 @pytest.mark.parametrize(
     "center, theta", [((3, 4), 1e-10), ((0.01, 0.02), 1e-10), ((0.01, 0.02), -1e-9)]
 )

@@ -1,9 +1,10 @@
 """Norm, normalization, polar and classification tests."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
@@ -115,15 +116,20 @@ def test_normalize_zero_is_domain_error():
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+@example(5e-324, 5e-324, 0.0)
+@example(-3e-320, 1e-315, 2.0)
+@example(0.0, -2e-310, -1.0)
 def test_unit_direction_is_the_plain_quotient_while_the_length_is_finite(u, v, w):
+    """Plain quotients for a normal, finite length; a unit (u, v) for any
+    nonzero one, subnormal and overflowing lengths included."""
     n = math.hypot(u, v)
     if n == 0.0:
         return
     got = unit_direction(u, v, w)
-    if math.isfinite(n):
+    assert math.hypot(got[0], got[1]) == pytest.approx(1.0, abs=1e-15)
+    if sys.float_info.min <= n < math.inf:
         assert got == (u / n, v / n, w / n)
-    else:
-        assert math.hypot(got[0], got[1]) == pytest.approx(1.0, abs=1e-15)
+    elif n == math.inf:
         assert math.isfinite(got[2])
 
 
@@ -249,8 +255,6 @@ def test_normalized_euclidean_line_squares_to_one(a, b, c):
     line = Line(a, b, c) if (a, b, c) != (0.0, 0.0, 0.0) else Line(1.0, 0.0, 0.0)
     if line.is_ideal(1e-6):
         return
-    if math.hypot(a, b) < 1e-150:
-        return  # subnormal normals carry too few bits to normalize accurately
     n = normalize(line)
     square = n.mv().gp(n.mv())
     assert abs(square.scalar_part() - 1.0) <= 1e-9

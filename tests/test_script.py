@@ -144,11 +144,44 @@ def test_evaluate_keeps_output_printed_before_the_failure():
     [
         ("ideal v 1.7e308 1.7e308\nprint v\n", "v = ideal (0.707107, 0.707107)\n"),
         ("line m 1.7e308 1.7e308 0\nprint m\n", "m = [0.707107, 0.707107, 0.000000]\n"),
+        ("line m 5e-324 5e-324 0\nprint m\n", "m = [0.707107, 0.707107, 0.000000]\n"),
     ],
 )
 def test_evaluate_unit_directions_of_huge_coordinates(source, printed):
     _, output = evaluate(parse(source))
     assert output == printed
+
+
+def test_subnormal_ideal_point_acts_like_its_unit_direction():
+    body = (
+        "ideal W 3 4\nangle a V W\npoint O 0 0\ntranslator t V 1\napply P t O\n"
+        "print a\nprint P\nprint V\n"
+    )
+    _, tiny = evaluate(parse("ideal V 5e-324 5e-324\n" + body))
+    _, unit = evaluate(parse("ideal V 1 1\n" + body))
+    assert tiny == unit == (
+        "a = 0.141897\nP = (-0.707107, 0.707107)\nV = ideal (0.707107, 0.707107)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "failing, message",
+    [
+        ("rotor g A A", "line 3: mirror must be Line, but 'A' is Point"),
+        ("join l A A", "line 3: result is the zero element (dependent arguments?)"),
+        (
+            "point B 2e9 0",
+            "line 3: point (2e+09, 0) is out of range: coordinates must stay within "
+            "1e-3/tol = 1e+06 of the origin",
+        ),
+    ],
+)
+def test_statement_errors_carry_their_line_and_the_output_before_them(failing, message):
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse(f"point A 1 2\nprint A\n{failing}\nprint A\n"))
+    assert str(err.value) == message
+    assert err.value.lineno == 3
+    assert err.value.output == "A = (1.000000, 2.000000)\n"
 
 
 def test_format_value_of_huge_ideal_point():
@@ -469,6 +502,25 @@ def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
     )
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == (SCRIPTS / "rotation_case.expected.txt").read_text()
+
+
+def test_the_names_the_benchmark_hooks_into_exist():
+    # bench/cli_probe.py rebinds cli's parse, evaluate and render_svg, then
+    # calls main; bench/run.py imports the rest
+    import pga2d.cli
+    import pga2d.errors
+    import pga2d.render
+    import pga2d.script
+
+    hooks = {
+        pga2d.cli: ("parse", "evaluate", "render_svg", "main"),
+        pga2d.script: ("parse", "evaluate"),
+        pga2d.render: ("build_svg",),
+    }
+    for module, names in hooks.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    assert issubclass(pga2d.errors.ScriptError, Exception)
 
 
 def test_cli_tables(capsys):

@@ -169,3 +169,12 @@ REJECTED = [
 def test_constructor_rejects_non_finite_or_zero_fields(cls, args):
     with pytest.raises(DomainError):
         cls(*args)
+
+
+@pytest.mark.parametrize("u, v", [(math.nan, 1), (math.inf, 1), (0, -math.inf), (0, 0)])
+def test_ideal_point_is_validated_as_the_point_of_zero_weight(u, v):
+    with pytest.raises(DomainError) as ideal:
+        IdealPoint(u, v)
+    with pytest.raises(DomainError) as point:
+        Point(u, v, 0)
+    assert str(ideal.value) == str(point.value)
