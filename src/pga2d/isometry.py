@@ -259,10 +259,10 @@ def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     """Two normalized mirror lines (p, q) with rotor_from_lines(p, q) equal to
     the normalized motor: q is gp(g, p) for a line p through the axis."""
     gn = g.normalized(tol)
-    # the axis point (bx, by, bz) is euclidean by Point.is_ideal's test
+    # the axis point (bx, by, bz) is euclidean by Point.is_ideal's test; p is
+    # the horizontal line through it
     if not near_zero(gn.bz, max(abs(gn.bx), abs(gn.by), abs(gn.bz)), tol):
-        center = Point(gn.bx / gn.bz, gn.by / gn.bz, 1.0)
-        p = Line(0.0, 1.0, -center.y / center.z)
+        p = Line(0.0, 1.0, -(gn.by / gn.bz))
     else:
         # a translation: its ideal part against the normalized weight 1
         if near_zero(math.hypot(gn.bx, gn.by), 1.0, tol):

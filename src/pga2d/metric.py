@@ -15,7 +15,7 @@ from enum import Enum
 
 from .elements import IdealPoint, Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError
-from .multivector import DEFAULT_TOL, Multivector, e1, e012, near_zero
+from .multivector import DEFAULT_TOL, Multivector, _finite, e1, e012, near_zero
 
 
 class NormTag(Enum):
@@ -113,6 +113,20 @@ def _unit_ideal(p):
         raise DomainError("cannot normalize a zero point")
     u, v, w = unit_direction(p.x, p.y, p.z)
     return IdealPoint(u, v) if isinstance(p, IdealPoint) else Point(u, v, w)
+
+
+def view(x, tol: float) -> tuple[bool, tuple[float, ...]]:
+    """(ideal, coordinates) of a point or line as print and the SVG show it,
+    classified once: a point's (x/z, y/z), or its unit direction (u, v) when
+    ideal; a line's unit-normal [a, b, c], or normalize's [a/c, b/c, 1] when
+    ideal.  DomainError when a euclidean coordinate overflows."""
+    if isinstance(x, Line):
+        if x.is_ideal(tol):
+            return True, (x.a / x.c, x.b / x.c, 1.0)
+        return False, _finite(unit_direction(x.a, x.b, x.c))
+    if x.is_ideal(tol):
+        return True, unit_direction(x.x, x.y)[:2]
+    return False, _finite((x.x / x.z, x.y / x.z))
 
 
 def euclidean(x, tol: float, what: str):

@@ -3,8 +3,9 @@
 Fixed 512x512 viewport.  The world window is fitted to the euclidean points
 with a 10% margin and squared up to keep the aspect ratio; euclidean lines
 are clipped against it; ideal points are drawn as fixed-length arrows from
-the centroid of the euclidean points.  Identical environments produce
-byte-identical files.
+the centroid of the euclidean points.  A figure with no euclidean point is
+placed about the origin.  Identical environments produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .elements import Line, Point
 from .errors import DomainError, RenderError
-from .metric import _unit, unit_direction
+from .metric import view
 from .multivector import DEFAULT_TOL, near_zero
 
 VIEW = 512.0
@@ -32,24 +33,17 @@ def _gather(env: dict, tol: float):
     """Insertion-ordered drawables: (kind, name, payload)."""
     drawables = []
     for name, value in env.items():
-        if isinstance(value, Point):
-            if value.is_ideal(tol):
-                drawables.append(("arrow", name, unit_direction(value.x, value.y)[:2]))
-            else:
-                drawables.append(("point", name, (value.x / value.z, value.y / value.z)))
-        elif isinstance(value, Line) and not value.is_ideal(tol):
-            ln = _unit(value)
-            drawables.append(("line", name, (ln.a, ln.b, ln.c)))
+        if isinstance(value, (Point, Line)):
+            ideal, shown = view(value, tol)
+            if isinstance(value, Point):
+                drawables.append(("arrow" if ideal else "point", name, shown))
+            elif not ideal:
+                drawables.append(("line", name, shown))
     return drawables
 
 
-def _world_window(drawables):
-    xs = [p[0] for kind, _, p in drawables if kind == "point"]
-    ys = [p[1] for kind, _, p in drawables if kind == "point"]
-    if xs:
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    else:
-        x0, x1, y0, y1 = -1.0, 1.0, -1.0, 1.0
+def _world_window(xs, ys):
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     span = max(x1 - x0, y1 - y0)
     if span <= 0.0:
         span = 2.0
@@ -100,12 +94,13 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     """Compose the SVG document for the drawable elements of env."""
     try:
         drawables = _gather(env, tol)
-    except DomainError as exc:  # a line whose offset overflows when normalized
+    except DomainError as exc:  # a shown coordinate overflows
         raise RenderError(f"cannot draw the figure: {exc}") from exc
     if not drawables:
         raise RenderError("nothing to render")
-    window = _world_window(drawables)
-    x0, x1, y0, _y1 = window
+    xs, ys = zip(*([p for kind, _, p in drawables if kind == "point"] or [(0.0, 0.0)]))
+    window = _world_window(xs, ys)
+    x0, x1, y0, _ = window
     width = x1 - x0  # 0 when the unit pad is lost next to a huge coordinate
     if not 0.0 < width < math.inf:
         raise RenderError("the figure is too large to fit the viewport")
@@ -114,13 +109,7 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (x - x0) * scale, VIEW - (y - y0) * scale
 
-    points = [p for kind, _, p in drawables if kind == "point"]
-    if points:
-        cx = sum(p[0] for p in points) / len(points)
-        cy = sum(p[1] for p in points) / len(points)
-    else:
-        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + _y1)
-    anchor = to_px(cx, cy)
+    anchor = to_px(sum(xs) / len(xs), sum(ys) / len(ys))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -15,7 +15,7 @@ from . import geometry, isometry
 from .elements import IdealPoint, Line, Point, cross
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .isometry import Motor
-from .metric import normalize, unit_direction
+from .metric import view
 from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -128,14 +128,12 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     """Render an environment value with fixed 6-decimal formatting."""
     if isinstance(value, float):
         return _fmt(value)
-    if isinstance(value, Point):
-        if value.is_ideal(tol):
-            u, v, _ = unit_direction(value.x, value.y)
-            return f"ideal ({_fmt(u)}, {_fmt(v)})"
-        return f"({_fmt(value.x / value.z)}, {_fmt(value.y / value.z)})"
-    if isinstance(value, Line):
-        ln = normalize(value, tol)
-        return f"[{_fmt(ln.a)}, {_fmt(ln.b)}, {_fmt(ln.c)}]"
+    if isinstance(value, (Point, Line)):
+        ideal, shown = view(value, tol)
+        text = ", ".join(map(_fmt, shown))
+        if isinstance(value, Line):
+            return f"[{text}]"
+        return f"ideal ({text})" if ideal else f"({text})"
     if isinstance(value, Motor):
         return f"motor({_fmt(value.s)}, {_fmt(value.bx)}, {_fmt(value.by)}, {_fmt(value.bz)})"
     raise TypeError(f"cannot format {type(value).__name__}")
@@ -154,7 +152,7 @@ def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
 def _want(env, name: str, types, what: str):
     value = env[name]
     if not isinstance(value, types):
-        raise EvaluationError(
+        raise DomainError(
             f"{what} must be {_type_names(types)}, but {name!r} is {type(value).__name__}"
         )
     return value
@@ -164,9 +162,6 @@ def _type_names(types) -> str:
     if not isinstance(types, tuple):
         types = (types,)
     return " or ".join(t.__name__ for t in types)
-
-
-_MEASURABLE = (Point, Line)
 
 
 def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
@@ -180,9 +175,6 @@ def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
     for st in program.statements:
         try:
             _execute(st, env, out, tol)
-        except EvaluationError as exc:
-            exc.lineno, exc.output = st.lineno, _joined(out)
-            raise
         except (AlgebraError, RenderError, OSError) as exc:
             raise EvaluationError(str(exc), st.lineno, _joined(out)) from exc
     return env, _joined(out)
@@ -220,12 +212,12 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
         y = _want(env, args[1], (Point, Line), "dist argument")
         env[st.result] = geometry.distance(x, y, tol).value
     elif verb == "angle":
-        x = _want(env, args[0], _MEASURABLE, "angle argument")
-        y = _want(env, args[1], _MEASURABLE, "angle argument")
+        x = _want(env, args[0], (Point, Line), "angle argument")
+        y = _want(env, args[1], (Point, Line), "angle argument")
         env[st.result] = geometry.angle(x, y, tol).value
     elif verb == "reflect":
         m = _want(env, args[0], Line, "mirror")
-        x = _want(env, args[1], _MEASURABLE, "reflect operand")
+        x = _want(env, args[1], (Point, Line), "reflect operand")
         env[st.result] = isometry.reflect(m, x, tol)
     elif verb == "rotor":
         a = _want(env, args[0], Line, "mirror")
@@ -239,7 +231,7 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
         env[st.result] = isometry.translator(v, args[1], tol)
     elif verb == "apply":
         g = _want(env, args[0], Motor, "versor")
-        x = _want(env, args[1], _MEASURABLE, "apply operand")
+        x = _want(env, args[1], (Point, Line), "apply operand")
         env[st.result] = isometry.sandwich(g, x)
     elif verb == "solve":
         a = _want(env, args[0], Point, "point")
@@ -268,4 +260,4 @@ def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
 
         render_svg(env, args[0], tol)
     else:  # pragma: no cover - parser rejects unknown verbs
-        raise EvaluationError(f"unhandled verb {verb!r}")
+        raise DomainError(f"unhandled verb {verb!r}")

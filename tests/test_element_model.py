@@ -285,3 +285,68 @@ def test_the_gate_lint_catches_the_inline_checks():
         (9, "euclidean"),
     ]
     assert list(_kind_raises(ast.parse(inline), "metric")) == [(3, "_require_ideal"), (7, "solve")]
+
+
+# -- one view of what is shown, as a lint ---------------------------------------------
+
+# the kernel's field setter, unchecked wrapper and overflow check are the only
+# private names one module takes from another
+SHARED_PRIVATE = {("multivector", n) for n in ("_set", "_unchecked", "_finite")}
+# print and the SVG classify and scale each point and line through metric.view
+SHOWN_BY_VIEW = {"is_ideal", "unit_direction", "normalize", "_unit"}
+
+
+def _view_bypasses(tree: ast.AST, module: str):
+    """(line, name) of each private name imported from another pga2d module and,
+    in script and render, of each call that classifies or scales outside view."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                if not source.startswith("pga2d."):
+                    continue
+                source = source[len("pga2d."):]
+            for alias in node.names:
+                private = alias.name.startswith("_") and source != module
+                if private and (source, alias.name) not in SHARED_PRIVATE:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Call) and module in ("script", "render"):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in SHOWN_BY_VIEW:
+                yield node.lineno, name
+
+
+def test_print_and_the_svg_read_points_and_lines_through_the_view():
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, name in _view_bypasses(ast.parse(path.read_text(), str(path)), path.stem)
+    ]
+    assert found == []
+
+
+def test_the_view_lint_catches_the_inline_views():
+    inline = (
+        "from .metric import _unit, unit_direction\n"
+        "from .multivector import DEFAULT_TOL, _finite, _set, near_zero\n"
+        "from pga2d.elements import _private\n"
+        "def _gather(env, tol):\n"
+        "    for name, value in env.items():\n"
+        "        if value.is_ideal(tol):\n"
+        "            yield unit_direction(value.x, value.y)[:2]\n"
+        "        elif isinstance(value, Line):\n"
+        "            yield metric.normalize(value, tol)\n"
+        "        else:\n"
+        "            yield _unit(value)\n"
+    )
+    assert sorted(_view_bypasses(ast.parse(inline), "render")) == [
+        (1, "_unit"),
+        (3, "_private"),
+        (6, "is_ideal"),
+        (7, "unit_direction"),
+        (9, "normalize"),
+        (11, "_unit"),
+    ]
+    # elsewhere only the private imports are flagged
+    assert sorted(_view_bypasses(ast.parse(inline), "geometry")) == [(1, "_unit"), (3, "_private")]

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pga2d
@@ -328,6 +328,11 @@ def test_svg_golden_file():
     assert build_svg(env) == (SCRIPTS / "dist345.expected.svg").read_text()
 
 
+def test_svg_of_a_figure_with_no_euclidean_point_is_centred_on_the_origin():
+    env, _ = evaluate(parse("ideal V 1 1\nline m 1 2 0.5\n"))
+    assert build_svg(env) == (SCRIPTS / "ideal_only.expected.svg").read_text()
+
+
 def test_svg_nothing_to_render():
     env, _ = evaluate(parse("point A 0 0\npoint B 1 0\ndist d A B\n"))
     with pytest.raises(RenderError, match="nothing to render"):
@@ -434,6 +439,41 @@ def test_cli_overflow_in_a_sandwich_keeps_the_kernel_message(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 4: result is not finite (coefficient overflow or non-finite factor)\n"
     )
+
+
+# the meet (0, 1, 1e-320) is euclidean at tol 0, and its y / z overflows
+_SUBNORMAL_MEET = "line m 1 0 0\nline n 1 1e-320 -1\nmeet P m n\n"
+_OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
+
+
+@pytest.mark.parametrize(
+    "source, lineno",
+    [
+        (_SUBNORMAL_MEET + "print P\n", 4),
+        # the offset divided by the normal's length overflows
+        ("line m 1e-300 0 -1e10\nprint m\n", 2),
+        ("line m 5e-324 5e-324 -1\nprint m\n", 2),
+    ],
+)
+def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
+    tmp_path, capsys, source, lineno
+):
+    script = tmp_path / "s.pga"
+    script.write_text(source)
+    assert main(["run", str(script), "--tol", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: line {lineno}: {_OVERFLOW}\n")
+
+
+@pytest.mark.parametrize(
+    "source", [_SUBNORMAL_MEET, "line m 1e-300 0 -1e10\n", "line m 5e-324 5e-324 -1\n"]
+)
+def test_svg_of_an_overflowing_coordinate_fails_with_the_kernel_error(tmp_path, capsys, source):
+    script = tmp_path / "s.pga"
+    script.write_text(source)
+    target = tmp_path / "out.svg"
+    assert main(["run", str(script), "--tol", "0", "--svg", str(target)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot draw the figure: {_OVERFLOW}\n")
+    assert not target.exists()
 
 
 def test_meet_of_lines_whose_size_product_overflows():
@@ -566,9 +606,16 @@ def _scripts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(source=_scripts(), tol=st.sampled_from([1e-9, 0.0, 1e-3]))
+@example(source=_SUBNORMAL_MEET + "print P\n", tol=0.0)
 def test_fuzzed_scripts_raise_only_script_errors(source, tol):
+    """Only script errors escape, and what is printed or drawn is finite."""
     try:
-        env, _ = evaluate(parse(source), tol)
-        build_svg(env, tol)
-    except (ParseError, EvaluationError, RenderError):
-        pass
+        env, printed = evaluate(parse(source), tol)
+    except (ParseError, EvaluationError):
+        return
+    assert "inf" not in printed and "nan" not in printed
+    try:
+        svg = build_svg(env, tol)
+    except RenderError:
+        return
+    assert "inf" not in svg and "nan" not in svg
