@@ -1,7 +1,8 @@
 """Plane-based geometric algebra for euclidean plane geometry.
 
-Products and duality live in :mod:`pga2d.multivector`; typed line/point
-views in :mod:`pga2d.elements`; norms and classification in
+Products and duality live in :mod:`pga2d.kernel`, loaded on first use;
+the tolerance rule and the value base in :mod:`pga2d.multivector`; typed
+line/point views in :mod:`pga2d.elements`; norms and classification in
 :mod:`pga2d.metric`; measurements and projections in :mod:`pga2d.geometry`;
 reflections, motors and the transport solver in :mod:`pga2d.isometry`; the
 construction-script interpreter in :mod:`pga2d.script`.
@@ -65,6 +66,16 @@ from .metric import (
     normalize,
     polar,
 )
-from .multivector import DEFAULT_TOL, Multivector
+from .multivector import DEFAULT_TOL
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Multivector, loading the kernel on its first read."""
+    if name != "Multivector":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .kernel import Multivector
+
+    globals()[name] = Multivector
+    return Multivector

@@ -3,17 +3,25 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import EvaluationError, ParseError, RenderError
-from .multivector import BLADE_NAMES, DEFAULT_TOL, cayley_table, dual_table
-from .render import render_svg
+from .multivector import DEFAULT_TOL
 from .script import evaluate, parse
+
+
+def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:
+    """render.render_svg, importing the renderer on the first drawing."""
+    from .render import render_svg
+
+    render_svg(env, path, tol)
 
 
 def format_cayley_table() -> str:
     """Human-readable geometric product table, row blade times column blade."""
-    names = BLADE_NAMES
+    from .kernel import BLADE_NAMES as names, cayley_table
+
     width = max(len(n) for n in names) + 1
     lines = ["# geometric product: row * column"]
     lines.append("".join(n.rjust(width + 1) for n in ("*",) + names))
@@ -28,6 +36,8 @@ def format_cayley_table() -> str:
 
 def format_dual_table() -> str:
     """Human-readable duality assignments, blade -> signed complementary blade."""
+    from .kernel import BLADE_NAMES, dual_table
+
     lines = ["# duality map: blade ^ dual(blade) = e012"]
     for i, (s, k) in enumerate(dual_table()):
         sign = "-" if s < 0 else ""
@@ -36,6 +46,16 @@ def format_dual_table() -> str:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # the reader is gone; on devnull, the interpreter's last flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 1
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="pga2d", description="Euclidean plane constructions in geometric algebra"
     )
@@ -51,8 +71,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "tables":
-        sys.stdout.write(format_cayley_table())
-        sys.stdout.write(format_dual_table())
+        sys.stdout.write(format_cayley_table() + format_dual_table())
+        sys.stdout.flush()  # a closed stdout fails here, inside main, not at exit
         return 0
 
     # at a tol of 1 or more every point is ideal, even the origin
@@ -76,9 +96,11 @@ def main(argv=None) -> int:
         env, output = evaluate(program, tol=args.tol)
     except EvaluationError as exc:
         sys.stdout.write(exc.output)
+        sys.stdout.flush()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)
+    sys.stdout.flush()
     if args.svg:
         try:
             render_svg(env, args.svg, tol=args.tol)

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 
+from . import multivector
 from .errors import DomainError
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, _unchecked, near_zero
+from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 
 
 class Line(Frozen):
@@ -38,11 +39,11 @@ class Line(Frozen):
         _set(self, "b", b)
         _set(self, "c", c)
 
-    def mv(self) -> Multivector:
-        return _unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
+    def mv(self) -> multivector.Multivector:
+        return multivector._unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
-    def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Line":
+    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "Line":
         if u.grades(tol) - {1}:
             raise DomainError(f"not a pure line: {u!r}")
         c = u.coeffs
@@ -71,11 +72,11 @@ class Point(Frozen):
         _set(self, "y", y)
         _set(self, "z", z)
 
-    def mv(self) -> Multivector:
-        return _unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
+    def mv(self) -> multivector.Multivector:
+        return multivector._unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
 
     @classmethod
-    def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Point":
+    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "Point":
         if u.grades(tol) - {2}:
             raise DomainError(f"not a pure point: {u!r}")
         c = u.coeffs
@@ -131,8 +132,8 @@ class Pseudoscalar(Frozen):
             raise DomainError(f"non-finite pseudoscalar {s}")
         _set(self, "s", s)
 
-    def mv(self) -> Multivector:
-        return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
+    def mv(self) -> multivector.Multivector:
+        return multivector._unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
 
     def __repr__(self) -> str:
         return f"Pseudoscalar({self.s:g})"

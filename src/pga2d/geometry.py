@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from . import multivector
 from .elements import Line, Point, Pseudoscalar, cross, incidence
 from .errors import DomainError, OrientationError
 from .metric import euclidean, ideal, ideal_inner, normalize
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, near_zero
+from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 
 
 class MeasurementKind(Enum):
@@ -52,11 +53,13 @@ class Decomposition(Frozen):
 
     __slots__ = ("parallel_part", "orthogonal_part")
 
-    def __init__(self, parallel_part: Multivector, orthogonal_part: Multivector):
+    def __init__(
+        self, parallel_part: multivector.Multivector, orthogonal_part: multivector.Multivector
+    ):
         _set(self, "parallel_part", parallel_part)
         _set(self, "orthogonal_part", orthogonal_part)
 
-    def total(self) -> Multivector:
+    def total(self) -> multivector.Multivector:
         return self.parallel_part + self.orthogonal_part
 
 

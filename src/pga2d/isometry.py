@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 import sys
 
+from . import multivector
 from .elements import IdealPoint, Line, Point, cross, incidence
 from .errors import ConstructionError, DomainError, IncidenceError
 from .metric import euclidean, ideal, normalize, unit_direction
-from .multivector import DEFAULT_TOL, Frozen, Multivector, _finite, _set, _unchecked, near_zero
+from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 
 
 class Motor(Frozen):
@@ -39,11 +40,11 @@ class Motor(Frozen):
         _set(self, "by", by)
         _set(self, "bz", bz)
 
-    def mv(self) -> Multivector:
-        return _unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
+    def mv(self) -> multivector.Multivector:
+        return multivector._unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
 
     @classmethod
-    def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "Motor":
+    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "Motor":
         if not u.grades(tol) <= {0, 2}:
             raise DomainError(f"not an even element: {u!r}")
         c = u.coeffs
@@ -82,12 +83,12 @@ class OddVersor(Frozen):
         _set(self, "line", line)
         _set(self, "lam", lam)
 
-    def mv(self) -> Multivector:
+    def mv(self) -> multivector.Multivector:
         m = self.line
-        return _unchecked((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
+        return multivector._unchecked((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
 
     @classmethod
-    def from_mv(cls, u: Multivector, tol: float = DEFAULT_TOL) -> "OddVersor":
+    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "OddVersor":
         if not u.grades(tol) <= {1, 3}:
             raise DomainError(f"not an odd element: {u!r}")
         c = u.coeffs
@@ -197,7 +198,7 @@ def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
     return _exp(bm[4], bm[5], bm[6])
 
 
-def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> Multivector:
+def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> multivector.Multivector:
     """Principal logarithm of a normalized motor, a pure bivector.
 
     Motors with negative scalar part are negated first (g and -g act
@@ -209,7 +210,7 @@ def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> Multivector:
         gn = Motor(-gn.s, -gn.bx, -gn.by, -gn.bz)
     t = math.atan2(gn.bz, gn.s)
     f = _inv_sinc(t)
-    return Multivector((0.0, 0.0, 0.0, 0.0, f * gn.bx, f * gn.by, f * gn.bz, 0.0))
+    return multivector.Multivector((0.0, 0.0, 0.0, 0.0, f * gn.bx, f * gn.by, f * gn.bz, 0.0))
 
 
 def interpolate(g: Motor, t: float, tol: float = DEFAULT_TOL) -> Motor:

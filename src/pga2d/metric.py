@@ -13,9 +13,10 @@ import math
 import sys
 from enum import Enum
 
+from . import multivector
 from .elements import IdealPoint, Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError
-from .multivector import DEFAULT_TOL, Multivector, _finite, e1, e012, near_zero
+from .multivector import DEFAULT_TOL, _finite, near_zero
 
 
 class NormTag(Enum):
@@ -146,10 +147,10 @@ def ideal(p: Point, tol: float, what: str):
     return _unit_ideal(p)
 
 
-def polar(x) -> Multivector:
+def polar(x) -> multivector.Multivector:
     """Multiplication by the pseudoscalar: a line maps to its perpendicular
     ideal point, a euclidean point to the ideal line, ideal elements to 0."""
-    return e012.gp(x.mv())
+    return multivector.e012.gp(x.mv())
 
 
 def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> IdealPoint:
@@ -175,6 +176,6 @@ def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     euclidean(p, tol, "point")  # p itself is factored, with its weight's sign
     if not near_zero(abs(p.z) - 1.0, 1.0, tol):
         raise DomainError(f"{p!r} must have weight +-1 to factor into orthonormal lines")
-    m = normalize(Line.from_mv(e1.dot(p.mv()), tol))
+    m = normalize(Line.from_mv(multivector.e1.dot(p.mv()), tol))
     n = Line.from_mv(m.mv().gp(p.mv()), tol)
     return m, n

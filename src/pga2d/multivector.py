@@ -1,28 +1,10 @@
-"""Dense multivector arithmetic for the degenerate-metric plane algebra.
-
-The algebra is generated by basis 1-vectors e0, e1, e2 with e0*e0 = 0 and
-e1*e1 = e2*e2 = 1 (signature (2,0,1)), built over the dual projectivized
-exterior algebra: grade 1 carries lines, grade 2 carries points, and the
-wedge is the meet.  Coefficients are stored densely in the fixed blade order
-
-    1, e0, e1, e2, e20, e01, e12, e012
-
-chosen so that the line tuple [a, b, c] = a*e1 + b*e2 + c*e0 and the point
-tuple (x, y, z) = x*e20 + y*e01 + z*e12 each occupy contiguous slots.
-
-Validation happens at the boundary: the public ``Multivector(...)``
-constructor checks that every coefficient is finite.  Results the kernel
-computes itself skip that check; products, sums and scalings are checked for
-overflow only, since finite operands cannot produce inf or nan any other way,
-and permutations, sign flips and grade parts of finite values are not checked
-at all.
-"""
+"""The value base of every module: the tolerance rule, the frozen value class
+and the overflow check.  The names of the 8-slot kernel, :mod:`pga2d.kernel`,
+read here load it on first use, so typed-element code never compiles it."""
 
 from __future__ import annotations
 
 import math
-import operator
-from typing import Iterator
 
 from .errors import DomainError
 
@@ -41,40 +23,6 @@ def near_zero(value: float, scale: float, tol: float) -> bool:
     """
     return abs(value) <= tol * scale
 
-
-BLADE_NAMES = ("1", "e0", "e1", "e2", "e20", "e01", "e12", "e012")
-BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
-DIM = 8
-
-# Geometric product of basis blades: _CAYLEY[i][j] = (sign, index) with
-# blade_i * blade_j = sign * blade_index.  sign 0 means the product vanishes
-# (every product that touches e0 twice).  The table is a frozen constant;
-# the test suite regenerates it symbolically from the signature rules and
-# checks the two agree entry for entry.
-_CAYLEY = (
-    # 1
-    ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7)),
-    # e0
-    ((1, 1), (0, 0), (1, 5), (-1, 4), (0, 0), (0, 0), (1, 7), (0, 0)),
-    # e1
-    ((1, 2), (-1, 5), (1, 0), (1, 6), (1, 7), (-1, 1), (1, 3), (1, 4)),
-    # e2
-    ((1, 3), (1, 4), (-1, 6), (1, 0), (1, 1), (1, 7), (-1, 2), (1, 5)),
-    # e20
-    ((1, 4), (0, 0), (1, 7), (-1, 1), (0, 0), (0, 0), (1, 5), (0, 0)),
-    # e01
-    ((1, 5), (0, 0), (1, 1), (1, 7), (0, 0), (0, 0), (-1, 4), (0, 0)),
-    # e12
-    ((1, 6), (1, 7), (-1, 3), (1, 2), (-1, 5), (1, 4), (-1, 0), (-1, 1)),
-    # e012
-    ((1, 7), (0, 0), (1, 4), (1, 5), (0, 0), (0, 0), (-1, 1), (0, 0)),
-)
-
-# Poincare duality: the unique grade-complementing blade map with signs fixed
-# by  blade ^ dual(blade) = e012.  In this basis every sign comes out +1, so
-# the map is a pure coefficient swap and an exact involution.  The signs are
-# re-derived from the defining property by the test-suite oracle.
-_DUAL = ((1, 7), (1, 6), (1, 4), (1, 5), (1, 2), (1, 3), (1, 1), (1, 0))
 
 # Sets a field of a Frozen value; only its own __init__ calls it.
 _set = object.__setattr__
@@ -119,178 +67,6 @@ class Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class Multivector(Frozen):
-    """Immutable element of the algebra, eight blade coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[float, ...]):
-        coeffs = tuple(float(c) for c in coeffs)
-        if len(coeffs) != DIM:
-            raise ValueError(f"expected {DIM} coefficients, got {len(coeffs)}")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise DomainError(f"non-finite coefficient in {coeffs}")
-        _set(self, "coeffs", coeffs)
-
-    # -- ring operations ---------------------------------------------------
-    #
-    # gp, outer and dot are unrolled from _CAYLEY (outer keeps the entries of
-    # grade k+m, dot those of grade |k-m|).  Each slot adds its terms in the
-    # row-major order of the table, so the sums round exactly as a loop over
-    # the table would.  The test suite re-derives them from the table.
-
-    def gp(self, other: "Multivector") -> "Multivector":
-        """Geometric product."""
-        a0, a1, a2, a3, a4, a5, a6, a7 = self.coeffs
-        b0, b1, b2, b3, b4, b5, b6, b7 = other.coeffs
-        return _checked((
-            a0 * b0 + a2 * b2 + a3 * b3 - a6 * b6,
-            a0 * b1 + a1 * b0 - a2 * b5 + a3 * b4 - a4 * b3 + a5 * b2 - a6 * b7 - a7 * b6,
-            a0 * b2 + a2 * b0 - a3 * b6 + a6 * b3,
-            a0 * b3 + a2 * b6 + a3 * b0 - a6 * b2,
-            a0 * b4 - a1 * b3 + a2 * b7 + a3 * b1 + a4 * b0 - a5 * b6 + a6 * b5 + a7 * b2,
-            a0 * b5 + a1 * b2 - a2 * b1 + a3 * b7 + a4 * b6 + a5 * b0 - a6 * b4 + a7 * b3,
-            a0 * b6 + a2 * b3 - a3 * b2 + a6 * b0,
-            a0 * b7 + a1 * b6 + a2 * b4 + a3 * b5 + a4 * b2 + a5 * b3 + a6 * b1 + a7 * b0,
-        ))
-
-    def outer(self, other: "Multivector") -> "Multivector":
-        """Outer (wedge) product; acts as the meet on lines and points."""
-        a0, a1, a2, a3, a4, a5, a6, a7 = self.coeffs
-        b0, b1, b2, b3, b4, b5, b6, b7 = other.coeffs
-        return _checked((
-            a0 * b0,
-            a0 * b1 + a1 * b0,
-            a0 * b2 + a2 * b0,
-            a0 * b3 + a3 * b0,
-            a0 * b4 - a1 * b3 + a3 * b1 + a4 * b0,
-            a0 * b5 + a1 * b2 - a2 * b1 + a5 * b0,
-            a0 * b6 + a2 * b3 - a3 * b2 + a6 * b0,
-            a0 * b7 + a1 * b6 + a2 * b4 + a3 * b5 + a4 * b2 + a5 * b3 + a6 * b1 + a7 * b0,
-        ))
-
-    def dot(self, other: "Multivector") -> "Multivector":
-        """Inner product: lowest-grade part of the geometric product."""
-        a0, a1, a2, a3, a4, a5, a6, a7 = self.coeffs
-        b0, b1, b2, b3, b4, b5, b6, b7 = other.coeffs
-        return _checked((
-            a0 * b0 + a2 * b2 + a3 * b3 - a6 * b6,
-            a0 * b1 + a1 * b0 - a2 * b5 + a3 * b4 - a4 * b3 + a5 * b2 - a6 * b7 - a7 * b6,
-            a0 * b2 + a2 * b0 - a3 * b6 + a6 * b3,
-            a0 * b3 + a2 * b6 + a3 * b0 - a6 * b2,
-            a0 * b4 + a2 * b7 + a4 * b0 + a7 * b2,
-            a0 * b5 + a3 * b7 + a5 * b0 + a7 * b3,
-            a0 * b6 + a6 * b0,
-            a0 * b7 + a7 * b0,
-        ))
-
-    def commutator(self, other: "Multivector") -> "Multivector":
-        """Grade-2 part of the geometric product (cross product of points)."""
-        return self.gp(other).grade(2)
-
-    def dual(self) -> "Multivector":
-        """Duality map sending grade k to grade 3-k, blade ^ dual(blade) = e012."""
-        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
-        return _unchecked((c7, c6, c4, c5, c2, c3, c1, c0))
-
-    def join(self, other: "Multivector") -> "Multivector":
-        """Regressive product: dual of the wedge of the duals (span operator)."""
-        return self.dual().outer(other.dual()).dual()
-
-    def reverse(self) -> "Multivector":
-        """Reverse the order of all 1-vector factors: negates grades 2 and 3."""
-        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
-        return _unchecked((c0, c1, c2, c3, -c4, -c5, -c6, -c7))
-
-    def grade(self, k: int) -> "Multivector":
-        """Projection onto grade k; k outside 0..3 is a contract violation."""
-        c = self.coeffs
-        if k == 0:
-            return _unchecked((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-        if k == 1:
-            return _unchecked((0.0, c[1], c[2], c[3], 0.0, 0.0, 0.0, 0.0))
-        if k == 2:
-            return _unchecked((0.0, 0.0, 0.0, 0.0, c[4], c[5], c[6], 0.0))
-        if k == 3:
-            return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
-        raise ValueError(f"grade must be in 0..3, got {k}")
-
-    def mv(self) -> "Multivector":
-        """Itself, as a typed view's mv() is its multivector."""
-        return self
-
-    def scaled(self, factor: float) -> "Multivector":
-        return _checked(tuple(map(float(factor).__mul__, self.coeffs)))
-
-    # -- vector-space plumbing ----------------------------------------------
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        return _checked(tuple(map(operator.add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return _checked(tuple(map(operator.sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Multivector":
-        return _unchecked(tuple(map(operator.neg, self.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return self.gp(other)
-        return self.scaled(float(other))
-
-    def __rmul__(self, other):
-        return self.scaled(float(other))
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.coeffs)
-
-    def __getitem__(self, index: int) -> float:
-        return self.coeffs[index]
-
-    # -- predicates and helpers ----------------------------------------------
-
-    def scalar_part(self) -> float:
-        return self.coeffs[0]
-
-    def pseudo_part(self) -> float:
-        """Signed magnitude of the grade-3 part (the coefficient of e012)."""
-        return self.coeffs[7]
-
-    def max_abs(self) -> float:
-        return max(map(abs, self.coeffs))
-
-    def grades(self, tol: float = DEFAULT_TOL) -> set[int]:
-        """The grades 0..3 present: those whose largest |coefficient| is not
-        near_zero against the largest grade's size."""
-        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
-        sizes = (abs(c0), max(abs(c1), abs(c2), abs(c3)), max(abs(c4), abs(c5), abs(c6)), abs(c7))
-        scale = max(sizes)
-        # an exact zero is absent whatever the scale, without a call
-        return {k for k in range(4) if sizes[k] and not near_zero(sizes[k], scale, tol)}
-
-    def approx_eq(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
-        return (self - other).max_abs() <= tol
-
-    def __repr__(self) -> str:
-        terms = [
-            f"{c:g}*{BLADE_NAMES[i]}" if i else f"{c:g}"
-            for i, c in enumerate(self.coeffs)
-            if c != 0.0
-        ]
-        return "Multivector<{}>".format(" + ".join(terms) if terms else "0")
-
-
-_new = object.__new__
-_set_coeffs = Multivector.coeffs.__set__  # the slot itself, past the frozen __setattr__
-
-
-def _unchecked(coeffs: tuple[float, ...]) -> Multivector:
-    """Wrap eight floats already known to be finite, without validating them."""
-    u = _new(Multivector)
-    _set_coeffs(u, coeffs)
-    return u
-
-
 def _finite(values: tuple[float, ...]) -> tuple[float, ...]:
     """values, computed from finite operands; DomainError unless all are finite.
 
@@ -302,37 +78,19 @@ def _finite(values: tuple[float, ...]) -> tuple[float, ...]:
     return values
 
 
-def _checked(coeffs: tuple[float, ...]) -> Multivector:
-    """Wrap eight computed floats; DomainError unless all are finite."""
-    return _unchecked(_finite(coeffs))
+# the kernel names read here; .mv() of the typed elements calls _unchecked
+_KERNEL = (
+    "Multivector", "_unchecked", "basis", "from_scalar", "blades", "cayley_table", "dual_table",
+    "BLADE_NAMES", "BLADE_GRADES", "DIM", "zero", "one", "e0", "e1", "e2", "e20", "e01", "e12",
+    "e012",
+)
 
 
-def basis(index: int) -> Multivector:
-    return Multivector(tuple(1.0 if i == index else 0.0 for i in range(DIM)))
+def __getattr__(name: str):
+    """A kernel name, bound here on its first read; no other name loads the kernel."""
+    if name not in _KERNEL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import kernel
 
-
-def from_scalar(value: float) -> Multivector:
-    return Multivector((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-
-
-zero = Multivector((0.0,) * DIM)
-one = basis(0)
-e0 = basis(1)
-e1 = basis(2)
-e2 = basis(3)
-e20 = basis(4)
-e01 = basis(5)
-e12 = basis(6)
-e012 = basis(7)
-
-blades = dict(zip(BLADE_NAMES, (one, e0, e1, e2, e20, e01, e12, e012)))
-
-
-def cayley_table() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The kernel's geometric-product table (sign, index), row blade times column blade."""
-    return _CAYLEY
-
-
-def dual_table() -> tuple[tuple[int, int], ...]:
-    """The kernel's duality signs: blade i maps to sign * blade index."""
-    return _DUAL
+    value = globals()[name] = getattr(kernel, name)
+    return value

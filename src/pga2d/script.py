@@ -9,16 +9,12 @@ project multiplies 8-slot multivectors.
 
 from __future__ import annotations
 
-import re
-
 from . import geometry, isometry
 from .elements import IdealPoint, Line, Point, cross
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .isometry import Motor
 from .metric import view
 from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # verb -> argument kinds after the verb token
 _SIGNATURES: dict[str, tuple[str, ...]] = {
@@ -85,7 +81,8 @@ def parse(source: str) -> Program:
         args: list = []
         for kind, token in zip(sig, tokens[1:]):
             if kind == "new":
-                if not _NAME_RE.match(token):
+                # an ASCII letter or _, then ASCII letters, digits or _
+                if not (token.isascii() and token.isidentifier()):
                     raise ParseError(f"invalid name {token!r}", lineno)
                 if token in defined:
                     raise ParseError(f"name {token!r} is already defined", lineno)

@@ -290,8 +290,9 @@ def test_the_gate_lint_catches_the_inline_checks():
 # -- one view of what is shown, as a lint ---------------------------------------------
 
 # the kernel's field setter, unchecked wrapper and overflow check are the only
-# private names one module takes from another
+# private names one module takes from another, by import or as an attribute
 SHARED_PRIVATE = {("multivector", n) for n in ("_set", "_unchecked", "_finite")}
+MODULES = {path.stem for path in SRC.glob("*.py")}
 # print and the SVG classify and scale each point and line through metric.view
 SHOWN_BY_VIEW = {"is_ideal", "unit_direction", "normalize", "_unit"}
 
@@ -310,6 +311,11 @@ def _view_bypasses(tree: ast.AST, module: str):
                 private = alias.name.startswith("_") and source != module
                 if private and (source, alias.name) not in SHARED_PRIVATE:
                     yield node.lineno, alias.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            source = node.value.id
+            private = node.attr.startswith("_") and source in MODULES and source != module
+            if private and (source, node.attr) not in SHARED_PRIVATE:
+                yield node.lineno, node.attr
         elif isinstance(node, ast.Call) and module in ("script", "render"):
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
@@ -339,6 +345,7 @@ def test_the_view_lint_catches_the_inline_views():
         "            yield metric.normalize(value, tol)\n"
         "        else:\n"
         "            yield _unit(value)\n"
+        "    return multivector._unchecked, metric._unit\n"
     )
     assert sorted(_view_bypasses(ast.parse(inline), "render")) == [
         (1, "_unit"),
@@ -347,6 +354,11 @@ def test_the_view_lint_catches_the_inline_views():
         (7, "unit_direction"),
         (9, "normalize"),
         (11, "_unit"),
+        (12, "_unit"),
     ]
-    # elsewhere only the private imports are flagged
-    assert sorted(_view_bypasses(ast.parse(inline), "geometry")) == [(1, "_unit"), (3, "_private")]
+    # elsewhere only the private names taken from other modules are flagged
+    assert sorted(_view_bypasses(ast.parse(inline), "geometry")) == [
+        (1, "_unit"),
+        (3, "_private"),
+        (12, "_unit"),
+    ]

@@ -1,6 +1,8 @@
 """Construction language: parsing, evaluation, golden runs, SVG, CLI."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +69,32 @@ def test_parse_rejects_bad_literal():
 def test_parse_rejects_bad_result_name():
     with pytest.raises(ParseError):
         parse("point 3x 0 0")
+
+
+# the name rule as a regular expression, the parser's rule before it used
+# str.isidentifier; kept here as the oracle
+_OLD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# tokens come from str.split, so they hold no whitespace; '#' starts a comment
+_NAME_CHARS = st.one_of(
+    st.sampled_from("azAZ_09éßıﬁＡｚ０٣\u212a²"),
+    st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"), blacklist_characters="#"),
+)
+
+
+@settings(max_examples=300)
+@given(token=st.text(_NAME_CHARS, min_size=1, max_size=6))
+@example(token="Ａ")  # fullwidth A
+@example(token="é")
+@example(token="3x")
+@example(token="x\u00b2")
+def test_parse_accepts_the_names_the_old_regex_accepted(token):
+    source = f"point {token} 0 0"
+    if _OLD_NAME_RE.match(token):
+        assert parse(source).statements[0].result == token
+    else:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == f"line 1: invalid name {token!r}"
 
 
 def test_roundtrip_through_formatter():
@@ -407,6 +435,15 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
             assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
 
 
+def test_cli_prints_an_ideal_line_at_a_coarse_tol_in_coordinate_order(tmp_path, capsys):
+    # at tol 1e-3 the line's normal (a, b) is small enough to be ideal, and
+    # print shows [a/c, b/c, 1] with a and b in order
+    script = tmp_path / "s.pga"
+    script.write_text("line m 1e-4 2e-4 1\nprint m\n")
+    assert main(["run", str(script), "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().out == "m = [0.000100, 0.000200, 1.000000]\n"
+
+
 def test_cli_accepts_zero_tol(tmp_path, capsys):
     script = tmp_path / "s.pga"
     script.write_text("point A 1 0\nprint A\n")
@@ -527,10 +564,25 @@ def test_cli_point_beyond_the_supported_range(tmp_path, capsys):
     assert capsys.readouterr().out == "d = 2000000000.000000\n"
 
 
-def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this pga2d."""
     env = dict(os.environ)
     src = str(Path(pga2d.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter without site's preloads, as
+    on a clean install."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
+    env = _child_env()
     probe = "import sys, pga2d.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     loaded = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -542,6 +594,93 @@ def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
     )
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == (SCRIPTS / "rotation_case.expected.txt").read_text()
+
+
+@pytest.mark.parametrize("module", ["pga2d.cli", "pga2d"])
+def test_a_cold_import_loads_neither_the_kernel_nor_the_renderer(module):
+    probe = (
+        f"import sys, {module}\n"
+        "loaded = {'pga2d.kernel', 'pga2d.render'} & set(sys.modules)\n"
+        "print(sorted(loaded), 'Multivector' in vars(sys.modules['pga2d.multivector']))"
+    )
+    assert _fresh(probe) == "[] False\n"
+
+
+def test_the_kernel_names_load_on_first_read_as_the_kernel_objects():
+    probe = """
+import pickle, sys
+import pga2d, pga2d.multivector as base
+# importlib asks for __path__; a missing name loads nothing either
+assert not hasattr(base, '__path__') and not hasattr(base, 'nope') and not hasattr(pga2d, 'nope')
+assert 'pga2d.kernel' not in sys.modules and 'Multivector' not in vars(base)
+from pga2d.multivector import Multivector, cayley_table, e012
+import pga2d.kernel as kernel
+assert pga2d.Multivector is Multivector is kernel.Multivector
+assert e012 is kernel.e012 and cayley_table is kernel.cayley_table
+assert pickle.loads(pickle.dumps(e012)) == e012
+# a Multivector pickled under its former module, pga2d.multivector
+old = b"cpga2d.multivector\\nMultivector\\n((F1.0\\nF2.0\\nF3.0\\nF4.0\\nF5.0\\nF6.0\\nF7.0\\nF0.5\\nttR."
+assert pickle.loads(old) == Multivector((1, 2, 3, 4, 5, 6, 7, 0.5))
+print('ok')
+"""
+    assert _fresh(probe) == "ok\n"
+
+
+def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_level():
+    # which pga2d modules the CLI loads is the same on every Python; which
+    # stdlib modules it loads is not, so those are read from the source
+    loaded = _fresh(
+        "import sys, pga2d.cli; print(*sorted(m for m in sys.modules if m.startswith('pga2d')))"
+    ).split()
+    assert {"pga2d.cli", "pga2d.multivector", "pga2d.script"} <= set(loaded)
+    package = Path(pga2d.__file__).resolve().parent
+    found = []
+    for name in loaded:
+        path = package / ("__init__.py" if name == "pga2d" else name[len("pga2d."):] + ".py")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = ("pga2d." if node.level else "") + (node.module or "")
+                # from . import render names the module in its list
+                targets = [module] if node.module else [module + a.name for a in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}: {t}" for t in targets
+                if t.split(".")[0] in ("typing", "pathlib") or t in ("pga2d.kernel", "pga2d.render")
+            ]
+    assert found == []
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize(
+    "args",
+    [["tables"], ["run", "rotation_case.pga"], ["run", "partial.pga"]],
+    ids=["tables", "run", "run-failing"],
+)
+def test_a_closed_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
+    (tmp_path / "rotation_case.pga").write_text((SCRIPTS / "rotation_case.pga").read_text())
+    # prints A, then fails on line 5
+    (tmp_path / "partial.pga").write_text(
+        "point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"
+    )
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pga2d.cli", *args], cwd=tmp_path, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (
+        1, "error: stdout was closed before all output was written\n"
+    )
 
 
 def test_the_names_the_benchmark_hooks_into_exist():
