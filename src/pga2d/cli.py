@@ -48,10 +48,13 @@ def format_dual_table() -> str:
 def main(argv=None) -> int:
     try:
         return _main(argv)
-    except BrokenPipeError:
-        # the reader is gone; on devnull, the interpreter's last flush is silent
+    except OSError as exc:  # writing stdout; _main catches every other OSError
+        # on devnull, the interpreter's last flush of what is left is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before all output was written", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):  # the reader is gone
+            print("error: stdout was closed before all output was written", file=sys.stderr)
+        else:
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,10 +1,11 @@
 """Line-oriented construction language: parser, static checks, evaluator.
 
-One statement per line, '#' starts a comment.  Every defining verb names its
-result first; names are single-assignment and must be defined before use
-(checked while parsing).  Values are points, ideal points, lines, motors
-or plain numbers.  Each verb's result type is fixed by the verb, and only
-project multiplies 8-slot multivectors.
+One statement per line (a line ends at \\n, \\r\\n or \\r); '#' comments out
+the rest of its line.  Every defining verb names its result first; names are
+single-assignment and must be defined before use (checked while parsing).
+Values are points, ideal points, lines, motors or plain numbers.  Each verb's
+result type is fixed by the verb, and only project multiplies 8-slot
+multivectors.
 """
 
 from __future__ import annotations
@@ -17,25 +18,23 @@ from .metric import view
 from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
 
 # verb -> argument kinds after the verb token
-_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "point": ("new", "num", "num"),
-    "ideal": ("new", "num", "num"),
-    "line": ("new", "num", "num", "num"),
-    "join": ("new", "ref", "ref"),
-    "meet": ("new", "ref", "ref"),
-    "dist": ("new", "ref", "ref"),
-    "angle": ("new", "ref", "ref"),
-    "reflect": ("new", "ref", "ref"),
-    "rotor": ("new", "ref", "ref"),
-    "rotator": ("new", "ref", "num"),
-    "translator": ("new", "ref", "num"),
-    "apply": ("new", "ref", "ref"),
-    "solve": ("new", "ref", "ref", "ref", "ref"),
-    "project": ("new", "ref", "ref"),
-    "midpoint": ("new", "ref", "ref"),
-    "midline": ("new", "ref", "ref"),
-    "print": ("ref",),
-    "svg": ("path",),
+_SIGNATURES = {
+    verb: tuple(kinds.split())
+    for kinds, verbs in {
+        "new num num": "point ideal",
+        "new num num num": "line",
+        "new ref ref": "join meet dist angle reflect rotor apply project midpoint midline",
+        "new ref num": "rotator translator",
+        "new ref ref ref ref": "solve",
+        "ref": "print",
+        "path": "svg",
+    }.items()
+    for verb in verbs.split()
+}
+# verb -> (token count, new name first, index of the first number, names are refs)
+_SHAPES = {
+    verb: (len(sig) + 1, sig[0] == "new", len(sig) + 1 - sig.count("num"), "ref" in sig)
+    for verb, sig in _SIGNATURES.items()
 }
 
 
@@ -43,14 +42,18 @@ class Statement(Frozen):
     __slots__ = ("lineno", "verb", "result", "args")
 
     def __init__(self, lineno: int, verb: str, result: str | None, args: tuple):
-        _set(self, "lineno", lineno)
-        _set(self, "verb", verb)
-        _set(self, "result", result)
-        _set(self, "args", args)
+        _lineno(self, lineno)
+        _verb(self, verb)
+        _result(self, result)
+        _args(self, args)
 
     def _key(self) -> tuple:
         # the line number is diagnostic provenance, not program content
         return self.verb, self.result, self.args
+
+
+# Statement.__init__ sets each field through its slot, faster than _set
+_lineno, _verb, _result, _args = (getattr(Statement, f).__set__ for f in Statement.__slots__)
 
 
 class Program(Frozen):
@@ -64,44 +67,53 @@ def parse(source: str) -> Program:
     """Parse and statically check a script: verbs, arity, literals, names."""
     statements = []
     defined: set[str] = set()
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = text.split()
         verb = tokens[0]
-        sig = _SIGNATURES.get(verb)
-        if sig is None:
-            raise ParseError(f"unknown verb {verb!r}", lineno)
-        if len(tokens) - 1 != len(sig):
-            raise ParseError(
-                f"{verb} takes {len(sig)} argument(s), got {len(tokens) - 1}", lineno
-            )
-        result: str | None = None
-        args: list = []
-        for kind, token in zip(sig, tokens[1:]):
-            if kind == "new":
-                # an ASCII letter or _, then ASCII letters, digits or _
-                if not (token.isascii() and token.isidentifier()):
-                    raise ParseError(f"invalid name {token!r}", lineno)
-                if token in defined:
-                    raise ParseError(f"name {token!r} is already defined", lineno)
-                result = token
-            elif kind == "ref":
-                if token not in defined:
-                    raise ParseError(f"undefined name {token!r}", lineno)
-                args.append(token)
-            elif kind == "num":
-                try:
-                    args.append(float(token))
-                except ValueError:
-                    raise ParseError(f"expected a number, got {token!r}", lineno) from None
-            else:  # path
-                args.append(token)
-        if result is not None:
+        # an unknown verb fails the token count
+        size, new, numbers, refs = _SHAPES.get(verb, (0, 0, 0, 0))
+        try:
+            if len(tokens) != size:
+                raise ValueError
+            result = tokens[1] if new else None
+            names = tokens[1 + new:numbers]
+            args = (*names, *map(float, tokens[numbers:])) if numbers < size else tuple(names)
+            # a new name is an ASCII letter or _, then ASCII letters, digits or _
+            if new and not (result.isascii() and result.isidentifier()) or (
+                result in defined or refs and not defined.issuperset(names)
+            ):
+                raise ValueError
+        except ValueError:
+            raise ParseError(_fault(tokens, defined), lineno) from None
+        if new:
             defined.add(result)
-        statements.append(Statement(lineno, verb, result, tuple(args)))
+        statements.append(Statement(lineno, verb, result, args))
     return Program(tuple(statements))
+
+
+def _fault(tokens: list[str], defined: set[str]) -> str:
+    """The first fault, in token order, of a line that parse rejects."""
+    verb, *given = tokens
+    sig = _SIGNATURES.get(verb)
+    if sig is None:
+        return f"unknown verb {verb!r}"
+    if len(given) != len(sig):
+        return f"{verb} takes {len(sig)} argument(s), got {len(given)}"
+    for kind, token in zip(sig, given):
+        if kind == "new" and not (token.isascii() and token.isidentifier()):
+            return f"invalid name {token!r}"
+        if kind == "new" and token in defined:
+            return f"name {token!r} is already defined"
+        if kind == "ref" and token not in defined:
+            return f"undefined name {token!r}"
+        if kind == "num":
+            try:
+                float(token)
+            except ValueError:
+                return f"expected a number, got {token!r}"
 
 
 def format_program(program: Program) -> str:
@@ -116,24 +128,22 @@ def format_program(program: Program) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _fmt(value: float) -> str:
-    out = f"{value:.6f}"
-    return "0.000000" if out == "-0.000000" else out
-
-
 def format_value(value, tol: float = DEFAULT_TOL) -> str:
     """Render an environment value with fixed 6-decimal formatting."""
     if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, (Point, Line)):
-        ideal, shown = view(value, tol)
-        text = ", ".join(map(_fmt, shown))
-        if isinstance(value, Line):
-            return f"[{text}]"
-        return f"ideal ({text})" if ideal else f"({text})"
-    if isinstance(value, Motor):
-        return f"motor({_fmt(value.s)}, {_fmt(value.bx)}, {_fmt(value.by)}, {_fmt(value.bz)})"
-    raise TypeError(f"cannot format {type(value).__name__}")
+        form, numbers = "{:.6f}", (value,)
+    elif isinstance(value, Line):
+        form, numbers = "[{:.6f}, {:.6f}, {:.6f}]", view(value, tol)[1]
+    elif isinstance(value, Point):
+        ideal, numbers = view(value, tol)
+        form = "ideal ({:.6f}, {:.6f})" if ideal else "({:.6f}, {:.6f})"
+    elif isinstance(value, Motor):
+        form = "motor({:.6f}, {:.6f}, {:.6f}, {:.6f})"
+        numbers = value.s, value.bx, value.by, value.bz
+    else:
+        raise TypeError(f"cannot format {type(value).__name__}")
+    # every number has six decimals, so only a negative zero reads -0.000000
+    return form.format(*numbers).replace("-0.000000", "0.000000")
 
 
 def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:

@@ -16,8 +16,10 @@ from pga2d.cli import main
 from pga2d.errors import EvaluationError, ParseError, RenderError
 from pga2d.elements import Point
 from pga2d.isometry import Motor
-from pga2d.render import build_svg
-from pga2d.script import _SIGNATURES, evaluate, format_program, format_value, parse
+from pga2d.render import _clip_line, build_svg
+from pga2d.script import (
+    _SIGNATURES, Program, Statement, evaluate, format_program, format_value, parse,
+)
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
 
@@ -95,6 +97,133 @@ def test_parse_accepts_the_names_the_old_regex_accepted(token):
         with pytest.raises(ParseError) as err:
             parse(source)
         assert str(err.value) == f"line 1: invalid name {token!r}"
+
+
+def _old_parse(source: str) -> Program:
+    """The parser before it checked each line in one pass, kept as the oracle
+    for statements and error messages (it split lines with str.splitlines)."""
+    statements = []
+    defined: set[str] = set()
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        tokens = text.split()
+        verb = tokens[0]
+        sig = _SIGNATURES.get(verb)
+        if sig is None:
+            raise ParseError(f"unknown verb {verb!r}", lineno)
+        if len(tokens) - 1 != len(sig):
+            raise ParseError(
+                f"{verb} takes {len(sig)} argument(s), got {len(tokens) - 1}", lineno
+            )
+        result: str | None = None
+        args: list = []
+        for kind, token in zip(sig, tokens[1:]):
+            if kind == "new":
+                # an ASCII letter or _, then ASCII letters, digits or _
+                if not (token.isascii() and token.isidentifier()):
+                    raise ParseError(f"invalid name {token!r}", lineno)
+                if token in defined:
+                    raise ParseError(f"name {token!r} is already defined", lineno)
+                result = token
+            elif kind == "ref":
+                if token not in defined:
+                    raise ParseError(f"undefined name {token!r}", lineno)
+                args.append(token)
+            elif kind == "num":
+                try:
+                    args.append(float(token))
+                except ValueError:
+                    raise ParseError(f"expected a number, got {token!r}", lineno) from None
+            else:  # path
+                args.append(token)
+        if result is not None:
+            defined.add(result)
+        statements.append(Statement(lineno, verb, result, tuple(args)))
+    return Program(tuple(statements))
+
+
+# A, B, m and n are defined by a preamble that most drawn scripts start with
+_PREAMBLE = ["point A 0 0", "point B 1 1", "line m 1 0 0", "line n 0 1 0"]
+# float() takes underscores, nan, inf and non-ASCII digits
+_TOKENS = {
+    "new": st.sampled_from(["C", "P1", "_x", "g", "h", "k", "A"]),
+    "ref": st.sampled_from(["A", "B", "m", "n"] * 3 + ["C", "P1"]),
+    "num": st.sampled_from(["0", "-1.5", "1e3", "-0", "nan", "-inf", "1_0", "٣", "１"]),
+    "path": st.sampled_from(["out.svg", "A"]),
+}
+_BAD_TOKENS = st.sampled_from(
+    ["3x", "é", "Ａ", "x-y", "ﬁ", "a.b", "x²", "\u212a", "0x10", "1e", "zero", "1__0"]
+)
+
+
+@st.composite
+def _parse_lines(draw):
+    """A line of a script: a statement of a known or unknown verb with the
+    right or a wrong number of tokens of its kinds or of others, a comment or
+    a blank; spaces and tabs only, so that both parsers see the same lines."""
+    pad, gap = st.sampled_from(["", " ", "\t"]), st.sampled_from([" ", "\t", " \t "])
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["", "   ", "# a comment", "\t# x # y"]))
+    verb = draw(st.sampled_from(sorted(_SIGNATURES)))
+    if draw(st.integers(0, 15)) == 0:
+        verb = draw(st.sampled_from(["frob", "Point", "#print", "print#"]))
+    kinds = list(_SIGNATURES.get(verb, ("ref",)))
+    if draw(st.integers(0, 9)) == 0:
+        kinds = kinds[:-1] if draw(st.booleans()) else kinds + ["num"]
+    tokens = [verb] + [
+        draw(_BAD_TOKENS if draw(st.integers(0, 15)) == 0 else _TOKENS[kind]) for kind in kinds
+    ]
+    comment = draw(st.sampled_from(["", " # note", "#", " # point Z 1 2"]))
+    return draw(pad) + draw(gap).join(tokens) + comment
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(_parse_lines(), max_size=12), preamble=st.integers(0, 3))
+@example(lines=["point A 1 2", "point A 3 4"], preamble=0)
+@example(lines=["join A A A"], preamble=0)
+@example(lines=["point é nan 1_0"], preamble=0)
+@example(lines=["line m 1 ٣ 0", "print m # done"], preamble=0)
+def test_parse_matches_the_old_parser(lines, preamble):
+    """The same statements with the same line numbers, or the same error."""
+
+    def outcome(parser):
+        try:
+            program = parser(source)
+        except ParseError as exc:
+            return str(exc), exc.lineno
+        # repr tells nan and -0.0 apart; == would not
+        return [(type(s), s.lineno, s.verb, s.result, repr(s.args)) for s in program.statements]
+
+    source = "\n".join((_PREAMBLE if preamble else []) + lines)
+    assert outcome(parse) == outcome(_old_parse)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # a form feed is whitespace inside a comment, not a line break
+        ("# a comment with a form feed \x0c here\npoint A 1 x\n",
+         "error: line 2: expected a number, got 'x'\n"),
+        # a line separator does not end the comment either
+        ("point A 1 2 # note \u2028 point B 3 4\nprint B\n", "error: line 2: undefined name 'B'\n"),
+    ],
+    ids=["form-feed", "line-separator"],
+)
+def test_a_comment_runs_to_the_end_of_its_line(tmp_path, capsys, source, message):
+    script = tmp_path / "s.pga"
+    script.write_text(source, encoding="utf-8")
+    assert main(["run", str(script)]) == 1
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_lines_end_at_newline_crlf_or_cr(end):
+    program = parse(end.join(["point A 1 2", "", "point B 3 4\x0b\x1c", "print B", ""]))
+    assert [(s.lineno, s.verb) for s in program.statements] == [
+        (1, "point"), (3, "point"), (4, "print")
+    ]
 
 
 def test_roundtrip_through_formatter():
@@ -336,6 +465,104 @@ def test_svg_of_a_figure_too_far_to_draw_is_a_render_error(source):
     env, _ = evaluate(parse(source), tol=0.0)
     with pytest.raises(RenderError):
         build_svg(env, tol=0.0)
+
+
+_R = 0.7071067811865475  # 1/sqrt(2)
+_W = (0.0, 10.0, 0.0, 10.0)
+# (line, window, tol, ends): the ends as recorded from the renderer that
+# still searched every pair of crossings for the farthest
+_CLIPS = {
+    # a diagonal through two corners: four crossings
+    "diagonal": ((_R, -_R, 0.0), _W, 1e-9, ((0.0, 0.0), (10.0, 10.0))),
+    "anti-diagonal": ((_R, _R, -7.071067811865475), _W, 1e-9, ((0.0, 10.0), (10.0, -0.0))),
+    # through one corner: three crossings, of which the corner twice
+    "corner": (
+        (0.4472135954999579, -0.8944271909999159, 0.0), _W, 1e-9, ((0.0, 0.0), (10.0, 5.0))
+    ),
+    "corner-far": (
+        (0.5734623443633283, -0.8192319205190405, 2.4576957615571215), _W, 1e-9,
+        ((0.0, 3.0), (10.0, 10.0)),
+    ),
+    # here the two crossings at the corner differ by one ulp, and which one
+    # is kept decides the order of the ends
+    "corner-ulp": (
+        (0.9528905139886873, -0.30331447105335285, -6.495760429353345), _W, 1e-9,
+        ((10.0, 10.000000000000002), (6.816901138162094, 0.0)),
+    ),
+    "corner-ulp-tol0": (
+        (0.9528905139886873, -0.30331447105335285, -6.495760429353345), _W, 0.0,
+        ((6.816901138162094, 0.0), (10.0, 10.0)),
+    ),
+    # the corner and a crossing of the top border: the farthest pair is not
+    # the first two crossings
+    "steep-corner": (
+        (0.9486832980505138, -0.31622776601683794, 0.0), _W, 1e-9,
+        ((0.0, 0.0), (3.3333333333333335, 10.0)),
+    ),
+    "steep-corner-ulp": (
+        (0.9385078997951388, 0.34525776171161965, -9.385078997951387), _W, 1e-9,
+        ((10.0, -5.145016380208049e-15), (6.321205588285577, 10.0)),
+    ),
+    "steep-corner-ulp-tol0": (
+        (0.9385078997951388, 0.34525776171161965, -9.385078997951387), _W, 0.0,
+        ((9.999999999999998, 0.0), (6.321205588285577, 10.0)),
+    ),
+    # only a corner on the line: the two crossings coincide
+    "touch-corner": ((_R, _R, 0.0), _W, 1e-9, None),
+    "touch-corner-outside": ((_R, _R, 5e-9), _W, 1e-9, None),
+    # along a border
+    "border-bottom": ((0.0, 1.0, 0.0), _W, 1e-9, ((0.0, -0.0), (10.0, -0.0))),
+    "border-right": ((1.0, 0.0, -10.0), _W, 1e-9, ((10.0, 0.0), (10.0, 10.0))),
+    "border-right-tol0": ((-1.0, 0.0, 10.0), _W, 0.0, ((10.0, 0.0), (10.0, 10.0))),
+    # just outside a border: within tol * span, or at tol 0 not at all
+    "outside": ((0.0, 1.0, 5e-9), _W, 1e-9, ((0.0, -5e-9), (10.0, -5e-9))),
+    "outside-tol0": ((0.0, 1.0, 5e-9), _W, 0.0, None),
+    "outside-beyond-tol": ((0.0, 1.0, 2e-8), _W, 1e-9, None),
+    "outside-slant": (
+        (0.4472135954999579, 0.8944271909999159, -4.472135950527443), _W, 1e-9,
+        ((0.0, 4.999999995), (10.0, -5.000000541071719e-09)),
+    ),
+    "outside-slant-tol0": (
+        (0.4472135954999579, 0.8944271909999159, -4.472135950527443), _W, 0.0,
+        ((0.0, 4.999999995), (9.99999999, 0.0)),
+    ),
+    # normal components equal to tol count as zero, above it they do not
+    "a-is-tol": ((1e-9, 1.0, -5.0), _W, 1e-9, ((0.0, 5.0), (10.0, 4.99999999))),
+    "b-is-tol": ((1.0, 1e-9, -5.0), _W, 1e-9, ((5.0, 0.0), (4.99999999, 10.0))),
+    "a-above-tol": ((1e-9, 1.0, -5.0), _W, 1e-10, ((0.0, 5.0), (10.0, 4.99999999))),
+    "b-subnormal-tol0": ((1.0, 5e-324, -5.0), _W, 0.0, ((5.0, 0.0), (5.0, 10.0))),
+    # misses the window
+    "miss": ((_R, _R, -100.0), _W, 1e-9, None),
+    "miss-tol0": ((_R, _R, -100.0), _W, 0.0, None),
+    "window": (
+        (0.8944271909999159, 0.4472135954999579, 1.3416407864998738), (-7.25, 1.5, -4.0, 4.75),
+        1e-9, ((0.49999999999999994, -4.0), (-3.875, 4.75)),
+    ),
+}
+
+
+@pytest.mark.parametrize("line, window, tol, ends", _CLIPS.values(), ids=_CLIPS)
+def test_clipping_keeps_the_crossings_and_their_order(line, window, tol, ends):
+    clip = _clip_line(*line, window, tol)
+    # repr tells -0.0 from 0.0
+    assert repr(None if clip is None else tuple(clip)) == repr(ends)
+
+
+def test_pixel_coordinates_that_round_to_negative_zero_read_zero():
+    # m lies 5e-9 left of the window, within tol * span: drawn at x = -2.1e-7
+    # px; h's label sits 0.001 px above the top
+    source = "point A 0 0\npoint B 10 10\nline m 1 0 1.000000005\nline h 0 1 -10.8594\n"
+    env, _ = evaluate(parse(source))
+    svg = build_svg(env)
+    assert svg.splitlines()[5:7] + svg.splitlines()[-2:] == [
+        '<line x1="0.00" y1="512.00" x2="0.00" y2="0.00" stroke="#333333" stroke-width="1.5"/>',
+        '<line x1="0.00" y1="6.00" x2="512.00" y2="6.00" stroke="#333333" stroke-width="1.5"/>',
+        '<text x="134.00" y="0.00" font-family="monospace" font-size="12" fill="#111111">h</text>',
+        "</svg>",
+    ]
+    # a label is the caller's text, kept as it is
+    env["h-0.00"] = env.pop("h")
+    assert '"0.00" font-family="monospace" font-size="12" fill="#111111">h-0.00</text>' in build_svg(env)
 
 
 def test_svg_is_deterministic(tmp_path):
@@ -680,6 +907,26 @@ def test_a_closed_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
         os.close(write_end)
     assert (run.returncode, run.stderr) == (
         1, "error: stdout was closed before all output was written\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("args", [["tables"], ["run", "rotation_case.pga"]], ids=["tables", "run"])
+def test_a_full_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
+    (tmp_path / "rotation_case.pga").write_text((SCRIPTS / "rotation_case.pga").read_text())
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "pga2d.cli", *args], cwd=tmp_path, env=env,
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    # one line, and no "Exception ignored" from the interpreter's last flush
+    assert (run.returncode, run.stderr) == (
+        1, "error: cannot write to stdout: [Errno 28] No space left on device\n"
     )
 
 
