@@ -45,6 +45,11 @@ def format_dual_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's passes over a failed write; main reports it
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def main(argv=None) -> int:
     try:
         return _main(argv)
@@ -59,7 +64,7 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pga2d", description="Euclidean plane constructions in geometric algebra"
     )
     sub = parser.add_subparsers(dest="command", required=True)

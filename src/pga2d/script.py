@@ -3,9 +3,9 @@
 One statement per line (a line ends at \\n, \\r\\n or \\r); '#' comments out
 the rest of its line.  Every defining verb names its result first; names are
 single-assignment and must be defined before use (checked while parsing).
-Values are points, ideal points, lines, motors or plain numbers.  Each verb's
-result type is fixed by the verb, and only project multiplies 8-slot
-multivectors.
+Values are points, ideal points, lines, motors or plain numbers.  A verb is
+defined in one place, its row of _VERBS: its argument kinds, its operand
+checks and its result; only project multiplies 8-slot multivectors.
 """
 
 from __future__ import annotations
@@ -13,29 +13,8 @@ from __future__ import annotations
 from . import geometry, isometry
 from .elements import IdealPoint, Line, Point, cross
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
-from .isometry import Motor
 from .metric import view
 from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
-
-# verb -> argument kinds after the verb token
-_SIGNATURES = {
-    verb: tuple(kinds.split())
-    for kinds, verbs in {
-        "new num num": "point ideal",
-        "new num num num": "line",
-        "new ref ref": "join meet dist angle reflect rotor apply project midpoint midline",
-        "new ref num": "rotator translator",
-        "new ref ref ref ref": "solve",
-        "ref": "print",
-        "path": "svg",
-    }.items()
-    for verb in verbs.split()
-}
-# verb -> (token count, new name first, index of the first number, names are refs)
-_SHAPES = {
-    verb: (len(sig) + 1, sig[0] == "new", len(sig) + 1 - sig.count("num"), "ref" in sig)
-    for verb, sig in _SIGNATURES.items()
-}
 
 
 class Statement(Frozen):
@@ -137,7 +116,7 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     elif isinstance(value, Point):
         ideal, numbers = view(value, tol)
         form = "ideal ({:.6f}, {:.6f})" if ideal else "({:.6f}, {:.6f})"
-    elif isinstance(value, Motor):
+    elif isinstance(value, isometry.Motor):
         form = "motor({:.6f}, {:.6f}, {:.6f}, {:.6f})"
         numbers = value.s, value.bx, value.by, value.bz
     else:
@@ -158,17 +137,88 @@ def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
 
 def _want(env, name: str, types, what: str):
     value = env[name]
-    if not isinstance(value, types):
+    if isinstance(value, types):
+        return value
+    kinds = " or ".join(t.__name__ for t in types) if isinstance(types, tuple) else types.__name__
+    raise DomainError(f"{what} must be {kinds}, but {name!r} is {type(value).__name__}")
+
+
+_EITHER = (Point, Line)
+
+
+def _point(env, a, tol):
+    x, y = a
+    # the weight 1 must stay a thousand times above the ideal cutoff
+    if near_zero(1e-3, max(abs(x), abs(y)), tol):
         raise DomainError(
-            f"{what} must be {_type_names(types)}, but {name!r} is {type(value).__name__}"
+            f"point ({x:g}, {y:g}) is out of range: coordinates must stay within "
+            f"1e-3/tol = {1e-3 / tol:g} of the origin"
         )
-    return value
+    return Point(x, y, 1.0)
 
 
-def _type_names(types) -> str:
-    if not isinstance(types, tuple):
-        types = (types,)
-    return " or ".join(t.__name__ for t in types)
+def _join(env, a, tol):
+    p = _want(env, a[0], Point, "join argument")
+    q = _want(env, a[1], Point, "join argument")
+    return Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), tol))
+
+
+def _meet(env, a, tol):
+    m = _want(env, a[0], Line, "meet argument")
+    n = _want(env, a[1], Line, "meet argument")
+    return Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
+
+
+def _project(env, a, tol):
+    x = _want(env, a[0], _EITHER, "project argument")
+    part = geometry.project(x, _want(env, a[1], _EITHER, "project target"), tol).parallel_part
+    # the parallel part of a line is a line, of a point a point
+    kind, grade = (Line, 1) if isinstance(x, Line) else (Point, 2)
+    return kind.from_mv(part.grade(grade), tol)
+
+
+# verb -> (argument kinds after the verb token, the new name's value from env,
+# args and tol, or None for print and svg); a row calls library functions
+# through their modules, so a tracer that rebinds a module attribute sees them
+_VERBS = {
+    "point": ("new num num", _point),
+    "ideal": ("new num num", lambda env, a, tol: IdealPoint(*a)),
+    "line": ("new num num num", lambda env, a, tol: Line(*a)),
+    "join": ("new ref ref", _join),
+    "meet": ("new ref ref", _meet),
+    "dist": ("new ref ref", lambda env, a, tol: geometry.distance(
+        _want(env, a[0], _EITHER, "dist argument"),
+        _want(env, a[1], _EITHER, "dist argument"), tol).value),
+    "angle": ("new ref ref", lambda env, a, tol: geometry.angle(
+        _want(env, a[0], _EITHER, "angle argument"),
+        _want(env, a[1], _EITHER, "angle argument"), tol).value),
+    "reflect": ("new ref ref", lambda env, a, tol: isometry.reflect(
+        _want(env, a[0], Line, "mirror"), _want(env, a[1], _EITHER, "reflect operand"), tol)),
+    "rotor": ("new ref ref", lambda env, a, tol: isometry.rotor_from_lines(
+        _want(env, a[0], Line, "mirror"), _want(env, a[1], Line, "mirror"), tol)),
+    "rotator": ("new ref num", lambda env, a, tol: isometry.rotator(
+        _want(env, a[0], Point, "rotation center"), a[1], tol)),
+    "translator": ("new ref num", lambda env, a, tol: isometry.translator(
+        _want(env, a[0], Point, "translation direction"), a[1], tol)),
+    "apply": ("new ref ref", lambda env, a, tol: isometry.sandwich(
+        _want(env, a[0], isometry.Motor, "versor"), _want(env, a[1], _EITHER, "apply operand"))),
+    "solve": ("new ref ref ref ref", lambda env, a, tol: isometry.solve_point_line_transport(
+        _want(env, a[0], Point, "point"), _want(env, a[1], Line, "line"),
+        _want(env, a[2], Point, "point"), _want(env, a[3], Line, "line"), tol)),
+    "project": ("new ref ref", _project),
+    "midpoint": ("new ref ref", lambda env, a, tol: geometry.midpoint(
+        _want(env, a[0], Point, "point"), _want(env, a[1], Point, "point"), tol)),
+    "midline": ("new ref ref", lambda env, a, tol: geometry.midline(
+        _want(env, a[0], Line, "line"), _want(env, a[1], Line, "line"), tol)),
+    "print": ("ref", None),
+    "svg": ("path", None),
+}
+_SIGNATURES = {verb: tuple(kinds.split()) for verb, (kinds, _) in _VERBS.items()}
+# verb -> (token count, new name first, index of the first number, names are refs)
+_SHAPES = {
+    verb: (len(sig) + 1, sig[0] == "new", len(sig) + 1 - sig.count("num"), "ref" in sig)
+    for verb, sig in _SIGNATURES.items()
+}
 
 
 def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
@@ -181,7 +231,15 @@ def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
     out: list[str] = []
     for st in program.statements:
         try:
-            _execute(st, env, out, tol)
+            compute = _VERBS[st.verb][1]
+            if compute is not None:
+                env[st.result] = compute(env, st.args, tol)
+            elif st.verb == "print":
+                out.append(f"{st.args[0]} = {format_value(env[st.args[0]], tol)}")
+            else:
+                from .render import render_svg
+
+                render_svg(env, st.args[0], tol)
         except (AlgebraError, RenderError, OSError) as exc:
             raise EvaluationError(str(exc), st.lineno, _joined(out)) from exc
     return env, _joined(out)
@@ -189,82 +247,3 @@ def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
 
 def _joined(lines: list[str]) -> str:
     return "".join(f"{line}\n" for line in lines)
-
-
-def _execute(st: Statement, env: dict, out: list[str], tol: float) -> None:
-    verb, args = st.verb, st.args
-    if verb == "point":
-        x, y = args
-        # the weight 1 must stay a thousand times above the ideal cutoff
-        if near_zero(1e-3, max(abs(x), abs(y)), tol):
-            raise DomainError(
-                f"point ({x:g}, {y:g}) is out of range: coordinates must stay within "
-                f"1e-3/tol = {1e-3 / tol:g} of the origin"
-            )
-        env[st.result] = Point(x, y, 1.0)
-    elif verb == "ideal":
-        env[st.result] = IdealPoint(args[0], args[1])
-    elif verb == "line":
-        env[st.result] = Line(args[0], args[1], args[2])
-    elif verb == "join":
-        p = _want(env, args[0], Point, "join argument")
-        q = _want(env, args[1], Point, "join argument")
-        env[st.result] = Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), tol))
-    elif verb == "meet":
-        m = _want(env, args[0], Line, "meet argument")
-        n = _want(env, args[1], Line, "meet argument")
-        env[st.result] = Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
-    elif verb == "dist":
-        x = _want(env, args[0], (Point, Line), "dist argument")
-        y = _want(env, args[1], (Point, Line), "dist argument")
-        env[st.result] = geometry.distance(x, y, tol).value
-    elif verb == "angle":
-        x = _want(env, args[0], (Point, Line), "angle argument")
-        y = _want(env, args[1], (Point, Line), "angle argument")
-        env[st.result] = geometry.angle(x, y, tol).value
-    elif verb == "reflect":
-        m = _want(env, args[0], Line, "mirror")
-        x = _want(env, args[1], (Point, Line), "reflect operand")
-        env[st.result] = isometry.reflect(m, x, tol)
-    elif verb == "rotor":
-        a = _want(env, args[0], Line, "mirror")
-        b = _want(env, args[1], Line, "mirror")
-        env[st.result] = isometry.rotor_from_lines(a, b, tol)
-    elif verb == "rotator":
-        p = _want(env, args[0], Point, "rotation center")
-        env[st.result] = isometry.rotator(p, args[1], tol)
-    elif verb == "translator":
-        v = _want(env, args[0], Point, "translation direction")
-        env[st.result] = isometry.translator(v, args[1], tol)
-    elif verb == "apply":
-        g = _want(env, args[0], Motor, "versor")
-        x = _want(env, args[1], (Point, Line), "apply operand")
-        env[st.result] = isometry.sandwich(g, x)
-    elif verb == "solve":
-        a = _want(env, args[0], Point, "point")
-        m = _want(env, args[1], Line, "line")
-        a2 = _want(env, args[2], Point, "point")
-        m2 = _want(env, args[3], Line, "line")
-        env[st.result] = isometry.solve_point_line_transport(a, m, a2, m2, tol)
-    elif verb == "project":
-        x = _want(env, args[0], (Point, Line), "project argument")
-        y = _want(env, args[1], (Point, Line), "project target")
-        # the parallel part of a line is a line, of a point a point
-        c = geometry.project(x, y, tol).parallel_part.coeffs
-        env[st.result] = Line(c[2], c[3], c[1]) if isinstance(x, Line) else Point(*c[4:7])
-    elif verb == "midpoint":
-        p = _want(env, args[0], Point, "point")
-        q = _want(env, args[1], Point, "point")
-        env[st.result] = geometry.midpoint(p, q, tol)
-    elif verb == "midline":
-        m = _want(env, args[0], Line, "line")
-        n = _want(env, args[1], Line, "line")
-        env[st.result] = geometry.midline(m, n, tol)
-    elif verb == "print":
-        out.append(f"{args[0]} = {format_value(env[args[0]], tol)}")
-    elif verb == "svg":
-        from .render import render_svg
-
-        render_svg(env, args[0], tol)
-    else:  # pragma: no cover - parser rejects unknown verbs
-        raise DomainError(f"unhandled verb {verb!r}")

@@ -8,8 +8,9 @@ BASE_DIR is another checkout of pga2d, for example a ``git worktree`` of the
 base commit of a change.  The golden scripts and the generated bench scripts
 (``bench/generate.py``, seeds 1-3, 12 per workload) run at ``--tol`` 1e-9, 1e-6
 and 0 through ``pga2d.cli.main``, each script with ``--svg``, and so does
-``pga2d tables``, and so do a few failing scripts and arguments, one per kind
-of error line.  Each tree runs every case in one child process with its own
+``pga2d tables`` and both ``--help`` texts, and so do a few failing scripts
+and arguments: one per kind of error line, and a few operands of the wrong
+kind.  Each tree runs every case in one child process with its own
 ``src`` on the path.  Any difference in stdout, stderr, exit code or SVG bytes
 is printed, and the exit code is then 1.  pytest does not collect this file.
 """
@@ -41,6 +42,11 @@ FAILING = {
     "range": "point A 1e300 0\n",
     "nothing-to-draw": "line m 1 0 5\nline n 0 1 5\n",
     "ideal-only": "ideal U 1 0\nideal V 0 -1\nprint U\n",
+    # operands of the wrong kind, checked by the evaluator
+    "mirror": "point A 0 0\nreflect B A A\n",
+    "versor": "point A 0 0\napply B A A\n",
+    "project-target": "point A 0 0\nrotator g A 1\nproject p A g\n",
+    "rotation-center": "line m 1 0 0\nrotator g m 1\n",
 }
 
 
@@ -68,7 +74,10 @@ def _write_scripts(folder: Path) -> list[str]:
 
 def _cases(names: list[str]) -> list[list[str]]:
     runs = [["run", name, "--tol", tol, "--svg", "out.svg"] for name in names for tol in TOLS]
-    return [["tables"], ["run", "missing.pga"], ["run", names[0], "--tol", "1"], *runs]
+    return [
+        ["tables"], ["--help"], ["run", "--help"], ["run", "missing.pga"],
+        ["run", names[0], "--tol", "1"], *runs,
+    ]
 
 
 def _child(folder: str) -> None:

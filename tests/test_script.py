@@ -331,14 +331,96 @@ def test_subnormal_ideal_point_acts_like_its_unit_direction():
             "line 3: point (2e+09, 0) is out of range: coordinates must stay within "
             "1e-3/tol = 1e+06 of the origin",
         ),
+        # one wrong kind per operand role; the lines before the failing one define it
+        ("line m 0 1 0\njoin l A m", "line 4: join argument must be Point, but 'm' is Line"),
+        ("meet P A A", "line 3: meet argument must be Line, but 'A' is Point"),
+        (
+            "rotator r A 1\ndist d A r",
+            "line 4: dist argument must be Point or Line, but 'r' is Motor",
+        ),
+        (
+            "rotator r A 1\nangle t r A",
+            "line 4: angle argument must be Point or Line, but 'r' is Motor",
+        ),
+        (
+            "line m 0 1 0\nrotator r A 1\nreflect Q m r",
+            "line 5: reflect operand must be Point or Line, but 'r' is Motor",
+        ),
+        ("line m 0 1 0\nrotator h m 1", "line 4: rotation center must be Point, but 'm' is Line"),
+        (
+            "line m 0 1 0\ntranslator t m 1",
+            "line 4: translation direction must be Point, but 'm' is Line",
+        ),
+        ("apply P A A", "line 3: versor must be Motor, but 'A' is Point"),
+        (
+            "rotator r A 1\napply P r r",
+            "line 4: apply operand must be Point or Line, but 'r' is Motor",
+        ),
+        ("line m 0 1 0\nmidpoint M A m", "line 4: point must be Point, but 'm' is Line"),
+        ("midline b A A", "line 3: line must be Line, but 'A' is Point"),
+        (
+            "rotator r A 1\nproject p r A",
+            "line 4: project argument must be Point or Line, but 'r' is Motor",
+        ),
+        (
+            "rotator r A 1\nproject p A r",
+            "line 4: project target must be Point or Line, but 'r' is Motor",
+        ),
     ],
 )
 def test_statement_errors_carry_their_line_and_the_output_before_them(failing, message):
     with pytest.raises(EvaluationError) as err:
         evaluate(parse(f"point A 1 2\nprint A\n{failing}\nprint A\n"))
     assert str(err.value) == message
-    assert err.value.lineno == 3
+    assert err.value.lineno == 3 + failing.count("\n")
     assert err.value.output == "A = (1.000000, 2.000000)\n"
+
+
+# module -> (function name, a script whose last verb calls it) pairs
+_LIBRARY_CALLS = {
+    "geometry": (
+        ("distance", "point A 0 0\npoint B 3 4\ndist d A B"),
+        ("angle", "line m 1 0 0\nline n 0 1 0\nangle t m n"),
+        ("midpoint", "point A 0 0\npoint B 3 4\nmidpoint M A B"),
+        ("midline", "line m 1 0 0\nline n 0 1 0\nmidline b m n"),
+        ("project", "point A 3 4\nline m 1 0 0\nproject p A m"),
+    ),
+    "isometry": (
+        ("reflect", "line m 1 0 0\npoint A 3 4\nreflect Q m A"),
+        ("rotor_from_lines", "line m 1 0 0\nline n 0 1 0\nrotor g m n"),
+        ("rotator", "point A 3 4\nrotator g A 1"),
+        ("translator", "ideal V 1 0\ntranslator t V 2"),
+        ("sandwich", "point A 3 4\nrotator g A 1\napply P g A"),
+        (
+            "solve_point_line_transport",
+            "point A 0 0\nline m 1 0 0\npoint B 1 1\nline n 0 1 -1\nsolve g A m B n",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "module, name, source",
+    [
+        pytest.param(module, name, source, id=f"{module}.{name}")
+        for module, calls in _LIBRARY_CALLS.items()
+        for name, source in calls
+    ],
+)
+def test_each_verb_calls_the_library_through_its_module(monkeypatch, module, name, source):
+    # bench/spans.py traces a function by rebinding its module attribute: a
+    # verb that held the function object would drop out of the trace
+    owner = sys.modules[f"pga2d.{module}"]
+    original = getattr(owner, name)
+    callers = []
+
+    def recording(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    evaluate(parse(source))
+    assert "pga2d.script" in callers
 
 
 def test_format_value_of_huge_ideal_point():
@@ -883,8 +965,11 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
 @pytest.mark.parametrize("unbuffered", [None, "1"])
 @pytest.mark.parametrize(
     "args",
-    [["tables"], ["run", "rotation_case.pga"], ["run", "partial.pga"]],
-    ids=["tables", "run", "run-failing"],
+    [
+        ["tables"], ["run", "rotation_case.pga"], ["run", "partial.pga"],
+        ["--help"], ["run", "--help"],
+    ],
+    ids=["tables", "run", "run-failing", "help", "run-help"],
 )
 def test_a_closed_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
     (tmp_path / "rotation_case.pga").write_text((SCRIPTS / "rotation_case.pga").read_text())
@@ -912,7 +997,11 @@ def test_a_closed_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [None, "1"])
-@pytest.mark.parametrize("args", [["tables"], ["run", "rotation_case.pga"]], ids=["tables", "run"])
+@pytest.mark.parametrize(
+    "args",
+    [["tables"], ["run", "rotation_case.pga"], ["--help"], ["run", "--help"]],
+    ids=["tables", "run", "help", "run-help"],
+)
 def test_a_full_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
     (tmp_path / "rotation_case.pga").write_text((SCRIPTS / "rotation_case.pga").read_text())
     env = _child_env()
@@ -947,6 +1036,21 @@ def test_the_names_the_benchmark_hooks_into_exist():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     assert issubclass(pga2d.errors.ScriptError, Exception)
+
+
+@pytest.mark.parametrize(
+    "args, usage",
+    [
+        (["--help"], "usage: pga2d [-h] {run,tables} ...\n"),
+        (["run", "--help"], "usage: pga2d run [-h] [--svg PATH] [--tol EPS] script\n"),
+    ],
+)
+def test_cli_help_goes_to_stdout_and_exits_0(capsys, args, usage):
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
 
 
 def test_cli_tables(capsys):
