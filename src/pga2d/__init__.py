@@ -55,8 +55,6 @@ from .isometry import (
     translator_by,
 )
 from .metric import (
-    NormTag,
-    classify,
     factor_point,
     ideal_inner,
     ideal_norm,

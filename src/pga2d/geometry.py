@@ -194,7 +194,7 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleL
     pseudo = Pseudoscalar(product.pseudo_part())
     degenerate = near_zero(pseudo.s, 1.0, tol)
     for m, n in ((an, bn), (bn, cn), (cn, an)):
-        if near_zero(m.mv().outer(n.mv())[6], 1.0, tol):
+        if near_zero(m.a * n.b - m.b * n.a, 1.0, tol):  # the e12 part of m ^ n
             degenerate = True
     return TripleLineProduct(Line.from_mv(product.grade(1), tol), pseudo, degenerate)
 

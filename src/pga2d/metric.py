@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
 
 from . import multivector
 from .elements import IdealPoint, Line, Point, Pseudoscalar
@@ -19,46 +18,27 @@ from .errors import ClassificationError, DomainError
 from .multivector import DEFAULT_TOL, _finite, near_zero
 
 
-class NormTag(Enum):
-    EUCLIDEAN_LINE = "euclidean-line"
-    IDEAL_LINE = "ideal-line"
-    EUCLIDEAN_POINT = "euclidean-point"
-    IDEAL_POINT = "ideal-point"
-    PSEUDOSCALAR = "pseudoscalar"
-
-
-def classify(x, tol: float = DEFAULT_TOL) -> NormTag:
-    if isinstance(x, Line):
-        return NormTag.IDEAL_LINE if x.is_ideal(tol) else NormTag.EUCLIDEAN_LINE
-    if isinstance(x, Point):
-        return NormTag.IDEAL_POINT if x.is_ideal(tol) else NormTag.EUCLIDEAN_POINT
-    if isinstance(x, Pseudoscalar):
-        return NormTag.PSEUDOSCALAR
-    raise TypeError(f"cannot classify {type(x).__name__}")
-
-
 def is_ideal(x, tol: float = DEFAULT_TOL) -> bool:
-    return classify(x, tol) in (NormTag.IDEAL_LINE, NormTag.IDEAL_POINT)
+    """The element's own is_ideal for a line or point; a pseudoscalar is not ideal."""
+    if isinstance(x, (Line, Point)):
+        return x.is_ideal(tol)
+    if isinstance(x, Pseudoscalar):
+        return False
+    raise TypeError(f"cannot classify {type(x).__name__}")
 
 
 def norm(x, tol: float = DEFAULT_TOL) -> float:
     """Euclidean norm: sqrt(a^2+b^2) for a line, the signed weight z for a point."""
-    tag = classify(x, tol)
-    if tag is NormTag.EUCLIDEAN_LINE:
-        return math.hypot(x.a, x.b)
-    if tag is NormTag.EUCLIDEAN_POINT:
-        return x.z
-    raise ClassificationError(f"{x!r} is ideal; use ideal_norm")
+    if is_ideal(x, tol) or isinstance(x, Pseudoscalar):
+        raise ClassificationError(f"{x!r} is ideal; use ideal_norm")
+    return math.hypot(x.a, x.b) if isinstance(x, Line) else x.z
 
 
 def ideal_norm(x, tol: float = DEFAULT_TOL) -> float:
     """Ideal norm: free-vector length for ideal points, signed weight otherwise."""
-    tag = classify(x, tol)
-    if tag is NormTag.IDEAL_POINT:
-        return math.hypot(x.x, x.y)
-    if tag is NormTag.IDEAL_LINE:
-        return x.c
-    if tag is NormTag.PSEUDOSCALAR:
+    if is_ideal(x, tol):
+        return x.c if isinstance(x, Line) else math.hypot(x.x, x.y)
+    if isinstance(x, Pseudoscalar):
         return x.s
     raise ClassificationError(f"{x!r} is euclidean; use norm")
 
@@ -86,19 +66,17 @@ def normalize(x, tol: float = DEFAULT_TOL):
     has weight z = 1 and squares to -1.  Ideal lines keep their orientation
     only up to the sign of c, which is divided out.
     """
-    tag = classify(x, tol)
-    if tag is NormTag.EUCLIDEAN_LINE or tag is NormTag.EUCLIDEAN_POINT:
+    if not is_ideal(x, tol):
+        if isinstance(x, Pseudoscalar):
+            if x.s == 0.0:
+                raise DomainError("cannot normalize a zero pseudoscalar")
+            return Pseudoscalar(1.0)
         return _unit(x)
-    if tag is NormTag.IDEAL_LINE:
-        if x.c == 0.0:
-            raise DomainError("cannot normalize a zero line")
-        return Line(x.a / x.c, x.b / x.c, 1.0)
-    if tag is NormTag.IDEAL_POINT:
+    if isinstance(x, Point):
         return _unit_ideal(x)
-    if tag is NormTag.PSEUDOSCALAR:
-        if x.s == 0.0:
-            raise DomainError("cannot normalize a zero pseudoscalar")
-        return Pseudoscalar(1.0)
+    if x.c == 0.0:
+        raise DomainError("cannot normalize a zero line")
+    return Line(x.a / x.c, x.b / x.c, 1.0)
 
 
 def _unit(x):

@@ -34,7 +34,7 @@ from pga2d.isometry import (
     solve_point_line_transport,
     translator,
 )
-from pga2d.metric import factor_point, normalize
+from pga2d.metric import factor_point, ideal_norm, is_ideal, norm, normalize
 from pga2d.multivector import Multivector
 from pga2d.script import evaluate, parse
 
@@ -229,6 +229,25 @@ def test_each_ideal_only_operand_is_classified_once(monkeypatch):
         (lambda: angle(v, w), [v, w]),
         (lambda: angle(m, v), [m, v]),
         (lambda: translator(v, 2.0), [v]),
+    ]
+    _assert_classified_once(monkeypatch, cases)
+
+
+def test_each_norm_and_normalize_operand_is_classified_once(monkeypatch):
+    v, w, m, z = IdealPoint(1, 2), Point(-3, 1, 0), _M, Line(0, 0, -2)
+    cases = [
+        (lambda: normalize(_A), [_A]),
+        (lambda: normalize(v), [v]),
+        (lambda: normalize(w), [w]),
+        (lambda: normalize(m), [m]),
+        (lambda: normalize(z), [z]),
+        (lambda: norm(_A), [_A]),
+        (lambda: norm(m), [m]),
+        (lambda: ideal_norm(v), [v]),
+        (lambda: ideal_norm(w), [w]),
+        (lambda: ideal_norm(z), [z]),
+        (lambda: is_ideal(_A), [_A]),
+        (lambda: is_ideal(z), [z]),
     ]
     _assert_classified_once(monkeypatch, cases)
 

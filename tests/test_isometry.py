@@ -194,6 +194,9 @@ def test_log_examples():
     assert log_motor(Motor.from_mv(e12)).approx_eq(e12.scaled(math.pi / 2), 1e-12)
     assert log_motor(IDENTITY_MOTOR) == zero
     assert log_motor(Motor.from_mv(one + e20)) == e20
+    # g and -g act alike; the log negates a motor with negative scalar part first
+    for g in (rotator(Point(1, 2, 1), 2.5), translator_by(1, 2)):
+        assert log_motor(Motor(-g.s, -g.bx, -g.by, -g.bz)) == log_motor(g)
 
 
 def test_exp_log_round_trip():
@@ -373,6 +376,11 @@ def test_factor_motor_at_zero_tolerance():
             p, q = factor_motor(g, tol=0.0)
             again = rotor_from_lines(p, q, tol=0.0).mv()
             assert again.approx_eq(g.normalized(tol=0.0).mv(), 1e-12)
+
+
+def test_a_null_motor_cannot_be_normalized():
+    with pytest.raises(DomainError, match="is null and cannot be normalized"):
+        Motor(0, 1, 2, 0).normalized()
 
 
 def test_normalized_versors_of_subnormal_weight_have_unit_weight():

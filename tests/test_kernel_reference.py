@@ -222,6 +222,16 @@ def test_measurements_are_the_kernel_products_exactly():
             assert angle(m, u).value == math.acos(cosine)
 
 
+def test_parallel_test_of_normalized_lines_is_the_outer_product_slot():
+    """triple_lines and midline read m ^ n's e12 slot as m.a * n.b - m.b * n.a."""
+    r = gen.rng(94)
+    for _ in range(2000):
+        m = normalize(Line(*_spread(r, 3)))
+        for n in (Line(*_spread(r, 3)), _parallel(r, m)):
+            n = normalize(n)
+            assert abs(m.mv().outer(n.mv())[6]) == abs(m.a * n.b - m.b * n.a)
+
+
 def test_solver_motor_is_the_kernel_product_of_turn_and_shift_exactly():
     r = gen.rng(92)
     for _ in range(300):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import gen
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import ClassificationError, DomainError
+from pga2d.isometry import Motor
 from pga2d.metric import (
-    NormTag,
-    classify,
     factor_point,
     ideal_inner,
     ideal_norm,
@@ -37,12 +36,16 @@ def test_norm_rejects_ideal():
         norm(Line(0, 0, 2))
     with pytest.raises(ClassificationError):
         norm(Point(3, 4, 0))
+    with pytest.raises(ClassificationError) as info:
+        norm(Pseudoscalar(2.0))
+    assert str(info.value) == "Pseudoscalar(2) is ideal; use ideal_norm"
 
 
 def test_ideal_norm_examples():
     assert ideal_norm(Point(3, 4, 0)) == 5.0
     assert ideal_norm(IdealPoint(3, 4)) == 5.0
     assert ideal_norm(Line(0, 0, 2)) == 2.0
+    assert ideal_norm(Line(0, 0, -2)) == -2.0
     assert ideal_norm(Pseudoscalar(-1.5)) == -1.5
 
 
@@ -54,14 +57,21 @@ def test_ideal_norm_rejects_euclidean():
 
 
 def test_classify():
-    assert classify(Line(1, 0, 0)) is NormTag.EUCLIDEAN_LINE
-    assert classify(Line(0, 0, 3)) is NormTag.IDEAL_LINE
-    assert classify(Point(1, 2, 1)) is NormTag.EUCLIDEAN_POINT
-    assert classify(Point(1, 2, 0)) is NormTag.IDEAL_POINT
-    assert classify(IdealPoint(1, 0)) is NormTag.IDEAL_POINT
-    assert classify(Pseudoscalar(2.0)) is NormTag.PSEUDOSCALAR
+    assert not is_ideal(Line(1, 0, 0))
+    assert is_ideal(Line(0, 0, 3))
+    assert not is_ideal(Point(1, 2, 1))
+    assert is_ideal(Point(1, 2, 0))
+    assert is_ideal(IdealPoint(1, 0))
+    assert not is_ideal(Pseudoscalar(2.0))
     assert is_ideal(Line(0, 0, 2))
     assert not is_ideal(Point(0, 0, 1))
+
+
+@pytest.mark.parametrize("op", [is_ideal, norm, ideal_norm, normalize])
+def test_a_non_element_cannot_be_classified(op):
+    with pytest.raises(TypeError) as info:
+        op(Motor(1, 0, 0, 0))
+    assert str(info.value) == "cannot classify Motor"
 
 
 def test_is_ideal_examples():
@@ -76,6 +86,9 @@ def test_normalize_examples():
     assert ln.mv().gp(ln.mv()).approx_eq(Multivector((1, 0, 0, 0, 0, 0, 0, 0)), 1e-15)
     pt = normalize(Point(2, 1, 2))
     assert (pt.x, pt.y, pt.z) == (1.0, 0.5, 1.0)
+    # an ideal line is divided by c, sign included
+    assert normalize(Line(1e-4, 2e-4, -2), tol=1e-3) == Line(-5e-05, -1e-04, 1.0)
+    assert normalize(Pseudoscalar(-3.0)) == Pseudoscalar(1.0)
 
 
 def test_normalized_point_squares_to_minus_one():
@@ -109,6 +122,10 @@ def test_normalize_zero_is_domain_error():
         Line(0, 0, 0)
     with pytest.raises(DomainError):
         normalize(Pseudoscalar(0.0))
+    # at tol 1, |(a, b)| = 1 is not above the largest coefficient: ideal, with c = 0
+    with pytest.raises(DomainError) as info:
+        normalize(Line(1, 0, 0), tol=1.0)
+    assert str(info.value) == "cannot normalize a zero line"
 
 
 @given(

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from pga2d.elements import Line, Point
 from pga2d.errors import EvaluationError, IncidenceError
 from pga2d.isometry import Motor, OddVersor, sandwich, solve_point_line_transport
-from pga2d.metric import classify, normalize
+from pga2d.metric import normalize
 from pga2d.multivector import near_zero
 from pga2d.script import Program, Statement, evaluate, format_program, parse
 
@@ -247,8 +247,12 @@ def _outcome(program: Program):
         return None, (exc.lineno, type(exc.__cause__))
 
 
+def _kind(x) -> tuple[bool, bool]:
+    return isinstance(x, Line), x.is_ideal()
+
+
 def _check_point(got: Point, want: Point, sim: Similarity, size: float, what: str):
-    assert classify(got) == classify(want), what
+    assert _kind(got) == _kind(want), what
     g, w = normalize(got), normalize(want)
     if want.is_ideal():
         u, v = sim.turn(w.x, w.y)
@@ -259,7 +263,7 @@ def _check_point(got: Point, want: Point, sim: Similarity, size: float, what: st
 
 
 def _check_line(got: Line, want: Line, sim: Similarity, size: float, what: str):
-    assert classify(got) == classify(want), what
+    assert _kind(got) == _kind(want), what
     g, w = normalize(got), normalize(want)
     a, b = sim.turn(w.a, w.b)
     assert math.hypot(g.a - a, g.b - b) <= BOUND, what
