@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from . import multivector
-from .elements import Line, Point, Pseudoscalar, cross, incidence
+from .elements import IdealPoint, Line, Point, Pseudoscalar, cross, incidence
 from .errors import DomainError, OrientationError
 from .metric import euclidean, ideal, ideal_inner, normalize
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
@@ -49,18 +48,28 @@ class Measurement(Frozen):
 
 
 class Decomposition(Frozen):
-    """Orthogonal split of an element; the two parts sum back to the input."""
+    """Orthogonal split of an element: a Line for each part of a line, a
+    Point for each part of a point, and None for a part that is exactly
+    zero.  The two parts sum back to the normalized element."""
 
     __slots__ = ("parallel_part", "orthogonal_part")
 
-    def __init__(
-        self, parallel_part: multivector.Multivector, orthogonal_part: multivector.Multivector
-    ):
+    def __init__(self, parallel_part: Line | Point | None, orthogonal_part: Line | Point | None):
         _set(self, "parallel_part", parallel_part)
         _set(self, "orthogonal_part", orthogonal_part)
 
-    def total(self) -> multivector.Multivector:
-        return self.parallel_part + self.orthogonal_part
+    def total(self) -> Line | Point:
+        p, o = self.parallel_part, self.orthogonal_part
+        if p is None or o is None:
+            return o if p is None else p
+        if isinstance(p, Line):
+            return Line(p.a + o.a, p.b + o.b, p.c + o.c)
+        return Point(p.x + o.x, p.y + o.y, p.z + o.z)
+
+
+def _part(kind, fields: tuple[float, ...]):
+    """kind(*fields), checked for overflow; None when every field is zero."""
+    return kind(*_finite(fields)) if any(fields) else None
 
 
 def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
@@ -140,30 +149,48 @@ def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
 
 
 def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
-    """Orthogonal decomposition of x with respect to onto.
+    """Orthogonal decomposition of x with respect to onto: the projection
+    (x.y)y and the rejection (x^y)y of the normalized operands, computed in
+    closed form on their fields.  With d the signed distance of the point
+    from the line:
 
-    Each case multiplies x by onto twice and splits by grade, so the two
-    returned parts always sum back to x exactly:
+    * line m onto line n: cos*n, with cos = m.n, plus the perpendicular to n
+      through the meet of m and n (parallel lines: a multiple of the ideal
+      line);
+    * line m onto point P: the parallel line through P, plus the ideal line
+      d*e0;
+    * point P onto line n: the foot P - d*(a, b), plus the ideal point
+      d*(a, b);
+    * point P onto point Q: Q, plus the ideal point P - Q.
 
-    * line onto line:  ((m.n)n, (m^n)n) - component along n plus the
-      perpendicular line through the meet (parallel lines: n plus a multiple
-      of the ideal line);
-    * line onto point: the parallel line through the point plus an ideal line;
-    * point onto line: the closest point on the line plus the perpendicular
-      ideal difference vector;
-    * point onto point: the base point plus the ideal difference.
+    A part that is exactly zero is None: the projection of a line onto a
+    perpendicular one, and the rejection of an element from itself or of a
+    point from a line through it.
     """
     if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
         raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
-    u = euclidean(x, tol, "projected element").mv()
-    w = euclidean(onto, tol, "projection target").mv()
-    if isinstance(x, Line) and isinstance(onto, Line):
-        return Decomposition(w.scaled(u.dot(w).scalar_part()), u.outer(w).gp(w))
-    if isinstance(x, Line):
-        return Decomposition(u.dot(w).gp(w).scaled(-1.0), u.outer(w).gp(w).scaled(-1.0))
-    if isinstance(onto, Line):
-        return Decomposition(w.gp(w.dot(u)), w.gp(w.outer(u)))
-    return Decomposition(w.scaled(-w.dot(u).scalar_part()), w.gp(w.commutator(u)).scaled(-1.0))
+    u = euclidean(x, tol, "projected element")
+    w = euclidean(onto, tol, "projection target")
+    if isinstance(u, Line) and isinstance(w, Line):
+        cos = u.a * w.a + u.b * w.b
+        # (m ^ n)n: the meet times n
+        px, py, pz = cross((u.a, u.b, u.c), (w.a, w.b, w.c))
+        return Decomposition(
+            _part(Line, (cos * w.a, cos * w.b, cos * w.c)),
+            _part(Line, (pz * w.b, -pz * w.a, py * w.a - px * w.b)),
+        )
+    if isinstance(u, Line):
+        return Decomposition(
+            _part(Line, (u.a, u.b, -(u.a * w.x + u.b * w.y))),
+            _part(Line, (0.0, 0.0, incidence(u, w))),
+        )
+    if isinstance(w, Line):
+        d = incidence(w, u)
+        return Decomposition(
+            _part(Point, (u.x - w.a * d, u.y - w.b * d, 1.0)),
+            _part(IdealPoint, (w.a * d, w.b * d)),
+        )
+    return Decomposition(w, _part(IdealPoint, (u.x - w.x, u.y - w.y)))
 
 
 def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Point:

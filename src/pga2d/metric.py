@@ -154,6 +154,6 @@ def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     euclidean(p, tol, "point")  # p itself is factored, with its weight's sign
     if not near_zero(abs(p.z) - 1.0, 1.0, tol):
         raise DomainError(f"{p!r} must have weight +-1 to factor into orthonormal lines")
-    m = normalize(Line.from_mv(multivector.e1.dot(p.mv()), tol))
+    m = normalize(Line.from_mv(multivector.e1.dot(p.mv()), tol), tol)
     n = Line.from_mv(m.mv().gp(p.mv()), tol)
     return m, n

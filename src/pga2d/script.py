@@ -5,7 +5,8 @@ the rest of its line.  Every defining verb names its result first; names are
 single-assignment and must be defined before use (checked while parsing).
 Values are points, ideal points, lines, motors or plain numbers.  A verb is
 defined in one place, its row of _VERBS: its argument kinds, its operand
-checks and its result; only project multiplies 8-slot multivectors.
+checks and its result.  Every verb computes on the fields of its operands;
+none multiplies 8-slot multivectors.
 """
 
 from __future__ import annotations
@@ -169,12 +170,12 @@ def _meet(env, a, tol):
     return Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
 
 
-def _project(env, a, tol):
-    x = _want(env, a[0], _EITHER, "project argument")
-    part = geometry.project(x, _want(env, a[1], _EITHER, "project target"), tol).parallel_part
-    # the parallel part of a line is a line, of a point a point
-    kind, grade = (Line, 1) if isinstance(x, Line) else (Point, 2)
-    return kind.from_mv(part.grade(grade), tol)
+def _nonzero(part):
+    """A projection's parallel part, which is None (exactly zero) only for
+    a line projected onto a perpendicular line."""
+    if part is None:
+        raise DomainError("zero element is not a line")
+    return part
 
 
 # verb -> (argument kinds after the verb token, the new name's value from env,
@@ -205,7 +206,9 @@ _VERBS = {
     "solve": ("new ref ref ref ref", lambda env, a, tol: isometry.solve_point_line_transport(
         _want(env, a[0], Point, "point"), _want(env, a[1], Line, "line"),
         _want(env, a[2], Point, "point"), _want(env, a[3], Line, "line"), tol)),
-    "project": ("new ref ref", _project),
+    "project": ("new ref ref", lambda env, a, tol: _nonzero(geometry.project(
+        _want(env, a[0], _EITHER, "project argument"),
+        _want(env, a[1], _EITHER, "project target"), tol).parallel_part)),
     "midpoint": ("new ref ref", lambda env, a, tol: geometry.midpoint(
         _want(env, a[0], Point, "point"), _want(env, a[1], Point, "point"), tol)),
     "midline": ("new ref ref", lambda env, a, tol: geometry.midline(

@@ -46,6 +46,7 @@ FAILING = {
     "mirror": "point A 0 0\nreflect B A A\n",
     "versor": "point A 0 0\napply B A A\n",
     "project-target": "point A 0 0\nrotator g A 1\nproject p A g\n",
+    "project-zero": "line m 1 0 0\nline n 0 1 0\nproject p m n\n",
     "rotation-center": "line m 1 0 0\nrotator g m 1\n",
 }
 

@@ -246,14 +246,14 @@ def test_criterion_7_projections():
             m = normalize(gen.random_line(r))
             n = normalize(gen.random_line(r))
             dec = project(p, m)
-            assert dec.total().approx_eq(p.mv(), 1e-9)
-            foot = Point.from_mv(dec.parallel_part)
+            assert dec.total().mv().approx_eq(p.mv(), 1e-9)
+            foot = dec.parallel_part
             expected = oracle.foot_of_perpendicular((p.x, p.y), (m.a, m.b, m.c))
             assert abs(foot.x / foot.z - expected[0]) <= 1e-9
             assert abs(foot.y / foot.z - expected[1]) <= 1e-9
-            assert project(m, n).total().approx_eq(m.mv(), 1e-9)
-            assert project(m, p).total().approx_eq(m.mv(), 1e-9)
-            assert project(p, q).total().approx_eq(p.mv(), 1e-9)
+            assert project(m, n).total().mv().approx_eq(m.mv(), 1e-9)
+            assert project(m, p).total().mv().approx_eq(m.mv(), 1e-9)
+            assert project(p, q).total().mv().approx_eq(p.mv(), 1e-9)
 
 
 def test_criterion_8_transport_solver():

@@ -7,9 +7,10 @@ import pytest
 
 import gen
 import oracle
-from pga2d.elements import Line, Point
+from pga2d.elements import IdealPoint, Line, Point
 from pga2d.errors import ClassificationError, DomainError, OrientationError
 from pga2d.geometry import (
+    Decomposition,
     MeasurementKind,
     angle,
     distance,
@@ -328,11 +329,11 @@ def test_perp_line_through_postconditions():
 
 def test_project_point_onto_line_example():
     dec = project(Point(1, 1, 1), Line(0, 1, 0))
-    foot = Point.from_mv(dec.parallel_part)
+    foot = dec.parallel_part
     assert (foot.x / foot.z, foot.y / foot.z) == pytest.approx((1.0, 0.0))
     rejection = dec.orthogonal_part
-    assert rejection[6] == pytest.approx(0.0, abs=1e-12)  # ideal
-    assert (rejection[4], rejection[5]) == pytest.approx((0.0, 1.0))
+    assert rejection.z == pytest.approx(0.0, abs=1e-12)  # ideal
+    assert (rejection.x, rejection.y) == pytest.approx((0.0, 1.0))
 
 
 def test_project_point_onto_line_matches_analytic_foot():
@@ -340,15 +341,15 @@ def test_project_point_onto_line_matches_analytic_foot():
     for _ in range(500):
         p, m = n_point(r), n_line(r)
         dec = project(p, m)
-        foot = Point.from_mv(dec.parallel_part)
+        foot = dec.parallel_part
         expected = oracle.foot_of_perpendicular((p.x, p.y), as_tuple(m))
         assert (foot.x / foot.z, foot.y / foot.z) == pytest.approx(expected, abs=1e-9)
-        assert dec.total().approx_eq(p.mv(), 1e-9)
+        assert dec.total().mv().approx_eq(p.mv(), 1e-9)
         # the foot keeps the input weight, so the rejection is the honest
         # free-vector difference p - foot with length |d(m, p)|
         assert foot.z == pytest.approx(1.0, abs=1e-12)
-        assert abs(dec.orthogonal_part[6]) <= 1e-9
-        rejection_len = math.hypot(dec.orthogonal_part[4], dec.orthogonal_part[5])
+        assert abs(dec.orthogonal_part.z) <= 1e-9
+        rejection_len = math.hypot(dec.orthogonal_part.x, dec.orthogonal_part.y)
         assert rejection_len == pytest.approx(abs(distance(m, p).value), abs=1e-9)
 
 
@@ -357,8 +358,9 @@ def test_project_incident_point_is_fixed():
     p = n_point(r)
     m = normalize(gen.random_line_through(r, p))
     dec = project(p, m)
-    assert dec.parallel_part.approx_eq(p.mv(), 1e-9)
-    assert dec.orthogonal_part.max_abs() <= 1e-9
+    assert dec.parallel_part.mv().approx_eq(p.mv(), 1e-9)
+    rejection = dec.orthogonal_part  # None when exactly zero
+    assert rejection is None or rejection.mv().max_abs() <= 1e-9
 
 
 def test_project_line_onto_line():
@@ -366,13 +368,13 @@ def test_project_line_onto_line():
     for _ in range(300):
         m, n = (normalize(x) for x in gen.random_intersecting_lines(r))
         dec = project(m, n)
-        assert dec.total().approx_eq(m.mv(), 1e-12)
+        assert dec.total().mv().approx_eq(m.mv(), 1e-12)
         alpha = angle(m, n).value
-        assert dec.parallel_part.approx_eq(n.mv().scaled(math.cos(alpha)), 1e-9)
+        assert dec.parallel_part.mv().approx_eq(n.mv().scaled(math.cos(alpha)), 1e-9)
         # rejection: a line through the meet, perpendicular to n
         meet = m.mv().outer(n.mv())
-        assert abs(dec.orthogonal_part.outer(meet)[7]) <= 1e-9
-        assert dec.orthogonal_part.dot(n.mv()).scalar_part() == pytest.approx(0.0, abs=1e-12)
+        assert abs(dec.orthogonal_part.mv().outer(meet)[7]) <= 1e-9
+        assert dec.orthogonal_part.mv().dot(n.mv()).scalar_part() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_project_line_onto_line_parallel():
@@ -380,17 +382,17 @@ def test_project_line_onto_line_parallel():
     for _ in range(200):
         m, n = (normalize(x) for x in gen.random_parallel_lines(r))
         dec = project(m, n)
-        assert dec.parallel_part.approx_eq(n.mv(), 1e-12)
-        assert dec.orthogonal_part.approx_eq(m.mv() - n.mv(), 1e-9)
-        assert (dec.orthogonal_part - dec.orthogonal_part.grade(1)).max_abs() <= 1e-12
-        assert abs(dec.orthogonal_part[2]) <= 1e-12 and abs(dec.orthogonal_part[3]) <= 1e-12
+        assert dec.parallel_part.mv().approx_eq(n.mv(), 1e-12)
+        assert dec.orthogonal_part.mv().approx_eq(m.mv() - n.mv(), 1e-9)
+        assert isinstance(dec.orthogonal_part, Line)
+        assert abs(dec.orthogonal_part.a) <= 1e-12 and abs(dec.orthogonal_part.b) <= 1e-12
 
 
 def test_project_self_is_identity():
     m = normalize(Line(3, 4, 5))
     dec = project(m, m)
-    assert dec.parallel_part.approx_eq(m.mv(), 1e-12)
-    assert dec.orthogonal_part.max_abs() <= 1e-12
+    assert dec.parallel_part.mv().approx_eq(m.mv(), 1e-12)
+    assert dec.orthogonal_part is None  # exactly zero
 
 
 def test_project_line_onto_point():
@@ -398,14 +400,14 @@ def test_project_line_onto_point():
     for _ in range(300):
         m, p = n_line(r), n_point(r)
         dec = project(m, p)
-        assert dec.total().approx_eq(m.mv(), 1e-12)
-        par = Line.from_mv(dec.parallel_part)
+        assert dec.total().mv().approx_eq(m.mv(), 1e-12)
+        par = dec.parallel_part
         assert abs(par.mv().outer(p.mv())[7]) <= 1e-9  # through p
         dm, dp = ideal_point_of(m), ideal_point_of(par)
         assert (dp.u, dp.v) == pytest.approx((dm.u, dm.v), abs=1e-9)  # same direction
         # rejection is a multiple of the ideal line
-        assert dec.orthogonal_part.grade(1) == dec.orthogonal_part
-        assert abs(dec.orthogonal_part[2]) <= 1e-12 and abs(dec.orthogonal_part[3]) <= 1e-12
+        assert isinstance(dec.orthogonal_part, Line)
+        assert abs(dec.orthogonal_part.a) <= 1e-12 and abs(dec.orthogonal_part.b) <= 1e-12
 
 
 def test_project_point_onto_point():
@@ -413,9 +415,22 @@ def test_project_point_onto_point():
     for _ in range(300):
         p, q = n_point(r), n_point(r)
         dec = project(p, q)
-        assert dec.total().approx_eq(p.mv(), 1e-12)
-        assert dec.parallel_part.approx_eq(q.mv(), 1e-12)
-        assert dec.orthogonal_part.approx_eq(p.mv() - q.mv(), 1e-12)
+        assert dec.total().mv().approx_eq(p.mv(), 1e-12)
+        assert dec.parallel_part.mv().approx_eq(q.mv(), 1e-12)
+        assert dec.orthogonal_part.mv().approx_eq(p.mv() - q.mv(), 1e-12)
+
+
+def test_project_parts_are_typed_and_exact_zeros_are_none():
+    m, n = Line(1, 0, 2), Line(0, 1, -3)
+    dec = project(m, n)  # perpendicular: no parallel part
+    assert dec.parallel_part is None and dec.orthogonal_part == Line(1, 0, 2)
+    assert dec.total() == Line(1, 0, 2)
+    p = Point(2, 3, 1)
+    assert project(p, p) == Decomposition(p, None)
+    assert project(Point(4, 6, 2), m) == Decomposition(Point(-2, 3, 1), IdealPoint(4, 0))
+    assert project(m, Point(-2, 5, 1)) == Decomposition(Line(1, 0, 2), None)
+    assert project(m, p) == Decomposition(Line(1, 0, -2), Line(0, 0, 4))
+    assert project(p, Point(0, 1, 1)).orthogonal_part == IdealPoint(2, 2)
 
 
 def test_project_rejects_ideal():

@@ -502,7 +502,7 @@ def test_triangle_product_axis_joins_altitude_feet():
         vertex_c = normalize(Point.from_mv(a.mv().outer(b.mv())))
         foot_a = project(vertex_a, a).parallel_part
         foot_c = project(vertex_c, c).parallel_part
-        joining = foot_a.join(foot_c)
+        joining = foot_a.mv().join(foot_c.mv())
         assert gen.proj_match(axis.mv(), joining, 1e-7)
 
 

@@ -8,7 +8,7 @@ terms in the same order, so the two agree exactly (==, not within a
 tolerance), up to the sign of zero.  A typed form that keeps the kernel's
 terms and drops only its zero ones agrees with it exactly too; the sandwich,
 whose coefficients multiply the versor by itself first, agrees within a few
-ulps of the operands' scale.
+ulps of the operands' scale, and so does the foot of a perpendicular.
 """
 
 import math
@@ -20,7 +20,7 @@ import gen
 import oracle
 from pga2d.elements import IdealPoint, Line, Point, cross
 from pga2d.errors import DomainError
-from pga2d.geometry import angle, distance, midline
+from pga2d.geometry import angle, distance, midline, project
 from pga2d.isometry import (
     Motor,
     OddVersor,
@@ -266,3 +266,56 @@ def test_sandwich_is_the_kernel_product_within_a_few_ulps():
         for e in operands:
             miss = (reflect(mirror, e).mv() - am.gp(e.mv().gp(am))).max_abs()
             assert miss <= ULPS * am.max_abs() ** 2 * e.mv().max_abs()
+
+
+def kernel_project(x, onto):
+    """The projection (x.y)y and rejection (x^y)y of the normalized operands
+    as kernel products, each signed so that the two sum to the normalized x."""
+    u, w = normalize(x).mv(), normalize(onto).mv()
+    if isinstance(x, Line) and isinstance(onto, Line):
+        return w.scaled(u.dot(w).scalar_part()), u.outer(w).gp(w)
+    if isinstance(x, Line):
+        return u.dot(w).gp(w).scaled(-1.0), u.outer(w).gp(w).scaled(-1.0)
+    if isinstance(onto, Line):
+        return w.gp(w.dot(u)), w.gp(w.outer(u))
+    return w.scaled(-w.dot(u).scalar_part()), w.gp(w.commutator(u)).scaled(-1.0)
+
+
+def _project_cases(r):
+    """Random operands in all four cases, then the exactly zero parts:
+    perpendicular lines, an element onto itself, incident points and lines."""
+    for _ in range(500):
+        m, n = Line(*_spread(r, 3)), Line(*_spread(r, 3))
+        p, q = Point(*_spread(r, 3)), Point(*_spread(r, 3))
+        yield from ((m, n), (m, _parallel(r, m)), (m, p), (p, m), (p, q))
+    for _ in range(100):
+        a, b, c, y = _spread(r, 4)
+        m, p = Line(a, b, c), Point(a, y, 1.0)
+        on_axis = Line(0.0, 1.0, -y)  # the horizontal line through p
+        yield from ((m, Line(-b, a, y)), (m, m), (p, p), (p, on_axis), (on_axis, p))
+
+
+def test_project_is_the_kernel_product():
+    """Exactly, grade by grade, where the closed form keeps the kernel's
+    terms; within a few ulps of the operands' scale for the foot of a
+    perpendicular (its weight is 1, the kernel's a^2 + b^2), and for the
+    grades the kernel gets only as rounding noise of a zero incidence."""
+    r = gen.rng(95)
+    zeros = 0
+    for x, onto in _project_cases(r):
+        dec = project(x, onto)
+        grade = 1 if isinstance(x, Line) else 2
+        scale = normalize(x).mv().max_abs() * normalize(onto).mv().max_abs() ** 2
+        for part, want in zip((dec.parallel_part, dec.orthogonal_part), kernel_project(x, onto)):
+            noise = want - want.grade(grade)
+            assert noise.max_abs() <= ULPS * scale, (x, onto)
+            want = want.grade(grade)
+            if part is None:
+                assert want.max_abs() == 0.0, (x, onto)
+                zeros += 1
+            elif isinstance(x, Point) and isinstance(onto, Line) and part is dec.parallel_part:
+                assert part.z == 1.0
+                assert (part.mv() - want).max_abs() <= ULPS * scale, (x, onto)
+            else:
+                assert part.mv().coeffs == want.coeffs, (x, onto)
+    assert zeros == 500

@@ -252,6 +252,14 @@ def test_factor_point_reconstructs():
         assert m.mv().gp(n.mv()).approx_eq(p.mv(), 1e-12)
 
 
+def test_factor_point_classifies_its_first_factor_at_the_given_tol():
+    # [0, 1, -1e10] is ideal at the default tol but euclidean at 1e-12
+    p = Point(0, 1e10, 1)
+    m, n = factor_point(p, 1e-12)
+    assert (m, n) == (Line(0, 1, -1e10), Line(-1, 0, 0))
+    assert m.mv().gp(n.mv()) == p.mv()
+
+
 def test_factor_point_rejects_ideal_and_unnormalized():
     with pytest.raises(ClassificationError):
         factor_point(Point(1, 0, 0))

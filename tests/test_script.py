@@ -905,14 +905,27 @@ def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
     assert run.stdout == (SCRIPTS / "rotation_case.expected.txt").read_text()
 
 
-@pytest.mark.parametrize("module", ["pga2d.cli", "pga2d"])
-def test_a_cold_import_loads_neither_the_kernel_nor_the_renderer(module):
-    probe = (
-        f"import sys, {module}\n"
+# project in its four operand cases, each result printed
+PROJECTS = (
+    "point A 1 2\npoint B -3 0.5\nline m 1 1 -1\nline n 2 -1 3\n"
+    "project a A m\nproject b m A\nproject c A B\nproject d m n\n"
+    "print a\nprint b\nprint c\nprint d\n"
+)
+
+
+@pytest.mark.parametrize("module", ["pga2d.cli", "pga2d", "pga2d.cli run"])
+def test_a_cold_import_loads_neither_the_kernel_nor_the_renderer(module, tmp_path):
+    probe = f"import sys, {module}\n"
+    if module == "pga2d.cli run":
+        script = tmp_path / "projects.pga"
+        script.write_text(PROJECTS)
+        probe = f"import sys, pga2d.cli\npga2d.cli.main(['run', {str(script)!r}])\n"
+    probe += (
         "loaded = {'pga2d.kernel', 'pga2d.render'} & set(sys.modules)\n"
         "print(sorted(loaded), 'Multivector' in vars(sys.modules['pga2d.multivector']))"
     )
-    assert _fresh(probe) == "[] False\n"
+    *printed, last = _fresh(probe).splitlines()
+    assert last == "[] False" and len(printed) == (4 if module.endswith("run") else 0)
 
 
 def test_the_kernel_names_load_on_first_read_as_the_kernel_objects():

@@ -163,6 +163,69 @@ def test_the_lint_catches_each_older_convention():
     ]
 
 
+def _takes_tol(node: ast.AST) -> bool:
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return False
+    params = (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+    return any(p.arg == "tol" for p in params)
+
+
+def _dropped_tol(trees: dict[str, ast.AST]):
+    """(file, line, callee) of each call, inside a function or lambda that
+    takes tol, to a function of these modules that takes tol, where no
+    argument passes a tolerance on (tol, or one derived from it such as
+    check_tol): the callee then decides at its default."""
+    takers = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if _takes_tol(node) and not isinstance(node, ast.Lambda)
+    }
+
+    def walk(name, node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            inside = _takes_tol(node)
+        if inside and isinstance(node, ast.Call):
+            f = node.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            passed = (*node.args, *(k.value for k in node.keywords))
+            if callee in takers and not any(map(_has_tolerance, passed)):
+                yield name, node.lineno, callee
+        for child in ast.iter_child_nodes(node):
+            yield from walk(name, child, inside)
+
+    for name, tree in trees.items():
+        yield from walk(name, tree, False)
+
+
+def test_every_call_passes_its_callers_tol_on():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    assert sorted(_dropped_tol(trees)) == []
+
+
+def test_the_tol_lint_catches_a_dropped_tol():
+    source = (
+        "def unit(x, tol=1e-9):\n"
+        "    return x\n"
+        "def f(x, y, tol):\n"
+        "    a = unit(x)\n"
+        "    b = m.unit(y, tol=tol) + unit(y, check_tol)\n"
+        "    c = unit(max(x, tol))\n"
+        "    g = lambda z, tol: unit(z)\n"
+        "    def h(z):\n"
+        "        return unit(z)\n"
+        "    return obj.unit(unit(x, tol))\n"
+        "def k(x):\n"
+        "    return unit(x)\n"
+    )
+    assert sorted(_dropped_tol({"f.py": ast.parse(source)})) == [
+        ("f.py", 4, "unit"),
+        ("f.py", 6, "unit"),
+        ("f.py", 7, "unit"),
+        ("f.py", 10, "unit"),
+    ]
+
+
 # -- the metamorphic property ----------------------------------------------------
 
 SCALES = (1e-6, 1e6)  # the uniform scales drawn, before the range below clips them

@@ -40,12 +40,11 @@ CASES = [
         "'point-point-distance'>)",
     ),
     (
-        Decomposition(_MV, _MV.scaled(2.0)),
-        Decomposition(_MV, _MV.scaled(2.0)),
-        Decomposition(_MV.scaled(2.0), _MV),
+        Decomposition(Point(1, 2, 1), IdealPoint(3, 4)),
+        Decomposition(Point(1.0, 2.0, 1.0), IdealPoint(3.0, 4.0)),
+        Decomposition(Point(1, 2, 1), None),
         "parallel_part",
-        "Decomposition(parallel_part=Multivector<1 + 2*e1 + 0.5*e012>, "
-        "orthogonal_part=Multivector<2 + 4*e1 + 1*e012>)",
+        "Decomposition(parallel_part=Point(1, 2, 1), orthogonal_part=IdealPoint(3, 4))",
     ),
     (
         TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
