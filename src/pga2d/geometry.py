@@ -9,9 +9,9 @@ Sign conventions, fixed here and pinned by golden tests:
 * point-to-point and parallel-line distances are nonnegative;
 * angles lie in [0, pi].
 
-Lines are normalized before they are tested, so the e12 part of a meet is a
-sine and the e012 part of a product of three is at most 1: near_zero tests
-both against 1, the product of the lines' norms.
+Each function computes on its operands' fields.  Lines are normalized
+before they are tested, so the e12 part of a meet is a sine and the e012
+part of a product of three is at most 1: near_zero tests both against 1.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
     """Line through p perpendicular to m, with m's norm and m's orientation
     rotated a quarter turn counterclockwise."""
     euclidean(m, tol, "line")  # the result keeps m's norm
-    return Line.from_mv(m.mv().dot(euclidean(p, tol, "point").mv()), tol)
+    pn = euclidean(p, tol, "point")
+    return Line(*_finite((-m.b, m.a, m.b * pn.x - m.a * pn.y)))  # m . p, of weight 1
 
 
 def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
@@ -195,10 +196,10 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
 
 def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Point:
     """Product of three euclidean points of weight 1: the alternating sum
-    a - b + c with weight -1 (projectively the same point)."""
+    -(a - b + c), of weight -1 (projectively the same point as a - b + c)."""
     an, bn, cn = (euclidean(p, tol, "point") for p in (a, b, c))
-    product = an.mv().gp(bn.mv().gp(cn.mv()))
-    return Point.from_mv(product, tol)
+    # summed in the order that the product a(bc) sums them
+    return Point(*_finite(((bn.x - cn.x) - an.x, (bn.y - cn.y) - an.y, -1.0)))
 
 
 class TripleLineProduct(Frozen):
@@ -215,26 +216,23 @@ class TripleLineProduct(Frozen):
 def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleLineProduct:
     """Product of three normalized euclidean lines, split into its grade-1
     part (the join of two altitude feet of the triangle they bound) and its
-    grade-3 part.  Concurrent or parallel triples are flagged, not rejected."""
+    grade-3 part.  Concurrent or parallel triples are flagged, not rejected.
+    With g the meet of b and c, a(bc) = (b.c)a + a.g + a ^ g."""
     an, bn, cn = (euclidean(m, tol, "line") for m in (a, b, c))
-    product = an.mv().gp(bn.mv().gp(cn.mv()))
-    pseudo = Pseudoscalar(product.pseudo_part())
-    degenerate = near_zero(pseudo.s, 1.0, tol)
-    for m, n in ((an, bn), (bn, cn), (cn, an)):
-        if near_zero(m.a * n.b - m.b * n.a, 1.0, tol):  # the e12 part of m ^ n
-            degenerate = True
-    return TripleLineProduct(Line.from_mv(product.grade(1), tol), pseudo, degenerate)
+    gx, gy, gz = cross((bn.a, bn.b, bn.c), (cn.a, cn.b, cn.c))
+    bc = bn.a * cn.a + bn.b * cn.b
+    line = (bc * an.a - an.b * gz, bc * an.b + an.a * gz, bc * an.c - an.a * gy + an.b * gx)
+    pseudo = Pseudoscalar(_finite((an.c * gz + an.a * gx + an.b * gy,))[0])
+    # concurrent, or two of them parallel (the e12 part of m ^ n is a sine)
+    sines = (m.a * n.b - m.b * n.a for m, n in ((an, bn), (bn, cn), (cn, an)))
+    degenerate = any(near_zero(x, 1.0, tol) for x in (pseudo.s, *sines))
+    return TripleLineProduct(Line(*_finite(line)), pseudo, degenerate)
 
 
 def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
-    """Sum of the six permutation products abc + acb + ...: a pure line."""
-    ma, mb, mc = (euclidean(m, tol, "line").mv() for m in (a, b, c))
-    total = (
-        ma.gp(mb.gp(mc))
-        + ma.gp(mc.gp(mb))
-        + mb.gp(ma.gp(mc))
-        + mb.gp(mc.gp(ma))
-        + mc.gp(ma.gp(mb))
-        + mc.gp(mb.gp(ma))
-    )
-    return Line.from_mv(total, tol)
+    """Sum of the six permutation products abc + acb + ...: the pure line
+    2[(b.c)a + (c.a)b + (a.b)c] of the normalized lines."""
+    an, bn, cn = (euclidean(m, tol, "line") for m in (a, b, c))
+    bc, ca, ab = (m.a * n.a + m.b * n.b for m, n in ((bn, cn), (cn, an), (an, bn)))
+    u, v, w = ((m.a, m.b, m.c) for m in (an, bn, cn))
+    return Line(*_finite(tuple(2.0 * (bc * x + ca * y + ab * z) for x, y, z in zip(u, v, w))))

@@ -198,6 +198,15 @@ def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
     return _exp(bm[4], bm[5], bm[6])
 
 
+def _log(g: Motor, tol: float) -> tuple[float, float, float]:
+    """The e20, e01 and e12 fields of log_motor(g)."""
+    gn = g.normalized(tol)
+    if gn.s < 0.0:
+        gn = Motor(-gn.s, -gn.bx, -gn.by, -gn.bz)
+    f = _inv_sinc(math.atan2(gn.bz, gn.s))
+    return f * gn.bx, f * gn.by, f * gn.bz
+
+
 def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> multivector.Multivector:
     """Principal logarithm of a normalized motor, a pure bivector.
 
@@ -205,17 +214,12 @@ def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> multivector.Multivector:
     identically), which makes the result single-valued with sandwich
     rotation magnitude in [0, pi].
     """
-    gn = g.normalized(tol)
-    if gn.s < 0.0:
-        gn = Motor(-gn.s, -gn.bx, -gn.by, -gn.bz)
-    t = math.atan2(gn.bz, gn.s)
-    f = _inv_sinc(t)
-    return multivector.Multivector((0.0, 0.0, 0.0, 0.0, f * gn.bx, f * gn.by, f * gn.bz, 0.0))
+    return multivector.Multivector((0.0, 0.0, 0.0, 0.0, *_log(g, tol), 0.0))
 
 
 def interpolate(g: Motor, t: float, tol: float = DEFAULT_TOL) -> Motor:
     """Motor path exp(t * log g): identity at t = 0, +-g at t = 1."""
-    return exp_bivector(log_motor(g, tol).scaled(t), tol)
+    return _exp(*_finite(tuple(float(t) * f for f in _log(g, tol))))
 
 
 def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
@@ -258,21 +262,20 @@ def glide_recompose(d: GlideDecomposition) -> OddVersor:
 
 def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     """Two normalized mirror lines (p, q) with rotor_from_lines(p, q) equal to
-    the normalized motor: q is gp(g, p) for a line p through the axis."""
+    the normalized motor: q is the line part of g p for a line p through the axis."""
     gn = g.normalized(tol)
+    s, bx, by, bz = gn.s, gn.bx, gn.by, gn.bz
     # the axis point (bx, by, bz) is euclidean by Point.is_ideal's test; p is
     # the horizontal line through it
-    if not near_zero(gn.bz, max(abs(gn.bx), abs(gn.by), abs(gn.bz)), tol):
-        p = Line(0.0, 1.0, -(gn.by / gn.bz))
+    if not near_zero(bz, max(abs(bx), abs(by), abs(bz)), tol):
+        p = Line(0.0, 1.0, -(by / bz))
+    # a translation: its ideal part against the normalized weight 1
+    elif near_zero(math.hypot(bx, by), 1.0, tol):
+        p = Line(0.0, 1.0, 0.0)
     else:
-        # a translation: its ideal part against the normalized weight 1
-        if near_zero(math.hypot(gn.bx, gn.by), 1.0, tol):
-            p = Line(0.0, 1.0, 0.0)
-        else:
-            p = Line(*unit_direction(-gn.by, gn.bx))
-    # p passes through the axis, so the product's e012 part is only rounding
-    q = Line.from_mv(gn.mv().gp(p.mv()).grade(1), tol)
-    return p, q
+        p = Line(*unit_direction(-by, bx))
+    q = (s * p.a + bz * p.b, s * p.b - bz * p.a, s * p.c + by * p.a - bx * p.b)
+    return p, Line(*_finite(q))
 
 
 def solve_point_line_transport(

@@ -146,14 +146,12 @@ def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     """Split a euclidean point of weight +-1 into two orthonormal lines m, n
     with gp(m, n) equal to the point exactly.
 
-    m is the horizontal-ish line through p obtained by dotting e1 into the
-    point, -y*e0 + z*e2: it is euclidean whenever p is, because p's weight z
-    is not near_zero against p's largest coefficient.  n = gp(m, p) is the
-    line through p perpendicular to m; mn recovers p because m squares to 1.
+    m is e1 . p = [0, z, -y] normalized, the horizontal line through p, and
+    n the line part of m p, the vertical one: [0, 1, -y] and [-1, 0, x] for
+    weight 1.  mn recovers p because m squares to 1.
     """
     euclidean(p, tol, "point")  # p itself is factored, with its weight's sign
     if not near_zero(abs(p.z) - 1.0, 1.0, tol):
         raise DomainError(f"{p!r} must have weight +-1 to factor into orthonormal lines")
-    m = normalize(Line.from_mv(multivector.e1.dot(p.mv()), tol), tol)
-    n = Line.from_mv(m.mv().gp(p.mv()), tol)
-    return m, n
+    m = Line(*unit_direction(0.0, p.z, -p.y))  # m.b is the sign of z
+    return m, Line(-m.b * p.z, 0.0, m.b * p.x)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from pathlib import Path
 
 from .elements import Line, Point
 from .errors import DomainError, RenderError
@@ -138,4 +137,5 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
 def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:
     """Write the rendered environment to path; byte-identical for equal input."""
     text = build_svg(env, tol)
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)

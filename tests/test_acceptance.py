@@ -126,7 +126,7 @@ def test_criterion_4_three_way_identities():
                 vertex = normalize(Point.from_mv(meet))
                 product = meet[6] * third.mv().outer(vertex.mv())[7]
                 assert abs(pseudo - product) <= 1e-9
-            sym = symmetric_line(a, b, c)  # grade-1 purity checked inside
+            sym = symmetric_line(a, b, c)  # a closed form; the kernel's sum below is its check
             total = (
                 a.mv().gp(b.mv().gp(c.mv()))
                 + a.mv().gp(c.mv().gp(b.mv()))

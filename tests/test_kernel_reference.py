@@ -8,11 +8,24 @@ terms in the same order, so the two agree exactly (==, not within a
 tolerance), up to the sign of zero.  A typed form that keeps the kernel's
 terms and drops only its zero ones agrees with it exactly too; the sandwich,
 whose coefficients multiply the versor by itself first, agrees within a few
-ulps of the operands' scale, and so does the foot of a perpendicular.
+ulps of the operands' scale, and so does the foot of a perpendicular.  So
+does symmetric_line, which sums fewer terms than the kernel; where the two
+differ, the same table loop over Fractions gives the exact value of the
+kernel's products on the same floats, and referees.
+
+Only the algebra API (Multivector in or out, .mv() and from_mv) may use the
+kernel; a lint below checks that of geometry, metric and isometry.
 """
 
+import ast
+import functools
+import importlib
+import itertools
 import math
+import operator
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,18 +33,32 @@ import gen
 import oracle
 from pga2d.elements import IdealPoint, Line, Point, cross
 from pga2d.errors import DomainError
-from pga2d.geometry import angle, distance, midline, project
+from pga2d.geometry import (
+    angle,
+    distance,
+    midline,
+    perp_line_through,
+    project,
+    symmetric_line,
+    triple_lines,
+    triple_points,
+)
 from pga2d.isometry import (
+    IDENTITY_MOTOR,
     Motor,
     OddVersor,
+    exp_bivector,
+    factor_motor,
+    interpolate,
+    log_motor,
     reflect,
     rotor_from_lines,
     sandwich,
     solve_point_line_transport,
     translator_by,
 )
-from pga2d.metric import normalize
-from pga2d.multivector import Multivector, blades, one
+from pga2d.metric import factor_point, normalize
+from pga2d.multivector import _KERNEL, Multivector, blades, e1, one
 
 CAYLEY = oracle.generate_cayley()
 GRADES = tuple(len(blade) for blade in oracle.BLADES)
@@ -53,8 +80,8 @@ DOT = _filtered(lambda gi, gj, gk: gk == abs(gi - gj))
 DUAL = oracle.derive_dual_signs()
 
 
-def tabled_product(u, v, table):
-    out = [0.0] * 8
+def tabled_product(u, v, table, zero=0.0):
+    out = [zero] * 8
     for i, ui in enumerate(u):
         if ui == 0.0:
             continue
@@ -319,3 +346,210 @@ def test_project_is_the_kernel_product():
             else:
                 assert part.mv().coeffs == want.coeffs, (x, onto)
     assert zeros == 500
+
+
+# -- the library's closed forms ------------------------------------------------------
+
+
+def kernel_perp_line_through(m, p):
+    return Line.from_mv(m.mv().dot(normalize(p).mv()))
+
+
+def kernel_factor_point(p):
+    m = normalize(Line.from_mv(e1.dot(p.mv())))
+    return m, Line.from_mv(m.mv().gp(p.mv()))
+
+
+def kernel_factor_motor(g, p):
+    """The second mirror of factor_motor, given its first one p."""
+    return Line.from_mv(g.normalized().mv().gp(p.mv()).grade(1))
+
+
+def kernel_interpolate(g, t):
+    return exp_bivector(log_motor(g).scaled(t))
+
+
+def kernel_triple(x, y, z):
+    """The product x(yz) of the normalized operands."""
+    return normalize(x).mv().gp(normalize(y).mv().gp(normalize(z).mv()))
+
+
+def kernel_triple_points(a, b, c):
+    return Point.from_mv(kernel_triple(a, b, c))
+
+
+def kernel_symmetric_line(a, b, c):
+    return Line.from_mv(functools.reduce(
+        operator.add, itertools.starmap(kernel_triple, itertools.permutations((a, b, c)))
+    ))
+
+
+def test_the_typed_products_are_the_kernel_products_exactly():
+    r = gen.rng(96)
+    for _ in range(500):
+        m, p = Line(*_spread(r, 3)), Point(*_spread(r, 3))
+        assert perp_line_through(m, p) == kernel_perp_line_through(m, p)
+        # weights of exactly +-1, and within the tolerance of it
+        for z in (1.0, -1.0, 1.0 + 5e-10, -1.0 - 5e-10):
+            p = Point(*_spread(r, 2), z)
+            assert factor_point(p) == kernel_factor_point(p)
+        # a rotation, a translation, and the identity
+        for g in (Motor(*_spread(r, 4)), Motor(*_spread(r, 3), 0.0), IDENTITY_MOTOR):
+            p, q = factor_motor(g)
+            assert q == kernel_factor_motor(g, p)
+            t = _spread(r, 1)[0]
+            assert interpolate(g, t) == kernel_interpolate(g, t)
+        lines = _lines(r)
+        got, want = triple_lines(*lines), kernel_triple(*lines)
+        assert got.line_part == Line.from_mv(want.grade(1)) and got.pseudo_part.s == want[7]
+        points = _euclidean_points(r)
+        assert triple_points(*points) == kernel_triple_points(*points)
+
+
+def _euclidean_points(r):
+    while True:
+        points = [Point(*_spread(r, 3)) for _ in range(3)]
+        if not any(p.is_ideal() for p in points):
+            return points
+
+
+def _lines(r):
+    return [Line(*_spread(r, 3)) for _ in range(3)]
+
+
+def _scale(operands):
+    """The product of the normalized operands' largest coefficients."""
+    return math.prod(normalize(x).mv().max_abs() for x in operands)
+
+
+def _exact_symmetric_line(lines):
+    """The kernel's sum of the six products x(yz) of the normalized lines, in Fractions."""
+    exact = [tuple(map(Fraction, normalize(m).mv().coeffs)) for m in lines]
+    total = [Fraction(0)] * 8
+    for x, y, z in itertools.permutations(exact):
+        product = tabled_product(x, tabled_product(y, z, CAYLEY, Fraction(0)), CAYLEY, Fraction(0))
+        total = list(map(operator.add, total, product))
+    return total
+
+
+# The largest difference of symmetric_line from the kernel in 300,000 draws
+# of _lines, in units of epsilon times the scale, and the draw that reaches it.
+SYMMETRIC_LINE_BOUND = 10.49
+SYMMETRIC_LINE_WORST = [
+    Line(*map(float.fromhex, row)) for row in (
+        ("0x1.0a4198092f64dp+2", "0x1.520e050c81876p+2", "-0x1.20a81f957a9efp-10"),
+        ("-0x1.afa5426a20c77p+1", "0x1.3fc4c1b91bfcbp+4", "-0x1.8cdd25281f132p-3"),
+        ("-0x1.3df47578ef273p-3", "-0x1.beda32d81fa31p-1", "0x1.232c4efbb0548p-2"),
+    )
+]
+
+
+def _difference(lines) -> float:
+    """The largest coefficient of symmetric_line minus the kernel's sum, in
+    units of epsilon times the scale."""
+    miss = symmetric_line(*lines).mv() - kernel_symmetric_line(*lines).mv()
+    return miss.max_abs() / (sys.float_info.epsilon * _scale(lines))
+
+
+def test_symmetric_line_is_within_a_few_ulps_of_the_kernel():
+    assert SYMMETRIC_LINE_BOUND - 0.01 < _difference(SYMMETRIC_LINE_WORST) <= SYMMETRIC_LINE_BOUND
+    r = gen.rng(97)
+    for _ in range(2000):
+        lines = _lines(r)
+        assert _difference(lines) <= SYMMETRIC_LINE_BOUND, lines
+
+
+def test_where_symmetric_line_differs_from_the_kernel_it_is_no_farther_from_the_exact_value():
+    """On the coefficients where the two differ by more than epsilon times
+    the scale, the closed form's worst and mean errors against the exact
+    value are no larger than the kernel's."""
+    r = gen.rng(98)
+    errors = []
+    for _ in range(1000):
+        lines = _lines(r)
+        unit = sys.float_info.epsilon * _scale(lines)
+        got, want = symmetric_line(*lines).mv().coeffs, kernel_symmetric_line(*lines).mv().coeffs
+        errors += [
+            (abs(g - e) / unit, abs(w - e) / unit)
+            for g, w, e in zip(got, want, _exact_symmetric_line(lines)) if abs(g - w) > unit
+        ]
+    closed, kernel = zip(*errors)
+    assert len(errors) > 100
+    assert max(closed) <= max(kernel) and sum(closed) <= sum(kernel)
+
+
+# -- the kernel boundary -------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
+# the functions that take or give a Multivector, and so may use the kernel
+ALGEBRA_API = {
+    "geometry": set(),
+    "metric": {"polar"},
+    "isometry": {
+        "Motor.mv", "Motor.from_mv", "OddVersor.mv", "OddVersor.from_mv",
+        "sandwich", "exp_bivector", "log_motor",
+    },
+}
+
+
+# the calls that reach the kernel: sandwich too, but only on a raw Multivector
+KERNEL_CALLS = {"mv", "from_mv", "polar", "log_motor", "exp_bivector"}
+
+
+def _kernel_uses(tree: ast.AST, api: set) -> list:
+    """(owner, line) of each call in KERNEL_CALLS, each kernel name read
+    through multivector., and each import of a kernel name, outside api."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            uses = name in KERNEL_CALLS
+        elif isinstance(node, ast.Attribute):
+            v = node.value
+            uses = isinstance(v, ast.Name) and v.id == "multivector" and node.attr in _KERNEL
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            uses = node.module == "kernel" or (
+                "kernel" in names if node.module is None else bool(names & set(_KERNEL))
+            )
+        else:
+            uses = False
+        if uses and owner not in api:
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_only_the_algebra_api_uses_the_kernel():
+    for module, api in ALGEBRA_API.items():
+        for name in api:  # no exemption outlives its function
+            functools.reduce(getattr, name.split("."), importlib.import_module(f"pga2d.{module}"))
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert _kernel_uses(tree, api) == [], module
+
+
+def test_the_kernel_lint_catches_each_use():
+    planted = ast.parse(
+        "from .multivector import DEFAULT_TOL, e1\n"
+        "from . import kernel\n"
+        "def perp(m, p):\n"
+        "    return Line.from_mv(m.mv().dot(p.mv()))\n"
+        "class Versor:\n"
+        "    def mv(self):\n"
+        "        return multivector.e012\n"
+        "def polar(x):\n"
+        "    return multivector.e012.gp(x.mv())\n"
+        "def interpolate(g, t):\n"
+        "    return exp_bivector(log_motor(g).scaled(t))\n"
+    )
+    uses = [("<module>", 1), ("<module>", 2), ("Versor.mv", 7)]
+    uses += [("interpolate", 11)] * 2 + [("perp", 4)] * 3
+    assert _kernel_uses(planted, ALGEBRA_API["metric"]) == sorted(uses)
+    assert _kernel_uses(planted, ALGEBRA_API["geometry"]) == sorted(uses + [("polar", 9)] * 2)

@@ -928,6 +928,26 @@ def test_a_cold_import_loads_neither_the_kernel_nor_the_renderer(module, tmp_pat
     assert last == "[] False" and len(printed) == (4 if module.endswith("run") else 0)
 
 
+def test_the_typed_library_functions_leave_the_kernel_unloaded():
+    probe = """
+import sys
+from pga2d import Line, Motor, Point
+from pga2d.geometry import perp_line_through, symmetric_line, triple_lines, triple_points
+from pga2d.isometry import factor_motor, interpolate
+from pga2d.metric import factor_point
+a, b, c = Line(1, 2, 3), Line(-2, 1, 0.5), Line(0.3, -1, 2)
+p, q = Point(1, 2, 1), Point(-1, 0.5, 2)
+rotation, translation = Motor(0.8, 0.3, -0.2, 0.6), Motor(1, 0.3, -0.2, 0)
+results = (
+    perp_line_through(a, q), triple_points(p, q, p), triple_lines(a, b, c),
+    symmetric_line(a, b, c), factor_point(p), factor_motor(rotation),
+    factor_motor(translation), interpolate(rotation, 0.3),
+)
+print(len(results), 'pga2d.kernel' in sys.modules)
+"""
+    assert _fresh(probe) == "8 False\n"
+
+
 def test_the_kernel_names_load_on_first_read_as_the_kernel_objects():
     probe = """
 import pickle, sys
@@ -957,7 +977,8 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
     assert {"pga2d.cli", "pga2d.multivector", "pga2d.script"} <= set(loaded)
     package = Path(pga2d.__file__).resolve().parent
     found = []
-    for name in loaded:
+    # the renderer loads on the first drawing, and then it too must not load pathlib
+    for name in loaded + ["pga2d.render"]:
         path = package / ("__init__.py" if name == "pga2d" else name[len("pga2d."):] + ".py")
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Import):

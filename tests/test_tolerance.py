@@ -23,7 +23,7 @@ from pga2d.elements import Line, Point
 from pga2d.errors import EvaluationError, IncidenceError
 from pga2d.isometry import Motor, OddVersor, sandwich, solve_point_line_transport
 from pga2d.metric import normalize
-from pga2d.multivector import near_zero
+from pga2d.multivector import DEFAULT_TOL, near_zero
 from pga2d.script import Program, Statement, evaluate, format_program, parse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +74,17 @@ def test_solve_rejects_the_same_relative_incidence_defect_at_any_size(size):
         solve_point_line_transport(
             Point(size, 0, 1), Line(0, 1, -defect), Point(0, size, 1), Line(-1, 0, 0)
         )
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+def test_solve_checks_incidence_at_a_floor_of_1e_9(tol):
+    """The solver's checks use max(tol, 1e-9): a defect of 5e-8 at figure
+    size 1 fails at the default tol and at tol = 0, one of 5e-10 passes."""
+    a, m2 = Point(1, 0, 1), Line(0, 1, 0)
+    with pytest.raises(IncidenceError):
+        solve_point_line_transport(a, Line(0, 1, -5e-8), a, m2, tol)
+    g = solve_point_line_transport(a, Line(0, 1, -5e-10), a, m2, tol)
+    assert (g.s, g.bz) == (1.0, 0.0)
 
 
 def test_a_scaled_motor_normalizes_like_the_unit_one():
