@@ -23,8 +23,6 @@ from .errors import (
 )
 from .geometry import (
     Decomposition,
-    Measurement,
-    MeasurementKind,
     angle,
     distance,
     midline,

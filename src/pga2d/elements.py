@@ -102,6 +102,14 @@ class IdealPoint(Point):
     def __init__(self, u: float, v: float):
         Point.__init__(self, u, v, 0.0)
 
+    @classmethod
+    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "IdealPoint":
+        from .metric import ideal  # metric imports this module
+
+        p = Point.from_mv(u, tol)
+        ideal(p, tol, "point")  # the result keeps p's norm
+        return cls(p.x, p.y)
+
     @property
     def u(self) -> float:
         return self.x

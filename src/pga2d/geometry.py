@@ -1,5 +1,5 @@
-"""Interpreted euclidean operations: measurements, bisectors, projections,
-perpendiculars and the characteristic three-factor products.
+"""Interpreted euclidean operations: distances and angles, bisectors,
+projections, perpendiculars and the characteristic three-factor products.
 
 Sign conventions, fixed here and pinned by golden tests:
 
@@ -17,34 +17,11 @@ part of a product of three is at most 1: near_zero tests both against 1.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .elements import IdealPoint, Line, Point, Pseudoscalar, cross, incidence
 from .errors import DomainError, OrientationError
 from .metric import euclidean, ideal, ideal_inner, normalize
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
-
-
-class MeasurementKind(Enum):
-    INTERSECTING_LINES_ANGLE = "intersecting-lines-angle"
-    PARALLEL_LINES_DISTANCE = "parallel-lines-distance"
-    POINT_POINT_DISTANCE = "point-point-distance"
-    IDEAL_POINTS_ANGLE = "ideal-points-angle"
-    LINE_POINT_DISTANCE = "line-point-distance"
-    LINE_IDEAL_POINT_ANGLE = "line-ideal-point-angle"
-
-
-class Measurement(Frozen):
-    """A single measured value: radians for angles, length units for distances."""
-
-    __slots__ = ("value", "kind")
-
-    def __init__(self, value: float, kind: MeasurementKind):
-        _set(self, "value", value)
-        _set(self, "kind", kind)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 class Decomposition(Frozen):
@@ -72,7 +49,7 @@ def _part(kind, fields: tuple[float, ...]):
     return kind(*_finite(fields)) if any(fields) else None
 
 
-def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
+def distance(x, y, tol: float = DEFAULT_TOL) -> float:
     """Distance between two elements per their kinds.
 
     point-point: length of the joining line; parallel line-line: the gap
@@ -82,25 +59,22 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> Measurement:
     if isinstance(x, Point) and isinstance(y, Point):
         p, q = euclidean(x, tol, "point"), euclidean(y, tol, "point")
         # the normal (a, b) of the line joining two points of weight 1
-        value = math.hypot(*_finite((p.y - q.y, q.x - p.x)))
-        return Measurement(value, MeasurementKind.POINT_POINT_DISTANCE)
+        return math.hypot(*_finite((p.y - q.y, q.x - p.x)))
     if isinstance(x, Line) and isinstance(y, Line):
         m, n = euclidean(x, tol, "line"), euclidean(y, tol, "line")
         gx, gy, sine = cross((m.a, m.b, m.c), (n.a, n.b, n.c))
         if not near_zero(sine, 1.0, tol):
             raise DomainError("lines intersect; the gap is undefined (use angle)")
-        value = math.hypot(gx, gy)
-        return Measurement(value, MeasurementKind.PARALLEL_LINES_DISTANCE)
+        return math.hypot(gx, gy)
     if isinstance(x, Line) and isinstance(y, Point):
         m, p = euclidean(x, tol, "line"), euclidean(y, tol, "point")
-        return Measurement(incidence(m, p), MeasurementKind.LINE_POINT_DISTANCE)
+        return incidence(m, p)
     if isinstance(x, Point) and isinstance(y, Line):
-        flipped = distance(y, x, tol)
-        return Measurement(-flipped.value, flipped.kind)
+        return -distance(y, x, tol)
     raise TypeError(f"no distance between {type(x).__name__} and {type(y).__name__}")
 
 
-def angle(x, y, tol: float = DEFAULT_TOL) -> Measurement:
+def angle(x, y, tol: float = DEFAULT_TOL) -> float:
     """Angle in [0, pi] between two lines, two ideal points, or a line and
     an ideal point (measured against the line's direction)."""
     if isinstance(x, Line) and isinstance(y, Line):
@@ -108,16 +82,16 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> Measurement:
         # the scalar m . n and the e12 part of m ^ n
         cos_a = m.a * n.a + m.b * n.b
         sin_a = abs(m.a * n.b - m.b * n.a)
-        return Measurement(math.atan2(sin_a, cos_a), MeasurementKind.INTERSECTING_LINES_ANGLE)
+        return math.atan2(sin_a, cos_a)
     if isinstance(x, Point) and isinstance(y, Point):
         c = max(-1.0, min(1.0, ideal_inner(ideal(x, tol, "point"), ideal(y, tol, "point"))))
-        return Measurement(math.acos(c), MeasurementKind.IDEAL_POINTS_ANGLE)
+        return math.acos(c)
     m, other = (x, y) if isinstance(x, Line) else (y, x)
     if isinstance(m, Line) and isinstance(other, Point):
         m, u = euclidean(m, tol, "line"), ideal(other, tol, "point")
         # m . u is the ideal line c*e0 with c the cosine
         c = max(-1.0, min(1.0, m.b * u.x - m.a * u.y))
-        return Measurement(math.acos(c), MeasurementKind.LINE_IDEAL_POINT_ANGLE)
+        return math.acos(c)
     raise TypeError(f"no angle between {type(x).__name__} and {type(y).__name__}")
 
 

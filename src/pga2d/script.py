@@ -189,10 +189,10 @@ _VERBS = {
     "meet": ("new ref ref", _meet),
     "dist": ("new ref ref", lambda env, a, tol: geometry.distance(
         _want(env, a[0], _EITHER, "dist argument"),
-        _want(env, a[1], _EITHER, "dist argument"), tol).value),
+        _want(env, a[1], _EITHER, "dist argument"), tol)),
     "angle": ("new ref ref", lambda env, a, tol: geometry.angle(
         _want(env, a[0], _EITHER, "angle argument"),
-        _want(env, a[1], _EITHER, "angle argument"), tol).value),
+        _want(env, a[1], _EITHER, "angle argument"), tol)),
     "reflect": ("new ref ref", lambda env, a, tol: isometry.reflect(
         _want(env, a[0], Line, "mirror"), _want(env, a[1], _EITHER, "reflect operand"), tol)),
     "rotor": ("new ref ref", lambda env, a, tol: isometry.rotor_from_lines(

@@ -146,38 +146,38 @@ def test_criterion_5_measurements_vs_analytic():
         for _ in range(1000):
             p, q = gen.random_point(r), gen.random_point(r)
             assert abs(
-                distance(p, q).value - oracle.point_distance((p.x, p.y), (q.x, q.y))
+                distance(p, q) - oracle.point_distance((p.x, p.y), (q.x, q.y))
             ) <= 1e-9
 
             m, n = gen.random_intersecting_lines(r)
             expected = abs(oracle.signed_line_angle((m.a, m.b, m.c), (n.a, n.b, n.c)))
-            assert abs(angle(m, n).value - expected) <= 1e-9
+            assert abs(angle(m, n) - expected) <= 1e-9
 
             m, n = gen.random_parallel_lines(r)
             expected = abs(oracle.parallel_gap((m.a, m.b, m.c), (n.a, n.b, n.c)))
-            assert abs(distance(m, n).value - expected) <= 1e-9
+            assert abs(distance(m, n) - expected) <= 1e-9
 
             u, v = gen.random_ideal_point(r), gen.random_ideal_point(r)
             expected = oracle.vector_angle((u.u, u.v), (v.u, v.v))
-            assert abs(angle(u, v).value - expected) <= 1e-9
+            assert abs(angle(u, v) - expected) <= 1e-9
 
             m, p = normalize(gen.random_line(r)), gen.random_point(r)
             expected = oracle.signed_point_line_distance((p.x, p.y), (m.a, m.b, m.c))
-            assert abs(distance(m, p).value - expected) <= 1e-9
-            assert abs(distance(p, m).value + expected) <= 1e-9
+            assert abs(distance(m, p) - expected) <= 1e-9
+            assert abs(distance(p, m) + expected) <= 1e-9
 
             u = gen.random_ideal_point(r)
             expected = oracle.vector_angle(oracle.line_direction((m.a, m.b, m.c)), (u.u, u.v))
-            assert abs(angle(m, u).value - expected) <= 1e-9
+            assert abs(angle(m, u) - expected) <= 1e-9
 
 
 def _measure_all(points, lines, ideals):
     return (
-        distance(points[0], points[1]).value,
-        angle(lines[0], lines[1]).value,
-        distance(lines[0], points[0]).value,
-        angle(ideals[0], ideals[1]).value,
-        angle(lines[0], ideals[0]).value,
+        distance(points[0], points[1]),
+        angle(lines[0], lines[1]),
+        distance(lines[0], points[0]),
+        angle(ideals[0], ideals[1]),
+        angle(lines[0], ideals[0]),
     )
 
 

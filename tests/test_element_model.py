@@ -15,7 +15,7 @@ import pytest
 
 from pga2d.cli import main
 from pga2d.elements import IdealPoint, Line, Point
-from pga2d.errors import ClassificationError
+from pga2d.errors import ClassificationError, DomainError
 from pga2d.geometry import (
     angle,
     distance,
@@ -49,6 +49,12 @@ def test_ideal_point_is_the_point_with_zero_weight():
     assert u != Point(3, 4, 0) and Point(3, 4, 0) != u
     assert u.is_ideal(0.0)
     assert u.mv() == Point(3, 4, 0).mv()
+    # from_mv reads back an IdealPoint, and only from an ideal point
+    assert IdealPoint.from_mv(u.mv()) == u
+    with pytest.raises(ClassificationError, match="must be ideal"):
+        IdealPoint.from_mv(Point(3, 4, 1).mv())
+    with pytest.raises(DomainError, match="not a pure point"):
+        IdealPoint.from_mv(Line(3, 4, 1).mv())
     assert pickle.loads(pickle.dumps(u)) == u
     # the operations that return their input's kind keep IdealPoint
     assert sandwich(IDENTITY_MOTOR, u) == u

@@ -1,7 +1,10 @@
-"""Measurements, sums, projections and three-factor products against
+"""Distances and angles, sums, projections and three-factor products against
 classical analytic geometry."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,6 @@ from pga2d.elements import IdealPoint, Line, Point
 from pga2d.errors import ClassificationError, DomainError, OrientationError
 from pga2d.geometry import (
     Decomposition,
-    MeasurementKind,
     angle,
     distance,
     midline,
@@ -43,8 +45,27 @@ def n_point(r) -> Point:
 
 def test_point_distance_examples():
     d = distance(Point(0, 0, 1), Point(3, 4, 1))
-    assert d.kind is MeasurementKind.POINT_POINT_DISTANCE
-    assert d.value == pytest.approx(5.0, abs=1e-12)
+    assert type(d) is float
+    assert d == pytest.approx(5.0, abs=1e-12)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_library_tour_shows_the_values_it_computes():
+    tour = README.read_text().split("## Library tour", 1)[1]
+    tour = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, []
+    for line in tour.splitlines():
+        code, _, comment = line.partition("#")
+        number = re.match(r"\s*([+-]?\d+(?:\.\d*)?(?:e[+-]?\d+)?)", comment)
+        if number and isinstance(ast.parse(code).body[0], ast.Expr):
+            got = eval(code, namespace)
+            assert got == pytest.approx(float(number[1]), abs=1e-12), line
+            checked.append(line)
+        elif code.strip():
+            exec(code, namespace)
+    assert len(checked) >= 2
 
 
 def test_point_distance_matches_oracle():
@@ -52,7 +73,7 @@ def test_point_distance_matches_oracle():
     for _ in range(500):
         p, q = gen.random_point(r), gen.random_point(r)
         expected = oracle.point_distance((p.x, p.y), (q.x, q.y))
-        assert distance(p, q).value == pytest.approx(expected, abs=1e-9)
+        assert distance(p, q) == pytest.approx(expected, abs=1e-9)
 
 
 def test_point_distance_equals_ideal_norm_of_commutator():
@@ -60,7 +81,7 @@ def test_point_distance_equals_ideal_norm_of_commutator():
     for _ in range(200):
         p, q = n_point(r), n_point(r)
         cross = p.mv().commutator(q.mv())
-        assert distance(p, q).value == pytest.approx(
+        assert distance(p, q) == pytest.approx(
             math.hypot(cross[4], cross[5]), abs=1e-9
         )
 
@@ -69,9 +90,9 @@ def test_line_point_distance_signed():
     m = Line(0, 1, 0)  # y = 0, oriented toward +x
     p = Point(0, 1, 1)
     d = distance(m, p)
-    assert d.kind is MeasurementKind.LINE_POINT_DISTANCE
-    assert d.value == pytest.approx(1.0, abs=1e-12)  # positive to the left
-    assert distance(p, m).value == pytest.approx(-1.0, abs=1e-12)
+    assert type(d) is float
+    assert d == pytest.approx(1.0, abs=1e-12)  # positive to the left
+    assert distance(p, m) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_line_point_distance_matches_oracle():
@@ -79,14 +100,14 @@ def test_line_point_distance_matches_oracle():
     for _ in range(500):
         m, p = n_line(r), gen.random_point(r)
         expected = oracle.signed_point_line_distance((p.x, p.y), as_tuple(m))
-        assert distance(m, p).value == pytest.approx(expected, abs=1e-9)
+        assert distance(m, p) == pytest.approx(expected, abs=1e-9)
 
 
 def test_incident_pair_has_zero_distance():
     r = gen.rng(23)
     p = gen.random_point(r)
     m = gen.random_line_through(r, p)
-    assert distance(p, m).value == pytest.approx(0.0, abs=1e-12)
+    assert distance(p, m) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parallel_line_distance_matches_oracle():
@@ -94,9 +115,9 @@ def test_parallel_line_distance_matches_oracle():
     for _ in range(500):
         m, n = gen.random_parallel_lines(r)
         d = distance(m, n)
-        assert d.kind is MeasurementKind.PARALLEL_LINES_DISTANCE
+        assert type(d) is float
         expected = abs(oracle.parallel_gap(as_tuple(m), as_tuple(n)))
-        assert d.value == pytest.approx(expected, abs=1e-9)
+        assert d == pytest.approx(expected, abs=1e-9)
 
 
 def test_distance_rejects_intersecting_lines():
@@ -113,11 +134,11 @@ def test_distance_rejects_ideal_point():
 
 
 def test_angle_examples():
-    assert angle(Line(1, 0, 0), Line(0, 1, 0)).value == pytest.approx(math.pi / 2)
+    assert angle(Line(1, 0, 0), Line(0, 1, 0)) == pytest.approx(math.pi / 2)
     m = Line(0.3, -0.7, 1.1)
-    assert angle(m, m).value == pytest.approx(0.0, abs=1e-7)
+    assert angle(m, m) == pytest.approx(0.0, abs=1e-7)
     s = 1 / math.sqrt(2)
-    assert angle(Line(1, 0, 0), Line(s, s, 0)).value == pytest.approx(math.pi / 4)
+    assert angle(Line(1, 0, 0), Line(s, s, 0)) == pytest.approx(math.pi / 4)
 
 
 def test_line_angle_matches_oracle_and_arccos():
@@ -125,14 +146,14 @@ def test_line_angle_matches_oracle_and_arccos():
     for _ in range(500):
         m, n = gen.random_intersecting_lines(r)
         got = angle(m, n)
-        assert got.kind is MeasurementKind.INTERSECTING_LINES_ANGLE
+        assert type(got) is float
         expected = abs(oracle.signed_line_angle(as_tuple(m), as_tuple(n)))
-        assert got.value == pytest.approx(expected, abs=1e-9)
+        assert got == pytest.approx(expected, abs=1e-9)
         mn, nn = normalize(m), normalize(n)
         cos_a = mn.mv().dot(nn.mv()).scalar_part()
-        assert got.value == pytest.approx(math.acos(max(-1.0, min(1.0, cos_a))), abs=1e-7)
+        assert got == pytest.approx(math.acos(max(-1.0, min(1.0, cos_a))), abs=1e-7)
         # arcsin cross-check: the meet's weight is the sine of the angle
-        assert abs(mn.mv().outer(nn.mv())[6]) == pytest.approx(math.sin(got.value), abs=1e-9)
+        assert abs(mn.mv().outer(nn.mv())[6]) == pytest.approx(math.sin(got), abs=1e-9)
 
 
 def test_ideal_point_angle_matches_oracle():
@@ -140,8 +161,8 @@ def test_ideal_point_angle_matches_oracle():
     for _ in range(300):
         u, v = gen.random_ideal_point(r), gen.random_ideal_point(r)
         got = angle(u, v)
-        assert got.kind is MeasurementKind.IDEAL_POINTS_ANGLE
-        assert got.value == pytest.approx(
+        assert type(got) is float
+        assert got == pytest.approx(
             oracle.vector_angle((u.u, u.v), (v.u, v.v)), abs=1e-9
         )
 
@@ -151,10 +172,10 @@ def test_line_ideal_point_angle_matches_oracle():
     for _ in range(300):
         m, u = n_line(r), gen.random_ideal_point(r)
         got = angle(m, u)
-        assert got.kind is MeasurementKind.LINE_IDEAL_POINT_ANGLE
+        assert type(got) is float
         expected = oracle.vector_angle(oracle.line_direction(as_tuple(m)), (u.u, u.v))
-        assert got.value == pytest.approx(expected, abs=1e-9)
-        assert angle(u, m).value == pytest.approx(got.value, abs=1e-12)
+        assert got == pytest.approx(expected, abs=1e-9)
+        assert angle(u, m) == pytest.approx(got, abs=1e-12)
 
 
 def test_angle_rejects_two_ideal_lines():
@@ -273,17 +294,17 @@ def test_midpoint_is_equidistant():
     for _ in range(200):
         p, q = n_point(r), n_point(r)
         mid = midpoint(p, q)
-        assert distance(mid, p).value == pytest.approx(distance(mid, q).value, abs=1e-9)
+        assert distance(mid, p) == pytest.approx(distance(mid, q), abs=1e-9)
 
 
 def test_midline_intersecting_bisects():
     bis = midline(Line(1, 0, 0), Line(0, 1, 0))
-    assert angle(bis, Line(1, 0, 0)).value == pytest.approx(math.pi / 4, abs=1e-12)
+    assert angle(bis, Line(1, 0, 0)) == pytest.approx(math.pi / 4, abs=1e-12)
     r = gen.rng(36)
     for _ in range(200):
         m, n = (normalize(x) for x in gen.random_intersecting_lines(r))
         bis = midline(m, n)
-        assert angle(bis, m).value == pytest.approx(angle(bis, n).value, abs=1e-9)
+        assert angle(bis, m) == pytest.approx(angle(bis, n), abs=1e-9)
         # the bisector passes through the meet
         meet = m.mv().outer(n.mv())
         assert abs(bis.mv().outer(meet)[7]) <= 1e-9 * max(1.0, meet.max_abs())
@@ -296,7 +317,7 @@ def test_midline_parallel_case():
     for _ in range(200):
         m, n = (normalize(x) for x in gen.random_parallel_lines(r))
         mid = midline(m, n)
-        assert distance(mid, m).value == pytest.approx(distance(mid, n).value, abs=1e-9)
+        assert distance(mid, m) == pytest.approx(distance(mid, n), abs=1e-9)
 
 
 def test_midline_flags_antiparallel():
@@ -350,7 +371,7 @@ def test_project_point_onto_line_matches_analytic_foot():
         assert foot.z == pytest.approx(1.0, abs=1e-12)
         assert abs(dec.orthogonal_part.z) <= 1e-9
         rejection_len = math.hypot(dec.orthogonal_part.x, dec.orthogonal_part.y)
-        assert rejection_len == pytest.approx(abs(distance(m, p).value), abs=1e-9)
+        assert rejection_len == pytest.approx(abs(distance(m, p)), abs=1e-9)
 
 
 def test_project_incident_point_is_fixed():
@@ -369,7 +390,7 @@ def test_project_line_onto_line():
         m, n = (normalize(x) for x in gen.random_intersecting_lines(r))
         dec = project(m, n)
         assert dec.total().mv().approx_eq(m.mv(), 1e-12)
-        alpha = angle(m, n).value
+        alpha = angle(m, n)
         assert dec.parallel_part.mv().approx_eq(n.mv().scaled(math.cos(alpha)), 1e-9)
         # rejection: a line through the meet, perpendicular to n
         meet = m.mv().outer(n.mv())
@@ -506,7 +527,7 @@ def test_triple_lines_cosine_identity():
     for _ in range(300):
         a, b, c = (normalize(x) for x in gen.random_triangle_lines(r))
         lhs = (c.mv().gp(a.mv().gp(b.mv())) + c.mv().gp(b.mv().gp(a.mv()))).scaled(0.5)
-        gamma = angle(a, b).value
+        gamma = angle(a, b)
         assert lhs.approx_eq(c.mv().scaled(math.cos(gamma)), 1e-9)
 
 

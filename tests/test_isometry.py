@@ -306,11 +306,11 @@ def _measurement_suite(points, lines, ideal_pts):
     m, n = lines
     u, v = ideal_pts
     return (
-        distance(p, q).value,
-        angle(m, n).value,
-        distance(m, p).value,
-        angle(u, v).value,
-        angle(m, u).value,
+        distance(p, q),
+        angle(m, n),
+        distance(m, p),
+        angle(u, v),
+        angle(m, u),
     )
 
 

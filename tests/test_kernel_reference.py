@@ -231,22 +231,22 @@ def test_measurements_are_the_kernel_products_exactly():
         p, q = Point(*_spread(r, 3)), Point(*_spread(r, 3))
         pn, qn = normalize(p).mv(), normalize(q).mv()
         j = pn.join(qn)
-        assert distance(p, q).value == math.hypot(j[2], j[3])
+        assert distance(p, q) == math.hypot(j[2], j[3])
         m = Line(*_spread(r, 3))
         mn = normalize(m).mv()
-        assert distance(m, p).value == mn.outer(pn).pseudo_part()
+        assert distance(m, p) == mn.outer(pn).pseudo_part()
         for n in (Line(*_spread(r, 3)), _parallel(r, m)):
             nn = normalize(n).mv()
             meet = mn.outer(nn)
-            assert angle(m, n).value == math.atan2(abs(meet[6]), mn.dot(nn)[0])
+            assert angle(m, n) == math.atan2(abs(meet[6]), mn.dot(nn)[0])
             if n.a * m.a + n.b * m.b > 0.0 or abs(meet[6]) > 1e-6:
                 assert midline(m, n) == normalize(Line.from_mv(mn + nn))
             assert rotor_from_lines(m, n) == Motor.from_mv(nn.gp(mn))
             if abs(meet[6]) < 1e-9:
-                assert distance(m, n).value == math.hypot(meet[4], meet[5])
+                assert distance(m, n) == math.hypot(meet[4], meet[5])
         for u in (IdealPoint(q.x, q.y), Point(q.x, q.y, 0.0)):
             cosine = max(-1.0, min(1.0, mn.dot(normalize(u).mv())[1]))
-            assert angle(m, u).value == math.acos(cosine)
+            assert angle(m, u) == math.acos(cosine)
 
 
 def test_parallel_test_of_normalized_lines_is_the_outer_product_slot():

@@ -991,9 +991,16 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
                 continue
             found += [
                 f"{path.name}: {t}" for t in targets
-                if t.split(".")[0] in ("typing", "pathlib") or t in ("pga2d.kernel", "pga2d.render")
+                if t.split(".")[0] in ("typing", "pathlib", "enum")
+                or t in ("pga2d.kernel", "pga2d.render")
             ]
     assert found == []
+
+
+def test_the_library_import_loads_neither_enum_nor_re():
+    # the CLI does load both: argparse imports re, and re imports enum
+    probe = "import sys, pga2d, pga2d.script; print(sorted({'enum', 're'} & set(sys.modules)))"
+    assert _fresh(probe) == "[]\n"
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"])

@@ -9,7 +9,7 @@ import pytest
 
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import DomainError
-from pga2d.geometry import Decomposition, Measurement, MeasurementKind, TripleLineProduct
+from pga2d.geometry import Decomposition, TripleLineProduct
 from pga2d.isometry import GlideDecomposition, Motor, OddVersor
 from pga2d.multivector import Multivector
 from pga2d.script import Program, Statement
@@ -31,14 +31,6 @@ CASES = [
     (Point(1, 2, 1), Point(1.0, 2.0, 1.0), Point(1, 2, 2), "z", "Point(1, 2, 1)"),
     (IdealPoint(3, 4), IdealPoint(3.0, 4.0), IdealPoint(4, 3), "u", "IdealPoint(3, 4)"),
     (Pseudoscalar(2), Pseudoscalar(2.0), Pseudoscalar(-2), "s", "Pseudoscalar(2)"),
-    (
-        Measurement(5.0, MeasurementKind.POINT_POINT_DISTANCE),
-        Measurement(5.0, MeasurementKind.POINT_POINT_DISTANCE),
-        Measurement(5.0, MeasurementKind.LINE_POINT_DISTANCE),
-        "value",
-        "Measurement(value=5.0, kind=<MeasurementKind.POINT_POINT_DISTANCE: "
-        "'point-point-distance'>)",
-    ),
     (
         Decomposition(Point(1, 2, 1), IdealPoint(3, 4)),
         Decomposition(Point(1.0, 2.0, 1.0), IdealPoint(3.0, 4.0)),
