@@ -77,6 +77,8 @@ class OddVersor(Frozen):
     __slots__ = ("line", "lam")
 
     def __init__(self, line: Line, lam: float):
+        if not isinstance(line, Line):
+            raise TypeError(f"an odd versor's line part must be a Line, not {type(line).__name__}")
         lam = float(lam)
         if not math.isfinite(lam):
             raise DomainError("non-finite versor pseudoscalar part")

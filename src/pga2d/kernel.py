@@ -15,7 +15,8 @@ constructor checks that every coefficient is finite.  Results the kernel
 computes itself skip that check; products, sums and scalings are checked for
 overflow only, since finite operands cannot produce inf or nan any other way,
 and permutations, sign flips and grade parts of finite values are not checked
-at all.
+at all.  The products state the algebra once: cayley_table() and dual_table()
+are read off gp and dual, not kept beside them.
 """
 
 from __future__ import annotations
@@ -30,36 +31,6 @@ from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 BLADE_NAMES = ("1", "e0", "e1", "e2", "e20", "e01", "e12", "e012")
 BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 DIM = 8
-
-# Geometric product of basis blades: _CAYLEY[i][j] = (sign, index) with
-# blade_i * blade_j = sign * blade_index.  sign 0 means the product vanishes
-# (every product that touches e0 twice).  The table is a frozen constant;
-# the test suite regenerates it symbolically from the signature rules and
-# checks the two agree entry for entry.
-_CAYLEY = (
-    # 1
-    ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7)),
-    # e0
-    ((1, 1), (0, 0), (1, 5), (-1, 4), (0, 0), (0, 0), (1, 7), (0, 0)),
-    # e1
-    ((1, 2), (-1, 5), (1, 0), (1, 6), (1, 7), (-1, 1), (1, 3), (1, 4)),
-    # e2
-    ((1, 3), (1, 4), (-1, 6), (1, 0), (1, 1), (1, 7), (-1, 2), (1, 5)),
-    # e20
-    ((1, 4), (0, 0), (1, 7), (-1, 1), (0, 0), (0, 0), (1, 5), (0, 0)),
-    # e01
-    ((1, 5), (0, 0), (1, 1), (1, 7), (0, 0), (0, 0), (-1, 4), (0, 0)),
-    # e12
-    ((1, 6), (1, 7), (-1, 3), (1, 2), (-1, 5), (1, 4), (-1, 0), (-1, 1)),
-    # e012
-    ((1, 7), (0, 0), (1, 4), (1, 5), (0, 0), (0, 0), (-1, 1), (0, 0)),
-)
-
-# Poincare duality: the unique grade-complementing blade map with signs fixed
-# by  blade ^ dual(blade) = e012.  In this basis every sign comes out +1, so
-# the map is a pure coefficient swap and an exact involution.  The signs are
-# re-derived from the defining property by the test-suite oracle.
-_DUAL = ((1, 7), (1, 6), (1, 4), (1, 5), (1, 2), (1, 3), (1, 1), (1, 0))
 
 
 class Multivector(Frozen):
@@ -77,10 +48,11 @@ class Multivector(Frozen):
 
     # -- ring operations ---------------------------------------------------
     #
-    # gp, outer and dot are unrolled from _CAYLEY (outer keeps the entries of
-    # grade k+m, dot those of grade |k-m|).  Each slot adds its terms in the
-    # row-major order of the table, so the sums round exactly as a loop over
-    # the table would.  The test suite re-derives them from the table.
+    # gp, outer and dot are written out slot by slot from the product of the
+    # basis blades (outer keeps the terms of grade k+m, dot those of grade
+    # |k-m|).  Each slot adds its terms in row-major blade order, so the sums
+    # round exactly as a loop over a product table would.  The test suite
+    # re-derives all three from the signature rules.
 
     def gp(self, other: "Multivector") -> "Multivector":
         """Geometric product."""
@@ -176,14 +148,6 @@ class Multivector(Frozen):
     def __neg__(self) -> "Multivector":
         return _unchecked(tuple(map(operator.neg, self.coeffs)))
 
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return self.gp(other)
-        return self.scaled(float(other))
-
-    def __rmul__(self, other):
-        return self.scaled(float(other))
-
     def __iter__(self) -> Iterator[float]:
         return iter(self.coeffs)
 
@@ -191,13 +155,6 @@ class Multivector(Frozen):
         return self.coeffs[index]
 
     # -- predicates and helpers ----------------------------------------------
-
-    def scalar_part(self) -> float:
-        return self.coeffs[0]
-
-    def pseudo_part(self) -> float:
-        """Signed magnitude of the grade-3 part (the coefficient of e012)."""
-        return self.coeffs[7]
 
     def max_abs(self) -> float:
         return max(map(abs, self.coeffs))
@@ -260,11 +217,17 @@ e012 = basis(7)
 blades = dict(zip(BLADE_NAMES, (one, e0, e1, e2, e20, e01, e12, e012)))
 
 
+def _blade_of(u: Multivector) -> tuple[int, int]:
+    """(sign, index) of a signed basis blade, (0, 0) for zero."""
+    return next(((int(c), i) for i, c in enumerate(u.coeffs) if c), (0, 0))
+
+
 def cayley_table() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The kernel's geometric-product table (sign, index), row blade times column blade."""
-    return _CAYLEY
+    """The geometric-product table read off gp: entry [i][j] is (sign, index)
+    with blade_i * blade_j = sign * blade_index, (0, 0) where it vanishes."""
+    return tuple(tuple(_blade_of(a.gp(b)) for b in blades.values()) for a in blades.values())
 
 
 def dual_table() -> tuple[tuple[int, int], ...]:
-    """The kernel's duality signs: blade i maps to sign * blade index."""
-    return _DUAL
+    """The duality map read off dual: blade i maps to sign * blade index."""
+    return tuple(_blade_of(b.dual()) for b in blades.values())

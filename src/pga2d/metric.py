@@ -30,7 +30,7 @@ def is_ideal(x, tol: float = DEFAULT_TOL) -> bool:
 def norm(x, tol: float = DEFAULT_TOL) -> float:
     """Euclidean norm: sqrt(a^2+b^2) for a line, the signed weight z for a point."""
     if is_ideal(x, tol) or isinstance(x, Pseudoscalar):
-        raise ClassificationError(f"{x!r} is ideal; use ideal_norm")
+        raise ClassificationError(f"{x!r} has no euclidean norm; use ideal_norm")
     return math.hypot(x.a, x.b) if isinstance(x, Line) else x.z
 
 

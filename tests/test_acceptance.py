@@ -101,7 +101,7 @@ def test_criterion_3_two_way_product_laws():
             assert abs(product[7] - d) <= 1e-9
             perp = product.grade(1)
             assert abs(perp.outer(p.mv())[7]) <= 1e-9  # passes through p
-            assert abs(perp.dot(m.mv()).scalar_part()) <= 1e-9  # perpendicular
+            assert abs(perp.dot(m.mv())[0]) <= 1e-9  # perpendicular
             assert abs(math.hypot(perp[2], perp[3]) - 1.0) <= 1e-9  # same norm
             assert product.approx_eq(perp + e012.scaled(d), 1e-9)
 
@@ -283,7 +283,7 @@ def test_criterion_9_degenerate_metric_structure():
         for _ in range(500):
             p = gen.random_point(r).mv()
             u = gen.random_ideal_point(r).mv()
-            assert p.gp(u).scalar_part() == 0.0  # exact
+            assert p.gp(u)[0] == 0.0  # exact
         for _ in range(500):
             p = gen.random_point(r).mv()
             q = gen.random_point(r).mv()

@@ -150,7 +150,7 @@ def test_line_angle_matches_oracle_and_arccos():
         expected = abs(oracle.signed_line_angle(as_tuple(m), as_tuple(n)))
         assert got == pytest.approx(expected, abs=1e-9)
         mn, nn = normalize(m), normalize(n)
-        cos_a = mn.mv().dot(nn.mv()).scalar_part()
+        cos_a = mn.mv().dot(nn.mv())[0]
         assert got == pytest.approx(math.acos(max(-1.0, min(1.0, cos_a))), abs=1e-7)
         # arcsin cross-check: the meet's weight is the sine of the angle
         assert abs(mn.mv().outer(nn.mv())[6]) == pytest.approx(math.sin(got), abs=1e-9)
@@ -248,7 +248,7 @@ def test_two_point_product_law():
     for _ in range(500):
         p, q = n_point(r), n_point(r)
         product = p.mv().gp(q.mv())
-        assert product.scalar_part() == pytest.approx(-1.0, abs=1e-12)
+        assert product[0] == pytest.approx(-1.0, abs=1e-12)
         cross = p.mv().commutator(q.mv())
         assert product.approx_eq(from_scalar(-1.0) + cross, 1e-12)
         # the grade-2 part is minus the polar of the joining line
@@ -338,7 +338,7 @@ def test_perp_line_through_postconditions():
         m, p = n_line(r), n_point(r)
         perp = perp_line_through(m, p)
         assert abs(perp.mv().outer(p.mv())[7]) <= 1e-12  # incident with p
-        assert perp.mv().dot(m.mv()).scalar_part() == pytest.approx(0.0, abs=1e-12)
+        assert perp.mv().dot(m.mv())[0] == pytest.approx(0.0, abs=1e-12)
         assert math.hypot(perp.a, perp.b) == pytest.approx(1.0, abs=1e-12)  # same norm
         # orientation: direction of the result is m's direction rotated 90 CCW
         dm, dp = ideal_point_of(m), ideal_point_of(perp)
@@ -395,7 +395,7 @@ def test_project_line_onto_line():
         # rejection: a line through the meet, perpendicular to n
         meet = m.mv().outer(n.mv())
         assert abs(dec.orthogonal_part.mv().outer(meet)[7]) <= 1e-9
-        assert dec.orthogonal_part.mv().dot(n.mv()).scalar_part() == pytest.approx(0.0, abs=1e-12)
+        assert dec.orthogonal_part.mv().dot(n.mv())[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_project_line_onto_line_parallel():

@@ -89,7 +89,7 @@ def test_rotor_from_lines_examples():
 
     g = rotor_from_lines(Line(1, 0, 0), Line(1, 0, -1))  # mirrors x=0 and x=1
     moved = sandwich(g, Point(0, 0, 1))
-    assert moved.mv() == e12 + 2.0 * e20  # origin carried to (2, 0)
+    assert moved.mv() == e12 + e20.scaled(2.0)  # origin carried to (2, 0)
 
 
 def test_rotor_is_normalized():
@@ -474,6 +474,13 @@ def test_glide_recomposition_and_pointwise_equivalence():
             composed.gp(p.mv().gp(composed.reverse())),
             1e-9,
         )
+
+
+@pytest.mark.parametrize("line", [Point(1, 2, 1), IdealPoint(1, 0), "x", (1.0, 0.0, 0.0)])
+def test_an_odd_versor_line_part_must_be_a_line(line):
+    # checked at construction, before sandwich or .mv() reads its fields
+    with pytest.raises(TypeError, match="line part must be a Line"):
+        OddVersor(line, 0.0)
 
 
 def test_glide_decompose_rejects_ideal_axis():

@@ -234,7 +234,7 @@ def test_measurements_are_the_kernel_products_exactly():
         assert distance(p, q) == math.hypot(j[2], j[3])
         m = Line(*_spread(r, 3))
         mn = normalize(m).mv()
-        assert distance(m, p) == mn.outer(pn).pseudo_part()
+        assert distance(m, p) == mn.outer(pn)[7]
         for n in (Line(*_spread(r, 3)), _parallel(r, m)):
             nn = normalize(n).mv()
             meet = mn.outer(nn)
@@ -300,12 +300,12 @@ def kernel_project(x, onto):
     as kernel products, each signed so that the two sum to the normalized x."""
     u, w = normalize(x).mv(), normalize(onto).mv()
     if isinstance(x, Line) and isinstance(onto, Line):
-        return w.scaled(u.dot(w).scalar_part()), u.outer(w).gp(w)
+        return w.scaled(u.dot(w)[0]), u.outer(w).gp(w)
     if isinstance(x, Line):
         return u.dot(w).gp(w).scaled(-1.0), u.outer(w).gp(w).scaled(-1.0)
     if isinstance(onto, Line):
         return w.gp(w.dot(u)), w.gp(w.outer(u))
-    return w.scaled(-w.dot(u).scalar_part()), w.gp(w.commutator(u)).scaled(-1.0)
+    return w.scaled(-w.dot(u)[0]), w.gp(w.commutator(u)).scaled(-1.0)
 
 
 def _project_cases(r):
@@ -483,6 +483,10 @@ def test_where_symmetric_line_differs_from_the_kernel_it_is_no_farther_from_the_
 SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
 # the functions that take or give a Multivector, and so may use the kernel
 ALGEBRA_API = {
+    "elements": {
+        "Line.mv", "Line.from_mv", "Point.mv", "Point.from_mv", "IdealPoint.from_mv",
+        "Pseudoscalar.mv",
+    },
     "geometry": set(),
     "metric": {"polar"},
     "isometry": {

@@ -32,13 +32,15 @@ def test_norm_examples():
 
 
 def test_norm_rejects_ideal():
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ClassificationError) as info:
         norm(Line(0, 0, 2))
+    assert str(info.value) == "Line[0, 0, 2] has no euclidean norm; use ideal_norm"
     with pytest.raises(ClassificationError):
         norm(Point(3, 4, 0))
+    # not ideal (is_ideal says False), but it has no euclidean norm either
     with pytest.raises(ClassificationError) as info:
         norm(Pseudoscalar(2.0))
-    assert str(info.value) == "Pseudoscalar(2) is ideal; use ideal_norm"
+    assert str(info.value) == "Pseudoscalar(2) has no euclidean norm; use ideal_norm"
 
 
 def test_ideal_norm_examples():
@@ -223,7 +225,7 @@ def test_scalar_part_of_euclidean_times_ideal_bivector_vanishes():
     for _ in range(500):
         p = gen.random_point(r).mv()
         u = gen.random_ideal_point(r).mv()
-        assert p.gp(u).scalar_part() == 0.0  # exactly, by the table structure
+        assert p.gp(u)[0] == 0.0  # exactly, by the table structure
 
 
 def test_unit_weight_bivectors_share_their_ideal_wedge():
@@ -248,7 +250,7 @@ def test_factor_point_reconstructs():
         m, n = factor_point(p)
         assert abs(norm(m) - 1.0) <= 1e-12
         assert abs(norm(n) - 1.0) <= 1e-12
-        assert m.mv().dot(n.mv()).scalar_part() == pytest.approx(0.0, abs=1e-12)
+        assert m.mv().dot(n.mv())[0] == pytest.approx(0.0, abs=1e-12)
         assert m.mv().gp(n.mv()).approx_eq(p.mv(), 1e-12)
 
 
@@ -282,7 +284,7 @@ def test_normalized_euclidean_line_squares_to_one(a, b, c):
         return
     n = normalize(line)
     square = n.mv().gp(n.mv())
-    assert abs(square.scalar_part() - 1.0) <= 1e-9
+    assert abs(square[0] - 1.0) <= 1e-9
     assert (square - square.grade(0)).max_abs() <= 1e-9
 
 

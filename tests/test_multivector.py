@@ -305,7 +305,7 @@ def test_componentwise_operations():
     u = gen.random_multivector(gen.rng(5))
     assert (u - u) == zero
     assert u.scaled(0.0) == zero
-    assert 2.0 * u == u + u
+    assert u.scaled(2.0) == u + u
 
 
 def test_unpickling_runs_the_validating_constructor():

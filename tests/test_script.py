@@ -1101,6 +1101,9 @@ def test_cli_tables(capsys):
     assert "dual(e0) = e12" in out
     # spot entries of the printed table
     assert "-e0" in out and "e012" in out
+    # the whole text: the tables are read off gp and dual, so this pins every
+    # sign of the products
+    assert out == (SCRIPTS.parent / "tables.expected.txt").read_text()
 
 
 # -- fuzzing --------------------------------------------------------------------
