@@ -2,17 +2,16 @@
 
 A line [a, b, c] is the 1-vector a*e1 + b*e2 + c*e0 (the locus ax + by + c = 0,
 third coordinate homogeneous); a point (x, y, z) is the 2-vector
-x*e20 + y*e01 + z*e12.  An ideal point is the point (u, v, 0): IdealPoint is
-the Point with z fixed at 0, so every operation on points takes it.
-Classification into euclidean/ideal is near_zero of the euclidean norm
-against the element's largest coefficient, since homogeneous coordinates
-carry no absolute scale.
+x*e20 + y*e01 + z*e12.  There is one point class: an ideal point is a
+Point whose weight z is near zero, and IdealPoint(u, v) builds the Point
+(u, v, 0).  Classification into euclidean/ideal is near_zero of the
+euclidean norm against the element's largest coefficient, since
+homogeneous coordinates carry no absolute scale.
 
 Operations compute on the three fields (a meet or a join is one cross
 product); mv() gives the 8-slot multivector, for the algebra and the tests.
 Every constructor checks that its fields are finite (and, for lines and
-points, not all zero), so mv() wraps them without validating them again;
-IdealPoint's is Point's, applied to (u, v, 0).
+points, not all zero), so mv() wraps them without validating them again.
 """
 
 from __future__ import annotations
@@ -90,43 +89,9 @@ class Point(Frozen):
         return f"Point({self.x:g}, {self.y:g}, {self.z:g})"
 
 
-class IdealPoint(Point):
-    """The point (u, v, 0) on the ideal line, read as a free vector (u, v).
-
-    Equality, hash and pickle go by (u, v); an IdealPoint is never equal to
-    a plain Point, even one with the same coordinates.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, u: float, v: float):
-        Point.__init__(self, u, v, 0.0)
-
-    @classmethod
-    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "IdealPoint":
-        from .metric import ideal  # metric imports this module
-
-        p = Point.from_mv(u, tol)
-        ideal(p, tol, "point")  # the result keeps p's norm
-        return cls(p.x, p.y)
-
-    @property
-    def u(self) -> float:
-        return self.x
-
-    @property
-    def v(self) -> float:
-        return self.y
-
-    # Frozen reads the fields from __slots__, which is empty here
-    def _key(self) -> tuple:
-        return self.x, self.y
-
-    def __reduce__(self):
-        return IdealPoint, (self.x, self.y)
-
-    def __repr__(self) -> str:
-        return f"IdealPoint({self.x:g}, {self.y:g})"
+def IdealPoint(u: float, v: float) -> Point:
+    """The ideal point (u, v, 0): a Point of zero weight, read as the free vector (u, v)."""
+    return Point(u, v, 0.0)
 
 
 class Pseudoscalar(Frozen):

@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import multivector
-from .elements import IdealPoint, Line, Point, cross, incidence
+from .elements import Line, Point, cross, incidence
 from .errors import ConstructionError, DomainError, IncidenceError
 from .metric import euclidean, ideal, normalize, unit_direction
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
@@ -120,10 +120,11 @@ class GlideDecomposition(Frozen):
 
 
 def sandwich(v, x):
-    """Two-sided action v x reverse(v) of a Motor or OddVersor; returns the
-    same kind of element as x.  Expanded, it maps points (x, y, z) by the rows
-    (r, t, p), (t2, r2, q), (0, 0, w) and lines [a, b, c] by (r, t, 0),
-    (t2, r2, 0), (pl, ql, w), each quadratic in v's components."""
+    """Two-sided action v x reverse(v) of a Motor or OddVersor on an element
+    x: a Line or Point for a Line or Point, else the Multivector of x.mv().
+    Expanded, it maps points (x, y, z) by the rows (r, t, p), (t2, r2, q),
+    (0, 0, w) and lines [a, b, c] by (r, t, 0), (t2, r2, 0), (pl, ql, w),
+    each quadratic in v's components."""
     if isinstance(v, Motor):
         s, bx, by, bz = v.s, v.bx, v.by, v.bz
         r, t, w = s * s - bz * bz, 2.0 * s * bz, s * s + bz * bz
@@ -143,8 +144,9 @@ def sandwich(v, x):
     if isinstance(x, Point):
         p, q = 2.0 * (e - f), 2.0 * (g + h)
         px, py, pz = x.x, x.y, x.z
-        image = _finite((r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz))
-        return IdealPoint(image[0], image[1]) if isinstance(x, IdealPoint) else Point(*image)
+        return Point(*_finite((r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz)))
+    if not hasattr(x, "mv"):
+        raise TypeError(f"cannot apply a versor to {type(x).__name__}")
     vm = v.mv()
     return vm.gp(x.mv().gp(vm.reverse()))
 
@@ -242,7 +244,7 @@ def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
     the ideal point v: exp((d/2) v) = 1 + (d/2) v for v of unit ideal norm,
     read as (x, y, 0) since it classifies as ideal."""
     vn = ideal(v, tol, "translation direction")
-    return _exp(0.5 * d * vn.x, 0.5 * d * vn.y, 0.0)
+    return _exp(*_finite((0.5 * d * vn.x, 0.5 * d * vn.y, 0.0)))
 
 
 def translator_by(dx: float, dy: float) -> Motor:

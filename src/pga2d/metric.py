@@ -87,11 +87,11 @@ def _unit(x):
 
 
 def _unit_ideal(p):
-    """normalize of a point known to be ideal."""
+    """normalize of a point known to be ideal: (x, y, z) over the length of
+    (x, y), so an ideal point made with weight 0 keeps weight 0."""
     if p.x == 0.0 and p.y == 0.0:
         raise DomainError("cannot normalize a zero point")
-    u, v, w = unit_direction(p.x, p.y, p.z)
-    return IdealPoint(u, v) if isinstance(p, IdealPoint) else Point(u, v, w)
+    return Point(*unit_direction(p.x, p.y, p.z))
 
 
 def view(x, tol: float) -> tuple[bool, tuple[float, ...]]:
@@ -131,7 +131,7 @@ def polar(x) -> multivector.Multivector:
     return multivector.e012.gp(x.mv())
 
 
-def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> IdealPoint:
+def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> Point:
     """Direction of a euclidean line: its wedge with the ideal line e0."""
     euclidean(m, tol, "line")  # the result keeps m's norm
     return IdealPoint(m.b, -m.a)

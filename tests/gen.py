@@ -23,7 +23,7 @@ def random_point(r, span: float = 3.0) -> Point:
     return Point(r.uniform(-span, span), r.uniform(-span, span), 1.0)
 
 
-def random_ideal_point(r, unit: bool = False) -> IdealPoint:
+def random_ideal_point(r, unit: bool = False) -> Point:
     theta = r.uniform(0.0, 2.0 * math.pi)
     mag = 1.0 if unit else math.exp(r.uniform(-1.0, 1.0))
     return IdealPoint(mag * math.cos(theta), mag * math.sin(theta))
@@ -73,7 +73,7 @@ def random_rotation_motor(r, max_half_angle: float = 1.5) -> Motor:
 
 def random_translation_motor(r) -> Motor:
     v = random_ideal_point(r)
-    return Motor(1.0, 0.5 * v.u, 0.5 * v.v, 0.0)
+    return Motor(1.0, 0.5 * v.x, 0.5 * v.y, 0.0)
 
 
 def random_motor(r) -> Motor:

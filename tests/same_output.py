@@ -48,6 +48,8 @@ FAILING = {
     "project-target": "point A 0 0\nrotator g A 1\nproject p A g\n",
     "project-zero": "line m 1 0 0\nline n 0 1 0\nproject p m n\n",
     "rotation-center": "line m 1 0 0\nrotator g m 1\n",
+    # a computed ideal point where a euclidean one is wanted
+    "computed-ideal-operand": "line m 0 1 0\nline n 0 1 -2\nmeet P m n\npoint A 0 0\ndist d P A\n",
 }
 
 

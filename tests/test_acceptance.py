@@ -158,7 +158,7 @@ def test_criterion_5_measurements_vs_analytic():
             assert abs(distance(m, n) - expected) <= 1e-9
 
             u, v = gen.random_ideal_point(r), gen.random_ideal_point(r)
-            expected = oracle.vector_angle((u.u, u.v), (v.u, v.v))
+            expected = oracle.vector_angle((u.x, u.y), (v.x, v.y))
             assert abs(angle(u, v) - expected) <= 1e-9
 
             m, p = normalize(gen.random_line(r)), gen.random_point(r)
@@ -167,7 +167,7 @@ def test_criterion_5_measurements_vs_analytic():
             assert abs(distance(p, m) + expected) <= 1e-9
 
             u = gen.random_ideal_point(r)
-            expected = oracle.vector_angle(oracle.line_direction((m.a, m.b, m.c)), (u.u, u.v))
+            expected = oracle.vector_angle(oracle.line_direction((m.a, m.b, m.c)), (u.x, u.y))
             assert abs(angle(m, u) - expected) <= 1e-9
 
 
@@ -198,7 +198,7 @@ def test_criterion_6_isometry_suite():
             ideals2 = []
             for u in ideals:
                 img = sandwich(versor, u)
-                ideals2.append(normalize(IdealPoint(flip * img.u, flip * img.v)))
+                ideals2.append(normalize(IdealPoint(flip * img.x, flip * img.y)))
             after = _measure_all(points2, lines2, ideals2)
             for i, (b, a) in enumerate(zip(before, after)):
                 if odd and i == 2:
@@ -232,7 +232,7 @@ def test_criterion_6_isometry_suite():
             correction = x.mv().dot(polar(m)).scaled(2.0 * lam)
             assert swept.approx_eq(reflect(m, x).mv() + correction, 1e-9)
             cos_alpha = (
-                ideal_point_of(x).u * polar(m)[4] + ideal_point_of(x).v * polar(m)[5]
+                ideal_point_of(x).x * polar(m)[4] + ideal_point_of(x).y * polar(m)[5]
             )
             assert correction.approx_eq(e0.scaled(2.0 * lam * cos_alpha), 1e-9)
 

@@ -163,7 +163,7 @@ def test_ideal_point_angle_matches_oracle():
         got = angle(u, v)
         assert type(got) is float
         assert got == pytest.approx(
-            oracle.vector_angle((u.u, u.v), (v.u, v.v)), abs=1e-9
+            oracle.vector_angle((u.x, u.y), (v.x, v.y)), abs=1e-9
         )
 
 
@@ -173,7 +173,7 @@ def test_line_ideal_point_angle_matches_oracle():
         m, u = n_line(r), gen.random_ideal_point(r)
         got = angle(m, u)
         assert type(got) is float
-        expected = oracle.vector_angle(oracle.line_direction(as_tuple(m)), (u.u, u.v))
+        expected = oracle.vector_angle(oracle.line_direction(as_tuple(m)), (u.x, u.y))
         assert got == pytest.approx(expected, abs=1e-9)
         assert angle(u, m) == pytest.approx(got, abs=1e-12)
 
@@ -259,7 +259,7 @@ def test_two_point_product_law():
 def test_euclidean_times_ideal_point_rotates_clockwise():
     r = gen.rng(33)
     q = gen.random_ideal_point(r)
-    expected = Multivector((0, 0, 0, 0, q.v, -q.u, 0, 0))
+    expected = Multivector((0, 0, 0, 0, q.y, -q.x, 0, 0))
     for _ in range(50):
         p = n_point(r)  # any position
         assert p.mv().dot(q.mv()) == Multivector((0,) * 8)
@@ -272,8 +272,8 @@ def test_line_times_ideal_point_law():
         m = n_line(r)
         u = gen.random_ideal_point(r, unit=True)
         d = ideal_point_of(m)
-        cos_a = d.u * u.u + d.v * u.v
-        sin_a = d.u * u.v - d.v * u.u
+        cos_a = d.x * u.x + d.y * u.y
+        sin_a = d.x * u.y - d.y * u.x
         product = m.mv().gp(u.mv())
         expected = e0.scaled(cos_a) + e012.scaled(sin_a)
         assert product.approx_eq(expected, 1e-9)
@@ -342,7 +342,7 @@ def test_perp_line_through_postconditions():
         assert math.hypot(perp.a, perp.b) == pytest.approx(1.0, abs=1e-12)  # same norm
         # orientation: direction of the result is m's direction rotated 90 CCW
         dm, dp = ideal_point_of(m), ideal_point_of(perp)
-        assert (dp.u, dp.v) == pytest.approx((-dm.v, dm.u), abs=1e-12)
+        assert (dp.x, dp.y) == pytest.approx((-dm.y, dm.x), abs=1e-12)
 
 
 # -- projections -----------------------------------------------------------------
@@ -425,7 +425,7 @@ def test_project_line_onto_point():
         par = dec.parallel_part
         assert abs(par.mv().outer(p.mv())[7]) <= 1e-9  # through p
         dm, dp = ideal_point_of(m), ideal_point_of(par)
-        assert (dp.u, dp.v) == pytest.approx((dm.u, dm.v), abs=1e-9)  # same direction
+        assert (dp.x, dp.y) == pytest.approx((dm.x, dm.y), abs=1e-9)  # same direction
         # rejection is a multiple of the ideal line
         assert isinstance(dec.orthogonal_part, Line)
         assert abs(dec.orthogonal_part.a) <= 1e-12 and abs(dec.orthogonal_part.b) <= 1e-12

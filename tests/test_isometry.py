@@ -333,7 +333,7 @@ def test_versor_sandwiches_preserve_measurements():
         # free-vector image is therefore minus the raw sandwich
         flip = -1.0 if odd else 1.0
         ideals2 = [
-            normalize(IdealPoint(*(flip * c for c in (sandwich(versor, u).u, sandwich(versor, u).v))))
+            normalize(IdealPoint(*(flip * c for c in (sandwich(versor, u).x, sandwich(versor, u).y))))
             for u in ideals
         ]
         after = _measurement_suite(points2, lines2, ideals2)
@@ -421,7 +421,7 @@ def test_glide_expansion_on_lines_term_by_term():
         correction = x.mv().dot(polar(m)).scaled(2.0 * lam)
         assert (correction - correction.grade(1)).max_abs() <= 1e-12
         assert swept.mv().approx_eq(mirror_part + correction, 1e-9)
-        cos_alpha = ideal_point_of(x).u * polar(m)[4] + ideal_point_of(x).v * polar(m)[5]
+        cos_alpha = ideal_point_of(x).x * polar(m)[4] + ideal_point_of(x).y * polar(m)[5]
         assert correction[1] == pytest.approx(2.0 * lam * cos_alpha, abs=1e-9)
 
 
@@ -449,7 +449,7 @@ def test_glide_decompose_example():
     assert got.translation_distance == pytest.approx(1.0)
     # nominal translation vector: distance times the axis direction (0, -1)
     direction = ideal_point_of(got.axis)
-    vec = (got.translation_distance * direction.u, got.translation_distance * direction.v)
+    vec = (got.translation_distance * direction.x, got.translation_distance * direction.y)
     assert vec == pytest.approx((0.0, -1.0))
     # the realized displacement of points runs opposite the nominal vector
     image = normalize(sandwich(OddVersor(Line(1, 0, 0), 0.5), Point(0, 0, 1)))
@@ -481,6 +481,13 @@ def test_an_odd_versor_line_part_must_be_a_line(line):
     # checked at construction, before sandwich or .mv() reads its fields
     with pytest.raises(TypeError, match="line part must be a Line"):
         OddVersor(line, 0.0)
+
+
+@pytest.mark.parametrize("operand", [1.0, (1, 2, 3), "x"])
+def test_sandwich_rejects_an_operand_that_is_not_an_element(operand):
+    for versor in (IDENTITY_MOTOR, OddVersor(Line(1, 0, 0), 0.0)):
+        with pytest.raises(TypeError, match=f"^cannot apply a versor to {type(operand).__name__}$"):
+            sandwich(versor, operand)
 
 
 def test_glide_decompose_rejects_ideal_axis():

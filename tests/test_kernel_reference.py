@@ -484,8 +484,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
 # the functions that take or give a Multivector, and so may use the kernel
 ALGEBRA_API = {
     "elements": {
-        "Line.mv", "Line.from_mv", "Point.mv", "Point.from_mv", "IdealPoint.from_mv",
-        "Pseudoscalar.mv",
+        "Line.mv", "Line.from_mv", "Point.mv", "Point.from_mv", "Pseudoscalar.mv",
     },
     "geometry": set(),
     "metric": {"polar"},

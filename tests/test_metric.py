@@ -156,7 +156,7 @@ def test_normalize_huge_elements_keeps_their_direction():
     ln = normalize(Line(1.7e308, 1.7e308, -1.7e308))
     assert (ln.a, ln.b, ln.c) == pytest.approx((0.5**0.5, 0.5**0.5, -(0.5**0.5)), rel=1e-15)
     ip = normalize(IdealPoint(-1.7e308, 0.0))
-    assert (ip.u, ip.v) == (-1.0, 0.0)
+    assert (ip.x, ip.y) == (-1.0, 0.0)
     pt = normalize(Point(1.2e308, 1.6e308, 0.0))
     assert (pt.x, pt.y, pt.z) == pytest.approx((0.6, 0.8, 0.0), rel=1e-15)
     with pytest.raises(DomainError):

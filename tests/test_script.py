@@ -811,6 +811,16 @@ def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
 
 
 @pytest.mark.parametrize(
+    "source", ["ideal V 1 0\ntranslator T V inf\n", "point P 0 0\nrotator T P inf\n"]
+)
+def test_motor_of_an_infinite_argument_fails_with_the_kernel_error(tmp_path, capsys, source):
+    script = tmp_path / "s.pga"
+    script.write_text(source)
+    assert main(["run", str(script)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 2: {_OVERFLOW}\n")
+
+
+@pytest.mark.parametrize(
     "source", [_SUBNORMAL_MEET, "line m 1e-300 0 -1e10\n", "line m 5e-324 5e-324 -1\n"]
 )
 def test_svg_of_an_overflowing_coordinate_fails_with_the_kernel_error(tmp_path, capsys, source):

@@ -16,6 +16,7 @@ from pga2d.script import Program, Statement
 
 _MV = Multivector((1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.5))
 _STATEMENT = Statement(3, "point", "A", (1.0, 2.0))
+_IDEAL = IdealPoint(3, 4)
 
 # (value, an equal value built separately, an unequal value of the same class,
 #  one field name, the pinned repr)
@@ -29,14 +30,14 @@ CASES = [
     ),
     (Line(1, 0, 0), Line(1.0, 0.0, 0.0), Line(0, 1, 0), "a", "Line[1, 0, 0]"),
     (Point(1, 2, 1), Point(1.0, 2.0, 1.0), Point(1, 2, 2), "z", "Point(1, 2, 1)"),
-    (IdealPoint(3, 4), IdealPoint(3.0, 4.0), IdealPoint(4, 3), "u", "IdealPoint(3, 4)"),
+    (_IDEAL, Point(3.0, 4.0, 0.0), IdealPoint(4, 3), "x", "Point(3, 4, 0)"),
     (Pseudoscalar(2), Pseudoscalar(2.0), Pseudoscalar(-2), "s", "Pseudoscalar(2)"),
     (
         Decomposition(Point(1, 2, 1), IdealPoint(3, 4)),
         Decomposition(Point(1.0, 2.0, 1.0), IdealPoint(3.0, 4.0)),
         Decomposition(Point(1, 2, 1), None),
         "parallel_part",
-        "Decomposition(parallel_part=Point(1, 2, 1), orthogonal_part=IdealPoint(3, 4))",
+        "Decomposition(parallel_part=Point(1, 2, 1), orthogonal_part=Point(3, 4, 0))",
     ),
     (
         TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
@@ -79,7 +80,8 @@ CASES = [
 ]
 
 
-IDS = [type(case[0]).__name__ for case in CASES]
+# by class, but for the ideal point, a Point too, which keeps its constructor's name
+IDS = ["IdealPoint" if case[0] is _IDEAL else type(case[0]).__name__ for case in CASES]
 
 
 @pytest.mark.parametrize("value, same, other, field, text", CASES, ids=IDS)
