@@ -90,7 +90,7 @@ def _main(argv) -> int:
     try:
         with open(args.script, encoding="utf-8") as handle:
             source = handle.read()
-        program = parse(source)
+        statements = parse(source)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -101,7 +101,7 @@ def _main(argv) -> int:
         )
         return 1
     try:
-        env, output = evaluate(program, tol=args.tol)
+        env, output = evaluate(statements, tol=args.tol)
     except EvaluationError as exc:
         sys.stdout.write(exc.output)
         sys.stdout.flush()

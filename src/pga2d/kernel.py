@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator
 
 from .errors import DomainError
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
@@ -148,7 +147,7 @@ class Multivector(Frozen):
     def __neg__(self) -> "Multivector":
         return _unchecked(tuple(map(operator.neg, self.coeffs)))
 
-    def __iter__(self) -> Iterator[float]:
+    def __iter__(self):
         return iter(self.coeffs)
 
     def __getitem__(self, index: int) -> float:

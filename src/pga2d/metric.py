@@ -66,46 +66,38 @@ def normalize(x, tol: float = DEFAULT_TOL):
     has weight z = 1 and squares to -1.  Ideal lines keep their orientation
     only up to the sign of c, which is divided out.
     """
-    if not is_ideal(x, tol):
-        if isinstance(x, Pseudoscalar):
-            if x.s == 0.0:
-                raise DomainError("cannot normalize a zero pseudoscalar")
-            return Pseudoscalar(1.0)
-        return _unit(x)
-    if isinstance(x, Point):
-        return _unit_ideal(x)
-    if x.c == 0.0:
-        raise DomainError("cannot normalize a zero line")
-    return Line(x.a / x.c, x.b / x.c, 1.0)
+    if isinstance(x, Pseudoscalar):
+        if x.s == 0.0:
+            raise DomainError("cannot normalize a zero pseudoscalar")
+        return Pseudoscalar(1.0)
+    return type(x)(*_unit(x, is_ideal(x, tol)))
 
 
-def _unit(x):
-    """normalize of a line or point known to be euclidean."""
+def _unit(x, ideal: bool) -> tuple[float, float, float]:
+    """The normalized fields of a line or point whose kind is known: a line's
+    unit-normal [a, b, c], or [a/c, b/c, 1] when ideal; a point's
+    (x/z, y/z, 1), or (x, y, z) over the length of (x, y) when ideal, so an
+    ideal point made with weight 0 keeps weight 0.  DomainError when the
+    divisor is zero or a euclidean field overflows."""
     if isinstance(x, Line):
-        return Line(*unit_direction(x.a, x.b, x.c))
-    return Point(x.x / x.z, x.y / x.z, 1.0)
-
-
-def _unit_ideal(p):
-    """normalize of a point known to be ideal: (x, y, z) over the length of
-    (x, y), so an ideal point made with weight 0 keeps weight 0."""
-    if p.x == 0.0 and p.y == 0.0:
+        if not ideal:
+            return _finite(unit_direction(x.a, x.b, x.c))
+        if x.c == 0.0:
+            raise DomainError("cannot normalize a zero line")
+        return x.a / x.c, x.b / x.c, 1.0
+    if not ideal:
+        return _finite((x.x / x.z, x.y / x.z, 1.0))
+    if x.x == 0.0 and x.y == 0.0:
         raise DomainError("cannot normalize a zero point")
-    return Point(*unit_direction(p.x, p.y, p.z))
+    return unit_direction(x.x, x.y, x.z)
 
 
-def view(x, tol: float) -> tuple[bool, tuple[float, ...]]:
-    """(ideal, coordinates) of a point or line as print and the SVG show it,
-    classified once: a point's (x/z, y/z), or its unit direction (u, v) when
-    ideal; a line's unit-normal [a, b, c], or normalize's [a/c, b/c, 1] when
-    ideal.  DomainError when a euclidean coordinate overflows."""
-    if isinstance(x, Line):
-        if x.is_ideal(tol):
-            return True, (x.a / x.c, x.b / x.c, 1.0)
-        return False, _finite(unit_direction(x.a, x.b, x.c))
-    if x.is_ideal(tol):
-        return True, unit_direction(x.x, x.y)[:2]
-    return False, _finite((x.x / x.z, x.y / x.z))
+def view(x, tol: float) -> tuple[bool, tuple[float, float, float]]:
+    """(ideal, fields) of a point or line as print and the SVG show it,
+    classified once: normalize's fields, of which a point shows the first two
+    (its position, or its unit direction when ideal)."""
+    ideal = x.is_ideal(tol)
+    return ideal, _unit(x, ideal)
 
 
 def euclidean(x, tol: float, what: str):
@@ -115,14 +107,14 @@ def euclidean(x, tol: float, what: str):
     operand's role in the message."""
     if x.is_ideal(tol):
         raise ClassificationError(f"{what} {x!r} must be euclidean")
-    return _unit(x)
+    return type(x)(*_unit(x, False))
 
 
 def ideal(p: Point, tol: float, what: str):
     """normalize of a point that must be ideal, classified once."""
     if not p.is_ideal(tol):
         raise ClassificationError(f"{what} {p!r} must be ideal")
-    return _unit_ideal(p)
+    return Point(*_unit(p, True))
 
 
 def polar(x) -> multivector.Multivector:

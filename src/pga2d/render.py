@@ -29,7 +29,7 @@ def _gather(env: dict, tol: float):
         if isinstance(value, (Point, Line)):
             ideal, shown = view(value, tol)
             if isinstance(value, Point):
-                drawables.append(("arrow" if ideal else "point", name, shown))
+                drawables.append(("arrow" if ideal else "point", name, shown[:2]))
             elif not ideal:
                 drawables.append(("line", name, shown))
     return drawables
@@ -94,7 +94,7 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     """Compose the SVG document for the drawable elements of env."""
     try:
         drawables = _gather(env, tol)
-    except DomainError as exc:  # a shown coordinate overflows
+    except DomainError as exc:  # a shown element overflows or has no unit form
         raise RenderError(f"cannot draw the figure: {exc}") from exc
     if not drawables:
         raise RenderError("nothing to render")

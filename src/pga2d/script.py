@@ -15,7 +15,7 @@ from . import geometry, isometry
 from .elements import IdealPoint, Line, Point, cross
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .metric import view
-from .multivector import DEFAULT_TOL, Frozen, _set, near_zero
+from .multivector import DEFAULT_TOL, Frozen, near_zero
 
 
 class Statement(Frozen):
@@ -36,15 +36,10 @@ class Statement(Frozen):
 _lineno, _verb, _result, _args = (getattr(Statement, f).__set__ for f in Statement.__slots__)
 
 
-class Program(Frozen):
-    __slots__ = ("statements",)
+def parse(source: str) -> tuple[Statement, ...]:
+    """Parse and statically check a script: verbs, arity, literals, names.
 
-    def __init__(self, statements: tuple[Statement, ...]):
-        _set(self, "statements", statements)
-
-
-def parse(source: str) -> Program:
-    """Parse and statically check a script: verbs, arity, literals, names."""
+    A rejected line raises ParseError for its first fault in token order."""
     statements = []
     defined: set[str] = set()
     lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -53,53 +48,41 @@ def parse(source: str) -> Program:
         if not tokens:
             continue
         verb = tokens[0]
-        # an unknown verb fails the token count
-        size, new, numbers, refs = _SHAPES.get(verb, (0, 0, 0, 0))
         try:
-            if len(tokens) != size:
-                raise ValueError
-            result = tokens[1] if new else None
-            names = tokens[1 + new:numbers]
+            size, new, numbers, refs = _SHAPES[verb]
+        except KeyError:
+            raise ParseError(f"unknown verb {verb!r}", lineno) from None
+        if len(tokens) != size:
+            raise ParseError(f"{verb} takes {size - 1} argument(s), got {len(tokens) - 1}", lineno)
+        result = tokens[1] if new else None
+        if new:
+            # an ASCII letter or _, then ASCII letters, digits or _
+            if not (result.isascii() and result.isidentifier()):
+                raise ParseError(f"invalid name {result!r}", lineno)
+            if result in defined:
+                raise ParseError(f"name {result!r} is already defined", lineno)
+        names = tokens[1 + new:numbers]
+        if refs and not defined.issuperset(names):
+            undefined = next(name for name in names if name not in defined)
+            raise ParseError(f"undefined name {undefined!r}", lineno)
+        try:
             args = (*names, *map(float, tokens[numbers:])) if numbers < size else tuple(names)
-            # a new name is an ASCII letter or _, then ASCII letters, digits or _
-            if new and not (result.isascii() and result.isidentifier()) or (
-                result in defined or refs and not defined.issuperset(names)
-            ):
-                raise ValueError
         except ValueError:
-            raise ParseError(_fault(tokens, defined), lineno) from None
+            for token in tokens[numbers:]:
+                try:
+                    float(token)
+                except ValueError:
+                    raise ParseError(f"expected a number, got {token!r}", lineno) from None
         if new:
             defined.add(result)
         statements.append(Statement(lineno, verb, result, args))
-    return Program(tuple(statements))
+    return tuple(statements)
 
 
-def _fault(tokens: list[str], defined: set[str]) -> str:
-    """The first fault, in token order, of a line that parse rejects."""
-    verb, *given = tokens
-    sig = _SIGNATURES.get(verb)
-    if sig is None:
-        return f"unknown verb {verb!r}"
-    if len(given) != len(sig):
-        return f"{verb} takes {len(sig)} argument(s), got {len(given)}"
-    for kind, token in zip(sig, given):
-        if kind == "new" and not (token.isascii() and token.isidentifier()):
-            return f"invalid name {token!r}"
-        if kind == "new" and token in defined:
-            return f"name {token!r} is already defined"
-        if kind == "ref" and token not in defined:
-            return f"undefined name {token!r}"
-        if kind == "num":
-            try:
-                float(token)
-            except ValueError:
-                return f"expected a number, got {token!r}"
-
-
-def format_program(program: Program) -> str:
-    """Canonical text form; parsing it back gives an identical Program."""
+def format_program(statements: tuple[Statement, ...]) -> str:
+    """Canonical text form; parsing it back gives identical statements."""
     lines = []
-    for st in program.statements:
+    for st in statements:
         tokens = [st.verb]
         if st.result is not None:
             tokens.append(st.result)
@@ -224,15 +207,15 @@ _SHAPES = {
 }
 
 
-def evaluate(program: Program, tol: float = DEFAULT_TOL) -> tuple[dict, str]:
-    """Run a parsed program; returns the final environment and printed text.
+def evaluate(statements: tuple[Statement, ...], tol: float = DEFAULT_TOL) -> tuple[dict, str]:
+    """Run parsed statements; returns the final environment and printed text.
 
     Execution stops at the first failing statement, re-raised as an
     EvaluationError carrying the line number and the text printed before it.
     """
     env: dict[str, object] = {}
     out: list[str] = []
-    for st in program.statements:
+    for st in statements:
         try:
             compute = _VERBS[st.verb][1]
             if compute is not None:

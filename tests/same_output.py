@@ -50,6 +50,10 @@ FAILING = {
     "rotation-center": "line m 1 0 0\nrotator g m 1\n",
     # a computed ideal point where a euclidean one is wanted
     "computed-ideal-operand": "line m 0 1 0\nline n 0 1 -2\nmeet P m n\npoint A 0 0\ndist d P A\n",
+    # both incidences hold within the solver's check, but the motor misses n
+    "solve-construction": (
+        "point A 0 0\nline m 0 1 4e-9\npoint B 5 0\nline n 0 1 -4e-9\nsolve g A m B n\n"
+    ),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from pga2d.cli import main
 from pga2d.elements import IdealPoint, Line, Point
-from pga2d.errors import ClassificationError
+from pga2d.errors import ClassificationError, DomainError
 from pga2d.geometry import (
     angle,
     distance,
@@ -28,6 +28,8 @@ from pga2d.geometry import (
 )
 from pga2d.isometry import (
     IDENTITY_MOTOR,
+    Motor,
+    OddVersor,
     reflect,
     rotator,
     rotor_from_lines,
@@ -184,6 +186,22 @@ def test_grades_matches_the_residue_checks_it_replaces():
         # exp_bivector's form: everything outside grade 2 against the whole
         bivector = u.grade(2)
         assert bool(grades - {2}) == ((u - bivector).max_abs() > tol * u.max_abs())
+
+
+# each is its class's element plus a scalar part of the same size
+@pytest.mark.parametrize(
+    "cls, coeffs, message",
+    [
+        (Line, (1, 0, 1, 0, 0, 0, 0, 0), "not a pure line"),
+        (Point, (1, 0, 0, 0, 0, 0, 1, 0), "not a pure point"),
+        (Motor, (1, 0, 1, 0, 0, 0, 1, 0), "not an even element"),
+        (OddVersor, (1, 0, 1, 0, 0, 0, 0, 1), "not an odd element"),
+    ],
+    ids=["Line", "Point", "Motor", "OddVersor"],
+)
+def test_from_mv_rejects_a_part_of_another_grade(cls, coeffs, message):
+    with pytest.raises(DomainError, match=f"^{message}: "):
+        cls.from_mv(Multivector(coeffs))
 
 
 # -- euclidean-only and ideal-only operations classify each operand once -------------

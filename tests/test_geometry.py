@@ -461,6 +461,21 @@ def test_project_rejects_ideal():
         project(Line(1, 0, 0), Line(0, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "op, x, y, message",
+    [
+        (distance, Point(0, 0, 1), e012, "no distance between Point and Multivector"),
+        (angle, Line(1, 0, 0), e012, "no angle between Line and Multivector"),
+        (angle, e012, IdealPoint(1, 0), "no angle between Multivector and Point"),
+        (project, e012, Line(1, 0, 0), "cannot project Multivector onto Line"),
+        (project, Point(0, 0, 1), e012, "cannot project Point onto Multivector"),
+    ],
+)
+def test_measures_and_project_take_only_lines_and_points(op, x, y, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        op(x, y)
+
+
 # -- three-point products ---------------------------------------------------------
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import gen
 import oracle
-from pga2d.elements import IdealPoint, Line, Point
-from pga2d.errors import ClassificationError, DomainError, IncidenceError
+from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
+from pga2d.errors import ClassificationError, ConstructionError, DomainError, IncidenceError
 from pga2d.geometry import angle, distance
 from pga2d.isometry import (
     IDENTITY_MOTOR,
@@ -30,7 +30,7 @@ from pga2d.isometry import (
     translator_by,
 )
 from pga2d.metric import ideal_point_of, normalize, polar
-from pga2d.multivector import Multivector, e1, e01, e12, e20, one, zero
+from pga2d.multivector import Multivector, e1, e01, e012, e12, e20, one, zero
 from pga2d.geometry import project
 
 
@@ -490,6 +490,22 @@ def test_sandwich_rejects_an_operand_that_is_not_an_element(operand):
             sandwich(versor, operand)
 
 
+@pytest.mark.parametrize("versor", [Line(1, 0, 0), e12, "x"], ids=["Line", "Multivector", "str"])
+def test_sandwich_rejects_a_versor_that_is_not_a_motor_or_odd_versor(versor):
+    with pytest.raises(TypeError, match=f"^cannot use {type(versor).__name__} as a versor$"):
+        sandwich(versor, Point(0, 0, 1))
+
+
+def test_isometries_keep_the_pseudoscalar():
+    # a pseudoscalar has no typed sandwich: its .mv() is multiplied out
+    for versor in (
+        rotator(Point(1, 2, 1), 0.7),
+        translator(IdealPoint(1, 0), 3.0),
+        OddVersor(Line(3, 4, -1), 0.0).normalized(),
+    ):
+        assert sandwich(versor, Pseudoscalar(2.0)).approx_eq(e012.scaled(2.0), 1e-12)
+
+
 def test_glide_decompose_rejects_ideal_axis():
     with pytest.raises(DomainError):
         glide_decompose(OddVersor(Line(0, 0, 1), 1.0))
@@ -606,6 +622,23 @@ def test_solve_rejects_non_incident():
         solve_point_line_transport(
             Point(0, 1, 1), Line(0, 1, 0), Point(1, 0, 1), Line(1, 0, 0)
         )
+
+
+# each point lies within the check's 1e-9 of the figure's size 5 of its line,
+# but m carried to B lies 8e-9 from n
+_OFF_BY_8E9 = (Point(0, 0, 1), Line(0, 1, 4e-9), Point(5, 0, 1), Line(0, 1, -4e-9))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_solve_rejects_a_motor_that_misses_the_target_line(tol):
+    with pytest.raises(ConstructionError, match="^no direct isometry transports the given pairs$"):
+        solve_point_line_transport(*_OFF_BY_8E9, tol)
+
+
+def test_solve_accepts_the_miss_at_a_looser_tol_and_the_matching_pair():
+    a, m, a2, _ = _OFF_BY_8E9
+    assert solve_point_line_transport(a, m, a2, _OFF_BY_8E9[3], 1e-6) == translator_by(5, 0)
+    assert solve_point_line_transport(a, m, a2, m) == translator_by(5, 0)
 
 
 def test_solve_tiny_rotation_angles():

@@ -143,6 +143,12 @@ def test_grade_examples():
     assert e1.gp(e12 + e20).grade(3) == e012
 
 
+@pytest.mark.parametrize("size", [7, 9])
+def test_constructor_rejects_a_wrong_number_of_coefficients(size):
+    with pytest.raises(ValueError, match=f"^expected 8 coefficients, got {size}$"):
+        Multivector((0.0,) * size)
+
+
 def test_constructor_rejects_non_finite():
     with pytest.raises(ValueError):
         Multivector((float("nan"),) + (0.0,) * 7)

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 import pga2d
 from pga2d.cli import main
-from pga2d.errors import EvaluationError, ParseError, RenderError
-from pga2d.elements import Point
+from pga2d.errors import DomainError, EvaluationError, ParseError, RenderError
+from pga2d.elements import Line, Point
 from pga2d.isometry import Motor
+from pga2d.metric import normalize
 from pga2d.render import _clip_line, build_svg
 from pga2d.script import (
-    _SIGNATURES, Program, Statement, evaluate, format_program, format_value, parse,
+    _SIGNATURES, Statement, evaluate, format_program, format_value, parse,
 )
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
@@ -29,10 +30,10 @@ SCRIPTS = Path(__file__).parent / "data" / "scripts"
 
 def test_parse_simple_statements():
     program = parse("point A 0 0\ndist d A A  # comment\n\n# full comment line\n")
-    assert [st.verb for st in program.statements] == ["point", "dist"]
-    assert program.statements[0].result == "A"
-    assert program.statements[0].args == (0.0, 0.0)
-    assert program.statements[1].args == ("A", "A")
+    assert [st.verb for st in program] == ["point", "dist"]
+    assert program[0].result == "A"
+    assert program[0].args == (0.0, 0.0)
+    assert program[1].args == ("A", "A")
 
 
 def test_parse_reports_line_numbers():
@@ -92,14 +93,14 @@ _NAME_CHARS = st.one_of(
 def test_parse_accepts_the_names_the_old_regex_accepted(token):
     source = f"point {token} 0 0"
     if _OLD_NAME_RE.match(token):
-        assert parse(source).statements[0].result == token
+        assert parse(source)[0].result == token
     else:
         with pytest.raises(ParseError) as err:
             parse(source)
         assert str(err.value) == f"line 1: invalid name {token!r}"
 
 
-def _old_parse(source: str) -> Program:
+def _old_parse(source: str) -> tuple[Statement, ...]:
     """The parser before it checked each line in one pass, kept as the oracle
     for statements and error messages (it split lines with str.splitlines)."""
     statements = []
@@ -141,7 +142,7 @@ def _old_parse(source: str) -> Program:
         if result is not None:
             defined.add(result)
         statements.append(Statement(lineno, verb, result, tuple(args)))
-    return Program(tuple(statements))
+    return tuple(statements)
 
 
 # A, B, m and n are defined by a preamble that most drawn scripts start with
@@ -194,7 +195,7 @@ def test_parse_matches_the_old_parser(lines, preamble):
         except ParseError as exc:
             return str(exc), exc.lineno
         # repr tells nan and -0.0 apart; == would not
-        return [(type(s), s.lineno, s.verb, s.result, repr(s.args)) for s in program.statements]
+        return [(type(s), s.lineno, s.verb, s.result, repr(s.args)) for s in program]
 
     source = "\n".join((_PREAMBLE if preamble else []) + lines)
     assert outcome(parse) == outcome(_old_parse)
@@ -221,7 +222,7 @@ def test_a_comment_runs_to_the_end_of_its_line(tmp_path, capsys, source, message
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_lines_end_at_newline_crlf_or_cr(end):
     program = parse(end.join(["point A 1 2", "", "point B 3 4\x0b\x1c", "print B", ""]))
-    assert [(s.lineno, s.verb) for s in program.statements] == [
+    assert [(s.lineno, s.verb) for s in program] == [
         (1, "point"), (3, "point"), (4, "print")
     ]
 
@@ -366,6 +367,7 @@ def test_subnormal_ideal_point_acts_like_its_unit_direction():
             "rotator r A 1\nproject p A r",
             "line 4: project target must be Point or Line, but 'r' is Motor",
         ),
+        ("line m 1 0 0\nline n 0 1 0\nproject p m n", "line 5: zero element is not a line"),
     ],
 )
 def test_statement_errors_carry_their_line_and_the_output_before_them(failing, message):
@@ -425,6 +427,41 @@ def test_each_verb_calls_the_library_through_its_module(monkeypatch, module, nam
 
 def test_format_value_of_huge_ideal_point():
     assert format_value(Point(1.7e308, -1.7e308, 0.0)) == "ideal (0.707107, -0.707107)"
+
+
+def test_format_value_rejects_a_value_that_is_not_a_script_value():
+    with pytest.raises(TypeError, match="^cannot format str$"):
+        format_value("x")
+
+
+def test_a_script_error_without_a_line_is_its_message():
+    assert str(ParseError("bad input")) == "bad input"
+    assert str(ParseError("bad input", 3)) == "line 3: bad input"
+
+
+# at a tol of 1 or more a unit normal or a weight 1 counts as zero, so the
+# origin and the line x = 0 are ideal, and there is nothing to divide by
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (Line(1, 0, 0), "cannot normalize a zero line"),
+        (Point(0, 0, 1), "cannot normalize a zero point"),
+    ],
+    ids=["line", "point"],
+)
+def test_shown_values_without_a_unit_form_fail_as_domain_errors(value, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        format_value(value, 1.0)
+    with pytest.raises(RenderError, match=f"^cannot draw the figure: {message}$"):
+        build_svg({"x": value}, 1.0)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        normalize(value, 1.0)
+
+
+def test_printing_a_value_without_a_unit_form_is_an_evaluation_error():
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse("line m 1 0 0\nprint m\n"), 1.0)
+    assert str(err.value) == "line 2: cannot normalize a zero line"
 
 
 def test_evaluate_rejects_midline_of_antiparallel():
@@ -799,6 +836,9 @@ _OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
         # the offset divided by the normal's length overflows
         ("line m 1e-300 0 -1e10\nprint m\n", 2),
         ("line m 5e-324 5e-324 -1\nprint m\n", 2),
+        # a gate normalizes as print does, and fails alike
+        (_SUBNORMAL_MEET + "point A 0 0\ndist d P A\n", 5),
+        ("line m 1e-300 0 -1e10\npoint A 0 0\nreflect r m A\n", 3),
     ],
 )
 def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
@@ -1008,8 +1048,12 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
 
 
 def test_the_library_import_loads_neither_enum_nor_re():
-    # the CLI does load both: argparse imports re, and re imports enum
-    probe = "import sys, pga2d, pga2d.script; print(sorted({'enum', 're'} & set(sys.modules)))"
+    # the CLI does load both: argparse imports re, and re imports enum; the
+    # kernel, loaded on first use, adds none of them and no typing either
+    probe = (
+        "import sys, pga2d, pga2d.script, pga2d.kernel; "
+        "print(sorted({'enum', 're', 'typing'} & set(sys.modules)))"
+    )
     assert _fresh(probe) == "[]\n"
 
 

@@ -24,7 +24,7 @@ from pga2d.errors import EvaluationError, IncidenceError
 from pga2d.isometry import Motor, OddVersor, sandwich, solve_point_line_transport
 from pga2d.metric import normalize
 from pga2d.multivector import DEFAULT_TOL, near_zero
-from pga2d.script import Program, Statement, evaluate, format_program, parse
+from pga2d.script import Statement, evaluate, format_program, parse
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pga2d"
@@ -298,9 +298,9 @@ class Similarity:
         a2, b2 = self.turn(a, b)
         return a2, b2, self.s * c - (a2 * self.t[0] + b2 * self.t[1])
 
-    def program(self, program: Program) -> Program:
+    def program(self, program: tuple[Statement, ...]) -> tuple[Statement, ...]:
         statements = []
-        for st in program.statements:
+        for st in program:
             args = st.args
             if st.verb == "point":
                 args = self.point(*args)
@@ -311,10 +311,10 @@ class Similarity:
             elif st.verb == "translator":
                 args = (args[0], self.s * args[1])
             statements.append(Statement(st.lineno, st.verb, st.result, args))
-        return Program(tuple(statements))
+        return tuple(statements)
 
 
-def _outcome(program: Program):
+def _outcome(program: tuple[Statement, ...]):
     try:
         return evaluate(program)[0], None
     except EvaluationError as exc:
@@ -380,7 +380,7 @@ def test_moving_turning_and_scaling_a_script_moves_turns_and_scales_its_values(
     moved, failure = _outcome(sim.program(program))
     assert failure is None, f"{source} fails after the move: {failure}"
     assert moved.keys() == env.keys()
-    verbs = {st.result: st.verb for st in program.statements}
+    verbs = {st.result: st.verb for st in program}
     for name, want in env.items():
         got = moved[name]
         what = f"{source}: {verbs[name]} {name}"

@@ -12,7 +12,7 @@ from pga2d.errors import DomainError
 from pga2d.geometry import Decomposition, TripleLineProduct
 from pga2d.isometry import GlideDecomposition, Motor, OddVersor
 from pga2d.multivector import Multivector
-from pga2d.script import Program, Statement
+from pga2d.script import Statement
 
 _MV = Multivector((1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.5))
 _STATEMENT = Statement(3, "point", "A", (1.0, 2.0))
@@ -68,14 +68,6 @@ CASES = [
         Statement(3, "point", "B", (1.0, 2.0)),
         "verb",
         "Statement(lineno=3, verb='point', result='A', args=(1.0, 2.0))",
-    ),
-    (
-        Program((_STATEMENT, Statement(4, "print", None, ("A",)))),
-        Program((_STATEMENT, Statement(4, "print", None, ("A",)))),
-        Program((_STATEMENT,)),
-        "statements",
-        "Program(statements=(Statement(lineno=3, verb='point', result='A', args=(1.0, 2.0)), "
-        "Statement(lineno=4, verb='print', result=None, args=('A',))))",
     ),
 ]
 
