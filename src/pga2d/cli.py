@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -45,14 +44,9 @@ def format_dual_table() -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):  # argparse's passes over a failed write; main reports it
-        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
-
-
 def main(argv=None) -> int:
     try:
-        return _main(argv)
+        return _main(sys.argv[1:] if argv is None else list(argv))
     except OSError as exc:  # writing stdout; _main catches every other OSError
         # on devnull, the interpreter's last flush of what is left is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -63,7 +57,34 @@ def main(argv=None) -> int:
         return 1
 
 
-def _main(argv) -> int:
+def _read(argv: list[str]):
+    """(command, script, svg, tol) of `tables`, or of `run SCRIPT` with at
+    most one `--svg PATH` and one `--tol EPS` in either order, as argparse
+    reads them, without importing it; None for any other argv, such as a
+    value that starts with "-", which argparse then reads or rejects."""
+    if argv == ["tables"]:
+        return "tables", None, None, DEFAULT_TOL
+    if len(argv) % 2 or argv[:1] != ["run"] or any(v.startswith("-") for v in argv[1::2]):
+        return None
+    options = dict(zip(argv[2::2], argv[3::2]))
+    if len(options) != len(argv) // 2 - 1 or not options.keys() <= {"--svg", "--tol"}:
+        return None
+    try:
+        tol = float(options.get("--tol", DEFAULT_TOL))  # argparse's type=float
+    except ValueError:
+        return None
+    return "run", argv[1], options.get("--svg"), tol
+
+
+def _parse_args(argv: list[str]):
+    """(command, script, svg, tol) of any argv, read by argparse, which exits
+    on help and on a usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # argparse's passes over a failed write; main reports it
+            print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
     parser = _Parser(
         prog="pga2d", description="Euclidean plane constructions in geometric algebra"
     )
@@ -74,21 +95,27 @@ def _main(argv) -> int:
     run_p.add_argument("--svg", metavar="PATH", help="render the final environment")
     run_p.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="EPS")
 
-    sub.add_parser("tables", help="print the basis product and duality tables")
+    tables = sub.add_parser("tables", help="print the basis product and duality tables")
+    tables.set_defaults(script=None, svg=None, tol=DEFAULT_TOL)  # the tuple _read gives
 
     args = parser.parse_args(argv)
+    return args.command, args.script, args.svg, args.tol
 
-    if args.command == "tables":
+
+def _main(argv: list[str]) -> int:
+    command, script, svg, tol = _read(argv) or _parse_args(argv)
+
+    if command == "tables":
         sys.stdout.write(format_cayley_table() + format_dual_table())
         sys.stdout.flush()  # a closed stdout fails here, inside main, not at exit
         return 0
 
     # at a tol of 1 or more every point is ideal, even the origin
-    if not 0.0 <= args.tol < 1.0:
-        print(f"error: --tol must be at least 0 and below 1, got {args.tol}", file=sys.stderr)
+    if not 0.0 <= tol < 1.0:
+        print(f"error: --tol must be at least 0 and below 1, got {tol}", file=sys.stderr)
         return 1
     try:
-        with open(args.script, encoding="utf-8") as handle:
+        with open(script, encoding="utf-8") as handle:
             source = handle.read()
         statements = parse(source)
     except (OSError, ParseError) as exc:
@@ -96,12 +123,12 @@ def _main(argv) -> int:
         return 1
     except UnicodeDecodeError as exc:
         print(
-            f"error: {args.script}: not valid UTF-8 text ({exc.reason} at byte {exc.start})",
+            f"error: {script}: not valid UTF-8 text ({exc.reason} at byte {exc.start})",
             file=sys.stderr,
         )
         return 1
     try:
-        env, output = evaluate(statements, tol=args.tol)
+        env, output = evaluate(statements, tol=tol)
     except EvaluationError as exc:
         sys.stdout.write(exc.output)
         sys.stdout.flush()
@@ -109,9 +136,9 @@ def _main(argv) -> int:
         return 2
     sys.stdout.write(output)
     sys.stdout.flush()
-    if args.svg:
+    if svg:
         try:
-            render_svg(env, args.svg, tol=args.tol)
+            render_svg(env, svg, tol=tol)
         except (RenderError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

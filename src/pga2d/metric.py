@@ -78,13 +78,13 @@ def _unit(x, ideal: bool) -> tuple[float, float, float]:
     unit-normal [a, b, c], or [a/c, b/c, 1] when ideal; a point's
     (x/z, y/z, 1), or (x, y, z) over the length of (x, y) when ideal, so an
     ideal point made with weight 0 keeps weight 0.  DomainError when the
-    divisor is zero or a euclidean field overflows."""
+    divisor is zero or a field of a line or a euclidean point overflows."""
     if isinstance(x, Line):
         if not ideal:
             return _finite(unit_direction(x.a, x.b, x.c))
         if x.c == 0.0:
             raise DomainError("cannot normalize a zero line")
-        return x.a / x.c, x.b / x.c, 1.0
+        return _finite((x.a / x.c, x.b / x.c, 1.0))
     if not ideal:
         return _finite((x.x / x.z, x.y / x.z, 1.0))
     if x.x == 0.0 and x.y == 0.0:

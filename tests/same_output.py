@@ -9,8 +9,8 @@ base commit of a change.  The golden scripts and the generated bench scripts
 (``bench/generate.py``, seeds 1-3, 12 per workload) run at ``--tol`` 1e-9, 1e-6
 and 0 through ``pga2d.cli.main``, each script with ``--svg``, and so does
 ``pga2d tables`` and both ``--help`` texts, and so do a few failing scripts
-and arguments: one per kind of error line, and a few operands of the wrong
-kind.  Each tree runs every case in one child process with its own
+and arguments: one per kind of error line, a few operands of the wrong
+kind, and argument lists that argparse reads, most of them usage errors.  Each tree runs every case in one child process with its own
 ``src`` on the path.  Any difference in stdout, stderr, exit code or SVG bytes
 is printed, and the exit code is then 1.  pytest does not collect this file.
 """
@@ -81,9 +81,19 @@ def _write_scripts(folder: Path) -> list[str]:
 
 def _cases(names: list[str]) -> list[list[str]]:
     runs = [["run", name, "--tol", tol, "--svg", "out.svg"] for name in names for tol in TOLS]
+    x = names[0]
+    # argv shapes that the CLI leaves to argparse: usage errors, and options
+    # that argparse reads although they are not the common shape
+    fallback = [
+        [], ["run"], ["run", "a", "b"], ["tables", "extra"],
+        ["run", x, "--svg"], ["run", x, "--bogus"], ["run", x, "--svg=out.svg"],
+        ["run", x, "--sv", "out.svg"], ["run", "--tol", "0.001", x], ["run", x, "--tol", "abc"],
+        ["run", x, "--tol", "-0"], ["run", x, "--svg", "a.svg", "--svg", "out.svg"],
+        ["run", x, "--", "--svg"],
+    ]
     return [
         ["tables"], ["--help"], ["run", "--help"], ["run", "missing.pga"],
-        ["run", names[0], "--tol", "1"], *runs,
+        ["run", x, "--tol", "1"], *fallback, *runs,
     ]
 
 

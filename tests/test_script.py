@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pga2d
-from pga2d.cli import main
+from pga2d.cli import _parse_args, _read, main
 from pga2d.errors import DomainError, EvaluationError, ParseError, RenderError
 from pga2d.elements import Line, Point
 from pga2d.isometry import Motor
@@ -440,21 +440,23 @@ def test_a_script_error_without_a_line_is_its_message():
 
 
 # at a tol of 1 or more a unit normal or a weight 1 counts as zero, so the
-# origin and the line x = 0 are ideal, and there is nothing to divide by
+# origin and the line x = 0 are ideal, and there is nothing to divide by; a
+# line with a tiny c is ideal too, and a/c overflows
 @pytest.mark.parametrize(
     "value, message",
     [
         (Line(1, 0, 0), "cannot normalize a zero line"),
         (Point(0, 0, 1), "cannot normalize a zero point"),
+        (Line(1, 0, 1e-320), "result is not finite (coefficient overflow or non-finite factor)"),
     ],
-    ids=["line", "point"],
+    ids=["line", "point", "overflowing-ideal-line"],
 )
 def test_shown_values_without_a_unit_form_fail_as_domain_errors(value, message):
-    with pytest.raises(DomainError, match=f"^{message}$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         format_value(value, 1.0)
-    with pytest.raises(RenderError, match=f"^cannot draw the figure: {message}$"):
+    with pytest.raises(RenderError, match=f"^{re.escape('cannot draw the figure: ' + message)}$"):
         build_svg({"x": value}, 1.0)
-    with pytest.raises(DomainError, match=f"^{message}$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         normalize(value, 1.0)
 
 
@@ -756,6 +758,50 @@ def test_cli_svg_flag(tmp_path, capsys):
     assert out.exists()
 
 
+def test_cli_golden_run_with_tol_before_svg(tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    argv = ["run", str(SCRIPTS / "dist345.pga"), "--tol", "1e-9", "--svg", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ((SCRIPTS / "dist345.expected.txt").read_text(), "")
+    assert out.read_text() == (SCRIPTS / "dist345.expected.svg").read_text()
+
+
+# argv lists that the CLI reads without argparse: each must read as argparse
+# reads it (float is argparse's type=float, so it takes nan, spaces and "_")
+COMMON_ARGV = [
+    ["tables"], ["run", "x.pga"], ["run", "x.pga", "--svg", "a.svg"],
+    ["run", "x.pga", "--tol", "1e-3"], ["run", "x.pga", "--svg", "a.svg", "--tol", "0"],
+    ["run", "x.pga", "--tol", "0", "--svg", "a.svg"], ["run", "x.pga", "--tol", "nan"],
+    ["run", "x.pga", "--tol", " 1e-3"], ["run", "x.pga", "--tol", "1_0"],
+    ["run", "x.pga", "--tol", " -1"], ["run", "x.pga", "--svg", ""],
+    ["run", "", "--svg", "a.svg"], ["run", "run"], ["run", "tables", "--svg", "run"],
+]
+# and argv lists that it leaves to argparse: help, usage errors, and options
+# that argparse reads although they are not the common shape
+OTHER_ARGV = [
+    [], ["run"], ["tables", "extra"], ["run", "a", "b"], ["Run", "x.pga"], ["-h"], ["--help"],
+    ["run", "-h"], ["run", "x.pga", "--help"], ["tables", "-h"], ["run", "x.pga", "--svg"],
+    ["run", "x.pga", "--bogus"], ["run", "x.pga", "--bogus", "v"],
+    ["run", "x.pga", "--svg=out.svg"], ["run", "x.pga", "--sv", "out.svg"],
+    ["run", "--tol", "0.001", "x.pga"], ["run", "x.pga", "--tol", "abc"],
+    ["run", "x.pga", "--tol", ""], ["run", "x.pga", "--tol", "-0"], ["run", "-1"],
+    ["run", "x.pga", "--svg", "-"], ["run", "x.pga", "--svg", "a.svg", "--svg", "b.svg"],
+    ["run", "x.pga", "--tol", "0", "--tol", "0"], ["run", "x.pga", "--", "--svg"],
+    ["run", "--", "x.pga"], ["run", "x.pga", "--svg", "a.svg", "--tol"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMON_ARGV, ids=repr)
+def test_the_common_argv_reads_as_argparse_reads_it(argv):
+    # repr, so that a nan tol compares equal to itself
+    assert _read(argv) is not None and repr(_read(argv)) == repr(_parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", OTHER_ARGV, ids=repr)
+def test_every_other_argv_is_left_to_argparse(argv):
+    assert _read(argv) is None
+
+
 def test_cli_unwritable_svg(tmp_path, capsys):
     script = tmp_path / "s.pga"
     script.write_text("point A 0 0\n")
@@ -1048,13 +1094,44 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
 
 
 def test_the_library_import_loads_neither_enum_nor_re():
-    # the CLI does load both: argparse imports re, and re imports enum; the
-    # kernel, loaded on first use, adds none of them and no typing either
+    # nor does the kernel, loaded on first use, which loads no typing either;
+    # argparse brings both in, and the CLI imports it only for an uncommon argv
     probe = (
         "import sys, pga2d, pga2d.script, pga2d.kernel; "
         "print(sorted({'enum', 're', 'typing'} & set(sys.modules)))"
     )
     assert _fresh(probe) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (None, None),
+        (["run", "dist345.pga", "--svg", "out.svg", "--tol", "1e-6"], 0),
+        (["tables"], 0),
+        (["run"], 2),
+    ],
+    ids=["import", "run", "tables", "usage-error"],
+)
+def test_only_an_uncommon_argv_loads_argparse(tmp_path, argv, code):
+    # argparse imports gettext and re, and re imports enum
+    (tmp_path / "dist345.pga").write_text((SCRIPTS / "dist345.pga").read_text())
+    probe = f"""
+import os, sys
+import pga2d.cli
+os.chdir({str(tmp_path)!r})
+code = None
+if {argv!r} is not None:
+    try:
+        code = pga2d.cli.main({argv!r})
+    except SystemExit as exc:  # argparse
+        code = exc.code
+print(code, *sorted({{'argparse', 'gettext', 're', 'enum'}} & set(sys.modules)))
+"""
+    printed_code, *loaded = _fresh(probe).splitlines()[-1].split()
+    assert printed_code == str(code)
+    assert ("argparse" in loaded) if argv == ["run"] else (loaded == [])
+    assert (tmp_path / "out.svg").exists() is (code == 0 and "--svg" in argv)
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"])

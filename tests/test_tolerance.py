@@ -3,6 +3,7 @@ operands, so that results do not depend on where a figure sits or how big it
 is (within the range the README states).
 
 * pinned cases that the older absolute and floored-at-1 tests got wrong;
+* bands pinned from both sides: a value just inside and one just outside;
 * a lint over src/pga2d that keeps every tolerance product inside near_zero;
 * a metamorphic property: moving, turning and uniformly scaling a script's
   literals moves, turns and scales everything it computes.
@@ -20,9 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pga2d.elements import Line, Point
-from pga2d.errors import EvaluationError, IncidenceError
-from pga2d.isometry import Motor, OddVersor, sandwich, solve_point_line_transport
-from pga2d.metric import normalize
+from pga2d.errors import DomainError, EvaluationError, IncidenceError
+from pga2d.geometry import triple_lines
+from pga2d.isometry import Motor, OddVersor, factor_motor, sandwich, solve_point_line_transport
+from pga2d.metric import factor_point, normalize
 from pga2d.multivector import DEFAULT_TOL, near_zero
 from pga2d.script import Statement, evaluate, format_program, parse
 
@@ -100,6 +102,63 @@ def test_point_literal_beyond_the_range_is_an_error():
     evaluate(parse("point B 2e9 0\n"), tol=0.0)  # no limit without a tolerance
 
 
+# -- the bands, pinned from both sides ---------------------------------------------
+#
+# Each decision is near_zero(value, scale, tol).  A value 0.5 tol * scale from
+# the band's centre is inside it and one 1.5 tol * scale away is outside, so a
+# scale changed from 1 to 2 fails the pair at tol 1e-9.  At tol 0 only the
+# centre is inside, and the floats next to it are outside.
+
+
+def _inside_and_outside(centre: float, tol: float):
+    """Values on both sides of centre, inside the band of scale 1 and outside it."""
+    if tol:
+        return (centre - 0.5 * tol, centre + 0.5 * tol), (centre - 1.5 * tol, centre + 1.5 * tol)
+    return (centre,), (math.nextafter(centre, -math.inf), math.nextafter(centre, math.inf))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+def test_factor_point_takes_a_weight_within_tol_of_one(tol):
+    inside, outside = _inside_and_outside(1.0, tol)
+    for w in inside:
+        m, n = factor_point(Point(0.3, -0.2, w), tol)
+        assert (m.a, m.b) == (0.0, 1.0)
+    for w in outside:
+        with pytest.raises(DomainError, match="must have weight"):
+            factor_point(Point(0.3, -0.2, w), tol)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+def test_triple_lines_flags_a_sine_within_tol_of_zero(tol):
+    inside, outside = _inside_and_outside(0.0, tol)
+    for sine in inside + outside:
+        # y = 0, the line y = 1 turned by the sine, and x = 0: never concurrent,
+        # and only the first two are near parallel
+        product = triple_lines(Line(0, 1, 0), Line(sine, 1, -1), Line(1, 0, 0), tol)
+        assert product.degenerate is (sine in inside)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+def test_factor_motor_takes_an_ideal_part_within_tol_as_no_translation(tol):
+    inside, outside = _inside_and_outside(0.0, tol)
+    for by in inside:
+        assert factor_motor(Motor(1, 0, by, 0), tol)[0] == Line(0, 1, 0)
+    for by in outside:
+        # a translation along y: the mirror p is perpendicular to it
+        assert factor_motor(Motor(1, 0, by, 0), tol)[0] == Line(-math.copysign(1.0, by), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "tol, null, weighty",
+    [(DEFAULT_TOL, 0.5e-9, 1.5e-9), (DEFAULT_TOL, 1e-12, 1e-8), (0.0, 0.0, 1e-12)],
+)
+def test_a_motor_is_null_when_its_weight_is_within_tol_of_its_largest_part(tol, null, weighty):
+    # the largest part is bx = 1; a scale of max(|s|, |bz|) would be the weight itself
+    with pytest.raises(DomainError, match="is null"):
+        Motor(null, 1, 0, 0).normalized(tol)
+    assert Motor(weighty, 1, 0, 0).normalized(tol) == Motor(1, 1 / weighty, 0, 0)
+
+
 # -- the policy, as a lint ---------------------------------------------------------
 
 # where a comparison keeps its own convention: approx_eq's absolute semantics
@@ -135,8 +194,12 @@ def _violations(tree: ast.AST):
             if any(_is_tolerance(side) for side in (node.left, node.right)):
                 yield node.lineno, "a tolerance product outside near_zero"
         if isinstance(node, ast.Compare):
-            for side in (node.left, *node.comparators):
-                if _has_tolerance(side):
+            sides = (node.left, *node.comparators)
+            # bounds on a tolerance itself, such as the CLI's range check of
+            # --tol, compare no computed value with it
+            bounds = all(_is_tolerance(side) or isinstance(side, ast.Constant) for side in sides)
+            for side in sides:
+                if _has_tolerance(side) and not bounds:
                     yield node.lineno, "a tolerance comparison outside near_zero"
                 if isinstance(side, ast.Constant) and isinstance(side.value, float):
                     if 0.0 < abs(side.value) < 1e-3:
@@ -162,6 +225,8 @@ def test_the_lint_catches_each_older_convention():
         "    return abs(u[2]) > 1e-15 or 1e-9 * u[3] > check_tol * 2\n"
         "eps = 1e-9 * 4.0\n"
         "inside = 0.0 - eps <= 0.5\n"
+        "valid = 0.0 <= tol < 1.0\n"
+        "inside = 0.0 <= tol < d\n"
     )
     assert sorted(_violations(ast.parse(older))) == [
         (2, "a tolerance comparison outside near_zero"),
@@ -171,6 +236,7 @@ def test_the_lint_catches_each_older_convention():
         (4, "a tolerance product outside near_zero"),
         (4, "the literal 1e-15"),
         (6, "a tolerance comparison outside near_zero"),
+        (8, "a tolerance comparison outside near_zero"),
     ]
 
 
