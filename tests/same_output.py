@@ -9,10 +9,12 @@ base commit of a change.  The golden scripts and the generated bench scripts
 (``bench/generate.py``, seeds 1-3, 12 per workload) run at ``--tol`` 1e-9, 1e-6
 and 0 through ``pga2d.cli.main``, each script with ``--svg``, and so does
 ``pga2d tables`` and both ``--help`` texts, and so do a few failing scripts
-and arguments: one per kind of error line, a few operands of the wrong
-kind, and argument lists that argparse reads, most of them usage errors.  Each tree runs every case in one child process with its own
-``src`` on the path.  Any difference in stdout, stderr, exit code or SVG bytes
-is printed, and the exit code is then 1.  pytest does not collect this file.
+and arguments: one per kind of error line, a few operands of the wrong kind,
+and argument lists that argparse reads, most of them usage errors.
+
+Each tree runs every case in one child process with its own ``src`` on the
+path.  Any difference in stdout, stderr, exit code or SVG bytes is printed,
+and the exit code is then 1.  pytest does not collect this file.
 """
 
 from __future__ import annotations
