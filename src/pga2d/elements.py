@@ -30,13 +30,14 @@ class Line(Frozen):
 
     def __init__(self, a: float, b: float, c: float):
         a, b, c = float(a), float(b), float(c)
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        # a finite sum proves every field finite, as in _finite
+        if not math.isfinite(a + b + c) and not all(map(math.isfinite, (a, b, c))):
             raise DomainError(f"non-finite line coefficients [{a}, {b}, {c}]")
         if a == 0.0 and b == 0.0 and c == 0.0:
             raise DomainError("zero element is not a line")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        _line_a(self, a)
+        _line_b(self, b)
+        _line_c(self, c)
 
     def mv(self) -> multivector.Multivector:
         return multivector._unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
@@ -63,13 +64,13 @@ class Point(Frozen):
 
     def __init__(self, x: float, y: float, z: float):
         x, y, z = float(x), float(y), float(z)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):
             raise DomainError(f"non-finite point coordinates ({x}, {y}, {z})")
         if x == 0.0 and y == 0.0 and z == 0.0:
             raise DomainError("zero element is not a point")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
+        _point_x(self, x)
+        _point_y(self, y)
+        _point_z(self, z)
 
     def mv(self) -> multivector.Multivector:
         return multivector._unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
@@ -87,6 +88,11 @@ class Point(Frozen):
 
     def __repr__(self) -> str:
         return f"Point({self.x:g}, {self.y:g}, {self.z:g})"
+
+
+# Line.__init__ and Point.__init__ set each field through its slot, faster than _set
+_line_a, _line_b, _line_c = (getattr(Line, f).__set__ for f in Line.__slots__)
+_point_x, _point_y, _point_z = (getattr(Point, f).__set__ for f in Point.__slots__)
 
 
 def IdealPoint(u: float, v: float) -> Point:
@@ -120,6 +126,8 @@ def cross(u: tuple, v: tuple) -> tuple[float, float, float]:
     return _finite((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
 
 
-def incidence(m: Line, p: Point) -> float:
-    """The e012 part of m ^ p, checked for overflow: zero when p is on m."""
-    return _finite((m.c * p.z + m.a * p.x + m.b * p.y,))[0]
+def incidence(m: tuple, p: tuple) -> float:
+    """The e012 part of m ^ p for a line [a, b, c] and a point (x, y, z),
+    checked for overflow: zero when p is on m."""
+    (a, b, c), (x, y, z) = m, p
+    return _finite((c * z + a * x + b * y,))[0]

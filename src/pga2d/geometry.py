@@ -57,18 +57,17 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> float:
     the argument order.  Intersecting lines are rejected (use angle).
     """
     if isinstance(x, Point) and isinstance(y, Point):
-        p, q = euclidean(x, tol, "point"), euclidean(y, tol, "point")
+        px, py, _ = euclidean(x, tol, "point")
+        qx, qy, _ = euclidean(y, tol, "point")
         # the normal (a, b) of the line joining two points of weight 1
-        return math.hypot(*_finite((p.y - q.y, q.x - p.x)))
+        return math.hypot(*_finite((py - qy, qx - px)))
     if isinstance(x, Line) and isinstance(y, Line):
-        m, n = euclidean(x, tol, "line"), euclidean(y, tol, "line")
-        gx, gy, sine = cross((m.a, m.b, m.c), (n.a, n.b, n.c))
+        gx, gy, sine = cross(euclidean(x, tol, "line"), euclidean(y, tol, "line"))
         if not near_zero(sine, 1.0, tol):
             raise DomainError("lines intersect; the gap is undefined (use angle)")
         return math.hypot(gx, gy)
     if isinstance(x, Line) and isinstance(y, Point):
-        m, p = euclidean(x, tol, "line"), euclidean(y, tol, "point")
-        return incidence(m, p)
+        return incidence(euclidean(x, tol, "line"), euclidean(y, tol, "point"))
     if isinstance(x, Point) and isinstance(y, Line):
         return -distance(y, x, tol)
     raise TypeError(f"no distance between {type(x).__name__} and {type(y).__name__}")
@@ -78,27 +77,30 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> float:
     """Angle in [0, pi] between two lines, two ideal points, or a line and
     an ideal point (measured against the line's direction)."""
     if isinstance(x, Line) and isinstance(y, Line):
-        m, n = euclidean(x, tol, "line"), euclidean(y, tol, "line")
+        ma, mb, _ = euclidean(x, tol, "line")
+        na, nb, _ = euclidean(y, tol, "line")
         # the scalar m . n and the e12 part of m ^ n
-        cos_a = m.a * n.a + m.b * n.b
-        sin_a = abs(m.a * n.b - m.b * n.a)
+        cos_a = ma * na + mb * nb
+        sin_a = abs(ma * nb - mb * na)
         return math.atan2(sin_a, cos_a)
     if isinstance(x, Point) and isinstance(y, Point):
-        c = max(-1.0, min(1.0, ideal_inner(ideal(x, tol, "point"), ideal(y, tol, "point"))))
-        return math.acos(c)
+        u, v = Point(*ideal(x, tol, "point")), Point(*ideal(y, tol, "point"))
+        return math.acos(max(-1.0, min(1.0, ideal_inner(u, v))))
     m, other = (x, y) if isinstance(x, Line) else (y, x)
     if isinstance(m, Line) and isinstance(other, Point):
-        m, u = euclidean(m, tol, "line"), ideal(other, tol, "point")
+        ma, mb, _ = euclidean(m, tol, "line")
+        ux, uy, _ = ideal(other, tol, "point")
         # m . u is the ideal line c*e0 with c the cosine
-        c = max(-1.0, min(1.0, m.b * u.x - m.a * u.y))
+        c = max(-1.0, min(1.0, mb * ux - ma * uy))
         return math.acos(c)
     raise TypeError(f"no angle between {type(x).__name__} and {type(y).__name__}")
 
 
 def midpoint(p: Point, q: Point, tol: float = DEFAULT_TOL) -> Point:
     """Point halfway between two euclidean points, returned with weight 1."""
-    pn, qn = euclidean(p, tol, "point"), euclidean(q, tol, "point")
-    return Point(0.5 * (pn.x + qn.x), 0.5 * (pn.y + qn.y), 1.0)
+    px, py, _ = euclidean(p, tol, "point")
+    qx, qy, _ = euclidean(q, tol, "point")
+    return Point(0.5 * (px + qx), 0.5 * (py + qy), 1.0)
 
 
 def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
@@ -106,21 +108,22 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
     or the parallel mid-line.  Anti-parallel inputs (whose sum degenerates to
     the ideal line) are rejected; negate one argument to pick the other
     orientation."""
-    m, n = euclidean(m, tol, "line"), euclidean(n, tol, "line")
+    ma, mb, mc = euclidean(m, tol, "line")
+    na, nb, nc = euclidean(n, tol, "line")
     # parallel (the e12 part of m ^ n) and opposed (the scalar m . n)
-    if near_zero(m.a * n.b - m.b * n.a, 1.0, tol) and m.a * n.a + m.b * n.b < 0.0:
+    if near_zero(ma * nb - mb * na, 1.0, tol) and ma * na + mb * nb < 0.0:
         raise OrientationError(
             "anti-parallel lines: their sum is ideal; negate one argument first"
         )
-    return normalize(Line(*_finite((m.a + n.a, m.b + n.b, m.c + n.c))), tol)
+    return normalize(Line(*_finite((ma + na, mb + nb, mc + nc))), tol)
 
 
 def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
     """Line through p perpendicular to m, with m's norm and m's orientation
     rotated a quarter turn counterclockwise."""
     euclidean(m, tol, "line")  # the result keeps m's norm
-    pn = euclidean(p, tol, "point")
-    return Line(*_finite((-m.b, m.a, m.b * pn.x - m.a * pn.y)))  # m . p, of weight 1
+    px, py, _ = euclidean(p, tol, "point")
+    return Line(*_finite((-m.b, m.a, m.b * px - m.a * py)))  # m . p, of weight 1
 
 
 def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
@@ -146,34 +149,35 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
         raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
     u = euclidean(x, tol, "projected element")
     w = euclidean(onto, tol, "projection target")
-    if isinstance(u, Line) and isinstance(w, Line):
-        cos = u.a * w.a + u.b * w.b
+    (u0, u1, _), (w0, w1, w2) = u, w
+    if isinstance(x, Line) and isinstance(onto, Line):
+        cos = u0 * w0 + u1 * w1
         # (m ^ n)n: the meet times n
-        px, py, pz = cross((u.a, u.b, u.c), (w.a, w.b, w.c))
+        px, py, pz = cross(u, w)
         return Decomposition(
-            _part(Line, (cos * w.a, cos * w.b, cos * w.c)),
-            _part(Line, (pz * w.b, -pz * w.a, py * w.a - px * w.b)),
+            _part(Line, (cos * w0, cos * w1, cos * w2)),
+            _part(Line, (pz * w1, -pz * w0, py * w0 - px * w1)),
         )
-    if isinstance(u, Line):
+    if isinstance(x, Line):
         return Decomposition(
-            _part(Line, (u.a, u.b, -(u.a * w.x + u.b * w.y))),
+            _part(Line, (u0, u1, -(u0 * w0 + u1 * w1))),
             _part(Line, (0.0, 0.0, incidence(u, w))),
         )
-    if isinstance(w, Line):
+    if isinstance(onto, Line):
         d = incidence(w, u)
         return Decomposition(
-            _part(Point, (u.x - w.a * d, u.y - w.b * d, 1.0)),
-            _part(IdealPoint, (w.a * d, w.b * d)),
+            _part(Point, (u0 - w0 * d, u1 - w1 * d, 1.0)),
+            _part(IdealPoint, (w0 * d, w1 * d)),
         )
-    return Decomposition(w, _part(IdealPoint, (u.x - w.x, u.y - w.y)))
+    return Decomposition(Point(*w), _part(IdealPoint, (u0 - w0, u1 - w1)))
 
 
 def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Point:
     """Product of three euclidean points of weight 1: the alternating sum
     -(a - b + c), of weight -1 (projectively the same point as a - b + c)."""
-    an, bn, cn = (euclidean(p, tol, "point") for p in (a, b, c))
+    (ax, ay, _), (bx, by, _), (cx, cy, _) = (euclidean(p, tol, "point") for p in (a, b, c))
     # summed in the order that the product a(bc) sums them
-    return Point(*_finite(((bn.x - cn.x) - an.x, (bn.y - cn.y) - an.y, -1.0)))
+    return Point(*_finite(((bx - cx) - ax, (by - cy) - ay, -1.0)))
 
 
 class TripleLineProduct(Frozen):
@@ -193,12 +197,13 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleL
     grade-3 part.  Concurrent or parallel triples are flagged, not rejected.
     With g the meet of b and c, a(bc) = (b.c)a + a.g + a ^ g."""
     an, bn, cn = (euclidean(m, tol, "line") for m in (a, b, c))
-    gx, gy, gz = cross((bn.a, bn.b, bn.c), (cn.a, cn.b, cn.c))
-    bc = bn.a * cn.a + bn.b * cn.b
-    line = (bc * an.a - an.b * gz, bc * an.b + an.a * gz, bc * an.c - an.a * gy + an.b * gx)
-    pseudo = Pseudoscalar(_finite((an.c * gz + an.a * gx + an.b * gy,))[0])
+    gx, gy, gz = cross(bn, cn)
+    bc = bn[0] * cn[0] + bn[1] * cn[1]
+    a0, a1, a2 = an
+    line = (bc * a0 - a1 * gz, bc * a1 + a0 * gz, bc * a2 - a0 * gy + a1 * gx)
+    pseudo = Pseudoscalar(_finite((a2 * gz + a0 * gx + a1 * gy,))[0])
     # concurrent, or two of them parallel (the e12 part of m ^ n is a sine)
-    sines = (m.a * n.b - m.b * n.a for m, n in ((an, bn), (bn, cn), (cn, an)))
+    sines = (m[0] * n[1] - m[1] * n[0] for m, n in ((an, bn), (bn, cn), (cn, an)))
     degenerate = any(near_zero(x, 1.0, tol) for x in (pseudo.s, *sines))
     return TripleLineProduct(Line(*_finite(line)), pseudo, degenerate)
 
@@ -206,7 +211,6 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleL
 def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
     """Sum of the six permutation products abc + acb + ...: the pure line
     2[(b.c)a + (c.a)b + (a.b)c] of the normalized lines."""
-    an, bn, cn = (euclidean(m, tol, "line") for m in (a, b, c))
-    bc, ca, ab = (m.a * n.a + m.b * n.b for m, n in ((bn, cn), (cn, an), (an, bn)))
-    u, v, w = ((m.a, m.b, m.c) for m in (an, bn, cn))
+    u, v, w = (euclidean(m, tol, "line") for m in (a, b, c))
+    bc, ca, ab = (m[0] * n[0] + m[1] * n[1] for m, n in ((v, w), (w, u), (u, v)))
     return Line(*_finite(tuple(2.0 * (bc * x + ca * y + ab * z) for x, y, z in zip(u, v, w))))

@@ -31,14 +31,13 @@ class Motor(Frozen):
 
     def __init__(self, s: float, bx: float, by: float, bz: float):
         s, bx, by, bz = float(s), float(bx), float(by), float(bz)
-        if not (
-            math.isfinite(s) and math.isfinite(bx) and math.isfinite(by) and math.isfinite(bz)
-        ):
+        # a finite sum proves every component finite, as in _finite
+        if not math.isfinite(s + bx + by + bz) and not all(map(math.isfinite, (s, bx, by, bz))):
             raise DomainError("non-finite motor components")
-        _set(self, "s", s)
-        _set(self, "bx", bx)
-        _set(self, "by", by)
-        _set(self, "bz", bz)
+        _motor_s(self, s)
+        _motor_bx(self, bx)
+        _motor_by(self, by)
+        _motor_bz(self, bz)
 
     def mv(self) -> multivector.Multivector:
         return multivector._unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
@@ -68,6 +67,7 @@ class Motor(Frozen):
         return f"Motor({self.s:g}, {self.bx:g}, {self.by:g}, {self.bz:g})"
 
 
+_motor_s, _motor_bx, _motor_by, _motor_bz = (getattr(Motor, f).__set__ for f in Motor.__slots__)
 IDENTITY_MOTOR = Motor(1.0, 0.0, 0.0, 0.0)
 
 
@@ -154,7 +154,7 @@ def sandwich(v, x):
 def reflect(a: Line, x, tol: float = DEFAULT_TOL):
     """Reflection in the euclidean line a: the sandwich by a normalized, an odd
     versor without pseudoscalar part (a line is its own reverse)."""
-    return sandwich(OddVersor(euclidean(a, tol, "mirror"), 0.0), x)
+    return sandwich(OddVersor(Line(*euclidean(a, tol, "mirror")), 0.0), x)
 
 
 def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
@@ -165,7 +165,7 @@ def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
     """
     an, bn = euclidean(a, tol, "mirror"), euclidean(b, tol, "mirror")
     # gp(bn, an): the scalar bn . an and the bivector bn ^ an
-    return Motor(bn.a * an.a + bn.b * an.b, *cross((bn.a, bn.b, bn.c), (an.a, an.b, an.c)))
+    return Motor(bn[0] * an[0] + bn[1] * an[1], *cross(bn, an))
 
 
 def _sinc(t: float) -> float:
@@ -233,18 +233,18 @@ def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
     half-angle exponential of this basis is clockwise in the usual drawing
     orientation); golden tests pin the convention.
     """
-    c = euclidean(p, tol, "rotation center")
+    cx, cy, cz = euclidean(p, tol, "rotation center")
     # the bivector (alpha/2) * c
     h = alpha / 2.0
-    return _exp(*_finite((c.x * h, c.y * h, c.z * h)))
+    return _exp(*_finite((cx * h, cy * h, cz * h)))
 
 
 def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
     """Motor whose sandwich translates by distance d perpendicular (CCW) to
     the ideal point v: exp((d/2) v) = 1 + (d/2) v for v of unit ideal norm,
     read as (x, y, 0) since it classifies as ideal."""
-    vn = ideal(v, tol, "translation direction")
-    return _exp(*_finite((0.5 * d * vn.x, 0.5 * d * vn.y, 0.0)))
+    vx, vy, _ = ideal(v, tol, "translation direction")
+    return _exp(*_finite((0.5 * d * vx, 0.5 * d * vy, 0.0)))
 
 
 def translator_by(dx: float, dy: float) -> Motor:
@@ -299,36 +299,35 @@ def solve_point_line_transport(
     """
     an, a2n = euclidean(a, tol, "point a"), euclidean(a2, tol, "point a2")
     mn, m2n = euclidean(m, tol, "line m"), euclidean(m2, tol, "line m2")
+    (ax, ay, _), (a2x, a2y, _), (ma, mb, mc), (m2a, m2b, m2c) = an, a2n, mn, m2n
     # below the smallest normal float rounding is absolute, so the size stops there
-    size = max(
-        abs(an.x), abs(an.y), abs(a2n.x), abs(a2n.y), abs(mn.c), abs(m2n.c), sys.float_info.min
-    )
+    size = max(abs(ax), abs(ay), abs(a2x), abs(a2y), abs(mc), abs(m2c), sys.float_info.min)
     # a floor, so that tol = 0 does not demand exact incidence of rounded input
     check_tol = max(tol, 1e-9)
-    for pt, ln, label in ((an, mn, "a on m"), ((a2n), m2n, "a2 on m2")):
+    for pt, ln, label in ((an, mn, "a on m"), (a2n, m2n, "a2 on m2")):
         defect = incidence(ln, pt)
         if not near_zero(defect, size, check_tol):
             raise IncidenceError(f"required incidence {label} fails (defect {defect:g})")
 
     # the translator by a2 - a; a difference that overflows fails as the kernel's overflow
-    t = translator_by(*_finite((a2n.x - an.x, a2n.y - an.y)))
-    c = mn.a * m2n.a + mn.b * m2n.b
-    s = mn.a * m2n.b - mn.b * m2n.a
+    t = translator_by(*_finite((a2x - ax, a2y - ay)))
+    c = ma * m2a + mb * m2b
+    s = ma * m2b - mb * m2a
     # (1 + c, s) and (|s|, sign(s) * (1 - c)) point the same way, as
     # (1 + c) * (1 - c) = s * s; the second does not cancel near a half turn
     if c >= 0.0:
         ch, sh, _ = unit_direction(1.0 + c, s)
     else:
         ch, sh, _ = unit_direction(abs(s), math.copysign(1.0 - c, s))
-    # turn * shift, the turn being (ch, -sh * a2n.x, -sh * a2n.y, -sh)
-    bx, by = ch * t.bx - sh * a2n.x - sh * t.by, ch * t.by - sh * a2n.y + sh * t.bx
+    # turn * shift, the turn being (ch, -sh * a2x, -sh * a2y, -sh)
+    bx, by = ch * t.bx - sh * a2x - sh * t.by, ch * t.by - sh * a2y + sh * t.bx
     g = Motor(*_finite((ch, bx, by, -sh)))
-    image_a = normalize(sandwich(g, an), tol)
-    image_m = normalize(sandwich(g, mn), tol)
+    image_a = normalize(sandwich(g, Point(*an)), tol)
+    image_m = normalize(sandwich(g, Line(*mn)), tol)
     # image_m must be m2 with a positive scale; unit normals count against 1
     misses = (
-        (image_a.x - a2n.x, size), (image_a.y - a2n.y, size),
-        (image_m.a - m2n.a, 1.0), (image_m.b - m2n.b, 1.0), (image_m.c - m2n.c, size),
+        (image_a.x - a2x, size), (image_a.y - a2y, size),
+        (image_m.a - m2a, 1.0), (image_m.b - m2b, 1.0), (image_m.c - m2c, size),
     )
     if not all(near_zero(miss, scale, check_tol) for miss, scale in misses):
         raise ConstructionError("no direct isometry transports the given pairs")

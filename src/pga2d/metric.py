@@ -78,7 +78,7 @@ def _unit(x, ideal: bool) -> tuple[float, float, float]:
     unit-normal [a, b, c], or [a/c, b/c, 1] when ideal; a point's
     (x/z, y/z, 1), or (x, y, z) over the length of (x, y) when ideal, so an
     ideal point made with weight 0 keeps weight 0.  DomainError when the
-    divisor is zero or a field of a line or a euclidean point overflows."""
+    divisor is zero or a field overflows."""
     if isinstance(x, Line):
         if not ideal:
             return _finite(unit_direction(x.a, x.b, x.c))
@@ -89,7 +89,7 @@ def _unit(x, ideal: bool) -> tuple[float, float, float]:
         return _finite((x.x / x.z, x.y / x.z, 1.0))
     if x.x == 0.0 and x.y == 0.0:
         raise DomainError("cannot normalize a zero point")
-    return unit_direction(x.x, x.y, x.z)
+    return _finite(unit_direction(x.x, x.y, x.z))
 
 
 def view(x, tol: float) -> tuple[bool, tuple[float, float, float]]:
@@ -100,21 +100,24 @@ def view(x, tol: float) -> tuple[bool, tuple[float, float, float]]:
     return ideal, _unit(x, ideal)
 
 
-def euclidean(x, tol: float, what: str):
-    """normalize of a line or point that must be euclidean, classified once.
+def euclidean(x, tol: float, what: str) -> tuple[float, float, float]:
+    """The fields of normalize(x), (a, b, c) or (x, y, z), for a line or
+    point that must be euclidean, classified once.
 
     This and ideal are the only gates on an operand's kind: what names the
-    operand's role in the message."""
+    operand's role in the message.  They return checked fields, not an
+    element; type(x)(*euclidean(x, ...)) is the normalized element."""
     if x.is_ideal(tol):
         raise ClassificationError(f"{what} {x!r} must be euclidean")
-    return type(x)(*_unit(x, False))
+    return _unit(x, False)
 
 
-def ideal(p: Point, tol: float, what: str):
-    """normalize of a point that must be ideal, classified once."""
+def ideal(p: Point, tol: float, what: str) -> tuple[float, float, float]:
+    """The fields (x, y, z) of normalize(p) for a point that must be ideal,
+    classified once."""
     if not p.is_ideal(tol):
         raise ClassificationError(f"{what} {p!r} must be ideal")
-    return Point(*_unit(p, True))
+    return _unit(p, True)
 
 
 def polar(x) -> multivector.Multivector:

@@ -33,10 +33,12 @@ class Frozen:
 
     A subclass names its fields in ``__slots__``, in the order of its
     constructor's parameters, and its ``__init__`` sets each one once with
-    ``_set``.  Two values are equal when they are of the same class and their
-    ``_key()`` tuples are equal, and then they hash alike.  Pickle and copy
-    rebuild a value by calling its constructor with every field, so a
-    restored value has passed the same checks as the original.
+    ``_set``, or, faster, with the slot's own setter,
+    ``getattr(cls, name).__set__``.  Two values are equal when they are of
+    the same class and their ``_key()`` tuples are equal, and then they hash
+    alike.  Pickle and copy rebuild a value by calling its constructor with
+    every field, so a restored value has passed the same checks as the
+    original.
     """
 
     __slots__ = ()

@@ -79,15 +79,13 @@ _HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" width="512" '
     'height="512" viewBox="0 0 512 512">\n<rect width="512" height="512" fill="white"/>\n'
 )
-_CIRCLE = '<circle cx="{:.2f}" cy="{:.2f}" r="4.00" fill="#1f77b4"/>\n'
-_LINE = (
-    '<line x1="{:.2f}" y1="{:.2f}" x2="{:.2f}" y2="{:.2f}" stroke="#333333" stroke-width="1.5"/>\n'
-)
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="4.00" fill="#1f77b4"/>\n'
+_LINE = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#333333" stroke-width="1.5"/>\n'
 _ARROW = (
-    '<path d="M {0:.2f} {1:.2f} L {2:.2f} {3:.2f} M {2:.2f} {3:.2f} L {4:.2f} {5:.2f} '
-    'M {2:.2f} {3:.2f} L {6:.2f} {7:.2f}" stroke="#d62728" fill="none" stroke-width="1.5"/>\n'
+    '<path d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" '
+    'stroke="#d62728" fill="none" stroke-width="1.5"/>\n'
 )
-_LABEL = '<text x="{:.2f}" y="{:.2f}" font-family="monospace" font-size="12" fill="#111111">'
+_LABEL = '<text x="%.2f" y="%.2f" font-family="monospace" font-size="12" fill="#111111">'
 
 
 def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
@@ -111,7 +109,7 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     for kind, name, payload in drawables:
         if kind == "point":
             px, py = (payload[0] - x0) * scale, VIEW - (payload[1] - y0) * scale
-            shapes.append(_CIRCLE.format(px, py))
+            shapes.append(_CIRCLE % (px, py))
         elif kind == "line":
             clip = _clip_line(*payload, window, tol)
             if clip is None:
@@ -119,16 +117,16 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
             (wx1, wy1), (wx2, wy2) = clip
             px1, py1 = (wx1 - x0) * scale, VIEW - (wy1 - y0) * scale
             px2, py2 = (wx2 - x0) * scale, VIEW - (wy2 - y0) * scale
-            shapes.append(_LINE.format(px1, py1, px2, py2))
+            shapes.append(_LINE % (px1, py1, px2, py2))
             px, py = 0.75 * px1 + 0.25 * px2, 0.75 * py1 + 0.25 * py2
         else:  # arrow from the anchor; head: two barbs splayed back from the tip
             ux, uy = payload
             px, py = ax + _ARROW_LEN * ux, ay - _ARROW_LEN * uy
-            shapes.append(_ARROW.format(
-                ax, ay, px, py, px + 8.0 * (-ux - 0.5 * uy), py + 8.0 * (uy - 0.5 * ux),
-                px + 8.0 * (0.5 * uy - ux), py + 8.0 * (uy + 0.5 * ux),
-            ))
-        text = _LABEL.format(px + 6.0, py - 6.0).replace("-0.00", "0.00")
+            lx, ly = px + 8.0 * (-ux - 0.5 * uy), py + 8.0 * (uy - 0.5 * ux)
+            rx, ry = px + 8.0 * (0.5 * uy - ux), py + 8.0 * (uy + 0.5 * ux)
+            # the shaft, then each barb from the tip
+            shapes.append(_ARROW % (ax, ay, px, py, px, py, lx, ly, px, py, rx, ry))
+        text = (_LABEL % (px + 6.0, py - 6.0)).replace("-0.00", "0.00")
         labels.append(f"{text}{name}</text>\n")
     body = "".join(shapes).replace("-0.00", "0.00")
     return f"{_HEAD}{body}{''.join(labels)}</svg>\n"

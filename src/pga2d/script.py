@@ -94,19 +94,18 @@ def format_program(statements: tuple[Statement, ...]) -> str:
 def format_value(value, tol: float = DEFAULT_TOL) -> str:
     """Render an environment value with fixed 6-decimal formatting."""
     if isinstance(value, float):
-        form, numbers = "{:.6f}", (value,)
+        text = "%.6f" % value
     elif isinstance(value, Line):
-        form, numbers = "[{:.6f}, {:.6f}, {:.6f}]", view(value, tol)[1]
+        text = "[%.6f, %.6f, %.6f]" % view(value, tol)[1]
     elif isinstance(value, Point):
-        ideal, numbers = view(value, tol)
-        form = "ideal ({:.6f}, {:.6f})" if ideal else "({:.6f}, {:.6f})"
+        ideal, (x, y, _) = view(value, tol)
+        text = ("ideal (%.6f, %.6f)" if ideal else "(%.6f, %.6f)") % (x, y)
     elif isinstance(value, isometry.Motor):
-        form = "motor({:.6f}, {:.6f}, {:.6f}, {:.6f})"
-        numbers = value.s, value.bx, value.by, value.bz
+        text = "motor(%.6f, %.6f, %.6f, %.6f)" % (value.s, value.bx, value.by, value.bz)
     else:
         raise TypeError(f"cannot format {type(value).__name__}")
     # every number has six decimals, so only a negative zero reads -0.000000
-    return form.format(*numbers).replace("-0.000000", "0.000000")
+    return text.replace("-0.000000", "0.000000")
 
 
 def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:

@@ -12,7 +12,9 @@ from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import ClassificationError, DomainError
 from pga2d.isometry import Motor
 from pga2d.metric import (
+    euclidean,
     factor_point,
+    ideal,
     ideal_inner,
     ideal_norm,
     ideal_point_of,
@@ -161,6 +163,17 @@ def test_normalize_huge_elements_keeps_their_direction():
     assert (pt.x, pt.y, pt.z) == pytest.approx((0.6, 0.8, 0.0), rel=1e-15)
     with pytest.raises(DomainError):
         normalize(Point(0.0, 0.0, 1.0), tol=math.inf)
+
+
+def test_the_gates_return_the_normalized_fields():
+    # fields, not an element: type(x)(*euclidean(x, ...)) is normalize(x)
+    assert euclidean(Point(2, 4, 2), 1e-9, "p") == (1.0, 2.0, 1.0)
+    assert euclidean(Line(3, 4, 5), 1e-9, "m") == (0.6, 0.8, 1.0)
+    assert ideal(Point(3, 4, 0), 1e-9, "p") == (0.6, 0.8, 0.0)
+    with pytest.raises(ClassificationError, match=r"^p Point\(3, 4, 0\) must be euclidean$"):
+        euclidean(Point(3, 4, 0), 1e-9, "p")
+    with pytest.raises(ClassificationError, match=r"^p Point\(2, 4, 2\) must be ideal$"):
+        ideal(Point(2, 4, 2), 1e-9, "p")
 
 
 def test_polar_examples():

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pga2d
+from pga2d import metric
 from pga2d.cli import _parse_args, _read, main
 from pga2d.errors import DomainError, EvaluationError, ParseError, RenderError
 from pga2d.elements import Line, Point
-from pga2d.isometry import Motor
-from pga2d.metric import normalize
+from pga2d.geometry import angle
+from pga2d.isometry import Motor, translator
+from pga2d.metric import normalize, view
 from pga2d.render import _clip_line, build_svg
 from pga2d.script import (
     _SIGNATURES, Statement, evaluate, format_program, format_value, parse,
@@ -429,6 +431,27 @@ def test_format_value_of_huge_ideal_point():
     assert format_value(Point(1.7e308, -1.7e308, 0.0)) == "ideal (0.707107, -0.707107)"
 
 
+def test_format_value_of_a_point_prints_two_of_its_three_fields():
+    # the view gives three fields; the template takes exactly two of them
+    assert format_value(Point(2, 4, 2)) == "(1.000000, 2.000000)"
+    assert format_value(Point(3, 4, 0)) == "ideal (0.600000, 0.800000)"
+
+
+# the SVG's numbers have two decimals and print's have six; % and format()
+# both round the exact binary value half to even, so they give the same text
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(0.005)
+@example(-0.004999)
+@example(2.675)
+@example(5e-324)
+@example(1.7976931348623157e308)
+def test_percent_templates_format_floats_as_format_does(v):
+    assert "%.2f" % v == format(v, ".2f")
+    assert "%.6f" % v == format(v, ".6f")
+
+
 def test_format_value_rejects_a_value_that_is_not_a_script_value():
     with pytest.raises(TypeError, match="^cannot format str$"):
         format_value("x")
@@ -458,6 +481,24 @@ def test_shown_values_without_a_unit_form_fail_as_domain_errors(value, message):
         build_svg({"x": value}, 1.0)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         normalize(value, 1.0)
+
+
+# at tol 1 this point is ideal, and its z over the length of (x, y) overflows;
+# no reader of its normalized fields may see the inf
+_OVERFLOWING_IDEAL_POINT = Point(1e-300, 0, 1e300)
+
+
+def test_an_overflowing_ideal_point_fails_alike_wherever_it_is_normalized():
+    p, overflow = _OVERFLOWING_IDEAL_POINT, re.escape(_OVERFLOW)
+    for call in (
+        lambda: view(p, 1.0), lambda: format_value(p, 1.0), lambda: normalize(p, 1.0),
+        lambda: metric.ideal(p, 1.0, "point"), lambda: translator(p, 1.0, 1.0),
+        lambda: angle(p, p, 1.0),
+    ):
+        with pytest.raises(DomainError, match=f"^{overflow}$"):
+            call()
+    with pytest.raises(RenderError, match=f"^cannot draw the figure: {overflow}$"):
+        build_svg({"V": p}, 1.0)
 
 
 def test_printing_a_value_without_a_unit_form_is_an_evaluation_error():

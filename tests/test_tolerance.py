@@ -170,6 +170,9 @@ TOLERANCE_NAME = re.compile(r"(^|_)(tol|eps)($|_)")
 
 
 def _is_tolerance(node: ast.AST) -> bool:
+    """A tolerance by its name: a bare name, or an attribute such as self.tol."""
+    if isinstance(node, ast.Attribute):
+        return TOLERANCE_NAME.search(node.attr) is not None
     return isinstance(node, ast.Name) and TOLERANCE_NAME.search(node.id) is not None
 
 
@@ -222,6 +225,9 @@ def test_the_lint_catches_each_older_convention():
         "    return abs(u[2]) > 1e-15 or 1e-9 * u[3] > check_tol * 2\n"
         "eps = 1e-9 * 4.0\n"
         "inside = 0.0 - eps <= 0.5\n"
+        "if not 0.0 <= args.tol < 1.0 or abs(u[0]) > self.check_tol:\n"
+        "    width = 2.0 * self.tol\n"
+        "settings = (args.tol, self.tol)\n"
     )
     assert sorted(_violations(ast.parse(older))) == [
         (2, "a tolerance comparison outside near_zero"),
@@ -231,6 +237,9 @@ def test_the_lint_catches_each_older_convention():
         (4, "a tolerance product outside near_zero"),
         (4, "the literal 1e-15"),
         (6, "a tolerance comparison outside near_zero"),
+        (7, "a tolerance comparison outside near_zero"),
+        (7, "a tolerance comparison outside near_zero"),
+        (8, "a tolerance product outside near_zero"),
     ]
 
 
