@@ -22,13 +22,13 @@ from .errors import (
     ScriptError,
 )
 from .geometry import (
-    Decomposition,
     angle,
     distance,
     midline,
     midpoint,
     perp_line_through,
     project,
+    reject,
     symmetric_line,
     triple_lines,
     triple_points,

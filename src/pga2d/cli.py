@@ -7,14 +7,7 @@ import sys
 
 from .errors import EvaluationError, ParseError, RenderError
 from .multivector import DEFAULT_TOL
-from .script import evaluate, parse
-
-
-def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:
-    """render.render_svg, importing the renderer on the first drawing."""
-    from .render import render_svg
-
-    render_svg(env, path, tol)
+from .script import evaluate, parse, render_svg
 
 
 def format_cayley_table() -> str:

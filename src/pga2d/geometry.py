@@ -24,31 +24,6 @@ from .metric import euclidean, ideal, ideal_inner, normalize
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 
 
-class Decomposition(Frozen):
-    """Orthogonal split of an element: a Line for each part of a line, a
-    Point for each part of a point, and None for a part that is exactly
-    zero.  The two parts sum back to the normalized element."""
-
-    __slots__ = ("parallel_part", "orthogonal_part")
-
-    def __init__(self, parallel_part: Line | Point | None, orthogonal_part: Line | Point | None):
-        _set(self, "parallel_part", parallel_part)
-        _set(self, "orthogonal_part", orthogonal_part)
-
-    def total(self) -> Line | Point:
-        p, o = self.parallel_part, self.orthogonal_part
-        if p is None or o is None:
-            return o if p is None else p
-        if isinstance(p, Line):
-            return Line(p.a + o.a, p.b + o.b, p.c + o.c)
-        return Point(p.x + o.x, p.y + o.y, p.z + o.z)
-
-
-def _part(kind, fields: tuple[float, ...]):
-    """kind(*fields), checked for overflow; None when every field is zero."""
-    return kind(*_finite(fields)) if any(fields) else None
-
-
 def distance(x, y, tol: float = DEFAULT_TOL) -> float:
     """Distance between two elements per their kinds.
 
@@ -126,50 +101,58 @@ def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
     return Line(*_finite((-m.b, m.a, m.b * px - m.a * py)))  # m . p, of weight 1
 
 
-def project(x, onto, tol: float = DEFAULT_TOL) -> Decomposition:
-    """Orthogonal decomposition of x with respect to onto: the projection
-    (x.y)y and the rejection (x^y)y of the normalized operands, computed in
-    closed form on their fields.  With d the signed distance of the point
-    from the line:
-
-    * line m onto line n: cos*n, with cos = m.n, plus the perpendicular to n
-      through the meet of m and n (parallel lines: a multiple of the ideal
-      line);
-    * line m onto point P: the parallel line through P, plus the ideal line
-      d*e0;
-    * point P onto line n: the foot P - d*(a, b), plus the ideal point
-      d*(a, b);
-    * point P onto point Q: Q, plus the ideal point P - Q.
-
-    A part that is exactly zero is None: the projection of a line onto a
-    perpendicular one, and the rejection of an element from itself or of a
-    point from a line through it.
-    """
+def _operands(x, onto, tol: float) -> tuple[tuple, tuple]:
+    """The normalized fields of x and onto, for project and reject."""
     if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
         raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
-    u = euclidean(x, tol, "projected element")
-    w = euclidean(onto, tol, "projection target")
+    return euclidean(x, tol, "projected element"), euclidean(onto, tol, "projection target")
+
+
+def project(x, onto, tol: float = DEFAULT_TOL) -> Line | Point:
+    """Orthogonal projection (x.y)y of the normalized operands, in closed
+    form on their fields.  With d the signed distance of the point from the
+    line: line m onto line n gives cos*n, with cos = m.n; line m onto point
+    P the parallel line through P; point P onto line n the foot
+    P - d*(a, b); point P onto point Q, Q.  A line onto a perpendicular one
+    is exactly zero, which Line rejects with DomainError."""
+    u, w = _operands(x, onto, tol)
     (u0, u1, _), (w0, w1, w2) = u, w
     if isinstance(x, Line) and isinstance(onto, Line):
         cos = u0 * w0 + u1 * w1
-        # (m ^ n)n: the meet times n
-        px, py, pz = cross(u, w)
-        return Decomposition(
-            _part(Line, (cos * w0, cos * w1, cos * w2)),
-            _part(Line, (pz * w1, -pz * w0, py * w0 - px * w1)),
-        )
+        return Line(*_finite((cos * w0, cos * w1, cos * w2)))
     if isinstance(x, Line):
-        return Decomposition(
-            _part(Line, (u0, u1, -(u0 * w0 + u1 * w1))),
-            _part(Line, (0.0, 0.0, incidence(u, w))),
-        )
+        return Line(*_finite((u0, u1, -(u0 * w0 + u1 * w1))))
     if isinstance(onto, Line):
         d = incidence(w, u)
-        return Decomposition(
-            _part(Point, (u0 - w0 * d, u1 - w1 * d, 1.0)),
-            _part(IdealPoint, (w0 * d, w1 * d)),
-        )
-    return Decomposition(Point(*w), _part(IdealPoint, (u0 - w0, u1 - w1)))
+        return Point(*_finite((u0 - w0 * d, u1 - w1 * d, 1.0)))
+    return Point(*w)
+
+
+def _part(kind, fields: tuple[float, ...]):
+    """kind(*fields), checked for overflow; None when every field is zero."""
+    return kind(*_finite(fields)) if any(fields) else None
+
+
+def reject(x, onto, tol: float = DEFAULT_TOL) -> Line | Point | None:
+    """Orthogonal rejection (x^y)y of the normalized operands, which sums
+    with project's result to the normalized x.  With d as in project: line
+    m from line n gives the perpendicular to n through their meet (parallel
+    lines: a multiple of the ideal line); line m from point P the ideal line
+    d*e0; point P from line n the ideal point d*(a, b); point P from point
+    Q the ideal point P - Q.  None when it is exactly zero: an element
+    rejected from itself, or a point from a line through it."""
+    u, w = _operands(x, onto, tol)
+    (u0, u1, _), (w0, w1, _) = u, w
+    if isinstance(x, Line) and isinstance(onto, Line):
+        # (m ^ n)n: the meet times n
+        px, py, pz = cross(u, w)
+        return _part(Line, (pz * w1, -pz * w0, py * w0 - px * w1))
+    if isinstance(x, Line):
+        return _part(Line, (0.0, 0.0, incidence(u, w)))
+    if isinstance(onto, Line):
+        d = incidence(w, u)
+        return _part(IdealPoint, (w0 * d, w1 * d))
+    return _part(IdealPoint, (u0 - w0, u1 - w1))
 
 
 def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Point:

@@ -152,14 +152,6 @@ def _meet(env, a, tol):
     return Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
 
 
-def _nonzero(part):
-    """A projection's parallel part, which is None (exactly zero) only for
-    a line projected onto a perpendicular line."""
-    if part is None:
-        raise DomainError("zero element is not a line")
-    return part
-
-
 # verb -> (argument kinds after the verb token, the new name's value from env,
 # args and tol, or None for print and svg); a row calls library functions
 # through their modules, so a tracer that rebinds a module attribute sees them
@@ -188,9 +180,9 @@ _VERBS = {
     "solve": ("new ref ref ref ref", lambda env, a, tol: isometry.solve_point_line_transport(
         _want(env, a[0], Point, "point"), _want(env, a[1], Line, "line"),
         _want(env, a[2], Point, "point"), _want(env, a[3], Line, "line"), tol)),
-    "project": ("new ref ref", lambda env, a, tol: _nonzero(geometry.project(
+    "project": ("new ref ref", lambda env, a, tol: geometry.project(
         _want(env, a[0], _EITHER, "project argument"),
-        _want(env, a[1], _EITHER, "project target"), tol).parallel_part)),
+        _want(env, a[1], _EITHER, "project target"), tol)),
     "midpoint": ("new ref ref", lambda env, a, tol: geometry.midpoint(
         _want(env, a[0], Point, "point"), _want(env, a[1], Point, "point"), tol)),
     "midline": ("new ref ref", lambda env, a, tol: geometry.midline(
@@ -222,12 +214,17 @@ def evaluate(statements: tuple[Statement, ...], tol: float = DEFAULT_TOL) -> tup
             elif st.verb == "print":
                 out.append(f"{st.args[0]} = {format_value(env[st.args[0]], tol)}")
             else:
-                from .render import render_svg
-
                 render_svg(env, st.args[0], tol)
         except (AlgebraError, RenderError, OSError) as exc:
             raise EvaluationError(str(exc), st.lineno, _joined(out)) from exc
     return env, _joined(out)
+
+
+def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:
+    """render.render_svg, importing the renderer on the first drawing."""
+    from .render import render_svg
+
+    render_svg(env, path, tol)
 
 
 def _joined(lines: list[str]) -> str:

@@ -10,7 +10,7 @@ import time
 import gen
 import oracle
 from pga2d.elements import IdealPoint, Point
-from pga2d.geometry import angle, distance, project, symmetric_line, triple_points
+from pga2d.geometry import angle, distance, project, reject, symmetric_line, triple_points
 from pga2d.isometry import (
     OddVersor,
     exp_bivector,
@@ -245,15 +245,13 @@ def test_criterion_7_projections():
             q = normalize(gen.random_point(r))
             m = normalize(gen.random_line(r))
             n = normalize(gen.random_line(r))
-            dec = project(p, m)
-            assert dec.total().mv().approx_eq(p.mv(), 1e-9)
-            foot = dec.parallel_part
+            foot = project(p, m)
+            assert (foot.mv() + reject(p, m).mv()).approx_eq(p.mv(), 1e-9)
             expected = oracle.foot_of_perpendicular((p.x, p.y), (m.a, m.b, m.c))
             assert abs(foot.x / foot.z - expected[0]) <= 1e-9
             assert abs(foot.y / foot.z - expected[1]) <= 1e-9
-            assert project(m, n).total().mv().approx_eq(m.mv(), 1e-9)
-            assert project(m, p).total().mv().approx_eq(m.mv(), 1e-9)
-            assert project(p, q).total().mv().approx_eq(p.mv(), 1e-9)
+            for x, y in ((m, n), (m, p), (p, q)):
+                assert (project(x, y).mv() + reject(x, y).mv()).approx_eq(x.mv(), 1e-9)
 
 
 def test_criterion_8_transport_solver():

@@ -24,6 +24,7 @@ from pga2d.geometry import (
     midpoint,
     perp_line_through,
     project,
+    reject,
     triple_points,
 )
 from pga2d.isometry import (
@@ -77,6 +78,8 @@ EUCLIDEAN_ONLY = {
     "distance_line_point": lambda v: distance(_M, v),
     "project": lambda v: project(v, _M),
     "project_onto": lambda v: project(_M, v),
+    "reject": lambda v: reject(v, _M),
+    "reject_from": lambda v: reject(_M, v),
 }
 
 
@@ -89,6 +92,17 @@ def test_ideal_point_forms_are_rejected_alike(name):
             call(v)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def test_reject_rejects_ideal_operands_with_the_texts_of_project():
+    for rejecting, projecting in (("reject", "project"), ("reject_from", "project_onto")):
+        for v in (IdealPoint(1, 0), Point(1, 0, 0)):
+            texts = []
+            for name in (rejecting, projecting):
+                with pytest.raises(ClassificationError) as err:
+                    EUCLIDEAN_ONLY[name](v)
+                texts.append(str(err.value))
+            assert texts[0] == texts[1]
 
 
 # -- scripts: `ideal V ...` and a computed ideal V behave alike ----------------------

@@ -13,13 +13,13 @@ import oracle
 from pga2d.elements import IdealPoint, Line, Point
 from pga2d.errors import ClassificationError, DomainError, OrientationError
 from pga2d.geometry import (
-    Decomposition,
     angle,
     distance,
     midline,
     midpoint,
     perp_line_through,
     project,
+    reject,
     symmetric_line,
     triple_lines,
     triple_points,
@@ -349,10 +349,9 @@ def test_perp_line_through_postconditions():
 
 
 def test_project_point_onto_line_example():
-    dec = project(Point(1, 1, 1), Line(0, 1, 0))
-    foot = dec.parallel_part
+    foot = project(Point(1, 1, 1), Line(0, 1, 0))
     assert (foot.x / foot.z, foot.y / foot.z) == pytest.approx((1.0, 0.0))
-    rejection = dec.orthogonal_part
+    rejection = reject(Point(1, 1, 1), Line(0, 1, 0))
     assert rejection.z == pytest.approx(0.0, abs=1e-12)  # ideal
     assert (rejection.x, rejection.y) == pytest.approx((0.0, 1.0))
 
@@ -361,16 +360,15 @@ def test_project_point_onto_line_matches_analytic_foot():
     r = gen.rng(39)
     for _ in range(500):
         p, m = n_point(r), n_line(r)
-        dec = project(p, m)
-        foot = dec.parallel_part
+        foot, rejection = project(p, m), reject(p, m)
         expected = oracle.foot_of_perpendicular((p.x, p.y), as_tuple(m))
         assert (foot.x / foot.z, foot.y / foot.z) == pytest.approx(expected, abs=1e-9)
-        assert dec.total().mv().approx_eq(p.mv(), 1e-9)
+        assert (foot.mv() + rejection.mv()).approx_eq(p.mv(), 1e-9)
         # the foot keeps the input weight, so the rejection is the honest
         # free-vector difference p - foot with length |d(m, p)|
         assert foot.z == pytest.approx(1.0, abs=1e-12)
-        assert abs(dec.orthogonal_part.z) <= 1e-9
-        rejection_len = math.hypot(dec.orthogonal_part.x, dec.orthogonal_part.y)
+        assert abs(rejection.z) <= 1e-9
+        rejection_len = math.hypot(rejection.x, rejection.y)
         assert rejection_len == pytest.approx(abs(distance(m, p)), abs=1e-9)
 
 
@@ -378,9 +376,8 @@ def test_project_incident_point_is_fixed():
     r = gen.rng(40)
     p = n_point(r)
     m = normalize(gen.random_line_through(r, p))
-    dec = project(p, m)
-    assert dec.parallel_part.mv().approx_eq(p.mv(), 1e-9)
-    rejection = dec.orthogonal_part  # None when exactly zero
+    assert project(p, m).mv().approx_eq(p.mv(), 1e-9)
+    rejection = reject(p, m)  # None when exactly zero
     assert rejection is None or rejection.mv().max_abs() <= 1e-9
 
 
@@ -388,77 +385,101 @@ def test_project_line_onto_line():
     r = gen.rng(41)
     for _ in range(300):
         m, n = (normalize(x) for x in gen.random_intersecting_lines(r))
-        dec = project(m, n)
-        assert dec.total().mv().approx_eq(m.mv(), 1e-12)
+        parallel, rejection = project(m, n), reject(m, n)
+        assert (parallel.mv() + rejection.mv()).approx_eq(m.mv(), 1e-12)
         alpha = angle(m, n)
-        assert dec.parallel_part.mv().approx_eq(n.mv().scaled(math.cos(alpha)), 1e-9)
+        assert parallel.mv().approx_eq(n.mv().scaled(math.cos(alpha)), 1e-9)
         # rejection: a line through the meet, perpendicular to n
         meet = m.mv().outer(n.mv())
-        assert abs(dec.orthogonal_part.mv().outer(meet)[7]) <= 1e-9
-        assert dec.orthogonal_part.mv().dot(n.mv())[0] == pytest.approx(0.0, abs=1e-12)
+        assert abs(rejection.mv().outer(meet)[7]) <= 1e-9
+        assert rejection.mv().dot(n.mv())[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_project_line_onto_line_parallel():
     r = gen.rng(42)
     for _ in range(200):
         m, n = (normalize(x) for x in gen.random_parallel_lines(r))
-        dec = project(m, n)
-        assert dec.parallel_part.mv().approx_eq(n.mv(), 1e-12)
-        assert dec.orthogonal_part.mv().approx_eq(m.mv() - n.mv(), 1e-9)
-        assert isinstance(dec.orthogonal_part, Line)
-        assert abs(dec.orthogonal_part.a) <= 1e-12 and abs(dec.orthogonal_part.b) <= 1e-12
+        rejection = reject(m, n)
+        assert project(m, n).mv().approx_eq(n.mv(), 1e-12)
+        assert rejection.mv().approx_eq(m.mv() - n.mv(), 1e-9)
+        assert isinstance(rejection, Line)
+        assert abs(rejection.a) <= 1e-12 and abs(rejection.b) <= 1e-12
 
 
 def test_project_self_is_identity():
     m = normalize(Line(3, 4, 5))
-    dec = project(m, m)
-    assert dec.parallel_part.mv().approx_eq(m.mv(), 1e-12)
-    assert dec.orthogonal_part is None  # exactly zero
+    assert project(m, m).mv().approx_eq(m.mv(), 1e-12)
+    assert reject(m, m) is None  # exactly zero
 
 
 def test_project_line_onto_point():
     r = gen.rng(43)
     for _ in range(300):
         m, p = n_line(r), n_point(r)
-        dec = project(m, p)
-        assert dec.total().mv().approx_eq(m.mv(), 1e-12)
-        par = dec.parallel_part
+        par, rejection = project(m, p), reject(m, p)
+        assert (par.mv() + rejection.mv()).approx_eq(m.mv(), 1e-12)
         assert abs(par.mv().outer(p.mv())[7]) <= 1e-9  # through p
         dm, dp = ideal_point_of(m), ideal_point_of(par)
         assert (dp.x, dp.y) == pytest.approx((dm.x, dm.y), abs=1e-9)  # same direction
         # rejection is a multiple of the ideal line
-        assert isinstance(dec.orthogonal_part, Line)
-        assert abs(dec.orthogonal_part.a) <= 1e-12 and abs(dec.orthogonal_part.b) <= 1e-12
+        assert isinstance(rejection, Line)
+        assert abs(rejection.a) <= 1e-12 and abs(rejection.b) <= 1e-12
 
 
 def test_project_point_onto_point():
     r = gen.rng(44)
     for _ in range(300):
         p, q = n_point(r), n_point(r)
-        dec = project(p, q)
-        assert dec.total().mv().approx_eq(p.mv(), 1e-12)
-        assert dec.parallel_part.mv().approx_eq(q.mv(), 1e-12)
-        assert dec.orthogonal_part.mv().approx_eq(p.mv() - q.mv(), 1e-12)
+        parallel, rejection = project(p, q), reject(p, q)
+        assert (parallel.mv() + rejection.mv()).approx_eq(p.mv(), 1e-12)
+        assert parallel.mv().approx_eq(q.mv(), 1e-12)
+        assert rejection.mv().approx_eq(p.mv() - q.mv(), 1e-12)
 
 
 def test_project_parts_are_typed_and_exact_zeros_are_none():
     m, n = Line(1, 0, 2), Line(0, 1, -3)
-    dec = project(m, n)  # perpendicular: no parallel part
-    assert dec.parallel_part is None and dec.orthogonal_part == Line(1, 0, 2)
-    assert dec.total() == Line(1, 0, 2)
+    # perpendicular: project raises (see the next test), and the rejection
+    # is all of m
+    assert reject(m, n) == Line(1, 0, 2)
     p = Point(2, 3, 1)
-    assert project(p, p) == Decomposition(p, None)
-    assert project(Point(4, 6, 2), m) == Decomposition(Point(-2, 3, 1), IdealPoint(4, 0))
-    assert project(m, Point(-2, 5, 1)) == Decomposition(Line(1, 0, 2), None)
-    assert project(m, p) == Decomposition(Line(1, 0, -2), Line(0, 0, 4))
-    assert project(p, Point(0, 1, 1)).orthogonal_part == IdealPoint(2, 2)
+    assert (project(p, p), reject(p, p)) == (p, None)
+    assert (project(Point(4, 6, 2), m), reject(Point(4, 6, 2), m)) == (
+        Point(-2, 3, 1), IdealPoint(4, 0)
+    )
+    assert (project(m, Point(-2, 5, 1)), reject(m, Point(-2, 5, 1))) == (Line(1, 0, 2), None)
+    assert (project(m, p), reject(m, p)) == (Line(1, 0, -2), Line(0, 0, 4))
+    assert reject(p, Point(0, 1, 1)) == IdealPoint(2, 2)
+
+
+def test_project_of_a_line_onto_a_perpendicular_line_is_the_zero_element():
+    for m, n in ((Line(1, 0, 0), Line(0, 1, 0)), (Line(1, 0, 2), Line(0, 1, -3))):
+        with pytest.raises(DomainError, match="^zero element is not a line$"):
+            project(m, n)
+
+
+def test_reject_is_none_exactly_where_nothing_is_left():
+    p, m = Point(2, 3, 1), Line(1, -1, 1)  # m passes through p
+    assert reject(p, p) is None
+    assert reject(p, m) is None
+    assert reject(Point(4, 6, 2), m) is None  # the same point, of weight 2
+    assert reject(Point(2, 4, 1), m) is not None
+
+
+def test_project_does_not_fail_on_an_overflowing_rejection():
+    # the meet of these lines overflows, so reject fails; project never
+    # computes it
+    m, n = Line(0.6, 0.8, 1.5e308), Line(0.8, 0.6, -1.5e308)
+    assert project(m, n, 0.0) == Line(0.768, 0.576, -1.44e308)
+    with pytest.raises(DomainError, match="^result is not finite"):
+        reject(m, n, 0.0)
 
 
 def test_project_rejects_ideal():
-    with pytest.raises(ClassificationError):
-        project(Point(1, 0, 0), Line(1, 0, 0))
-    with pytest.raises(ClassificationError):
-        project(Line(1, 0, 0), Line(0, 0, 1))
+    for op in (project, reject):
+        with pytest.raises(ClassificationError):
+            op(Point(1, 0, 0), Line(1, 0, 0))
+        with pytest.raises(ClassificationError):
+            op(Line(1, 0, 0), Line(0, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -469,6 +490,8 @@ def test_project_rejects_ideal():
         (angle, e012, IdealPoint(1, 0), "no angle between Multivector and Point"),
         (project, e012, Line(1, 0, 0), "cannot project Multivector onto Line"),
         (project, Point(0, 0, 1), e012, "cannot project Point onto Multivector"),
+        (reject, e012, Line(1, 0, 0), "cannot project Multivector onto Line"),
+        (reject, Point(0, 0, 1), e012, "cannot project Point onto Multivector"),
     ],
 )
 def test_measures_and_project_take_only_lines_and_points(op, x, y, message):

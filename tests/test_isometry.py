@@ -530,8 +530,8 @@ def test_triangle_product_axis_joins_altitude_feet():
         # feet of the altitudes from the vertices opposite a and c
         vertex_a = normalize(Point.from_mv(b.mv().outer(c.mv())))
         vertex_c = normalize(Point.from_mv(a.mv().outer(b.mv())))
-        foot_a = project(vertex_a, a).parallel_part
-        foot_c = project(vertex_c, c).parallel_part
+        foot_a = project(vertex_a, a)
+        foot_c = project(vertex_c, c)
         joining = foot_a.mv().join(foot_c.mv())
         assert gen.proj_match(axis.mv(), joining, 1e-7)
 

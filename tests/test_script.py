@@ -278,6 +278,14 @@ def test_evaluate_projection_binds_parallel_part():
     assert isinstance(env["F"], Point)
 
 
+def test_evaluate_projection_builds_no_rejection():
+    # the rejection of m from n overflows at tol 0; the verb never builds it
+    env, _ = evaluate(
+        parse("line m 0.6 0.8 1.5e308\nline n 0.8 0.6 -1.5e308\nproject p m n\n"), tol=0.0
+    )
+    assert env["p"] == Line(0.768, 0.576, -1.44e308)
+
+
 def test_evaluate_reports_line_number_on_failure():
     with pytest.raises(EvaluationError) as err:
         evaluate(parse("point A 0 0\njoin l A A\n"))
@@ -1050,7 +1058,7 @@ PROJECTS = (
 )
 
 
-@pytest.mark.parametrize("module", ["pga2d.cli", "pga2d", "pga2d.cli run"])
+@pytest.mark.parametrize("module", ["pga2d.cli", "pga2d", "pga2d.script", "pga2d.cli run"])
 def test_a_cold_import_loads_neither_the_kernel_nor_the_renderer(module, tmp_path):
     probe = f"import sys, {module}\n"
     if module == "pga2d.cli run":

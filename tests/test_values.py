@@ -9,7 +9,7 @@ import pytest
 
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import DomainError
-from pga2d.geometry import Decomposition, TripleLineProduct
+from pga2d.geometry import TripleLineProduct
 from pga2d.isometry import GlideDecomposition, Motor, OddVersor
 from pga2d.multivector import Multivector
 from pga2d.script import Statement
@@ -32,13 +32,6 @@ CASES = [
     (Point(1, 2, 1), Point(1.0, 2.0, 1.0), Point(1, 2, 2), "z", "Point(1, 2, 1)"),
     (_IDEAL, Point(3.0, 4.0, 0.0), IdealPoint(4, 3), "x", "Point(3, 4, 0)"),
     (Pseudoscalar(2), Pseudoscalar(2.0), Pseudoscalar(-2), "s", "Pseudoscalar(2)"),
-    (
-        Decomposition(Point(1, 2, 1), IdealPoint(3, 4)),
-        Decomposition(Point(1.0, 2.0, 1.0), IdealPoint(3.0, 4.0)),
-        Decomposition(Point(1, 2, 1), None),
-        "parallel_part",
-        "Decomposition(parallel_part=Point(1, 2, 1), orthogonal_part=Point(3, 4, 0))",
-    ),
     (
         TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
         TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
