@@ -35,13 +35,10 @@ from .geometry import (
 )
 from .isometry import (
     IDENTITY_MOTOR,
-    GlideDecomposition,
     Motor,
     OddVersor,
     exp_bivector,
     factor_motor,
-    glide_decompose,
-    glide_recompose,
     interpolate,
     log_motor,
     reflect,

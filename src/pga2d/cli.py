@@ -129,7 +129,7 @@ def _main(argv: list[str]) -> int:
         return 2
     sys.stdout.write(output)
     sys.stdout.flush()
-    if svg:
+    if svg is not None:
         try:
             render_svg(env, svg, tol=tol)
         except (RenderError, OSError) as exc:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 
-from .elements import IdealPoint, Line, Point, Pseudoscalar, cross, incidence
+from .elements import IdealPoint, Line, Point, cross, incidence
 from .errors import DomainError, OrientationError
 from .metric import euclidean, ideal, ideal_inner, normalize
-from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
+from .isometry import OddVersor
+from .multivector import DEFAULT_TOL, _finite, near_zero
 
 
 def distance(x, y, tol: float = DEFAULT_TOL) -> float:
@@ -163,32 +164,21 @@ def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Poi
     return Point(*_finite(((bx - cx) - ax, (by - cy) - ay, -1.0)))
 
 
-class TripleLineProduct(Frozen):
-    """Grade components of a three-line product, plus a degeneracy flag."""
-
-    __slots__ = ("line_part", "pseudo_part", "degenerate")
-
-    def __init__(self, line_part: Line, pseudo_part: Pseudoscalar, degenerate: bool):
-        _set(self, "line_part", line_part)
-        _set(self, "pseudo_part", pseudo_part)
-        _set(self, "degenerate", degenerate)
-
-
-def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> TripleLineProduct:
-    """Product of three normalized euclidean lines, split into its grade-1
-    part (the join of two altitude feet of the triangle they bound) and its
-    grade-3 part.  Concurrent or parallel triples are flagged, not rejected.
+def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> tuple[OddVersor, bool]:
+    """Product of three normalized euclidean lines, as an odd versor whose
+    line part is the join of two altitude feet of the triangle they bound,
+    and a flag for concurrent or parallel triples, which are not rejected.
     With g the meet of b and c, a(bc) = (b.c)a + a.g + a ^ g."""
     an, bn, cn = (euclidean(m, tol, "line") for m in (a, b, c))
     gx, gy, gz = cross(bn, cn)
     bc = bn[0] * cn[0] + bn[1] * cn[1]
     a0, a1, a2 = an
     line = (bc * a0 - a1 * gz, bc * a1 + a0 * gz, bc * a2 - a0 * gy + a1 * gx)
-    pseudo = Pseudoscalar(_finite((a2 * gz + a0 * gx + a1 * gy,))[0])
+    lam = _finite((a2 * gz + a0 * gx + a1 * gy,))[0]
     # concurrent, or two of them parallel (the e12 part of m ^ n is a sine)
     sines = (m[0] * n[1] - m[1] * n[0] for m, n in ((an, bn), (bn, cn), (cn, an)))
-    degenerate = any(near_zero(x, 1.0, tol) for x in (pseudo.s, *sines))
-    return TripleLineProduct(Line(*_finite(line)), pseudo, degenerate)
+    degenerate = any(near_zero(x, 1.0, tol) for x in (lam, *sines))
+    return OddVersor(Line(*_finite(line)), lam), degenerate
 
 
 def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:

@@ -97,26 +97,16 @@ class OddVersor(Frozen):
         return cls(Line(c[2], c[3], c[1]), c[7])
 
     def normalized(self, tol: float = DEFAULT_TOL) -> "OddVersor":
+        """Divided by the norm of its line part, which must not be near_zero
+        against the largest component.  The result is the glide reflection in
+        the unit axis .line through the signed distance 2 * .lam, measured
+        along the axis direction; the displacement it realizes on points runs
+        the opposite way (the odd sandwich flips the weight of every point
+        image).  OddVersor(axis, distance / 2) recomposes it exactly."""
         a, b, c, lam = self.line.a, self.line.b, self.line.c, self.lam
         if near_zero(math.hypot(a, b), max(abs(a), abs(b), abs(c), abs(lam)), tol):
             raise DomainError("versor with ideal line part cannot be normalized")
         return OddVersor(Line(*unit_direction(a, b, c)), unit_direction(a, b, lam)[2])
-
-
-class GlideDecomposition(Frozen):
-    """Axis and signed translation distance of a glide reflection.
-
-    Recomposition is exact: axis + (translation_distance/2)*e012 equals the
-    normalized versor.  Note that the euclidean displacement realized on
-    points runs opposite the axis direction scaled by translation_distance
-    (the odd sandwich flips the weight of every point image).
-    """
-
-    __slots__ = ("axis", "translation_distance")
-
-    def __init__(self, axis: Line, translation_distance: float):
-        _set(self, "axis", axis)
-        _set(self, "translation_distance", translation_distance)
 
 
 def sandwich(v, x):
@@ -250,18 +240,6 @@ def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
 def translator_by(dx: float, dy: float) -> Motor:
     """Motor translating every point by the vector (dx, dy)."""
     return Motor(1.0, 0.5 * dy, -0.5 * dx, 0.0)
-
-
-def glide_decompose(v: OddVersor, tol: float = DEFAULT_TOL) -> GlideDecomposition:
-    """Split an odd versor m + lam*e012 into its reflection axis and the
-    glide translation distance 2*lam (measured against the axis direction),
-    both read from the normalized versor."""
-    n = v.normalized(tol)
-    return GlideDecomposition(n.line, 2.0 * n.lam)
-
-
-def glide_recompose(d: GlideDecomposition) -> OddVersor:
-    return OddVersor(d.axis, 0.5 * d.translation_distance)
 
 
 def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:

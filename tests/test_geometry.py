@@ -555,9 +555,11 @@ def test_triple_lines_grade1_is_symmetrized_half():
         abc = a.mv().gp(b.mv().gp(c.mv()))
         cba = c.mv().gp(b.mv().gp(a.mv()))
         assert abc.grade(1).approx_eq((abc + cba).scaled(0.5), 1e-12)
-        got = triple_lines(a, b, c)
-        assert got.line_part.mv().approx_eq(abc.grade(1), 1e-12)
-        assert got.pseudo_part.s == pytest.approx(abc[7], abs=1e-12)
+        got = triple_lines(a, b, c)[0]
+        assert got.line.mv().approx_eq(abc.grade(1), 1e-12)
+        assert got.lam == pytest.approx(abc[7], abs=1e-12)
+        # grades 0 and 2 of abc vanish, so the versor is the whole product
+        assert got.mv().approx_eq(abc, 1e-12)
 
 
 def test_triple_lines_cosine_identity():
@@ -573,7 +575,7 @@ def test_triple_lines_sine_distance_identity():
     r = gen.rng(50)
     for _ in range(500):
         a, b, c = (normalize(x) for x in gen.random_triangle_lines(r))
-        pseudo = triple_lines(a, b, c).pseudo_part.s
+        pseudo = triple_lines(a, b, c)[0].lam
         # two independent evaluations of the same grade-3 weight
         for first, second, third in ((a, b, c), (b, c, a)):
             meet = first.mv().outer(second.mv())
@@ -588,8 +590,7 @@ def test_triple_lines_equilateral_instance():
     a = normalize(Line(0, 1, 0))
     b = normalize(Line(-s3 / 2, -0.5, s3 / 2))
     c = normalize(Line(s3 / 2, -0.5, s3 / 2))
-    got = triple_lines(a, b, c)
-    assert not got.degenerate
+    assert not triple_lines(a, b, c)[1]
     left = a.mv().gp(b.mv()).gp(c.mv())
     right = a.mv().gp(b.mv().gp(c.mv()))
     assert left.approx_eq(right, 1e-12)
@@ -598,11 +599,9 @@ def test_triple_lines_equilateral_instance():
 def test_triple_lines_flags_degenerate():
     # concurrent: three lines through the origin
     s = 1 / math.sqrt(2)
-    got = triple_lines(Line(1, 0, 0), Line(0, 1, 0), Line(s, s, 0))
-    assert got.degenerate
+    assert triple_lines(Line(1, 0, 0), Line(0, 1, 0), Line(s, s, 0))[1]
     # parallel pair
-    got = triple_lines(Line(1, 0, 0), Line(1, 0, -1), Line(0, 1, 0))
-    assert got.degenerate
+    assert triple_lines(Line(1, 0, 0), Line(1, 0, -1), Line(0, 1, 0))[1]
 
 
 # -- symmetric line -----------------------------------------------------------------

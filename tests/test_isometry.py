@@ -17,8 +17,6 @@ from pga2d.isometry import (
     OddVersor,
     exp_bivector,
     factor_motor,
-    glide_decompose,
-    glide_recompose,
     interpolate,
     log_motor,
     reflect,
@@ -31,7 +29,7 @@ from pga2d.isometry import (
 )
 from pga2d.metric import ideal_point_of, normalize, polar
 from pga2d.multivector import Multivector, e1, e01, e012, e12, e20, one, zero
-from pga2d.geometry import project
+from pga2d.geometry import project, triple_lines
 
 
 def euclid(p: Point) -> tuple[float, float]:
@@ -438,18 +436,19 @@ def test_glide_expansion_on_points():
 
 
 def test_glide_decompose_pure_reflection():
-    got = glide_decompose(OddVersor(Line(1, 0, 0), 0.0))
-    assert got.axis == Line(1, 0, 0)
-    assert got.translation_distance == 0.0
+    got = OddVersor(Line(1, 0, 0), 0.0).normalized()
+    assert got.line == Line(1, 0, 0)
+    assert 2.0 * got.lam == 0.0
 
 
 def test_glide_decompose_example():
-    got = glide_decompose(OddVersor(Line(1, 0, 0), 0.5))
-    assert got.axis == Line(1, 0, 0)
-    assert got.translation_distance == pytest.approx(1.0)
-    # nominal translation vector: distance times the axis direction (0, -1)
-    direction = ideal_point_of(got.axis)
-    vec = (got.translation_distance * direction.x, got.translation_distance * direction.y)
+    got = OddVersor(Line(1, 0, 0), 0.5).normalized()
+    assert got.line == Line(1, 0, 0)
+    d = 2.0 * got.lam
+    assert d == pytest.approx(1.0)
+    # nominal translation vector: the distance times the axis direction (0, -1)
+    direction = ideal_point_of(got.line)
+    vec = (d * direction.x, d * direction.y)
     assert vec == pytest.approx((0.0, -1.0))
     # the realized displacement of points runs opposite the nominal vector
     image = normalize(sandwich(OddVersor(Line(1, 0, 0), 0.5), Point(0, 0, 1)))
@@ -460,14 +459,15 @@ def test_glide_recomposition_and_pointwise_equivalence():
     r = gen.rng(78)
     for _ in range(200):
         v = gen.random_odd_versor(r)
-        got = glide_decompose(v)
-        recomposed = glide_recompose(got)
+        got = v.normalized()
+        axis, d = got.line, 2.0 * got.lam
+        recomposed = OddVersor(axis, d / 2.0)
         # recomposition reproduces the versor up to the positive line norm
         assert gen.proj_match(recomposed.mv(), v.mv(), 1e-12, positive=True)
         # and as an operator: reflect in the axis composed with the translator
         # exp((d/2) * polar(axis)) acts identically, pointwise
-        t = exp_bivector(polar(got.axis).scaled(got.translation_distance / 2.0))
-        composed = got.axis.mv().gp(t.mv())
+        t = exp_bivector(polar(axis).scaled(d / 2.0))
+        composed = axis.mv().gp(t.mv())
         p = gen.random_point(r)
         assert gen.proj_match(
             sandwich(v.normalized(), p).mv(),
@@ -508,7 +508,7 @@ def test_isometries_keep_the_pseudoscalar():
 
 def test_glide_decompose_rejects_ideal_axis():
     with pytest.raises(DomainError):
-        glide_decompose(OddVersor(Line(0, 0, 1), 1.0))
+        OddVersor(Line(0, 0, 1), 1.0).normalized()
 
 
 def test_glide_decompose_and_normalized_agree_on_an_ideal_line_part():
@@ -516,8 +516,6 @@ def test_glide_decompose_and_normalized_agree_on_an_ideal_line_part():
     v = OddVersor(Line(1, 0, 0), 2e9)
     with pytest.raises(DomainError):
         v.normalized()
-    with pytest.raises(DomainError):
-        glide_decompose(v)
 
 
 def test_triangle_product_axis_joins_altitude_feet():
@@ -525,8 +523,9 @@ def test_triangle_product_axis_joins_altitude_feet():
     for _ in range(100):
         a, b, c = (normalize(x) for x in gen.random_triangle_lines(r))
         product = a.mv().gp(b.mv().gp(c.mv()))
-        versor = OddVersor.from_mv(product)
-        axis = glide_decompose(versor).axis
+        axis = OddVersor.from_mv(product).normalized().line
+        # the same axis from the closed form
+        typed = triple_lines(a, b, c)[0].normalized().line
         # feet of the altitudes from the vertices opposite a and c
         vertex_a = normalize(Point.from_mv(b.mv().outer(c.mv())))
         vertex_c = normalize(Point.from_mv(a.mv().outer(b.mv())))
@@ -534,6 +533,7 @@ def test_triangle_product_axis_joins_altitude_feet():
         foot_c = project(vertex_c, c)
         joining = foot_a.mv().join(foot_c.mv())
         assert gen.proj_match(axis.mv(), joining, 1e-7)
+        assert gen.proj_match(typed.mv(), joining, 1e-7)
 
 
 # -- transport solver -------------------------------------------------------------------

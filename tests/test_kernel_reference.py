@@ -407,8 +407,8 @@ def test_the_typed_products_are_the_kernel_products_exactly():
             t = _spread(r, 1)[0]
             assert interpolate(g, t) == kernel_interpolate(g, t)
         lines = _lines(r)
-        got, want = triple_lines(*lines), kernel_triple(*lines)
-        assert got.line_part == Line.from_mv(want.grade(1)) and got.pseudo_part.s == want[7]
+        (got, _), want = triple_lines(*lines), kernel_triple(*lines)
+        assert got.line == Line.from_mv(want.grade(1)) and got.lam == want[7]
         points = _euclidean_points(r)
         assert triple_points(*points) == kernel_triple_points(*points)
 

@@ -857,6 +857,16 @@ def test_cli_unwritable_svg(tmp_path, capsys):
     assert main(["run", str(script), "--svg", "/no/such/dir/fig.svg"]) == 2
 
 
+def test_cli_empty_svg_path_is_an_error(tmp_path, capsys):
+    # an empty path names no file: it fails like an unwritable one, after the output
+    script = tmp_path / "s.pga"
+    script.write_text("point A 0 0\nprint A\n")
+    assert main(["run", str(script), "--svg", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "A = (0.000000, 0.000000)\n"
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_tol_flag(tmp_path, capsys):
     script = tmp_path / "s.pga"
     script.write_text("point A 0 0\nprint A\n")

@@ -134,8 +134,19 @@ def test_triple_lines_flags_a_sine_within_tol_of_zero(tol):
     for sine in inside + outside:
         # y = 0, the line y = 1 turned by the sine, and x = 0: never concurrent,
         # and only the first two are near parallel
-        product = triple_lines(Line(0, 1, 0), Line(sine, 1, -1), Line(1, 0, 0), tol)
-        assert product.degenerate is (sine in inside)
+        _, degenerate = triple_lines(Line(0, 1, 0), Line(sine, 1, -1), Line(1, 0, 0), tol)
+        assert degenerate is (sine in inside)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+def test_triple_lines_flags_a_pseudoscalar_within_tol_of_zero(tol):
+    inside, outside = _inside_and_outside(0.0, tol)
+    for e in inside + outside:
+        # x = 0, y = 0 and a unit line at distance e from their meet, the
+        # origin: no two are near parallel, and lam is -e exactly
+        versor, degenerate = triple_lines(Line(0.6, 0.8, -e), Line(1, 0, 0), Line(0, 1, 0), tol)
+        assert versor.lam == -e
+        assert degenerate is (e in inside)
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])

@@ -9,8 +9,7 @@ import pytest
 
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import DomainError
-from pga2d.geometry import TripleLineProduct
-from pga2d.isometry import GlideDecomposition, Motor, OddVersor
+from pga2d.isometry import Motor, OddVersor
 from pga2d.multivector import Multivector
 from pga2d.script import Statement
 
@@ -32,14 +31,6 @@ CASES = [
     (Point(1, 2, 1), Point(1.0, 2.0, 1.0), Point(1, 2, 2), "z", "Point(1, 2, 1)"),
     (_IDEAL, Point(3.0, 4.0, 0.0), IdealPoint(4, 3), "x", "Point(3, 4, 0)"),
     (Pseudoscalar(2), Pseudoscalar(2.0), Pseudoscalar(-2), "s", "Pseudoscalar(2)"),
-    (
-        TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
-        TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), False),
-        TripleLineProduct(Line(0, 1, -2), Pseudoscalar(0.5), True),
-        "degenerate",
-        "TripleLineProduct(line_part=Line[0, 1, -2], pseudo_part=Pseudoscalar(0.5), "
-        "degenerate=False)",
-    ),
     (Motor(1, 0, 0.5, 0), Motor(1.0, 0.0, 0.5, 0.0), Motor(1, 0.5, 0, 0), "bz", "Motor(1, 0, 0.5, 0)"),
     (
         OddVersor(Line(1, 0, 0), 0.5),
@@ -47,13 +38,6 @@ CASES = [
         OddVersor(Line(1, 0, 0), -0.5),
         "lam",
         "OddVersor(line=Line[1, 0, 0], lam=0.5)",
-    ),
-    (
-        GlideDecomposition(Line(0, 1, 0), 2.0),
-        GlideDecomposition(Line(0, 1, 0), 2.0),
-        GlideDecomposition(Line(0, 1, 0), 3.0),
-        "translation_distance",
-        "GlideDecomposition(axis=Line[0, 1, 0], translation_distance=2.0)",
     ),
     (
         _STATEMENT,
