@@ -6,7 +6,9 @@ single-assignment and must be defined before use (checked while parsing).
 Values are points, ideal points, lines, motors or plain numbers.  A verb is
 defined in one place, its row of _VERBS: its argument kinds, its operand
 checks and its result.  Every verb computes on the fields of its operands;
-none multiplies 8-slot multivectors.
+none multiplies 8-slot multivectors.  parse gives each statement as a plain
+tuple (lineno, verb, result, args), and evaluate and format_program take a
+tuple of them.
 """
 
 from __future__ import annotations
@@ -15,31 +17,16 @@ from . import geometry, isometry
 from .elements import IdealPoint, Line, Point, cross
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .metric import view
-from .multivector import DEFAULT_TOL, Frozen, near_zero
+from .multivector import DEFAULT_TOL, near_zero
 
 
-class Statement(Frozen):
-    __slots__ = ("lineno", "verb", "result", "args")
-
-    def __init__(self, lineno: int, verb: str, result: str | None, args: tuple):
-        _lineno(self, lineno)
-        _verb(self, verb)
-        _result(self, result)
-        _args(self, args)
-
-    def _key(self) -> tuple:
-        # the line number is diagnostic provenance, not program content
-        return self.verb, self.result, self.args
-
-
-# Statement.__init__ sets each field through its slot, faster than _set
-_lineno, _verb, _result, _args = (getattr(Statement, f).__set__ for f in Statement.__slots__)
-
-
-def parse(source: str) -> tuple[Statement, ...]:
+def parse(source: str) -> tuple[tuple[int, str, str | None, tuple], ...]:
     """Parse and statically check a script: verbs, arity, literals, names.
 
-    A rejected line raises ParseError for its first fault in token order."""
+    Returns one plain tuple (lineno, verb, result, args) per statement:
+    result is the new name, or None for print and svg; args holds the
+    referenced names, numbers (as floats) and path in source order.  A
+    rejected line raises ParseError for its first fault in token order."""
     statements = []
     defined: set[str] = set()
     lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -75,18 +62,21 @@ def parse(source: str) -> tuple[Statement, ...]:
                     raise ParseError(f"expected a number, got {token!r}", lineno) from None
         if new:
             defined.add(result)
-        statements.append(Statement(lineno, verb, result, args))
+        statements.append((lineno, verb, result, args))
     return tuple(statements)
 
 
-def format_program(statements: tuple[Statement, ...]) -> str:
-    """Canonical text form; parsing it back gives identical statements."""
+def format_program(statements: tuple[tuple[int, str, str | None, tuple], ...]) -> str:
+    """Canonical text form of parse's statements, one line each.  Parsing it
+    back gives the same verbs, results and args; the line numbers count the
+    written lines, so they differ where the source had blank or comment
+    lines."""
     lines = []
-    for st in statements:
-        tokens = [st.verb]
-        if st.result is not None:
-            tokens.append(st.result)
-        tokens.extend(repr(a) if isinstance(a, float) else str(a) for a in st.args)
+    for _, verb, result, args in statements:
+        tokens = [verb]
+        if result is not None:
+            tokens.append(result)
+        tokens.extend(repr(a) if isinstance(a, float) else str(a) for a in args)
         lines.append(" ".join(tokens))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -198,7 +188,9 @@ _SHAPES = {
 }
 
 
-def evaluate(statements: tuple[Statement, ...], tol: float = DEFAULT_TOL) -> tuple[dict, str]:
+def evaluate(
+    statements: tuple[tuple[int, str, str | None, tuple], ...], tol: float = DEFAULT_TOL
+) -> tuple[dict, str]:
     """Run parsed statements; returns the final environment and printed text.
 
     Execution stops at the first failing statement, re-raised as an
@@ -206,18 +198,18 @@ def evaluate(statements: tuple[Statement, ...], tol: float = DEFAULT_TOL) -> tup
     """
     env: dict[str, object] = {}
     out: list[str] = []
-    for st in statements:
+    for lineno, verb, result, args in statements:
         try:
-            compute = _VERBS[st.verb][1]
+            compute = _VERBS[verb][1]
             if compute is not None:
-                env[st.result] = compute(env, st.args, tol)
-            elif st.verb == "print":
-                out.append(f"{st.args[0]} = {format_value(env[st.args[0]], tol)}")
+                env[result] = compute(env, args, tol)
+            elif verb == "print":
+                out.append(f"{args[0]} = {format_value(env[args[0]], tol)}\n")
             else:
-                render_svg(env, st.args[0], tol)
+                render_svg(env, args[0], tol)
         except (AlgebraError, RenderError, OSError) as exc:
-            raise EvaluationError(str(exc), st.lineno, _joined(out)) from exc
-    return env, _joined(out)
+            raise EvaluationError(str(exc), lineno, "".join(out)) from exc
+    return env, "".join(out)
 
 
 def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:
@@ -226,6 +218,3 @@ def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:
 
     render_svg(env, path, tol)
 
-
-def _joined(lines: list[str]) -> str:
-    return "".join(f"{line}\n" for line in lines)

@@ -56,6 +56,12 @@ FAILING = {
     "solve-construction": (
         "point A 0 0\nline m 0 1 4e-9\npoint B 5 0\nline n 0 1 -4e-9\nsolve g A m B n\n"
     ),
+    # line numbers count comment and blank lines, and \r\n and \r end a line
+    "lineno-evaluation": (
+        "# head\r\n\r\npoint A 0 0\r\nprint A # shown\r\n"
+        "  # note\r\nline m 1 0 0\r\nreflect B A A\r\n"
+    ),
+    "lineno-parse": "point A 0 0\r\n\r\n# c\rprint B\r\n",
 }
 
 

@@ -21,7 +21,7 @@ from pga2d.isometry import Motor, translator
 from pga2d.metric import normalize, view
 from pga2d.render import _clip_line, build_svg
 from pga2d.script import (
-    _SIGNATURES, Statement, evaluate, format_program, format_value, parse,
+    _SIGNATURES, evaluate, format_program, format_value, parse,
 )
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
@@ -32,10 +32,11 @@ SCRIPTS = Path(__file__).parent / "data" / "scripts"
 
 def test_parse_simple_statements():
     program = parse("point A 0 0\ndist d A A  # comment\n\n# full comment line\n")
-    assert [st.verb for st in program] == ["point", "dist"]
-    assert program[0].result == "A"
-    assert program[0].args == (0.0, 0.0)
-    assert program[1].args == ("A", "A")
+    assert [verb for _, verb, _, _ in program] == ["point", "dist"]
+    (_, _, result, args), (_, _, _, refs) = program
+    assert result == "A"
+    assert args == (0.0, 0.0)
+    assert refs == ("A", "A")
 
 
 def test_parse_reports_line_numbers():
@@ -95,14 +96,15 @@ _NAME_CHARS = st.one_of(
 def test_parse_accepts_the_names_the_old_regex_accepted(token):
     source = f"point {token} 0 0"
     if _OLD_NAME_RE.match(token):
-        assert parse(source)[0].result == token
+        ((_, _, result, _),) = parse(source)
+        assert result == token
     else:
         with pytest.raises(ParseError) as err:
             parse(source)
         assert str(err.value) == f"line 1: invalid name {token!r}"
 
 
-def _old_parse(source: str) -> tuple[Statement, ...]:
+def _old_parse(source: str) -> tuple[tuple[int, str, str | None, tuple], ...]:
     """The parser before it checked each line in one pass, kept as the oracle
     for statements and error messages (it split lines with str.splitlines)."""
     statements = []
@@ -143,7 +145,7 @@ def _old_parse(source: str) -> tuple[Statement, ...]:
                 args.append(token)
         if result is not None:
             defined.add(result)
-        statements.append(Statement(lineno, verb, result, tuple(args)))
+        statements.append((lineno, verb, result, tuple(args)))
     return tuple(statements)
 
 
@@ -197,7 +199,7 @@ def test_parse_matches_the_old_parser(lines, preamble):
         except ParseError as exc:
             return str(exc), exc.lineno
         # repr tells nan and -0.0 apart; == would not
-        return [(type(s), s.lineno, s.verb, s.result, repr(s.args)) for s in program]
+        return type(program), [(type(st), st[:3], repr(st[3:])) for st in program]
 
     source = "\n".join((_PREAMBLE if preamble else []) + lines)
     assert outcome(parse) == outcome(_old_parse)
@@ -224,7 +226,7 @@ def test_a_comment_runs_to_the_end_of_its_line(tmp_path, capsys, source, message
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_lines_end_at_newline_crlf_or_cr(end):
     program = parse(end.join(["point A 1 2", "", "point B 3 4\x0b\x1c", "print B", ""]))
-    assert [(s.lineno, s.verb) for s in program] == [
+    assert [(lineno, verb) for lineno, verb, _, _ in program] == [
         (1, "point"), (3, "point"), (4, "print")
     ]
 
@@ -241,7 +243,33 @@ print d
 svg out.svg
 """
     program = parse(source)
-    assert parse(format_program(program)) == program
+    # the written form has no blank lines, so only the line numbers differ
+    assert [st[1:] for st in parse(format_program(program))] == [st[1:] for st in program]
+
+
+def test_parse_returns_plain_tuples_that_evaluate_runs():
+    program = parse("point A 0 0\n\npoint B 3 4\ndist d A B\nprint d\nsvg out.svg\n")
+    assert type(program) is tuple
+    for st in program:
+        assert type(st) is tuple and len(st) == 4
+        lineno, verb, result, args = st
+        assert type(lineno) is int and type(verb) is str and type(args) is tuple
+        assert result is None or type(result) is str
+    assert program == (
+        (1, "point", "A", (0.0, 0.0)),
+        (3, "point", "B", (3.0, 4.0)),
+        (4, "dist", "d", ("A", "B")),
+        (5, "print", None, ("d",)),
+        (6, "svg", None, ("out.svg",)),
+    )
+    # a program built by hand runs like a parsed one, and its line numbers
+    # are the ones an error reports
+    built = ((7, "point", "A", (0.0, 0.0)), (8, "point", "B", (3.0, 4.0)),
+             (9, "dist", "d", ("A", "B")), (10, "print", None, ("d",)))
+    assert evaluate(built)[1] == "d = 5.000000\n"
+    with pytest.raises(EvaluationError) as err:
+        evaluate(built + ((12, "join", "m", ("A", "A")),))
+    assert err.value.lineno == 12 and err.value.output == "d = 5.000000\n"
 
 
 # -- evaluation ----------------------------------------------------------------

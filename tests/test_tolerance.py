@@ -26,7 +26,7 @@ from pga2d.geometry import triple_lines
 from pga2d.isometry import Motor, OddVersor, factor_motor, sandwich, solve_point_line_transport
 from pga2d.metric import factor_point, normalize
 from pga2d.multivector import DEFAULT_TOL, near_zero
-from pga2d.script import Statement, evaluate, format_program, parse
+from pga2d.script import evaluate, format_program, parse
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pga2d"
@@ -168,6 +168,31 @@ def test_a_motor_is_null_when_its_weight_is_within_tol_of_its_largest_part(tol, 
     with pytest.raises(DomainError, match="is null"):
         Motor(null, 1, 0, 0).normalized(tol)
     assert Motor(weighty, 1, 0, 0).normalized(tol) == Motor(1, 1 / weighty, 0, 0)
+
+
+def test_a_point_literal_is_in_range_within_1e_3_over_tol_of_the_origin():
+    # at tol 1e-9 the limit is 1e6, for either coordinate
+    evaluate(parse("point A 5e5 0\npoint B 0 -5e5\n"))
+    for xy in ("1.5e6 0", "0 -1.5e6"):
+        with pytest.raises(EvaluationError, match="out of range"):
+            evaluate(parse(f"point A {xy}\n"))
+
+
+@pytest.mark.parametrize(
+    "tol, dependent, independent", [(DEFAULT_TOL, 0.75e-9, 1.5e-9), (0.0, 0.0, 5e-324)]
+)
+@pytest.mark.parametrize(
+    "source",
+    ["point A 1 0\npoint B 1 {e!r}\njoin r A B\n", "line m 0 1 0\nline n {e!r} 1 0\nmeet r m n\n"],
+    ids=["join", "meet"],
+)
+def test_a_join_or_meet_is_zero_within_tol_of_its_operands_scale(
+    source, tol, dependent, independent
+):
+    # the result's largest coefficient is e, against a scale of 1 * 1
+    with pytest.raises(EvaluationError, match=r"is the zero element \(dependent arguments\?\)"):
+        evaluate(parse(source.format(e=dependent)), tol)
+    assert isinstance(evaluate(parse(source.format(e=independent)), tol)[0]["r"], (Line, Point))
 
 
 # -- the policy, as a lint ---------------------------------------------------------
@@ -378,23 +403,22 @@ class Similarity:
         a2, b2 = self.turn(a, b)
         return a2, b2, self.s * c - (a2 * self.t[0] + b2 * self.t[1])
 
-    def program(self, program: tuple[Statement, ...]) -> tuple[Statement, ...]:
+    def program(self, program: tuple[tuple, ...]) -> tuple[tuple, ...]:
         statements = []
-        for st in program:
-            args = st.args
-            if st.verb == "point":
+        for lineno, verb, result, args in program:
+            if verb == "point":
                 args = self.point(*args)
-            elif st.verb == "ideal":
+            elif verb == "ideal":
                 args = self.turn(*args)
-            elif st.verb == "line":
+            elif verb == "line":
                 args = self.line(*args)
-            elif st.verb == "translator":
+            elif verb == "translator":
                 args = (args[0], self.s * args[1])
-            statements.append(Statement(st.lineno, st.verb, st.result, args))
+            statements.append((lineno, verb, result, args))
         return tuple(statements)
 
 
-def _outcome(program: tuple[Statement, ...]):
+def _outcome(program: tuple[tuple, ...]):
     try:
         return evaluate(program)[0], None
     except EvaluationError as exc:
@@ -460,7 +484,7 @@ def test_moving_turning_and_scaling_a_script_moves_turns_and_scales_its_values(
     moved, failure = _outcome(sim.program(program))
     assert failure is None, f"{source} fails after the move: {failure}"
     assert moved.keys() == env.keys()
-    verbs = {st.result: st.verb for st in program}
+    verbs = {result: verb for _, verb, result, _ in program}
     for name, want in env.items():
         got = moved[name]
         what = f"{source}: {verbs[name]} {name}"

@@ -11,10 +11,8 @@ from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import DomainError
 from pga2d.isometry import Motor, OddVersor
 from pga2d.multivector import Multivector
-from pga2d.script import Statement
 
 _MV = Multivector((1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.5))
-_STATEMENT = Statement(3, "point", "A", (1.0, 2.0))
 _IDEAL = IdealPoint(3, 4)
 
 # (value, an equal value built separately, an unequal value of the same class,
@@ -38,13 +36,6 @@ CASES = [
         OddVersor(Line(1, 0, 0), -0.5),
         "lam",
         "OddVersor(line=Line[1, 0, 0], lam=0.5)",
-    ),
-    (
-        _STATEMENT,
-        Statement(3, "point", "A", (1.0, 2.0)),
-        Statement(3, "point", "B", (1.0, 2.0)),
-        "verb",
-        "Statement(lineno=3, verb='point', result='A', args=(1.0, 2.0))",
     ),
 ]
 
@@ -93,15 +84,6 @@ def test_pickle_and_copies_round_trip(value, same, other, field, text):
 @pytest.mark.parametrize("value, same, other, field, text", CASES, ids=IDS)
 def test_repr_is_pinned(value, same, other, field, text):
     assert repr(value) == text
-
-
-def test_statement_lineno_is_shown_but_not_compared():
-    moved = Statement(9, "point", "A", (1.0, 2.0))
-    assert moved == _STATEMENT and hash(moved) == hash(_STATEMENT)
-    assert "lineno=9" in repr(moved) and "lineno=3" in repr(_STATEMENT)
-    assert pickle.loads(pickle.dumps(moved)).lineno == 9
-    assert copy.deepcopy(moved).lineno == 9
-
 
 
 # every element constructor rejects a non-finite field, and lines and points
