@@ -1,11 +1,11 @@
 """Plane-based geometric algebra for euclidean plane geometry.
 
-Products and duality live in :mod:`pga2d.kernel`, loaded on first use;
-the tolerance rule and the value base in :mod:`pga2d.multivector`; typed
-line/point views in :mod:`pga2d.elements`; norms and classification in
-:mod:`pga2d.metric`; measurements and projections in :mod:`pga2d.geometry`;
-reflections, motors and the transport solver in :mod:`pga2d.isometry`; the
-construction-script interpreter in :mod:`pga2d.script`.
+Products and duality live in :mod:`pga2d.kernel`, loaded on first use; the
+tolerance rule and the value base in :mod:`pga2d.multivector`; typed line/point
+views in :mod:`pga2d.elements`; norms and classification in :mod:`pga2d.metric`;
+joins, meets, measurements and projections in :mod:`pga2d.geometry`; reflections,
+motors and the transport solver in :mod:`pga2d.isometry`; the construction-script
+interpreter in :mod:`pga2d.script`.
 """
 
 from .elements import IdealPoint, Line, Point, Pseudoscalar
@@ -24,6 +24,8 @@ from .errors import (
 from .geometry import (
     angle,
     distance,
+    join,
+    meet,
     midline,
     midpoint,
     perp_line_through,

@@ -1,5 +1,6 @@
-"""Interpreted euclidean operations: distances and angles, bisectors,
-projections, perpendiculars and the characteristic three-factor products.
+"""Interpreted euclidean operations: the join of two points and the meet of
+two lines, distances and angles, bisectors, projections, perpendiculars and
+the characteristic three-factor products.
 
 Sign conventions, fixed here and pinned by golden tests:
 
@@ -70,6 +71,32 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> float:
         c = max(-1.0, min(1.0, mb * ux - ma * uy))
         return math.acos(c)
     raise TypeError(f"no angle between {type(x).__name__} and {type(y).__name__}")
+
+
+def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
+    """The join of two points or meet of two lines, unless it is near_zero
+    against the product of their largest coefficients (divided by one of
+    them: the product can overflow, and then every result reads as zero)."""
+    w = cross(u, v)
+    if near_zero(max(map(abs, w)) / max(map(abs, u)), max(map(abs, v)), tol):
+        raise DomainError("result is the zero element (dependent arguments?)")
+    return w
+
+
+def join(p: Point, q: Point, tol: float = DEFAULT_TOL) -> Line:
+    """The line through two points, directed from p to q; DomainError when
+    they coincide within tol.  Two ideal points join in the ideal line."""
+    if not (isinstance(p, Point) and isinstance(q, Point)):
+        raise TypeError(f"no join of {type(p).__name__} and {type(q).__name__}")
+    return Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), tol))
+
+
+def meet(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Point:
+    """The point where two lines cross, ideal when they are parallel;
+    DomainError when they coincide within tol."""
+    if not (isinstance(m, Line) and isinstance(n, Line)):
+        raise TypeError(f"no meet of {type(m).__name__} and {type(n).__name__}")
+    return Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
 
 
 def midpoint(p: Point, q: Point, tol: float = DEFAULT_TOL) -> Point:

@@ -34,17 +34,17 @@ class Frozen:
     A subclass names its fields in ``__slots__``, in the order of its
     constructor's parameters, and its ``__init__`` sets each one once with
     ``_set``, or, faster, with the slot's own setter,
-    ``getattr(cls, name).__set__``.  Two values are equal when they are of
-    the same class and their ``_key()`` tuples are equal, and then they hash
-    alike.  Pickle and copy rebuild a value by calling its constructor with
-    every field, so a restored value has passed the same checks as the
-    original.
+    ``getattr(cls, name).__set__``.  ``_key()`` is the tuple of every field
+    in slot order.  Two values are equal when they are of the same class and
+    their keys are equal, and then they hash alike.  Pickle and copy rebuild
+    a value by calling its constructor with its key, so a restored value has
+    passed the same checks as the original.
     """
 
     __slots__ = ()
 
     def _key(self) -> tuple:
-        """The fields that == and hash() compare: all of them, unless a class narrows it."""
+        """The fields that == and hash() compare: all of them, in slot order."""
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
@@ -62,7 +62,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+        return self.__class__, self._key()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

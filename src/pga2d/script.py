@@ -7,14 +7,13 @@ Values are points, ideal points, lines, motors or plain numbers.  A verb is
 defined in one place, its row of _VERBS: its argument kinds, its operand
 checks and its result.  Every verb computes on the fields of its operands;
 none multiplies 8-slot multivectors.  parse gives each statement as a plain
-tuple (lineno, verb, result, args), and evaluate and format_program take a
-tuple of them.
+tuple (lineno, verb, result, args), and evaluate takes a tuple of them.
 """
 
 from __future__ import annotations
 
 from . import geometry, isometry
-from .elements import IdealPoint, Line, Point, cross
+from .elements import IdealPoint, Line, Point
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .metric import view
 from .multivector import DEFAULT_TOL, near_zero
@@ -66,21 +65,6 @@ def parse(source: str) -> tuple[tuple[int, str, str | None, tuple], ...]:
     return tuple(statements)
 
 
-def format_program(statements: tuple[tuple[int, str, str | None, tuple], ...]) -> str:
-    """Canonical text form of parse's statements, one line each.  Parsing it
-    back gives the same verbs, results and args; the line numbers count the
-    written lines, so they differ where the source had blank or comment
-    lines."""
-    lines = []
-    for _, verb, result, args in statements:
-        tokens = [verb]
-        if result is not None:
-            tokens.append(result)
-        tokens.extend(repr(a) if isinstance(a, float) else str(a) for a in args)
-        lines.append(" ".join(tokens))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def format_value(value, tol: float = DEFAULT_TOL) -> str:
     """Render an environment value with fixed 6-decimal formatting."""
     if isinstance(value, float):
@@ -96,16 +80,6 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
         raise TypeError(f"cannot format {type(value).__name__}")
     # every number has six decimals, so only a negative zero reads -0.000000
     return text.replace("-0.000000", "0.000000")
-
-
-def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
-    """The join of two points or meet of two lines, unless it is near_zero
-    against the product of their largest coefficients (divided by one of
-    them: the product can overflow, and then every result reads as zero)."""
-    w = cross(u, v)
-    if near_zero(max(map(abs, w)) / max(map(abs, u)), max(map(abs, v)), tol):
-        raise DomainError("result is the zero element (dependent arguments?)")
-    return w
 
 
 def _want(env, name: str, types, what: str):
@@ -130,18 +104,6 @@ def _point(env, a, tol):
     return Point(x, y, 1.0)
 
 
-def _join(env, a, tol):
-    p = _want(env, a[0], Point, "join argument")
-    q = _want(env, a[1], Point, "join argument")
-    return Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), tol))
-
-
-def _meet(env, a, tol):
-    m = _want(env, a[0], Line, "meet argument")
-    n = _want(env, a[1], Line, "meet argument")
-    return Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
-
-
 # verb -> (argument kinds after the verb token, the new name's value from env,
 # args and tol, or None for print and svg); a row calls library functions
 # through their modules, so a tracer that rebinds a module attribute sees them
@@ -149,8 +111,10 @@ _VERBS = {
     "point": ("new num num", _point),
     "ideal": ("new num num", lambda env, a, tol: IdealPoint(*a)),
     "line": ("new num num num", lambda env, a, tol: Line(*a)),
-    "join": ("new ref ref", _join),
-    "meet": ("new ref ref", _meet),
+    "join": ("new ref ref", lambda env, a, tol: geometry.join(
+        _want(env, a[0], Point, "join argument"), _want(env, a[1], Point, "join argument"), tol)),
+    "meet": ("new ref ref", lambda env, a, tol: geometry.meet(
+        _want(env, a[0], Line, "meet argument"), _want(env, a[1], Line, "meet argument"), tol)),
     "dist": ("new ref ref", lambda env, a, tol: geometry.distance(
         _want(env, a[0], _EITHER, "dist argument"),
         _want(env, a[1], _EITHER, "dist argument"), tol)),

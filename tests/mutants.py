@@ -1,0 +1,167 @@
+"""Mutation check: does the test suite notice a one-line change to src/pga2d?
+
+Usage, from anywhere::
+
+    python tests/mutants.py [NAME ...]
+
+Each entry of MUTANTS replaces one line of a module in a temporary copy of
+this tree (src, tests, bench and pyproject.toml), runs the entry's test
+modules there with ``pytest -x``, and puts the line back; two copies test
+two mutants at a time.  A mutant is killed
+when some of those tests fail; the copy must first pass them unmutated.  Each
+survivor is printed; one listed in EQUIVALENT cannot change a result, and its
+reason is printed with it.  The exit code is 1 when a mutant outside
+EQUIVALENT survives or pytest ends in an error other than failed tests, and 2
+when an entry's line does not occur exactly once or the unmutated copy fails.
+With names, only those entries run.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from queue import Queue
+
+ROOT = Path(__file__).resolve().parent.parent
+PARSE = ("tests/test_script.py",)
+BANDS = ("tests/test_tolerance.py",)
+WORKERS = 2  # copies of the tree, each testing one mutant at a time
+
+# name -> (module under src/pga2d, the text of one line, its replacement, test modules)
+MUTANTS = {
+    # parse: each statement's fields and line numbers
+    "nums-reversed": (
+        "script.py", "*map(float, tokens[numbers:]))", "*map(float, tokens[numbers:][::-1]))",
+        PARSE,
+    ),
+    "names-reversed": (
+        "script.py", "names = tokens[1 + new:numbers]", "names = tokens[1 + new:numbers][::-1]",
+        PARSE,
+    ),
+    "path-dropped": (
+        "script.py", "names = tokens[1 + new:numbers]",
+        "names = tokens[1 + new:numbers] if new or refs else []", PARSE,
+    ),
+    "result-empty": (
+        "script.py", "result = tokens[1] if new else None", "result = tokens[1] if new else ''",
+        PARSE,
+    ),
+    "comment-kept": (
+        "script.py", 'tokens = raw.split("#", 1)[0].split()', "tokens = raw.split()", PARSE,
+    ),
+    "float-rounded": (
+        "script.py", "*map(float, tokens[numbers:]))",
+        "*(round(float(t), 6) for t in tokens[numbers:]))", PARSE,
+    ),
+    "cr-not-split": (
+        "script.py", '.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+        '.replace("\\r\\n", "\\n")', PARSE,
+    ),
+    # the range of a point literal, and the zero test of a join or meet
+    "point-constant-doubled": (
+        "script.py", "if near_zero(1e-3, max(abs(x), abs(y)), tol):",
+        "if near_zero(2e-3, max(abs(x), abs(y)), tol):", BANDS,
+    ),
+    "point-scale-halved": (
+        "script.py", "if near_zero(1e-3, max(abs(x), abs(y)), tol):",
+        "if near_zero(1e-3, 0.5 * max(abs(x), abs(y)), tol):", BANDS,
+    ),
+    "cross-scale-doubled": (
+        "geometry.py", "max(map(abs, u)), max(map(abs, v)), tol)",
+        "max(map(abs, u)), 2.0 * max(map(abs, v)), tol)", BANDS,
+    ),
+    "cross-scale-halved": (
+        "geometry.py", "max(map(abs, u)), max(map(abs, v)), tol)",
+        "max(map(abs, u)), 0.5 * max(map(abs, v)), tol)", BANDS,
+    ),
+}
+# name -> why the mutant cannot change a result
+EQUIVALENT: dict[str, str] = {}
+
+
+def _copy(folder: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests", "bench"):
+        shutil.copytree(ROOT / name, folder / name, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", folder)
+
+
+def _pytest(folder: Path, tests) -> int:
+    """pytest's exit code for tests in folder: 0 passed, 1 some failed."""
+    shutil.rmtree(folder / ".hypothesis", ignore_errors=True)  # no example carries over
+    env = dict(os.environ, PYTHONPATH=str(folder / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=folder, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def _mutated(folder: Path, module: str, old: str, new: str, tests: tuple[str, ...]) -> int:
+    path = folder / "src" / "pga2d" / module
+    text = path.read_text()
+    path.write_text(text.replace(old, new))
+    try:
+        return _pytest(folder, tests)
+    finally:
+        path.write_text(text)
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - MUTANTS.keys()
+    if unknown:
+        print(f"usage: python tests/mutants.py [NAME ...]; unknown: {sorted(unknown)}",
+              file=sys.stderr)
+        return 2
+    names = names or list(MUTANTS)
+    for name in names:
+        module, old = MUTANTS[name][:2]
+        if "\n" in old or (ROOT / "src" / "pga2d" / module).read_text().count(old) != 1:
+            print(f"error: {name}: {old!r} is not on exactly one line of {module}",
+                  file=sys.stderr)
+            return 2
+    start = time.perf_counter()
+    unexpected = []
+    with tempfile.TemporaryDirectory() as tmp:
+        folders: Queue[Path] = Queue()
+        for i in range(WORKERS):
+            folders.put(Path(tmp) / str(i))
+            _copy(Path(tmp) / str(i))
+        # a tree that fails unmutated would read every mutant as killed
+        tests = sorted({test for name in names for test in MUTANTS[name][3]})
+        if _pytest(Path(tmp) / "0", tests) != 0:
+            print(f"error: {' '.join(tests)} fail without a mutant", file=sys.stderr)
+            return 2
+
+        def run(name: str) -> int:
+            folder = folders.get()
+            try:
+                return _mutated(folder, *MUTANTS[name])
+            finally:
+                folders.put(folder)
+
+        with ThreadPoolExecutor(WORKERS) as pool:
+            codes = list(pool.map(run, names))
+    for name, code in zip(names, codes):
+        if code == 1:
+            continue
+        if code != 0:
+            print(f"ERROR: {name}: pytest exited {code} (a mutant that breaks collection?)")
+            unexpected.append(name)
+        elif name in EQUIVALENT:
+            print(f"survived (equivalent): {name}: {EQUIVALENT[name]}")
+        else:
+            print(f"SURVIVED: {name}")
+            unexpected.append(name)
+    print(f"{len(names)} mutants, {len(unexpected)} unexpected survivors or errors "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -50,6 +50,11 @@ FAILING = {
     "project-target": "point A 0 0\nrotator g A 1\nproject p A g\n",
     "project-zero": "line m 1 0 0\nline n 0 1 0\nproject p m n\n",
     "rotation-center": "line m 1 0 0\nrotator g m 1\n",
+    "join-kind": "line m 1 0 0\nline n 0 1 0\njoin P m n\n",
+    "meet-kind": "point A 0 0\npoint B 1 1\nmeet m A B\n",
+    # a join or meet of coincident operands, after printed text
+    "join-dependent": "point A 1 2\nprint A\npoint B 1 2\njoin m A B\n",
+    "meet-dependent": "line m 1 0 2\nline n 2 0 4\nmeet P m n\n",
     # a computed ideal point where a euclidean one is wanted
     "computed-ideal-operand": "line m 0 1 0\nline n 0 1 -2\nmeet P m n\npoint A 0 0\ndist d P A\n",
     # both incidences hold within the solver's check, but the motor misses n

@@ -15,6 +15,8 @@ from pga2d.errors import ClassificationError, DomainError, OrientationError
 from pga2d.geometry import (
     angle,
     distance,
+    join,
+    meet,
     midline,
     midpoint,
     perp_line_through,
@@ -492,6 +494,10 @@ def test_project_rejects_ideal():
         (project, Point(0, 0, 1), e012, "cannot project Point onto Multivector"),
         (reject, e012, Line(1, 0, 0), "cannot project Multivector onto Line"),
         (reject, Point(0, 0, 1), e012, "cannot project Point onto Multivector"),
+        (join, Line(1, 0, 0), Line(0, 1, 0), "no join of Line and Line"),
+        (join, Point(0, 0, 1), Line(1, 0, 0), "no join of Point and Line"),
+        (meet, Point(0, 0, 1), Point(1, 0, 1), "no meet of Point and Point"),
+        (meet, Line(1, 0, 0), Point(0, 0, 1), "no meet of Line and Point"),
     ],
 )
 def test_measures_and_project_take_only_lines_and_points(op, x, y, message):

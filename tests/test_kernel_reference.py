@@ -36,6 +36,8 @@ from pga2d.errors import DomainError
 from pga2d.geometry import (
     angle,
     distance,
+    join,
+    meet,
     midline,
     perp_line_through,
     project,
@@ -220,10 +222,14 @@ def test_join_and_meet_are_the_kernel_products_exactly():
         for v in (q, IdealPoint(q.x, q.y), Point(q.x, q.y, 0.0)):
             j = p.mv().join(v.mv()).coeffs
             assert cross((p.x, p.y, p.z), (v.x, v.y, v.z)) == (j[2], j[3], j[1])
+            line = join(p, v)
+            assert (line.a, line.b, line.c) == (j[2], j[3], j[1])
         m = Line(*_spread(r, 3))
         for n in (Line(*_spread(r, 3)), _parallel(r, m)):
             o = m.mv().outer(n.mv()).coeffs
             assert cross((m.a, m.b, m.c), (n.a, n.b, n.c)) == (o[4], o[5], o[6])
+            point = meet(m, n)
+            assert (point.x, point.y, point.z) == (o[4], o[5], o[6])
 
 
 def test_measurements_are_the_kernel_products_exactly():

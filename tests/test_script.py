@@ -20,9 +20,7 @@ from pga2d.geometry import angle
 from pga2d.isometry import Motor, translator
 from pga2d.metric import normalize, view
 from pga2d.render import _clip_line, build_svg
-from pga2d.script import (
-    _SIGNATURES, evaluate, format_program, format_value, parse,
-)
+from pga2d.script import _SIGNATURES, evaluate, format_value, parse
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
 
@@ -229,22 +227,6 @@ def test_lines_end_at_newline_crlf_or_cr(end):
     assert [(lineno, verb) for lineno, verb, _, _ in program] == [
         (1, "point"), (3, "point"), (4, "print")
     ]
-
-
-def test_roundtrip_through_formatter():
-    source = """
-point A 1 0
-line m 0 1 0
-ideal V 0.25 -3.5
-rotator g A 1e-09
-apply B g A
-dist d A B
-print d
-svg out.svg
-"""
-    program = parse(source)
-    # the written form has no blank lines, so only the line numbers differ
-    assert [st[1:] for st in parse(format_program(program))] == [st[1:] for st in program]
 
 
 def test_parse_returns_plain_tuples_that_evaluate_runs():

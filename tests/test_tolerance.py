@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from pga2d.elements import Line, Point
 from pga2d.errors import DomainError, EvaluationError, IncidenceError
-from pga2d.geometry import triple_lines
+from pga2d.geometry import join, meet, triple_lines
 from pga2d.isometry import Motor, OddVersor, factor_motor, sandwich, solve_point_line_transport
 from pga2d.metric import factor_point, normalize
 from pga2d.multivector import DEFAULT_TOL, near_zero
-from pga2d.script import evaluate, format_program, parse
+from pga2d.script import evaluate, parse
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pga2d"
@@ -195,6 +195,26 @@ def test_a_join_or_meet_is_zero_within_tol_of_its_operands_scale(
     assert isinstance(evaluate(parse(source.format(e=independent)), tol)[0]["r"], (Line, Point))
 
 
+@pytest.mark.parametrize(
+    "tol, dependent, independent", [(DEFAULT_TOL, 0.75e-9, 1.5e-9), (0.0, 0.0, 5e-324)]
+)
+@pytest.mark.parametrize(
+    "product",
+    [
+        lambda e, tol: join(Point(1, 0, 1), Point(1, e, 1), tol),
+        lambda e, tol: meet(Line(0, 1, 0), Line(e, 1, 0), tol),
+    ],
+    ids=["join", "meet"],
+)
+def test_the_library_join_or_meet_is_zero_within_tol_of_its_operands_scale(
+    product, tol, dependent, independent
+):
+    # the script pins above, called directly
+    with pytest.raises(DomainError, match=r"is the zero element \(dependent arguments\?\)"):
+        product(dependent, tol)
+    assert isinstance(product(independent, tol), (Line, Point))
+
+
 # -- the policy, as a lint ---------------------------------------------------------
 
 # where a comparison keeps its own convention: approx_eq's absolute semantics
@@ -304,6 +324,10 @@ def _dropped_tol(trees: dict[str, ast.AST]):
         if inside and isinstance(node, ast.Call):
             f = node.func
             callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            # a method of a str literal, such as "".join(parts), is no function here
+            on_literal = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Constant)
+            if on_literal and isinstance(f.value.value, str):
+                callee = None
             passed = (*node.args, *(k.value for k in node.keywords))
             if callee in takers and not any(map(_has_tolerance, passed)):
                 yield name, node.lineno, callee
@@ -330,15 +354,19 @@ def test_the_tol_lint_catches_a_dropped_tol():
         "    g = lambda z, tol: unit(z)\n"
         "    def h(z):\n"
         "        return unit(z)\n"
+        '    s = geometry.join(x, y) + "".join(x) + ", ".join(y) + sep.join(x, tol)\n'
         "    return obj.unit(unit(x, tol))\n"
         "def k(x):\n"
         "    return unit(x)\n"
+        "def join(p, q, tol=1e-9):\n"
+        "    return p\n"
     )
     assert sorted(_dropped_tol({"f.py": ast.parse(source)})) == [
         ("f.py", 4, "unit"),
         ("f.py", 6, "unit"),
         ("f.py", 7, "unit"),
-        ("f.py", 10, "unit"),
+        ("f.py", 10, "join"),
+        ("f.py", 11, "unit"),
     ]
 
 
@@ -509,7 +537,7 @@ def test_a_failure_fails_alike_after_the_move(source, s):
     """A script that fails (here: a point joined with itself) fails at the
     same statement with the same error class wherever the figure is."""
     program, size, _ = _source(source)
-    broken = parse(format_program(program) + "join z A A\n")
+    broken = (*program, (program[-1][0] + 1, "join", "z", ("A", "A")))
     sim = Similarity(0.5, s, (SHIFT * s * size, 0.0))
     failure = _outcome(broken)[1]
     assert failure is not None and _outcome(sim.program(broken))[1] == failure
