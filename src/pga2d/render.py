@@ -4,8 +4,8 @@ Fixed 512x512 viewport.  The world window is fitted to the euclidean points
 with a 10% margin and squared up to keep the aspect ratio; euclidean lines
 are clipped against it; ideal points are drawn as fixed-length arrows from
 the centroid of the euclidean points.  A figure with no euclidean point is
-placed about the origin.  Identical environments produce byte-identical
-files.
+placed about the origin.  Each element is labelled with its name, XML-escaped.
+Identical environments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,19 +20,6 @@ from .multivector import DEFAULT_TOL, near_zero
 
 VIEW = 512.0
 _ARROW_LEN = 0.18 * VIEW
-
-
-def _gather(env: dict, tol: float):
-    """Insertion-ordered drawables: (kind, name, payload)."""
-    drawables = []
-    for name, value in env.items():
-        if isinstance(value, (Point, Line)):
-            ideal, shown = view(value, tol)
-            if isinstance(value, Point):
-                drawables.append(("arrow" if ideal else "point", name, shown[:2]))
-            elif not ideal:
-                drawables.append(("line", name, shown))
-    return drawables
 
 
 def _world_window(xs, ys):
@@ -74,7 +61,7 @@ def _clip_line(a: float, b: float, c: float, window, tol: float):
 
 
 # one format per element; every number has two decimals, so a negative zero
-# reads -0.00 wherever it is, and no label text is in these strings
+# reads -0.00 wherever it is, and no name passes through these strings
 _HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" width="512" '
     'height="512" viewBox="0 0 512 512">\n<rect width="512" height="512" fill="white"/>\n'
@@ -89,14 +76,27 @@ _LABEL = '<text x="%.2f" y="%.2f" font-family="monospace" font-size="12" fill="#
 
 
 def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
-    """Compose the SVG document for the drawable elements of env."""
+    """Compose the SVG document for the drawable elements of env, each
+    labelled with its name, a str."""
+    drawn, xs, ys = [], [], []  # (shape template, name, fields), in env order
     try:
-        drawables = _gather(env, tol)
+        for name, value in env.items():
+            if isinstance(value, Point):
+                ideal, fields = view(value, tol)
+                if not ideal:
+                    xs.append(fields[0])
+                    ys.append(fields[1])
+                drawn.append((_ARROW if ideal else _CIRCLE, name, fields))
+            elif isinstance(value, Line):
+                ideal, fields = view(value, tol)
+                if not ideal:
+                    drawn.append((_LINE, name, fields))
     except DomainError as exc:  # a shown element overflows or has no unit form
         raise RenderError(f"cannot draw the figure: {exc}") from exc
-    if not drawables:
+    if not drawn:
         raise RenderError("nothing to render")
-    xs, ys = zip(*([p for kind, _, p in drawables if kind == "point"] or [(0.0, 0.0)]))
+    if not xs:
+        xs = ys = [0.0]
     window = _world_window(xs, ys)
     x0, x1, y0, _ = window
     width = x1 - x0  # 0 when the unit pad is lost next to a huge coordinate
@@ -105,31 +105,36 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     scale = VIEW / width
     ax = (sum(xs) / len(xs) - x0) * scale
     ay = VIEW - (sum(ys) / len(ys) - y0) * scale
-    shapes, labels = [], []
-    for kind, name, payload in drawables:
-        if kind == "point":
-            px, py = (payload[0] - x0) * scale, VIEW - (payload[1] - y0) * scale
-            shapes.append(_CIRCLE % (px, py))
-        elif kind == "line":
-            clip = _clip_line(*payload, window, tol)
+    shapes, nums, names, at = [], [], [], []  # at: each label's x and y
+    for shape, name, (f0, f1, f2) in drawn:
+        if shape is _CIRCLE:
+            px, py = (f0 - x0) * scale, VIEW - (f1 - y0) * scale
+            nums += (px, py)
+        elif shape is _LINE:
+            clip = _clip_line(f0, f1, f2, window, tol)
             if clip is None:
                 continue
             (wx1, wy1), (wx2, wy2) = clip
             px1, py1 = (wx1 - x0) * scale, VIEW - (wy1 - y0) * scale
             px2, py2 = (wx2 - x0) * scale, VIEW - (wy2 - y0) * scale
-            shapes.append(_LINE % (px1, py1, px2, py2))
+            nums += (px1, py1, px2, py2)
             px, py = 0.75 * px1 + 0.25 * px2, 0.75 * py1 + 0.25 * py2
         else:  # arrow from the anchor; head: two barbs splayed back from the tip
-            ux, uy = payload
-            px, py = ax + _ARROW_LEN * ux, ay - _ARROW_LEN * uy
-            lx, ly = px + 8.0 * (-ux - 0.5 * uy), py + 8.0 * (uy - 0.5 * ux)
-            rx, ry = px + 8.0 * (0.5 * uy - ux), py + 8.0 * (uy + 0.5 * ux)
+            px, py = ax + _ARROW_LEN * f0, ay - _ARROW_LEN * f1
+            lx, ly = px + 8.0 * (-f0 - 0.5 * f1), py + 8.0 * (f1 - 0.5 * f0)
+            rx, ry = px + 8.0 * (0.5 * f1 - f0), py + 8.0 * (f1 + 0.5 * f0)
             # the shaft, then each barb from the tip
-            shapes.append(_ARROW % (ax, ay, px, py, px, py, lx, ly, px, py, rx, ry))
-        text = (_LABEL % (px + 6.0, py - 6.0)).replace("-0.00", "0.00")
-        labels.append(f"{text}{name}</text>\n")
-    body = "".join(shapes).replace("-0.00", "0.00")
-    return f"{_HEAD}{body}{''.join(labels)}</svg>\n"
+            nums += (ax, ay, px, py, px, py, lx, ly, px, py, rx, ry)
+        shapes.append(shape)
+        names.append(name)
+        at += (px + 6.0, py - 6.0)
+    body = ("".join(shapes) % tuple(nums)).replace("-0.00", "0.00")
+    heads = ("\n".join([_LABEL] * len(names)) % tuple(at)).replace("-0.00", "0.00").split("\n")
+    text = "".join(names)
+    if "&" in text or "<" in text or ">" in text:  # a name from a library caller
+        names = [n.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for n in names]
+    labels = "".join([f"{head}{name}</text>\n" for head, name in zip(heads, names)])
+    return f"{_HEAD}{body}{labels}</svg>\n"
 
 
 def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:

@@ -5,9 +5,9 @@ Usage, from anywhere::
     python tests/mutants.py [NAME ...]
 
 Each entry of MUTANTS replaces one line of a module in a temporary copy of
-this tree (src, tests, bench and pyproject.toml), runs the entry's test
-modules there with ``pytest -x``, and puts the line back; two copies test
-two mutants at a time.  A mutant is killed
+this tree (src, tests, bench and pyproject.toml), runs the entry's tests
+(modules or pytest node ids) there with ``pytest -x``, and puts the line
+back; two copies test two mutants at a time.  A mutant is killed
 when some of those tests fail; the copy must first pass them unmutated.  Each
 survivor is printed; one listed in EQUIVALENT cannot change a result, and its
 reason is printed with it.  The exit code is 1 when a mutant outside
@@ -31,9 +31,11 @@ from queue import Queue
 ROOT = Path(__file__).resolve().parent.parent
 PARSE = ("tests/test_script.py",)
 BANDS = ("tests/test_tolerance.py",)
+# the referee of the renderer, and the acceptance tests' golden SVG
+SVG = ("tests/test_script.py::test_build_svg_matches_the_old_renderer", "tests/test_acceptance.py")
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
-# name -> (module under src/pga2d, the text of one line, its replacement, test modules)
+# name -> (module under src/pga2d, the text of one line, its replacement, tests)
 MUTANTS = {
     # parse: each statement's fields and line numbers
     "nums-reversed": (
@@ -79,6 +81,26 @@ MUTANTS = {
     "cross-scale-halved": (
         "geometry.py", "max(map(abs, u)), max(map(abs, v)), tol)",
         "max(map(abs, u)), 0.5 * max(map(abs, v)), tol)", BANDS,
+    ),
+    # the SVG: signed zeros, label anchors, arrow heads and drawing order
+    "labels-keep-minus-zero": (
+        "render.py", '% tuple(at)).replace("-0.00", "0.00").split("\\n")',
+        '% tuple(at)).split("\\n")', SVG,
+    ),
+    "body-keeps-minus-zero": (
+        "render.py", 'body = ("".join(shapes) % tuple(nums)).replace("-0.00", "0.00")',
+        'body = "".join(shapes) % tuple(nums)', SVG,
+    ),
+    "anchor-weights-swapped": (
+        "render.py", "px, py = 0.75 * px1 + 0.25 * px2, 0.75 * py1 + 0.25 * py2",
+        "px, py = 0.25 * px1 + 0.75 * px2, 0.25 * py1 + 0.75 * py2", SVG,
+    ),
+    "barb-offset-9": (
+        "render.py", "lx, ly = px + 8.0 * (-f0 - 0.5 * f1)", "lx, ly = px + 9.0 * (-f0 - 0.5 * f1)",
+        SVG,
+    ),
+    "drawn-reversed": (
+        "render.py", "in drawn:", "in drawn[::-1]:", SVG,
     ),
 }
 # name -> why the mutant cannot change a result

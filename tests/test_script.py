@@ -1,25 +1,31 @@
 """Construction language: parsing, evaluation, golden runs, SVG, CLI."""
 
 import ast
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
+from xml.dom import minidom
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pga2d
-from pga2d import metric
+from pga2d import metric, render
 from pga2d.cli import _parse_args, _read, main
 from pga2d.errors import DomainError, EvaluationError, ParseError, RenderError
 from pga2d.elements import Line, Point
 from pga2d.geometry import angle
 from pga2d.isometry import Motor, translator
 from pga2d.metric import normalize, view
-from pga2d.render import _clip_line, build_svg
+from pga2d.multivector import DEFAULT_TOL
+from pga2d.render import (
+    _ARROW, _ARROW_LEN, _CIRCLE, _HEAD, _LABEL, _LINE, VIEW, _clip_line, _world_window, build_svg,
+)
 from pga2d.script import _SIGNATURES, evaluate, format_value, parse
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
@@ -728,11 +734,18 @@ def test_clipping_keeps_the_crossings_and_their_order(line, window, tol, ends):
     assert repr(None if clip is None else tuple(clip)) == repr(ends)
 
 
+# m lies 5e-9 left of the window, within tol * span: drawn at x = -2.1e-7 px;
+# h's label sits 0.001 px above the top
+_MINUS_ZERO = {
+    "A": Point(0, 0, 1), "B": Point(10, 10, 1), "m": Line(1, 0, 1.000000005),
+    "h": Line(0, 1, -10.8594),
+}
+
+
 def test_pixel_coordinates_that_round_to_negative_zero_read_zero():
-    # m lies 5e-9 left of the window, within tol * span: drawn at x = -2.1e-7
-    # px; h's label sits 0.001 px above the top
     source = "point A 0 0\npoint B 10 10\nline m 1 0 1.000000005\nline h 0 1 -10.8594\n"
     env, _ = evaluate(parse(source))
+    assert env == _MINUS_ZERO
     svg = build_svg(env)
     assert svg.splitlines()[5:7] + svg.splitlines()[-2:] == [
         '<line x1="0.00" y1="512.00" x2="0.00" y2="0.00" stroke="#333333" stroke-width="1.5"/>',
@@ -757,14 +770,24 @@ def test_svg_is_deterministic(tmp_path):
     assert target.read_text() == first
 
 
+# the environments of the two golden SVGs, as their scripts bind them
+_DIST345 = {
+    "A": Point(0, 0, 1), "B": Point(3, 4, 1), "d": 5.0, "h": Line(-4, 3, 0),
+    "M": Point(1.5, 2, 1),
+}
+_IDEAL_ONLY = {"V": Point(1, 1, 0), "m": Line(1, 2, 0.5)}
+
+
 def test_svg_golden_file():
     source = (SCRIPTS / "dist345.pga").read_text()
     env, _ = evaluate(parse(source))
+    assert env == _DIST345
     assert build_svg(env) == (SCRIPTS / "dist345.expected.svg").read_text()
 
 
 def test_svg_of_a_figure_with_no_euclidean_point_is_centred_on_the_origin():
     env, _ = evaluate(parse("ideal V 1 1\nline m 1 2 0.5\n"))
+    assert env == _IDEAL_ONLY
     assert build_svg(env) == (SCRIPTS / "ideal_only.expected.svg").read_text()
 
 
@@ -772,6 +795,135 @@ def test_svg_nothing_to_render():
     env, _ = evaluate(parse("point A 0 0\npoint B 1 0\ndist d A B\n"))
     with pytest.raises(RenderError, match="nothing to render"):
         build_svg({"d": env["d"]})
+
+
+def _old_gather(env: dict, tol: float):
+    """Insertion-ordered drawables: (kind, name, payload)."""
+    drawables = []
+    for name, value in env.items():
+        if isinstance(value, (Point, Line)):
+            ideal, shown = view(value, tol)
+            if isinstance(value, Point):
+                drawables.append(("arrow" if ideal else "point", name, shown[:2]))
+            elif not ideal:
+                drawables.append(("line", name, shown))
+    return drawables
+
+
+def _old_build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
+    """The renderer before it drew in one pass, kept as the oracle for the
+    SVG text and the render errors (it escaped no name)."""
+    try:
+        drawables = _old_gather(env, tol)
+    except DomainError as exc:  # a shown element overflows or has no unit form
+        raise RenderError(f"cannot draw the figure: {exc}") from exc
+    if not drawables:
+        raise RenderError("nothing to render")
+    xs, ys = zip(*([p for kind, _, p in drawables if kind == "point"] or [(0.0, 0.0)]))
+    window = _world_window(xs, ys)
+    x0, x1, y0, _ = window
+    width = x1 - x0  # 0 when the unit pad is lost next to a huge coordinate
+    if not 0.0 < width < math.inf:
+        raise RenderError("the figure is too large to fit the viewport")
+    scale = VIEW / width
+    ax = (sum(xs) / len(xs) - x0) * scale
+    ay = VIEW - (sum(ys) / len(ys) - y0) * scale
+    shapes, labels = [], []
+    for kind, name, payload in drawables:
+        if kind == "point":
+            px, py = (payload[0] - x0) * scale, VIEW - (payload[1] - y0) * scale
+            shapes.append(_CIRCLE % (px, py))
+        elif kind == "line":
+            clip = _clip_line(*payload, window, tol)
+            if clip is None:
+                continue
+            (wx1, wy1), (wx2, wy2) = clip
+            px1, py1 = (wx1 - x0) * scale, VIEW - (wy1 - y0) * scale
+            px2, py2 = (wx2 - x0) * scale, VIEW - (wy2 - y0) * scale
+            shapes.append(_LINE % (px1, py1, px2, py2))
+            px, py = 0.75 * px1 + 0.25 * px2, 0.75 * py1 + 0.25 * py2
+        else:  # arrow from the anchor; head: two barbs splayed back from the tip
+            ux, uy = payload
+            px, py = ax + _ARROW_LEN * ux, ay - _ARROW_LEN * uy
+            lx, ly = px + 8.0 * (-ux - 0.5 * uy), py + 8.0 * (uy - 0.5 * ux)
+            rx, ry = px + 8.0 * (0.5 * uy - ux), py + 8.0 * (uy + 0.5 * ux)
+            # the shaft, then each barb from the tip
+            shapes.append(_ARROW % (ax, ay, px, py, px, py, lx, ly, px, py, rx, ry))
+        text = (_LABEL % (px + 6.0, py - 6.0)).replace("-0.00", "0.00")
+        labels.append(f"{text}{name}</text>\n")
+    body = "".join(shapes).replace("-0.00", "0.00")
+    return f"{_HEAD}{body}{''.join(labels)}</svg>\n"
+
+
+def _escaped(name: str) -> str:
+    return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+_COORD = st.floats(-100.0, 100.0)
+_NONZERO_PAIR = st.tuples(_COORD, _COORD).filter(lambda pair: pair != (0.0, 0.0))
+_SVG_VALUES = st.one_of(
+    st.builds(lambda x, y: Point(x, y, 1.0), _COORD, _COORD),
+    _NONZERO_PAIR.map(lambda uv: Point(*uv, 0.0)),
+    st.builds(lambda ab, c: Line(*ab, c), _NONZERO_PAIR, st.floats(-300.0, 300.0)),
+    st.floats(0.5, 100.0).map(lambda c: Line(0.0, 0.0, c)),
+    st.sampled_from([
+        _OVERFLOWING_IDEAL_POINT,  # overflows at tol 1
+        Point(1e300, 0.0, 1e-300),  # overflows at tol 0
+        Line(5e-324, 0.0, 1.0),  # overflows at tol 0
+        1.5, Motor(1.0, 0.0, 0.0, 0.0), translator(Point(1.0, 0.0, 0.0), 2.0),
+    ]),
+)
+_SVG_NAMES = st.sampled_from(["A", "m", "h-0.00", "%", "%s", "%.2f", "a<b&c", ">", "&amp;"])
+
+
+@st.composite
+def _svg_envs(draw):
+    """An env mixing every kind of value, and lines through the corners of
+    its window, which normalizing leaves within ulps of the corner."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.0]))
+    items = draw(st.lists(st.tuples(_SVG_NAMES | st.text(max_size=3), _SVG_VALUES), max_size=8))
+    shown = [(v.x, v.y) for _, v in items if isinstance(v, Point) and v.z == 1.0]
+    x0, x1, y0, y1 = _world_window(*zip(*(shown or [(0.0, 0.0)])))
+    for _ in range(draw(st.integers(0, 2))):
+        cx, cy = draw(st.sampled_from([(x0, y0), (x0, y1), (x1, y0), (x1, y1)]))
+        turn = draw(st.floats(0.0, 2 * math.pi))
+        a, b = math.cos(turn), math.sin(turn)
+        items.append((draw(_SVG_NAMES), Line(a, b, -(a * cx + b * cy))))
+    return dict(items), tol
+
+
+@settings(max_examples=150)
+@given(case=_svg_envs())
+@example(case=(_DIST345, 1e-9))
+@example(case=(_IDEAL_ONLY, 1e-9))
+@example(case=(_MINUS_ZERO, 1e-9))
+@example(case=({"A": Point(0.0, 0.0, 1.0), "V": _OVERFLOWING_IDEAL_POINT}, 1.0))
+@example(case=({"A": Point(1e300, 0.0, 1.0)}, 0.0))
+def test_build_svg_matches_the_old_renderer(case):
+    """The same text, or the same error, as the two-pass renderer given the
+    escaped names; and each point or line is viewed once."""
+    env, tol = case
+
+    def outcome(draw, env):
+        try:
+            return draw(env, tol)
+        except RenderError as exc:
+            return f"error: {exc}"
+
+    with mock.patch.object(render, "view", wraps=view) as spy:
+        new = outcome(build_svg, env)
+    assert new == outcome(_old_build_svg, {_escaped(k): v for k, v in env.items()})
+    if not new.startswith("error: cannot draw"):
+        assert spy.call_count == sum(isinstance(v, (Point, Line)) for v in env.values())
+
+
+def test_label_names_are_escaped_and_read_back():
+    env = {
+        "a<b&c": Point(1, 2, 1), "x>y": Line(1, 0, -1), "&amp;": Point(0, 1, 0),
+        "A": Point(3, 4, 1),
+    }
+    texts = minidom.parseString(build_svg(env)).getElementsByTagName("text")
+    assert [t.firstChild.data for t in texts] == list(env)
 
 
 def test_svg_statement_writes_file(tmp_path, monkeypatch):
