@@ -1,7 +1,5 @@
 """Command-line entry point: run construction scripts, dump the product tables."""
 
-from __future__ import annotations
-
 import os
 import sys
 

@@ -14,8 +14,6 @@ Every constructor checks that its fields are finite (and, for lines and
 points, not all zero), so mv() wraps them without validating them again.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import multivector
@@ -39,11 +37,11 @@ class Line(Frozen):
         _line_b(self, b)
         _line_c(self, c)
 
-    def mv(self) -> multivector.Multivector:
+    def mv(self) -> "multivector.Multivector":
         return multivector._unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
-    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "Line":
+    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "Line":
         if u.grades(tol) - {1}:
             raise DomainError(f"not a pure line: {u!r}")
         c = u.coeffs
@@ -72,11 +70,11 @@ class Point(Frozen):
         _point_y(self, y)
         _point_z(self, z)
 
-    def mv(self) -> multivector.Multivector:
+    def mv(self) -> "multivector.Multivector":
         return multivector._unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
 
     @classmethod
-    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "Point":
+    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "Point":
         if u.grades(tol) - {2}:
             raise DomainError(f"not a pure point: {u!r}")
         c = u.coeffs
@@ -111,7 +109,7 @@ class Pseudoscalar(Frozen):
             raise DomainError(f"non-finite pseudoscalar {s}")
         _set(self, "s", s)
 
-    def mv(self) -> multivector.Multivector:
+    def mv(self) -> "multivector.Multivector":
         return multivector._unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
 
     def __repr__(self) -> str:

@@ -15,13 +15,11 @@ before they are tested, so the e12 part of a meet is a sine and the e012
 part of a product of three is at most 1: near_zero tests both against 1.
 """
 
-from __future__ import annotations
-
 import math
 
 from .elements import IdealPoint, Line, Point, cross, incidence
 from .errors import DomainError, OrientationError
-from .metric import euclidean, ideal, ideal_inner, normalize
+from .metric import euclidean, ideal, normalize
 from .isometry import OddVersor
 from .multivector import DEFAULT_TOL, _finite, near_zero
 
@@ -61,8 +59,10 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> float:
         sin_a = abs(ma * nb - mb * na)
         return math.atan2(sin_a, cos_a)
     if isinstance(x, Point) and isinstance(y, Point):
-        u, v = Point(*ideal(x, tol, "point")), Point(*ideal(y, tol, "point"))
-        return math.acos(max(-1.0, min(1.0, ideal_inner(u, v))))
+        ux, uy, _ = ideal(x, tol, "point")
+        vx, vy, _ = ideal(y, tol, "point")
+        # ideal_inner of the unit directions: their free-vector dot
+        return math.acos(max(-1.0, min(1.0, ux * vx + uy * vy)))
     m, other = (x, y) if isinstance(x, Line) else (y, x)
     if isinstance(m, Line) and isinstance(other, Point):
         ma, mb, _ = euclidean(m, tol, "line")
@@ -77,8 +77,12 @@ def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
     """The join of two points or meet of two lines, unless it is near_zero
     against the product of their largest coefficients (divided by one of
     them: the product can overflow, and then every result reads as zero)."""
-    w = cross(u, v)
-    if near_zero(max(map(abs, w)) / max(map(abs, u)), max(map(abs, v)), tol):
+    w = w0, w1, w2 = cross(u, v)
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    if near_zero(
+        max(abs(w0), abs(w1), abs(w2)) / max(abs(u0), abs(u1), abs(u2)),
+        max(abs(v0), abs(v1), abs(v2)), tol,
+    ):
         raise DomainError("result is the zero element (dependent arguments?)")
     return w
 

@@ -12,15 +12,13 @@ or a translation axis divides by a length only through
 metric.unit_direction.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
 from . import multivector
 from .elements import Line, Point, cross, incidence
 from .errors import ConstructionError, DomainError, IncidenceError
-from .metric import euclidean, ideal, normalize, unit_direction
+from .metric import euclidean, ideal, unit_direction, view
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 
 
@@ -39,11 +37,11 @@ class Motor(Frozen):
         _motor_by(self, by)
         _motor_bz(self, bz)
 
-    def mv(self) -> multivector.Multivector:
+    def mv(self) -> "multivector.Multivector":
         return multivector._unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
 
     @classmethod
-    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "Motor":
+    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "Motor":
         if not u.grades(tol) <= {0, 2}:
             raise DomainError(f"not an even element: {u!r}")
         c = u.coeffs
@@ -85,12 +83,12 @@ class OddVersor(Frozen):
         _set(self, "line", line)
         _set(self, "lam", lam)
 
-    def mv(self) -> multivector.Multivector:
+    def mv(self) -> "multivector.Multivector":
         m = self.line
         return multivector._unchecked((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
 
     @classmethod
-    def from_mv(cls, u: multivector.Multivector, tol: float = DEFAULT_TOL) -> "OddVersor":
+    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "OddVersor":
         if not u.grades(tol) <= {1, 3}:
             raise DomainError(f"not an odd element: {u!r}")
         c = u.coeffs
@@ -201,7 +199,7 @@ def _log(g: Motor, tol: float) -> tuple[float, float, float]:
     return f * gn.bx, f * gn.by, f * gn.bz
 
 
-def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> multivector.Multivector:
+def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> "multivector.Multivector":
     """Principal logarithm of a normalized motor, a pure bivector.
 
     Motors with negative scalar part are negated first (g and -g act
@@ -300,12 +298,13 @@ def solve_point_line_transport(
     # turn * shift, the turn being (ch, -sh * a2x, -sh * a2y, -sh)
     bx, by = ch * t.bx - sh * a2x - sh * t.by, ch * t.by - sh * a2y + sh * t.bx
     g = Motor(*_finite((ch, bx, by, -sh)))
-    image_a = normalize(sandwich(g, Point(*an)), tol)
-    image_m = normalize(sandwich(g, Line(*mn)), tol)
-    # image_m must be m2 with a positive scale; unit normals count against 1
+    # the images' normalized fields, as normalize gives them
+    _, (ix, iy, _) = view(sandwich(g, Point(*an)), tol)
+    _, (ia, ib, ic) = view(sandwich(g, Line(*mn)), tol)
+    # the image of m must be m2 with a positive scale; unit normals count against 1
     misses = (
-        (image_a.x - a2x, size), (image_a.y - a2y, size),
-        (image_m.a - m2a, 1.0), (image_m.b - m2b, 1.0), (image_m.c - m2c, size),
+        (ix - a2x, size), (iy - a2y, size),
+        (ia - m2a, 1.0), (ib - m2b, 1.0), (ic - m2c, size),
     )
     if not all(near_zero(miss, scale, check_tol) for miss, scale in misses):
         raise ConstructionError("no direct isometry transports the given pairs")

@@ -19,8 +19,6 @@ at all.  The products state the algebra once: cayley_table() and dual_table()
 are read off gp and dual, not kept beside them.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 

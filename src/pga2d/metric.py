@@ -7,8 +7,6 @@ sqrt(u^2 + v^2) for an ideal point, the signed coefficient c for an ideal
 line c*e0, and the signed magnitude s for a pseudoscalar s*e012.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
@@ -78,7 +76,12 @@ def _unit(x, ideal: bool) -> tuple[float, float, float]:
     unit-normal [a, b, c], or [a/c, b/c, 1] when ideal; a point's
     (x/z, y/z, 1), or (x, y, z) over the length of (x, y) when ideal, so an
     ideal point made with weight 0 keeps weight 0.  DomainError when the
-    divisor is zero or a field overflows."""
+    divisor is zero or a field overflows.
+
+    A euclidean point of weight exactly 1 gives (x, y, 1.0) as it stands:
+    dividing by 1 is exact, signed zeros and subnormals included, and
+    Point's constructor has already proved x and y finite, so _finite has
+    nothing left to find.  The kind is decided before, by the caller."""
     if isinstance(x, Line):
         if not ideal:
             return _finite(unit_direction(x.a, x.b, x.c))
@@ -86,6 +89,8 @@ def _unit(x, ideal: bool) -> tuple[float, float, float]:
             raise DomainError("cannot normalize a zero line")
         return _finite((x.a / x.c, x.b / x.c, 1.0))
     if not ideal:
+        if x.z == 1.0:
+            return x.x, x.y, 1.0
         return _finite((x.x / x.z, x.y / x.z, 1.0))
     if x.x == 0.0 and x.y == 0.0:
         raise DomainError("cannot normalize a zero point")
@@ -120,7 +125,7 @@ def ideal(p: Point, tol: float, what: str) -> tuple[float, float, float]:
     return _unit(p, True)
 
 
-def polar(x) -> multivector.Multivector:
+def polar(x) -> "multivector.Multivector":
     """Multiplication by the pseudoscalar: a line maps to its perpendicular
     ideal point, a euclidean point to the ideal line, ideal elements to 0."""
     return multivector.e012.gp(x.mv())

@@ -2,8 +2,6 @@
 and the overflow check.  The names of the 8-slot kernel, :mod:`pga2d.kernel`,
 read here load it on first use, so typed-element code never compiles it."""
 
-from __future__ import annotations
-
 import math
 
 from .errors import DomainError

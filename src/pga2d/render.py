@@ -8,8 +8,6 @@ placed about the origin.  Each element is labelled with its name, XML-escaped.
 Identical environments produce byte-identical files.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import combinations
 
@@ -43,16 +41,20 @@ def _clip_line(a: float, b: float, c: float, window, tol: float):
     x0, x1, y0, y1 = window
     span = max(x1 - x0, y1 - y0)
     ends = []
-    if not near_zero(b, 1.0, tol):
-        for x in (x0, x1):
-            y = -(a * x + c) / b
-            if y0 <= y <= y1 or near_zero(max(y0 - y, y - y1), span, tol):
-                ends.append((x, y))
-    if not near_zero(a, 1.0, tol):
-        for y in (y0, y1):
-            x = -(b * y + c) / a
-            if x0 <= x <= x1 or near_zero(max(x0 - x, x - x1), span, tol):
-                ends.append((x, y))
+    if not near_zero(b, 1.0, tol):  # the left border, then the right
+        y = -(a * x0 + c) / b
+        if y0 <= y <= y1 or near_zero(max(y0 - y, y - y1), span, tol):
+            ends.append((x0, y))
+        y = -(a * x1 + c) / b
+        if y0 <= y <= y1 or near_zero(max(y0 - y, y - y1), span, tol):
+            ends.append((x1, y))
+    if not near_zero(a, 1.0, tol):  # the bottom border, then the top
+        x = -(b * y0 + c) / a
+        if x0 <= x <= x1 or near_zero(max(x0 - x, x - x1), span, tol):
+            ends.append((x, y0))
+        x = -(b * y1 + c) / a
+        if x0 <= x <= x1 or near_zero(max(x0 - x, x - x1), span, tol):
+            ends.append((x, y1))
     if len(ends) > 2:
         # a corner within tol of the line is a crossing of both its borders:
         # keep the farthest pair, the first of equals
@@ -68,8 +70,10 @@ _HEAD = (
 )
 _CIRCLE = '<circle cx="%.2f" cy="%.2f" r="4.00" fill="#1f77b4"/>\n'
 _LINE = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#333333" stroke-width="1.5"/>\n'
+# an arrow's template gets its figure's anchor, "%.2f %.2f", in place of {},
+# and each of its three %s the same tip, formatted once
 _ARROW = (
-    '<path d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" '
+    '<path d="M {} L %s M %s L %.2f %.2f M %s L %.2f %.2f" '
     'stroke="#d62728" fill="none" stroke-width="1.5"/>\n'
 )
 _LABEL = '<text x="%.2f" y="%.2f" font-family="monospace" font-size="12" fill="#111111">'
@@ -105,6 +109,8 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     scale = VIEW / width
     ax = (sum(xs) / len(xs) - x0) * scale
     ay = VIEW - (sum(ys) / len(ys) - y0) * scale
+    # the anchor is formatted once for the figure, and each tip once per arrow
+    arrow = _ARROW.format("%.2f %.2f" % (ax, ay))
     shapes, nums, names, at = [], [], [], []  # at: each label's x and y
     for shape, name, (f0, f1, f2) in drawn:
         if shape is _CIRCLE:
@@ -123,8 +129,10 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
             px, py = ax + _ARROW_LEN * f0, ay - _ARROW_LEN * f1
             lx, ly = px + 8.0 * (-f0 - 0.5 * f1), py + 8.0 * (f1 - 0.5 * f0)
             rx, ry = px + 8.0 * (0.5 * f1 - f0), py + 8.0 * (f1 + 0.5 * f0)
+            tip = "%.2f %.2f" % (px, py)
             # the shaft, then each barb from the tip
-            nums += (ax, ay, px, py, px, py, lx, ly, px, py, rx, ry)
+            nums += (tip, tip, lx, ly, tip, rx, ry)
+            shape = arrow
         shapes.append(shape)
         names.append(name)
         at += (px + 6.0, py - 6.0)

@@ -10,8 +10,6 @@ none multiplies 8-slot multivectors.  parse gives each statement as a plain
 tuple (lineno, verb, result, args), and evaluate takes a tuple of them.
 """
 
-from __future__ import annotations
-
 from . import geometry, isometry
 from .elements import IdealPoint, Line, Point
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
@@ -67,13 +65,13 @@ def parse(source: str) -> tuple[tuple[int, str, str | None, tuple], ...]:
 
 def format_value(value, tol: float = DEFAULT_TOL) -> str:
     """Render an environment value with fixed 6-decimal formatting."""
-    if isinstance(value, float):
-        text = "%.6f" % value
-    elif isinstance(value, Line):
-        text = "[%.6f, %.6f, %.6f]" % view(value, tol)[1]
-    elif isinstance(value, Point):
+    if isinstance(value, Point):
         ideal, (x, y, _) = view(value, tol)
         text = ("ideal (%.6f, %.6f)" if ideal else "(%.6f, %.6f)") % (x, y)
+    elif isinstance(value, Line):
+        text = "[%.6f, %.6f, %.6f]" % view(value, tol)[1]
+    elif isinstance(value, float):
+        text = "%.6f" % value
     elif isinstance(value, isometry.Motor):
         text = "motor(%.6f, %.6f, %.6f, %.6f)" % (value.s, value.bx, value.by, value.bz)
     else:

@@ -75,13 +75,15 @@ MUTANTS = {
         "if near_zero(1e-3, 0.5 * max(abs(x), abs(y)), tol):", BANDS,
     ),
     "cross-scale-doubled": (
-        "geometry.py", "max(map(abs, u)), max(map(abs, v)), tol)",
-        "max(map(abs, u)), 2.0 * max(map(abs, v)), tol)", BANDS,
+        "geometry.py", "max(abs(v0), abs(v1), abs(v2)), tol,",
+        "2.0 * max(abs(v0), abs(v1), abs(v2)), tol,", BANDS,
     ),
     "cross-scale-halved": (
-        "geometry.py", "max(map(abs, u)), max(map(abs, v)), tol)",
-        "max(map(abs, u)), 0.5 * max(map(abs, v)), tol)", BANDS,
+        "geometry.py", "max(abs(v0), abs(v1), abs(v2)), tol,",
+        "0.5 * max(abs(v0), abs(v1), abs(v2)), tol,", BANDS,
     ),
+    # the weight-1 shortcut of the normalizer
+    "unit-any-weight": ("metric.py", "if x.z == 1.0:", "if x.z > 0.0:", ("tests/test_metric.py",)),
     # the SVG: signed zeros, label anchors, arrow heads and drawing order
     "labels-keep-minus-zero": (
         "render.py", '% tuple(at)).replace("-0.00", "0.00").split("\\n")',
@@ -101,6 +103,15 @@ MUTANTS = {
     ),
     "drawn-reversed": (
         "render.py", "in drawn:", "in drawn[::-1]:", SVG,
+    ),
+    "anchor-y-from-x": (
+        "render.py", '_ARROW.format("%.2f %.2f" % (ax, ay))', '_ARROW.format("%.2f %.2f" % (ax, ax))',
+        SVG,
+    ),
+    # the clip's second crossing of a vertical border, taken at the first
+    "clip-right-at-left": (
+        "render.py", "y = -(a * x1 + c) / b", "y = -(a * x0 + c) / b",
+        ("tests/test_script.py::test_clipping_keeps_the_crossings_and_their_order", *SVG),
     ),
 }
 # name -> why the mutant cannot change a result

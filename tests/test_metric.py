@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
+from pga2d import metric
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import ClassificationError, DomainError
 from pga2d.isometry import Motor
@@ -174,6 +175,24 @@ def test_the_gates_return_the_normalized_fields():
         euclidean(Point(3, 4, 0), 1e-9, "p")
     with pytest.raises(ClassificationError, match=r"^p Point\(2, 4, 2\) must be ideal$"):
         ideal(Point(2, 4, 2), 1e-9, "p")
+
+
+@pytest.mark.parametrize(
+    "p, tol, kind",
+    [
+        (Point(-0.0, 5e-324, 1.0), 1e-9, False),  # a signed zero and a subnormal
+        (Point(3.0, -4.0, 1.0), 0.0, False),
+        (Point(6.0, -8.0, 2.0), 1e-9, False),  # no shortcut for another weight
+        (Point(2e9, 0.0, 1.0), 1e-9, True),  # weight 1, but ideal at this tol
+    ],
+)
+def test_a_weight_one_point_normalizes_as_the_division_does(p, tol, kind):
+    ideal_now = p.is_ideal(tol)
+    assert ideal_now is kind
+    divided = unit_direction(p.x, p.y, p.z) if kind else (p.x / p.z, p.y / p.z, 1.0)
+    # repr tells -0.0 from 0.0
+    assert repr(metric._unit(p, ideal_now)) == repr(divided)
+    assert repr(metric.view(p, tol)) == repr((kind, divided))
 
 
 def test_polar_examples():

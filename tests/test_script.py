@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 from xml.dom import minidom
@@ -22,9 +23,9 @@ from pga2d.elements import Line, Point
 from pga2d.geometry import angle
 from pga2d.isometry import Motor, translator
 from pga2d.metric import normalize, view
-from pga2d.multivector import DEFAULT_TOL
+from pga2d.multivector import DEFAULT_TOL, near_zero
 from pga2d.render import (
-    _ARROW, _ARROW_LEN, _CIRCLE, _HEAD, _LABEL, _LINE, VIEW, _clip_line, _world_window, build_svg,
+    _ARROW_LEN, _CIRCLE, _HEAD, _LABEL, _LINE, VIEW, _clip_line, _world_window, build_svg,
 )
 from pga2d.script import _SIGNATURES, evaluate, format_value, parse
 
@@ -776,6 +777,22 @@ _DIST345 = {
     "M": Point(1.5, 2, 1),
 }
 _IDEAL_ONLY = {"V": Point(1, 1, 0), "m": Line(1, 2, 0.5)}
+# arrows only, all from the window's centre
+_ARROWS_ONLY = {"U": Point(1, 0, 0), "V": Point(0, -2, 0), "W": Point(-3, 4, 0), "X": Point(1, 1, 0)}
+# V's tip lies 0.003 px left of the viewport, so its x reads -0.00 before the
+# minus-zero pass; X shares the anchor
+_TIP_AT_MINUS_ZERO = {
+    **{f"P{i}": Point(0, 0, 1) for i in range(8)}, "Q": Point(10, 0, 1),
+    "V": Point(-0.9774, -math.sqrt(1 - 0.9774**2), 0), "X": Point(0, 1, 0),
+}
+# at tol 0, coordinates a few ulps apart: the pad is lost, the anchor sits on
+# the viewport's corner (0.00, 512.00), and V's tip x reads -0.00
+_ANCHOR_AT_THE_BORDER = {
+    "A": Point(-176331827366127.75, -740617628314100.6, 1),
+    "B": Point(-176331827366127.72, -740617628314100.6, 1),
+    "C": Point(-176331827366127.75, -740617628314100.6, 1),
+    "V": Point(-1e-5, -1, 0), "W": Point(1, 0, 0),
+}
 
 
 def test_svg_golden_file():
@@ -795,6 +812,33 @@ def test_svg_nothing_to_render():
     env, _ = evaluate(parse("point A 0 0\npoint B 1 0\ndist d A B\n"))
     with pytest.raises(RenderError, match="nothing to render"):
         build_svg({"d": env["d"]})
+
+
+# the arrow template and the clip before the anchor was formatted once and
+# the clip's loops were unrolled
+_OLD_ARROW = (
+    '<path d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" '
+    'stroke="#d62728" fill="none" stroke-width="1.5"/>\n'
+)
+
+
+def _old_clip_line(a: float, b: float, c: float, window, tol: float):
+    x0, x1, y0, y1 = window
+    span = max(x1 - x0, y1 - y0)
+    ends = []
+    if not near_zero(b, 1.0, tol):
+        for x in (x0, x1):
+            y = -(a * x + c) / b
+            if y0 <= y <= y1 or near_zero(max(y0 - y, y - y1), span, tol):
+                ends.append((x, y))
+    if not near_zero(a, 1.0, tol):
+        for y in (y0, y1):
+            x = -(b * y + c) / a
+            if x0 <= x <= x1 or near_zero(max(x0 - x, x - x1), span, tol):
+                ends.append((x, y))
+    if len(ends) > 2:
+        ends = max(combinations(ends, 2), key=lambda pair: math.dist(*pair))
+    return None if len(ends) < 2 or near_zero(math.dist(*ends), span, tol) else ends
 
 
 def _old_gather(env: dict, tol: float):
@@ -834,7 +878,7 @@ def _old_build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
             px, py = (payload[0] - x0) * scale, VIEW - (payload[1] - y0) * scale
             shapes.append(_CIRCLE % (px, py))
         elif kind == "line":
-            clip = _clip_line(*payload, window, tol)
+            clip = _old_clip_line(*payload, window, tol)
             if clip is None:
                 continue
             (wx1, wy1), (wx2, wy2) = clip
@@ -848,7 +892,7 @@ def _old_build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
             lx, ly = px + 8.0 * (-ux - 0.5 * uy), py + 8.0 * (uy - 0.5 * ux)
             rx, ry = px + 8.0 * (0.5 * uy - ux), py + 8.0 * (uy + 0.5 * ux)
             # the shaft, then each barb from the tip
-            shapes.append(_ARROW % (ax, ay, px, py, px, py, lx, ly, px, py, rx, ry))
+            shapes.append(_OLD_ARROW % (ax, ay, px, py, px, py, lx, ly, px, py, rx, ry))
         text = (_LABEL % (px + 6.0, py - 6.0)).replace("-0.00", "0.00")
         labels.append(f"{text}{name}</text>\n")
     body = "".join(shapes).replace("-0.00", "0.00")
@@ -897,6 +941,9 @@ def _svg_envs(draw):
 @example(case=(_DIST345, 1e-9))
 @example(case=(_IDEAL_ONLY, 1e-9))
 @example(case=(_MINUS_ZERO, 1e-9))
+@example(case=(_ARROWS_ONLY, 1e-9))
+@example(case=(_TIP_AT_MINUS_ZERO, 1e-9))
+@example(case=(_ANCHOR_AT_THE_BORDER, 0.0))
 @example(case=({"A": Point(0.0, 0.0, 1.0), "V": _OVERFLOWING_IDEAL_POINT}, 1.0))
 @example(case=({"A": Point(1e300, 0.0, 1.0)}, 0.0))
 def test_build_svg_matches_the_old_renderer(case):
@@ -1316,10 +1363,11 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
 
 def test_the_library_import_loads_neither_enum_nor_re():
     # nor does the kernel, loaded on first use, which loads no typing either;
-    # argparse brings both in, and the CLI imports it only for an uncommon argv
+    # argparse brings both in, and the CLI imports it only for an uncommon argv;
+    # no module imports __future__, whose loading each fresh start would pay
     probe = (
-        "import sys, pga2d, pga2d.script, pga2d.kernel; "
-        "print(sorted({'enum', 're', 'typing'} & set(sys.modules)))"
+        "import sys, pga2d, pga2d.script, pga2d.render, pga2d.cli, pga2d.kernel; "
+        "print(sorted({'__future__', 'enum', 're', 'typing'} & set(sys.modules)))"
     )
     assert _fresh(probe) == "[]\n"
 
