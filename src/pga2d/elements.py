@@ -16,7 +16,6 @@ points, not all zero), so mv() wraps them without validating them again.
 
 import math
 
-from . import multivector
 from .errors import DomainError
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 
@@ -37,11 +36,13 @@ class Line(Frozen):
         _line_b(self, b)
         _line_c(self, c)
 
-    def mv(self) -> "multivector.Multivector":
-        return multivector._unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
+    def mv(self) -> "Multivector":
+        from .kernel import _unchecked
+
+        return _unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
-    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "Line":
+    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "Line":
         if u.grades(tol) - {1}:
             raise DomainError(f"not a pure line: {u!r}")
         c = u.coeffs
@@ -70,11 +71,13 @@ class Point(Frozen):
         _point_y(self, y)
         _point_z(self, z)
 
-    def mv(self) -> "multivector.Multivector":
-        return multivector._unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
+    def mv(self) -> "Multivector":
+        from .kernel import _unchecked
+
+        return _unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
 
     @classmethod
-    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "Point":
+    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "Point":
         if u.grades(tol) - {2}:
             raise DomainError(f"not a pure point: {u!r}")
         c = u.coeffs
@@ -109,8 +112,10 @@ class Pseudoscalar(Frozen):
             raise DomainError(f"non-finite pseudoscalar {s}")
         _set(self, "s", s)
 
-    def mv(self) -> "multivector.Multivector":
-        return multivector._unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
+    def mv(self) -> "Multivector":
+        from .kernel import _unchecked
+
+        return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
 
     def __repr__(self) -> str:
         return f"Pseudoscalar({self.s:g})"

@@ -15,7 +15,6 @@ metric.unit_direction.
 import math
 import sys
 
-from . import multivector
 from .elements import Line, Point, cross, incidence
 from .errors import ConstructionError, DomainError, IncidenceError
 from .metric import euclidean, ideal, unit_direction, view
@@ -37,11 +36,13 @@ class Motor(Frozen):
         _motor_by(self, by)
         _motor_bz(self, bz)
 
-    def mv(self) -> "multivector.Multivector":
-        return multivector._unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
+    def mv(self) -> "Multivector":
+        from .kernel import _unchecked
+
+        return _unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
 
     @classmethod
-    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "Motor":
+    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "Motor":
         if not u.grades(tol) <= {0, 2}:
             raise DomainError(f"not an even element: {u!r}")
         c = u.coeffs
@@ -83,12 +84,14 @@ class OddVersor(Frozen):
         _set(self, "line", line)
         _set(self, "lam", lam)
 
-    def mv(self) -> "multivector.Multivector":
+    def mv(self) -> "Multivector":
+        from .kernel import _unchecked
+
         m = self.line
-        return multivector._unchecked((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
+        return _unchecked((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
 
     @classmethod
-    def from_mv(cls, u: "multivector.Multivector", tol: float = DEFAULT_TOL) -> "OddVersor":
+    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "OddVersor":
         if not u.grades(tol) <= {1, 3}:
             raise DomainError(f"not an odd element: {u!r}")
         c = u.coeffs
@@ -199,14 +202,16 @@ def _log(g: Motor, tol: float) -> tuple[float, float, float]:
     return f * gn.bx, f * gn.by, f * gn.bz
 
 
-def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> "multivector.Multivector":
+def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> "Multivector":
     """Principal logarithm of a normalized motor, a pure bivector.
 
     Motors with negative scalar part are negated first (g and -g act
     identically), which makes the result single-valued with sandwich
     rotation magnitude in [0, pi].
     """
-    return multivector.Multivector((0.0, 0.0, 0.0, 0.0, *_log(g, tol), 0.0))
+    from .kernel import Multivector
+
+    return Multivector((0.0, 0.0, 0.0, 0.0, *_log(g, tol), 0.0))
 
 
 def interpolate(g: Motor, t: float, tol: float = DEFAULT_TOL) -> Motor:

@@ -10,7 +10,6 @@ line c*e0, and the signed magnitude s for a pseudoscalar s*e012.
 import math
 import sys
 
-from . import multivector
 from .elements import IdealPoint, Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError
 from .multivector import DEFAULT_TOL, _finite, near_zero
@@ -125,10 +124,12 @@ def ideal(p: Point, tol: float, what: str) -> tuple[float, float, float]:
     return _unit(p, True)
 
 
-def polar(x) -> "multivector.Multivector":
+def polar(x) -> "Multivector":
     """Multiplication by the pseudoscalar: a line maps to its perpendicular
     ideal point, a euclidean point to the ideal line, ideal elements to 0."""
-    return multivector.e012.gp(x.mv())
+    from .kernel import e012
+
+    return e012.gp(x.mv())
 
 
 def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> Point:

@@ -1,6 +1,7 @@
 """The value base of every module: the tolerance rule, the frozen value class
-and the overflow check.  The names of the 8-slot kernel, :mod:`pga2d.kernel`,
-read here load it on first use, so typed-element code never compiles it."""
+and the overflow check.  The 8-slot kernel lives in :mod:`pga2d.kernel`; of its
+names this module answers only Multivector, loaded on first read, which pickles
+made before the kernel moved still name as pga2d.multivector.Multivector."""
 
 import math
 
@@ -78,19 +79,11 @@ def _finite(values: tuple[float, ...]) -> tuple[float, ...]:
     return values
 
 
-# the kernel names read here; .mv() of the typed elements calls _unchecked
-_KERNEL = (
-    "Multivector", "_unchecked", "basis", "from_scalar", "blades", "cayley_table", "dual_table",
-    "BLADE_NAMES", "BLADE_GRADES", "DIM", "zero", "one", "e0", "e1", "e2", "e20", "e01", "e12",
-    "e012",
-)
-
-
 def __getattr__(name: str):
-    """A kernel name, bound here on its first read; no other name loads the kernel."""
-    if name not in _KERNEL:
+    """Multivector, loading the kernel on its first read."""
+    if name != "Multivector":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import kernel
+    from .kernel import Multivector
 
-    value = globals()[name] = getattr(kernel, name)
-    return value
+    globals()[name] = Multivector
+    return Multivector

@@ -109,6 +109,13 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
     scale = VIEW / width
     ax = (sum(xs) / len(xs) - x0) * scale
     ay = VIEW - (sum(ys) / len(ys) - y0) * scale
+    # rounding next to a huge coordinate can also leave the squared-up window
+    # shorter than the points' height, or the anchor, their centroid, outside
+    # them, and a subnormal width makes the scale inf: the topmost point and
+    # the anchor must print within the viewport
+    top = VIEW - (max(ys) - y0) * scale
+    if not all([0.0 <= float("%.2f" % v) <= VIEW for v in (top, ax, ay)]):
+        raise RenderError("the figure is too large to fit the viewport")
     # the anchor is formatted once for the figure, and each tip once per arrow
     arrow = _ARROW.format("%.2f %.2f" % (ax, ay))
     shapes, nums, names, at = [], [], [], []  # at: each label's x and y

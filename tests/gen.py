@@ -3,16 +3,28 @@
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import random
 
 from pga2d.elements import IdealPoint, Line, Point
 from pga2d.isometry import Motor, OddVersor, exp_bivector
-from pga2d.multivector import Multivector
+from pga2d.kernel import Multivector
 
 
-def rng(seed: int = 0) -> np.random.Generator:
-    return np.random.default_rng(987654321 + seed)
+class rng(random.Random):
+    """The seeded draws of one test, in the call shapes of numpy's Generator."""
+
+    def __init__(self, seed: int = 0):
+        super().__init__(987654321 + seed)
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
+        """A float in [low, high), or a list of size of them."""
+        if size is None:
+            return low + (high - low) * self.random()
+        return [self.uniform(low, high) for _ in range(size)]
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high)."""
+        return self.randrange(low, high)
 
 
 def random_multivector(r, span: float = 1.0) -> Multivector:

@@ -33,6 +33,10 @@ PARSE = ("tests/test_script.py",)
 BANDS = ("tests/test_tolerance.py",)
 # the referee of the renderer, and the acceptance tests' golden SVG
 SVG = ("tests/test_script.py::test_build_svg_matches_the_old_renderer", "tests/test_acceptance.py")
+# the figures that would draw off the viewport
+VIEWPORT = (
+    "tests/test_script.py::test_the_svg_refuses_exactly_the_figures_it_would_draw_off_the_viewport",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -112,6 +116,13 @@ MUTANTS = {
     "clip-right-at-left": (
         "render.py", "y = -(a * x1 + c) / b", "y = -(a * x0 + c) / b",
         ("tests/test_script.py::test_clipping_keeps_the_crossings_and_their_order", *SVG),
+    ),
+    # the viewport check: the topmost point, then the anchor
+    "viewport-top-unchecked": (
+        "render.py", "for v in (top, ax, ay)]", "for v in (ax, ay)]", VIEWPORT,
+    ),
+    "viewport-anchor-unchecked": (
+        "render.py", "for v in (top, ax, ay)]", "for v in (top,)]", VIEWPORT,
     ),
 }
 # name -> why the mutant cannot change a result

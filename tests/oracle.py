@@ -206,7 +206,7 @@ def exp_series(bivector, terms: int = 24):
     Takes and returns a kernel Multivector; the independence being tested is
     from the closed-form exponential, not from the product kernel.
     """
-    from pga2d.multivector import Multivector, from_scalar
+    from pga2d.kernel import Multivector, from_scalar
 
     if terms < 16:
         raise ValueError("too few terms for a trustworthy series")

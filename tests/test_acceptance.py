@@ -20,7 +20,7 @@ from pga2d.isometry import (
     solve_point_line_transport,
 )
 from pga2d.metric import factor_point, ideal_point_of, normalize, polar
-from pga2d.multivector import cayley_table, e0, e012, from_scalar
+from pga2d.kernel import cayley_table, e0, e012, from_scalar
 from pga2d.render import build_svg
 from pga2d.script import evaluate, parse
 
@@ -50,7 +50,7 @@ def test_criterion_1_cayley_fidelity():
         regenerated = oracle.generate_cayley()
         assert kernel == regenerated
         reference = _parse_reference()
-        from pga2d.multivector import blades
+        from pga2d.kernel import blades
 
         for row in _DISPLAY_ORDER:
             for col in _DISPLAY_ORDER:

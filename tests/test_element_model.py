@@ -39,7 +39,7 @@ from pga2d.isometry import (
     translator,
 )
 from pga2d.metric import factor_point, ideal_norm, is_ideal, norm, normalize
-from pga2d.multivector import Multivector
+from pga2d.kernel import Multivector
 from pga2d.script import evaluate, parse
 
 # -- the contract ----------------------------------------------------------------
@@ -341,9 +341,10 @@ def test_the_gate_lint_catches_the_inline_checks():
 
 # -- one view of what is shown, as a lint ---------------------------------------------
 
-# the kernel's field setter, unchecked wrapper and overflow check are the only
-# private names one module takes from another, by import or as an attribute
-SHARED_PRIVATE = {("multivector", n) for n in ("_set", "_unchecked", "_finite")}
+# the value base's field setter and overflow check and the kernel's unchecked
+# wrapper are the only private names one module takes from another, by import
+# or as an attribute
+SHARED_PRIVATE = {("multivector", "_set"), ("multivector", "_finite"), ("kernel", "_unchecked")}
 MODULES = {path.stem for path in SRC.glob("*.py")}
 # print and the SVG classify and scale each point and line through metric.view
 SHOWN_BY_VIEW = {"is_ideal", "unit_direction", "normalize", "_unit"}
@@ -387,7 +388,7 @@ def test_print_and_the_svg_read_points_and_lines_through_the_view():
 def test_the_view_lint_catches_the_inline_views():
     inline = (
         "from .metric import _unit, unit_direction\n"
-        "from .multivector import DEFAULT_TOL, _finite, _set, near_zero\n"
+        "from .multivector import DEFAULT_TOL, _finite, _set, _unchecked, near_zero\n"
         "from pga2d.elements import _private\n"
         "def _gather(env, tol):\n"
         "    for name, value in env.items():\n"
@@ -397,20 +398,24 @@ def test_the_view_lint_catches_the_inline_views():
         "            yield metric.normalize(value, tol)\n"
         "        else:\n"
         "            yield _unit(value)\n"
-        "    return multivector._unchecked, metric._unit\n"
+        "    return kernel._unchecked, multivector._unchecked, metric._unit\n"
     )
     assert sorted(_view_bypasses(ast.parse(inline), "render")) == [
         (1, "_unit"),
+        (2, "_unchecked"),
         (3, "_private"),
         (6, "is_ideal"),
         (7, "unit_direction"),
         (9, "normalize"),
         (11, "_unit"),
+        (12, "_unchecked"),
         (12, "_unit"),
     ]
     # elsewhere only the private names taken from other modules are flagged
     assert sorted(_view_bypasses(ast.parse(inline), "geometry")) == [
         (1, "_unit"),
+        (2, "_unchecked"),
         (3, "_private"),
+        (12, "_unchecked"),
         (12, "_unit"),
     ]

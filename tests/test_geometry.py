@@ -27,7 +27,7 @@ from pga2d.geometry import (
     triple_points,
 )
 from pga2d.metric import ideal_point_of, normalize
-from pga2d.multivector import Multivector, e0, e012, from_scalar
+from pga2d.kernel import Multivector, e0, e012, from_scalar
 
 
 def as_tuple(line: Line) -> tuple[float, float, float]:

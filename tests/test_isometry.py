@@ -28,7 +28,7 @@ from pga2d.isometry import (
     translator_by,
 )
 from pga2d.metric import ideal_point_of, normalize, polar
-from pga2d.multivector import Multivector, e1, e01, e012, e12, e20, one, zero
+from pga2d.kernel import Multivector, e1, e01, e012, e12, e20, one, zero
 from pga2d.geometry import project, triple_lines
 
 

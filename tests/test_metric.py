@@ -25,7 +25,7 @@ from pga2d.metric import (
     polar,
     unit_direction,
 )
-from pga2d.multivector import Multivector, e0, e1, e12, e20, zero
+from pga2d.kernel import Multivector, e0, e1, e12, e20, zero
 
 
 def test_norm_examples():

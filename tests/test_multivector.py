@@ -13,7 +13,7 @@ import gen
 import oracle
 from pga2d.elements import Line
 from pga2d.errors import DomainError
-from pga2d.multivector import (
+from pga2d.kernel import (
     BLADE_GRADES,
     BLADE_NAMES,
     Multivector,

@@ -793,6 +793,31 @@ _ANCHOR_AT_THE_BORDER = {
     "C": Point(-176331827366127.75, -740617628314100.6, 1),
     "V": Point(-1e-5, -1, 0), "W": Point(1, 0, 0),
 }
+# at tol 0, coordinates an ulp apart, drawn off the viewport before the renderer
+# checked its window: rounding leaves the squared-up window shorter than the
+# points' height (circles, the arrow and labels at y = -256; in the second the
+# anchor stays inside), puts the anchor, the points' centroid, an ulp right of
+# them (the arrow at x = 1024), or leaves a window of subnormal width, whose
+# scale overflows (every number nan or inf)
+_WINDOW_TOO_SHORT = {
+    "A": Point(132315163695548.2, 37465092012605.836, 1),
+    "B": Point(132315163695548.19, 37465092012605.81, 1),
+    "C": Point(132315163695548.19, 37465092012605.836, 1),
+    "V": Point(1, 0, 0),
+}
+_POINT_ABOVE = {
+    "A": Point(30208806216.58303, 28811941893.818386, 1),
+    "B": Point(30208806216.58303, 28811941893.818398, 1),
+    "C": Point(30208806216.58304, 28811941893.818398, 1),
+    "V": Point(1, 0, 0),
+}
+_ANCHOR_OUTSIDE = {
+    "A": Point(13461221376.143618, 44992.98498930217, 1),
+    "B": Point(13461221376.14362, 44992.98498930218, 1),
+    "C": Point(13461221376.14362, 44992.98498930216, 1),
+    "V": Point(0, 1, 0),
+}
+_SUBNORMAL_WINDOW = {"A": Point(0, 0, 1), "B": Point(0, 1e-323, 1), "V": Point(0, 1, 0)}
 
 
 def test_svg_golden_file():
@@ -903,6 +928,13 @@ def _escaped(name: str) -> str:
     return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _off_the_viewport(svg: str) -> bool:
+    """Whether a circle or the arrows' anchor lies outside [0, 512], or is not a number."""
+    at = re.findall(r'<circle cx="(\S+)" cy="(\S+)"', svg)
+    at += re.findall(r'<path d="M (\S+) (\S+) ', svg)
+    return not all(0.0 <= float(v) <= VIEW for pair in at for v in pair)
+
+
 _COORD = st.floats(-100.0, 100.0)
 _NONZERO_PAIR = st.tuples(_COORD, _COORD).filter(lambda pair: pair != (0.0, 0.0))
 _SVG_VALUES = st.one_of(
@@ -944,6 +976,7 @@ def _svg_envs(draw):
 @example(case=(_ARROWS_ONLY, 1e-9))
 @example(case=(_TIP_AT_MINUS_ZERO, 1e-9))
 @example(case=(_ANCHOR_AT_THE_BORDER, 0.0))
+@example(case=(_SUBNORMAL_WINDOW, 0.0))
 @example(case=({"A": Point(0.0, 0.0, 1.0), "V": _OVERFLOWING_IDEAL_POINT}, 1.0))
 @example(case=({"A": Point(1e300, 0.0, 1.0)}, 0.0))
 def test_build_svg_matches_the_old_renderer(case):
@@ -959,9 +992,56 @@ def test_build_svg_matches_the_old_renderer(case):
 
     with mock.patch.object(render, "view", wraps=view) as spy:
         new = outcome(build_svg, env)
-    assert new == outcome(_old_build_svg, {_escaped(k): v for k, v in env.items()})
+    old = outcome(_old_build_svg, {_escaped(k): v for k, v in env.items()})
+    if new == "error: the figure is too large to fit the viewport" and not old.startswith("error"):
+        assert _off_the_viewport(old)  # refused since: it drew off the viewport
+    else:
+        assert new == old
     if not new.startswith("error: cannot draw"):
         assert spy.call_count == sum(isinstance(v, (Point, Line)) for v in env.values())
+
+
+def _ulps(value: float, steps: int) -> float:
+    """value moved steps floats up (or down, for negative steps)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def _ulp_clusters(draw):
+    """Up to four points a few ulps apart, anywhere up to 1e16 from the origin,
+    and an ideal point drawn from their centroid."""
+    x, y = draw(st.floats(-1e16, 1e16)), draw(st.floats(-1e16, 1e16))
+    step = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    steps = draw(st.lists(step, min_size=1, max_size=4))
+    env = {f"P{k}": Point(_ulps(x, i), _ulps(y, j), 1) for k, (i, j) in enumerate(steps)}
+    env["V"] = Point(*draw(_NONZERO_PAIR), 0)
+    return env
+
+
+@settings(max_examples=150)
+@given(env=_ulp_clusters())
+@example(env=_WINDOW_TOO_SHORT)
+@example(env=_POINT_ABOVE)
+@example(env=_ANCHOR_OUTSIDE)
+@example(env=_SUBNORMAL_WINDOW)
+@example(env=_ANCHOR_AT_THE_BORDER)
+def test_the_svg_refuses_exactly_the_figures_it_would_draw_off_the_viewport(env):
+    """A figure that the renderer before the window check drew with a circle
+    or the anchor outside the viewport, or not a number, is a RenderError, and
+    only such a one."""
+    try:
+        old = _old_build_svg(env, 0.0)
+    except RenderError:
+        old = None
+    try:
+        new = build_svg(env, 0.0)
+    except RenderError as exc:
+        assert str(exc) == "the figure is too large to fit the viewport"
+        assert old is None or _off_the_viewport(old)
+    else:
+        assert new == old and not _off_the_viewport(new)
 
 
 def test_label_names_are_escaped_and_read_back():
@@ -1318,15 +1398,22 @@ import pickle, sys
 import pga2d, pga2d.multivector as base
 # importlib asks for __path__; a missing name loads nothing either
 assert not hasattr(base, '__path__') and not hasattr(base, 'nope') and not hasattr(pga2d, 'nope')
+# the other kernel names come only from pga2d.kernel
+try:
+    from pga2d.multivector import e012
+except ImportError:
+    pass
+else:
+    raise AssertionError('pga2d.multivector forwards e012')
+assert not hasattr(base, 'cayley_table') and not hasattr(base, '_unchecked')
 assert 'pga2d.kernel' not in sys.modules and 'Multivector' not in vars(base)
-from pga2d.multivector import Multivector, cayley_table, e012
-import pga2d.kernel as kernel
-assert pga2d.Multivector is Multivector is kernel.Multivector
-assert e012 is kernel.e012 and cayley_table is kernel.cayley_table
-assert pickle.loads(pickle.dumps(e012)) == e012
 # a Multivector pickled under its former module, pga2d.multivector
 old = b"cpga2d.multivector\\nMultivector\\n((F1.0\\nF2.0\\nF3.0\\nF4.0\\nF5.0\\nF6.0\\nF7.0\\nF0.5\\nttR."
-assert pickle.loads(old) == Multivector((1, 2, 3, 4, 5, 6, 7, 0.5))
+restored = pickle.loads(old)
+import pga2d.kernel as kernel
+assert restored == kernel.Multivector((1, 2, 3, 4, 5, 6, 7, 0.5))
+assert base.Multivector is pga2d.Multivector is kernel.Multivector
+assert pickle.loads(pickle.dumps(kernel.e012)) == kernel.e012
 print('ok')
 """
     assert _fresh(probe) == "ok\n"

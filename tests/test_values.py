@@ -10,7 +10,7 @@ import pytest
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import DomainError
 from pga2d.isometry import Motor, OddVersor
-from pga2d.multivector import Multivector
+from pga2d.kernel import Multivector
 
 _MV = Multivector((1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.5))
 _IDEAL = IdealPoint(3, 4)
