@@ -10,8 +10,10 @@ homogeneous coordinates carry no absolute scale.
 
 Operations compute on the three fields (a meet or a join is one cross
 product); mv() gives the 8-slot multivector, for the algebra and the tests.
-Every constructor checks that its fields are finite (and, for lines and
-points, not all zero), so mv() wraps them without validating them again.
+The one mv and from_mv below read a class's _blades: the kernel blade of
+each field, in field order, and what from_mv accepts.  Every constructor
+checks that its fields are finite (and, for lines and points, not all
+zero), so mv() wraps them without validating them again.
 """
 
 import math
@@ -20,10 +22,31 @@ from .errors import DomainError
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
 
 
+def mv(self) -> "Multivector":
+    """Each field of self in its blade of type(self)._blades, zero elsewhere."""
+    from .kernel import DIM, _unchecked
+
+    fields = dict(zip(self._blades[0], self._key()))
+    return _unchecked(tuple([fields.get(i, 0.0) for i in range(DIM)]))
+
+
+def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL):
+    """The cls with u's coefficients in cls._blades as its fields;
+    DomainError when u.grades(tol) holds a grade of no such blade."""
+    from .kernel import BLADE_GRADES
+
+    blades, what = cls._blades
+    if u.grades(tol) - {BLADE_GRADES[i] for i in blades}:
+        raise DomainError(f"not {what}: {u!r}")
+    return cls(*[u.coeffs[i] for i in blades])
+
+
 class Line(Frozen):
     """Oriented line with tuple convention [a, b, c]: the locus ax + by + c = 0."""
 
     __slots__ = ("a", "b", "c")
+    _blades = (2, 3, 1), "a pure line"
+    mv, from_mv = mv, classmethod(from_mv)
 
     def __init__(self, a: float, b: float, c: float):
         a, b, c = float(a), float(b), float(c)
@@ -35,18 +58,6 @@ class Line(Frozen):
         _line_a(self, a)
         _line_b(self, b)
         _line_c(self, c)
-
-    def mv(self) -> "Multivector":
-        from .kernel import _unchecked
-
-        return _unchecked((0.0, self.c, self.a, self.b, 0.0, 0.0, 0.0, 0.0))
-
-    @classmethod
-    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "Line":
-        if u.grades(tol) - {1}:
-            raise DomainError(f"not a pure line: {u!r}")
-        c = u.coeffs
-        return cls(c[2], c[3], c[1])
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         a, b, c = self.a, self.b, self.c
@@ -60,6 +71,8 @@ class Point(Frozen):
     """Point with tuple convention (x, y, z); euclidean position (x/z, y/z)."""
 
     __slots__ = ("x", "y", "z")
+    _blades = (4, 5, 6), "a pure point"
+    mv, from_mv = mv, classmethod(from_mv)
 
     def __init__(self, x: float, y: float, z: float):
         x, y, z = float(x), float(y), float(z)
@@ -70,18 +83,6 @@ class Point(Frozen):
         _point_x(self, x)
         _point_y(self, y)
         _point_z(self, z)
-
-    def mv(self) -> "Multivector":
-        from .kernel import _unchecked
-
-        return _unchecked((0.0, 0.0, 0.0, 0.0, self.x, self.y, self.z, 0.0))
-
-    @classmethod
-    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "Point":
-        if u.grades(tol) - {2}:
-            raise DomainError(f"not a pure point: {u!r}")
-        c = u.coeffs
-        return cls(c[4], c[5], c[6])
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         x, y, z = self.x, self.y, self.z
@@ -105,17 +106,14 @@ class Pseudoscalar(Frozen):
     """Grade-3 element s*e012; only its signed magnitude is meaningful."""
 
     __slots__ = ("s",)
+    _blades = (7,), None  # mv only
+    mv = mv
 
     def __init__(self, s: float):
         s = float(s)
         if not math.isfinite(s):
             raise DomainError(f"non-finite pseudoscalar {s}")
         _set(self, "s", s)
-
-    def mv(self) -> "Multivector":
-        from .kernel import _unchecked
-
-        return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.s))
 
     def __repr__(self) -> str:
         return f"Pseudoscalar({self.s:g})"

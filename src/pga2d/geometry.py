@@ -32,17 +32,18 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> float:
     the argument order.  Intersecting lines are rejected (use angle).
     """
     if isinstance(x, Point) and isinstance(y, Point):
-        px, py, _ = euclidean(x, tol, "point")
-        qx, qy, _ = euclidean(y, tol, "point")
+        px, py, _ = euclidean(x, Point, tol, "point")
+        qx, qy, _ = euclidean(y, Point, tol, "point")
         # the normal (a, b) of the line joining two points of weight 1
         return math.hypot(*_finite((py - qy, qx - px)))
     if isinstance(x, Line) and isinstance(y, Line):
-        gx, gy, sine = cross(euclidean(x, tol, "line"), euclidean(y, tol, "line"))
+        m, n = euclidean(x, Line, tol, "line"), euclidean(y, Line, tol, "line")
+        gx, gy, sine = cross(m, n)
         if not near_zero(sine, 1.0, tol):
             raise DomainError("lines intersect; the gap is undefined (use angle)")
         return math.hypot(gx, gy)
     if isinstance(x, Line) and isinstance(y, Point):
-        return incidence(euclidean(x, tol, "line"), euclidean(y, tol, "point"))
+        return incidence(euclidean(x, Line, tol, "line"), euclidean(y, Point, tol, "point"))
     if isinstance(x, Point) and isinstance(y, Line):
         return -distance(y, x, tol)
     raise TypeError(f"no distance between {type(x).__name__} and {type(y).__name__}")
@@ -52,8 +53,8 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> float:
     """Angle in [0, pi] between two lines, two ideal points, or a line and
     an ideal point (measured against the line's direction)."""
     if isinstance(x, Line) and isinstance(y, Line):
-        ma, mb, _ = euclidean(x, tol, "line")
-        na, nb, _ = euclidean(y, tol, "line")
+        ma, mb, _ = euclidean(x, Line, tol, "line")
+        na, nb, _ = euclidean(y, Line, tol, "line")
         # the scalar m . n and the e12 part of m ^ n
         cos_a = ma * na + mb * nb
         sin_a = abs(ma * nb - mb * na)
@@ -65,7 +66,7 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> float:
         return math.acos(max(-1.0, min(1.0, ux * vx + uy * vy)))
     m, other = (x, y) if isinstance(x, Line) else (y, x)
     if isinstance(m, Line) and isinstance(other, Point):
-        ma, mb, _ = euclidean(m, tol, "line")
+        ma, mb, _ = euclidean(m, Line, tol, "line")
         ux, uy, _ = ideal(other, tol, "point")
         # m . u is the ideal line c*e0 with c the cosine
         c = max(-1.0, min(1.0, mb * ux - ma * uy))
@@ -105,8 +106,8 @@ def meet(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Point:
 
 def midpoint(p: Point, q: Point, tol: float = DEFAULT_TOL) -> Point:
     """Point halfway between two euclidean points, returned with weight 1."""
-    px, py, _ = euclidean(p, tol, "point")
-    qx, qy, _ = euclidean(q, tol, "point")
+    px, py, _ = euclidean(p, Point, tol, "point")
+    qx, qy, _ = euclidean(q, Point, tol, "point")
     return Point(0.5 * (px + qx), 0.5 * (py + qy), 1.0)
 
 
@@ -115,8 +116,8 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
     or the parallel mid-line.  Anti-parallel inputs (whose sum degenerates to
     the ideal line) are rejected; negate one argument to pick the other
     orientation."""
-    ma, mb, mc = euclidean(m, tol, "line")
-    na, nb, nc = euclidean(n, tol, "line")
+    ma, mb, mc = euclidean(m, Line, tol, "line")
+    na, nb, nc = euclidean(n, Line, tol, "line")
     # parallel (the e12 part of m ^ n) and opposed (the scalar m . n)
     if near_zero(ma * nb - mb * na, 1.0, tol) and ma * na + mb * nb < 0.0:
         raise OrientationError(
@@ -128,8 +129,8 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
 def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
     """Line through p perpendicular to m, with m's norm and m's orientation
     rotated a quarter turn counterclockwise."""
-    euclidean(m, tol, "line")  # the result keeps m's norm
-    px, py, _ = euclidean(p, tol, "point")
+    euclidean(m, Line, tol, "line")  # the result keeps m's norm
+    px, py, _ = euclidean(p, Point, tol, "point")
     return Line(*_finite((-m.b, m.a, m.b * px - m.a * py)))  # m . p, of weight 1
 
 
@@ -137,7 +138,8 @@ def _operands(x, onto, tol: float) -> tuple[tuple, tuple]:
     """The normalized fields of x and onto, for project and reject."""
     if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
         raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
-    return euclidean(x, tol, "projected element"), euclidean(onto, tol, "projection target")
+    u = euclidean(x, type(x), tol, "projected element")
+    return u, euclidean(onto, type(onto), tol, "projection target")
 
 
 def project(x, onto, tol: float = DEFAULT_TOL) -> Line | Point:
@@ -190,7 +192,8 @@ def reject(x, onto, tol: float = DEFAULT_TOL) -> Line | Point | None:
 def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Point:
     """Product of three euclidean points of weight 1: the alternating sum
     -(a - b + c), of weight -1 (projectively the same point as a - b + c)."""
-    (ax, ay, _), (bx, by, _), (cx, cy, _) = (euclidean(p, tol, "point") for p in (a, b, c))
+    an, bn, cn = (euclidean(p, Point, tol, "point") for p in (a, b, c))
+    (ax, ay, _), (bx, by, _), (cx, cy, _) = an, bn, cn
     # summed in the order that the product a(bc) sums them
     return Point(*_finite(((bx - cx) - ax, (by - cy) - ay, -1.0)))
 
@@ -200,7 +203,7 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> tuple[O
     line part is the join of two altitude feet of the triangle they bound,
     and a flag for concurrent or parallel triples, which are not rejected.
     With g the meet of b and c, a(bc) = (b.c)a + a.g + a ^ g."""
-    an, bn, cn = (euclidean(m, tol, "line") for m in (a, b, c))
+    an, bn, cn = (euclidean(m, Line, tol, "line") for m in (a, b, c))
     gx, gy, gz = cross(bn, cn)
     bc = bn[0] * cn[0] + bn[1] * cn[1]
     a0, a1, a2 = an
@@ -215,6 +218,6 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> tuple[O
 def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
     """Sum of the six permutation products abc + acb + ...: the pure line
     2[(b.c)a + (c.a)b + (a.b)c] of the normalized lines."""
-    u, v, w = (euclidean(m, tol, "line") for m in (a, b, c))
+    u, v, w = (euclidean(m, Line, tol, "line") for m in (a, b, c))
     bc, ca, ab = (m[0] * n[0] + m[1] * n[1] for m, n in ((v, w), (w, u), (u, v)))
     return Line(*_finite(tuple(2.0 * (bc * x + ca * y + ab * z) for x, y, z in zip(u, v, w))))

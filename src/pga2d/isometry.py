@@ -15,7 +15,7 @@ metric.unit_direction.
 import math
 import sys
 
-from .elements import Line, Point, cross, incidence
+from .elements import Line, Point, cross, from_mv, incidence, mv
 from .errors import ConstructionError, DomainError, IncidenceError
 from .metric import euclidean, ideal, unit_direction, view
 from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
@@ -25,6 +25,8 @@ class Motor(Frozen):
     """Even-subalgebra element s + bx*e20 + by*e01 + bz*e12."""
 
     __slots__ = ("s", "bx", "by", "bz")
+    _blades = (0, 4, 5, 6), "an even element"
+    mv, from_mv = mv, classmethod(from_mv)
 
     def __init__(self, s: float, bx: float, by: float, bz: float):
         s, bx, by, bz = float(s), float(bx), float(by), float(bz)
@@ -35,18 +37,6 @@ class Motor(Frozen):
         _motor_bx(self, bx)
         _motor_by(self, by)
         _motor_bz(self, bz)
-
-    def mv(self) -> "Multivector":
-        from .kernel import _unchecked
-
-        return _unchecked((self.s, 0.0, 0.0, 0.0, self.bx, self.by, self.bz, 0.0))
-
-    @classmethod
-    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "Motor":
-        if not u.grades(tol) <= {0, 2}:
-            raise DomainError(f"not an even element: {u!r}")
-        c = u.coeffs
-        return cls(c[0], c[4], c[5], c[6])
 
     def weight(self) -> float:
         """Square root of g * reverse(g); 1 for a normalized motor."""
@@ -145,7 +135,7 @@ def sandwich(v, x):
 def reflect(a: Line, x, tol: float = DEFAULT_TOL):
     """Reflection in the euclidean line a: the sandwich by a normalized, an odd
     versor without pseudoscalar part (a line is its own reverse)."""
-    return sandwich(OddVersor(Line(*euclidean(a, tol, "mirror")), 0.0), x)
+    return sandwich(OddVersor(Line(*euclidean(a, Line, tol, "mirror")), 0.0), x)
 
 
 def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
@@ -154,7 +144,7 @@ def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:
     Intersecting mirrors give the rotation about their common point by twice
     their angle; parallel mirrors a translation by twice their gap.
     """
-    an, bn = euclidean(a, tol, "mirror"), euclidean(b, tol, "mirror")
+    an, bn = euclidean(a, Line, tol, "mirror"), euclidean(b, Line, tol, "mirror")
     # gp(bn, an): the scalar bn . an and the bivector bn ^ an
     return Motor(bn[0] * an[0] + bn[1] * an[1], *cross(bn, an))
 
@@ -226,7 +216,7 @@ def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
     half-angle exponential of this basis is clockwise in the usual drawing
     orientation); golden tests pin the convention.
     """
-    cx, cy, cz = euclidean(p, tol, "rotation center")
+    cx, cy, cz = euclidean(p, Point, tol, "rotation center")
     # the bivector (alpha/2) * c
     h = alpha / 2.0
     return _exp(*_finite((cx * h, cy * h, cz * h)))
@@ -278,8 +268,8 @@ def solve_point_line_transport(
     m to m2; both tests are near_zero against the figure's size, the largest
     coordinate of the normalized points and offset of the normalized lines.
     """
-    an, a2n = euclidean(a, tol, "point a"), euclidean(a2, tol, "point a2")
-    mn, m2n = euclidean(m, tol, "line m"), euclidean(m2, tol, "line m2")
+    an, a2n = euclidean(a, Point, tol, "point a"), euclidean(a2, Point, tol, "point a2")
+    mn, m2n = euclidean(m, Line, tol, "line m"), euclidean(m2, Line, tol, "line m2")
     (ax, ay, _), (a2x, a2y, _), (ma, mb, mc), (m2a, m2b, m2c) = an, a2n, mn, m2n
     # below the smallest normal float rounding is absolute, so the size stops there
     size = max(abs(ax), abs(ay), abs(a2x), abs(a2y), abs(mc), abs(m2c), sys.float_info.min)

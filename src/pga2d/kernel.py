@@ -116,16 +116,9 @@ class Multivector(Frozen):
 
     def grade(self, k: int) -> "Multivector":
         """Projection onto grade k; k outside 0..3 is a contract violation."""
-        c = self.coeffs
-        if k == 0:
-            return _unchecked((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-        if k == 1:
-            return _unchecked((0.0, c[1], c[2], c[3], 0.0, 0.0, 0.0, 0.0))
-        if k == 2:
-            return _unchecked((0.0, 0.0, 0.0, 0.0, c[4], c[5], c[6], 0.0))
-        if k == 3:
-            return _unchecked((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
-        raise ValueError(f"grade must be in 0..3, got {k}")
+        if k not in range(4):
+            raise ValueError(f"grade must be in 0..3, got {k}")
+        return _unchecked(tuple([c if g == k else 0.0 for c, g in zip(self.coeffs, BLADE_GRADES)]))
 
     def mv(self) -> "Multivector":
         """Itself, as a typed view's mv() is its multivector."""

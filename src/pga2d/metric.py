@@ -104,13 +104,17 @@ def view(x, tol: float) -> tuple[bool, tuple[float, float, float]]:
     return ideal, _unit(x, ideal)
 
 
-def euclidean(x, tol: float, what: str) -> tuple[float, float, float]:
+def euclidean(x, kind: type, tol: float, what: str) -> tuple[float, float, float]:
     """The fields of normalize(x), (a, b, c) or (x, y, z), for a line or
     point that must be euclidean, classified once.
 
     This and ideal are the only gates on an operand's kind: what names the
-    operand's role in the message.  They return checked fields, not an
-    element; type(x)(*euclidean(x, ...)) is the normalized element."""
+    operand's role in the message.  Each first raises TypeError unless x is
+    of its class, kind here (Line or Point) and Point for ideal, so no field
+    of the other class is read.  They return checked fields, not an
+    element; kind(*euclidean(x, kind, ...)) is the normalized element."""
+    if not isinstance(x, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, not {type(x).__name__}")
     if x.is_ideal(tol):
         raise ClassificationError(f"{what} {x!r} must be euclidean")
     return _unit(x, False)
@@ -119,6 +123,8 @@ def euclidean(x, tol: float, what: str) -> tuple[float, float, float]:
 def ideal(p: Point, tol: float, what: str) -> tuple[float, float, float]:
     """The fields (x, y, z) of normalize(p) for a point that must be ideal,
     classified once."""
+    if not isinstance(p, Point):
+        raise TypeError(f"{what} must be a Point, not {type(p).__name__}")
     if not p.is_ideal(tol):
         raise ClassificationError(f"{what} {p!r} must be ideal")
     return _unit(p, True)
@@ -134,7 +140,7 @@ def polar(x) -> "Multivector":
 
 def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> Point:
     """Direction of a euclidean line: its wedge with the ideal line e0."""
-    euclidean(m, tol, "line")  # the result keeps m's norm
+    euclidean(m, Line, tol, "line")  # the result keeps m's norm
     return IdealPoint(m.b, -m.a)
 
 
@@ -151,7 +157,7 @@ def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     n the line part of m p, the vertical one: [0, 1, -y] and [-1, 0, x] for
     weight 1.  mn recovers p because m squares to 1.
     """
-    euclidean(p, tol, "point")  # p itself is factored, with its weight's sign
+    euclidean(p, Point, tol, "point")  # p itself is factored, with its weight's sign
     if not near_zero(abs(p.z) - 1.0, 1.0, tol):
         raise DomainError(f"{p!r} must have weight +-1 to factor into orthonormal lines")
     m = Line(*unit_direction(0.0, p.z, -p.y))  # m.b is the sign of z

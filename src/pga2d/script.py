@@ -10,6 +10,8 @@ none multiplies 8-slot multivectors.  parse gives each statement as a plain
 tuple (lineno, verb, result, args), and evaluate takes a tuple of them.
 """
 
+import math
+
 from . import geometry, isometry
 from .elements import IdealPoint, Line, Point
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
@@ -102,13 +104,25 @@ def _point(env, a, tol):
     return Point(x, y, 1.0)
 
 
+def _line(env, a, tol):
+    m = Line(*a)
+    # its distance from the origin is held to a point literal's range; the
+    # ideal line (a = b = 0) has none
+    if (m.a or m.b) and near_zero(1e-3, abs(m.c) / math.hypot(m.a, m.b), tol):
+        raise DomainError(
+            f"line [{m.a:g}, {m.b:g}, {m.c:g}] is out of range: it must pass within "
+            f"1e-3/tol = {1e-3 / tol:g} of the origin"
+        )
+    return m
+
+
 # verb -> (argument kinds after the verb token, the new name's value from env,
 # args and tol, or None for print and svg); a row calls library functions
 # through their modules, so a tracer that rebinds a module attribute sees them
 _VERBS = {
     "point": ("new num num", _point),
     "ideal": ("new num num", lambda env, a, tol: IdealPoint(*a)),
-    "line": ("new num num num", lambda env, a, tol: Line(*a)),
+    "line": ("new num num num", _line),
     "join": ("new ref ref", lambda env, a, tol: geometry.join(
         _want(env, a[0], Point, "join argument"), _want(env, a[1], Point, "join argument"), tol)),
     "meet": ("new ref ref", lambda env, a, tol: geometry.meet(

@@ -37,6 +37,13 @@ SVG = ("tests/test_script.py::test_build_svg_matches_the_old_renderer", "tests/t
 VIEWPORT = (
     "tests/test_script.py::test_the_svg_refuses_exactly_the_figures_it_would_draw_off_the_viewport",
 )
+# the shared mv and from_mv against the old layout, and from_mv's grade test
+BRIDGE = (
+    "tests/test_element_model.py::"
+    "test_mv_puts_each_field_in_its_old_blade_and_from_mv_reads_it_back",
+    "tests/test_element_model.py::test_from_mv_rejects_a_part_of_another_grade",
+)
+GATES = ("tests/test_element_model.py::test_a_gate_refuses_an_operand_of_the_wrong_class",)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -85,6 +92,41 @@ MUTANTS = {
     "cross-scale-halved": (
         "geometry.py", "max(abs(v0), abs(v1), abs(v2)), tol,",
         "0.5 * max(abs(v0), abs(v1), abs(v2)), tol,", BANDS,
+    ),
+    # the range of a line literal
+    "line-constant-doubled": (
+        "script.py", "near_zero(1e-3, abs(m.c) / math.hypot(m.a, m.b), tol)",
+        "near_zero(2e-3, abs(m.c) / math.hypot(m.a, m.b), tol)", BANDS,
+    ),
+    "line-scale-halved": (
+        "script.py", "near_zero(1e-3, abs(m.c) / math.hypot(m.a, m.b), tol)",
+        "near_zero(1e-3, 0.5 * abs(m.c) / math.hypot(m.a, m.b), tol)", BANDS,
+    ),
+    "line-ideal-refused": (
+        "script.py", "if (m.a or m.b) and near_zero(", "if (m.a or m.b or 1) and near_zero(",
+        BANDS,
+    ),
+    # the one layout of the kernel's blades, and the class test of each gate
+    "line-blades-swapped": (
+        "elements.py", '_blades = (2, 3, 1), "a pure line"', '_blades = (3, 2, 1), "a pure line"',
+        BRIDGE,
+    ),
+    "motor-blades-swapped": (
+        "isometry.py", '_blades = (0, 4, 5, 6), "an even element"',
+        '_blades = (0, 5, 4, 6), "an even element"', BRIDGE,
+    ),
+    "from-mv-grades-unchecked": (
+        "elements.py", "if u.grades(tol) - {BLADE_GRADES[i] for i in blades}:", "if False:", BRIDGE,
+    ),
+    "grade-off-by-one": (
+        "kernel.py", "[c if g == k else 0.0", "[c if g == k + 1 else 0.0",
+        ("tests/test_kernel_reference.py",),
+    ),
+    "euclidean-class-unchecked": (
+        "metric.py", "if not isinstance(x, kind):", "if False:", GATES,
+    ),
+    "ideal-class-unchecked": (
+        "metric.py", "if not isinstance(p, Point):", "if False:", GATES,
     ),
     # the weight-1 shortcut of the normalizer
     "unit-any-weight": ("metric.py", "if x.z == 1.0:", "if x.z > 0.0:", ("tests/test_metric.py",)),

@@ -12,9 +12,20 @@ and 0 through ``pga2d.cli.main``, each script with ``--svg``, and so does
 and arguments: one per kind of error line, a few operands of the wrong kind,
 and argument lists that argparse reads, most of them usage errors.
 
+The library section calls the algebra API and the functions that gate their
+operands' kind on a fixed-seed corpus of lines, points, motors, odd versors,
+pseudoscalars and raw multivectors, euclidean and ideal, some at the edge of
+the ideal band, at tol 1e-9, 1e-6 and 0: ``.mv()`` and ``from_mv`` of every
+class that has them, ``Multivector.grade``, ``polar``, ``log_motor``,
+``exp_bivector``, the ``sandwich`` of a raw multivector, and each function of
+``geometry``, ``metric`` and ``isometry`` that calls ``metric.euclidean`` or
+``metric.ideal``.  A call's record is its result with every float's repr, so
+a signed zero or one ulp shows, or the error's class and text.
+
 Each tree runs every case in one child process with its own ``src`` on the
-path.  Any difference in stdout, stderr, exit code or SVG bytes is printed,
-and the exit code is then 1.  pytest does not collect this file.
+path.  Any difference in stdout, stderr, exit code, SVG bytes or a library
+record is printed, and the exit code is then 1.  pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -110,9 +121,110 @@ def _cases(names: list[str]) -> list[list[str]]:
     ]
 
 
+def _exact(value):
+    """value with each float as its repr, and each value class as its name and fields."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return [_exact(v) for v in value]
+    fields = getattr(type(value), "__slots__", ())
+    if fields:
+        return [type(value).__name__, *[_exact(getattr(value, f)) for f in fields]]
+    return repr(value)
+
+
+def _library_calls():
+    """(label, call) for each call of the library corpus, in a fixed order."""
+    import random
+
+    import pga2d as g
+    from pga2d.kernel import Multivector
+
+    r = random.Random(30)
+    u = r.uniform
+    lines = [g.Line(u(-1, 1), u(-1, 1), u(-100, 100)) for _ in range(6)]
+    lines += [g.Line(0, 0, -2.5), g.Line(1e-12, 0, 1), g.Line(-0.0, 5e-324, 1)]
+    points = [g.Point(u(-100, 100), u(-100, 100), r.choice((1, -2.5, 0.5))) for _ in range(6)]
+    points += [g.Point(u(-1, 1), u(-1, 1), 0), g.Point(1, 0, 1e-12), g.Point(-0.0, 5e-324, 1)]
+    motors = [g.Motor(u(-2, 2), u(-50, 50), u(-50, 50), u(-2, 2)) for _ in range(4)]
+    motors += [g.Motor(1, 2, 3, 0), g.Motor(0, 1, 0, 0), g.Motor(-1, 5e-324, -0.0, 1e-12)]
+    versors = [g.OddVersor(m, u(-5, 5)) for m in lines[:4]] + [g.OddVersor(lines[6], -0.0)]
+    scalars = [g.Pseudoscalar(s) for s in (2.5, -0.0, 5e-324)]
+    raw = [Multivector([u(-10, 10) for _ in range(8)]) for _ in range(4)]
+    raw += [m.grade(k) for m in raw[:2] for k in range(4)]
+    raw += [Multivector((1e-10, 0, 1, 2, 0, 0, 0, 0)), Multivector((0, 0, 0, 0, 1, 2, 1e-7, 3e-8))]
+    typed = lines + points + motors + versors + scalars
+    tols = (1e-9, 1e-6, 0.0)
+
+    def calls(name, f, operands):
+        for args in operands:
+            shown = ", ".join(getattr(a, "__name__", None) or repr(a) for a in args)
+            yield f"{name}({shown})", lambda args=args: f(*args)
+
+    yield from calls("mv", lambda x: x.mv(), [(x,) for x in typed])
+    classes = (g.Line, g.Point, g.Motor, g.OddVersor)
+    every = [x.mv() for x in typed] + raw
+    yield from calls("from_mv", lambda c, v, t: c.from_mv(v, t), [
+        (c, v, t) for c in classes for v in every for t in tols
+    ])
+    yield from calls("grade", lambda v, k: v.grade(k), [
+        (v, k) for v in raw[:4] for k in (0, 1, 2, 3, 4, -1, 1.5)
+    ])
+    yield from calls("polar", g.polar, [(x,) for x in typed])
+    yield from calls("log_motor", g.log_motor, [(m, t) for m in motors for t in tols])
+    yield from calls("exp_bivector", g.exp_bivector, [
+        (b, t) for b in points + raw + motors[:2] for t in tols
+    ])
+    yield from calls("sandwich", g.sandwich, [
+        (v, x) for v in motors + versors for x in raw[:6] + scalars
+    ])
+
+    def pairs(a, b, n):
+        return r.sample([(x, y) for x in a for y in b], n)
+
+    # solvable transports: a on m and a2 on m2, built by join
+    feet = [(p, g.join(p, q)) for p, q in pairs(points[:6], points[:6], 12) if p != q]
+    gated = [
+        ("distance", g.distance, pairs(lines + points, lines + points, 40)),
+        ("angle", g.angle, pairs(lines + points, lines + points, 40)),
+        ("project", g.project, pairs(lines + points, lines + points, 30)),
+        ("reject", g.reject, pairs(lines + points, lines + points, 30)),
+        ("midpoint", g.midpoint, pairs(points, points, 20)),
+        ("midline", g.midline, pairs(lines, lines, 20)),
+        ("perp_line_through", g.perp_line_through, pairs(lines, points, 20)),
+        ("reflect", g.reflect, pairs(lines, lines + points, 30)),
+        ("rotor_from_lines", g.rotor_from_lines, pairs(lines, lines, 20)),
+        ("rotator", g.rotator, [(p, u(-4, 4)) for p in points]),
+        ("translator", g.translator, [(p, u(-50, 50)) for p in points]),
+        ("triple_points", g.triple_points, [tuple(r.sample(points, 3)) for _ in range(15)]),
+        ("triple_lines", g.triple_lines, [tuple(r.sample(lines, 3)) for _ in range(15)]),
+        ("symmetric_line", g.symmetric_line, [tuple(r.sample(lines, 3)) for _ in range(15)]),
+        ("factor_point", g.factor_point, [(p,) for p in points]),
+        ("ideal_point_of", g.ideal_point_of, [(m,) for m in lines]),
+        ("solve_point_line_transport", g.solve_point_line_transport, [
+            (*f, *f2) for f, f2 in pairs(feet, feet, 15)
+        ] + [(points[i], lines[i], points[i + 1], lines[i + 1]) for i in range(5)]),
+    ]
+    for name, f, operands in gated:
+        yield from calls(name, f, [(*args, t) for args in operands for t in tols])
+
+
+def _library() -> list:
+    """[label, record] for each library call: the result, or the error's class and text."""
+    records = []
+    for label, call in _library_calls():
+        try:
+            record = _exact(call())
+        except Exception as exc:  # every error is part of the record
+            record = ["raised", type(exc).__name__, str(exc)]
+        records.append([label, record])
+    return records
+
+
 def _child(folder: str) -> None:
     """Runs every case of folder/cases.json in this process; prints one JSON
-    list of [stdout, stderr, exit code, SVG text or None]."""
+    object: "cli", a list of [stdout, stderr, exit code, SVG text or None]
+    per case, and "library", the library records."""
     from pga2d.cli import main
 
     os.chdir(folder)
@@ -128,10 +240,10 @@ def _child(folder: str) -> None:
                 code = exc.code
         drawn = svg.read_bytes().decode("utf-8", "backslashreplace") if svg.exists() else None
         results.append([out.getvalue(), err.getvalue(), code, drawn])
-    sys.stdout.write(json.dumps(results))
+    sys.stdout.write(json.dumps({"cli": results, "library": _library()}))
 
 
-def _run(src: Path, folder: Path) -> list:
+def _run(src: Path, folder: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child", str(folder)],
@@ -158,16 +270,25 @@ def main(argv: list[str]) -> int:
     fields = ("stdout", "stderr", "exit code", "SVG")
     differences = [
         f"{' '.join(case)}: {field} differs"
-        for case, old, new in zip(cases, base, this)
+        for case, old, new in zip(cases, base["cli"], this["cli"])
         for field, a, b in zip(fields, old, new)
         if a != b
     ]
+    library = this["library"]
+    if len(base["library"]) != len(library):
+        differences.append(f"{len(base['library'])} library calls, then {len(library)}")
+    differences += [
+        f"library {label}: {json.dumps(old)} became {json.dumps(new)}"
+        for (label, old), (_, new) in zip(base["library"], library)
+        if old != new
+    ]
     for line in differences[:20]:
         print(line)
-    failed = sum(result[2] != 0 for result in this)
+    failed = sum(result[2] != 0 for result in this["cli"])
+    raising = sum(record[0] == "raised" for _, record in library)
     print(
-        f"{len(cases)} cases ({failed} ending in an error), "
-        f"{len(differences)} differences from {argv[0]}"
+        f"{len(cases)} cases ({failed} ending in an error), {len(library)} library calls "
+        f"({raising} raising), {len(differences)} differences from {argv[0]}"
     )
     return 1 if differences else 0
 

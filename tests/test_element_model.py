@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from pga2d.cli import main
-from pga2d.elements import IdealPoint, Line, Point
+from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import ClassificationError, DomainError
 from pga2d.geometry import (
     angle,
@@ -25,6 +25,8 @@ from pga2d.geometry import (
     perp_line_through,
     project,
     reject,
+    symmetric_line,
+    triple_lines,
     triple_points,
 )
 from pga2d.isometry import (
@@ -38,7 +40,7 @@ from pga2d.isometry import (
     solve_point_line_transport,
     translator,
 )
-from pga2d.metric import factor_point, ideal_norm, is_ideal, norm, normalize
+from pga2d.metric import factor_point, ideal_norm, ideal_point_of, is_ideal, norm, normalize
 from pga2d.kernel import Multivector
 from pga2d.script import evaluate, parse
 
@@ -218,6 +220,42 @@ def test_from_mv_rejects_a_part_of_another_grade(cls, coeffs, message):
         cls.from_mv(Multivector(coeffs))
 
 
+# the layout that each class's own mv() wrote out before they shared one: the
+# referee of the shared mv and from_mv
+OLD_LAYOUT = {
+    Line: lambda m: (0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, 0.0),
+    Point: lambda p: (0.0, 0.0, 0.0, 0.0, p.x, p.y, p.z, 0.0),
+    Pseudoscalar: lambda q: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, q.s),
+    Motor: lambda g: (g.s, 0.0, 0.0, 0.0, g.bx, g.by, g.bz, 0.0),
+    OddVersor: lambda v: (0.0, v.line.c, v.line.a, v.line.b, 0.0, 0.0, 0.0, v.lam),
+}
+
+
+def _bridge_values():
+    """Values of every class with an mv(), each field distinct, some of
+    them signed zeros and subnormals."""
+    r = random.Random(30)
+    fields = [-0.0, 5e-324, -2.5e-310, 1e300, 1.5, -7.25]
+    for cls in (Line, Point, Motor):
+        n = len(cls.__slots__)
+        for _ in range(20):
+            yield cls(*r.sample(fields, n))
+        yield cls(*range(1, n + 1))
+    for s in fields:
+        yield Pseudoscalar(s)
+        yield OddVersor(Line(1.0, -0.0, 5e-324), s)
+
+
+def test_mv_puts_each_field_in_its_old_blade_and_from_mv_reads_it_back():
+    for x in _bridge_values():
+        got = x.mv().coeffs
+        assert repr(got) == repr(OLD_LAYOUT[type(x)](x)), x
+        if not isinstance(x, Pseudoscalar):
+            back = type(x).from_mv(x.mv())
+            assert back == x and repr(back._key()) == repr(x._key()), x
+    assert not hasattr(Pseudoscalar, "from_mv") and not hasattr(Multivector, "from_mv")
+
+
 # -- euclidean-only and ideal-only operations classify each operand once -------------
 
 
@@ -317,6 +355,66 @@ def test_every_kind_rejection_is_raised_by_a_gate():
         for lineno, owner in _kind_raises(ast.parse(path.read_text(), str(path)), path.stem)
     ]
     assert found == []
+
+
+# each operand of the other class, or of no element class, is refused by its
+# gate before a field is read; before, each either computed on the other
+# class's fields or failed on a missing one
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: midpoint(Line(1, 0, 0), Line(0, 1, -2)), "point must be a Point, not Line"),
+        (lambda: translator(Line(0, 0, 1), 1), "translation direction must be a Point, not Line"),
+        (lambda: rotator(Line(1, 0, 0), 1.0), "rotation center must be a Point, not Line"),
+        (
+            lambda: perp_line_through(Point(1, 2, 1), Line(1, 0, 0)),
+            "line must be a Line, not Point",
+        ),
+        (lambda: factor_point(Line(1, 2, 3)), "point must be a Point, not Line"),
+        (lambda: ideal_point_of(Point(1, 2, 1)), "line must be a Line, not Point"),
+        (
+            lambda: solve_point_line_transport(
+                Point(0, 0, 1), Point(1, 0, 1), Point(1, 1, 1), Line(0, 1, -1)
+            ),
+            "line m must be a Line, not Point",
+        ),
+        (
+            lambda: solve_point_line_transport(
+                Line(0, 1, -1), Point(0, 0, 1), Line(0, 1, 0), Point(1, 1, 1)
+            ),
+            "point a must be a Point, not Line",
+        ),
+        (lambda: midline(Point(0, 0, 1), Point(1, 0, 1)), "line must be a Line, not Point"),
+        (lambda: reflect(Point(1, 2, 1), Point(0, 0, 1)), "mirror must be a Line, not Point"),
+        (
+            lambda: rotor_from_lines(Point(0, 0, 1), Point(1, 0, 1)),
+            "mirror must be a Line, not Point",
+        ),
+        (
+            lambda: triple_points(Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 1)),
+            "point must be a Point, not Line",
+        ),
+        (
+            lambda: triple_lines(Point(1, 0, 1), Point(0, 1, 1), Point(1, 1, 1)),
+            "line must be a Line, not Point",
+        ),
+        (
+            lambda: symmetric_line(Point(1, 0, 1), Point(0, 1, 1), Point(1, 1, 1)),
+            "line must be a Line, not Point",
+        ),
+        (lambda: midpoint(IDENTITY_MOTOR, Point(0, 0, 1)), "point must be a Point, not Motor"),
+        (lambda: translator(object(), 1), "translation direction must be a Point, not object"),
+    ],
+    ids=[
+        "midpoint", "translator", "rotator", "perp_line_through", "factor_point",
+        "ideal_point_of", "solve", "solve-both-swapped", "midline", "reflect",
+        "rotor_from_lines", "triple_points", "triple_lines", "symmetric_line",
+        "midpoint-motor", "translator-object",
+    ],
+)
+def test_a_gate_refuses_an_operand_of_the_wrong_class(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
 
 
 def test_the_gate_lint_catches_the_inline_checks():

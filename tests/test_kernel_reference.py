@@ -502,15 +502,11 @@ ALGEBRA_API = {
     "__init__": {"__getattr__"},
     "multivector": {"__getattr__"},
     "cli": {"format_cayley_table", "format_dual_table"},
-    "elements": {
-        "Line.mv", "Line.from_mv", "Point.mv", "Point.from_mv", "Pseudoscalar.mv",
-    },
+    # the one mv and from_mv of Line, Point, Pseudoscalar and Motor
+    "elements": {"mv", "from_mv"},
     "geometry": set(),
     "metric": {"polar"},
-    "isometry": {
-        "Motor.mv", "Motor.from_mv", "OddVersor.mv", "OddVersor.from_mv",
-        "sandwich", "exp_bivector", "log_motor",
-    },
+    "isometry": {"OddVersor.mv", "OddVersor.from_mv", "sandwich", "exp_bivector", "log_motor"},
 }
 
 

@@ -167,12 +167,12 @@ def test_normalize_huge_elements_keeps_their_direction():
 
 
 def test_the_gates_return_the_normalized_fields():
-    # fields, not an element: type(x)(*euclidean(x, ...)) is normalize(x)
-    assert euclidean(Point(2, 4, 2), 1e-9, "p") == (1.0, 2.0, 1.0)
-    assert euclidean(Line(3, 4, 5), 1e-9, "m") == (0.6, 0.8, 1.0)
+    # fields, not an element: kind(*euclidean(x, kind, ...)) is normalize(x)
+    assert euclidean(Point(2, 4, 2), Point, 1e-9, "p") == (1.0, 2.0, 1.0)
+    assert euclidean(Line(3, 4, 5), Line, 1e-9, "m") == (0.6, 0.8, 1.0)
     assert ideal(Point(3, 4, 0), 1e-9, "p") == (0.6, 0.8, 0.0)
     with pytest.raises(ClassificationError, match=r"^p Point\(3, 4, 0\) must be euclidean$"):
-        euclidean(Point(3, 4, 0), 1e-9, "p")
+        euclidean(Point(3, 4, 0), Point, 1e-9, "p")
     with pytest.raises(ClassificationError, match=r"^p Point\(2, 4, 2\) must be ideal$"):
         ideal(Point(2, 4, 2), 1e-9, "p")
 

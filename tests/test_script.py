@@ -1177,11 +1177,17 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
 
 def test_cli_prints_an_ideal_line_at_a_coarse_tol_in_coordinate_order(tmp_path, capsys):
     # at tol 1e-3 the line's normal (a, b) is small enough to be ideal, and
-    # print shows [a/c, b/c, 1] with a and b in order
+    # print shows [a/c, b/c, 1] with a and b in order; a literal that far from
+    # the origin is out of range, so the line [1, 2, 0] is moved out to c = 1e4
     script = tmp_path / "s.pga"
-    script.write_text("line m 1e-4 2e-4 1\nprint m\n")
+    script.write_text(
+        "line m 1 2 0\nideal V -2 1\ntranslator t V 4472.13595499958\napply k t m\nprint k\n"
+    )
     assert main(["run", str(script), "--tol", "1e-3"]) == 0
-    assert capsys.readouterr().out == "m = [0.000100, 0.000200, 1.000000]\n"
+    assert capsys.readouterr().out == "k = [0.000100, 0.000200, 1.000000]\n"
+    script.write_text("line m 1e-4 2e-4 1\nprint m\n")
+    assert main(["run", str(script), "--tol", "1e-3"]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_cli_accepts_zero_tol(tmp_path, capsys):

@@ -178,6 +178,30 @@ def test_a_point_literal_is_in_range_within_1e_3_over_tol_of_the_origin():
             evaluate(parse(f"point A {xy}\n"))
 
 
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-6])
+def test_a_line_literal_is_in_range_within_1e_3_over_tol_of_the_origin(tol):
+    # the distance |c| / |(a, b)| from the origin, half the limit and 1.5 times it
+    limit = 1e-3 / tol
+    inside = f"line m 3 4 {-2.5 * limit!r}\nline n 0 -2 {limit!r}\n"
+    evaluate(parse(inside + "line k 0 0 5\nline j -0.0 0 -1e300\n"), tol)  # the ideal line
+    for abc in (f"3 4 {7.5 * limit!r}", f"0 -2 {-3 * limit!r}", "5e-324 0 1"):
+        with pytest.raises(EvaluationError, match=re.escape(f"within 1e-3/tol = {limit:g} of")):
+            evaluate(parse(f"line m {abc}\n"), tol)
+
+
+def test_a_line_literal_far_from_the_origin_is_an_error_and_not_an_ideal_line():
+    source = "line m 1 0 -2e9\nline n 0 1 0\nmeet P m n\nprint P\n"
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse(source))
+    assert err.value.lineno == 1 and str(err.value) == (
+        "line 1: line [1, 0, -2e+09] is out of range: "
+        "it must pass within 1e-3/tol = 1e+06 of the origin"
+    )
+    # no limit without a tolerance
+    assert evaluate(parse(source), tol=0.0)[1] == "P = (2000000000.000000, 0.000000)\n"
+    evaluate(parse("line m 5e-324 0 1e308\n"), tol=0.0)
+
+
 @pytest.mark.parametrize(
     "tol, dependent, independent", [(DEFAULT_TOL, 0.75e-9, 1.5e-9), (0.0, 0.0, 5e-324)]
 )
