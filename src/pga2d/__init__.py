@@ -2,10 +2,13 @@
 
 Products and duality live in :mod:`pga2d.kernel`, loaded on first use; the
 tolerance rule and the value base in :mod:`pga2d.multivector`; typed line/point
-views in :mod:`pga2d.elements`; norms and classification in :mod:`pga2d.metric`;
-joins, meets, measurements and projections in :mod:`pga2d.geometry`; reflections,
-motors and the transport solver in :mod:`pga2d.isometry`; the construction-script
-interpreter in :mod:`pga2d.script`.
+views in :mod:`pga2d.elements`; normalization and classification in
+:mod:`pga2d.metric`; joins, meets, measurements and projections in
+:mod:`pga2d.geometry`; reflections, motors and the transport solver in
+:mod:`pga2d.isometry`; the construction-script interpreter in
+:mod:`pga2d.script`; the results that no script verb reaches (norms, polarity,
+rejection, products of three, motor exp/log and factorization) in
+:mod:`pga2d.algebra`, loaded on first use.
 """
 
 from .elements import IdealPoint, Line, Point, Pseudoscalar
@@ -21,28 +24,11 @@ from .errors import (
     RenderError,
     ScriptError,
 )
-from .geometry import (
-    angle,
-    distance,
-    join,
-    meet,
-    midline,
-    midpoint,
-    perp_line_through,
-    project,
-    reject,
-    symmetric_line,
-    triple_lines,
-    triple_points,
-)
+from .geometry import angle, distance, join, meet, midline, midpoint, project
 from .isometry import (
     IDENTITY_MOTOR,
     Motor,
     OddVersor,
-    exp_bivector,
-    factor_motor,
-    interpolate,
-    log_motor,
     reflect,
     rotator,
     rotor_from_lines,
@@ -51,26 +37,24 @@ from .isometry import (
     translator,
     translator_by,
 )
-from .metric import (
-    factor_point,
-    ideal_inner,
-    ideal_norm,
-    ideal_point_of,
-    is_ideal,
-    norm,
-    normalize,
-    polar,
-)
+from .metric import is_ideal, normalize
 from .multivector import DEFAULT_TOL
 
 __version__ = "0.1.0"
 
+# name -> the module that defines it, loaded on the name's first read
+_LAZY = {"Multivector": "kernel"} | dict.fromkeys((
+    "perp_line_through", "reject", "triple_points", "triple_lines", "symmetric_line",
+    "norm", "ideal_norm", "polar", "ideal_point_of", "factor_point",
+    "exp_bivector", "log_motor", "interpolate", "factor_motor",
+), "algebra")
+
 
 def __getattr__(name: str):
-    """Multivector, loading the kernel on its first read."""
-    if name != "Multivector":
+    """A name of _LAZY, loading its module on its first read."""
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .kernel import Multivector
+    from importlib import import_module
 
-    globals()[name] = Multivector
-    return Multivector
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value

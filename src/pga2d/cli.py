@@ -8,33 +8,6 @@ from .multivector import DEFAULT_TOL
 from .script import evaluate, parse, render_svg
 
 
-def format_cayley_table() -> str:
-    """Human-readable geometric product table, row blade times column blade."""
-    from .kernel import BLADE_NAMES as names, cayley_table
-
-    width = max(len(n) for n in names) + 1
-    lines = ["# geometric product: row * column"]
-    lines.append("".join(n.rjust(width + 1) for n in ("*",) + names))
-    for i, row in enumerate(cayley_table()):
-        cells = [names[i].rjust(width + 1)]
-        for s, k in row:
-            cell = "0" if s == 0 else ("-" if s < 0 else "") + names[k]
-            cells.append(cell.rjust(width + 1))
-        lines.append("".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def format_dual_table() -> str:
-    """Human-readable duality assignments, blade -> signed complementary blade."""
-    from .kernel import BLADE_NAMES, dual_table
-
-    lines = ["# duality map: blade ^ dual(blade) = e012"]
-    for i, (s, k) in enumerate(dual_table()):
-        sign = "-" if s < 0 else ""
-        lines.append(f"dual({BLADE_NAMES[i]}) = {sign}{BLADE_NAMES[k]}")
-    return "\n".join(lines) + "\n"
-
-
 def main(argv=None) -> int:
     try:
         return _main(sys.argv[1:] if argv is None else list(argv))
@@ -93,11 +66,18 @@ def _parse_args(argv: list[str]):
     return args.command, args.script, args.svg, args.tol
 
 
+def _tables() -> str:
+    """The text that `pga2d tables` prints, read off the kernel."""
+    from .kernel import format_cayley_table, format_dual_table
+
+    return format_cayley_table() + format_dual_table()
+
+
 def _main(argv: list[str]) -> int:
     command, script, svg, tol = _read(argv) or _parse_args(argv)
 
     if command == "tables":
-        sys.stdout.write(format_cayley_table() + format_dual_table())
+        sys.stdout.write(_tables())
         sys.stdout.flush()  # a closed stdout fails here, inside main, not at exit
         return 0
 

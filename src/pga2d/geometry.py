@@ -1,6 +1,5 @@
 """Interpreted euclidean operations: the join of two points and the meet of
-two lines, distances and angles, bisectors, projections, perpendiculars and
-the characteristic three-factor products.
+two lines, distances and angles, bisectors and projections.
 
 Sign conventions, fixed here and pinned by golden tests:
 
@@ -11,16 +10,15 @@ Sign conventions, fixed here and pinned by golden tests:
 * angles lie in [0, pi].
 
 Each function computes on its operands' fields.  Lines are normalized
-before they are tested, so the e12 part of a meet is a sine and the e012
-part of a product of three is at most 1: near_zero tests both against 1.
+before they are tested, so the e12 part of a meet is a sine, which near_zero
+tests against 1.
 """
 
 import math
 
-from .elements import IdealPoint, Line, Point, cross, incidence
+from .elements import Line, Point, cross, incidence
 from .errors import DomainError, OrientationError
 from .metric import euclidean, ideal, normalize
-from .isometry import OddVersor
 from .multivector import DEFAULT_TOL, _finite, near_zero
 
 
@@ -62,7 +60,7 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> float:
     if isinstance(x, Point) and isinstance(y, Point):
         ux, uy, _ = ideal(x, tol, "point")
         vx, vy, _ = ideal(y, tol, "point")
-        # ideal_inner of the unit directions: their free-vector dot
+        # the free-vector dot of the unit directions
         return math.acos(max(-1.0, min(1.0, ux * vx + uy * vy)))
     m, other = (x, y) if isinstance(x, Line) else (y, x)
     if isinstance(m, Line) and isinstance(other, Point):
@@ -126,14 +124,6 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
     return normalize(Line(*_finite((ma + na, mb + nb, mc + nc))), tol)
 
 
-def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
-    """Line through p perpendicular to m, with m's norm and m's orientation
-    rotated a quarter turn counterclockwise."""
-    euclidean(m, Line, tol, "line")  # the result keeps m's norm
-    px, py, _ = euclidean(p, Point, tol, "point")
-    return Line(*_finite((-m.b, m.a, m.b * px - m.a * py)))  # m . p, of weight 1
-
-
 def _operands(x, onto, tol: float) -> tuple[tuple, tuple]:
     """The normalized fields of x and onto, for project and reject."""
     if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
@@ -160,64 +150,3 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Line | Point:
         d = incidence(w, u)
         return Point(*_finite((u0 - w0 * d, u1 - w1 * d, 1.0)))
     return Point(*w)
-
-
-def _part(kind, fields: tuple[float, ...]):
-    """kind(*fields), checked for overflow; None when every field is zero."""
-    return kind(*_finite(fields)) if any(fields) else None
-
-
-def reject(x, onto, tol: float = DEFAULT_TOL) -> Line | Point | None:
-    """Orthogonal rejection (x^y)y of the normalized operands, which sums
-    with project's result to the normalized x.  With d as in project: line
-    m from line n gives the perpendicular to n through their meet (parallel
-    lines: a multiple of the ideal line); line m from point P the ideal line
-    d*e0; point P from line n the ideal point d*(a, b); point P from point
-    Q the ideal point P - Q.  None when it is exactly zero: an element
-    rejected from itself, or a point from a line through it."""
-    u, w = _operands(x, onto, tol)
-    (u0, u1, _), (w0, w1, _) = u, w
-    if isinstance(x, Line) and isinstance(onto, Line):
-        # (m ^ n)n: the meet times n
-        px, py, pz = cross(u, w)
-        return _part(Line, (pz * w1, -pz * w0, py * w0 - px * w1))
-    if isinstance(x, Line):
-        return _part(Line, (0.0, 0.0, incidence(u, w)))
-    if isinstance(onto, Line):
-        d = incidence(w, u)
-        return _part(IdealPoint, (w0 * d, w1 * d))
-    return _part(IdealPoint, (u0 - w0, u1 - w1))
-
-
-def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Point:
-    """Product of three euclidean points of weight 1: the alternating sum
-    -(a - b + c), of weight -1 (projectively the same point as a - b + c)."""
-    an, bn, cn = (euclidean(p, Point, tol, "point") for p in (a, b, c))
-    (ax, ay, _), (bx, by, _), (cx, cy, _) = an, bn, cn
-    # summed in the order that the product a(bc) sums them
-    return Point(*_finite(((bx - cx) - ax, (by - cy) - ay, -1.0)))
-
-
-def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> tuple[OddVersor, bool]:
-    """Product of three normalized euclidean lines, as an odd versor whose
-    line part is the join of two altitude feet of the triangle they bound,
-    and a flag for concurrent or parallel triples, which are not rejected.
-    With g the meet of b and c, a(bc) = (b.c)a + a.g + a ^ g."""
-    an, bn, cn = (euclidean(m, Line, tol, "line") for m in (a, b, c))
-    gx, gy, gz = cross(bn, cn)
-    bc = bn[0] * cn[0] + bn[1] * cn[1]
-    a0, a1, a2 = an
-    line = (bc * a0 - a1 * gz, bc * a1 + a0 * gz, bc * a2 - a0 * gy + a1 * gx)
-    lam = _finite((a2 * gz + a0 * gx + a1 * gy,))[0]
-    # concurrent, or two of them parallel (the e12 part of m ^ n is a sine)
-    sines = (m[0] * n[1] - m[1] * n[0] for m, n in ((an, bn), (bn, cn), (cn, an)))
-    degenerate = any(near_zero(x, 1.0, tol) for x in (lam, *sines))
-    return OddVersor(Line(*_finite(line)), lam), degenerate
-
-
-def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
-    """Sum of the six permutation products abc + acb + ...: the pure line
-    2[(b.c)a + (c.a)b + (a.b)c] of the normalized lines."""
-    u, v, w = (euclidean(m, Line, tol, "line") for m in (a, b, c))
-    bc, ca, ab = (m[0] * n[0] + m[1] * n[1] for m, n in ((v, w), (w, u), (u, v)))
-    return Line(*_finite(tuple(2.0 * (bc * x + ca * y + ab * z) for x, y, z in zip(u, v, w))))

@@ -1,5 +1,5 @@
-"""Reflections, rotors, exponential/logarithm maps, glide reflections and the
-point-line transport construction.
+"""Reflections, rotors, translators, glide reflections and the point-line
+transport construction.
 
 A motor (scalar plus bivector) acts through the two-sided sandwich
 g x reverse(g) and realizes a direct isometry: a rotation about its bivector
@@ -156,57 +156,10 @@ def _sinc(t: float) -> float:
     return math.sin(t) / t
 
 
-def _inv_sinc(t: float) -> float:
-    if abs(t) < 1e-4:
-        t2 = t * t
-        return 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
-    return t / math.sin(t)
-
-
 def _exp(bx: float, by: float, t: float) -> Motor:
     """exp of the bivector bx*e20 + by*e01 + t*e12: cos t + sinc(t) * b."""
     k = _sinc(t)
     return Motor(math.cos(t), k * bx, k * by, k * t)
-
-
-def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
-    """Closed-form exponential of a pure bivector.
-
-    For a euclidean bivector t*P with P normalized this is cos t + sin t * P;
-    for an ideal bivector V (which squares to zero) the series truncates to
-    1 + V.  Both branches are covered by cos(z) + sinc(z) * b with z the
-    e12 coefficient.
-    """
-    bm = b.mv()
-    if bm.grades(tol) - {2}:
-        raise DomainError(f"exponential argument must be a pure bivector, got {bm!r}")
-    return _exp(bm[4], bm[5], bm[6])
-
-
-def _log(g: Motor, tol: float) -> tuple[float, float, float]:
-    """The e20, e01 and e12 fields of log_motor(g)."""
-    gn = g.normalized(tol)
-    if gn.s < 0.0:
-        gn = Motor(-gn.s, -gn.bx, -gn.by, -gn.bz)
-    f = _inv_sinc(math.atan2(gn.bz, gn.s))
-    return f * gn.bx, f * gn.by, f * gn.bz
-
-
-def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> "Multivector":
-    """Principal logarithm of a normalized motor, a pure bivector.
-
-    Motors with negative scalar part are negated first (g and -g act
-    identically), which makes the result single-valued with sandwich
-    rotation magnitude in [0, pi].
-    """
-    from .kernel import Multivector
-
-    return Multivector((0.0, 0.0, 0.0, 0.0, *_log(g, tol), 0.0))
-
-
-def interpolate(g: Motor, t: float, tol: float = DEFAULT_TOL) -> Motor:
-    """Motor path exp(t * log g): identity at t = 0, +-g at t = 1."""
-    return _exp(*_finite(tuple(float(t) * f for f in _log(g, tol))))
 
 
 def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
@@ -233,24 +186,6 @@ def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
 def translator_by(dx: float, dy: float) -> Motor:
     """Motor translating every point by the vector (dx, dy)."""
     return Motor(1.0, 0.5 * dy, -0.5 * dx, 0.0)
-
-
-def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
-    """Two normalized mirror lines (p, q) with rotor_from_lines(p, q) equal to
-    the normalized motor: q is the line part of g p for a line p through the axis."""
-    gn = g.normalized(tol)
-    s, bx, by, bz = gn.s, gn.bx, gn.by, gn.bz
-    # the axis point (bx, by, bz) is euclidean by Point.is_ideal's test; p is
-    # the horizontal line through it
-    if not near_zero(bz, max(abs(bx), abs(by), abs(bz)), tol):
-        p = Line(0.0, 1.0, -(by / bz))
-    # a translation: its ideal part against the normalized weight 1
-    elif near_zero(math.hypot(bx, by), 1.0, tol):
-        p = Line(0.0, 1.0, 0.0)
-    else:
-        p = Line(*unit_direction(-by, bx))
-    q = (s * p.a + bz * p.b, s * p.b - bz * p.a, s * p.c + by * p.a - bx * p.b)
-    return p, Line(*_finite(q))
 
 
 def solve_point_line_transport(

@@ -221,3 +221,26 @@ def cayley_table() -> tuple[tuple[tuple[int, int], ...], ...]:
 def dual_table() -> tuple[tuple[int, int], ...]:
     """The duality map read off dual: blade i maps to sign * blade index."""
     return tuple(_blade_of(b.dual()) for b in blades.values())
+
+
+def format_cayley_table() -> str:
+    """Human-readable geometric product table, row blade times column blade."""
+    width = max(len(n) for n in BLADE_NAMES) + 1
+    lines = ["# geometric product: row * column"]
+    lines.append("".join(n.rjust(width + 1) for n in ("*",) + BLADE_NAMES))
+    for i, row in enumerate(cayley_table()):
+        cells = [BLADE_NAMES[i].rjust(width + 1)]
+        for s, k in row:
+            cell = "0" if s == 0 else ("-" if s < 0 else "") + BLADE_NAMES[k]
+            cells.append(cell.rjust(width + 1))
+        lines.append("".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def format_dual_table() -> str:
+    """Human-readable duality assignments, blade -> signed complementary blade."""
+    lines = ["# duality map: blade ^ dual(blade) = e012"]
+    for i, (s, k) in enumerate(dual_table()):
+        sign = "-" if s < 0 else ""
+        lines.append(f"dual({BLADE_NAMES[i]}) = {sign}{BLADE_NAMES[k]}")
+    return "\n".join(lines) + "\n"

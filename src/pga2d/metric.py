@@ -1,4 +1,4 @@
-"""Norms, normalization, polar map and euclidean/ideal classification.
+"""Normalization, euclidean/ideal classification, the kind gates and the view.
 
 Two magnitudes coexist.  The euclidean norm is sqrt(a^2 + b^2) for a line
 and the (signed) weight z for a point; it vanishes identically on ideal
@@ -10,9 +10,9 @@ line c*e0, and the signed magnitude s for a pseudoscalar s*e012.
 import math
 import sys
 
-from .elements import IdealPoint, Line, Point, Pseudoscalar
+from .elements import Line, Point, Pseudoscalar
 from .errors import ClassificationError, DomainError
-from .multivector import DEFAULT_TOL, _finite, near_zero
+from .multivector import DEFAULT_TOL, _finite
 
 
 def is_ideal(x, tol: float = DEFAULT_TOL) -> bool:
@@ -22,22 +22,6 @@ def is_ideal(x, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(x, Pseudoscalar):
         return False
     raise TypeError(f"cannot classify {type(x).__name__}")
-
-
-def norm(x, tol: float = DEFAULT_TOL) -> float:
-    """Euclidean norm: sqrt(a^2+b^2) for a line, the signed weight z for a point."""
-    if is_ideal(x, tol) or isinstance(x, Pseudoscalar):
-        raise ClassificationError(f"{x!r} has no euclidean norm; use ideal_norm")
-    return math.hypot(x.a, x.b) if isinstance(x, Line) else x.z
-
-
-def ideal_norm(x, tol: float = DEFAULT_TOL) -> float:
-    """Ideal norm: free-vector length for ideal points, signed weight otherwise."""
-    if is_ideal(x, tol):
-        return x.c if isinstance(x, Line) else math.hypot(x.x, x.y)
-    if isinstance(x, Pseudoscalar):
-        return x.s
-    raise ClassificationError(f"{x!r} is euclidean; use norm")
 
 
 def unit_direction(u: float, v: float, w: float = 0.0) -> tuple[float, float, float]:
@@ -128,37 +112,3 @@ def ideal(p: Point, tol: float, what: str) -> tuple[float, float, float]:
     if not p.is_ideal(tol):
         raise ClassificationError(f"{what} {p!r} must be ideal")
     return _unit(p, True)
-
-
-def polar(x) -> "Multivector":
-    """Multiplication by the pseudoscalar: a line maps to its perpendicular
-    ideal point, a euclidean point to the ideal line, ideal elements to 0."""
-    from .kernel import e012
-
-    return e012.gp(x.mv())
-
-
-def ideal_point_of(m: Line, tol: float = DEFAULT_TOL) -> Point:
-    """Direction of a euclidean line: its wedge with the ideal line e0."""
-    euclidean(m, Line, tol, "line")  # the result keeps m's norm
-    return IdealPoint(m.b, -m.a)
-
-
-def ideal_inner(u: Point, v: Point) -> float:
-    """Positive-definite inner product on the ideal line (free-vector dot)."""
-    return u.x * v.x + u.y * v.y
-
-
-def factor_point(p: Point, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
-    """Split a euclidean point of weight +-1 into two orthonormal lines m, n
-    with gp(m, n) equal to the point exactly.
-
-    m is e1 . p = [0, z, -y] normalized, the horizontal line through p, and
-    n the line part of m p, the vertical one: [0, 1, -y] and [-1, 0, x] for
-    weight 1.  mn recovers p because m squares to 1.
-    """
-    euclidean(p, Point, tol, "point")  # p itself is factored, with its weight's sign
-    if not near_zero(abs(p.z) - 1.0, 1.0, tol):
-        raise DomainError(f"{p!r} must have weight +-1 to factor into orthonormal lines")
-    m = Line(*unit_direction(0.0, p.z, -p.y))  # m.b is the sign of z
-    return m, Line(-m.b * p.z, 0.0, m.b * p.x)

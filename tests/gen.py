@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 import random
 
+from pga2d.algebra import exp_bivector
 from pga2d.elements import IdealPoint, Line, Point
-from pga2d.isometry import Motor, OddVersor, exp_bivector
+from pga2d.isometry import Motor, OddVersor
 from pga2d.kernel import Multivector
 
 

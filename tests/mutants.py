@@ -128,6 +128,18 @@ MUTANTS = {
     "ideal-class-unchecked": (
         "metric.py", "if not isinstance(p, Point):", "if False:", GATES,
     ),
+    # the class checks of the motor functions and of the functions of any multivector
+    "log-class-unchecked": (
+        "algebra.py", 'raise TypeError(f"motor must be a Motor, not {type(g).__name__}")', "pass",
+        GATES,
+    ),
+    "factor-motor-class-unchecked": (
+        "algebra.py",
+        'raise TypeError(f"factored motor must be a Motor, not {type(g).__name__}")', "pass",
+        GATES,
+    ),
+    "exp-operand-unchecked": ("algebra.py", 'if not hasattr(b, "mv"):', "if False:", GATES),
+    "polar-operand-unchecked": ("algebra.py", 'if not hasattr(x, "mv"):', "if False:", GATES),
     # the weight-1 shortcut of the normalizer
     "unit-any-weight": ("metric.py", "if x.z == 1.0:", "if x.z > 0.0:", ("tests/test_metric.py",)),
     # the SVG: signed zeros, label anchors, arrow heads and drawing order

@@ -18,8 +18,8 @@ pseudoscalars and raw multivectors, euclidean and ideal, some at the edge of
 the ideal band, at tol 1e-9, 1e-6 and 0: ``.mv()`` and ``from_mv`` of every
 class that has them, ``Multivector.grade``, ``polar``, ``log_motor``,
 ``exp_bivector``, the ``sandwich`` of a raw multivector, and each function of
-``geometry``, ``metric`` and ``isometry`` that calls ``metric.euclidean`` or
-``metric.ideal``.  A call's record is its result with every float's repr, so
+``geometry``, ``metric``, ``isometry`` and ``algebra`` that calls
+``metric.euclidean`` or ``metric.ideal``.  A call's record is its result with every float's repr, so
 a signed zero or one ulp shows, or the error's class and text.
 
 Each tree runs every case in one child process with its own ``src`` on the

@@ -9,17 +9,20 @@ import time
 
 import gen
 import oracle
-from pga2d.elements import IdealPoint, Point
-from pga2d.geometry import angle, distance, project, reject, symmetric_line, triple_points
-from pga2d.isometry import (
-    OddVersor,
+from pga2d.algebra import (
     exp_bivector,
+    factor_point,
+    ideal_point_of,
     log_motor,
-    reflect,
-    sandwich,
-    solve_point_line_transport,
+    polar,
+    reject,
+    symmetric_line,
+    triple_points,
 )
-from pga2d.metric import factor_point, ideal_point_of, normalize, polar
+from pga2d.elements import IdealPoint, Point
+from pga2d.geometry import angle, distance, project
+from pga2d.isometry import OddVersor, reflect, sandwich, solve_point_line_transport
+from pga2d.metric import normalize
 from pga2d.kernel import cayley_table, e0, e012, from_scalar
 from pga2d.render import build_svg
 from pga2d.script import evaluate, parse

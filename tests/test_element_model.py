@@ -14,21 +14,26 @@ from pathlib import Path
 
 import pytest
 
-from pga2d.cli import main
-from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
-from pga2d.errors import ClassificationError, DomainError
-from pga2d.geometry import (
-    angle,
-    distance,
-    midline,
-    midpoint,
+from pga2d.algebra import (
+    exp_bivector,
+    factor_motor,
+    factor_point,
+    ideal_norm,
+    ideal_point_of,
+    interpolate,
+    log_motor,
+    norm,
     perp_line_through,
-    project,
+    polar,
     reject,
     symmetric_line,
     triple_lines,
     triple_points,
 )
+from pga2d.cli import main
+from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
+from pga2d.errors import ClassificationError, DomainError
+from pga2d.geometry import angle, distance, midline, midpoint, project
 from pga2d.isometry import (
     IDENTITY_MOTOR,
     Motor,
@@ -40,7 +45,7 @@ from pga2d.isometry import (
     solve_point_line_transport,
     translator,
 )
-from pga2d.metric import factor_point, ideal_norm, ideal_point_of, is_ideal, norm, normalize
+from pga2d.metric import is_ideal, normalize
 from pga2d.kernel import Multivector
 from pga2d.script import evaluate, parse
 
@@ -326,9 +331,11 @@ def test_each_norm_and_normalize_operand_is_classified_once(monkeypatch):
 # -- the two gates, as a lint --------------------------------------------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
-# metric.euclidean and metric.ideal gate every operand; norm and ideal_norm
-# reject the kind whose norm they do not measure
-GATES = {("metric", f) for f in ("euclidean", "ideal", "norm", "ideal_norm")}
+# metric.euclidean and metric.ideal gate every operand; algebra's norm and
+# ideal_norm reject the kind whose norm they do not measure
+GATES = {
+    ("metric", "euclidean"), ("metric", "ideal"), ("algebra", "norm"), ("algebra", "ideal_norm"),
+}
 
 
 def _kind_raises(tree: ast.AST, module: str):
@@ -358,8 +365,8 @@ def test_every_kind_rejection_is_raised_by_a_gate():
 
 
 # each operand of the other class, or of no element class, is refused by its
-# gate before a field is read; before, each either computed on the other
-# class's fields or failed on a missing one
+# gate, or by its function's own class check, before a field is read; before,
+# each either computed on the other class's fields or failed on a missing one
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -404,12 +411,19 @@ def test_every_kind_rejection_is_raised_by_a_gate():
         ),
         (lambda: midpoint(IDENTITY_MOTOR, Point(0, 0, 1)), "point must be a Point, not Motor"),
         (lambda: translator(object(), 1), "translation direction must be a Point, not object"),
+        # the motor functions and those of any multivector check the class themselves
+        (lambda: factor_motor(Point(1, 2, 1)), "factored motor must be a Motor, not Point"),
+        (lambda: log_motor(Line(1, 0, 0)), "motor must be a Motor, not Line"),
+        (lambda: interpolate(Point(1, 2, 1), 0.5), "motor must be a Motor, not Point"),
+        (lambda: exp_bivector(2.0), "exponential argument must be a bivector, not float"),
+        (lambda: polar(2.0), "polar operand must be a multivector, not float"),
     ],
     ids=[
         "midpoint", "translator", "rotator", "perp_line_through", "factor_point",
         "ideal_point_of", "solve", "solve-both-swapped", "midline", "reflect",
         "rotor_from_lines", "triple_points", "triple_lines", "symmetric_line",
         "midpoint-motor", "translator-object",
+        "factor_motor", "log_motor", "interpolate", "exp_bivector", "polar",
     ],
 )
 def test_a_gate_refuses_an_operand_of_the_wrong_class(call, message):
@@ -439,10 +453,14 @@ def test_the_gate_lint_catches_the_inline_checks():
 
 # -- one view of what is shown, as a lint ---------------------------------------------
 
-# the value base's field setter and overflow check and the kernel's unchecked
-# wrapper are the only private names one module takes from another, by import
-# or as an attribute
-SHARED_PRIVATE = {("multivector", "_set"), ("multivector", "_finite"), ("kernel", "_unchecked")}
+# the value base's field setter and overflow check, the kernel's unchecked
+# wrapper, and the two script-path helpers that the algebra reuses (project's
+# operand check and the motor exponential) are the only private names one
+# module takes from another, by import or as an attribute
+SHARED_PRIVATE = {
+    ("multivector", "_set"), ("multivector", "_finite"), ("kernel", "_unchecked"),
+    ("geometry", "_operands"), ("isometry", "_exp"),
+}
 MODULES = {path.stem for path in SRC.glob("*.py")}
 # print and the SVG classify and scale each point and line through metric.view
 SHOWN_BY_VIEW = {"is_ideal", "unit_direction", "normalize", "_unit"}

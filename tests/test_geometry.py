@@ -10,23 +10,18 @@ import pytest
 
 import gen
 import oracle
-from pga2d.elements import IdealPoint, Line, Point
-from pga2d.errors import ClassificationError, DomainError, OrientationError
-from pga2d.geometry import (
-    angle,
-    distance,
-    join,
-    meet,
-    midline,
-    midpoint,
+from pga2d.algebra import (
+    ideal_point_of,
     perp_line_through,
-    project,
     reject,
     symmetric_line,
     triple_lines,
     triple_points,
 )
-from pga2d.metric import ideal_point_of, normalize
+from pga2d.elements import IdealPoint, Line, Point
+from pga2d.errors import ClassificationError, DomainError, OrientationError
+from pga2d.geometry import angle, distance, join, meet, midline, midpoint, project
+from pga2d.metric import normalize
 from pga2d.kernel import Multivector, e0, e012, from_scalar
 
 

@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 
 import gen
 import oracle
+from pga2d.algebra import (
+    exp_bivector,
+    factor_motor,
+    ideal_point_of,
+    interpolate,
+    log_motor,
+    polar,
+    triple_lines,
+)
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import ClassificationError, ConstructionError, DomainError, IncidenceError
 from pga2d.geometry import angle, distance
@@ -15,10 +24,6 @@ from pga2d.isometry import (
     IDENTITY_MOTOR,
     Motor,
     OddVersor,
-    exp_bivector,
-    factor_motor,
-    interpolate,
-    log_motor,
     reflect,
     rotator,
     rotor_from_lines,
@@ -27,9 +32,9 @@ from pga2d.isometry import (
     translator,
     translator_by,
 )
-from pga2d.metric import ideal_point_of, normalize, polar
+from pga2d.metric import normalize
 from pga2d.kernel import Multivector, e1, e01, e012, e12, e20, one, zero
-from pga2d.geometry import project, triple_lines
+from pga2d.geometry import project
 
 
 def euclid(p: Point) -> tuple[float, float]:

@@ -9,22 +9,11 @@ from hypothesis import strategies as st
 
 import gen
 from pga2d import metric
+from pga2d.algebra import factor_point, ideal_norm, ideal_point_of, norm, polar
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
 from pga2d.errors import ClassificationError, DomainError
 from pga2d.isometry import Motor
-from pga2d.metric import (
-    euclidean,
-    factor_point,
-    ideal,
-    ideal_inner,
-    ideal_norm,
-    ideal_point_of,
-    is_ideal,
-    norm,
-    normalize,
-    polar,
-    unit_direction,
-)
+from pga2d.metric import euclidean, ideal, is_ideal, normalize, unit_direction
 from pga2d.kernel import Multivector, e0, e1, e12, e20, zero
 
 
@@ -299,10 +288,6 @@ def test_factor_point_rejects_ideal_and_unnormalized():
         factor_point(Point(1, 0, 0))
     with pytest.raises(DomainError):
         factor_point(Point(1, 0, 2))
-
-
-def test_ideal_inner_is_the_plane_dot_product():
-    assert ideal_inner(IdealPoint(1, 2), IdealPoint(3, 4)) == 11.0
 
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

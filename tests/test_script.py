@@ -1371,7 +1371,7 @@ def test_a_cold_import_loads_neither_the_kernel_nor_the_renderer(module, tmp_pat
         script.write_text(PROJECTS)
         probe = f"import sys, pga2d.cli\npga2d.cli.main(['run', {str(script)!r}])\n"
     probe += (
-        "loaded = {'pga2d.kernel', 'pga2d.render'} & set(sys.modules)\n"
+        "loaded = {'pga2d.algebra', 'pga2d.kernel', 'pga2d.render'} & set(sys.modules)\n"
         "print(sorted(loaded), 'Multivector' in vars(sys.modules['pga2d.multivector']))"
     )
     *printed, last = _fresh(probe).splitlines()
@@ -1382,9 +1382,10 @@ def test_the_typed_library_functions_leave_the_kernel_unloaded():
     probe = """
 import sys
 from pga2d import Line, Motor, Point
-from pga2d.geometry import perp_line_through, symmetric_line, triple_lines, triple_points
-from pga2d.isometry import factor_motor, interpolate
-from pga2d.metric import factor_point
+from pga2d.algebra import (
+    factor_motor, factor_point, interpolate, perp_line_through, symmetric_line, triple_lines,
+    triple_points,
+)
 a, b, c = Line(1, 2, 3), Line(-2, 1, 0.5), Line(0.3, -1, 2)
 p, q = Point(1, 2, 1), Point(-1, 0.5, 2)
 rotation, translation = Motor(0.8, 0.3, -0.2, 0.6), Motor(1, 0.3, -0.2, 0)
@@ -1396,6 +1397,42 @@ results = (
 print(len(results), 'pga2d.kernel' in sys.modules)
 """
     assert _fresh(probe) == "8 False\n"
+
+
+# the names that pga2d reads from pga2d.algebra, which no script verb reaches
+ALGEBRA_NAMES = (
+    "perp_line_through", "reject", "triple_points", "triple_lines", "symmetric_line",
+    "norm", "ideal_norm", "polar", "ideal_point_of", "factor_point",
+    "exp_bivector", "log_motor", "interpolate", "factor_motor",
+)
+
+
+def test_the_algebra_names_load_it_on_first_read_as_its_objects():
+    probe = f"""
+import sys
+import pga2d, pga2d.geometry, pga2d.isometry, pga2d.metric
+# a missing name raises and loads nothing; ideal_inner is gone
+for name in ('nope', 'ideal_inner'):
+    try:
+        getattr(pga2d, name)
+    except AttributeError as exc:
+        assert str(exc) == f"module 'pga2d' has no attribute {{name!r}}"
+    else:
+        raise AssertionError(name)
+assert not {{'pga2d.algebra', 'pga2d.kernel'}} & set(sys.modules)
+from pga2d import triple_lines
+assert 'pga2d.algebra' in sys.modules and 'pga2d.kernel' not in sys.modules
+import pga2d.algebra as algebra
+for name in {ALGEBRA_NAMES!r}:
+    assert name in vars(algebra) and (name in vars(pga2d)) == (name == 'triple_lines'), name
+    assert getattr(pga2d, name) is vars(pga2d)[name] is vars(algebra)[name], name
+    # no alias is left where the name was defined before
+    for old in (pga2d.geometry, pga2d.isometry, pga2d.metric):
+        assert not hasattr(old, name), (old, name)
+assert not hasattr(pga2d.metric, 'ideal_inner') and 'pga2d.kernel' not in sys.modules
+print('ok')
+"""
+    assert _fresh(probe) == "ok\n"
 
 
 def test_the_kernel_names_load_on_first_read_as_the_kernel_objects():

@@ -20,11 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pga2d.algebra import factor_motor, factor_point, triple_lines
 from pga2d.elements import Line, Point
 from pga2d.errors import DomainError, EvaluationError, IncidenceError
-from pga2d.geometry import join, meet, triple_lines
-from pga2d.isometry import Motor, OddVersor, factor_motor, sandwich, solve_point_line_transport
-from pga2d.metric import factor_point, normalize
+from pga2d.geometry import join, meet
+from pga2d.isometry import Motor, OddVersor, sandwich, solve_point_line_transport
+from pga2d.metric import normalize
 from pga2d.multivector import DEFAULT_TOL, near_zero
 from pga2d.script import evaluate, parse
 
