@@ -76,7 +76,7 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> tuple[O
     # concurrent, or two of them parallel (the e12 part of m ^ n is a sine)
     sines = (m[0] * n[1] - m[1] * n[0] for m, n in ((an, bn), (bn, cn), (cn, an)))
     degenerate = any(near_zero(x, 1.0, tol) for x in (lam, *sines))
-    return OddVersor(Line(*_finite(line)), lam), degenerate
+    return OddVersor(*_finite(line), lam), degenerate
 
 
 def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
@@ -175,9 +175,10 @@ def log_motor(g: Motor, tol: float = DEFAULT_TOL) -> "Multivector":
     identically), which makes the result single-valued with sandwich
     rotation magnitude in [0, pi].
     """
+    bivector = _log(g, tol)  # refuses g before the kernel loads
     from .kernel import Multivector
 
-    return Multivector((0.0, 0.0, 0.0, 0.0, *_log(g, tol), 0.0))
+    return Multivector((0.0, 0.0, 0.0, 0.0, *bivector, 0.0))
 
 
 def interpolate(g: Motor, t: float, tol: float = DEFAULT_TOL) -> Motor:

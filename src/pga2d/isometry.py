@@ -6,10 +6,9 @@ g x reverse(g) and realizes a direct isometry: a rotation about its bivector
 axis point or, when the bivector is ideal, a translation.  An odd versor
 (line plus pseudoscalar) realizes a reflection or glide reflection.
 
-On points and lines a sandwich is a 3x3 linear map; only a raw Multivector
-operand is multiplied out over 8 slots.  Normalizing a motor, an odd versor
-or a translation axis divides by a length only through
-metric.unit_direction.
+On points and lines a sandwich is a 3x3 linear map; any other operand is
+multiplied out over 8 slots.  Normalizing a motor, an odd versor or a
+translation axis divides by a length only through metric.unit_direction.
 """
 
 import math
@@ -18,7 +17,7 @@ import sys
 from .elements import Line, Point, cross, from_mv, incidence, mv
 from .errors import ConstructionError, DomainError, IncidenceError
 from .metric import euclidean, ideal, unit_direction, view
-from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
+from .multivector import DEFAULT_TOL, Frozen, _finite, near_zero
 
 
 class Motor(Frozen):
@@ -61,48 +60,44 @@ IDENTITY_MOTOR = Motor(1.0, 0.0, 0.0, 0.0)
 
 
 class OddVersor(Frozen):
-    """Grade-1 plus grade-3 element: a line together with a pseudoscalar weight."""
+    """Grade-1 plus grade-3 element a*e1 + b*e2 + c*e0 + lam*e012: the line
+    [a, b, c] together with a pseudoscalar weight."""
 
-    __slots__ = ("line", "lam")
+    __slots__ = ("a", "b", "c", "lam")
+    _blades = (2, 3, 1, 7), "an odd element"
+    mv, from_mv = mv, classmethod(from_mv)
 
-    def __init__(self, line: Line, lam: float):
-        if not isinstance(line, Line):
-            raise TypeError(f"an odd versor's line part must be a Line, not {type(line).__name__}")
-        lam = float(lam)
-        if not math.isfinite(lam):
-            raise DomainError("non-finite versor pseudoscalar part")
-        _set(self, "line", line)
-        _set(self, "lam", lam)
-
-    def mv(self) -> "Multivector":
-        from .kernel import _unchecked
-
-        m = self.line
-        return _unchecked((0.0, m.c, m.a, m.b, 0.0, 0.0, 0.0, self.lam))
-
-    @classmethod
-    def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL) -> "OddVersor":
-        if not u.grades(tol) <= {1, 3}:
-            raise DomainError(f"not an odd element: {u!r}")
-        c = u.coeffs
-        return cls(Line(c[2], c[3], c[1]), c[7])
+    def __init__(self, a: float, b: float, c: float, lam: float):
+        a, b, c, lam = float(a), float(b), float(c), float(lam)
+        if not math.isfinite(a + b + c + lam) and not all(map(math.isfinite, (a, b, c, lam))):
+            raise DomainError("non-finite odd versor components")
+        if a == 0.0 and b == 0.0 and c == 0.0:
+            raise DomainError("zero element is not a line")
+        _odd_a(self, a)
+        _odd_b(self, b)
+        _odd_c(self, c)
+        _odd_lam(self, lam)
 
     def normalized(self, tol: float = DEFAULT_TOL) -> "OddVersor":
         """Divided by the norm of its line part, which must not be near_zero
         against the largest component.  The result is the glide reflection in
-        the unit axis .line through the signed distance 2 * .lam, measured
+        the unit axis [a, b, c] through the signed distance 2 * lam, measured
         along the axis direction; the displacement it realizes on points runs
         the opposite way (the odd sandwich flips the weight of every point
-        image).  OddVersor(axis, distance / 2) recomposes it exactly."""
-        a, b, c, lam = self.line.a, self.line.b, self.line.c, self.lam
+        image).  OddVersor(a, b, c, distance / 2) recomposes it exactly."""
+        a, b, c, lam = self.a, self.b, self.c, self.lam
         if near_zero(math.hypot(a, b), max(abs(a), abs(b), abs(c), abs(lam)), tol):
             raise DomainError("versor with ideal line part cannot be normalized")
-        return OddVersor(Line(*unit_direction(a, b, c)), unit_direction(a, b, lam)[2])
+        return OddVersor(*unit_direction(a, b, c), unit_direction(a, b, lam)[2])
+
+
+_odd_a, _odd_b, _odd_c, _odd_lam = (getattr(OddVersor, f).__set__ for f in OddVersor.__slots__)
 
 
 def sandwich(v, x):
     """Two-sided action v x reverse(v) of a Motor or OddVersor on an element
-    x: a Line or Point for a Line or Point, else the Multivector of x.mv().
+    x: a Line or Point for a Line or Point, a value of x's class for a Motor
+    or OddVersor, else the Multivector of x.mv().
     Expanded, it maps points (x, y, z) by the rows (r, t, p), (t2, r2, q),
     (0, 0, w) and lines [a, b, c] by (r, t, 0), (t2, r2, 0), (pl, ql, w),
     each quadratic in v's components."""
@@ -112,7 +107,7 @@ def sandwich(v, x):
         t2, r2 = -t, r
         e, f, g, h = bx * bz, by * s, bx * s, by * bz
     elif isinstance(v, OddVersor):
-        a, b, c, lam = v.line.a, v.line.b, v.line.c, v.lam
+        a, b, c, lam = v.a, v.b, v.c, v.lam
         r, t, w = a * a - b * b, 2.0 * a * b, -(a * a + b * b)
         t2, r2 = t, -r
         e, f, g, h = a * c, -lam * b, -lam * a, b * c
@@ -129,13 +124,14 @@ def sandwich(v, x):
     if not hasattr(x, "mv"):
         raise TypeError(f"cannot apply a versor to {type(x).__name__}")
     vm = v.mv()
-    return vm.gp(x.mv().gp(vm.reverse()))
+    y = vm.gp(x.mv().gp(vm.reverse()))
+    return x.from_mv(y) if isinstance(x, (Motor, OddVersor)) else y
 
 
 def reflect(a: Line, x, tol: float = DEFAULT_TOL):
     """Reflection in the euclidean line a: the sandwich by a normalized, an odd
     versor without pseudoscalar part (a line is its own reverse)."""
-    return sandwich(OddVersor(Line(*euclidean(a, Line, tol, "mirror")), 0.0), x)
+    return sandwich(OddVersor(*euclidean(a, Line, tol, "mirror"), 0.0), x)
 
 
 def rotor_from_lines(a: Line, b: Line, tol: float = DEFAULT_TOL) -> Motor:

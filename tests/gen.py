@@ -100,7 +100,8 @@ def random_motor(r) -> Motor:
 
 
 def random_odd_versor(r) -> OddVersor:
-    return OddVersor(random_line(r), r.uniform(-2.0, 2.0))
+    m = random_line(r)
+    return OddVersor(m.a, m.b, m.c, r.uniform(-2.0, 2.0))
 
 
 def proj_match(u: Multivector, v: Multivector, tol: float = 1e-9, positive: bool = False) -> bool:

@@ -44,6 +44,14 @@ BRIDGE = (
     "tests/test_element_model.py::test_from_mv_rejects_a_part_of_another_grade",
 )
 GATES = ("tests/test_element_model.py::test_a_gate_refuses_an_operand_of_the_wrong_class",)
+# every export over every combination of the value classes and a float
+CLASS_SAFE = (
+    "tests/test_element_model.py::test_every_export_returns_or_refuses_each_combination_of_values",
+)
+ODD_VERSOR = (
+    "tests/test_values.py::test_constructor_rejects_non_finite_or_zero_fields",
+    "tests/test_isometry.py::test_an_odd_versor_line_part_is_not_zero",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -114,6 +122,19 @@ MUTANTS = {
     "motor-blades-swapped": (
         "isometry.py", '_blades = (0, 4, 5, 6), "an even element"',
         '_blades = (0, 5, 4, 6), "an even element"', BRIDGE,
+    ),
+    # the odd versor's own checks, and the class of a typed versor's conjugate
+    "odd-zero-line-unchecked": (
+        "isometry.py", "if a == 0.0 and b == 0.0 and c == 0.0:", "if False:", ODD_VERSOR,
+    ),
+    "odd-finiteness-unchecked": (
+        "isometry.py",
+        "if not math.isfinite(a + b + c + lam) and not all(map(math.isfinite, (a, b, c, lam))):",
+        "if False:", ODD_VERSOR,
+    ),
+    "typed-sandwich-raw": (
+        "isometry.py", "return x.from_mv(y) if isinstance(x, (Motor, OddVersor)) else y",
+        "return y", CLASS_SAFE,
     ),
     "from-mv-grades-unchecked": (
         "elements.py", "if u.grades(tol) - {BLADE_GRADES[i] for i in blades}:", "if False:", BRIDGE,

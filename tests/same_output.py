@@ -122,11 +122,15 @@ def _cases(names: list[str]) -> list[list[str]]:
 
 
 def _exact(value):
-    """value with each float as its repr, and each value class as its name and fields."""
+    """value with each float as its repr, and each value class as its name and
+    fields; an OddVersor as its name and mv() coefficients, which read the same
+    in its old layout, a Line and a weight, and in its flat one."""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):
         return [_exact(v) for v in value]
+    if type(value).__name__ == "OddVersor":
+        return ["OddVersor", *_exact(value.mv().coeffs)]
     fields = getattr(type(value), "__slots__", ())
     if fields:
         return [type(value).__name__, *[_exact(getattr(value, f)) for f in fields]]
@@ -148,7 +152,11 @@ def _library_calls():
     points += [g.Point(u(-1, 1), u(-1, 1), 0), g.Point(1, 0, 1e-12), g.Point(-0.0, 5e-324, 1)]
     motors = [g.Motor(u(-2, 2), u(-50, 50), u(-50, 50), u(-2, 2)) for _ in range(4)]
     motors += [g.Motor(1, 2, 3, 0), g.Motor(0, 1, 0, 0), g.Motor(-1, 5e-324, -0.0, 1e-12)]
-    versors = [g.OddVersor(m, u(-5, 5)) for m in lines[:4]] + [g.OddVersor(lines[6], -0.0)]
+
+    def odd(m, lam):  # from_mv reads this in either layout of OddVersor
+        return g.OddVersor.from_mv(Multivector(m.mv().coeffs[:7] + (lam,)))
+
+    versors = [odd(m, u(-5, 5)) for m in lines[:4]] + [odd(lines[6], -0.0)]
     scalars = [g.Pseudoscalar(s) for s in (2.5, -0.0, 5e-324)]
     raw = [Multivector([u(-10, 10) for _ in range(8)]) for _ in range(4)]
     raw += [m.grade(k) for m in raw[:2] for k in range(4)]

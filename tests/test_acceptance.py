@@ -231,7 +231,7 @@ def test_criterion_6_isometry_suite():
             m = normalize(gen.random_line(r))
             lam = r.uniform(-2.0, 2.0)
             x = normalize(gen.random_line(r))
-            swept = sandwich(OddVersor(m, lam), x).mv()
+            swept = sandwich(OddVersor(m.a, m.b, m.c, lam), x).mv()
             correction = x.mv().dot(polar(m)).scaled(2.0 * lam)
             assert swept.approx_eq(reflect(m, x).mv() + correction, 1e-9)
             cos_alpha = (

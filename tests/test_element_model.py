@@ -7,6 +7,8 @@ whichever way its ideal point was made.
 """
 
 import ast
+import inspect
+import itertools
 import math
 import pickle
 import random
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import pga2d
 from pga2d.algebra import (
     exp_bivector,
     factor_motor,
@@ -32,7 +35,7 @@ from pga2d.algebra import (
 )
 from pga2d.cli import main
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
-from pga2d.errors import ClassificationError, DomainError
+from pga2d.errors import AlgebraError, ClassificationError, DomainError, RenderError, ScriptError
 from pga2d.geometry import angle, distance, midline, midpoint, project
 from pga2d.isometry import (
     IDENTITY_MOTOR,
@@ -232,7 +235,7 @@ OLD_LAYOUT = {
     Point: lambda p: (0.0, 0.0, 0.0, 0.0, p.x, p.y, p.z, 0.0),
     Pseudoscalar: lambda q: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, q.s),
     Motor: lambda g: (g.s, 0.0, 0.0, 0.0, g.bx, g.by, g.bz, 0.0),
-    OddVersor: lambda v: (0.0, v.line.c, v.line.a, v.line.b, 0.0, 0.0, 0.0, v.lam),
+    OddVersor: lambda v: (0.0, v.c, v.a, v.b, 0.0, 0.0, 0.0, v.lam),
 }
 
 
@@ -241,14 +244,13 @@ def _bridge_values():
     them signed zeros and subnormals."""
     r = random.Random(30)
     fields = [-0.0, 5e-324, -2.5e-310, 1e300, 1.5, -7.25]
-    for cls in (Line, Point, Motor):
+    for cls in (Line, Point, Motor, OddVersor):
         n = len(cls.__slots__)
         for _ in range(20):
             yield cls(*r.sample(fields, n))
         yield cls(*range(1, n + 1))
     for s in fields:
         yield Pseudoscalar(s)
-        yield OddVersor(Line(1.0, -0.0, 5e-324), s)
 
 
 def test_mv_puts_each_field_in_its_old_blade_and_from_mv_reads_it_back():
@@ -429,6 +431,45 @@ def test_every_kind_rejection_is_raised_by_a_gate():
 def test_a_gate_refuses_an_operand_of_the_wrong_class(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
+
+
+# a value of each class that an export may be handed, and a float
+PROBES = (
+    Line(1, 2, 3), Point(1, 2, 1), Point(1, 2, 0), Motor(0.8, 0.3, -0.2, 0.6),
+    OddVersor(1, 2, 3, 0.5), Pseudoscalar(2.0), 2.0, Multivector((1, 2, 3, 4, 5, 6, 7, 8)),
+)
+
+
+def _exports():
+    """(name, function or class) of each callable that pga2d exports, eager
+    or loaded on first read, but the error classes."""
+    for name in sorted({n for n in vars(pga2d) if not n.startswith("_")} | set(pga2d._LAZY)):
+        value = getattr(pga2d, name)
+        if callable(value) and not (isinstance(value, type) and issubclass(value, Exception)):
+            yield name, value
+
+
+def test_every_export_returns_or_refuses_each_combination_of_values():
+    # an operand of another class is refused before a field it lacks is read
+    found = []
+    for name, f in _exports():
+        required = [
+            p for p in inspect.signature(f).parameters.values()
+            if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        ]
+        for args in itertools.product(PROBES, repeat=len(required)):
+            try:
+                got = f(*args)
+            except AttributeError as exc:
+                found.append(f"{name}{args}: AttributeError: {exc}")
+            except (TypeError, AlgebraError, ScriptError, RenderError):
+                pass
+            else:
+                # the conjugate of a typed versor is a value of its class
+                if name in ("sandwich", "reflect") and isinstance(args[1], (Motor, OddVersor)):
+                    if type(got) is not type(args[1]):
+                        found.append(f"{name}{args} gave a {type(got).__name__}")
+    assert found == []
 
 
 def test_the_gate_lint_catches_the_inline_checks():

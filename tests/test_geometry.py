@@ -557,7 +557,7 @@ def test_triple_lines_grade1_is_symmetrized_half():
         cba = c.mv().gp(b.mv().gp(a.mv()))
         assert abc.grade(1).approx_eq((abc + cba).scaled(0.5), 1e-12)
         got = triple_lines(a, b, c)[0]
-        assert got.line.mv().approx_eq(abc.grade(1), 1e-12)
+        assert got.mv().grade(1).approx_eq(abc.grade(1), 1e-12)
         assert got.lam == pytest.approx(abc[7], abs=1e-12)
         # grades 0 and 2 of abc vanish, so the versor is the whole product
         assert got.mv().approx_eq(abc, 1e-12)

@@ -389,8 +389,8 @@ def test_a_null_motor_cannot_be_normalized():
 def test_normalized_versors_of_subnormal_weight_have_unit_weight():
     g = Motor(5e-324, 0.0, 0.0, 5e-324).normalized()
     assert g.weight() == pytest.approx(1.0, abs=1e-15)
-    m = OddVersor(Line(5e-324, 5e-324, 0.0), 0.0).normalized().line
-    assert math.hypot(m.a, m.b) == pytest.approx(1.0, abs=1e-15)
+    v = OddVersor(5e-324, 5e-324, 0.0, 0.0).normalized()
+    assert math.hypot(v.a, v.b) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -416,7 +416,7 @@ def test_glide_expansion_on_lines_term_by_term():
         m = normalize(gen.random_line(r))
         lam = r.uniform(-2.0, 2.0)
         x = normalize(gen.random_line(r))
-        versor = OddVersor(m, lam)
+        versor = OddVersor(m.a, m.b, m.c, lam)
         swept = sandwich(versor, x)
         mirror_part = reflect(m, x).mv()
         # correction term 2*lam*cos(alpha)*e0 where alpha is the angle
@@ -434,29 +434,30 @@ def test_glide_expansion_on_points():
         m = normalize(gen.random_line(r))
         lam = r.uniform(-2.0, 2.0)
         p = normalize(gen.random_point(r))
-        versor = OddVersor(m, lam)
+        versor = OddVersor(m.a, m.b, m.c, lam)
         swept = sandwich(versor, p)
         expected = reflect(m, p).mv() + ideal_point_of(m).mv().scaled(2.0 * lam)
         assert swept.mv().approx_eq(expected, 1e-9)
 
 
 def test_glide_decompose_pure_reflection():
-    got = OddVersor(Line(1, 0, 0), 0.0).normalized()
-    assert got.line == Line(1, 0, 0)
+    got = OddVersor(1, 0, 0, 0.0).normalized()
+    assert Line(got.a, got.b, got.c) == Line(1, 0, 0)
     assert 2.0 * got.lam == 0.0
 
 
 def test_glide_decompose_example():
-    got = OddVersor(Line(1, 0, 0), 0.5).normalized()
-    assert got.line == Line(1, 0, 0)
+    got = OddVersor(1, 0, 0, 0.5).normalized()
+    axis = Line(got.a, got.b, got.c)
+    assert axis == Line(1, 0, 0)
     d = 2.0 * got.lam
     assert d == pytest.approx(1.0)
     # nominal translation vector: the distance times the axis direction (0, -1)
-    direction = ideal_point_of(got.line)
+    direction = ideal_point_of(axis)
     vec = (d * direction.x, d * direction.y)
     assert vec == pytest.approx((0.0, -1.0))
     # the realized displacement of points runs opposite the nominal vector
-    image = normalize(sandwich(OddVersor(Line(1, 0, 0), 0.5), Point(0, 0, 1)))
+    image = normalize(sandwich(OddVersor(1, 0, 0, 0.5), Point(0, 0, 1)))
     assert euclid(image) == pytest.approx((0.0, 1.0))
 
 
@@ -465,8 +466,8 @@ def test_glide_recomposition_and_pointwise_equivalence():
     for _ in range(200):
         v = gen.random_odd_versor(r)
         got = v.normalized()
-        axis, d = got.line, 2.0 * got.lam
-        recomposed = OddVersor(axis, d / 2.0)
+        axis, d = Line(got.a, got.b, got.c), 2.0 * got.lam
+        recomposed = OddVersor(got.a, got.b, got.c, d / 2.0)
         # recomposition reproduces the versor up to the positive line norm
         assert gen.proj_match(recomposed.mv(), v.mv(), 1e-12, positive=True)
         # and as an operator: reflect in the axis composed with the translator
@@ -483,14 +484,22 @@ def test_glide_recomposition_and_pointwise_equivalence():
 
 @pytest.mark.parametrize("line", [Point(1, 2, 1), IdealPoint(1, 0), "x", (1.0, 0.0, 0.0)])
 def test_an_odd_versor_line_part_must_be_a_line(line):
-    # checked at construction, before sandwich or .mv() reads its fields
-    with pytest.raises(TypeError, match="line part must be a Line"):
-        OddVersor(line, 0.0)
+    # the line part is the three numbers a, b, c, read at construction, before
+    # sandwich or .mv() reads them: an element or a string in their place fails
+    with pytest.raises((TypeError, ValueError)):
+        OddVersor(line, 0.0, 1.0, 0.0)
+
+
+def test_an_odd_versor_line_part_is_not_zero():
+    # a pseudoscalar alone is no odd versor, whether built or read from a multivector
+    for make in (lambda: OddVersor(0, 0, 0, 1), lambda: OddVersor.from_mv(e012)):
+        with pytest.raises(DomainError, match="^zero element is not a line$"):
+            make()
 
 
 @pytest.mark.parametrize("operand", [1.0, (1, 2, 3), "x"])
 def test_sandwich_rejects_an_operand_that_is_not_an_element(operand):
-    for versor in (IDENTITY_MOTOR, OddVersor(Line(1, 0, 0), 0.0)):
+    for versor in (IDENTITY_MOTOR, OddVersor(1, 0, 0, 0.0)):
         with pytest.raises(TypeError, match=f"^cannot apply a versor to {type(operand).__name__}$"):
             sandwich(versor, operand)
 
@@ -506,19 +515,19 @@ def test_isometries_keep_the_pseudoscalar():
     for versor in (
         rotator(Point(1, 2, 1), 0.7),
         translator(IdealPoint(1, 0), 3.0),
-        OddVersor(Line(3, 4, -1), 0.0).normalized(),
+        OddVersor(3, 4, -1, 0.0).normalized(),
     ):
         assert sandwich(versor, Pseudoscalar(2.0)).approx_eq(e012.scaled(2.0), 1e-12)
 
 
 def test_glide_decompose_rejects_ideal_axis():
     with pytest.raises(DomainError):
-        OddVersor(Line(0, 0, 1), 1.0).normalized()
+        OddVersor(0, 0, 1, 1.0).normalized()
 
 
 def test_glide_decompose_and_normalized_agree_on_an_ideal_line_part():
     # the line part's norm 1 is near zero against the pseudoscalar part
-    v = OddVersor(Line(1, 0, 0), 2e9)
+    v = OddVersor(1, 0, 0, 2e9)
     with pytest.raises(DomainError):
         v.normalized()
 
@@ -528,17 +537,17 @@ def test_triangle_product_axis_joins_altitude_feet():
     for _ in range(100):
         a, b, c = (normalize(x) for x in gen.random_triangle_lines(r))
         product = a.mv().gp(b.mv().gp(c.mv()))
-        axis = OddVersor.from_mv(product).normalized().line
+        axis = OddVersor.from_mv(product).normalized().mv().grade(1)
         # the same axis from the closed form
-        typed = triple_lines(a, b, c)[0].normalized().line
+        typed = triple_lines(a, b, c)[0].normalized().mv().grade(1)
         # feet of the altitudes from the vertices opposite a and c
         vertex_a = normalize(Point.from_mv(b.mv().outer(c.mv())))
         vertex_c = normalize(Point.from_mv(a.mv().outer(b.mv())))
         foot_a = project(vertex_a, a)
         foot_c = project(vertex_c, c)
         joining = foot_a.mv().join(foot_c.mv())
-        assert gen.proj_match(axis.mv(), joining, 1e-7)
-        assert gen.proj_match(typed.mv(), joining, 1e-7)
+        assert gen.proj_match(axis, joining, 1e-7)
+        assert gen.proj_match(typed, joining, 1e-7)
 
 
 # -- transport solver -------------------------------------------------------------------

@@ -1383,8 +1383,8 @@ def test_the_typed_library_functions_leave_the_kernel_unloaded():
 import sys
 from pga2d import Line, Motor, Point
 from pga2d.algebra import (
-    factor_motor, factor_point, interpolate, perp_line_through, symmetric_line, triple_lines,
-    triple_points,
+    factor_motor, factor_point, interpolate, log_motor, perp_line_through, symmetric_line,
+    triple_lines, triple_points,
 )
 a, b, c = Line(1, 2, 3), Line(-2, 1, 0.5), Line(0.3, -1, 2)
 p, q = Point(1, 2, 1), Point(-1, 0.5, 2)
@@ -1394,6 +1394,11 @@ results = (
     symmetric_line(a, b, c), factor_point(p), factor_motor(rotation),
     factor_motor(translation), interpolate(rotation, 0.3),
 )
+# log_motor refuses an operand of another class before it loads the kernel
+try:
+    log_motor(a)
+except TypeError:
+    pass
 print(len(results), 'pga2d.kernel' in sys.modules)
 """
     assert _fresh(probe) == "8 False\n"

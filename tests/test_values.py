@@ -31,11 +31,11 @@ CASES = [
     (Pseudoscalar(2), Pseudoscalar(2.0), Pseudoscalar(-2), "s", "Pseudoscalar(2)"),
     (Motor(1, 0, 0.5, 0), Motor(1.0, 0.0, 0.5, 0.0), Motor(1, 0.5, 0, 0), "bz", "Motor(1, 0, 0.5, 0)"),
     (
-        OddVersor(Line(1, 0, 0), 0.5),
-        OddVersor(Line(1.0, 0.0, 0.0), 0.5),
-        OddVersor(Line(1, 0, 0), -0.5),
+        OddVersor(1, 0, 0, 0.5),
+        OddVersor(1.0, 0.0, 0.0, 0.5),
+        OddVersor(1, 0, 0, -0.5),
         "lam",
-        "OddVersor(line=Line[1, 0, 0], lam=0.5)",
+        "OddVersor(a=1.0, b=0.0, c=0.0, lam=0.5)",
     ),
 ]
 
@@ -102,8 +102,9 @@ REJECTED = [
     (Pseudoscalar, (math.inf,)),
     (Motor, (1, 0, 0, math.nan)),
     (Motor, (-math.inf, 0, 0, 0)),
-    (OddVersor, (Line(1, 0, 0), math.nan)),
-    (OddVersor, (Line(1, 0, 0), math.inf)),
+    (OddVersor, (1, 0, 0, math.nan)),
+    (OddVersor, (1, 0, 0, math.inf)),
+    (OddVersor, (0, math.inf, 0, 1)),
 ]
 
 
