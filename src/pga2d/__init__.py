@@ -48,6 +48,9 @@ _LAZY = {"Multivector": "kernel"} | dict.fromkeys((
     "norm", "ideal_norm", "polar", "ideal_point_of", "factor_point",
     "exp_bivector", "log_motor", "interpolate", "factor_motor",
 ), "algebra")
+# a star import binds the public names above, submodules aside, and loads the lazy ones
+__all__ = [n for n, v in globals().items() if n[0] != "_" and type(v).__name__ != "module"]
+__all__ += _LAZY
 
 
 def __getattr__(name: str):

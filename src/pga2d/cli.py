@@ -99,13 +99,11 @@ def _main(argv: list[str]) -> int:
         )
         return 1
     try:
-        env, output = evaluate(statements, tol=tol)
+        env, _ = evaluate(statements, tol, sys.stdout.write)
     except EvaluationError as exc:
-        sys.stdout.write(exc.output)
-        sys.stdout.flush()
+        sys.stdout.flush()  # what was printed before the failure comes first
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
     sys.stdout.flush()
     if svg is not None:
         try:

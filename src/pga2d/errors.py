@@ -46,12 +46,8 @@ class ParseError(ScriptError):
 class EvaluationError(ScriptError):
     """A statement failed while the script was being executed.
 
-    ``output`` is the text that the statements before it printed.
+    What the statements before it printed has already gone to evaluate's sink.
     """
-
-    def __init__(self, message: str, lineno: int | None = None, output: str = ""):
-        super().__init__(message, lineno)
-        self.output = output
 
 
 class RenderError(Exception):

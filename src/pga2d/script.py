@@ -116,9 +116,9 @@ def _line(env, a, tol):
     return m
 
 
-# verb -> (argument kinds after the verb token, the new name's value from env,
-# args and tol, or None for print and svg); a row calls library functions
-# through their modules, so a tracer that rebinds a module attribute sees them
+# verb -> (argument kinds after the verb token, the result from env, args and
+# tol: the new name's value, print's line or svg's None); a row calls library
+# functions through their modules, so a tracer that rebinds one sees them
 _VERBS = {
     "point": ("new num num", _point),
     "ideal": ("new num num", lambda env, a, tol: IdealPoint(*a)),
@@ -153,8 +153,8 @@ _VERBS = {
         _want(env, a[0], Point, "point"), _want(env, a[1], Point, "point"), tol)),
     "midline": ("new ref ref", lambda env, a, tol: geometry.midline(
         _want(env, a[0], Line, "line"), _want(env, a[1], Line, "line"), tol)),
-    "print": ("ref", None),
-    "svg": ("path", None),
+    "print": ("ref", lambda env, a, tol: f"{a[0]} = {format_value(env[a[0]], tol)}\n"),
+    "svg": ("path", lambda env, a, tol: render_svg(env, a[0], tol)),
 }
 _SIGNATURES = {verb: tuple(kinds.split()) for verb, (kinds, _) in _VERBS.items()}
 # verb -> (token count, new name first, index of the first number, names are refs)
@@ -165,26 +165,27 @@ _SHAPES = {
 
 
 def evaluate(
-    statements: tuple[tuple[int, str, str | None, tuple], ...], tol: float = DEFAULT_TOL
+    statements: tuple[tuple[int, str, str | None, tuple], ...], tol: float = DEFAULT_TOL, emit=None
 ) -> tuple[dict, str]:
     """Run parsed statements; returns the final environment and printed text.
 
-    Execution stops at the first failing statement, re-raised as an
-    EvaluationError carrying the line number and the text printed before it.
+    Each printed line goes to emit(line) as its statement runs; with no emit,
+    the lines make up the returned text, which is empty when emit is given.
+    The first failing statement stops the run with an EvaluationError that
+    carries its line number; an exception from emit propagates unchanged.
     """
     env: dict[str, object] = {}
     out: list[str] = []
+    emit = emit or out.append
     for lineno, verb, result, args in statements:
         try:
-            compute = _VERBS[verb][1]
-            if compute is not None:
-                env[result] = compute(env, args, tol)
-            elif verb == "print":
-                out.append(f"{args[0]} = {format_value(env[args[0]], tol)}\n")
-            else:
-                render_svg(env, args[0], tol)
+            value = _VERBS[verb][1](env, args, tol)
         except (AlgebraError, RenderError, OSError) as exc:
-            raise EvaluationError(str(exc), lineno, "".join(out)) from exc
+            raise EvaluationError(str(exc), lineno) from exc
+        if result is not None:
+            env[result] = value
+        elif value is not None:
+            emit(value)
     return env, "".join(out)
 
 

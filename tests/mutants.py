@@ -52,6 +52,12 @@ ODD_VERSOR = (
     "tests/test_values.py::test_constructor_rejects_non_finite_or_zero_fields",
     "tests/test_isometry.py::test_an_odd_versor_line_part_is_not_zero",
 )
+# printed lines reach the sink, evaluate's own or the CLI's stdout
+OUTPUT = (
+    "tests/test_script.py::test_evaluate_distance_script",
+    "tests/test_script.py::test_evaluate_keeps_output_printed_before_the_failure",
+    "tests/test_script.py::test_cli_writes_output_printed_before_an_evaluation_error",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -83,6 +89,13 @@ MUTANTS = {
     "cr-not-split": (
         "script.py", '.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
         '.replace("\\r\\n", "\\n")', PARSE,
+    ),
+    # evaluate: each printed line goes to the one sink
+    "emit-dropped": ("script.py", "emit(value)", "pass", OUTPUT),
+    "sink-ignored": ("script.py", "emit = emit or out.append", "emit = out.append", OUTPUT),
+    "cli-without-sink": (
+        "cli.py", "evaluate(statements, tol, sys.stdout.write)", "evaluate(statements, tol)",
+        OUTPUT,
     ),
     # the range of a point literal, and the zero test of a join or meet
     "point-constant-doubled": (

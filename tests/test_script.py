@@ -256,9 +256,10 @@ def test_parse_returns_plain_tuples_that_evaluate_runs():
     built = ((7, "point", "A", (0.0, 0.0)), (8, "point", "B", (3.0, 4.0)),
              (9, "dist", "d", ("A", "B")), (10, "print", None, ("d",)))
     assert evaluate(built)[1] == "d = 5.000000\n"
+    lines = []
     with pytest.raises(EvaluationError) as err:
-        evaluate(built + ((12, "join", "m", ("A", "A")),))
-    assert err.value.lineno == 12 and err.value.output == "d = 5.000000\n"
+        evaluate(built + ((12, "join", "m", ("A", "A")),), emit=lines.append)
+    assert err.value.lineno == 12 and "".join(lines) == "d = 5.000000\n"
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -318,10 +319,33 @@ def test_evaluate_type_errors_are_evaluation_errors():
 
 
 def test_evaluate_keeps_output_printed_before_the_failure():
+    lines = []
     with pytest.raises(EvaluationError) as err:
-        evaluate(parse("point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"))
+        evaluate(
+            parse("point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"),
+            emit=lines.append,
+        )
     assert err.value.lineno == 5
-    assert err.value.output == "A = (1.000000, 2.000000)\n"
+    assert "".join(lines) == "A = (1.000000, 2.000000)\n"
+
+
+def test_the_sink_runs_at_its_statement_outside_the_error_wrap(tmp_path):
+    svg = tmp_path / "out.svg"
+    program = (
+        (1, "point", "A", (1.0, 2.0)), (2, "print", None, ("A",)), (3, "svg", None, (str(svg),)),
+    )
+    lines = []
+    evaluate(program, emit=lines.append)
+    assert lines == ["A = (1.000000, 2.000000)\n"] and svg.exists()
+    svg.unlink()
+
+    def closed(line):  # a sink whose first write fails, as on a closed stdout
+        raise BrokenPipeError(32, "Broken pipe")
+
+    # the sink's own error, not an EvaluationError, and the run stops at it
+    with pytest.raises(BrokenPipeError):
+        evaluate(program, emit=closed)
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize(
@@ -398,11 +422,12 @@ def test_subnormal_ideal_point_acts_like_its_unit_direction():
     ],
 )
 def test_statement_errors_carry_their_line_and_the_output_before_them(failing, message):
+    lines = []
     with pytest.raises(EvaluationError) as err:
-        evaluate(parse(f"point A 1 2\nprint A\n{failing}\nprint A\n"))
+        evaluate(parse(f"point A 1 2\nprint A\n{failing}\nprint A\n"), emit=lines.append)
     assert str(err.value) == message
     assert err.value.lineno == 3 + failing.count("\n")
-    assert err.value.output == "A = (1.000000, 2.000000)\n"
+    assert "".join(lines) == "A = (1.000000, 2.000000)\n"
 
 
 # module -> (function name, a script whose last verb calls it) pairs
@@ -1435,6 +1460,18 @@ for name in {ALGEBRA_NAMES!r}:
     for old in (pga2d.geometry, pga2d.isometry, pga2d.metric):
         assert not hasattr(old, name), (old, name)
 assert not hasattr(pga2d.metric, 'ideal_inner') and 'pga2d.kernel' not in sys.modules
+print('ok')
+"""
+    assert _fresh(probe) == "ok\n"
+
+
+def test_a_star_import_binds_the_eager_and_the_lazy_names():
+    probe = """
+from pga2d import *
+import pga2d, pga2d.algebra
+assert Line is pga2d.Line and reject is pga2d.algebra.reject and norm is pga2d.algebra.norm
+assert Multivector.__module__ == 'pga2d.kernel'
+assert all(name in globals() for name in pga2d.__all__), pga2d.__all__
 print('ok')
 """
     assert _fresh(probe) == "ok\n"
