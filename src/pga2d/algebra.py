@@ -10,7 +10,7 @@ e012 part of a product of three is at most 1, and near_zero tests it against 1.
 
 import math
 
-from .elements import IdealPoint, Line, Point, Pseudoscalar, cross, incidence
+from .elements import IdealPoint, Line, Point, cross, incidence
 from .errors import ClassificationError, DomainError
 from .geometry import _operands
 from .isometry import Motor, OddVersor, _exp
@@ -89,18 +89,16 @@ def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
 
 def norm(x, tol: float = DEFAULT_TOL) -> float:
     """Euclidean norm: sqrt(a^2+b^2) for a line, the signed weight z for a point."""
-    if is_ideal(x, tol) or isinstance(x, Pseudoscalar):
+    if is_ideal(x, tol):
         raise ClassificationError(f"{x!r} has no euclidean norm; use ideal_norm")
     return math.hypot(x.a, x.b) if isinstance(x, Line) else x.z
 
 
 def ideal_norm(x, tol: float = DEFAULT_TOL) -> float:
-    """Ideal norm: free-vector length for ideal points, signed weight otherwise."""
-    if is_ideal(x, tol):
-        return x.c if isinstance(x, Line) else math.hypot(x.x, x.y)
-    if isinstance(x, Pseudoscalar):
-        return x.s
-    raise ClassificationError(f"{x!r} is euclidean; use norm")
+    """Ideal norm: free-vector length for an ideal point, signed c for an ideal line."""
+    if not is_ideal(x, tol):
+        raise ClassificationError(f"{x!r} is euclidean; use norm")
+    return x.c if isinstance(x, Line) else math.hypot(x.x, x.y)
 
 
 def polar(x) -> "Multivector":

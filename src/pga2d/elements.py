@@ -19,7 +19,7 @@ zero), so mv() wraps them without validating them again.
 import math
 
 from .errors import DomainError
-from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
+from .multivector import DEFAULT_TOL, Frozen, _finite, near_zero
 
 
 def mv(self) -> "Multivector":
@@ -88,11 +88,7 @@ class Point(Frozen):
         x, y, z = self.x, self.y, self.z
         return near_zero(z, max(abs(x), abs(y), abs(z)), tol)
 
-    def __repr__(self) -> str:
-        return f"Point({self.x:g}, {self.y:g}, {self.z:g})"
 
-
-# Line.__init__ and Point.__init__ set each field through its slot, faster than _set
 _line_a, _line_b, _line_c = (getattr(Line, f).__set__ for f in Line.__slots__)
 _point_x, _point_y, _point_z = (getattr(Point, f).__set__ for f in Point.__slots__)
 
@@ -113,10 +109,7 @@ class Pseudoscalar(Frozen):
         s = float(s)
         if not math.isfinite(s):
             raise DomainError(f"non-finite pseudoscalar {s}")
-        _set(self, "s", s)
-
-    def __repr__(self) -> str:
-        return f"Pseudoscalar({self.s:g})"
+        Pseudoscalar.s.__set__(self, s)
 
 
 def cross(u: tuple, v: tuple) -> tuple[float, float, float]:

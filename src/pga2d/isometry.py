@@ -51,9 +51,6 @@ class Motor(Frozen):
         us, uz, ux = unit_direction(s, bz, bx)
         return Motor(us, ux, unit_direction(s, bz, by)[2], uz)
 
-    def __repr__(self) -> str:
-        return f"Motor({self.s:g}, {self.bx:g}, {self.by:g}, {self.bz:g})"
-
 
 _motor_s, _motor_bx, _motor_by, _motor_bz = (getattr(Motor, f).__set__ for f in Motor.__slots__)
 IDENTITY_MOTOR = Motor(1.0, 0.0, 0.0, 0.0)

@@ -23,7 +23,7 @@ import math
 import operator
 
 from .errors import DomainError
-from .multivector import DEFAULT_TOL, Frozen, _finite, _set, near_zero
+from .multivector import DEFAULT_TOL, Frozen, _finite, near_zero
 
 BLADE_NAMES = ("1", "e0", "e1", "e2", "e20", "e01", "e12", "e012")
 BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
@@ -41,7 +41,7 @@ class Multivector(Frozen):
             raise ValueError(f"expected {DIM} coefficients, got {len(coeffs)}")
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError(f"non-finite coefficient in {coeffs}")
-        _set(self, "coeffs", coeffs)
+        _set_coeffs(self, coeffs)
 
     # -- ring operations ---------------------------------------------------
     #

@@ -1,26 +1,25 @@
-"""Normalization, euclidean/ideal classification, the kind gates and the view.
+"""Of lines and points: normalization, euclidean/ideal classification, the
+kind gates and the view.
 
 Two magnitudes coexist.  The euclidean norm is sqrt(a^2 + b^2) for a line
 and the (signed) weight z for a point; it vanishes identically on ideal
 elements.  Those instead carry the positive-definite ideal norm:
-sqrt(u^2 + v^2) for an ideal point, the signed coefficient c for an ideal
-line c*e0, and the signed magnitude s for a pseudoscalar s*e012.
+sqrt(u^2 + v^2) for an ideal point and the signed coefficient c for an
+ideal line c*e0.
 """
 
 import math
 import sys
 
-from .elements import Line, Point, Pseudoscalar
+from .elements import Line, Point
 from .errors import ClassificationError, DomainError
 from .multivector import DEFAULT_TOL, _finite
 
 
 def is_ideal(x, tol: float = DEFAULT_TOL) -> bool:
-    """The element's own is_ideal for a line or point; a pseudoscalar is not ideal."""
+    """The element's own is_ideal for a line or point."""
     if isinstance(x, (Line, Point)):
         return x.is_ideal(tol)
-    if isinstance(x, Pseudoscalar):
-        return False
     raise TypeError(f"cannot classify {type(x).__name__}")
 
 
@@ -47,10 +46,6 @@ def normalize(x, tol: float = DEFAULT_TOL):
     has weight z = 1 and squares to -1.  Ideal lines keep their orientation
     only up to the sign of c, which is divided out.
     """
-    if isinstance(x, Pseudoscalar):
-        if x.s == 0.0:
-            raise DomainError("cannot normalize a zero pseudoscalar")
-        return Pseudoscalar(1.0)
     return type(x)(*_unit(x, is_ideal(x, tol)))
 
 

@@ -23,21 +23,17 @@ def near_zero(value: float, scale: float, tol: float) -> bool:
     return abs(value) <= tol * scale
 
 
-# Sets a field of a Frozen value; only its own __init__ calls it.
-_set = object.__setattr__
-
-
 class Frozen:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``__slots__``, in the order of its
     constructor's parameters, and its ``__init__`` sets each one once with
-    ``_set``, or, faster, with the slot's own setter,
-    ``getattr(cls, name).__set__``.  ``_key()`` is the tuple of every field
-    in slot order.  Two values are equal when they are of the same class and
-    their keys are equal, and then they hash alike.  Pickle and copy rebuild
-    a value by calling its constructor with its key, so a restored value has
-    passed the same checks as the original.
+    the slot's own setter, ``getattr(cls, name).__set__``.  ``_key()`` is
+    the tuple of every field in slot order.  Two values are equal when they
+    are of the same class and their keys are equal, and then they hash
+    alike.  Pickle and copy rebuild a value by calling its constructor with
+    its key, so a restored value has passed the same checks as the original.
+    The repr is ``Name(f, ...)``, each field formatted with ``g``.
     """
 
     __slots__ = ()
@@ -64,7 +60,7 @@ class Frozen:
         return self.__class__, self._key()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join([format(getattr(self, name), "g") for name in self.__slots__])
         return f"{self.__class__.__qualname__}({fields})"
 
 

@@ -174,6 +174,15 @@ MUTANTS = {
     ),
     "exp-operand-unchecked": ("algebra.py", 'if not hasattr(b, "mv"):', "if False:", GATES),
     "polar-operand-unchecked": ("algebra.py", 'if not hasattr(x, "mv"):', "if False:", GATES),
+    # the value base's one repr, and the metric's refusal of what is no line or point
+    "repr-not-g": (
+        "multivector.py", 'format(getattr(self, name), "g")', "repr(getattr(self, name))",
+        ("tests/test_values.py",),
+    ),
+    "classify-returns-false": (
+        "metric.py", 'raise TypeError(f"cannot classify {type(x).__name__}")', "return False",
+        ("tests/test_metric.py",),
+    ),
     # the weight-1 shortcut of the normalizer
     "unit-any-weight": ("metric.py", "if x.z == 1.0:", "if x.z > 0.0:", ("tests/test_metric.py",)),
     # the SVG: signed zeros, label anchors, arrow heads and drawing order

@@ -17,10 +17,12 @@ operands' kind on a fixed-seed corpus of lines, points, motors, odd versors,
 pseudoscalars and raw multivectors, euclidean and ideal, some at the edge of
 the ideal band, at tol 1e-9, 1e-6 and 0: ``.mv()`` and ``from_mv`` of every
 class that has them, ``Multivector.grade``, ``polar``, ``log_motor``,
-``exp_bivector``, the ``sandwich`` of a raw multivector, and each function of
-``geometry``, ``metric``, ``isometry`` and ``algebra`` that calls
-``metric.euclidean`` or ``metric.ideal``.  A call's record is its result with every float's repr, so
-a signed zero or one ulp shows, or the error's class and text.
+``exp_bivector``, the ``sandwich`` of a raw multivector, ``is_ideal``,
+``normalize``, ``norm`` and ``ideal_norm`` of each line, point and motor,
+and each function of ``geometry``, ``metric``, ``isometry`` and ``algebra``
+that calls ``metric.euclidean`` or ``metric.ideal``.  A call's record is its
+result with every float's repr, so a signed zero or one ulp shows, or the
+error's class and text.
 
 Each tree runs every case in one child process with its own ``src`` on the
 path.  Any difference in stdout, stderr, exit code, SVG bytes or a library
@@ -186,6 +188,11 @@ def _library_calls():
     yield from calls("sandwich", g.sandwich, [
         (v, x) for v in motors + versors for x in raw[:6] + scalars
     ])
+    # the metric of lines and points, and its refusal of a motor
+    for name in ("is_ideal", "normalize", "norm", "ideal_norm"):
+        yield from calls(name, getattr(g, name), [
+            (x, t) for x in lines + points + motors for t in tols
+        ])
 
     def pairs(a, b, n):
         return r.sample([(x, y) for x in a for y in b], n)

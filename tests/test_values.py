@@ -35,7 +35,7 @@ CASES = [
         OddVersor(1.0, 0.0, 0.0, 0.5),
         OddVersor(1, 0, 0, -0.5),
         "lam",
-        "OddVersor(a=1.0, b=0.0, c=0.0, lam=0.5)",
+        "OddVersor(1, 0, 0, 0.5)",
     ),
 ]
 
