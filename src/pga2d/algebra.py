@@ -23,12 +23,12 @@ def perp_line_through(m: Line, p: Point, tol: float = DEFAULT_TOL) -> Line:
     rotated a quarter turn counterclockwise."""
     euclidean(m, Line, tol, "line")  # the result keeps m's norm
     px, py, _ = euclidean(p, Point, tol, "point")
-    return Line(*_finite((-m.b, m.a, m.b * px - m.a * py)))  # m . p, of weight 1
+    return Line(-m.b, m.a, m.b * px - m.a * py)  # m . p, of weight 1
 
 
 def _part(kind, fields: tuple[float, ...]):
-    """kind(*fields), checked for overflow; None when every field is zero."""
-    return kind(*_finite(fields)) if any(fields) else None
+    """kind(*fields), which checks them for overflow; None when every field is zero."""
+    return kind(*fields) if any(fields) else None
 
 
 def reject(x, onto, tol: float = DEFAULT_TOL) -> Line | Point | None:
@@ -59,7 +59,7 @@ def triple_points(a: Point, b: Point, c: Point, tol: float = DEFAULT_TOL) -> Poi
     an, bn, cn = (euclidean(p, Point, tol, "point") for p in (a, b, c))
     (ax, ay, _), (bx, by, _), (cx, cy, _) = an, bn, cn
     # summed in the order that the product a(bc) sums them
-    return Point(*_finite(((bx - cx) - ax, (by - cy) - ay, -1.0)))
+    return Point((bx - cx) - ax, (by - cy) - ay, -1.0)
 
 
 def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> tuple[OddVersor, bool]:
@@ -72,11 +72,11 @@ def triple_lines(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> tuple[O
     bc = bn[0] * cn[0] + bn[1] * cn[1]
     a0, a1, a2 = an
     line = (bc * a0 - a1 * gz, bc * a1 + a0 * gz, bc * a2 - a0 * gy + a1 * gx)
-    lam = _finite((a2 * gz + a0 * gx + a1 * gy,))[0]
+    lam = a2 * gz + a0 * gx + a1 * gy
     # concurrent, or two of them parallel (the e12 part of m ^ n is a sine)
     sines = (m[0] * n[1] - m[1] * n[0] for m, n in ((an, bn), (bn, cn), (cn, an)))
     degenerate = any(near_zero(x, 1.0, tol) for x in (lam, *sines))
-    return OddVersor(*_finite(line), lam), degenerate
+    return OddVersor(*line, lam), degenerate
 
 
 def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
@@ -84,7 +84,7 @@ def symmetric_line(a: Line, b: Line, c: Line, tol: float = DEFAULT_TOL) -> Line:
     2[(b.c)a + (c.a)b + (a.b)c] of the normalized lines."""
     u, v, w = (euclidean(m, Line, tol, "line") for m in (a, b, c))
     bc, ca, ab = (m[0] * n[0] + m[1] * n[1] for m, n in ((v, w), (w, u), (u, v)))
-    return Line(*_finite(tuple(2.0 * (bc * x + ca * y + ab * z) for x, y, z in zip(u, v, w))))
+    return Line(*(2.0 * (bc * x + ca * y + ab * z) for x, y, z in zip(u, v, w)))
 
 
 def norm(x, tol: float = DEFAULT_TOL) -> float:
@@ -201,4 +201,4 @@ def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     else:
         p = Line(*unit_direction(-by, bx))
     q = (s * p.a + bz * p.b, s * p.b - bz * p.a, s * p.c + by * p.a - bx * p.b)
-    return p, Line(*_finite(q))
+    return p, Line(*q)

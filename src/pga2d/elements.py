@@ -12,8 +12,8 @@ Operations compute on the three fields (a meet or a join is one cross
 product); mv() gives the 8-slot multivector, for the algebra and the tests.
 The one mv and from_mv below read a class's _blades: the kernel blade of
 each field, in field order, and what from_mv accepts.  Every constructor
-checks that its fields are finite (and, for lines and points, not all
-zero), so mv() wraps them without validating them again.
+checks its fields with _finite (lines and points also refuse all zeros), so
+a caller passes computed fields unchecked and mv() wraps them as they are.
 """
 
 import math
@@ -50,9 +50,8 @@ class Line(Frozen):
 
     def __init__(self, a: float, b: float, c: float):
         a, b, c = float(a), float(b), float(c)
-        # a finite sum proves every field finite, as in _finite
-        if not math.isfinite(a + b + c) and not all(map(math.isfinite, (a, b, c))):
-            raise DomainError(f"non-finite line coefficients [{a}, {b}, {c}]")
+        if not math.isfinite(a + b + c):
+            _finite((a, b, c))  # raises, unless only the sum overflowed
         if a == 0.0 and b == 0.0 and c == 0.0:
             raise DomainError("zero element is not a line")
         _line_a(self, a)
@@ -76,8 +75,8 @@ class Point(Frozen):
 
     def __init__(self, x: float, y: float, z: float):
         x, y, z = float(x), float(y), float(z)
-        if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):
-            raise DomainError(f"non-finite point coordinates ({x}, {y}, {z})")
+        if not math.isfinite(x + y + z):
+            _finite((x, y, z))
         if x == 0.0 and y == 0.0 and z == 0.0:
             raise DomainError("zero element is not a point")
         _point_x(self, x)
@@ -106,10 +105,7 @@ class Pseudoscalar(Frozen):
     mv = mv
 
     def __init__(self, s: float):
-        s = float(s)
-        if not math.isfinite(s):
-            raise DomainError(f"non-finite pseudoscalar {s}")
-        Pseudoscalar.s.__set__(self, s)
+        Pseudoscalar.s.__set__(self, _finite((float(s),))[0])
 
 
 def cross(u: tuple, v: tuple) -> tuple[float, float, float]:

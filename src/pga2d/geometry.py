@@ -121,7 +121,7 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
         raise OrientationError(
             "anti-parallel lines: their sum is ideal; negate one argument first"
         )
-    return normalize(Line(*_finite((ma + na, mb + nb, mc + nc))), tol)
+    return normalize(Line(ma + na, mb + nb, mc + nc), tol)
 
 
 def _operands(x, onto, tol: float) -> tuple[tuple, tuple]:
@@ -143,10 +143,10 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Line | Point:
     (u0, u1, _), (w0, w1, w2) = u, w
     if isinstance(x, Line) and isinstance(onto, Line):
         cos = u0 * w0 + u1 * w1
-        return Line(*_finite((cos * w0, cos * w1, cos * w2)))
+        return Line(cos * w0, cos * w1, cos * w2)
     if isinstance(x, Line):
-        return Line(*_finite((u0, u1, -(u0 * w0 + u1 * w1))))
+        return Line(u0, u1, -(u0 * w0 + u1 * w1))
     if isinstance(onto, Line):
         d = incidence(w, u)
-        return Point(*_finite((u0 - w0 * d, u1 - w1 * d, 1.0)))
+        return Point(u0 - w0 * d, u1 - w1 * d, 1.0)
     return Point(*w)

@@ -29,9 +29,8 @@ class Motor(Frozen):
 
     def __init__(self, s: float, bx: float, by: float, bz: float):
         s, bx, by, bz = float(s), float(bx), float(by), float(bz)
-        # a finite sum proves every component finite, as in _finite
-        if not math.isfinite(s + bx + by + bz) and not all(map(math.isfinite, (s, bx, by, bz))):
-            raise DomainError("non-finite motor components")
+        if not math.isfinite(s + bx + by + bz):
+            _finite((s, bx, by, bz))  # raises, unless only the sum overflowed
         _motor_s(self, s)
         _motor_bx(self, bx)
         _motor_by(self, by)
@@ -66,8 +65,8 @@ class OddVersor(Frozen):
 
     def __init__(self, a: float, b: float, c: float, lam: float):
         a, b, c, lam = float(a), float(b), float(c), float(lam)
-        if not math.isfinite(a + b + c + lam) and not all(map(math.isfinite, (a, b, c, lam))):
-            raise DomainError("non-finite odd versor components")
+        if not math.isfinite(a + b + c + lam):
+            _finite((a, b, c, lam))
         if a == 0.0 and b == 0.0 and c == 0.0:
             raise DomainError("zero element is not a line")
         _odd_a(self, a)
@@ -113,11 +112,11 @@ def sandwich(v, x):
     if isinstance(x, Line):
         pl, ql = 2.0 * (e + f), 2.0 * (h - g)
         a, b, c = x.a, x.b, x.c
-        return Line(*_finite((r * a + t * b, t2 * a + r2 * b, pl * a + ql * b + w * c)))
+        return Line(r * a + t * b, t2 * a + r2 * b, pl * a + ql * b + w * c)
     if isinstance(x, Point):
         p, q = 2.0 * (e - f), 2.0 * (g + h)
         px, py, pz = x.x, x.y, x.z
-        return Point(*_finite((r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz)))
+        return Point(r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz)
     if not hasattr(x, "mv"):
         raise TypeError(f"cannot apply a versor to {type(x).__name__}")
     vm = v.mv()
@@ -208,8 +207,7 @@ def solve_point_line_transport(
         if not near_zero(defect, size, check_tol):
             raise IncidenceError(f"required incidence {label} fails (defect {defect:g})")
 
-    # the translator by a2 - a; a difference that overflows fails as the kernel's overflow
-    t = translator_by(*_finite((a2x - ax, a2y - ay)))
+    t = translator_by(a2x - ax, a2y - ay)
     c = ma * m2a + mb * m2b
     s = ma * m2b - mb * m2a
     # (1 + c, s) and (|s|, sign(s) * (1 - c)) point the same way, as
@@ -220,7 +218,7 @@ def solve_point_line_transport(
         ch, sh, _ = unit_direction(abs(s), math.copysign(1.0 - c, s))
     # turn * shift, the turn being (ch, -sh * a2x, -sh * a2y, -sh)
     bx, by = ch * t.bx - sh * a2x - sh * t.by, ch * t.by - sh * a2y + sh * t.bx
-    g = Motor(*_finite((ch, bx, by, -sh)))
+    g = Motor(ch, bx, by, -sh)
     # the images' normalized fields, as normalize gives them
     _, (ix, iy, _) = view(sandwich(g, Point(*an)), tol)
     _, (ia, ib, ic) = view(sandwich(g, Line(*mn)), tol)

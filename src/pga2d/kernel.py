@@ -11,18 +11,16 @@ chosen so that the line tuple [a, b, c] = a*e1 + b*e2 + c*e0 and the point
 tuple (x, y, z) = x*e20 + y*e01 + z*e12 each occupy contiguous slots.
 
 Validation happens at the boundary: the public ``Multivector(...)``
-constructor checks that every coefficient is finite.  Results the kernel
-computes itself skip that check; products, sums and scalings are checked for
-overflow only, since finite operands cannot produce inf or nan any other way,
-and permutations, sign flips and grade parts of finite values are not checked
-at all.  The products state the algebra once: cayley_table() and dual_table()
+constructor checks every coefficient with multivector._finite, the one
+overflow check.  Results the kernel computes itself skip the constructor;
+products, sums and scalings pass through the same _finite, since finite
+operands cannot produce inf or nan any other way, and permutations, sign
+flips and grade parts of finite values are not checked at all.  The products state the algebra once: cayley_table() and dual_table()
 are read off gp and dual, not kept beside them.
 """
 
-import math
 import operator
 
-from .errors import DomainError
 from .multivector import DEFAULT_TOL, Frozen, _finite, near_zero
 
 BLADE_NAMES = ("1", "e0", "e1", "e2", "e20", "e01", "e12", "e012")
@@ -39,9 +37,7 @@ class Multivector(Frozen):
         coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) != DIM:
             raise ValueError(f"expected {DIM} coefficients, got {len(coeffs)}")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise DomainError(f"non-finite coefficient in {coeffs}")
-        _set_coeffs(self, coeffs)
+        _set_coeffs(self, _finite(coeffs))
 
     # -- ring operations ---------------------------------------------------
     #

@@ -65,11 +65,13 @@ class Frozen:
 
 
 def _finite(values: tuple[float, ...]) -> tuple[float, ...]:
-    """values, computed from finite operands; DomainError unless all are finite.
+    """values; DomainError unless all are finite.  The one overflow check: every
+    constructor calls it on its fields, and the kernel on its products.
 
     Finite operands yield inf or nan only by overflow (or through a non-finite
     scale factor).  A finite sum proves every value finite, so the one-by-one
-    test runs only when the sum is not: a value overflowed, or only the sum did."""
+    test runs only when the sum is not (Line, Point, Motor and OddVersor make
+    that test inline): a value overflowed, or only the sum did."""
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise DomainError("result is not finite (coefficient overflow or non-finite factor)")
     return values

@@ -52,6 +52,8 @@ ODD_VERSOR = (
     "tests/test_values.py::test_constructor_rejects_non_finite_or_zero_fields",
     "tests/test_isometry.py::test_an_odd_versor_line_part_is_not_zero",
 )
+# every value constructor's refusal of a non-finite field, with the one text
+FINITE = ("tests/test_values.py::test_constructor_rejects_non_finite_or_zero_fields",)
 # printed lines reach the sink, evaluate's own or the CLI's stdout
 OUTPUT = (
     "tests/test_script.py::test_evaluate_distance_script",
@@ -141,9 +143,14 @@ MUTANTS = {
         "isometry.py", "if a == 0.0 and b == 0.0 and c == 0.0:", "if False:", ODD_VERSOR,
     ),
     "odd-finiteness-unchecked": (
-        "isometry.py",
-        "if not math.isfinite(a + b + c + lam) and not all(map(math.isfinite, (a, b, c, lam))):",
-        "if False:", ODD_VERSOR,
+        "isometry.py", "if not math.isfinite(a + b + c + lam):", "if False:", ODD_VERSOR,
+    ),
+    # each constructor defers to the one overflow check
+    "line-finiteness-unchecked": ("elements.py", "_finite((a, b, c))", "pass", FINITE),
+    "point-finiteness-unchecked": ("elements.py", "_finite((x, y, z))", "pass", FINITE),
+    "motor-finiteness-unchecked": ("isometry.py", "_finite((s, bx, by, bz))", "pass", FINITE),
+    "mv-finiteness-unchecked": (
+        "kernel.py", "_set_coeffs(self, _finite(coeffs))", "_set_coeffs(self, coeffs)", FINITE,
     ),
     "typed-sandwich-raw": (
         "isometry.py", "return x.from_mv(y) if isinstance(x, (Motor, OddVersor)) else y",

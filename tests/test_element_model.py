@@ -578,3 +578,79 @@ def test_the_view_lint_catches_the_inline_views():
         (12, "_unchecked"),
         (12, "_unit"),
     ]
+
+
+# -- one overflow check, as a lint ----------------------------------------------------
+
+# the calls that check their fields themselves: the value constructors, the
+# translator that builds a Motor, and algebra._part's kind
+CHECKING = {"Line", "Point", "Motor", "OddVersor", "translator_by", "kind"}
+# the constructors that test the sum of their fields inline, then defer to _finite
+SUM_TESTS = {"Line.__init__", "Point.__init__", "Motor.__init__", "OddVersor.__init__"}
+
+
+def _named(node) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _overflow_checks(tree: ast.AST):
+    """(line, name) of each checking call with a _finite(...) argument, starred
+    or not, and of each isfinite outside _finite and the inline sum tests."""
+
+    def walk(node, owner, sum_test):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call) and _named(node.func) in CHECKING:
+            args = [a.value if isinstance(a, (ast.Starred, ast.Subscript)) else a for a in node.args]
+            if any(isinstance(a, ast.Call) and _named(a.func) == "_finite" for a in args):
+                yield node.lineno, _named(node.func)
+        elif _named(node) == "isfinite" and owner != "_finite" and not sum_test:
+            yield node.lineno, "isfinite"
+        for child in ast.iter_child_nodes(node):
+            # the callee of a constructor's isfinite(x + y + ...)
+            sum_test = (
+                isinstance(node, ast.Call) and child is node.func and owner in SUM_TESTS
+                and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
+            )
+            yield from walk(child, owner, sum_test)
+
+    yield from walk(tree, None, False)
+
+
+def test_only_finite_decides_that_a_value_is_not_finite():
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, name in _overflow_checks(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_overflow_lint_catches_the_pre_checks():
+    inline = (
+        "class Point(Frozen):\n"
+        "    def __init__(self, x, y, z):\n"
+        "        if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):\n"
+        "            raise DomainError('non-finite point coordinates')\n"
+        "class Pseudoscalar(Frozen):\n"
+        "    def __init__(self, s):\n"
+        "        if not math.isfinite(s):\n"
+        "            raise DomainError('non-finite pseudoscalar')\n"
+        "def _finite(values):\n"
+        "    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):\n"
+        "        raise DomainError('result is not finite')\n"
+        "def _part(kind, fields):\n"
+        "    return kind(*_finite(fields)) if any(fields) else None\n"
+        "def solve(a2x, ax, a2y, ay, line, lam):\n"
+        "    t = translator_by(*_finite((a2x - ax, a2y - ay)))\n"
+        "    return OddVersor(*line, _finite((lam,))[0]), Line(_finite(line)[0], 1, isfinite(1))\n"
+    )
+    assert sorted(_overflow_checks(ast.parse(inline))) == [
+        (3, "isfinite"),
+        (7, "isfinite"),
+        (13, "kind"),
+        (15, "translator_by"),
+        (16, "Line"),
+        (16, "OddVersor"),
+        (16, "isfinite"),
+    ]

@@ -1264,6 +1264,8 @@ _OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
         # a gate normalizes as print does, and fails alike
         (_SUBNORMAL_MEET + "point A 0 0\ndist d P A\n", 5),
         ("line m 1e-300 0 -1e10\npoint A 0 0\nreflect r m A\n", 3),
+        # a computed coordinate that overflows in Point's own check
+        ("point A 1e308 0\npoint B 1e308 0\nmidpoint M A B\n", 3),
     ],
 )
 def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
@@ -1273,6 +1275,13 @@ def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
     script.write_text(source)
     assert main(["run", str(script), "--tol", "0"]) == 2
     assert capsys.readouterr() == ("", f"error: line {lineno}: {_OVERFLOW}\n")
+
+
+def test_a_non_finite_literal_fails_with_the_kernel_error(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("line m inf 0 0\n")
+    assert main(["run", str(script)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 1: {_OVERFLOW}\n")
 
 
 @pytest.mark.parametrize(

@@ -86,7 +86,7 @@ def test_repr_is_pinned(value, same, other, field, text):
     assert repr(value) == text
 
 
-# every element constructor rejects a non-finite field, and lines and points
+# every value constructor rejects a non-finite field, and lines and points
 # also all zeros
 REJECTED = [
     (Line, (math.nan, 1, 0)),
@@ -105,15 +105,37 @@ REJECTED = [
     (OddVersor, (1, 0, 0, math.nan)),
     (OddVersor, (1, 0, 0, math.inf)),
     (OddVersor, (0, math.inf, 0, 1)),
+    (Multivector, ((0, 0, 0, 0, 0, 0, 0, math.nan),)),
 ]
+# the overflow check's one text, whichever constructor finds the value
+_OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
 
 
 @pytest.mark.parametrize(
     "cls, args", REJECTED, ids=[f"{cls.__name__}{args}" for cls, args in REJECTED]
 )
 def test_constructor_rejects_non_finite_or_zero_fields(cls, args):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as info:
         cls(*args)
+    if any(args):  # a non-finite field
+        assert str(info.value) == _OVERFLOW
+    else:
+        assert str(info.value) in ("zero element is not a line", "zero element is not a point")
+
+
+# finite fields whose sum alone overflows: the inline sum test defers to _finite
+SUM_OVERFLOWS = [
+    (Line, (1e308, 1e308, 0)),
+    (Point, (1e308, 1e308, 1)),
+    (Motor, (1e308, 1e308, 0, 0)),
+    (OddVersor, (1e308, 1e308, 0, 1e308)),
+    (Multivector, ((1e308,) * 8,)),
+]
+
+
+@pytest.mark.parametrize("cls, args", SUM_OVERFLOWS, ids=[cls.__name__ for cls, _ in SUM_OVERFLOWS])
+def test_fields_whose_sum_alone_overflows_are_accepted(cls, args):
+    assert cls(*args)._key() == args
 
 
 @pytest.mark.parametrize("u, v", [(math.nan, 1), (math.inf, 1), (0, -math.inf), (0, 0)])
