@@ -106,7 +106,8 @@ def midpoint(p: Point, q: Point, tol: float = DEFAULT_TOL) -> Point:
     """Point halfway between two euclidean points, returned with weight 1."""
     px, py, _ = euclidean(p, Point, tol, "point")
     qx, qy, _ = euclidean(q, Point, tol, "point")
-    return Point(0.5 * (px + qx), 0.5 * (py + qy), 1.0)
+    # halved first, so a sum past the largest float cannot overflow
+    return Point(0.5 * px + 0.5 * qx, 0.5 * py + 0.5 * qy, 1.0)
 
 
 def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:

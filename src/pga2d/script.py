@@ -8,15 +8,33 @@ defined in one place, its row of _VERBS: its argument kinds, its operand
 checks and its result.  Every verb computes on the fields of its operands;
 none multiplies 8-slot multivectors.  parse gives each statement as a plain
 tuple (lineno, verb, result, args), and evaluate takes a tuple of them.
+Like the package, the interpreter loads geometry, isometry and the renderer
+on first use, when a statement needs them.
 """
 
 import math
+import sys
 
-from . import geometry, isometry
 from .elements import IdealPoint, Line, Point
 from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .metric import view
 from .multivector import DEFAULT_TOL, near_zero
+
+
+class _OnFirstUse:
+    """A module of this package, held as a global of this module until the
+    first attribute read, which loads it through the package and puts it in
+    the stand-in's place: every later call goes through the module itself."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        module = globals()[self.name] = getattr(sys.modules[__package__], self.name)
+        return getattr(module, attr)
+
+
+geometry, isometry = _OnFirstUse("geometry"), _OnFirstUse("isometry")
 
 
 def parse(source: str) -> tuple[tuple[int, str, str | None, tuple], ...]:

@@ -60,6 +60,17 @@ OUTPUT = (
     "tests/test_script.py::test_evaluate_keeps_output_printed_before_the_failure",
     "tests/test_script.py::test_cli_writes_output_printed_before_an_evaluation_error",
 )
+# the midpoint of coordinates whose sum overflows
+MIDPOINT = (
+    "tests/test_geometry.py::test_midpoint_of_points_whose_coordinate_sums_overflow",
+    "tests/test_script.py::test_midpoint_of_points_whose_coordinate_sum_overflows_is_printed",
+)
+# which modules a run loads, and that -X importtime reports each one
+ON_FIRST_USE = (
+    "tests/test_script.py::"
+    "test_a_run_loads_geometry_and_isometry_only_for_a_statement_that_needs_them",
+    "tests/test_script.py::test_a_module_loaded_on_first_use_is_reported_by_importtime",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -227,6 +238,21 @@ MUTANTS = {
     ),
     "viewport-anchor-unchecked": (
         "render.py", "for v in (top, ax, ay)]", "for v in (top,)]", VIEWPORT,
+    ),
+    # geometry's midpoint sums before it halves
+    "midpoint-summed-first": (
+        "geometry.py", "return Point(0.5 * px + 0.5 * qx, 0.5 * py + 0.5 * qy, 1.0)",
+        "return Point(0.5 * (px + qx), 0.5 * (py + qy), 1.0)", MIDPOINT,
+    ),
+    # the interpreter loads geometry and isometry on import
+    "script-loads-eagerly": (
+        "script.py", 'geometry, isometry = _OnFirstUse("geometry"), _OnFirstUse("isometry")',
+        "from . import geometry, isometry", ON_FIRST_USE,
+    ),
+    # the package loads a module where -X importtime does not see it
+    "load-unreported": (
+        "__init__.py", 'value = __import__(f"{__name__}.{module}", fromlist=("*",))',
+        'value = __import__("importlib").import_module(f"{__name__}.{module}")', ON_FIRST_USE,
     ),
 }
 # name -> why the mutant cannot change a result

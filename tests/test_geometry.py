@@ -7,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gen
 import oracle
@@ -292,6 +294,29 @@ def test_midpoint_is_equidistant():
         p, q = n_point(r), n_point(r)
         mid = midpoint(p, q)
         assert distance(mid, p) == pytest.approx(distance(mid, q), abs=1e-9)
+
+
+def test_midpoint_of_points_whose_coordinate_sums_overflow():
+    mid = midpoint(Point(1e308, -1.5e308, 1), Point(1.5e308, -1.7e308, 1), tol=0.0)
+    assert (mid.x, mid.y, mid.z) == (1.25e308, -1.6e308, 1.0)
+
+
+# every float of magnitude 2**-1021 or more halves exactly
+_HALVES_EXACTLY = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: abs(v) >= 2.0**-1021
+)
+
+
+@given(_HALVES_EXACTLY, _HALVES_EXACTLY, _HALVES_EXACTLY, _HALVES_EXACTLY)
+@example(2.0**-1021, -(2.0**-1021), 1.0, 1.0)
+@example(2.0**-1021 + 2.0**-1073, -(2.0**-1021), -1.0, 1.0)
+@example(1.7976931348623157e308, -1.7976931348623157e308, 3.0, -5.0)
+def test_midpoint_halved_first_equals_the_halved_sum_where_the_sum_is_finite(px, py, qx, qy):
+    halved_sums = 0.5 * (px + qx), 0.5 * (py + qy)
+    if all(map(math.isfinite, halved_sums)):
+        mid = midpoint(Point(px, py, 1), Point(qx, qy, 1), tol=0.0)
+        # repr tells each float apart, -0.0 from 0.0 too
+        assert repr((mid.x, mid.y, mid.z)) == repr((*halved_sums, 1.0))
 
 
 def test_midline_intersecting_bisects():

@@ -1264,8 +1264,6 @@ _OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
         # a gate normalizes as print does, and fails alike
         (_SUBNORMAL_MEET + "point A 0 0\ndist d P A\n", 5),
         ("line m 1e-300 0 -1e10\npoint A 0 0\nreflect r m A\n", 3),
-        # a computed coordinate that overflows in Point's own check
-        ("point A 1e308 0\npoint B 1e308 0\nmidpoint M A B\n", 3),
     ],
 )
 def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
@@ -1275,6 +1273,13 @@ def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
     script.write_text(source)
     assert main(["run", str(script), "--tol", "0"]) == 2
     assert capsys.readouterr() == ("", f"error: line {lineno}: {_OVERFLOW}\n")
+
+
+def test_midpoint_of_points_whose_coordinate_sum_overflows_is_printed(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 1e308 0\npoint B 1e308 0\nmidpoint M A B\nprint M\n")
+    assert main(["run", str(script), "--tol", "0"]) == 0
+    assert capsys.readouterr() == ("M = (%.6f, 0.000000)\n" % 1e308, "")
 
 
 def test_a_non_finite_literal_fails_with_the_kernel_error(tmp_path, capsys):
@@ -1412,6 +1417,59 @@ def test_a_cold_import_loads_neither_the_kernel_nor_the_renderer(module, tmp_pat
     assert last == "[] False" and len(printed) == (4 if module.endswith("run") else 0)
 
 
+@pytest.mark.parametrize(
+    "script, loaded",
+    [
+        (None, []),
+        ("dist345", ["pga2d.geometry"]),
+        ("translation_case", ["pga2d.isometry"]),
+        ("rotation_case", ["pga2d.geometry", "pga2d.isometry"]),
+    ],
+)
+def test_a_run_loads_geometry_and_isometry_only_for_a_statement_that_needs_them(
+    script, loaded
+):
+    probe = "import sys, pga2d.cli\n"
+    if script is not None:
+        probe += f"pga2d.cli.main(['run', {str(SCRIPTS / f'{script}.pga')!r}])\n"
+    probe += "print(*sorted({'pga2d.geometry', 'pga2d.isometry'} & set(sys.modules)))"
+    assert _fresh(probe).splitlines()[-1].split() == loaded
+
+
+def test_the_package_loads_geometry_and_isometry_on_the_first_read_of_them_or_their_names():
+    probe = """
+import sys
+import pga2d
+assert not {'pga2d.geometry', 'pga2d.isometry'} & set(sys.modules)
+assert pga2d.join is pga2d.geometry.join is sys.modules['pga2d.geometry'].join
+assert 'pga2d.isometry' not in sys.modules
+assert pga2d.isometry is sys.modules['pga2d.isometry'] and pga2d.Motor is pga2d.isometry.Motor
+print('ok')
+"""
+    assert _fresh(probe) == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        (
+            f"import pga2d.cli; pga2d.cli.main(['run', {str(SCRIPTS / 'rotation_case.pga')!r}])",
+            {"pga2d.geometry", "pga2d.isometry"},
+        ),
+        ("import pga2d; pga2d.triple_lines", {"pga2d.algebra"}),
+    ],
+    ids=["rotation_case", "triple_lines"],
+)
+def test_a_module_loaded_on_first_use_is_reported_by_importtime(code, loaded):
+    # bench/run.py reads each module's import time from these lines
+    err = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", code],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    ).stderr
+    reported = {line.rpartition("|")[2].strip() for line in err.splitlines()}
+    assert loaded <= reported
+
+
 def test_the_typed_library_functions_leave_the_kernel_unloaded():
     probe = """
 import sys
@@ -1522,8 +1580,9 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
     assert {"pga2d.cli", "pga2d.multivector", "pga2d.script"} <= set(loaded)
     package = Path(pga2d.__file__).resolve().parent
     found = []
-    # the renderer loads on the first drawing, and then it too must not load pathlib
-    for name in loaded + ["pga2d.render"]:
+    # geometry, isometry and the renderer load on first use, and then they too
+    # must not load pathlib
+    for name in loaded + ["pga2d.geometry", "pga2d.isometry", "pga2d.render"]:
         path = package / ("__init__.py" if name == "pga2d" else name[len("pga2d."):] + ".py")
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Import):
