@@ -1,5 +1,6 @@
 """Command-line entry point: run construction scripts, dump the product tables."""
 
+import gc
 import os
 import sys
 
@@ -9,6 +10,10 @@ from .script import evaluate, parse, render_svg
 
 
 def main(argv=None) -> int:
+    """The CLI's exit code on argv.  Called with no argv, as the process entry,
+    it freezes the collector as it returns or argparse exits, so the exit's
+    last collections skip all it holds, giving up only finalizers of cyclic
+    garbage left at exit, which Python never promises.  main(argv) does not."""
     try:
         return _main(sys.argv[1:] if argv is None else list(argv))
     except OSError as exc:  # writing stdout; _main catches every other OSError
@@ -19,6 +24,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 def _read(argv: list[str]):

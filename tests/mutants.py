@@ -71,6 +71,11 @@ ON_FIRST_USE = (
     "test_a_run_loads_geometry_and_isometry_only_for_a_statement_that_needs_them",
     "tests/test_script.py::test_a_module_loaded_on_first_use_is_reported_by_importtime",
 )
+# the process entry freezes the collector, and main(argv) leaves it alone
+FREEZE = (
+    "tests/test_script.py::test_the_process_entry_freezes_the_collector_as_it_returns",
+    "tests/test_script.py::test_main_called_with_argv_leaves_the_collector_alone",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -254,6 +259,10 @@ MUTANTS = {
         "__init__.py", 'value = __import__(f"{__name__}.{module}", fromlist=("*",))',
         'value = __import__("importlib").import_module(f"{__name__}.{module}")', ON_FIRST_USE,
     ),
+    # the interpreter's exit collects every object, as before the freeze
+    "cli-exit-collects": ("cli.py", "gc.freeze()", "pass", FREEZE),
+    # a library caller's collector is frozen too
+    "cli-freezes-every-caller": ("cli.py", "if argv is None:", "if True:", FREEZE),
 }
 # name -> why the mutant cannot change a result
 EQUIVALENT: dict[str, str] = {}

@@ -10,7 +10,10 @@ base commit of a change.  The golden scripts and the generated bench scripts
 and 0 through ``pga2d.cli.main``, each script with ``--svg``, and so does
 ``pga2d tables`` and both ``--help`` texts, and so do a few failing scripts
 and arguments: one per kind of error line, a few operands of the wrong kind,
-and argument lists that argparse reads, most of them usage errors.
+and argument lists that argparse reads, most of them usage errors.  The
+process section runs ``pga2d tables``, each golden script with ``--svg`` and
+the failing script of CI's console-script step (``evaluation.pga`` here)
+through the process entry, each in its own ``python -m pga2d.cli`` child.
 
 The library section calls the algebra API and the functions that gate their
 operands' kind on a fixed-seed corpus of lines, points, motors, odd versors,
@@ -24,10 +27,10 @@ that calls ``metric.euclidean`` or ``metric.ideal``.  A call's record is its
 result with every float's repr, so a signed zero or one ulp shows, or the
 error's class and text.
 
-Each tree runs every case in one child process with its own ``src`` on the
-path.  Any difference in stdout, stderr, exit code, SVG bytes or a library
-record is printed, and the exit code is then 1.  pytest does not collect this
-file.
+Each tree runs every case but the process section's in one child process
+with its own ``src`` on the path.  Any difference in stdout, stderr, exit
+code, SVG bytes or a library record is printed, and the exit code is then 1.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -121,6 +124,13 @@ def _cases(names: list[str]) -> list[list[str]]:
         ["tables"], ["--help"], ["run", "--help"], ["run", "missing.pga"],
         ["run", x, "--tol", "1"], *fallback, *runs,
     ]
+
+
+def _process_cases() -> list[list[str]]:
+    """The argv of each process-section run; evaluation.pga is CI's failing.pga."""
+    golden = sorted(path.name for path in (ROOT / "tests" / "data" / "scripts").glob("*.pga"))
+    runs = [["run", name, "--svg", "out.svg"] for name in golden + ["evaluation.pga"]]
+    return [["tables"], *runs]
 
 
 def _exact(value):
@@ -269,6 +279,22 @@ def _run(src: Path, folder: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def _processes(src: Path, folder: Path, cases: list[list[str]]) -> list:
+    """[stdout, stderr, exit code, SVG bytes or None] of each case, each run in
+    a fresh `python -m pga2d.cli` with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    svg = folder / "out.svg"
+    results = []
+    for argv in cases:
+        svg.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pga2d.cli", *argv], cwd=folder, env=env, capture_output=True
+        )
+        drawn = svg.read_bytes() if svg.exists() else None
+        results.append([proc.stdout, proc.stderr, proc.returncode, drawn])
+    return results
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--child":
         _child(argv[1])
@@ -280,12 +306,19 @@ def main(argv: list[str]) -> int:
         folder = Path(tmp)
         cases = _cases(_write_scripts(folder))
         (folder / "cases.json").write_text(json.dumps(cases))
-        base = _run(Path(argv[0]).resolve() / "src", folder)
+        base_src = Path(argv[0]).resolve() / "src"
+        base = _run(base_src, folder)
         this = _run(ROOT / "src", folder)
+        processes = _process_cases()
+        base["process"] = _processes(base_src, folder, processes)
+        this["process"] = _processes(ROOT / "src", folder, processes)
     fields = ("stdout", "stderr", "exit code", "SVG")
     differences = [
-        f"{' '.join(case)}: {field} differs"
-        for case, old, new in zip(cases, base["cli"], this["cli"])
+        f"{prefix}{' '.join(case)}: {field} differs"
+        for section, prefix, section_cases in (
+            ("cli", "", cases), ("process", "process: ", processes)
+        )
+        for case, old, new in zip(section_cases, base[section], this[section])
         for field, a, b in zip(fields, old, new)
         if a != b
     ]
@@ -302,8 +335,9 @@ def main(argv: list[str]) -> int:
     failed = sum(result[2] != 0 for result in this["cli"])
     raising = sum(record[0] == "raised" for _, record in library)
     print(
-        f"{len(cases)} cases ({failed} ending in an error), {len(library)} library calls "
-        f"({raising} raising), {len(differences)} differences from {argv[0]}"
+        f"{len(cases)} cases ({failed} ending in an error), {len(processes)} process runs, "
+        f"{len(library)} library calls ({raising} raising), "
+        f"{len(differences)} differences from {argv[0]}"
     )
     return 1 if differences else 0
 

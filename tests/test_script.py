@@ -1,6 +1,7 @@
 """Construction language: parsing, evaluation, golden runs, SVG, CLI."""
 
 import ast
+import gc
 import math
 import os
 import re
@@ -1394,6 +1395,72 @@ def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
     assert run.stdout == (SCRIPTS / "rotation_case.expected.txt").read_text()
 
 
+# prints A, then fails on line 5
+_PARTIAL = "point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"
+# the argv of each way main returns: 0, an evaluation error, an argparse usage error
+_EXITS = {
+    "ok": (["run", "dist345.pga", "--svg", "out.svg"], 0),
+    "evaluation-error": (["run", "partial.pga"], 2),
+    "usage-error": (["run"], 2),
+}
+
+
+def _exits_folder(folder: Path) -> Path:
+    (folder / "dist345.pga").write_text((SCRIPTS / "dist345.pga").read_text())
+    (folder / "partial.pga").write_text(_PARTIAL)
+    return folder
+
+
+@pytest.mark.parametrize("argv, code", _EXITS.values(), ids=_EXITS)
+def test_the_process_entry_freezes_the_collector_as_it_returns(
+    tmp_path, monkeypatch, capsys, argv, code
+):
+    """main() with no argv reads sys.argv, and whether it returns or argparse
+    exits, leaves the collector frozen and prints what main(argv) prints."""
+    _exits_folder(tmp_path)
+    child = f"""
+import gc, sys
+import pga2d.cli
+frozen = gc.get_freeze_count()  # not 0 at start on Python 3.12
+sys.argv = ['pga2d', *{argv!r}]
+try:
+    code = pga2d.cli.main()
+except SystemExit as exc:  # argparse
+    code = exc.code
+print(code, gc.get_freeze_count() > frozen)
+raise SystemExit(code)
+"""
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", child], cwd=tmp_path, env=_child_env(),
+        capture_output=True, text=True, timeout=60,
+    )
+    *out, last = run.stdout.splitlines(keepends=True)
+    assert (run.returncode, last) == (code, f"{code} True\n")
+    if code == 0:  # drawn and closed before main returned
+        golden = (SCRIPTS / "dist345.expected.svg").read_bytes()
+        assert (tmp_path / "out.svg").read_bytes() == golden
+    # the same argv in process prints the same
+    monkeypatch.chdir(tmp_path)
+    try:
+        returned = main(argv)
+    except SystemExit as exc:  # argparse
+        returned = exc.code
+    assert (returned, *capsys.readouterr()) == (code, "".join(out), run.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, code", [*_EXITS.values(), (["run", "missing.pga"], 1)], ids=[*_EXITS, "missing"]
+)
+def test_main_called_with_argv_leaves_the_collector_alone(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(_exits_folder(tmp_path))
+    before = gc.get_freeze_count()
+    try:
+        returned = main(argv)
+    except SystemExit as exc:  # argparse
+        returned = exc.code
+    assert (returned, gc.get_freeze_count()) == (code, before)
+
+
 # project in its four operand cases, each result printed
 PROJECTS = (
     "point A 1 2\npoint B -3 0.5\nline m 1 1 -1\nline n 2 -1 3\n"
@@ -1544,8 +1611,14 @@ print('ok')
     assert _fresh(probe) == "ok\n"
 
 
+# a Multivector pickled at protocol 0 under its former module, pga2d.multivector
+_OLD_PICKLE = (
+    b"cpga2d.multivector\nMultivector\n((F1.0\nF2.0\nF3.0\nF4.0\nF5.0\nF6.0\nF7.0\nF0.5\nttR."
+)
+
+
 def test_the_kernel_names_load_on_first_read_as_the_kernel_objects():
-    probe = """
+    probe = f"""
 import pickle, sys
 import pga2d, pga2d.multivector as base
 # importlib asks for __path__; a missing name loads nothing either
@@ -1559,9 +1632,7 @@ else:
     raise AssertionError('pga2d.multivector forwards e012')
 assert not hasattr(base, 'cayley_table') and not hasattr(base, '_unchecked')
 assert 'pga2d.kernel' not in sys.modules and 'Multivector' not in vars(base)
-# a Multivector pickled under its former module, pga2d.multivector
-old = b"cpga2d.multivector\\nMultivector\\n((F1.0\\nF2.0\\nF3.0\\nF4.0\\nF5.0\\nF6.0\\nF7.0\\nF0.5\\nttR."
-restored = pickle.loads(old)
+restored = pickle.loads({_OLD_PICKLE!r})
 import pga2d.kernel as kernel
 assert restored == kernel.Multivector((1, 2, 3, 4, 5, 6, 7, 0.5))
 assert base.Multivector is pga2d.Multivector is kernel.Multivector
@@ -1569,6 +1640,19 @@ assert pickle.loads(pickle.dumps(kernel.e012)) == kernel.e012
 print('ok')
 """
     assert _fresh(probe) == "ok\n"
+
+
+def test_an_old_pickle_loads_as_the_kernel_multivector_in_process(monkeypatch):
+    # the first read of pga2d.multivector.Multivector, here where a line tracer sees it
+    import pickle
+
+    import pga2d.multivector as base
+    from pga2d.kernel import Multivector
+
+    monkeypatch.delitem(vars(base), "Multivector", raising=False)
+    restored = pickle.loads(_OLD_PICKLE)
+    assert type(restored) is Multivector and restored.coeffs == (1, 2, 3, 4, 5, 6, 7, 0.5)
+    assert vars(base)["Multivector"] is Multivector
 
 
 def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_level():
@@ -1654,10 +1738,7 @@ print(code, *sorted({{'argparse', 'gettext', 're', 'enum'}} & set(sys.modules)))
 )
 def test_a_closed_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
     (tmp_path / "rotation_case.pga").write_text((SCRIPTS / "rotation_case.pga").read_text())
-    # prints A, then fails on line 5
-    (tmp_path / "partial.pga").write_text(
-        "point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"
-    )
+    (tmp_path / "partial.pga").write_text(_PARTIAL)
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
