@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     EvaluationError,
     IncidenceError,
+    OperandError,
     OrientationError,
     ParseError,
     RenderError,

@@ -11,7 +11,7 @@ e012 part of a product of three is at most 1, and near_zero tests it against 1.
 import math
 
 from .elements import IdealPoint, Line, Point, cross, incidence
-from .errors import ClassificationError, DomainError
+from .errors import ClassificationError, DomainError, OperandError
 from .geometry import _operands
 from .isometry import Motor, OddVersor, _exp
 from .metric import euclidean, is_ideal, unit_direction
@@ -105,7 +105,7 @@ def polar(x) -> "Multivector":
     """Multiplication by the pseudoscalar: a line maps to its perpendicular
     ideal point, a euclidean point to the ideal line, ideal elements to 0."""
     if not hasattr(x, "mv"):
-        raise TypeError(f"polar operand must be a multivector, not {type(x).__name__}")
+        raise OperandError(f"polar operand must be a multivector, not {type(x).__name__}")
     from .kernel import e012
 
     return e012.gp(x.mv())
@@ -148,7 +148,7 @@ def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
     e12 coefficient.
     """
     if not hasattr(b, "mv"):
-        raise TypeError(f"exponential argument must be a bivector, not {type(b).__name__}")
+        raise OperandError(f"exponential argument must be a bivector, not {type(b).__name__}")
     bm = b.mv()
     if bm.grades(tol) - {2}:
         raise DomainError(f"exponential argument must be a pure bivector, got {bm!r}")
@@ -158,7 +158,7 @@ def exp_bivector(b, tol: float = DEFAULT_TOL) -> Motor:
 def _log(g: Motor, tol: float) -> tuple[float, float, float]:
     """The e20, e01 and e12 fields of log_motor(g)."""
     if not isinstance(g, Motor):
-        raise TypeError(f"motor must be a Motor, not {type(g).__name__}")
+        raise OperandError(f"motor must be a Motor, not {type(g).__name__}")
     gn = g.normalized(tol)
     if gn.s < 0.0:
         gn = Motor(-gn.s, -gn.bx, -gn.by, -gn.bz)
@@ -188,7 +188,7 @@ def factor_motor(g: Motor, tol: float = DEFAULT_TOL) -> tuple[Line, Line]:
     """Two normalized mirror lines (p, q) with rotor_from_lines(p, q) equal to
     the normalized motor: q is the line part of g p for a line p through the axis."""
     if not isinstance(g, Motor):
-        raise TypeError(f"factored motor must be a Motor, not {type(g).__name__}")
+        raise OperandError(f"factored motor must be a Motor, not {type(g).__name__}")
     gn = g.normalized(tol)
     s, bx, by, bz = gn.s, gn.bx, gn.by, gn.bz
     # the axis point (bx, by, bz) is euclidean by Point.is_ideal's test; p is

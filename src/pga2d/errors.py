@@ -21,6 +21,10 @@ class IncidenceError(DomainError):
     """A required point-on-line incidence does not hold."""
 
 
+class OperandError(AlgebraError, TypeError):
+    """An operand of a class the operation does not take; a TypeError too."""
+
+
 class ConstructionError(AlgebraError):
     """A construction produced no result satisfying its postconditions."""
 

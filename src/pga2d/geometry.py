@@ -17,7 +17,7 @@ tests against 1.
 import math
 
 from .elements import Line, Point, cross, incidence
-from .errors import DomainError, OrientationError
+from .errors import DomainError, OperandError, OrientationError
 from .metric import euclidean, ideal, normalize
 from .multivector import DEFAULT_TOL, _finite, near_zero
 
@@ -44,7 +44,7 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> float:
         return incidence(euclidean(x, Line, tol, "line"), euclidean(y, Point, tol, "point"))
     if isinstance(x, Point) and isinstance(y, Line):
         return -distance(y, x, tol)
-    raise TypeError(f"no distance between {type(x).__name__} and {type(y).__name__}")
+    raise OperandError(f"no distance between {type(x).__name__} and {type(y).__name__}")
 
 
 def angle(x, y, tol: float = DEFAULT_TOL) -> float:
@@ -69,7 +69,7 @@ def angle(x, y, tol: float = DEFAULT_TOL) -> float:
         # m . u is the ideal line c*e0 with c the cosine
         c = max(-1.0, min(1.0, mb * ux - ma * uy))
         return math.acos(c)
-    raise TypeError(f"no angle between {type(x).__name__} and {type(y).__name__}")
+    raise OperandError(f"no angle between {type(x).__name__} and {type(y).__name__}")
 
 
 def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
@@ -90,7 +90,7 @@ def join(p: Point, q: Point, tol: float = DEFAULT_TOL) -> Line:
     """The line through two points, directed from p to q; DomainError when
     they coincide within tol.  Two ideal points join in the ideal line."""
     if not (isinstance(p, Point) and isinstance(q, Point)):
-        raise TypeError(f"no join of {type(p).__name__} and {type(q).__name__}")
+        raise OperandError(f"no join of {type(p).__name__} and {type(q).__name__}")
     return Line(*_cross((p.x, p.y, p.z), (q.x, q.y, q.z), tol))
 
 
@@ -98,7 +98,7 @@ def meet(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Point:
     """The point where two lines cross, ideal when they are parallel;
     DomainError when they coincide within tol."""
     if not (isinstance(m, Line) and isinstance(n, Line)):
-        raise TypeError(f"no meet of {type(m).__name__} and {type(n).__name__}")
+        raise OperandError(f"no meet of {type(m).__name__} and {type(n).__name__}")
     return Point(*_cross((m.a, m.b, m.c), (n.a, n.b, n.c), tol))
 
 
@@ -128,7 +128,7 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
 def _operands(x, onto, tol: float) -> tuple[tuple, tuple]:
     """The normalized fields of x and onto, for project and reject."""
     if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
-        raise TypeError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
+        raise OperandError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
     u = euclidean(x, type(x), tol, "projected element")
     return u, euclidean(onto, type(onto), tol, "projection target")
 

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .elements import Line, Point, cross, from_mv, incidence, mv
-from .errors import ConstructionError, DomainError, IncidenceError
+from .errors import ConstructionError, DomainError, IncidenceError, OperandError
 from .metric import euclidean, ideal, unit_direction, view
 from .multivector import DEFAULT_TOL, Frozen, _finite, near_zero
 
@@ -108,7 +108,7 @@ def sandwich(v, x):
         t2, r2 = t, -r
         e, f, g, h = a * c, -lam * b, -lam * a, b * c
     else:
-        raise TypeError(f"cannot use {type(v).__name__} as a versor")
+        raise OperandError(f"cannot use {type(v).__name__} as a versor")
     if isinstance(x, Line):
         pl, ql = 2.0 * (e + f), 2.0 * (h - g)
         a, b, c = x.a, x.b, x.c
@@ -118,7 +118,7 @@ def sandwich(v, x):
         px, py, pz = x.x, x.y, x.z
         return Point(r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz)
     if not hasattr(x, "mv"):
-        raise TypeError(f"cannot apply a versor to {type(x).__name__}")
+        raise OperandError(f"cannot apply a versor to {type(x).__name__}")
     vm = v.mv()
     y = vm.gp(x.mv().gp(vm.reverse()))
     return x.from_mv(y) if isinstance(x, (Motor, OddVersor)) else y

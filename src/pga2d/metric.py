@@ -12,7 +12,7 @@ import math
 import sys
 
 from .elements import Line, Point
-from .errors import ClassificationError, DomainError
+from .errors import ClassificationError, DomainError, OperandError
 from .multivector import DEFAULT_TOL, _finite
 
 
@@ -20,7 +20,7 @@ def is_ideal(x, tol: float = DEFAULT_TOL) -> bool:
     """The element's own is_ideal for a line or point."""
     if isinstance(x, (Line, Point)):
         return x.is_ideal(tol)
-    raise TypeError(f"cannot classify {type(x).__name__}")
+    raise OperandError(f"cannot classify {type(x).__name__}")
 
 
 def unit_direction(u: float, v: float, w: float = 0.0) -> tuple[float, float, float]:
@@ -88,12 +88,12 @@ def euclidean(x, kind: type, tol: float, what: str) -> tuple[float, float, float
     point that must be euclidean, classified once.
 
     This and ideal are the only gates on an operand's kind: what names the
-    operand's role in the message.  Each first raises TypeError unless x is
+    operand's role in the message.  Each first raises OperandError unless x is
     of its class, kind here (Line or Point) and Point for ideal, so no field
     of the other class is read.  They return checked fields, not an
     element; kind(*euclidean(x, kind, ...)) is the normalized element."""
     if not isinstance(x, kind):
-        raise TypeError(f"{what} must be a {kind.__name__}, not {type(x).__name__}")
+        raise OperandError(f"{what} must be a {kind.__name__}, not {type(x).__name__}")
     if x.is_ideal(tol):
         raise ClassificationError(f"{what} {x!r} must be euclidean")
     return _unit(x, False)
@@ -103,7 +103,7 @@ def ideal(p: Point, tol: float, what: str) -> tuple[float, float, float]:
     """The fields (x, y, z) of normalize(p) for a point that must be ideal,
     classified once."""
     if not isinstance(p, Point):
-        raise TypeError(f"{what} must be a Point, not {type(p).__name__}")
+        raise OperandError(f"{what} must be a Point, not {type(p).__name__}")
     if not p.is_ideal(tol):
         raise ClassificationError(f"{what} {p!r} must be ideal")
     return _unit(p, True)

@@ -4,10 +4,13 @@ One statement per line (a line ends at \\n, \\r\\n or \\r); '#' comments out
 the rest of its line.  Every defining verb names its result first; names are
 single-assignment and must be defined before use (checked while parsing).
 Values are points, ideal points, lines, motors or plain numbers.  A verb is
-defined in one place, its row of _VERBS: its argument kinds, its operand
-checks and its result.  Every verb computes on the fields of its operands;
-none multiplies 8-slot multivectors.  parse gives each statement as a plain
-tuple (lineno, verb, result, args), and evaluate takes a tuple of them.
+defined in one place, its row of _VERBS: its argument kinds and its result.
+A row hands its operands to the library as they are; the library refuses a
+class it does not take with OperandError, and evaluate's error then names
+each operand.  Every verb computes on the fields of its operands; only the
+conjugate of a motor operand (reflect or apply of a motor) multiplies 8-slot
+multivectors.  parse gives each statement as a plain tuple
+(lineno, verb, result, args), and evaluate takes a tuple of them.
 Like the package, the interpreter loads geometry, isometry and the renderer
 on first use, when a statement needs them.
 """
@@ -16,7 +19,9 @@ import math
 import sys
 
 from .elements import IdealPoint, Line, Point
-from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
+from .errors import (
+    AlgebraError, DomainError, EvaluationError, OperandError, ParseError, RenderError,
+)
 from .metric import view
 from .multivector import DEFAULT_TOL, near_zero
 
@@ -100,17 +105,6 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
     return text.replace("-0.000000", "0.000000")
 
 
-def _want(env, name: str, types, what: str):
-    value = env[name]
-    if isinstance(value, types):
-        return value
-    kinds = " or ".join(t.__name__ for t in types) if isinstance(types, tuple) else types.__name__
-    raise DomainError(f"{what} must be {kinds}, but {name!r} is {type(value).__name__}")
-
-
-_EITHER = (Point, Line)
-
-
 def _point(env, a, tol):
     x, y = a
     # the weight 1 must stay a thousand times above the ideal cutoff
@@ -141,36 +135,21 @@ _VERBS = {
     "point": ("new num num", _point),
     "ideal": ("new num num", lambda env, a, tol: IdealPoint(*a)),
     "line": ("new num num num", _line),
-    "join": ("new ref ref", lambda env, a, tol: geometry.join(
-        _want(env, a[0], Point, "join argument"), _want(env, a[1], Point, "join argument"), tol)),
-    "meet": ("new ref ref", lambda env, a, tol: geometry.meet(
-        _want(env, a[0], Line, "meet argument"), _want(env, a[1], Line, "meet argument"), tol)),
-    "dist": ("new ref ref", lambda env, a, tol: geometry.distance(
-        _want(env, a[0], _EITHER, "dist argument"),
-        _want(env, a[1], _EITHER, "dist argument"), tol)),
-    "angle": ("new ref ref", lambda env, a, tol: geometry.angle(
-        _want(env, a[0], _EITHER, "angle argument"),
-        _want(env, a[1], _EITHER, "angle argument"), tol)),
-    "reflect": ("new ref ref", lambda env, a, tol: isometry.reflect(
-        _want(env, a[0], Line, "mirror"), _want(env, a[1], _EITHER, "reflect operand"), tol)),
+    "join": ("new ref ref", lambda env, a, tol: geometry.join(env[a[0]], env[a[1]], tol)),
+    "meet": ("new ref ref", lambda env, a, tol: geometry.meet(env[a[0]], env[a[1]], tol)),
+    "dist": ("new ref ref", lambda env, a, tol: geometry.distance(env[a[0]], env[a[1]], tol)),
+    "angle": ("new ref ref", lambda env, a, tol: geometry.angle(env[a[0]], env[a[1]], tol)),
+    "reflect": ("new ref ref", lambda env, a, tol: isometry.reflect(env[a[0]], env[a[1]], tol)),
     "rotor": ("new ref ref", lambda env, a, tol: isometry.rotor_from_lines(
-        _want(env, a[0], Line, "mirror"), _want(env, a[1], Line, "mirror"), tol)),
-    "rotator": ("new ref num", lambda env, a, tol: isometry.rotator(
-        _want(env, a[0], Point, "rotation center"), a[1], tol)),
-    "translator": ("new ref num", lambda env, a, tol: isometry.translator(
-        _want(env, a[0], Point, "translation direction"), a[1], tol)),
-    "apply": ("new ref ref", lambda env, a, tol: isometry.sandwich(
-        _want(env, a[0], isometry.Motor, "versor"), _want(env, a[1], _EITHER, "apply operand"))),
+        env[a[0]], env[a[1]], tol)),
+    "rotator": ("new ref num", lambda env, a, tol: isometry.rotator(env[a[0]], a[1], tol)),
+    "translator": ("new ref num", lambda env, a, tol: isometry.translator(env[a[0]], a[1], tol)),
+    "apply": ("new ref ref", lambda env, a, tol: isometry.sandwich(env[a[0]], env[a[1]])),
     "solve": ("new ref ref ref ref", lambda env, a, tol: isometry.solve_point_line_transport(
-        _want(env, a[0], Point, "point"), _want(env, a[1], Line, "line"),
-        _want(env, a[2], Point, "point"), _want(env, a[3], Line, "line"), tol)),
-    "project": ("new ref ref", lambda env, a, tol: geometry.project(
-        _want(env, a[0], _EITHER, "project argument"),
-        _want(env, a[1], _EITHER, "project target"), tol)),
-    "midpoint": ("new ref ref", lambda env, a, tol: geometry.midpoint(
-        _want(env, a[0], Point, "point"), _want(env, a[1], Point, "point"), tol)),
-    "midline": ("new ref ref", lambda env, a, tol: geometry.midline(
-        _want(env, a[0], Line, "line"), _want(env, a[1], Line, "line"), tol)),
+        env[a[0]], env[a[1]], env[a[2]], env[a[3]], tol)),
+    "project": ("new ref ref", lambda env, a, tol: geometry.project(env[a[0]], env[a[1]], tol)),
+    "midpoint": ("new ref ref", lambda env, a, tol: geometry.midpoint(env[a[0]], env[a[1]], tol)),
+    "midline": ("new ref ref", lambda env, a, tol: geometry.midline(env[a[0]], env[a[1]], tol)),
     "print": ("ref", lambda env, a, tol: f"{a[0]} = {format_value(env[a[0]], tol)}\n"),
     "svg": ("path", lambda env, a, tol: render_svg(env, a[0], tol)),
 }
@@ -190,7 +169,9 @@ def evaluate(
     Each printed line goes to emit(line) as its statement runs; with no emit,
     the lines make up the returned text, which is empty when emit is given.
     The first failing statement stops the run with an EvaluationError that
-    carries its line number; an exception from emit propagates unchanged.
+    carries its line number, and for an OperandError the name, class and
+    defining line of each operand; an exception from emit propagates
+    unchanged.
     """
     env: dict[str, object] = {}
     out: list[str] = []
@@ -198,6 +179,12 @@ def evaluate(
     for lineno, verb, result, args in statements:
         try:
             value = _VERBS[verb][1](env, args, tol)
+        except OperandError as exc:
+            # each operand's class and defining line, looked up only here
+            made = {name: line for line, _, name, _ in statements}
+            names = dict.fromkeys(a for a in args if isinstance(a, str))
+            operands = "; ".join(f"{n}: {type(env[n]).__name__}, line {made[n]}" for n in names)
+            raise EvaluationError(f"{exc} ({operands})", lineno) from exc
         except (AlgebraError, RenderError, OSError) as exc:
             raise EvaluationError(str(exc), lineno) from exc
         if result is not None:

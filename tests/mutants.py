@@ -44,6 +44,12 @@ BRIDGE = (
     "tests/test_element_model.py::test_from_mv_rejects_a_part_of_another_grade",
 )
 GATES = ("tests/test_element_model.py::test_a_gate_refuses_an_operand_of_the_wrong_class",)
+# a class refusal is an OperandError, and a script's error names its operands
+OPERANDS = (
+    "tests/test_script.py::test_statement_errors_carry_their_line_and_the_output_before_them",
+    "tests/test_script.py::test_every_verb_gives_a_result_or_names_the_operands_it_refuses",
+    "tests/test_script.py::test_a_plain_type_error_from_the_library_is_not_wrapped",
+)
 # every export over every combination of the value classes and a float
 CLASS_SAFE = (
     "tests/test_element_model.py::test_every_export_returns_or_refuses_each_combination_of_values",
@@ -187,23 +193,58 @@ MUTANTS = {
     ),
     # the class checks of the motor functions and of the functions of any multivector
     "log-class-unchecked": (
-        "algebra.py", 'raise TypeError(f"motor must be a Motor, not {type(g).__name__}")', "pass",
-        GATES,
+        "algebra.py", 'raise OperandError(f"motor must be a Motor, not {type(g).__name__}")',
+        "pass", GATES,
     ),
     "factor-motor-class-unchecked": (
         "algebra.py",
-        'raise TypeError(f"factored motor must be a Motor, not {type(g).__name__}")', "pass",
+        'raise OperandError(f"factored motor must be a Motor, not {type(g).__name__}")', "pass",
         GATES,
     ),
     "exp-operand-unchecked": ("algebra.py", 'if not hasattr(b, "mv"):', "if False:", GATES),
     "polar-operand-unchecked": ("algebra.py", 'if not hasattr(x, "mv"):', "if False:", GATES),
+    # each module's class refusals are OperandErrors, which a script reports
+    # with its operands; a plain TypeError, a bug's, is not wrapped
+    "join-refusal-plain": (
+        "geometry.py",
+        'raise OperandError(f"no join of {type(p).__name__} and {type(q).__name__}")',
+        'raise TypeError(f"no join of {type(p).__name__} and {type(q).__name__}")', OPERANDS,
+    ),
+    "gate-refusal-plain": (
+        "metric.py",
+        'raise OperandError(f"{what} must be a {kind.__name__}, not {type(x).__name__}")',
+        'raise TypeError(f"{what} must be a {kind.__name__}, not {type(x).__name__}")', OPERANDS,
+    ),
+    "versor-refusal-plain": (
+        "isometry.py", 'raise OperandError(f"cannot use {type(v).__name__} as a versor")',
+        'raise TypeError(f"cannot use {type(v).__name__} as a versor")', OPERANDS,
+    ),
+    "log-refusal-plain": (
+        "algebra.py", 'raise OperandError(f"motor must be a Motor, not {type(g).__name__}")',
+        'raise TypeError(f"motor must be a Motor, not {type(g).__name__}")', GATES,
+    ),
+    "provenance-dropped": (
+        "script.py", 'raise EvaluationError(f"{exc} ({operands})", lineno) from exc',
+        "raise EvaluationError(str(exc), lineno) from exc", OPERANDS,
+    ),
+    "provenance-line-of-the-error": (
+        "script.py", 'f"{n}: {type(env[n]).__name__}, line {made[n]}"',
+        'f"{n}: {type(env[n]).__name__}, line {lineno}"', OPERANDS,
+    ),
+    "provenance-repeats-a-name": (
+        "script.py", "names = dict.fromkeys(a for a in args if isinstance(a, str))",
+        "names = [a for a in args if isinstance(a, str)]", OPERANDS,
+    ),
+    "evaluate-wraps-every-type-error": (
+        "script.py", "except OperandError as exc:", "except TypeError as exc:", OPERANDS,
+    ),
     # the value base's one repr, and the metric's refusal of what is no line or point
     "repr-not-g": (
         "multivector.py", 'format(getattr(self, name), "g")', "repr(getattr(self, name))",
         ("tests/test_values.py",),
     ),
     "classify-returns-false": (
-        "metric.py", 'raise TypeError(f"cannot classify {type(x).__name__}")', "return False",
+        "metric.py", 'raise OperandError(f"cannot classify {type(x).__name__}")', "return False",
         ("tests/test_metric.py",),
     ),
     # the weight-1 shortcut of the normalizer

@@ -29,7 +29,11 @@ error's class and text.
 
 Each tree runs every case but the process section's in one child process
 with its own ``src`` on the path.  Any difference in stdout, stderr, exit
-code, SVG bytes or a library record is printed, and the exit code is then 1.
+code, SVG bytes or a library record is printed, and the exit code is then 1,
+unless MIGRATIONS lists it: a change made on purpose, from an old stderr
+text to a new one, or from an old exception class to a new one in a library
+record whose error text is unchanged.  Each migration is printed once, with
+the number of records or texts it covers, and leaves the exit code at 0.
 pytest does not collect this file.
 """
 
@@ -42,6 +46,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +89,41 @@ FAILING = {
     ),
     "lineno-parse": "point A 0 0\r\n\r\n# c\rprint B\r\n",
 }
+
+
+# old -> new: a whole stderr text, or the exception class of a library record.
+# An entry matches nothing once the base commit gives its new side, and can go.
+MIGRATIONS = {
+    # the library's class refusals raise OperandError, a TypeError and an
+    # AlgebraError, and the script reports it with each operand's name, class
+    # and defining line
+    "TypeError": "OperandError",
+    "error: line 2: mirror must be Line, but 'A' is Point\n":
+        "error: line 2: mirror must be a Line, not Point (A: Point, line 1)\n",
+    "error: line 2: versor must be Motor, but 'A' is Point\n":
+        "error: line 2: cannot use Point as a versor (A: Point, line 1)\n",
+    "error: line 3: project target must be Point or Line, but 'g' is Motor\n":
+        "error: line 3: cannot project Point onto Motor (A: Point, line 1; g: Motor, line 2)\n",
+    "error: line 2: rotation center must be Point, but 'm' is Line\n":
+        "error: line 2: rotation center must be a Point, not Line (m: Line, line 1)\n",
+    "error: line 3: join argument must be Point, but 'm' is Line\n":
+        "error: line 3: no join of Line and Line (m: Line, line 1; n: Line, line 2)\n",
+    "error: line 3: meet argument must be Line, but 'A' is Point\n":
+        "error: line 3: no meet of Point and Point (A: Point, line 1; B: Point, line 2)\n",
+    "error: line 7: mirror must be Line, but 'A' is Point\n":
+        "error: line 7: mirror must be a Line, not Point (A: Point, line 3)\n",
+}
+
+
+def _migration(field: str, old, new) -> tuple[str, str] | None:
+    """The (old, new) pair of MIGRATIONS that explains this difference, if any."""
+    if field == "stderr":
+        old, new = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old, new))
+    elif field == "library" and old[:1] == new[:1] == ["raised"] and old[2] == new[2]:
+        old, new = old[1], new[1]
+    else:
+        return None
+    return (old, new) if MIGRATIONS.get(old) == new else None
 
 
 def _write_scripts(folder: Path) -> list[str]:
@@ -313,8 +353,8 @@ def main(argv: list[str]) -> int:
         base["process"] = _processes(base_src, folder, processes)
         this["process"] = _processes(ROOT / "src", folder, processes)
     fields = ("stdout", "stderr", "exit code", "SVG")
-    differences = [
-        f"{prefix}{' '.join(case)}: {field} differs"
+    changed = [
+        (f"{prefix}{' '.join(case)}: {field} differs", field, a, b)
         for section, prefix, section_cases in (
             ("cli", "", cases), ("process", "process: ", processes)
         )
@@ -323,13 +363,23 @@ def main(argv: list[str]) -> int:
         if a != b
     ]
     library = this["library"]
-    if len(base["library"]) != len(library):
-        differences.append(f"{len(base['library'])} library calls, then {len(library)}")
-    differences += [
-        f"library {label}: {json.dumps(old)} became {json.dumps(new)}"
+    changed += [
+        (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new)
         for (label, old), (_, new) in zip(base["library"], library)
         if old != new
     ]
+    migrations: Counter[tuple[str, str]] = Counter()
+    differences = []
+    for line, field, old, new in changed:
+        pair = _migration(field, old, new)
+        if pair is None:
+            differences.append(line)
+        else:
+            migrations[pair] += 1
+    if len(base["library"]) != len(library):
+        differences.append(f"{len(base['library'])} library calls, then {len(library)}")
+    for (old, new), count in migrations.items():
+        print(f"migration ({count}): {old!r} -> {new!r}")
     for line in differences[:20]:
         print(line)
     failed = sum(result[2] != 0 for result in this["cli"])
@@ -337,7 +387,7 @@ def main(argv: list[str]) -> int:
     print(
         f"{len(cases)} cases ({failed} ending in an error), {len(processes)} process runs, "
         f"{len(library)} library calls ({raising} raising), "
-        f"{len(differences)} differences from {argv[0]}"
+        f"{len(differences)} differences and {migrations.total()} migrations from {argv[0]}"
     )
     return 1 if differences else 0
 

@@ -35,7 +35,9 @@ from pga2d.algebra import (
 )
 from pga2d.cli import main
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
-from pga2d.errors import AlgebraError, ClassificationError, DomainError, RenderError, ScriptError
+from pga2d.errors import (
+    AlgebraError, ClassificationError, DomainError, OperandError, RenderError, ScriptError,
+)
 from pga2d.geometry import angle, distance, midline, midpoint, project
 from pga2d.isometry import (
     IDENTITY_MOTOR,
@@ -429,7 +431,7 @@ def test_every_kind_rejection_is_raised_by_a_gate():
     ],
 )
 def test_a_gate_refuses_an_operand_of_the_wrong_class(call, message):
-    with pytest.raises(TypeError, match=f"^{message}$"):
+    with pytest.raises(OperandError, match=f"^{message}$"):
         call()
 
 

@@ -21,7 +21,7 @@ from pga2d.algebra import (
     triple_points,
 )
 from pga2d.elements import IdealPoint, Line, Point
-from pga2d.errors import ClassificationError, DomainError, OrientationError
+from pga2d.errors import ClassificationError, DomainError, OperandError, OrientationError
 from pga2d.geometry import angle, distance, join, meet, midline, midpoint, project
 from pga2d.metric import normalize
 from pga2d.kernel import Multivector, e0, e012, from_scalar
@@ -521,7 +521,7 @@ def test_project_rejects_ideal():
     ],
 )
 def test_measures_and_project_take_only_lines_and_points(op, x, y, message):
-    with pytest.raises(TypeError, match=f"^{message}$"):
+    with pytest.raises(OperandError, match=f"^{message}$"):
         op(x, y)
 
 

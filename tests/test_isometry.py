@@ -18,7 +18,9 @@ from pga2d.algebra import (
     triple_lines,
 )
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
-from pga2d.errors import ClassificationError, ConstructionError, DomainError, IncidenceError
+from pga2d.errors import (
+    ClassificationError, ConstructionError, DomainError, IncidenceError, OperandError,
+)
 from pga2d.geometry import angle, distance
 from pga2d.isometry import (
     IDENTITY_MOTOR,
@@ -500,13 +502,15 @@ def test_an_odd_versor_line_part_is_not_zero():
 @pytest.mark.parametrize("operand", [1.0, (1, 2, 3), "x"])
 def test_sandwich_rejects_an_operand_that_is_not_an_element(operand):
     for versor in (IDENTITY_MOTOR, OddVersor(1, 0, 0, 0.0)):
-        with pytest.raises(TypeError, match=f"^cannot apply a versor to {type(operand).__name__}$"):
+        with pytest.raises(
+            OperandError, match=f"^cannot apply a versor to {type(operand).__name__}$"
+        ):
             sandwich(versor, operand)
 
 
 @pytest.mark.parametrize("versor", [Line(1, 0, 0), e12, "x"], ids=["Line", "Multivector", "str"])
 def test_sandwich_rejects_a_versor_that_is_not_a_motor_or_odd_versor(versor):
-    with pytest.raises(TypeError, match=f"^cannot use {type(versor).__name__} as a versor$"):
+    with pytest.raises(OperandError, match=f"^cannot use {type(versor).__name__} as a versor$"):
         sandwich(versor, Point(0, 0, 1))
 
 

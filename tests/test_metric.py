@@ -11,7 +11,7 @@ import gen
 from pga2d import metric
 from pga2d.algebra import factor_point, ideal_norm, ideal_point_of, norm, polar
 from pga2d.elements import IdealPoint, Line, Point, Pseudoscalar
-from pga2d.errors import ClassificationError, DomainError
+from pga2d.errors import ClassificationError, DomainError, OperandError
 from pga2d.isometry import Motor
 from pga2d.metric import euclidean, ideal, is_ideal, normalize, unit_direction
 from pga2d.kernel import Multivector, e0, e1, e12, e20, zero
@@ -58,7 +58,7 @@ def test_classify():
 @pytest.mark.parametrize("op", [is_ideal, norm, ideal_norm, normalize])
 def test_a_non_element_cannot_be_classified(op):
     for x in (Motor(1, 0, 0, 0), Pseudoscalar(2.0)):
-        with pytest.raises(TypeError) as info:
+        with pytest.raises(OperandError) as info:
             op(x)
         assert str(info.value) == f"cannot classify {type(x).__name__}"
 

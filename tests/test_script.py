@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
 from xml.dom import minidom
@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pga2d
-from pga2d import metric, render
+from pga2d import isometry, metric, render
 from pga2d.cli import _parse_args, _read, main
-from pga2d.errors import DomainError, EvaluationError, ParseError, RenderError
+from pga2d.errors import DomainError, EvaluationError, OperandError, ParseError, RenderError
 from pga2d.elements import Line, Point
 from pga2d.geometry import angle
 from pga2d.isometry import Motor, translator
@@ -377,47 +377,58 @@ def test_subnormal_ideal_point_acts_like_its_unit_direction():
 @pytest.mark.parametrize(
     "failing, message",
     [
-        ("rotor g A A", "line 3: mirror must be Line, but 'A' is Point"),
+        ("rotor g A A", "line 3: mirror must be a Line, not Point (A: Point, line 1)"),
         ("join l A A", "line 3: result is the zero element (dependent arguments?)"),
         (
             "point B 2e9 0",
             "line 3: point (2e+09, 0) is out of range: coordinates must stay within "
             "1e-3/tol = 1e+06 of the origin",
         ),
-        # one wrong kind per operand role; the lines before the failing one define it
-        ("line m 0 1 0\njoin l A m", "line 4: join argument must be Point, but 'm' is Line"),
-        ("meet P A A", "line 3: meet argument must be Line, but 'A' is Point"),
+        # one wrong class per operand role, refused by the library and named
+        # with each operand's class and defining line
+        (
+            "line m 0 1 0\njoin l A m",
+            "line 4: no join of Point and Line (A: Point, line 1; m: Line, line 3)",
+        ),
+        ("meet P A A", "line 3: no meet of Point and Point (A: Point, line 1)"),
         (
             "rotator r A 1\ndist d A r",
-            "line 4: dist argument must be Point or Line, but 'r' is Motor",
+            "line 4: no distance between Point and Motor (A: Point, line 1; r: Motor, line 3)",
         ),
         (
             "rotator r A 1\nangle t r A",
-            "line 4: angle argument must be Point or Line, but 'r' is Motor",
+            "line 4: no angle between Motor and Point (r: Motor, line 3; A: Point, line 1)",
+        ),
+        # a motor is reflected and applied (see the motor-operand test); a number is not
+        (
+            "line m 0 1 0\ndist d A A\nreflect Q m d",
+            "line 5: cannot apply a versor to float (m: Line, line 3; d: float, line 4)",
         ),
         (
-            "line m 0 1 0\nrotator r A 1\nreflect Q m r",
-            "line 5: reflect operand must be Point or Line, but 'r' is Motor",
+            "line m 0 1 0\nrotator h m 1",
+            "line 4: rotation center must be a Point, not Line (m: Line, line 3)",
         ),
-        ("line m 0 1 0\nrotator h m 1", "line 4: rotation center must be Point, but 'm' is Line"),
         (
             "line m 0 1 0\ntranslator t m 1",
-            "line 4: translation direction must be Point, but 'm' is Line",
+            "line 4: translation direction must be a Point, not Line (m: Line, line 3)",
         ),
-        ("apply P A A", "line 3: versor must be Motor, but 'A' is Point"),
+        ("apply P A A", "line 3: cannot use Point as a versor (A: Point, line 1)"),
         (
-            "rotator r A 1\napply P r r",
-            "line 4: apply operand must be Point or Line, but 'r' is Motor",
+            "rotator r A 1\ndist d A A\napply P r d",
+            "line 5: cannot apply a versor to float (r: Motor, line 3; d: float, line 4)",
         ),
-        ("line m 0 1 0\nmidpoint M A m", "line 4: point must be Point, but 'm' is Line"),
-        ("midline b A A", "line 3: line must be Line, but 'A' is Point"),
+        (
+            "line m 0 1 0\nmidpoint M A m",
+            "line 4: point must be a Point, not Line (A: Point, line 1; m: Line, line 3)",
+        ),
+        ("midline b A A", "line 3: line must be a Line, not Point (A: Point, line 1)"),
         (
             "rotator r A 1\nproject p r A",
-            "line 4: project argument must be Point or Line, but 'r' is Motor",
+            "line 4: cannot project Motor onto Point (r: Motor, line 3; A: Point, line 1)",
         ),
         (
             "rotator r A 1\nproject p A r",
-            "line 4: project target must be Point or Line, but 'r' is Motor",
+            "line 4: cannot project Point onto Motor (A: Point, line 1; r: Motor, line 3)",
         ),
         ("line m 1 0 0\nline n 0 1 0\nproject p m n", "line 5: zero element is not a line"),
     ],
@@ -476,6 +487,138 @@ def test_each_verb_calls_the_library_through_its_module(monkeypatch, module, nam
     monkeypatch.setattr(owner, name, recording)
     evaluate(parse(source))
     assert "pga2d.script" in callers
+
+
+# reflect and apply hand a motor operand to the library, which conjugates it:
+# a reflection reverses the turn and moves the centre, and g commutes with g
+@pytest.mark.parametrize(
+    "source, conjugate, printed",
+    [
+        (
+            "line m 1 1 -1\nreflect Q m g",
+            lambda env: isometry.sandwich(
+                isometry.OddVersor(*view(env["m"], DEFAULT_TOL)[1], 0.0), env["g"]
+            ),
+            "Q = motor(0.877583, 0.479426, 0.000000, -0.479426)\n",
+        ),
+        (
+            "apply Q g g",
+            lambda env: isometry.sandwich(env["g"], env["g"]),
+            "Q = motor(0.877583, 0.479426, 0.958851, 0.479426)\n",
+        ),
+    ],
+    ids=["reflect", "apply"],
+)
+def test_a_motor_operand_gives_the_library_conjugate(source, conjugate, printed):
+    env, out = evaluate(parse(f"point A 1 2\nrotator g A 1\n{source}\nprint Q\n"))
+    assert type(env["Q"]) is Motor and env["Q"] == conjugate(env)
+    assert out == printed
+
+
+# a value of each class that a script can hold, one per line: a point, an
+# ideal point, a line, a motor and a number
+_HELD = {
+    "P": ("point P 1 2", "Point"),
+    "V": ("ideal V 3 4", "Point"),
+    "m": ("line m 1 1 -1", "Line"),
+    "g": ("rotator g P 1", "Motor"),
+    "d": ("dist d P P", "float"),
+}
+_DEFINED = "".join(f"{line}\n" for line, _ in _HELD.values())
+_ELEMENT = {"Point", "Line"}
+# verb -> the classes that each of its operands may have
+_ACCEPTS = {
+    "join": ({"Point"}, {"Point"}),
+    "meet": ({"Line"}, {"Line"}),
+    "dist": (_ELEMENT, _ELEMENT),
+    "angle": (_ELEMENT, _ELEMENT),
+    "reflect": ({"Line"}, {"Point", "Line", "Motor"}),
+    "rotor": ({"Line"}, {"Line"}),
+    "rotator": ({"Point"},),
+    "translator": ({"Point"},),
+    "apply": ({"Motor"}, {"Point", "Line", "Motor"}),
+    "solve": ({"Point"}, {"Line"}, {"Point"}, {"Line"}),
+    "project": (_ELEMENT, _ELEMENT),
+    "midpoint": ({"Point"}, {"Point"}),
+    "midline": ({"Line"}, {"Line"}),
+}
+
+
+def test_every_verb_gives_a_result_or_names_the_operands_it_refuses():
+    # every verb that takes a name, print aside, over every combination of
+    # the held values: only the classes it accepts give a value, and only the
+    # others an OperandError, reported with each operand; a refusal of one
+    # operand's kind or value may come before that of another's class
+    assert _ACCEPTS.keys() == {v for v, sig in _SIGNATURES.items() if "ref" in sig} - {"print"}
+    for verb, classes in _ACCEPTS.items():
+        nums = ["1"] * _SIGNATURES[verb].count("num")
+        for names in product(_HELD, repeat=len(classes)):
+            statement = " ".join((verb, "R", *names, *nums))
+            accepted = all(_HELD[n][1] in c for n, c in zip(names, classes))
+            try:
+                env, _ = evaluate(parse(_DEFINED + statement))
+            except EvaluationError as exc:
+                cause = exc.__cause__
+                if isinstance(cause, OperandError):
+                    operands = "; ".join(
+                        f"{n}: {_HELD[n][1]}, line {list(_HELD).index(n) + 1}"
+                        for n in dict.fromkeys(names)
+                    )
+                    assert not accepted and str(exc) == f"line 6: {cause} ({operands})", statement
+                else:
+                    assert isinstance(cause, DomainError) and exc.lineno == 6, statement
+            else:
+                assert accepted, statement
+                format_value(env["R"])  # a value that a script can hold
+
+
+def test_a_plain_type_error_from_the_library_is_not_wrapped(monkeypatch):
+    # a bug in the library ends in a traceback, where a fuzzer sees it
+    def broken(*args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(pga2d.geometry, "join", broken)
+    with pytest.raises(TypeError) as info:
+        evaluate(parse("point A 0 0\npoint B 1 1\njoin l A B\n"))
+    assert type(info.value) is TypeError and str(info.value) == "a bug"
+
+
+def test_the_output_referee_passes_only_a_listed_migration(monkeypatch):
+    # tests/same_output.py: a listed stderr text or a record's error class,
+    # changed as listed, is a migration; any other change is a difference
+    import same_output
+
+    monkeypatch.setattr(same_output, "MIGRATIONS", {"old\n": "new\n", "TypeError": "OperandError"})
+    migration = same_output._migration
+    assert migration("stderr", "old\n", "new\n") == ("old\n", "new\n")
+    assert migration("stderr", b"old\n", b"new\n") == ("old\n", "new\n")
+    assert migration("stderr", "new\n", "old\n") is None
+    assert migration("stdout", "old\n", "new\n") is None
+    raised = ["raised", "TypeError", "no join of Line and Line"]
+    moved = ["raised", "OperandError", raised[2]]
+    assert migration("library", raised, moved) == ("TypeError", "OperandError")
+    assert migration("library", raised, [*moved[:2], "another text"]) is None
+    assert migration("library", raised, ["Line", "1.0", "0.0", "0.0"]) is None
+
+
+# a fresh interpreter: only a motor operand's conjugate multiplies multivectors
+@pytest.mark.parametrize(
+    "source, loaded",
+    [
+        ("line m 1 1 -1\nreflect Q m g", True),
+        ("apply Q g g", True),
+        ("line m 1 1 -1\nreflect Q m A\nreflect R m m", False),
+        ("line m 1 1 -1\napply Q g A\napply R g m", False),
+    ],
+    ids=["reflect-motor", "apply-motor", "reflect", "apply"],
+)
+def test_only_a_motor_operand_loads_the_kernel(source, loaded):
+    script = f"point A 1 2\nrotator g A 1\n{source}\n"
+    probe = (
+        f"import sys\nfrom pga2d.script import evaluate, parse\nevaluate(parse({script!r}))\n"
+        "print('pga2d.kernel' in sys.modules)"
+    )
+    assert _fresh(probe) == f"{loaded}\n"
 
 
 def test_format_value_of_huge_ideal_point():
