@@ -18,7 +18,7 @@ import math
 
 from .elements import Line, Point, cross, incidence
 from .errors import DomainError, OperandError, OrientationError
-from .metric import euclidean, ideal, normalize
+from .metric import euclidean, ideal, normalize, view
 from .multivector import DEFAULT_TOL, _finite, near_zero
 
 
@@ -48,28 +48,23 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> float:
 
 
 def angle(x, y, tol: float = DEFAULT_TOL) -> float:
-    """Angle in [0, pi] between two lines, two ideal points, or a line and
-    an ideal point (measured against the line's direction)."""
-    if isinstance(x, Line) and isinstance(y, Line):
-        ma, mb, _ = euclidean(x, Line, tol, "line")
-        na, nb, _ = euclidean(y, Line, tol, "line")
-        # the scalar m . n and the e12 part of m ^ n
-        cos_a = ma * na + mb * nb
-        sin_a = abs(ma * nb - mb * na)
-        return math.atan2(sin_a, cos_a)
-    if isinstance(x, Point) and isinstance(y, Point):
-        ux, uy, _ = ideal(x, tol, "point")
-        vx, vy, _ = ideal(y, tol, "point")
-        # the free-vector dot of the unit directions
-        return math.acos(max(-1.0, min(1.0, ux * vx + uy * vy)))
-    m, other = (x, y) if isinstance(x, Line) else (y, x)
-    if isinstance(m, Line) and isinstance(other, Point):
-        ma, mb, _ = euclidean(m, Line, tol, "line")
-        ux, uy, _ = ideal(other, tol, "point")
-        # m . u is the ideal line c*e0 with c the cosine
-        c = max(-1.0, min(1.0, mb * ux - ma * uy))
-        return math.acos(c)
-    raise OperandError(f"no angle between {type(x).__name__} and {type(y).__name__}")
+    """Angle in [0, pi], atan2(|u ^ v|, u . v), of the unit directions u and v
+    of two lines, two ideal points, or a line and an ideal point."""
+    if not (isinstance(x, (Line, Point)) and isinstance(y, (Line, Point))):
+        raise OperandError(f"no angle between {type(x).__name__} and {type(y).__name__}")
+    if isinstance(x, Point) and isinstance(y, Line):
+        x, y = y, x  # the line is gated first; the angle is symmetric
+    (ux, uy), (vx, vy) = _direction(x, tol), _direction(y, tol)
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
+def _direction(x, tol: float) -> tuple[float, float]:
+    """A line's unit normal (a, b) turned a quarter clockwise, or an ideal
+    point's unit free vector."""
+    if isinstance(x, Line):
+        a, b, _ = euclidean(x, Line, tol, "line")
+        return b, -a
+    return ideal(x, tol, "point")[:2]
 
 
 def _cross(u: tuple, v: tuple, tol: float) -> tuple[float, float, float]:
@@ -126,10 +121,11 @@ def midline(m: Line, n: Line, tol: float = DEFAULT_TOL) -> Line:
 
 
 def _operands(x, onto, tol: float) -> tuple[tuple, tuple]:
-    """The normalized fields of x and onto, for project and reject."""
+    """Normalized fields of x and onto for project and reject; a point onto a line may be ideal."""
     if not (isinstance(x, (Line, Point)) and isinstance(onto, (Line, Point))):
         raise OperandError(f"cannot project {type(x).__name__} onto {type(onto).__name__}")
-    u = euclidean(x, type(x), tol, "projected element")
+    free = isinstance(x, Point) and isinstance(onto, Line)
+    u = view(x, tol)[1] if free else euclidean(x, type(x), tol, "projected element")
     return u, euclidean(onto, type(onto), tol, "projection target")
 
 
@@ -138,10 +134,12 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Line | Point:
     form on their fields.  With d the signed distance of the point from the
     line: line m onto line n gives cos*n, with cos = m.n; line m onto point
     P the parallel line through P; point P onto line n the foot
-    P - d*(a, b); point P onto point Q, Q.  A line onto a perpendicular one
-    is exactly zero, which Line rejects with DomainError."""
+    P - d*(a, b), of P's weight (an ideal P's part along n); point P onto
+    point Q, Q.  A line onto a perpendicular one, or an ideal point onto a
+    line normal to it, is exactly zero, which Line or Point rejects with
+    DomainError."""
     u, w = _operands(x, onto, tol)
-    (u0, u1, _), (w0, w1, w2) = u, w
+    (u0, u1, u2), (w0, w1, w2) = u, w
     if isinstance(x, Line) and isinstance(onto, Line):
         cos = u0 * w0 + u1 * w1
         return Line(cos * w0, cos * w1, cos * w2)
@@ -149,5 +147,5 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Line | Point:
         return Line(u0, u1, -(u0 * w0 + u1 * w1))
     if isinstance(onto, Line):
         d = incidence(w, u)
-        return Point(u0 - w0 * d, u1 - w1 * d, 1.0)
+        return Point(u0 - w0 * d, u1 - w1 * d, u2)
     return Point(*w)

@@ -155,16 +155,17 @@ def _exp(bx: float, by: float, t: float) -> Motor:
 
 
 def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
-    """Motor whose sandwich rotates by alpha about the euclidean point p.
+    """Motor exp((alpha/2) p): the turn by alpha about p, or translator(p, alpha) if p is ideal.
 
     Positive alpha turns +x toward -y about a weight-positive point (the
     half-angle exponential of this basis is clockwise in the usual drawing
     orientation); golden tests pin the convention.
     """
-    cx, cy, cz = euclidean(p, Point, tol, "rotation center")
-    # the bivector (alpha/2) * c
-    h = alpha / 2.0
-    return _exp(*_finite((cx * h, cy * h, cz * h)))
+    if not isinstance(p, Point):
+        raise OperandError(f"rotation center must be a Point, not {type(p).__name__}")
+    ideal, (cx, cy, cz) = view(p, tol)
+    h = alpha / 2.0  # the bivector (alpha/2) * c, of weight 0 when c is ideal
+    return _exp(*_finite((cx * h, cy * h, 0.0 if ideal else cz * h)))
 
 
 def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
@@ -195,8 +196,8 @@ def solve_point_line_transport(
     m to m2; both tests are near_zero against the figure's size, the largest
     coordinate of the normalized points and offset of the normalized lines.
     """
-    an, a2n = euclidean(a, Point, tol, "point a"), euclidean(a2, Point, tol, "point a2")
-    mn, m2n = euclidean(m, Line, tol, "line m"), euclidean(m2, Line, tol, "line m2")
+    an, mn = euclidean(a, Point, tol, "point a"), euclidean(m, Line, tol, "line m")
+    a2n, m2n = euclidean(a2, Point, tol, "point a2"), euclidean(m2, Line, tol, "line m2")
     (ax, ay, _), (a2x, a2y, _), (ma, mb, mc), (m2a, m2b, m2c) = an, a2n, mn, m2n
     # below the smallest normal float rounding is absolute, so the size stops there
     size = max(abs(ax), abs(ay), abs(a2x), abs(a2y), abs(mc), abs(m2c), sys.float_info.min)

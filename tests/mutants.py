@@ -82,6 +82,15 @@ FREEZE = (
     "tests/test_script.py::test_the_process_entry_freezes_the_collector_as_it_returns",
     "tests/test_script.py::test_main_called_with_argv_leaves_the_collector_alone",
 )
+# what a free vector gives where the closed form covers it, and the exact angle
+IDEAL_OPERANDS = (
+    "tests/test_isometry.py::test_the_rotator_about_an_ideal_point_is_its_translator_exactly",
+    "tests/test_geometry.py::"
+    "test_a_free_vector_projects_along_a_line_and_rejects_along_its_normal",
+    "tests/test_geometry.py::test_angle_of_an_ideal_operand_is_never_farther_from_the_exact_one",
+    "tests/test_geometry.py::test_angle_rejects_euclidean_point",
+    "tests/test_kernel_reference.py::test_measurements_are_the_kernel_products_exactly",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -289,6 +298,33 @@ MUTANTS = {
     "midpoint-summed-first": (
         "geometry.py", "return Point(0.5 * px + 0.5 * qx, 0.5 * py + 0.5 * qy, 1.0)",
         "return Point(0.5 * (px + qx), 0.5 * (py + qy), 1.0)", MIDPOINT,
+    ),
+    # one exponential of a point, one angle of two directions, and the
+    # projection of a free vector, of its own weight
+    "rotator-keeps-an-ideal-weight": (
+        "isometry.py", "0.0 if ideal else cz * h", "cz * h", IDEAL_OPERANDS,
+    ),
+    "project-of-weight-1": (
+        "geometry.py", "return Point(u0 - w0 * d, u1 - w1 * d, u2)",
+        "return Point(u0 - w0 * d, u1 - w1 * d, 1.0)", IDEAL_OPERANDS,
+    ),
+    "angle-signed-sine": (
+        "geometry.py", "return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)",
+        "return math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)", IDEAL_OPERANDS,
+    ),
+    "project-gates-a-free-vector": (
+        "geometry.py", "free = isinstance(x, Point) and isinstance(onto, Line)", "free = False",
+        IDEAL_OPERANDS,
+    ),
+    "angle-gates-the-point-first": (
+        "geometry.py", "x, y = y, x  # the line is gated first; the angle is symmetric", "pass",
+        IDEAL_OPERANDS,
+    ),
+    "solver-gates-both-points-first": (
+        "isometry.py",
+        'an, mn = euclidean(a, Point, tol, "point a"), euclidean(m, Line, tol, "line m")',
+        'an, mn = euclidean(a, Point, tol, "point a"), euclidean(a2, Point, tol, "point a2")'
+        '; mn = euclidean(m, Line, tol, "line m")', OPERANDS,
     ),
     # the interpreter loads geometry and isometry on import
     "script-loads-eagerly": (

@@ -10,6 +10,8 @@ defining wedge property, and measurements from classical analytic geometry.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 # stored blade order used by the kernel, expressed as index lists
 BLADES = ((), (0,), (1,), (2,), (2, 0), (0, 1), (1, 2), (0, 1, 2))
@@ -182,6 +184,30 @@ def vector_angle(u, v) -> float:
     cross = u[0] * v[1] - u[1] * v[0]
     dotp = u[0] * v[0] + u[1] * v[1]
     return math.atan2(abs(cross), dotp)
+
+
+def cos_sin(t: float) -> tuple[Fraction, Fraction]:
+    """cos t and sin t of a float t in [0, 4], each summed from its Taylor
+    series in 60-digit decimal, as Fractions."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, term, parts = Decimal(t), Decimal(1), [Decimal(0)] * 4
+        # term is x**k / k!, and parts sums it by k mod 4: cos is 0 - 2, sin 1 - 3
+        for k in range(1, 80):
+            parts[(k - 1) % 4] += term
+            term = term * x / k
+        return Fraction(parts[0] - parts[2]), Fraction(parts[1] - parts[3])
+
+
+def angle_miss(theta: float, u, v) -> Fraction:
+    """sin(theta - t)**2 for t the exact angle in [0, pi] between the plane
+    vectors u and v, their float coordinates read exactly.  With S = |u ^ v|
+    and C = u . v, t has sine S/R and cosine C/R, R = |u| |v|, so the sine of
+    the difference is (S cos theta - C sin theta) / R."""
+    (ux, uy), (vx, vy) = (tuple(map(Fraction, w)) for w in (u, v))
+    s, c = abs(ux * vy - uy * vx), ux * vx + uy * vy
+    cos_theta, sin_theta = cos_sin(theta)
+    return (s * cos_theta - c * sin_theta) ** 2 / (s * s + c * c)
 
 
 def foot_of_perpendicular(p, line) -> tuple[float, float]:

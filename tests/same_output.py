@@ -10,7 +10,8 @@ base commit of a change.  The golden scripts and the generated bench scripts
 and 0 through ``pga2d.cli.main``, each script with ``--svg``, and so does
 ``pga2d tables`` and both ``--help`` texts, and so do a few failing scripts
 and arguments: one per kind of error line, a few operands of the wrong kind,
-and argument lists that argparse reads, most of them usage errors.  The
+and argument lists that argparse reads, most of them usage errors; and so do
+a few scripts of operands that a verb once refused.  The
 process section runs ``pga2d tables``, each golden script with ``--svg`` and
 the failing script of CI's console-script step (``evaluation.pga`` here)
 through the process entry, each in its own ``python -m pga2d.cli`` child.
@@ -32,8 +33,11 @@ with its own ``src`` on the path.  Any difference in stdout, stderr, exit
 code, SVG bytes or a library record is printed, and the exit code is then 1,
 unless MIGRATIONS lists it: a change made on purpose, from an old stderr
 text to a new one, or from an old exception class to a new one in a library
-record whose error text is unchanged.  Each migration is printed once, with
-the number of records or texts it covers, and leaves the exit code at 0.
+record whose error text is unchanged; a refusal, by its old text, of a library
+call that now gives a result or of a run that now exits 0; or a changed float
+of ``angle`` with an ideal-point operand.  Each migration is printed once,
+with the number of records, texts or runs it covers, and leaves the exit code
+at 0.
 pytest does not collect this file.
 """
 
@@ -89,10 +93,24 @@ FAILING = {
     ),
     "lineno-parse": "point A 0 0\r\n\r\n# c\rprint B\r\n",
 }
+# operands that a verb once refused: a motor reflected or applied, and an
+# ideal point as a rotation centre or projected onto a line
+ACCEPTED = {
+    "reflect-motor": "point A 1 2\nrotator g A 1\nline m 0 1 0\nreflect Q m g\nprint Q\n",
+    "apply-motor": "point P 1 2\nrotator g P 1\napply h g g\nprint h\n",
+    "ideal-operands": (
+        "point O 0 0\nideal V 1 0\nline m 1 1 0\nrotator g V 2\ntranslator t V 2\n"
+        "print g\nprint t\nproject P V m\nprint P\n"
+    ),
+}
 
 
-# old -> new: a whole stderr text, or the exception class of a library record.
+# old -> new: a whole stderr text, or the exception class of a library record;
+# or the text of a refusal, of a library call or of a whole run, -> RESULT when
+# the call now gives a result or the run exits 0; or IDEAL_ANGLE -> FLOAT, any
+# float that angle gives with a point operand, which it takes only when ideal.
 # An entry matches nothing once the base commit gives its new side, and can go.
+RESULT, IDEAL_ANGLE, FLOAT = "a result", "angle with an ideal point", "another float"
 MIGRATIONS = {
     # the library's class refusals raise OperandError, a TypeError and an
     # AlgebraError, and the script reports it with each operand's name, class
@@ -112,18 +130,42 @@ MIGRATIONS = {
         "error: line 3: no meet of Point and Point (A: Point, line 1; B: Point, line 2)\n",
     "error: line 7: mirror must be Line, but 'A' is Point\n":
         "error: line 7: mirror must be a Line, not Point (A: Point, line 3)\n",
+    # the exponential of an ideal point is its translator, and a free vector
+    # projects onto a line and is rejected from it
+    "rotation center Point(0.754154, -0.49594, 0) must be euclidean": RESULT,
+    "rotation center Point(1, 0, 1e-12) must be euclidean": RESULT,
+    "projected element Point(0.754154, -0.49594, 0) must be euclidean": RESULT,
+    "projected element Point(1, 0, 1e-12) must be euclidean": RESULT,
+    "error: line 4: rotation center Point(1, 0, 0) must be euclidean\n": RESULT,
+    # angle is the atan2 of two directions' sine and cosine, where it took a
+    # clamped acos of the cosine for an ideal point
+    IDEAL_ANGLE: FLOAT,
 }
 
 
-def _migration(field: str, old, new) -> tuple[str, str] | None:
-    """The (old, new) pair of MIGRATIONS that explains this difference, if any."""
+def _migration(field: str, old, new, label: str = "") -> tuple[str, str] | None:
+    """The (old, new) pair of MIGRATIONS that explains this difference of one
+    field, if any; label is a library record's."""
     if field == "stderr":
         old, new = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old, new))
-    elif field == "library" and old[:1] == new[:1] == ["raised"] and old[2] == new[2]:
+    elif field != "library":
+        return None
+    elif old[:1] == new[:1] == ["raised"] and old[2] == new[2]:
         old, new = old[1], new[1]
+    elif old[:1] == ["raised"] and new[:1] != ["raised"]:
+        old, new = old[2], RESULT
+    elif label.startswith("angle(") and "Point(" in label and {type(old), type(new)} == {str}:
+        old, new = IDEAL_ANGLE, FLOAT  # a float is recorded as its repr
     else:
         return None
     return (old, new) if MIGRATIONS.get(old) == new else None
+
+
+def _accepted(old: list, new: list) -> tuple[str, str] | None:
+    """The (stderr, RESULT) pair of MIGRATIONS for a run that a listed refusal
+    ended and that now exits 0, if any; it explains every field of the run."""
+    text = old[1].decode("utf-8", "replace") if isinstance(old[1], bytes) else old[1]
+    return (text, RESULT) if new[2] == 0 and MIGRATIONS.get(text) == RESULT else None
 
 
 def _write_scripts(folder: Path) -> list[str]:
@@ -142,7 +184,7 @@ def _write_scripts(folder: Path) -> list[str]:
                 name = f"{workload}-{seed}-{index}.pga"
                 (folder / name).write_text(generate.generate(workload, seed, index).text)
                 names.append(name)
-    for name, text in FAILING.items():
+    for name, text in {**FAILING, **ACCEPTED}.items():
         (folder / f"{name}.pga").write_text(text)
         names.append(f"{name}.pga")
     return names
@@ -252,7 +294,10 @@ def _library_calls():
     gated = [
         ("distance", g.distance, pairs(lines + points, lines + points, 40)),
         ("angle", g.angle, pairs(lines + points, lines + points, 40)),
-        ("project", g.project, pairs(lines + points, lines + points, 30)),
+        # and each ideal point onto two lines
+        ("project", g.project, pairs(lines + points, lines + points, 30) + [
+            (v, m) for v in points[6:8] for m in lines[:2]
+        ]),
         ("reject", g.reject, pairs(lines + points, lines + points, 30)),
         ("midpoint", g.midpoint, pairs(points, points, 20)),
         ("midline", g.midline, pairs(lines, lines, 20)),
@@ -353,25 +398,34 @@ def main(argv: list[str]) -> int:
         base["process"] = _processes(base_src, folder, processes)
         this["process"] = _processes(ROOT / "src", folder, processes)
     fields = ("stdout", "stderr", "exit code", "SVG")
-    changed = [
-        (f"{prefix}{' '.join(case)}: {field} differs", field, a, b)
+    runs = [
+        (f"{prefix}{' '.join(case)}", old, new)
         for section, prefix, section_cases in (
             ("cli", "", cases), ("process", "process: ", processes)
         )
         for case, old, new in zip(section_cases, base[section], this[section])
+        if old != new
+    ]
+    migrations: Counter[tuple[str, str]] = Counter(
+        pair for _, old, new in runs if (pair := _accepted(old, new))
+    )
+    changed = [
+        (f"{run}: {field} differs", field, a, b, "")
+        for run, old, new in runs
+        if not _accepted(old, new)
         for field, a, b in zip(fields, old, new)
         if a != b
     ]
     library = this["library"]
     changed += [
-        (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new)
+        (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new,
+         label)
         for (label, old), (_, new) in zip(base["library"], library)
         if old != new
     ]
-    migrations: Counter[tuple[str, str]] = Counter()
     differences = []
-    for line, field, old, new in changed:
-        pair = _migration(field, old, new)
+    for line, field, old, new, label in changed:
+        pair = _migration(field, old, new, label)
         if pair is None:
             differences.append(line)
         else:

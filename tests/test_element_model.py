@@ -74,12 +74,12 @@ def test_ideal_point_is_the_point_with_zero_weight():
     assert normalize(u) == IdealPoint(0.6, 0.8)
 
 
-# -- euclidean-only operations reject both forms alike -----------------------------
+# -- both forms of an ideal point get one outcome ---------------------------------
 
 _A, _B = Point(1, 2, 1), Point(-1, 0.5, 1)
 _M = Line(0, 1, -2)  # through _A
 
-EUCLIDEAN_ONLY = {
+WITH_AN_IDEAL_POINT = {
     "midpoint": lambda v: midpoint(v, _A),
     "rotator": lambda v: rotator(v, 0.5),
     "perp_line_through": lambda v: perp_line_through(_M, v),
@@ -93,28 +93,45 @@ EUCLIDEAN_ONLY = {
     "reject": lambda v: reject(v, _M),
     "reject_from": lambda v: reject(_M, v),
 }
+# what a free vector gives where the closed form covers it; the others refuse it:
+# (1, 0) runs along _M, so it projects onto itself and leaves nothing to reject,
+# and the exponential of an ideal point is the translator's
+IDEAL_RESULTS = {
+    "project": IdealPoint(1, 0),
+    "reject": None,
+    "rotator": translator(IdealPoint(1, 0), 0.5),
+}
 
 
-@pytest.mark.parametrize("name", sorted(EUCLIDEAN_ONLY))
+@pytest.mark.parametrize("name", sorted(WITH_AN_IDEAL_POINT))
 def test_ideal_point_forms_are_rejected_alike(name):
-    call = EUCLIDEAN_ONLY[name]
-    messages = []
+    call = WITH_AN_IDEAL_POINT[name]
+    outcomes = []
     for v in (IdealPoint(1, 0), Point(1, 0, 0)):
+        if name in IDEAL_RESULTS:
+            outcomes.append(call(v))
+            continue
         with pytest.raises(ClassificationError) as err:
             call(v)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+        outcomes.append(str(err.value))
+    assert outcomes[0] == outcomes[1]
+    if name in IDEAL_RESULTS:
+        assert outcomes[0] == IDEAL_RESULTS[name]
 
 
 def test_reject_rejects_ideal_operands_with_the_texts_of_project():
-    for rejecting, projecting in (("reject", "project"), ("reject_from", "project_onto")):
-        for v in (IdealPoint(1, 0), Point(1, 0, 0)):
-            texts = []
-            for name in (rejecting, projecting):
-                with pytest.raises(ClassificationError) as err:
-                    EUCLIDEAN_ONLY[name](v)
-                texts.append(str(err.value))
-            assert texts[0] == texts[1]
+    # onto an ideal point both refuse, with one text
+    for v in (IdealPoint(1, 0), Point(1, 0, 0)):
+        texts = []
+        for name in ("reject_from", "project_onto"):
+            with pytest.raises(ClassificationError) as err:
+                WITH_AN_IDEAL_POINT[name](v)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+    # a free vector onto a line: its parts along the line and along the normal
+    for v in (IdealPoint(3, 4), Point(3, 4, 0)):
+        assert project(v, _M) == IdealPoint(0.6, 0.0)
+        assert reject(v, _M) == IdealPoint(0.0, 0.8)
 
 
 # -- scripts: `ideal V ...` and a computed ideal V behave alike ----------------------
@@ -132,12 +149,18 @@ SCRIPT_BODIES = {
     ),
     "dist_point": "dist d V A\n",
     "dist_line": "dist d n V\n",
-    "project": "project P V m\n",
+    "project": "project P V m\nprint P\n",
     "project_onto": "project P m V\n",
-    "rotator": "rotator g V 1\n",
+    "rotator": "rotator g V 1\nprint g\n",
     "midpoint": "midpoint M A V\n",
     "solve": "solve g V n A n\n",
     "solve_target": "solve g A n V n\n",
+}
+
+# a free vector projects onto a line, and its exponential is the translator's
+SCRIPT_RESULTS = {
+    "project": "P = ideal (-0.707107, 0.707107)\n",
+    "rotator": "g = motor(1.000000, -0.500000, 0.000000, 0.000000)\n",
 }
 
 
@@ -162,6 +185,8 @@ def test_script_treats_made_and_computed_ideal_points_alike(name, tmp_path, caps
     if name == "succeeds":
         assert (code, err) == (0, "") and svg.startswith(b"<?xml")
         assert "V = ideal (-1.000000, 0.000000)\n" in out
+    elif name in SCRIPT_RESULTS:
+        assert (code, out, err) == (0, SCRIPT_RESULTS[name], "")
     else:
         assert code == 2 and err.startswith("error: line 8: ") and err.count("\n") == 1
 

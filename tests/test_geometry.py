@@ -51,6 +51,37 @@ def test_point_distance_examples():
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _gated_functions() -> set[str]:
+    """Each public function of src/pga2d that calls metric.euclidean or
+    metric.ideal, itself or through a private helper of its module."""
+    callers: dict[str, set[str]] = {}
+    for path in sorted((README.parent / "src" / "pga2d").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                        callers.setdefault(call.func.id, set()).add(node.name)
+    found, todo = set(), ["euclidean", "ideal"]
+    while todo:
+        for caller in callers.get(todo.pop(), ()):
+            if caller.startswith("_"):
+                todo.append(caller)
+            elif caller not in found | {"euclidean", "ideal"}:
+                found.add(caller)
+    return found
+
+
+def test_the_readme_gate_table_lists_every_function_that_calls_a_gate():
+    table = README.read_text().split("### Ideal operands", 1)[1].split("\n### ", 1)[0]
+    listed = {
+        name
+        for row in table.splitlines()
+        if row.startswith("| `")
+        for name in re.findall(r"`(\w+)`", row.split(" | ")[0])
+    }
+    assert listed == _gated_functions()
+
+
 def test_the_readme_library_tour_shows_the_values_it_computes():
     tour = README.read_text().split("## Library tour", 1)[1]
     tour = tour.split("```python\n", 1)[1].split("```", 1)[0]
@@ -177,6 +208,53 @@ def test_line_ideal_point_angle_matches_oracle():
         assert angle(u, m) == pytest.approx(got, abs=1e-12)
 
 
+def test_angle_of_nearly_parallel_directions_is_their_small_angle():
+    # a clamped acos of the cosine, the form for an ideal operand before,
+    # read both as exactly 0 and pi
+    assert angle(IdealPoint(1, 0), IdealPoint(1, 1e-9)) == 1e-9
+    assert angle(Line(0, 1, 0), IdealPoint(-1, -1e-9)) == math.pi - 1e-9
+
+
+def _acos_angle(x, y) -> float:
+    """The clamped acos of the cosine that angle took before for an ideal
+    operand: u . v of two unit free vectors, or m . u of a line and one."""
+    m, u = (x, y) if isinstance(x, Line) else (y, x)
+    m, u = normalize(m), normalize(u)
+    cosine = m.b * u.x - m.a * u.y if isinstance(m, Line) else m.x * u.x + m.y * u.y
+    return math.acos(max(-1.0, min(1.0, cosine)))
+
+
+def _direction(x) -> tuple[float, float]:
+    return (x.b, -x.a) if isinstance(x, Line) else (x.x, x.y)
+
+
+def test_angle_of_an_ideal_operand_is_never_farther_from_the_exact_one():
+    """Against the exact angle of the operands as given, through its exact
+    sine and cosine (oracle.angle_miss is the squared sine of the miss):
+    angle stays within 2 eps, and never misses by more than the acos form
+    did, beyond that rounding; near 0 and pi the acos form misses by more
+    than 1e7 eps."""
+    r = gen.rng(39)
+    eps, worst = 2.220446049250313e-16, 0.0
+    for i in range(2000):
+        turn = r.uniform(0.0, math.pi)
+        if i % 3:  # nearly parallel, or nearly opposed
+            turn = 10.0 ** r.uniform(-12.0, -1.0)
+            turn = turn if i % 3 == 1 else math.pi - turn
+        base, k, k2 = r.uniform(-math.pi, math.pi), *(10.0**e for e in r.uniform(-3, 3, size=2))
+        ux, uy = k * math.cos(base), k * math.sin(base)
+        v = Point(k2 * math.cos(base + turn), k2 * math.sin(base + turn), r.choice((0.0, 1e-13)))
+        x = IdealPoint(ux, uy) if i % 2 else Line(-uy, ux, r.uniform(-5.0, 5.0))
+        x, y = (x, v) if r.random() < 0.5 else (v, x)
+        new, old = (
+            oracle.angle_miss(f(x, y), _direction(x), _direction(y)) for f in (angle, _acos_angle)
+        )
+        assert new <= (2.0 * eps) ** 2
+        assert new <= max(old, (2.0 * eps) ** 2)
+        worst = max(worst, float(old))
+    assert math.sqrt(worst) > 1e7 * eps
+
+
 def test_angle_rejects_two_ideal_lines():
     with pytest.raises(DomainError):
         angle(Line(0, 0, 1), Line(0, 0, -2))
@@ -185,6 +263,10 @@ def test_angle_rejects_two_ideal_lines():
 def test_angle_rejects_euclidean_point():
     with pytest.raises(ClassificationError):
         angle(Point(1, 1, 1), Line(1, 0, 0))
+    # the line is gated before the point, in either argument order
+    for x, y in ((Point(1, 1, 1), Line(0, 0, 1)), (Line(0, 0, 1), Point(1, 1, 1))):
+        with pytest.raises(ClassificationError, match=r"^line Line\[0, 0, 1\] must be euclidean$"):
+            angle(x, y)
 
 
 # -- two-line and two-point product laws ---------------------------------------
@@ -496,10 +578,37 @@ def test_project_does_not_fail_on_an_overflowing_rejection():
         reject(m, n, 0.0)
 
 
+def test_a_free_vector_projects_along_a_line_and_rejects_along_its_normal():
+    """project and reject split the unit free vector u of weight w, exactly
+    0 or inside the ideal band, as the foot of the point (u.x, u.y) on the
+    line [a, b, c * w]: along m, and along m's normal; they sum to u."""
+    r = gen.rng(139)
+    eps = 2.220446049250313e-16
+    for _ in range(2000):
+        theta, k = r.uniform(0.0, 2.0 * math.pi), 10.0 ** r.uniform(-3.0, 3.0)
+        v = Point(k * math.cos(theta), k * math.sin(theta), r.choice((0.0, 1e-12 * k)))
+        m = Line(*r.uniform(-2.0, 2.0, size=2), r.uniform(-50.0, 50.0))
+        p, q, u = project(v, m), reject(v, m), normalize(v)
+        fx, fy = oracle.foot_of_perpendicular((u.x, u.y), (m.a, m.b, m.c * u.z))
+        # the shift that the weight gives the foot, off m's direction
+        shift = abs(oracle.signed_point_line_distance((0.0, 0.0), (m.a, m.b, m.c * u.z)))
+        assert (p.z, q.z) == (u.z, 0.0)
+        for got, want in (
+            (p.x, fx), (p.y, fy), (q.x, u.x - fx), (q.y, u.y - fy),
+            (p.x + q.x, u.x), (p.y + q.y, u.y),
+        ):
+            assert abs(got - want) <= 4 * eps * (1.0 + shift)
+        d = ideal_point_of(m)  # parallel to m's direction, exactly so at weight 0
+        assert abs(p.x * d.y - p.y * d.x) <= (4 * eps + shift) * math.hypot(d.x, d.y)
+
+
 def test_project_rejects_ideal():
+    # a free vector normal to the line has no part along it, and all of it is
+    # rejected; an ideal target is refused
+    with pytest.raises(DomainError, match="^zero element is not a point$"):
+        project(Point(1, 0, 0), Line(1, 0, 0))
+    assert reject(Point(1, 0, 0), Line(1, 0, 0)) == IdealPoint(1, 0)
     for op in (project, reject):
-        with pytest.raises(ClassificationError):
-            op(Point(1, 0, 0), Line(1, 0, 0))
         with pytest.raises(ClassificationError):
             op(Line(1, 0, 0), Line(0, 0, 1))
 

@@ -269,6 +269,20 @@ def test_rotator_about_general_center():
         assert euclid(fixed) == pytest.approx(euclid(center), abs=1e-9)
 
 
+def test_the_rotator_about_an_ideal_point_is_its_translator_exactly():
+    """exp((d/2) V) of an ideal V: its weight, exactly 0 or inside the band
+    (at most tol times its largest coordinate), is dropped as translator drops it."""
+    r = gen.rng(139)
+    for i in range(20000):
+        tol = r.choice((1e-9, 1e-6, 1e-3, 0.0))
+        k = 10.0 ** r.uniform(-3.0, 3.0)
+        x, y = k * r.uniform(-1.0, 1.0), k * r.uniform(-1.0, 1.0)
+        z = 0.0 if i % 2 else tol * max(abs(x), abs(y)) * r.uniform(-1.0, 1.0)
+        v, d = Point(x, y, z), r.uniform(-20.0, 20.0)
+        assert v.is_ideal(tol)
+        assert rotator(v, d, tol) == translator(v, d, tol)
+
+
 def test_translator_convention():
     # moves distance d perpendicular-CCW to the named direction
     g = translator(IdealPoint(0, 1), 1.0)

@@ -249,8 +249,9 @@ def test_measurements_are_the_kernel_products_exactly():
             if abs(meet[6]) < 1e-9:
                 assert distance(m, n) == math.hypot(meet[4], meet[5])
         for u in (IdealPoint(q.x, q.y), Point(q.x, q.y, 0.0)):
-            cosine = max(-1.0, min(1.0, mn.dot(normalize(u).mv())[1]))
-            assert angle(m, u) == math.acos(cosine)
+            un = normalize(u).mv()
+            # the e012 part of m ^ u is the sine, the e0 part of m . u the cosine
+            assert angle(m, u) == math.atan2(abs(mn.outer(un)[7]), mn.dot(un)[1])
 
 
 def test_parallel_test_of_normalized_lines_is_the_outer_product_slot():

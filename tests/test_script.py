@@ -422,6 +422,12 @@ def test_subnormal_ideal_point_acts_like_its_unit_direction():
             "line 4: point must be a Point, not Line (A: Point, line 1; m: Line, line 3)",
         ),
         ("midline b A A", "line 3: line must be a Line, not Point (A: Point, line 1)"),
+        # the solver gates its operands in argument order, so the class of m
+        # is refused before the kind of a2
+        (
+            "point P 1 2\nideal V 3 4\nsolve R P P V P",
+            "line 5: line m must be a Line, not Point (P: Point, line 3; V: Point, line 4)",
+        ),
         (
             "rotator r A 1\nproject p r A",
             "line 4: cannot project Motor onto Point (r: Motor, line 3; A: Point, line 1)",
@@ -599,6 +605,35 @@ def test_the_output_referee_passes_only_a_listed_migration(monkeypatch):
     assert migration("library", raised, moved) == ("TypeError", "OperandError")
     assert migration("library", raised, [*moved[:2], "another text"]) is None
     assert migration("library", raised, ["Line", "1.0", "0.0", "0.0"]) is None
+
+
+def test_the_output_referee_passes_a_listed_refusal_that_now_gives_a_result(monkeypatch):
+    # a refusal, by its old text, of a library call or a whole run, and a
+    # changed float of angle with a point operand
+    import same_output as so
+
+    listed = {"refused": so.RESULT, "error: refused\n": so.RESULT, so.IDEAL_ANGLE: so.FLOAT}
+    monkeypatch.setattr(so, "MIGRATIONS", listed)
+    refused = ["raised", "ClassificationError", "refused"]
+    other = ["raised", "DomainError", "other"]
+    motor = ["Motor", "1.0", "-0.5", "0.0", "0.0"]
+    assert so._migration("library", refused, motor) == ("refused", so.RESULT)
+    assert so._migration("library", other, motor) is None
+    assert so._migration("library", refused, other) is None
+    ideal = "angle(Line[1, 0, 0], Point(1, 0, 0), 1e-09)"
+    lines = "angle(Line[1, 0, 0], Line[0, 1, 0], 0.0)"
+    assert so._migration("library", "0.1", "0.2", ideal) == (so.IDEAL_ANGLE, so.FLOAT)
+    assert so._migration("library", "0.1", "0.2", lines) is None
+    assert so._migration("library", "0.1", refused, ideal) is None
+    distance = "distance(Point(1, 0, 1), Point(0, 0, 1), 0.0)"
+    assert so._migration("library", "0.1", "0.2", distance) is None
+    failed = ["", "error: refused\n", 2, None]
+    assert so._accepted(failed, ["g = 1\n", "", 0, "<svg/>"]) == ("error: refused\n", so.RESULT)
+    assert so._accepted([b"", b"error: refused\n", 2, None], [b"g = 1\n", b"", 0, b""]) == (
+        "error: refused\n", so.RESULT,
+    )
+    assert so._accepted(failed, ["", "error: another\n", 2, None]) is None
+    assert so._accepted(["", "error: other\n", 2, None], ["g = 1\n", "", 0, None]) is None
 
 
 # a fresh interpreter: only a motor operand's conjugate multiplies multivectors
