@@ -134,10 +134,10 @@ def project(x, onto, tol: float = DEFAULT_TOL) -> Line | Point:
     form on their fields.  With d the signed distance of the point from the
     line: line m onto line n gives cos*n, with cos = m.n; line m onto point
     P the parallel line through P; point P onto line n the foot
-    P - d*(a, b), of P's weight (an ideal P's part along n); point P onto
-    point Q, Q.  A line onto a perpendicular one, or an ideal point onto a
-    line normal to it, is exactly zero, which Line or Point rejects with
-    DomainError."""
+    P - d*(a, b), of weight 1, or 0 for an ideal P (its part along n); point
+    P onto point Q, Q.  A line onto a perpendicular one, or an ideal point
+    onto a line normal to it, is exactly zero, which Line or Point rejects
+    with DomainError."""
     u, w = _operands(x, onto, tol)
     (u0, u1, u2), (w0, w1, w2) = u, w
     if isinstance(x, Line) and isinstance(onto, Line):

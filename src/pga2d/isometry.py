@@ -155,25 +155,24 @@ def _exp(bx: float, by: float, t: float) -> Motor:
 
 
 def rotator(p: Point, alpha: float, tol: float = DEFAULT_TOL) -> Motor:
-    """Motor exp((alpha/2) p): the turn by alpha about p, or translator(p, alpha) if p is ideal.
+    """Motor exp((alpha/2) p) on the fields of p's normal form: the turn by
+    alpha about p, or, p being ideal and of weight 0, translator(p, alpha).
 
     Positive alpha turns +x toward -y about a weight-positive point (the
     half-angle exponential of this basis is clockwise in the usual drawing
-    orientation); golden tests pin the convention.
-    """
+    orientation); golden tests pin the convention."""
     if not isinstance(p, Point):
         raise OperandError(f"rotation center must be a Point, not {type(p).__name__}")
-    ideal, (cx, cy, cz) = view(p, tol)
-    h = alpha / 2.0  # the bivector (alpha/2) * c, of weight 0 when c is ideal
-    return _exp(*_finite((cx * h, cy * h, 0.0 if ideal else cz * h)))
+    x, y, z = view(p, tol)[1]
+    return _exp(*_finite((0.5 * alpha * x, 0.5 * alpha * y, 0.5 * alpha * z)))
 
 
 def translator(v: Point, d: float, tol: float = DEFAULT_TOL) -> Motor:
     """Motor whose sandwich translates by distance d perpendicular (CCW) to
     the ideal point v: exp((d/2) v) = 1 + (d/2) v for v of unit ideal norm,
-    read as (x, y, 0) since it classifies as ideal."""
-    vx, vy, _ = ideal(v, tol, "translation direction")
-    return _exp(*_finite((0.5 * d * vx, 0.5 * d * vy, 0.0)))
+    read in its normal form (u, v, 0) by rotator's expression."""
+    x, y, z = ideal(v, tol, "translation direction")
+    return _exp(*_finite((0.5 * d * x, 0.5 * d * y, 0.5 * d * z)))
 
 
 def translator_by(dx: float, dy: float) -> Motor:

@@ -43,18 +43,18 @@ def normalize(x, tol: float = DEFAULT_TOL):
     """Scale to unit norm (euclidean) or unit ideal norm (ideal); same type out.
 
     A normalized euclidean line squares to +1, a normalized euclidean point
-    has weight z = 1 and squares to -1.  Ideal lines keep their orientation
-    only up to the sign of c, which is divided out.
+    has weight z = 1 and squares to -1.  An ideal point is its unit free
+    vector, of weight 0, and an ideal line is e0 = [0, 0, 1].
     """
     return type(x)(*_unit(x, is_ideal(x, tol)))
 
 
 def _unit(x, ideal: bool) -> tuple[float, float, float]:
     """The normalized fields of a line or point whose kind is known: a line's
-    unit-normal [a, b, c], or [a/c, b/c, 1] when ideal; a point's
-    (x/z, y/z, 1), or (x, y, z) over the length of (x, y) when ideal, so an
-    ideal point made with weight 0 keeps weight 0.  DomainError when the
-    divisor is zero or a field overflows.
+    unit-normal [a, b, c], or e0 (0, 0, 1) when ideal; a point's (x/z, y/z, 1),
+    or its unit free vector (u, v, 0) when ideal, whatever in-band weight or
+    normal it has.  DomainError when the divisor is zero or a euclidean field
+    overflows (the ideal forms cannot).
 
     A euclidean point of weight exactly 1 gives (x, y, 1.0) as it stands:
     dividing by 1 is exact, signed zeros and subnormals included, and
@@ -65,20 +65,20 @@ def _unit(x, ideal: bool) -> tuple[float, float, float]:
             return _finite(unit_direction(x.a, x.b, x.c))
         if x.c == 0.0:
             raise DomainError("cannot normalize a zero line")
-        return _finite((x.a / x.c, x.b / x.c, 1.0))
+        return 0.0, 0.0, 1.0
     if not ideal:
         if x.z == 1.0:
             return x.x, x.y, 1.0
         return _finite((x.x / x.z, x.y / x.z, 1.0))
     if x.x == 0.0 and x.y == 0.0:
         raise DomainError("cannot normalize a zero point")
-    return _finite(unit_direction(x.x, x.y, x.z))
+    return unit_direction(x.x, x.y)
 
 
 def view(x, tol: float) -> tuple[bool, tuple[float, float, float]]:
     """(ideal, fields) of a point or line as print and the SVG show it,
     classified once: normalize's fields, of which a point shows the first two
-    (its position, or its unit direction when ideal)."""
+    (its position, or its unit direction when ideal); an ideal line is e0."""
     ideal = x.is_ideal(tol)
     return ideal, _unit(x, ideal)
 
@@ -100,8 +100,8 @@ def euclidean(x, kind: type, tol: float, what: str) -> tuple[float, float, float
 
 
 def ideal(p: Point, tol: float, what: str) -> tuple[float, float, float]:
-    """The fields (x, y, z) of normalize(p) for a point that must be ideal,
-    classified once."""
+    """The fields (u, v, 0.0) of normalize(p), its unit free vector, for a
+    point that must be ideal, classified once."""
     if not isinstance(p, Point):
         raise OperandError(f"{what} must be a Point, not {type(p).__name__}")
     if not p.is_ideal(tol):

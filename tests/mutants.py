@@ -91,6 +91,10 @@ IDEAL_OPERANDS = (
     "tests/test_geometry.py::test_angle_rejects_euclidean_point",
     "tests/test_kernel_reference.py::test_measurements_are_the_kernel_products_exactly",
 )
+# one normal form per ideal element: the unit free vector of weight 0, or e0
+NORMAL_FORM = (
+    "tests/test_metric.py::test_an_ideal_element_normalizes_to_weight_zero_or_to_e0",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -302,7 +306,19 @@ MUTANTS = {
     # one exponential of a point, one angle of two directions, and the
     # projection of a free vector, of its own weight
     "rotator-keeps-an-ideal-weight": (
-        "isometry.py", "0.0 if ideal else cz * h", "cz * h", IDEAL_OPERANDS,
+        "isometry.py", "0.5 * alpha * z)))", "0.5 * alpha * (z or p.z))))", IDEAL_OPERANDS,
+    ),
+    # the weight of exp((d/2) V) is read from V's normal form, signed zero included
+    "translator-drops-the-weight": (
+        "isometry.py", "0.5 * d * z)))", "0.0)))", IDEAL_OPERANDS,
+    ),
+    # an ideal line normalizes to e0, and an ideal point to weight 0
+    "unit-ideal-line-divided": (
+        "metric.py", "return 0.0, 0.0, 1.0", "return x.a / x.c, x.b / x.c, 1.0", NORMAL_FORM,
+    ),
+    "unit-ideal-point-keeps-its-weight": (
+        "metric.py", "return unit_direction(x.x, x.y)", "return unit_direction(x.x, x.y, x.z)",
+        NORMAL_FORM,
     ),
     "project-of-weight-1": (
         "geometry.py", "return Point(u0 - w0 * d, u1 - w1 * d, u2)",

@@ -34,10 +34,13 @@ code, SVG bytes or a library record is printed, and the exit code is then 1,
 unless MIGRATIONS lists it: a change made on purpose, from an old stderr
 text to a new one, or from an old exception class to a new one in a library
 record whose error text is unchanged; a refusal, by its old text, of a library
-call that now gives a result or of a run that now exits 0; or a changed float
-of ``angle`` with an ideal-point operand.  Each migration is printed once,
-with the number of records, texts or runs it covers, and leaves the exit code
-at 0.
+call that now gives a result or of a run that now exits 0; a run, by its old
+stdout, that now exits 2 with the listed stderr; a changed float of ``angle``
+with an ideal-point operand; or a call whose first operand is ideal at its tol
+and that now gives what the base tree gives for that operand's normal form
+(the point of weight 0 with its x and y, or the line e0), the sign of a
+motor's zero e12 part aside.  Each migration is printed once, with the number
+of records, texts or runs it covers, and leaves the exit code at 0.
 pytest does not collect this file.
 """
 
@@ -82,6 +85,10 @@ FAILING = {
     "meet-dependent": "line m 1 0 2\nline n 2 0 4\nmeet P m n\n",
     # a computed ideal point where a euclidean one is wanted
     "computed-ideal-operand": "line m 0 1 0\nline n 0 1 -2\nmeet P m n\npoint A 0 0\ndist d P A\n",
+    # a computed direction, of weight 1e-12, projected onto a line normal to it
+    "normal-projection": (
+        "line a 1 0 0\nline b 1 1e-12 -1\nmeet V a b\nline m 0 1 -5\nproject F V m\nprint F\n"
+    ),
     # both incidences hold within the solver's check, but the motor misses n
     "solve-construction": (
         "point A 0 0\nline m 0 1 4e-9\npoint B 5 0\nline n 0 1 -4e-9\nsolve g A m B n\n"
@@ -107,10 +114,13 @@ ACCEPTED = {
 
 # old -> new: a whole stderr text, or the exception class of a library record;
 # or the text of a refusal, of a library call or of a whole run, -> RESULT when
-# the call now gives a result or the run exits 0; or IDEAL_ANGLE -> FLOAT, any
-# float that angle gives with a point operand, which it takes only when ideal.
+# the call now gives a result or the run exits 0; or a whole run's stdout -> the
+# stderr of its exit 2; or IDEAL_ANGLE -> FLOAT, any float that angle gives with
+# a point operand, which it takes only when ideal; or IDEAL_FORM -> NORMAL_FORM,
+# a record of an ideal operand that is the base's record of its normal form.
 # An entry matches nothing once the base commit gives its new side, and can go.
 RESULT, IDEAL_ANGLE, FLOAT = "a result", "angle with an ideal point", "another float"
+IDEAL_FORM, NORMAL_FORM = "an ideal operand", "its normal form's record"
 MIGRATIONS = {
     # the library's class refusals raise OperandError, a TypeError and an
     # AlgebraError, and the script reports it with each operand's name, class
@@ -140,12 +150,18 @@ MIGRATIONS = {
     # angle is the atan2 of two directions' sine and cosine, where it took a
     # clamped acos of the cosine for an ideal point
     IDEAL_ANGLE: FLOAT,
+    # an ideal point normalizes to weight 0, and an ideal line to e0, so an
+    # in-band weight or normal is dropped; a direction normal to the line then
+    # projects to the zero element, where its in-band weight gave a point
+    IDEAL_FORM: NORMAL_FORM,
+    "F = (0.000000, 5.000000)\n": "error: line 5: zero element is not a point\n",
 }
 
 
-def _migration(field: str, old, new, label: str = "") -> tuple[str, str] | None:
+def _migration(field: str, old, new, label: str = "", normal=None) -> tuple[str, str] | None:
     """The (old, new) pair of MIGRATIONS that explains this difference of one
-    field, if any; label is a library record's."""
+    field, if any; label is a library record's, and normal the base's record of
+    the same call with its ideal first operand in normal form, or None."""
     if field == "stderr":
         old, new = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old, new))
     elif field != "library":
@@ -156,9 +172,24 @@ def _migration(field: str, old, new, label: str = "") -> tuple[str, str] | None:
         old, new = old[2], RESULT
     elif label.startswith("angle(") and "Point(" in label and {type(old), type(new)} == {str}:
         old, new = IDEAL_ANGLE, FLOAT  # a float is recorded as its repr
+    elif normal is not None and (new == normal or _zero_e12_apart(new, normal)):
+        old, new = IDEAL_FORM, NORMAL_FORM
     else:
         return None
     return (old, new) if MIGRATIONS.get(old) == new else None
+
+
+def _zero_e12_apart(new, normal) -> bool:
+    """Two motor records that differ only in the sign of a zero e12 part."""
+    return new[0] == "Motor" and new[:4] == normal[:4] and {new[4], normal[4]} == {"0.0", "-0.0"}
+
+
+def _refused(old: list, new: list) -> tuple[str, str] | None:
+    """The (stdout, stderr) pair of MIGRATIONS for a run that once exited 0
+    with that stdout and now exits 2 with that stderr alone, if any."""
+    out, err = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old[0], new[1]))
+    listed = old[2] == 0 and new[2] == 2 and not new[0] and MIGRATIONS.get(out) == err
+    return (out, err) if listed else None
 
 
 def _accepted(old: list, new: list) -> tuple[str, str] | None:
@@ -232,7 +263,10 @@ def _exact(value):
 
 
 def _library_calls():
-    """(label, call) for each call of the library corpus, in a fixed order."""
+    """(label, call, normal) for each call of the library corpus, in a fixed
+    order; normal is the call with its first operand in normal form when that
+    operand is a line or point ideal at the call's last argument, its tol, or
+    else None."""
     import random
 
     import pga2d as g
@@ -258,10 +292,22 @@ def _library_calls():
     typed = lines + points + motors + versors + scalars
     tols = (1e-9, 1e-6, 0.0)
 
+    def normal_form(args):
+        x, tol = args[0], args[-1]
+        if not (isinstance(x, (g.Line, g.Point)) and type(tol) is float and x.is_ideal(tol)):
+            return None
+        if isinstance(x, g.Line):
+            return g.Line(0.0, 0.0, 1.0), *args[1:]
+        return (g.Point(x.x, x.y, 0.0), *args[1:]) if x.x or x.y else None
+
     def calls(name, f, operands):
         for args in operands:
             shown = ", ".join(getattr(a, "__name__", None) or repr(a) for a in args)
-            yield f"{name}({shown})", lambda args=args: f(*args)
+            normal = normal_form(args)
+            yield (
+                f"{name}({shown})", lambda args=args: f(*args),
+                None if normal is None else lambda normal=normal: f(*normal),
+            )
 
     yield from calls("mv", lambda x: x.mv(), [(x,) for x in typed])
     classes = (g.Line, g.Point, g.Motor, g.OddVersor)
@@ -319,16 +365,20 @@ def _library_calls():
         yield from calls(name, f, [(*args, t) for args in operands for t in tols])
 
 
+def _record(call):
+    """The result of call, or the error's class and text."""
+    try:
+        return _exact(call())
+    except Exception as exc:  # every error is part of the record
+        return ["raised", type(exc).__name__, str(exc)]
+
+
 def _library() -> list:
-    """[label, record] for each library call: the result, or the error's class and text."""
-    records = []
-    for label, call in _library_calls():
-        try:
-            record = _exact(call())
-        except Exception as exc:  # every error is part of the record
-            record = ["raised", type(exc).__name__, str(exc)]
-        records.append([label, record])
-    return records
+    """[label, record, normal record or None] for each library call."""
+    return [
+        [label, _record(call), None if normal is None else _record(normal)]
+        for label, call, normal in _library_calls()
+    ]
 
 
 def _child(folder: str) -> None:
@@ -407,25 +457,25 @@ def main(argv: list[str]) -> int:
         if old != new
     ]
     migrations: Counter[tuple[str, str]] = Counter(
-        pair for _, old, new in runs if (pair := _accepted(old, new))
+        pair for _, old, new in runs if (pair := _accepted(old, new) or _refused(old, new))
     )
     changed = [
-        (f"{run}: {field} differs", field, a, b, "")
+        (f"{run}: {field} differs", field, a, b, "", None)
         for run, old, new in runs
-        if not _accepted(old, new)
+        if not (_accepted(old, new) or _refused(old, new))
         for field, a, b in zip(fields, old, new)
         if a != b
     ]
     library = this["library"]
     changed += [
         (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new,
-         label)
-        for (label, old), (_, new) in zip(base["library"], library)
+         label, normal)
+        for (label, old, normal), (_, new, _) in zip(base["library"], library)
         if old != new
     ]
     differences = []
-    for line, field, old, new, label in changed:
-        pair = _migration(field, old, new, label)
+    for line, field, old, new, label, normal in changed:
+        pair = _migration(field, old, new, label, normal)
         if pair is None:
             differences.append(line)
         else:
@@ -437,7 +487,7 @@ def main(argv: list[str]) -> int:
     for line in differences[:20]:
         print(line)
     failed = sum(result[2] != 0 for result in this["cli"])
-    raising = sum(record[0] == "raised" for _, record in library)
+    raising = sum(record[0] == "raised" for _, record, _ in library)
     print(
         f"{len(cases)} cases ({failed} ending in an error), {len(processes)} process runs, "
         f"{len(library)} library calls ({raising} raising), "

@@ -136,9 +136,15 @@ def test_reject_rejects_ideal_operands_with_the_texts_of_project():
 
 # -- scripts: `ideal V ...` and a computed ideal V behave alike ----------------------
 
-# both define p, q and V, so the two environments draw the same lines
-_MADE = "line p 0 1 0\nline q 0 1 -2\nideal V -2 0\n"
-_MET = "line p 0 1 0\nline q 0 1 -2\nmeet V p q\n"
+# each pair defines p, q and V, so its two environments draw the same lines;
+# the first pair's met V has weight exactly 0, the second's weight -1e-12
+_MADE_AND_MET = (
+    ("line p 0 1 0\nline q 0 1 -2\nideal V -2 0\n", "line p 0 1 0\nline q 0 1 -2\nmeet V p q\n"),
+    (
+        "line p 0 1 0\nline q 1e-12 1 -2\nideal V -2 0\n",
+        "line p 0 1 0\nline q 1e-12 1 -2\nmeet V p q\n",
+    ),
+)
 _FIGURE = "point A 1 2\npoint C -1 0.5\nline m 1 1 0\nline n 0 1 -2\n"
 
 SCRIPT_BODIES = {
@@ -151,6 +157,7 @@ SCRIPT_BODIES = {
     "dist_line": "dist d n V\n",
     "project": "project P V m\nprint P\n",
     "project_onto": "project P m V\n",
+    "project_normal": "line k 1 0 -5\nproject P V k\n",
     "rotator": "rotator g V 1\nprint g\n",
     "midpoint": "midpoint M A V\n",
     "solve": "solve g V n A n\n",
@@ -162,6 +169,8 @@ SCRIPT_RESULTS = {
     "project": "P = ideal (-0.707107, 0.707107)\n",
     "rotator": "g = motor(1.000000, -0.500000, 0.000000, 0.000000)\n",
 }
+# a free vector has no part along a line normal to it
+SCRIPT_REFUSALS = {"project_normal": "error: line 9: zero element is not a point\n"}
 
 
 def _run(tmp_path, tag, prefix, body, capsys):
@@ -178,17 +187,20 @@ def _run(tmp_path, tag, prefix, body, capsys):
 @pytest.mark.parametrize("name", sorted(SCRIPT_BODIES))
 def test_script_treats_made_and_computed_ideal_points_alike(name, tmp_path, capsys):
     body = SCRIPT_BODIES[name]
-    made = _run(tmp_path, "made", _MADE, body, capsys)
-    met = _run(tmp_path, "met", _MET, body, capsys)
-    assert made == met
-    code, out, err, svg = made
-    if name == "succeeds":
-        assert (code, err) == (0, "") and svg.startswith(b"<?xml")
-        assert "V = ideal (-1.000000, 0.000000)\n" in out
-    elif name in SCRIPT_RESULTS:
-        assert (code, out, err) == (0, SCRIPT_RESULTS[name], "")
-    else:
-        assert code == 2 and err.startswith("error: line 8: ") and err.count("\n") == 1
+    for i, (made_prefix, met_prefix) in enumerate(_MADE_AND_MET):
+        made = _run(tmp_path, f"made{i}", made_prefix, body, capsys)
+        met = _run(tmp_path, f"met{i}", met_prefix, body, capsys)
+        assert made == met
+        code, out, err, svg = made
+        if name == "succeeds":
+            assert (code, err) == (0, "") and svg.startswith(b"<?xml")
+            assert "V = ideal (-1.000000, 0.000000)\n" in out
+        elif name in SCRIPT_RESULTS:
+            assert (code, out, err) == (0, SCRIPT_RESULTS[name], "")
+        elif name in SCRIPT_REFUSALS:
+            assert (code, out, err) == (2, "", SCRIPT_REFUSALS[name])
+        else:
+            assert code == 2 and err.startswith("error: line 8: ") and err.count("\n") == 1
 
 
 # -- one grade test ----------------------------------------------------------------

@@ -579,9 +579,10 @@ def test_project_does_not_fail_on_an_overflowing_rejection():
 
 
 def test_a_free_vector_projects_along_a_line_and_rejects_along_its_normal():
-    """project and reject split the unit free vector u of weight w, exactly
-    0 or inside the ideal band, as the foot of the point (u.x, u.y) on the
-    line [a, b, c * w]: along m, and along m's normal; they sum to u."""
+    """project and reject split the unit free vector u of an ideal point, of
+    weight exactly 0 or inside the band, as the foot of the point (u.x, u.y)
+    on the line [a, b, 0]: along m, and along m's normal; they sum to u,
+    whose weight is 0."""
     r = gen.rng(139)
     eps = 2.220446049250313e-16
     for _ in range(2000):
@@ -589,17 +590,23 @@ def test_a_free_vector_projects_along_a_line_and_rejects_along_its_normal():
         v = Point(k * math.cos(theta), k * math.sin(theta), r.choice((0.0, 1e-12 * k)))
         m = Line(*r.uniform(-2.0, 2.0, size=2), r.uniform(-50.0, 50.0))
         p, q, u = project(v, m), reject(v, m), normalize(v)
-        fx, fy = oracle.foot_of_perpendicular((u.x, u.y), (m.a, m.b, m.c * u.z))
-        # the shift that the weight gives the foot, off m's direction
-        shift = abs(oracle.signed_point_line_distance((0.0, 0.0), (m.a, m.b, m.c * u.z)))
-        assert (p.z, q.z) == (u.z, 0.0)
+        fx, fy = oracle.foot_of_perpendicular((u.x, u.y), (m.a, m.b, 0.0))
+        assert repr((u.z, p.z, q.z)) == repr((0.0, 0.0, 0.0))
         for got, want in (
             (p.x, fx), (p.y, fy), (q.x, u.x - fx), (q.y, u.y - fy),
             (p.x + q.x, u.x), (p.y + q.y, u.y),
         ):
-            assert abs(got - want) <= 4 * eps * (1.0 + shift)
-        d = ideal_point_of(m)  # parallel to m's direction, exactly so at weight 0
-        assert abs(p.x * d.y - p.y * d.x) <= (4 * eps + shift) * math.hypot(d.x, d.y)
+            assert abs(got - want) <= 4 * eps
+        d = ideal_point_of(m)  # parallel to m's direction
+        assert abs(p.x * d.y - p.y * d.x) <= 4 * eps * math.hypot(d.x, d.y)
+
+
+def test_an_ideal_point_of_in_band_weight_projects_as_a_direction():
+    # its normal form has weight 0, so the foot is parallel to the line and
+    # nothing is left to reject
+    v, m = Point(1, 0, 1e-12), Line(0, 1, -1e3)
+    assert project(v, m) == Point(1, 0, 0)
+    assert reject(v, m) is None
 
 
 def test_project_rejects_ideal():

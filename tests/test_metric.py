@@ -75,8 +75,9 @@ def test_normalize_examples():
     assert ln.mv().gp(ln.mv()).approx_eq(Multivector((1, 0, 0, 0, 0, 0, 0, 0)), 1e-15)
     pt = normalize(Point(2, 1, 2))
     assert (pt.x, pt.y, pt.z) == (1.0, 0.5, 1.0)
-    # an ideal line is divided by c, sign included
-    assert normalize(Line(1e-4, 2e-4, -2), tol=1e-3) == Line(-5e-05, -1e-04, 1.0)
+    # an ideal line is e0, whatever its in-band normal and the sign of c
+    il = normalize(Line(1e-4, 2e-4, -2), tol=1e-3)
+    assert repr((il.a, il.b, il.c)) == repr((0.0, 0.0, 1.0))
 
 
 def test_normalized_point_squares_to_minus_one():
@@ -170,10 +171,36 @@ def test_the_gates_return_the_normalized_fields():
 def test_a_weight_one_point_normalizes_as_the_division_does(p, tol, kind):
     ideal_now = p.is_ideal(tol)
     assert ideal_now is kind
-    divided = unit_direction(p.x, p.y, p.z) if kind else (p.x / p.z, p.y / p.z, 1.0)
+    # an ideal point is its unit free vector, of weight 0
+    divided = unit_direction(p.x, p.y) if kind else (p.x / p.z, p.y / p.z, 1.0)
     # repr tells -0.0 from 0.0
     assert repr(metric._unit(p, ideal_now)) == repr(divided)
     assert repr(metric.view(p, tol)) == repr((kind, divided))
+
+
+def test_an_ideal_element_normalizes_to_weight_zero_or_to_e0():
+    """A point or line that is ideal at tol, of weight exactly 0 (either
+    sign) or inside the band, has one normal form: the unit free vector
+    (u, v, 0.0), or e0 = [0.0, 0.0, 1.0], whichever reader normalizes it."""
+    r = gen.rng(140)
+    for i in range(4000):
+        tol = (1e-9, 1e-6, 1e-3, 0.0)[i // 2 % 4]
+        # a scale, and the largest coordinate but for the weight or the normal
+        k, u, v = 10.0 ** r.uniform(-3.0, 3.0), r.uniform(-1.0, 1.0), r.choice((-1.0, 1.0))
+        # the weight or the normal's first coordinate: in the band, -0.0 or 0.0
+        w = tol * k * r.uniform(-0.7, 0.7) if i // 8 % 2 else -0.0 if i % 3 else 0.0
+        if i % 2:
+            x = Point(k * u, k * v, w)
+            fields = (True, unit_direction(x.x, x.y))
+            assert repr(fields[1][2]) == "0.0"
+            assert repr(metric.ideal(x, tol, "p")) == repr(fields[1])
+        else:
+            x = Line(w, tol * k * u * 0.7, k * v)
+            fields = (True, (0.0, 0.0, 1.0))
+        assert x.is_ideal(tol)
+        n = normalize(x, tol)
+        assert repr(n._key()) == repr(fields[1]) and n.is_ideal(0.0)
+        assert repr(metric.view(x, tol)) == repr(fields)
 
 
 def test_polar_examples():

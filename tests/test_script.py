@@ -636,6 +636,35 @@ def test_the_output_referee_passes_a_listed_refusal_that_now_gives_a_result(monk
     assert so._accepted(["", "error: other\n", 2, None], ["g = 1\n", "", 0, None]) is None
 
 
+def test_the_output_referee_passes_a_normal_form_record_and_a_listed_new_refusal(monkeypatch):
+    # a record of an ideal operand that is the base's record of its normal
+    # form, up to the sign of a motor's zero e12 part; a run, by its old
+    # stdout, that now exits 2 with the listed stderr and nothing printed
+    import same_output as so
+
+    listed = {so.IDEAL_FORM: so.NORMAL_FORM, "F = 1\n": "error: line 5: refused\n"}
+    monkeypatch.setattr(so, "MIGRATIONS", listed)
+    label = "project(Point(1, 0, 1e-12), Line[0, 1, -1000], 1e-09)"
+    old, normal = ["Point", "1.0", "1e-09", "1e-12"], ["Point", "1.0", "0.0", "0.0"]
+    pair = (so.IDEAL_FORM, so.NORMAL_FORM)
+    assert so._migration("library", old, normal, label, normal) == pair
+    assert so._migration("library", old, normal, label) is None  # a euclidean operand
+    assert so._migration("library", old, ["Point", "1.0", "1e-15", "0.0"], label, normal) is None
+    motor = ["Motor", "1.0", "-0.5", "0.0", "0.0"]
+    assert so._migration("library", motor, [*motor[:4], "-0.0"], label, motor) == pair
+    assert so._migration("library", motor, [*motor[:3], "-0.0", "0.0"], label, motor) is None
+    assert so._migration("library", motor, [*motor[:4], "5e-324"], label, motor) is None
+    ok, refused = ["F = 1\n", "", 0, "<svg/>"], ["", "error: line 5: refused\n", 2, None]
+    assert so._refused(ok, refused) == ("F = 1\n", "error: line 5: refused\n")
+    assert so._refused([b"F = 1\n", b"", 0, b""], [b"", refused[1].encode(), 2, None]) == (
+        "F = 1\n", refused[1],
+    )
+    assert so._refused(ok, ["", "error: line 5: other\n", 2, None]) is None
+    assert so._refused(ok, ["F = 1\n", refused[1], 2, None]) is None
+    assert so._refused(ok, [*refused[:2], 1, None]) is None
+    assert so._refused(["G = 1\n", "", 0, None], refused) is None
+
+
 # a fresh interpreter: only a motor operand's conjugate multiplies multivectors
 @pytest.mark.parametrize(
     "source, loaded",
@@ -692,16 +721,14 @@ def test_a_script_error_without_a_line_is_its_message():
 
 
 # at a tol of 1 or more a unit normal or a weight 1 counts as zero, so the
-# origin and the line x = 0 are ideal, and there is nothing to divide by; a
-# line with a tiny c is ideal too, and a/c overflows
+# origin and the line x = 0 are ideal, and there is nothing to divide by
 @pytest.mark.parametrize(
     "value, message",
     [
         (Line(1, 0, 0), "cannot normalize a zero line"),
         (Point(0, 0, 1), "cannot normalize a zero point"),
-        (Line(1, 0, 1e-320), "result is not finite (coefficient overflow or non-finite factor)"),
     ],
-    ids=["line", "point", "overflowing-ideal-line"],
+    ids=["line", "point"],
 )
 def test_shown_values_without_a_unit_form_fail_as_domain_errors(value, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -712,22 +739,31 @@ def test_shown_values_without_a_unit_form_fail_as_domain_errors(value, message):
         normalize(value, 1.0)
 
 
-# at tol 1 this point is ideal, and its z over the length of (x, y) overflows;
-# no reader of its normalized fields may see the inf
-_OVERFLOWING_IDEAL_POINT = Point(1e-300, 0, 1e300)
+# at tol 1 this point is ideal, and its weight over the length of (x, y)
+# would overflow; every reader sees the weight 0 of its normal form
+_HUGE_WEIGHT_IDEAL_POINT = Point(1e-300, 0, 1e300)
 
 
-def test_an_overflowing_ideal_point_fails_alike_wherever_it_is_normalized():
-    p, overflow = _OVERFLOWING_IDEAL_POINT, re.escape(_OVERFLOW)
-    for call in (
-        lambda: view(p, 1.0), lambda: format_value(p, 1.0), lambda: normalize(p, 1.0),
-        lambda: metric.ideal(p, 1.0, "point"), lambda: translator(p, 1.0, 1.0),
-        lambda: angle(p, p, 1.0),
-    ):
-        with pytest.raises(DomainError, match=f"^{overflow}$"):
-            call()
-    with pytest.raises(RenderError, match=f"^cannot draw the figure: {overflow}$"):
-        build_svg({"V": p}, 1.0)
+def test_an_ideal_point_of_huge_weight_gives_one_unit_direction_wherever_normalized():
+    p, unit = _HUGE_WEIGHT_IDEAL_POINT, Point(1, 0, 0)
+    assert view(p, 1.0) == view(unit, 1.0) == (True, (1.0, 0.0, 0.0))
+    assert format_value(p, 1.0) == format_value(unit, 1.0) == "ideal (1.000000, 0.000000)"
+    assert normalize(p, 1.0) == unit
+    assert metric.ideal(p, 1.0, "point") == (1.0, 0.0, 0.0)
+    assert translator(p, 1.0, 1.0) == translator(unit, 1.0, 1.0)
+    assert angle(p, p, 1.0) == 0.0
+    assert build_svg({"V": p}, 1.0) == build_svg({"V": unit}, 1.0)
+
+
+def test_an_ideal_line_of_tiny_c_is_e0_wherever_it_is_normalized():
+    # at tol 1 this line is ideal, and a/c would overflow
+    m, e0 = Line(1, 0, 1e-320), Line(0, 0, 1)
+    assert view(m, 1.0) == view(e0, 1.0) == (True, (0.0, 0.0, 1.0))
+    assert format_value(m, 1.0) == "[0.000000, 0.000000, 1.000000]"
+    assert normalize(m, 1.0) == e0
+    # an ideal line is not drawn, so an arrow makes the figure
+    v = Point(1, 0, 0)
+    assert build_svg({"V": v, "m": m}, 1.0) == build_svg({"V": v, "m": e0}, 1.0)
 
 
 def test_printing_a_value_without_a_unit_form_is_an_evaluation_error():
@@ -1147,7 +1183,7 @@ _SVG_VALUES = st.one_of(
     st.builds(lambda ab, c: Line(*ab, c), _NONZERO_PAIR, st.floats(-300.0, 300.0)),
     st.floats(0.5, 100.0).map(lambda c: Line(0.0, 0.0, c)),
     st.sampled_from([
-        _OVERFLOWING_IDEAL_POINT,  # overflows at tol 1
+        _HUGE_WEIGHT_IDEAL_POINT,  # ideal at tol 1, weight over length overflows
         Point(1e300, 0.0, 1e-300),  # overflows at tol 0
         Line(5e-324, 0.0, 1.0),  # overflows at tol 0
         1.5, Motor(1.0, 0.0, 0.0, 0.0), translator(Point(1.0, 0.0, 0.0), 2.0),
@@ -1181,7 +1217,7 @@ def _svg_envs(draw):
 @example(case=(_TIP_AT_MINUS_ZERO, 1e-9))
 @example(case=(_ANCHOR_AT_THE_BORDER, 0.0))
 @example(case=(_SUBNORMAL_WINDOW, 0.0))
-@example(case=({"A": Point(0.0, 0.0, 1.0), "V": _OVERFLOWING_IDEAL_POINT}, 1.0))
+@example(case=({"A": Point(0.0, 0.0, 1.0), "V": _HUGE_WEIGHT_IDEAL_POINT}, 1.0))
 @example(case=({"A": Point(1e300, 0.0, 1.0)}, 0.0))
 def test_build_svg_matches_the_old_renderer(case):
     """The same text, or the same error, as the two-pass renderer given the
@@ -1379,16 +1415,34 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
             assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "source, lineno",
+    [
+        # a met direction, of weight 1e-12 inside the band
+        ("line a 1 0 0\nline b 1 1e-12 -1\nmeet V a b\nline m 0 1 -5\nproject F V m\nprint F\n", 5),
+        # the same direction, made with weight 0
+        ("ideal V 0 1\nline m 0 1 -5\nproject F V m\nprint F\n", 3),
+    ],
+    ids=["met", "made"],
+)
+def test_cli_refuses_a_direction_projected_onto_a_line_normal_to_it(tmp_path, capsys, source, lineno):
+    # a direction has no part along a line normal to it, however it was made
+    script = tmp_path / "s.pga"
+    script.write_text(source)
+    assert main(["run", str(script)]) == 2
+    assert capsys.readouterr() == ("", f"error: line {lineno}: zero element is not a point\n")
+
+
 def test_cli_prints_an_ideal_line_at_a_coarse_tol_in_coordinate_order(tmp_path, capsys):
     # at tol 1e-3 the line's normal (a, b) is small enough to be ideal, and
-    # print shows [a/c, b/c, 1] with a and b in order; a literal that far from
-    # the origin is out of range, so the line [1, 2, 0] is moved out to c = 1e4
+    # print shows its normal form e0, [0, 0, 1]; a literal that far from the
+    # origin is out of range, so the line [1, 2, 0] is moved out to c = 1e4
     script = tmp_path / "s.pga"
     script.write_text(
         "line m 1 2 0\nideal V -2 1\ntranslator t V 4472.13595499958\napply k t m\nprint k\n"
     )
     assert main(["run", str(script), "--tol", "1e-3"]) == 0
-    assert capsys.readouterr().out == "k = [0.000100, 0.000200, 1.000000]\n"
+    assert capsys.readouterr().out == "k = [0.000000, 0.000000, 1.000000]\n"
     script.write_text("line m 1e-4 2e-4 1\nprint m\n")
     assert main(["run", str(script), "--tol", "1e-3"]) == 2
     assert "out of range" in capsys.readouterr().err
