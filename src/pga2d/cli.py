@@ -1,6 +1,6 @@
 """Command-line entry point: run construction scripts, dump the product tables."""
 
-import gc
+import atexit
 import os
 import sys
 
@@ -11,22 +11,55 @@ from .script import evaluate, parse, render_svg
 
 def main(argv=None) -> int:
     """The CLI's exit code on argv.  Called with no argv, as the process entry,
-    it freezes the collector as it returns or argparse exits, so the exit's
-    last collections skip all it holds, giving up only finalizers of cyclic
-    garbage left at exit, which Python never promises.  main(argv) does not."""
+    it ends the process with that code, argparse's help and usage exits too:
+    it runs the atexit handlers, flushes stdout and stderr and calls os._exit,
+    skipping the interpreter's last collections and with them only finalizers
+    of objects alive at exit, which Python never promises.  It returns (or
+    re-raises argparse's SystemExit) instead, leaving the exit to the
+    interpreter, under a tracer or a profiler, under -i, beside a live thread,
+    for a code that is not an int, and when the flush fails.  main(argv) never
+    ends the process."""
+    if argv is not None:
+        return _run(list(argv))
     try:
-        return _main(sys.argv[1:] if argv is None else list(argv))
+        code = _run(sys.argv[1:])
+    except SystemExit as exc:  # argparse
+        _end(exc.code)
+        raise
+    _end(code)
+    return code
+
+
+def _end(code) -> None:
+    """End the process with code as the interpreter would, but without its
+    last collections; return when something needs the interpreter after."""
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hooks since Python 3.12
+    if sys.gettrace() or sys.getprofile() or monitoring and any(map(monitoring.get_tool, range(6))):
+        return  # coverage, trace, pdb or cProfile: range(6) is every monitoring tool id
+    threading = sys.modules.get("threading")  # unloaded, it has started no thread
+    if sys.flags.inspect or not isinstance(code, int) or threading and threading.active_count() > 1:
+        return
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a failed write or a closed stream: the interpreter reports it
+        return
+    os._exit(code)
+
+
+def _run(argv: list[str]) -> int:
+    """_main's exit code, or 1 with a message when writing stdout fails."""
+    try:
+        return _main(argv)
     except OSError as exc:  # writing stdout; _main catches every other OSError
-        # on devnull, the interpreter's last flush of what is left is silent
+        # on devnull, the last flush of what is left is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader is gone
             print("error: stdout was closed before all output was written", file=sys.stderr)
         else:
             print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if argv is None:
-            gc.freeze()
 
 
 def _read(argv: list[str]):

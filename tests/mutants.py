@@ -77,10 +77,14 @@ ON_FIRST_USE = (
     "test_a_run_loads_geometry_and_isometry_only_for_a_statement_that_needs_them",
     "tests/test_script.py::test_a_module_loaded_on_first_use_is_reported_by_importtime",
 )
-# the process entry freezes the collector, and main(argv) leaves it alone
-FREEZE = (
-    "tests/test_script.py::test_the_process_entry_freezes_the_collector_as_it_returns",
-    "tests/test_script.py::test_main_called_with_argv_leaves_the_collector_alone",
+# the process entry ends the process after the atexit handlers and the flush,
+# unless something needs the interpreter after main(); main(argv) returns
+EXIT = (
+    "tests/test_script.py::"
+    "test_the_process_entry_ends_the_process_after_the_atexit_handlers_and_the_flush",
+    "tests/test_script.py::"
+    "test_the_process_entry_returns_under_a_tracer_a_profiler_or_beside_a_thread",
+    "tests/test_script.py::test_a_run_under_cprofile_prints_its_output_then_the_profile",
 )
 # what a free vector gives where the closed form covers it, and the exact angle
 IDEAL_OPERANDS = (
@@ -352,10 +356,15 @@ MUTANTS = {
         "__init__.py", 'value = __import__(f"{__name__}.{module}", fromlist=("*",))',
         'value = __import__("importlib").import_module(f"{__name__}.{module}")', ON_FIRST_USE,
     ),
-    # the interpreter's exit collects every object, as before the freeze
-    "cli-exit-collects": ("cli.py", "gc.freeze()", "pass", FREEZE),
-    # a library caller's collector is frozen too
-    "cli-freezes-every-caller": ("cli.py", "if argv is None:", "if True:", FREEZE),
+    # the process ends without running the atexit handlers
+    "cli-skips-atexit": ("cli.py", "atexit._run_exitfuncs()", "pass", EXIT),
+    # the process ends under a tracer or a profiler, before it reports
+    "cli-exits-under-a-profiler": (
+        "cli.py", "if sys.gettrace() or sys.getprofile() or monitoring and any(",
+        "if False and any(", EXIT,
+    ),
+    # a library caller's process ends with main(argv)
+    "cli-exits-every-caller": ("cli.py", "return _run(list(argv))", "_end(_run(list(argv)))", EXIT),
 }
 # name -> why the mutant cannot change a result
 EQUIVALENT: dict[str, str] = {}

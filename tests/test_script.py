@@ -1643,41 +1643,79 @@ def _exits_folder(folder: Path) -> Path:
     return folder
 
 
-@pytest.mark.parametrize("argv, code", _EXITS.values(), ids=_EXITS)
-def test_the_process_entry_freezes_the_collector_as_it_returns(
-    tmp_path, monkeypatch, capsys, argv, code
-):
-    """main() with no argv reads sys.argv, and whether it returns or argparse
-    exits, leaves the collector frozen and prints what main(argv) prints."""
-    _exits_folder(tmp_path)
-    child = f"""
-import gc, sys
-import pga2d.cli
-frozen = gc.get_freeze_count()  # not 0 at start on Python 3.12
-sys.argv = ['pga2d', *{argv!r}]
-try:
-    code = pga2d.cli.main()
-except SystemExit as exc:  # argparse
-    code = exc.code
-print(code, gc.get_freeze_count() > frozen)
-raise SystemExit(code)
-"""
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", child], cwd=tmp_path, env=_child_env(),
+def _with_handler(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """code run in a fresh `python -S` in cwd, after an atexit handler that
+    prints "atexit" is registered and pga2d.cli is imported."""
+    code = "import atexit, sys\natexit.register(print, 'atexit')\nimport pga2d.cli\n" + code
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=cwd, env=_child_env(),
         capture_output=True, text=True, timeout=60,
     )
-    *out, last = run.stdout.splitlines(keepends=True)
-    assert (run.returncode, last) == (code, f"{code} True\n")
-    if code == 0:  # drawn and closed before main returned
+
+
+@pytest.mark.parametrize("argv, code", _EXITS.values(), ids=_EXITS)
+def test_the_process_entry_ends_the_process_after_the_atexit_handlers_and_the_flush(
+    tmp_path, argv, code
+):
+    """main() with no argv reads sys.argv and, whether it returns or argparse
+    exits, ends the process: with main(argv)'s code and output, the atexit
+    handler run once after that output, and no line after main() run.
+    main(argv) returns."""
+    _exits_folder(tmp_path)
+    entry = _with_handler(
+        f"sys.argv = ['pga2d', *{argv!r}]\npga2d.cli.main()\nprint('returned')\n", tmp_path
+    )
+    if code == 0:  # drawn and closed before the process ended
         golden = (SCRIPTS / "dist345.expected.svg").read_bytes()
         assert (tmp_path / "out.svg").read_bytes() == golden
-    # the same argv in process prints the same
-    monkeypatch.chdir(tmp_path)
-    try:
-        returned = main(argv)
-    except SystemExit as exc:  # argparse
-        returned = exc.code
-    assert (returned, *capsys.readouterr()) == (code, "".join(out), run.stderr)
+    library = _with_handler(
+        f"try:\n    code = pga2d.cli.main({argv!r})\n"
+        "except SystemExit as exc:  # argparse\n    code = exc.code\n"
+        "print('returned', code)\n",
+        tmp_path,
+    )
+    out, returned = library.stdout.rsplit("returned", 1)
+    assert (library.returncode, returned) == (0, f" {code}\natexit\n")
+    expected = (code, out + "atexit\n", library.stderr)
+    assert (entry.returncode, entry.stdout, entry.stderr) == expected
+
+
+# what still needs the interpreter after main(): (set up before it, undone after it)
+_WATCHERS = {
+    "tracer": ("sys.settrace(lambda *args: None)", "sys.settrace(None)"),
+    "profiler": ("sys.setprofile(lambda *args: None)", "sys.setprofile(None)"),
+    "thread": (
+        "import threading\ndone = threading.Event()\n"
+        "threading.Thread(target=done.wait, args=(60,)).start()",
+        "done.set()",
+    ),
+}
+
+
+@pytest.mark.parametrize("before, after", _WATCHERS.values(), ids=_WATCHERS)
+def test_the_process_entry_returns_under_a_tracer_a_profiler_or_beside_a_thread(
+    tmp_path, before, after
+):
+    """Then the interpreter ends the process, and runs the handler once."""
+    _exits_folder(tmp_path)
+    run = _with_handler(
+        f"{before}\nsys.argv = ['pga2d', 'run', 'dist345.pga']\n"
+        f"print('returned', pga2d.cli.main())\n{after}\n",
+        tmp_path,
+    )
+    golden = (SCRIPTS / "dist345.expected.txt").read_text()
+    assert (run.returncode, run.stdout, run.stderr) == (0, golden + "returned 0\natexit\n", "")
+
+
+def test_a_run_under_cprofile_prints_its_output_then_the_profile():
+    run = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "pga2d.cli", "run",
+         str(SCRIPTS / "rotation_case.pga")],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    golden = (SCRIPTS / "rotation_case.expected.txt").read_text()
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith(golden) and " function calls " in run.stdout[len(golden):]
 
 
 @pytest.mark.parametrize(
