@@ -6,40 +6,27 @@ single-assignment and must be defined before use (checked while parsing).
 Values are points, ideal points, lines, motors or plain numbers.  A verb is
 defined in one place, its row of _VERBS: its argument kinds and its result.
 A row hands its operands to the library as they are; the library refuses a
-class it does not take with OperandError, and evaluate's error then names
-each operand.  Every verb computes on the fields of its operands; only the
-conjugate of a motor operand (reflect or apply of a motor) multiplies 8-slot
-multivectors.  parse gives each statement as a plain tuple
-(lineno, verb, result, args), and evaluate takes a tuple of them.
-Like the package, the interpreter loads geometry, isometry and the renderer
-on first use, when a statement needs them.
+class it does not take with OperandError, and evaluate's error for that or
+any other library failure names each operand.  Every verb computes on the
+fields of its operands; only the conjugate of a motor operand (reflect or
+apply of a motor) multiplies 8-slot multivectors.  parse gives each
+statement as a plain tuple (lineno, verb, result, args), and evaluate takes
+a tuple of them.
+The rows read geometry and isometry through the package, which loads each
+on its first read, and svg imports the renderer on the first drawing.
 """
 
 import math
 import sys
 
 from .elements import IdealPoint, Line, Point
-from .errors import (
-    AlgebraError, DomainError, EvaluationError, OperandError, ParseError, RenderError,
-)
+from .errors import AlgebraError, DomainError, EvaluationError, ParseError, RenderError
 from .metric import view
 from .multivector import DEFAULT_TOL, near_zero
 
 
-class _OnFirstUse:
-    """A module of this package, held as a global of this module until the
-    first attribute read, which loads it through the package and puts it in
-    the stand-in's place: every later call goes through the module itself."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __getattr__(self, attr: str):
-        module = globals()[self.name] = getattr(sys.modules[__package__], self.name)
-        return getattr(module, attr)
-
-
-geometry, isometry = _OnFirstUse("geometry"), _OnFirstUse("isometry")
+# the package, whose __getattr__ loads geometry and isometry on their first read
+pga2d = sys.modules[__package__]
 
 
 def parse(source: str) -> tuple[tuple[int, str, str | None, tuple], ...]:
@@ -97,7 +84,7 @@ def format_value(value, tol: float = DEFAULT_TOL) -> str:
         text = "[%.6f, %.6f, %.6f]" % view(value, tol)[1]
     elif isinstance(value, float):
         text = "%.6f" % value
-    elif isinstance(value, isometry.Motor):
+    elif isinstance(value, pga2d.isometry.Motor):
         text = "motor(%.6f, %.6f, %.6f, %.6f)" % (value.s, value.bx, value.by, value.bz)
     else:
         raise TypeError(f"cannot format {type(value).__name__}")
@@ -135,21 +122,26 @@ _VERBS = {
     "point": ("new num num", _point),
     "ideal": ("new num num", lambda env, a, tol: IdealPoint(*a)),
     "line": ("new num num num", _line),
-    "join": ("new ref ref", lambda env, a, tol: geometry.join(env[a[0]], env[a[1]], tol)),
-    "meet": ("new ref ref", lambda env, a, tol: geometry.meet(env[a[0]], env[a[1]], tol)),
-    "dist": ("new ref ref", lambda env, a, tol: geometry.distance(env[a[0]], env[a[1]], tol)),
-    "angle": ("new ref ref", lambda env, a, tol: geometry.angle(env[a[0]], env[a[1]], tol)),
-    "reflect": ("new ref ref", lambda env, a, tol: isometry.reflect(env[a[0]], env[a[1]], tol)),
-    "rotor": ("new ref ref", lambda env, a, tol: isometry.rotor_from_lines(
+    "join": ("new ref ref", lambda env, a, tol: pga2d.geometry.join(env[a[0]], env[a[1]], tol)),
+    "meet": ("new ref ref", lambda env, a, tol: pga2d.geometry.meet(env[a[0]], env[a[1]], tol)),
+    "dist": ("new ref ref", lambda env, a, tol: pga2d.geometry.distance(env[a[0]], env[a[1]], tol)),
+    "angle": ("new ref ref", lambda env, a, tol: pga2d.geometry.angle(env[a[0]], env[a[1]], tol)),
+    "reflect": ("new ref ref", lambda env, a, tol: pga2d.isometry.reflect(
         env[a[0]], env[a[1]], tol)),
-    "rotator": ("new ref num", lambda env, a, tol: isometry.rotator(env[a[0]], a[1], tol)),
-    "translator": ("new ref num", lambda env, a, tol: isometry.translator(env[a[0]], a[1], tol)),
-    "apply": ("new ref ref", lambda env, a, tol: isometry.sandwich(env[a[0]], env[a[1]])),
-    "solve": ("new ref ref ref ref", lambda env, a, tol: isometry.solve_point_line_transport(
+    "rotor": ("new ref ref", lambda env, a, tol: pga2d.isometry.rotor_from_lines(
+        env[a[0]], env[a[1]], tol)),
+    "rotator": ("new ref num", lambda env, a, tol: pga2d.isometry.rotator(env[a[0]], a[1], tol)),
+    "translator": ("new ref num", lambda env, a, tol: pga2d.isometry.translator(
+        env[a[0]], a[1], tol)),
+    "apply": ("new ref ref", lambda env, a, tol: pga2d.isometry.sandwich(env[a[0]], env[a[1]])),
+    "solve": ("new ref ref ref ref", lambda env, a, tol: pga2d.isometry.solve_point_line_transport(
         env[a[0]], env[a[1]], env[a[2]], env[a[3]], tol)),
-    "project": ("new ref ref", lambda env, a, tol: geometry.project(env[a[0]], env[a[1]], tol)),
-    "midpoint": ("new ref ref", lambda env, a, tol: geometry.midpoint(env[a[0]], env[a[1]], tol)),
-    "midline": ("new ref ref", lambda env, a, tol: geometry.midline(env[a[0]], env[a[1]], tol)),
+    "project": ("new ref ref", lambda env, a, tol: pga2d.geometry.project(
+        env[a[0]], env[a[1]], tol)),
+    "midpoint": ("new ref ref", lambda env, a, tol: pga2d.geometry.midpoint(
+        env[a[0]], env[a[1]], tol)),
+    "midline": ("new ref ref", lambda env, a, tol: pga2d.geometry.midline(
+        env[a[0]], env[a[1]], tol)),
     "print": ("ref", lambda env, a, tol: f"{a[0]} = {format_value(env[a[0]], tol)}\n"),
     "svg": ("path", lambda env, a, tol: render_svg(env, a[0], tol)),
 }
@@ -169,9 +161,9 @@ def evaluate(
     Each printed line goes to emit(line) as its statement runs; with no emit,
     the lines make up the returned text, which is empty when emit is given.
     The first failing statement stops the run with an EvaluationError that
-    carries its line number, and for an OperandError the name, class and
-    defining line of each operand; an exception from emit propagates
-    unchanged.
+    carries its line number and the library's text, followed by the name,
+    class and defining line of each operand, if the statement names any
+    (svg's path is no operand); an exception from emit propagates unchanged.
     """
     env: dict[str, object] = {}
     out: list[str] = []
@@ -179,14 +171,14 @@ def evaluate(
     for lineno, verb, result, args in statements:
         try:
             value = _VERBS[verb][1](env, args, tol)
-        except OperandError as exc:
-            # each operand's class and defining line, looked up only here
-            made = {name: line for line, _, name, _ in statements}
-            names = dict.fromkeys(a for a in args if isinstance(a, str))
-            operands = "; ".join(f"{n}: {type(env[n]).__name__}, line {made[n]}" for n in names)
-            raise EvaluationError(f"{exc} ({operands})", lineno) from exc
         except (AlgebraError, RenderError, OSError) as exc:
-            raise EvaluationError(str(exc), lineno) from exc
+            # each operand's class and defining line, looked up only here; the
+            # names before the numbers are operands when the verb takes refs
+            _, new, numbers, refs = _SHAPES[verb]
+            made = {name: line for line, _, name, _ in statements}
+            names = dict.fromkeys(args[:numbers - 1 - new] if refs else ())
+            operands = "; ".join(f"{n}: {type(env[n]).__name__}, line {made[n]}" for n in names)
+            raise EvaluationError(f"{exc} ({operands})" if names else str(exc), lineno) from exc
         if result is not None:
             env[result] = value
         elif value is not None:

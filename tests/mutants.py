@@ -44,10 +44,12 @@ BRIDGE = (
     "tests/test_element_model.py::test_from_mv_rejects_a_part_of_another_grade",
 )
 GATES = ("tests/test_element_model.py::test_a_gate_refuses_an_operand_of_the_wrong_class",)
-# a class refusal is an OperandError, and a script's error names its operands
+# a class refusal is an OperandError, and every error of a script's statement
+# names its operands, svg's path aside
 OPERANDS = (
     "tests/test_script.py::test_statement_errors_carry_their_line_and_the_output_before_them",
     "tests/test_script.py::test_every_verb_gives_a_result_or_names_the_operands_it_refuses",
+    "tests/test_script.py::test_an_svg_path_that_spells_a_defined_name_is_no_operand",
     "tests/test_script.py::test_a_plain_type_error_from_the_library_is_not_wrapped",
 )
 # every export over every combination of the value classes and a float
@@ -241,19 +243,23 @@ MUTANTS = {
         'raise TypeError(f"motor must be a Motor, not {type(g).__name__}")', GATES,
     ),
     "provenance-dropped": (
-        "script.py", 'raise EvaluationError(f"{exc} ({operands})", lineno) from exc',
-        "raise EvaluationError(str(exc), lineno) from exc", OPERANDS,
+        "script.py", 'f"{exc} ({operands})" if names else str(exc)', "str(exc)", OPERANDS,
     ),
     "provenance-line-of-the-error": (
         "script.py", 'f"{n}: {type(env[n]).__name__}, line {made[n]}"',
         'f"{n}: {type(env[n]).__name__}, line {lineno}"', OPERANDS,
     ),
     "provenance-repeats-a-name": (
-        "script.py", "names = dict.fromkeys(a for a in args if isinstance(a, str))",
-        "names = [a for a in args if isinstance(a, str)]", OPERANDS,
+        "script.py", "names = dict.fromkeys(args[:numbers - 1 - new] if refs else ())",
+        "names = list(args[:numbers - 1 - new] if refs else ())", OPERANDS,
+    ),
+    "provenance-names-the-svg-path": (
+        "script.py", "names = dict.fromkeys(args[:numbers - 1 - new] if refs else ())",
+        "names = dict.fromkeys(args[:numbers - 1 - new])", OPERANDS,
     ),
     "evaluate-wraps-every-type-error": (
-        "script.py", "except OperandError as exc:", "except TypeError as exc:", OPERANDS,
+        "script.py", "except (AlgebraError, RenderError, OSError) as exc:",
+        "except (AlgebraError, RenderError, OSError, TypeError) as exc:", OPERANDS,
     ),
     # the value base's one repr, and the metric's refusal of what is no line or point
     "repr-not-g": (
@@ -348,8 +354,8 @@ MUTANTS = {
     ),
     # the interpreter loads geometry and isometry on import
     "script-loads-eagerly": (
-        "script.py", 'geometry, isometry = _OnFirstUse("geometry"), _OnFirstUse("isometry")',
-        "from . import geometry, isometry", ON_FIRST_USE,
+        "script.py", "pga2d = sys.modules[__package__]",
+        "pga2d = sys.modules[__package__]; from . import geometry, isometry", ON_FIRST_USE,
     ),
     # the package loads a module where -X importtime does not see it
     "load-unreported": (

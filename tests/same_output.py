@@ -155,6 +155,27 @@ MIGRATIONS = {
     # projects to the zero element, where its in-band weight gave a point
     IDEAL_FORM: NORMAL_FORM,
     "F = (0.000000, 5.000000)\n": "error: line 5: zero element is not a point\n",
+    # every error of a statement names each operand's class and defining
+    # line, where only a class refusal did
+    "error: line 5: lines intersect; the gap is undefined (use angle)\n":
+        "error: line 5: lines intersect; the gap is undefined (use angle)"
+        " (m: Line, line 3; n: Line, line 4)\n",
+    "error: line 3: zero element is not a line\n":
+        "error: line 3: zero element is not a line (m: Line, line 1; n: Line, line 2)\n",
+    "error: line 4: result is the zero element (dependent arguments?)\n":
+        "error: line 4: result is the zero element (dependent arguments?)"
+        " (A: Point, line 1; B: Point, line 3)\n",
+    "error: line 3: result is the zero element (dependent arguments?)\n":
+        "error: line 3: result is the zero element (dependent arguments?)"
+        " (m: Line, line 1; n: Line, line 2)\n",
+    "error: line 5: point Point(-2, 0, 0) must be euclidean\n":
+        "error: line 5: point Point(-2, 0, 0) must be euclidean"
+        " (P: Point, line 3; A: Point, line 4)\n",
+    "error: line 5: zero element is not a point\n":
+        "error: line 5: zero element is not a point (V: Point, line 3; m: Line, line 4)\n",
+    "error: line 5: no direct isometry transports the given pairs\n":
+        "error: line 5: no direct isometry transports the given pairs"
+        " (A: Point, line 1; m: Line, line 2; B: Point, line 3; n: Line, line 4)\n",
 }
 
 

@@ -170,7 +170,10 @@ SCRIPT_RESULTS = {
     "rotator": "g = motor(1.000000, -0.500000, 0.000000, 0.000000)\n",
 }
 # a free vector has no part along a line normal to it
-SCRIPT_REFUSALS = {"project_normal": "error: line 9: zero element is not a point\n"}
+SCRIPT_REFUSALS = {
+    "project_normal":
+        "error: line 9: zero element is not a point (V: Point, line 3; k: Line, line 8)\n",
+}
 
 
 def _run(tmp_path, tag, prefix, body, capsys):

@@ -378,7 +378,11 @@ def test_subnormal_ideal_point_acts_like_its_unit_direction():
     "failing, message",
     [
         ("rotor g A A", "line 3: mirror must be a Line, not Point (A: Point, line 1)"),
-        ("join l A A", "line 3: result is the zero element (dependent arguments?)"),
+        # any other failure names the operands too, a repeated one once
+        (
+            "join l A A",
+            "line 3: result is the zero element (dependent arguments?) (A: Point, line 1)",
+        ),
         (
             "point B 2e9 0",
             "line 3: point (2e+09, 0) is out of range: coordinates must stay within "
@@ -436,7 +440,10 @@ def test_subnormal_ideal_point_acts_like_its_unit_direction():
             "rotator r A 1\nproject p A r",
             "line 4: cannot project Point onto Motor (A: Point, line 1; r: Motor, line 3)",
         ),
-        ("line m 1 0 0\nline n 0 1 0\nproject p m n", "line 5: zero element is not a line"),
+        (
+            "line m 1 0 0\nline n 0 1 0\nproject p m n",
+            "line 5: zero element is not a line (m: Line, line 3; n: Line, line 4)",
+        ),
     ],
 )
 def test_statement_errors_carry_their_line_and_the_output_before_them(failing, message):
@@ -553,8 +560,8 @@ _ACCEPTS = {
 def test_every_verb_gives_a_result_or_names_the_operands_it_refuses():
     # every verb that takes a name, print aside, over every combination of
     # the held values: only the classes it accepts give a value, and only the
-    # others an OperandError, reported with each operand; a refusal of one
-    # operand's kind or value may come before that of another's class
+    # others an OperandError; a refusal of one operand's kind or value may
+    # come before that of another's class, and each is reported with each operand
     assert _ACCEPTS.keys() == {v for v, sig in _SIGNATURES.items() if "ref" in sig} - {"print"}
     for verb, classes in _ACCEPTS.items():
         nums = ["1"] * _SIGNATURES[verb].count("num")
@@ -565,17 +572,26 @@ def test_every_verb_gives_a_result_or_names_the_operands_it_refuses():
                 env, _ = evaluate(parse(_DEFINED + statement))
             except EvaluationError as exc:
                 cause = exc.__cause__
+                operands = "; ".join(
+                    f"{n}: {_HELD[n][1]}, line {list(_HELD).index(n) + 1}"
+                    for n in dict.fromkeys(names)
+                )
+                assert str(exc) == f"line 6: {cause} ({operands})", statement
                 if isinstance(cause, OperandError):
-                    operands = "; ".join(
-                        f"{n}: {_HELD[n][1]}, line {list(_HELD).index(n) + 1}"
-                        for n in dict.fromkeys(names)
-                    )
-                    assert not accepted and str(exc) == f"line 6: {cause} ({operands})", statement
+                    assert not accepted, statement
                 else:
-                    assert isinstance(cause, DomainError) and exc.lineno == 6, statement
+                    assert isinstance(cause, DomainError), statement
             else:
                 assert accepted, statement
                 format_value(env["R"])  # a value that a script can hold
+
+
+def test_an_svg_path_that_spells_a_defined_name_is_no_operand(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A").mkdir()
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse("point A 0 0\nsvg A\n"))
+    assert str(err.value) == "line 2: [Errno 21] Is a directory: 'A'"
 
 
 def test_a_plain_type_error_from_the_library_is_not_wrapped(monkeypatch):
@@ -769,7 +785,7 @@ def test_an_ideal_line_of_tiny_c_is_e0_wherever_it_is_normalized():
 def test_printing_a_value_without_a_unit_form_is_an_evaluation_error():
     with pytest.raises(EvaluationError) as err:
         evaluate(parse("line m 1 0 0\nprint m\n"), 1.0)
-    assert str(err.value) == "line 2: cannot normalize a zero line"
+    assert str(err.value) == "line 2: cannot normalize a zero line (m: Line, line 1)"
 
 
 def test_evaluate_rejects_midline_of_antiparallel():
@@ -1416,21 +1432,29 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
 
 
 @pytest.mark.parametrize(
-    "source, lineno",
+    "source, error",
     [
         # a met direction, of weight 1e-12 inside the band
-        ("line a 1 0 0\nline b 1 1e-12 -1\nmeet V a b\nline m 0 1 -5\nproject F V m\nprint F\n", 5),
+        (
+            "line a 1 0 0\nline b 1 1e-12 -1\nmeet V a b\nline m 0 1 -5\nproject F V m\nprint F\n",
+            "line 5: zero element is not a point (V: Point, line 3; m: Line, line 4)",
+        ),
         # the same direction, made with weight 0
-        ("ideal V 0 1\nline m 0 1 -5\nproject F V m\nprint F\n", 3),
+        (
+            "ideal V 0 1\nline m 0 1 -5\nproject F V m\nprint F\n",
+            "line 3: zero element is not a point (V: Point, line 1; m: Line, line 2)",
+        ),
     ],
     ids=["met", "made"],
 )
-def test_cli_refuses_a_direction_projected_onto_a_line_normal_to_it(tmp_path, capsys, source, lineno):
+def test_cli_refuses_a_direction_projected_onto_a_line_normal_to_it(
+    tmp_path, capsys, source, error
+):
     # a direction has no part along a line normal to it, however it was made
     script = tmp_path / "s.pga"
     script.write_text(source)
     assert main(["run", str(script)]) == 2
-    assert capsys.readouterr() == ("", f"error: line {lineno}: zero element is not a point\n")
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_cli_prints_an_ideal_line_at_a_coarse_tol_in_coordinate_order(tmp_path, capsys):
@@ -1478,7 +1502,8 @@ def test_cli_overflow_in_a_sandwich_keeps_the_kernel_message(tmp_path, capsys):
     )
     assert main(["run", str(script)]) == 2
     assert capsys.readouterr().err == (
-        "error: line 4: result is not finite (coefficient overflow or non-finite factor)\n"
+        "error: line 4: result is not finite (coefficient overflow or non-finite factor)"
+        " (g: Motor, line 2; m: Line, line 3)\n"
     )
 
 
@@ -1488,24 +1513,30 @@ _OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
 
 
 @pytest.mark.parametrize(
-    "source, lineno",
+    "source, error",
     [
-        (_SUBNORMAL_MEET + "print P\n", 4),
+        (_SUBNORMAL_MEET + "print P\n", f"line 4: {_OVERFLOW} (P: Point, line 3)"),
         # the offset divided by the normal's length overflows
-        ("line m 1e-300 0 -1e10\nprint m\n", 2),
-        ("line m 5e-324 5e-324 -1\nprint m\n", 2),
+        ("line m 1e-300 0 -1e10\nprint m\n", f"line 2: {_OVERFLOW} (m: Line, line 1)"),
+        ("line m 5e-324 5e-324 -1\nprint m\n", f"line 2: {_OVERFLOW} (m: Line, line 1)"),
         # a gate normalizes as print does, and fails alike
-        (_SUBNORMAL_MEET + "point A 0 0\ndist d P A\n", 5),
-        ("line m 1e-300 0 -1e10\npoint A 0 0\nreflect r m A\n", 3),
+        (
+            _SUBNORMAL_MEET + "point A 0 0\ndist d P A\n",
+            f"line 5: {_OVERFLOW} (P: Point, line 3; A: Point, line 4)",
+        ),
+        (
+            "line m 1e-300 0 -1e10\npoint A 0 0\nreflect r m A\n",
+            f"line 3: {_OVERFLOW} (m: Line, line 1; A: Point, line 2)",
+        ),
     ],
 )
 def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
-    tmp_path, capsys, source, lineno
+    tmp_path, capsys, source, error
 ):
     script = tmp_path / "s.pga"
     script.write_text(source)
     assert main(["run", str(script), "--tol", "0"]) == 2
-    assert capsys.readouterr() == ("", f"error: line {lineno}: {_OVERFLOW}\n")
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_midpoint_of_points_whose_coordinate_sum_overflows_is_printed(tmp_path, capsys):
@@ -1523,13 +1554,16 @@ def test_a_non_finite_literal_fails_with_the_kernel_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "source", ["ideal V 1 0\ntranslator T V inf\n", "point P 0 0\nrotator T P inf\n"]
+    "source, operand",
+    [("ideal V 1 0\ntranslator T V inf\n", "V"), ("point P 0 0\nrotator T P inf\n", "P")],
 )
-def test_motor_of_an_infinite_argument_fails_with_the_kernel_error(tmp_path, capsys, source):
+def test_motor_of_an_infinite_argument_fails_with_the_kernel_error(
+    tmp_path, capsys, source, operand
+):
     script = tmp_path / "s.pga"
     script.write_text(source)
     assert main(["run", str(script)]) == 2
-    assert capsys.readouterr() == ("", f"error: line 2: {_OVERFLOW}\n")
+    assert capsys.readouterr() == ("", f"error: line 2: {_OVERFLOW} ({operand}: Point, line 1)\n")
 
 
 @pytest.mark.parametrize(
