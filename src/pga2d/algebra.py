@@ -91,14 +91,14 @@ def norm(x, tol: float = DEFAULT_TOL) -> float:
     """Euclidean norm: sqrt(a^2+b^2) for a line, the signed weight z for a point."""
     if is_ideal(x, tol):
         raise ClassificationError(f"{x!r} has no euclidean norm; use ideal_norm")
-    return math.hypot(x.a, x.b) if isinstance(x, Line) else x.z
+    return _finite((math.hypot(x.a, x.b),))[0] if isinstance(x, Line) else x.z
 
 
 def ideal_norm(x, tol: float = DEFAULT_TOL) -> float:
     """Ideal norm: free-vector length for an ideal point, signed c for an ideal line."""
     if not is_ideal(x, tol):
         raise ClassificationError(f"{x!r} is euclidean; use norm")
-    return x.c if isinstance(x, Line) else math.hypot(x.x, x.y)
+    return x.c if isinstance(x, Line) else _finite((math.hypot(x.x, x.y),))[0]
 
 
 def polar(x) -> "Multivector":

@@ -33,13 +33,13 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> float:
         px, py, _ = euclidean(x, Point, tol, "point")
         qx, qy, _ = euclidean(y, Point, tol, "point")
         # the normal (a, b) of the line joining two points of weight 1
-        return math.hypot(*_finite((py - qy, qx - px)))
+        return _finite((math.hypot(py - qy, qx - px),))[0]
     if isinstance(x, Line) and isinstance(y, Line):
         m, n = euclidean(x, Line, tol, "line"), euclidean(y, Line, tol, "line")
         gx, gy, sine = cross(m, n)
         if not near_zero(sine, 1.0, tol):
             raise DomainError("lines intersect; the gap is undefined (use angle)")
-        return math.hypot(gx, gy)
+        return _finite((math.hypot(gx, gy),))[0]
     if isinstance(x, Line) and isinstance(y, Point):
         return incidence(euclidean(x, Line, tol, "line"), euclidean(y, Point, tol, "point"))
     if isinstance(x, Point) and isinstance(y, Line):

@@ -155,5 +155,9 @@ def build_svg(env: dict, tol: float = DEFAULT_TOL) -> str:
 def render_svg(env: dict, path, tol: float = DEFAULT_TOL) -> None:
     """Write the rendered environment to path; byte-identical for equal input."""
     text = build_svg(env, tol)
-    with open(path, "w", encoding="utf-8") as f:
+    try:
+        f = open(path, "w", encoding="utf-8")
+    except ValueError as exc:  # a NUL byte in the path
+        raise RenderError(f"{exc}: {path!r}") from exc
+    with f:
         f.write(text)

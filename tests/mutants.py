@@ -73,6 +73,11 @@ MIDPOINT = (
     "tests/test_geometry.py::test_midpoint_of_points_whose_coordinate_sums_overflow",
     "tests/test_script.py::test_midpoint_of_points_whose_coordinate_sum_overflows_is_printed",
 )
+# a length of finite fields that overflows, in the library and in a script
+LENGTHS = (
+    "tests/test_geometry.py::test_a_length_that_overflows_is_a_domain_error",
+    "tests/test_script.py::test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error",
+)
 # which modules a run loads, and that -X importtime reports each one
 ON_FIRST_USE = (
     "tests/test_script.py::"
@@ -312,6 +317,11 @@ MUTANTS = {
     "midpoint-summed-first": (
         "geometry.py", "return Point(0.5 * px + 0.5 * qx, 0.5 * py + 0.5 * qy, 1.0)",
         "return Point(0.5 * (px + qx), 0.5 * (py + qy), 1.0)", MIDPOINT,
+    ),
+    # the distance of two points returns an overflowed length
+    "distance-unchecked": (
+        "geometry.py", "return _finite((math.hypot(py - qy, qx - px),))[0]",
+        "return math.hypot(py - qy, qx - px)", LENGTHS,
     ),
     # one exponential of a point, one angle of two directions, and the
     # projection of a free vector, of its own weight

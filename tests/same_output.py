@@ -31,16 +31,13 @@ error's class and text.
 Each tree runs every case but the process section's in one child process
 with its own ``src`` on the path.  Any difference in stdout, stderr, exit
 code, SVG bytes or a library record is printed, and the exit code is then 1,
-unless MIGRATIONS lists it: a change made on purpose, from an old stderr
-text to a new one, or from an old exception class to a new one in a library
-record whose error text is unchanged; a refusal, by its old text, of a library
-call that now gives a result or of a run that now exits 0; a run, by its old
-stdout, that now exits 2 with the listed stderr; a changed float of ``angle``
-with an ideal-point operand; or a call whose first operand is ideal at its tol
-and that now gives what the base tree gives for that operand's normal form
-(the point of weight 0 with its x and y, or the line e0), the sign of a
-motor's zero e12 part aside.  Each migration is printed once, with the number
-of records, texts or runs it covers, and leaves the exit code at 0.
+unless it is a migration.  There is one rule: a difference is a migration
+only when MIGRATIONS maps the old stderr text to the new one, or a library
+record's old exception class to its new one with the error text unchanged.
+Each migration is printed once, with the number of texts or records it
+covers, and leaves the exit code at 0.  An entry of MIGRATIONS that explains
+no difference is itself a difference, so a change lists only its own
+migrations.
 pytest does not collect this file.
 """
 
@@ -112,112 +109,24 @@ ACCEPTED = {
 }
 
 
-# old -> new: a whole stderr text, or the exception class of a library record;
-# or the text of a refusal, of a library call or of a whole run, -> RESULT when
-# the call now gives a result or the run exits 0; or a whole run's stdout -> the
-# stderr of its exit 2; or IDEAL_ANGLE -> FLOAT, any float that angle gives with
-# a point operand, which it takes only when ideal; or IDEAL_FORM -> NORMAL_FORM,
-# a record of an ideal operand that is the base's record of its normal form.
-# An entry matches nothing once the base commit gives its new side, and can go.
-RESULT, IDEAL_ANGLE, FLOAT = "a result", "angle with an ideal point", "another float"
-IDEAL_FORM, NORMAL_FORM = "an ideal operand", "its normal form's record"
-MIGRATIONS = {
-    # the library's class refusals raise OperandError, a TypeError and an
-    # AlgebraError, and the script reports it with each operand's name, class
-    # and defining line
-    "TypeError": "OperandError",
-    "error: line 2: mirror must be Line, but 'A' is Point\n":
-        "error: line 2: mirror must be a Line, not Point (A: Point, line 1)\n",
-    "error: line 2: versor must be Motor, but 'A' is Point\n":
-        "error: line 2: cannot use Point as a versor (A: Point, line 1)\n",
-    "error: line 3: project target must be Point or Line, but 'g' is Motor\n":
-        "error: line 3: cannot project Point onto Motor (A: Point, line 1; g: Motor, line 2)\n",
-    "error: line 2: rotation center must be Point, but 'm' is Line\n":
-        "error: line 2: rotation center must be a Point, not Line (m: Line, line 1)\n",
-    "error: line 3: join argument must be Point, but 'm' is Line\n":
-        "error: line 3: no join of Line and Line (m: Line, line 1; n: Line, line 2)\n",
-    "error: line 3: meet argument must be Line, but 'A' is Point\n":
-        "error: line 3: no meet of Point and Point (A: Point, line 1; B: Point, line 2)\n",
-    "error: line 7: mirror must be Line, but 'A' is Point\n":
-        "error: line 7: mirror must be a Line, not Point (A: Point, line 3)\n",
-    # the exponential of an ideal point is its translator, and a free vector
-    # projects onto a line and is rejected from it
-    "rotation center Point(0.754154, -0.49594, 0) must be euclidean": RESULT,
-    "rotation center Point(1, 0, 1e-12) must be euclidean": RESULT,
-    "projected element Point(0.754154, -0.49594, 0) must be euclidean": RESULT,
-    "projected element Point(1, 0, 1e-12) must be euclidean": RESULT,
-    "error: line 4: rotation center Point(1, 0, 0) must be euclidean\n": RESULT,
-    # angle is the atan2 of two directions' sine and cosine, where it took a
-    # clamped acos of the cosine for an ideal point
-    IDEAL_ANGLE: FLOAT,
-    # an ideal point normalizes to weight 0, and an ideal line to e0, so an
-    # in-band weight or normal is dropped; a direction normal to the line then
-    # projects to the zero element, where its in-band weight gave a point
-    IDEAL_FORM: NORMAL_FORM,
-    "F = (0.000000, 5.000000)\n": "error: line 5: zero element is not a point\n",
-    # every error of a statement names each operand's class and defining
-    # line, where only a class refusal did
-    "error: line 5: lines intersect; the gap is undefined (use angle)\n":
-        "error: line 5: lines intersect; the gap is undefined (use angle)"
-        " (m: Line, line 3; n: Line, line 4)\n",
-    "error: line 3: zero element is not a line\n":
-        "error: line 3: zero element is not a line (m: Line, line 1; n: Line, line 2)\n",
-    "error: line 4: result is the zero element (dependent arguments?)\n":
-        "error: line 4: result is the zero element (dependent arguments?)"
-        " (A: Point, line 1; B: Point, line 3)\n",
-    "error: line 3: result is the zero element (dependent arguments?)\n":
-        "error: line 3: result is the zero element (dependent arguments?)"
-        " (m: Line, line 1; n: Line, line 2)\n",
-    "error: line 5: point Point(-2, 0, 0) must be euclidean\n":
-        "error: line 5: point Point(-2, 0, 0) must be euclidean"
-        " (P: Point, line 3; A: Point, line 4)\n",
-    "error: line 5: zero element is not a point\n":
-        "error: line 5: zero element is not a point (V: Point, line 3; m: Line, line 4)\n",
-    "error: line 5: no direct isometry transports the given pairs\n":
-        "error: line 5: no direct isometry transports the given pairs"
-        " (A: Point, line 1; m: Line, line 2; B: Point, line 3; n: Line, line 4)\n",
-}
+# old -> new: a whole stderr text, or the exception class of a library record
+# whose error text is unchanged.  A change lists only its own migrations: an
+# entry that explains no difference is itself a difference, so once the base
+# commit gives an entry's new side the entry must go, and the next change
+# starts from an empty table.
+MIGRATIONS: dict[str, str] = {}
 
 
-def _migration(field: str, old, new, label: str = "", normal=None) -> tuple[str, str] | None:
+def _migration(field: str, old, new) -> tuple[str, str] | None:
     """The (old, new) pair of MIGRATIONS that explains this difference of one
-    field, if any; label is a library record's, and normal the base's record of
-    the same call with its ideal first operand in normal form, or None."""
+    field, if any."""
     if field == "stderr":
         old, new = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old, new))
-    elif field != "library":
-        return None
-    elif old[:1] == new[:1] == ["raised"] and old[2] == new[2]:
+    elif field == "library" and old[:1] == new[:1] == ["raised"] and old[2] == new[2]:
         old, new = old[1], new[1]
-    elif old[:1] == ["raised"] and new[:1] != ["raised"]:
-        old, new = old[2], RESULT
-    elif label.startswith("angle(") and "Point(" in label and {type(old), type(new)} == {str}:
-        old, new = IDEAL_ANGLE, FLOAT  # a float is recorded as its repr
-    elif normal is not None and (new == normal or _zero_e12_apart(new, normal)):
-        old, new = IDEAL_FORM, NORMAL_FORM
     else:
         return None
     return (old, new) if MIGRATIONS.get(old) == new else None
-
-
-def _zero_e12_apart(new, normal) -> bool:
-    """Two motor records that differ only in the sign of a zero e12 part."""
-    return new[0] == "Motor" and new[:4] == normal[:4] and {new[4], normal[4]} == {"0.0", "-0.0"}
-
-
-def _refused(old: list, new: list) -> tuple[str, str] | None:
-    """The (stdout, stderr) pair of MIGRATIONS for a run that once exited 0
-    with that stdout and now exits 2 with that stderr alone, if any."""
-    out, err = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old[0], new[1]))
-    listed = old[2] == 0 and new[2] == 2 and not new[0] and MIGRATIONS.get(out) == err
-    return (out, err) if listed else None
-
-
-def _accepted(old: list, new: list) -> tuple[str, str] | None:
-    """The (stderr, RESULT) pair of MIGRATIONS for a run that a listed refusal
-    ended and that now exits 0, if any; it explains every field of the run."""
-    text = old[1].decode("utf-8", "replace") if isinstance(old[1], bytes) else old[1]
-    return (text, RESULT) if new[2] == 0 and MIGRATIONS.get(text) == RESULT else None
 
 
 def _write_scripts(folder: Path) -> list[str]:
@@ -269,14 +178,11 @@ def _process_cases() -> list[list[str]]:
 
 def _exact(value):
     """value with each float as its repr, and each value class as its name and
-    fields; an OddVersor as its name and mv() coefficients, which read the same
-    in its old layout, a Line and a weight, and in its flat one."""
+    fields."""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):
         return [_exact(v) for v in value]
-    if type(value).__name__ == "OddVersor":
-        return ["OddVersor", *_exact(value.mv().coeffs)]
     fields = getattr(type(value), "__slots__", ())
     if fields:
         return [type(value).__name__, *[_exact(getattr(value, f)) for f in fields]]
@@ -284,10 +190,7 @@ def _exact(value):
 
 
 def _library_calls():
-    """(label, call, normal) for each call of the library corpus, in a fixed
-    order; normal is the call with its first operand in normal form when that
-    operand is a line or point ideal at the call's last argument, its tol, or
-    else None."""
+    """(label, call) for each call of the library corpus, in a fixed order."""
     import random
 
     import pga2d as g
@@ -302,8 +205,8 @@ def _library_calls():
     motors = [g.Motor(u(-2, 2), u(-50, 50), u(-50, 50), u(-2, 2)) for _ in range(4)]
     motors += [g.Motor(1, 2, 3, 0), g.Motor(0, 1, 0, 0), g.Motor(-1, 5e-324, -0.0, 1e-12)]
 
-    def odd(m, lam):  # from_mv reads this in either layout of OddVersor
-        return g.OddVersor.from_mv(Multivector(m.mv().coeffs[:7] + (lam,)))
+    def odd(m, lam):
+        return g.OddVersor(m.a, m.b, m.c, lam)
 
     versors = [odd(m, u(-5, 5)) for m in lines[:4]] + [odd(lines[6], -0.0)]
     scalars = [g.Pseudoscalar(s) for s in (2.5, -0.0, 5e-324)]
@@ -313,22 +216,10 @@ def _library_calls():
     typed = lines + points + motors + versors + scalars
     tols = (1e-9, 1e-6, 0.0)
 
-    def normal_form(args):
-        x, tol = args[0], args[-1]
-        if not (isinstance(x, (g.Line, g.Point)) and type(tol) is float and x.is_ideal(tol)):
-            return None
-        if isinstance(x, g.Line):
-            return g.Line(0.0, 0.0, 1.0), *args[1:]
-        return (g.Point(x.x, x.y, 0.0), *args[1:]) if x.x or x.y else None
-
     def calls(name, f, operands):
         for args in operands:
             shown = ", ".join(getattr(a, "__name__", None) or repr(a) for a in args)
-            normal = normal_form(args)
-            yield (
-                f"{name}({shown})", lambda args=args: f(*args),
-                None if normal is None else lambda normal=normal: f(*normal),
-            )
+            yield f"{name}({shown})", lambda args=args: f(*args)
 
     yield from calls("mv", lambda x: x.mv(), [(x,) for x in typed])
     classes = (g.Line, g.Point, g.Motor, g.OddVersor)
@@ -395,11 +286,8 @@ def _record(call):
 
 
 def _library() -> list:
-    """[label, record, normal record or None] for each library call."""
-    return [
-        [label, _record(call), None if normal is None else _record(normal)]
-        for label, call, normal in _library_calls()
-    ]
+    """[label, record] for each library call."""
+    return [[label, _record(call)] for label, call in _library_calls()]
 
 
 def _child(folder: str) -> None:
@@ -451,6 +339,43 @@ def _processes(src: Path, folder: Path, cases: list[list[str]]) -> list:
     return results
 
 
+def _compare(base: dict, this: dict, cases: list, processes: list) -> tuple[list, Counter]:
+    """(differences, migrations) between the base tree's results and this
+    tree's: a line per difference that MIGRATIONS does not explain, and per
+    entry of MIGRATIONS that explains none; and the count of each (old, new)
+    pair that explains some."""
+    fields = ("stdout", "stderr", "exit code", "SVG")
+    changed = [
+        (f"{prefix}{' '.join(case)}: {field} differs", field, a, b)
+        for section, prefix, section_cases in (
+            ("cli", "", cases), ("process", "process: ", processes)
+        )
+        for case, old, new in zip(section_cases, base[section], this[section])
+        for field, a, b in zip(fields, old, new)
+        if a != b
+    ]
+    changed += [
+        (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new)
+        for (label, old), (_, new) in zip(base["library"], this["library"])
+        if old != new
+    ]
+    differences, migrations = [], Counter()
+    for line, field, old, new in changed:
+        pair = _migration(field, old, new)
+        if pair is None:
+            differences.append(line)
+        else:
+            migrations[pair] += 1
+    if len(base["library"]) != len(this["library"]):
+        differences.append(f"{len(base['library'])} library calls, then {len(this['library'])}")
+    differences += [
+        f"migration {old!r} -> {new!r} explains no difference"
+        for old, new in MIGRATIONS.items()
+        if (old, new) not in migrations
+    ]
+    return differences, migrations
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--child":
         _child(argv[1])
@@ -468,47 +393,14 @@ def main(argv: list[str]) -> int:
         processes = _process_cases()
         base["process"] = _processes(base_src, folder, processes)
         this["process"] = _processes(ROOT / "src", folder, processes)
-    fields = ("stdout", "stderr", "exit code", "SVG")
-    runs = [
-        (f"{prefix}{' '.join(case)}", old, new)
-        for section, prefix, section_cases in (
-            ("cli", "", cases), ("process", "process: ", processes)
-        )
-        for case, old, new in zip(section_cases, base[section], this[section])
-        if old != new
-    ]
-    migrations: Counter[tuple[str, str]] = Counter(
-        pair for _, old, new in runs if (pair := _accepted(old, new) or _refused(old, new))
-    )
-    changed = [
-        (f"{run}: {field} differs", field, a, b, "", None)
-        for run, old, new in runs
-        if not (_accepted(old, new) or _refused(old, new))
-        for field, a, b in zip(fields, old, new)
-        if a != b
-    ]
-    library = this["library"]
-    changed += [
-        (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new,
-         label, normal)
-        for (label, old, normal), (_, new, _) in zip(base["library"], library)
-        if old != new
-    ]
-    differences = []
-    for line, field, old, new, label, normal in changed:
-        pair = _migration(field, old, new, label, normal)
-        if pair is None:
-            differences.append(line)
-        else:
-            migrations[pair] += 1
-    if len(base["library"]) != len(library):
-        differences.append(f"{len(base['library'])} library calls, then {len(library)}")
+    differences, migrations = _compare(base, this, cases, processes)
     for (old, new), count in migrations.items():
         print(f"migration ({count}): {old!r} -> {new!r}")
     for line in differences[:20]:
         print(line)
     failed = sum(result[2] != 0 for result in this["cli"])
-    raising = sum(record[0] == "raised" for _, record, _ in library)
+    library = this["library"]
+    raising = sum(record[0] == "raised" for _, record in library)
     print(
         f"{len(cases)} cases ({failed} ending in an error), {len(processes)} process runs, "
         f"{len(library)} library calls ({raising} raising), "

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import gen
 import oracle
 from pga2d.algebra import (
+    ideal_norm,
     ideal_point_of,
+    norm,
     perp_line_through,
     reject,
     symmetric_line,
@@ -576,6 +578,23 @@ def test_project_does_not_fail_on_an_overflowing_rejection():
     assert project(m, n, 0.0) == Line(0.768, 0.576, -1.44e308)
     with pytest.raises(DomainError, match="^result is not finite"):
         reject(m, n, 0.0)
+
+
+# finite fields whose length overflows: the length is checked as a product is
+LENGTH_OVERFLOWS = [
+    (distance, (Point(1.7e308, 1.7e308, 1), Point(0, 0, 1), 0.0)),
+    (distance, (Line(1, 1, 1.7e308), Line(1, 1, -1.7e308), 0.0)),
+    (norm, (Line(1.7e308, 1.7e308, 0),)),
+    (ideal_norm, (Point(1.7e308, 1.7e308, 0),)),
+]
+
+
+@pytest.mark.parametrize(
+    "f, args", LENGTH_OVERFLOWS, ids=["points", "lines", "norm", "ideal_norm"]
+)
+def test_a_length_that_overflows_is_a_domain_error(f, args):
+    with pytest.raises(DomainError, match="^result is not finite"):
+        f(*args)
 
 
 def test_a_free_vector_projects_along_a_line_and_rejects_along_its_normal():

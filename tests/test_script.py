@@ -594,6 +594,13 @@ def test_an_svg_path_that_spells_a_defined_name_is_no_operand(tmp_path, monkeypa
     assert str(err.value) == "line 2: [Errno 21] Is a directory: 'A'"
 
 
+def test_an_svg_path_with_a_nul_byte_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.pga").write_bytes(b"point A 0 0\nsvg a\x00b\n")
+    assert main(["run", "s.pga"]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: embedded null byte: 'a\\x00b'\n")
+
+
 def test_a_plain_type_error_from_the_library_is_not_wrapped(monkeypatch):
     # a bug in the library ends in a traceback, where a fuzzer sees it
     def broken(*args):
@@ -623,62 +630,32 @@ def test_the_output_referee_passes_only_a_listed_migration(monkeypatch):
     assert migration("library", raised, ["Line", "1.0", "0.0", "0.0"]) is None
 
 
-def test_the_output_referee_passes_a_listed_refusal_that_now_gives_a_result(monkeypatch):
-    # a refusal, by its old text, of a library call or a whole run, and a
-    # changed float of angle with a point operand
-    import same_output as so
+def test_the_output_referee_reports_a_stale_migration_as_a_difference(monkeypatch):
+    # _compare counts a listed stderr text as a migration, and reports an
+    # entry that explains no difference, and an unlisted change, as differences
+    import same_output
 
-    listed = {"refused": so.RESULT, "error: refused\n": so.RESULT, so.IDEAL_ANGLE: so.FLOAT}
-    monkeypatch.setattr(so, "MIGRATIONS", listed)
-    refused = ["raised", "ClassificationError", "refused"]
-    other = ["raised", "DomainError", "other"]
-    motor = ["Motor", "1.0", "-0.5", "0.0", "0.0"]
-    assert so._migration("library", refused, motor) == ("refused", so.RESULT)
-    assert so._migration("library", other, motor) is None
-    assert so._migration("library", refused, other) is None
-    ideal = "angle(Line[1, 0, 0], Point(1, 0, 0), 1e-09)"
-    lines = "angle(Line[1, 0, 0], Line[0, 1, 0], 0.0)"
-    assert so._migration("library", "0.1", "0.2", ideal) == (so.IDEAL_ANGLE, so.FLOAT)
-    assert so._migration("library", "0.1", "0.2", lines) is None
-    assert so._migration("library", "0.1", refused, ideal) is None
-    distance = "distance(Point(1, 0, 1), Point(0, 0, 1), 0.0)"
-    assert so._migration("library", "0.1", "0.2", distance) is None
-    failed = ["", "error: refused\n", 2, None]
-    assert so._accepted(failed, ["g = 1\n", "", 0, "<svg/>"]) == ("error: refused\n", so.RESULT)
-    assert so._accepted([b"", b"error: refused\n", 2, None], [b"g = 1\n", b"", 0, b""]) == (
-        "error: refused\n", so.RESULT,
-    )
-    assert so._accepted(failed, ["", "error: another\n", 2, None]) is None
-    assert so._accepted(["", "error: other\n", 2, None], ["g = 1\n", "", 0, None]) is None
-
-
-def test_the_output_referee_passes_a_normal_form_record_and_a_listed_new_refusal(monkeypatch):
-    # a record of an ideal operand that is the base's record of its normal
-    # form, up to the sign of a motor's zero e12 part; a run, by its old
-    # stdout, that now exits 2 with the listed stderr and nothing printed
-    import same_output as so
-
-    listed = {so.IDEAL_FORM: so.NORMAL_FORM, "F = 1\n": "error: line 5: refused\n"}
-    monkeypatch.setattr(so, "MIGRATIONS", listed)
-    label = "project(Point(1, 0, 1e-12), Line[0, 1, -1000], 1e-09)"
-    old, normal = ["Point", "1.0", "1e-09", "1e-12"], ["Point", "1.0", "0.0", "0.0"]
-    pair = (so.IDEAL_FORM, so.NORMAL_FORM)
-    assert so._migration("library", old, normal, label, normal) == pair
-    assert so._migration("library", old, normal, label) is None  # a euclidean operand
-    assert so._migration("library", old, ["Point", "1.0", "1e-15", "0.0"], label, normal) is None
-    motor = ["Motor", "1.0", "-0.5", "0.0", "0.0"]
-    assert so._migration("library", motor, [*motor[:4], "-0.0"], label, motor) == pair
-    assert so._migration("library", motor, [*motor[:3], "-0.0", "0.0"], label, motor) is None
-    assert so._migration("library", motor, [*motor[:4], "5e-324"], label, motor) is None
-    ok, refused = ["F = 1\n", "", 0, "<svg/>"], ["", "error: line 5: refused\n", 2, None]
-    assert so._refused(ok, refused) == ("F = 1\n", "error: line 5: refused\n")
-    assert so._refused([b"F = 1\n", b"", 0, b""], [b"", refused[1].encode(), 2, None]) == (
-        "F = 1\n", refused[1],
-    )
-    assert so._refused(ok, ["", "error: line 5: other\n", 2, None]) is None
-    assert so._refused(ok, ["F = 1\n", refused[1], 2, None]) is None
-    assert so._refused(ok, [*refused[:2], 1, None]) is None
-    assert so._refused(["G = 1\n", "", 0, None], refused) is None
+    listed = {"error: old\n": "error: new\n", "error: gone\n": "error: here\n"}
+    monkeypatch.setattr(same_output, "MIGRATIONS", listed)
+    base = {
+        "cli": [["", "error: old\n", 2, None], ["A = 1\n", "", 0, None]],
+        "process": [[b"", b"error: old\n", 2, None]],
+        "library": [["norm(m)", "1.0"]],
+    }
+    this = {
+        "cli": [["", "error: new\n", 2, None], ["A = 2\n", "", 0, None]],
+        "process": [[b"", b"error: new\n", 2, None]],
+        "library": [["norm(m)", "1.0"]],
+    }
+    cases, processes = [["run", "a.pga"], ["run", "b.pga"]], [["run", "a.pga"]]
+    differences, migrations = same_output._compare(base, this, cases, processes)
+    assert differences == [
+        "run b.pga: stdout differs",
+        "migration 'error: gone\\n' -> 'error: here\\n' explains no difference",
+    ]
+    assert migrations == {("error: old\n", "error: new\n"): 2}
+    monkeypatch.setattr(same_output, "MIGRATIONS", {})
+    assert same_output._compare(base, base, cases, processes) == ([], {})
 
 
 # a fresh interpreter: only a motor operand's conjugate multiplies multivectors
@@ -1528,6 +1505,15 @@ _OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
             "line m 1e-300 0 -1e10\npoint A 0 0\nreflect r m A\n",
             f"line 3: {_OVERFLOW} (m: Line, line 1; A: Point, line 2)",
         ),
+        # a distance of finite fields whose length overflows
+        (
+            "point A 1.7e308 1.7e308\npoint B 0 0\ndist d A B\nprint d\n",
+            f"line 3: {_OVERFLOW} (A: Point, line 1; B: Point, line 2)",
+        ),
+        (
+            "line m 1 1 1.7e308\nline n 1 1 -1.7e308\ndist d m n\nprint d\n",
+            f"line 3: {_OVERFLOW} (m: Line, line 1; n: Line, line 2)",
+        ),
     ],
 )
 def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
@@ -1755,7 +1741,7 @@ def test_a_run_under_cprofile_prints_its_output_then_the_profile():
 @pytest.mark.parametrize(
     "argv, code", [*_EXITS.values(), (["run", "missing.pga"], 1)], ids=[*_EXITS, "missing"]
 )
-def test_main_called_with_argv_leaves_the_collector_alone(tmp_path, monkeypatch, argv, code):
+def test_main_called_with_argv_returns_its_code_in_process(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(_exits_folder(tmp_path))
     before = gc.get_freeze_count()
     try:
