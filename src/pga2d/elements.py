@@ -11,9 +11,10 @@ homogeneous coordinates carry no absolute scale.
 Operations compute on the three fields (a meet or a join is one cross
 product); mv() gives the 8-slot multivector, for the algebra and the tests.
 The one mv and from_mv below read a class's _blades: the kernel blade of
-each field, in field order, and what from_mv accepts.  Every constructor
-checks its fields with _finite (lines and points also refuse all zeros), so
-a caller passes computed fields unchecked and mv() wraps them as they are.
+each field, in field order, and what from_mv accepts.  Line and Point check
+their fields with _finite and refuse all zeros in _init3 below, as Motor and
+OddVersor do in isometry's _init4, so a caller passes computed fields
+unchecked and mv() wraps them as they are.
 """
 
 import math
@@ -41,6 +42,18 @@ def from_mv(cls, u: "Multivector", tol: float = DEFAULT_TOL):
     return cls(*[u.coeffs[i] for i in blades])
 
 
+def _init3(self, rule, a, b, c) -> None:
+    """The construction rule of Line and Point; rule is (3 setters, zero refusal)."""
+    a, b, c = float(a), float(b), float(c)
+    if not math.isfinite(a + b + c):
+        _finite((a, b, c))  # raises, unless only the sum overflowed
+    if a == 0.0 and b == 0.0 and c == 0.0:
+        raise DomainError(rule[3])
+    rule[0](self, a)
+    rule[1](self, b)
+    rule[2](self, c)
+
+
 class Line(Frozen):
     """Oriented line with tuple convention [a, b, c]: the locus ax + by + c = 0."""
 
@@ -49,14 +62,7 @@ class Line(Frozen):
     mv, from_mv = mv, classmethod(from_mv)
 
     def __init__(self, a: float, b: float, c: float):
-        a, b, c = float(a), float(b), float(c)
-        if not math.isfinite(a + b + c):
-            _finite((a, b, c))  # raises, unless only the sum overflowed
-        if a == 0.0 and b == 0.0 and c == 0.0:
-            raise DomainError("zero element is not a line")
-        _line_a(self, a)
-        _line_b(self, b)
-        _line_c(self, c)
+        _init3(self, _LINE, a, b, c)
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         a, b, c = self.a, self.b, self.c
@@ -74,22 +80,15 @@ class Point(Frozen):
     mv, from_mv = mv, classmethod(from_mv)
 
     def __init__(self, x: float, y: float, z: float):
-        x, y, z = float(x), float(y), float(z)
-        if not math.isfinite(x + y + z):
-            _finite((x, y, z))
-        if x == 0.0 and y == 0.0 and z == 0.0:
-            raise DomainError("zero element is not a point")
-        _point_x(self, x)
-        _point_y(self, y)
-        _point_z(self, z)
+        _init3(self, _POINT, x, y, z)
 
     def is_ideal(self, tol: float = DEFAULT_TOL) -> bool:
         x, y, z = self.x, self.y, self.z
         return near_zero(z, max(abs(x), abs(y), abs(z)), tol)
 
 
-_line_a, _line_b, _line_c = (getattr(Line, f).__set__ for f in Line.__slots__)
-_point_x, _point_y, _point_z = (getattr(Point, f).__set__ for f in Point.__slots__)
+_LINE = *[getattr(Line, f).__set__ for f in Line.__slots__], "zero element is not a line"
+_POINT = *[getattr(Point, f).__set__ for f in Point.__slots__], "zero element is not a point"
 
 
 def IdealPoint(u: float, v: float) -> Point:

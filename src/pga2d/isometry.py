@@ -20,6 +20,19 @@ from .metric import euclidean, ideal, unit_direction, view
 from .multivector import DEFAULT_TOL, Frozen, _finite, near_zero
 
 
+def _init4(self, rule, a, b, c, d) -> None:
+    """The construction rule of Motor and OddVersor; rule is (4 setters, zero refusal or None)."""
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    if not math.isfinite(a + b + c + d):
+        _finite((a, b, c, d))  # raises, unless only the sum overflowed
+    if rule[4] and a == 0.0 and b == 0.0 and c == 0.0:
+        raise DomainError(rule[4])
+    rule[0](self, a)
+    rule[1](self, b)
+    rule[2](self, c)
+    rule[3](self, d)
+
+
 class Motor(Frozen):
     """Even-subalgebra element s + bx*e20 + by*e01 + bz*e12."""
 
@@ -28,13 +41,7 @@ class Motor(Frozen):
     mv, from_mv = mv, classmethod(from_mv)
 
     def __init__(self, s: float, bx: float, by: float, bz: float):
-        s, bx, by, bz = float(s), float(bx), float(by), float(bz)
-        if not math.isfinite(s + bx + by + bz):
-            _finite((s, bx, by, bz))  # raises, unless only the sum overflowed
-        _motor_s(self, s)
-        _motor_bx(self, bx)
-        _motor_by(self, by)
-        _motor_bz(self, bz)
+        _init4(self, _MOTOR, s, bx, by, bz)
 
     def weight(self) -> float:
         """Square root of g * reverse(g); 1 for a normalized motor."""
@@ -51,7 +58,7 @@ class Motor(Frozen):
         return Motor(us, ux, unit_direction(s, bz, by)[2], uz)
 
 
-_motor_s, _motor_bx, _motor_by, _motor_bz = (getattr(Motor, f).__set__ for f in Motor.__slots__)
+_MOTOR = *[getattr(Motor, f).__set__ for f in Motor.__slots__], None
 IDENTITY_MOTOR = Motor(1.0, 0.0, 0.0, 0.0)
 
 
@@ -64,15 +71,7 @@ class OddVersor(Frozen):
     mv, from_mv = mv, classmethod(from_mv)
 
     def __init__(self, a: float, b: float, c: float, lam: float):
-        a, b, c, lam = float(a), float(b), float(c), float(lam)
-        if not math.isfinite(a + b + c + lam):
-            _finite((a, b, c, lam))
-        if a == 0.0 and b == 0.0 and c == 0.0:
-            raise DomainError("zero element is not a line")
-        _odd_a(self, a)
-        _odd_b(self, b)
-        _odd_c(self, c)
-        _odd_lam(self, lam)
+        _init4(self, _ODD, a, b, c, lam)
 
     def normalized(self, tol: float = DEFAULT_TOL) -> "OddVersor":
         """Divided by the norm of its line part, which must not be near_zero
@@ -87,7 +86,7 @@ class OddVersor(Frozen):
         return OddVersor(*unit_direction(a, b, c), unit_direction(a, b, lam)[2])
 
 
-_odd_a, _odd_b, _odd_c, _odd_lam = (getattr(OddVersor, f).__set__ for f in OddVersor.__slots__)
+_ODD = *[getattr(OddVersor, f).__set__ for f in OddVersor.__slots__], "zero element is not a line"
 
 
 def sandwich(v, x):

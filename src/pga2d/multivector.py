@@ -28,12 +28,13 @@ class Frozen:
 
     A subclass names its fields in ``__slots__``, in the order of its
     constructor's parameters, and its ``__init__`` sets each one once with
-    the slot's own setter, ``getattr(cls, name).__set__``.  ``_key()`` is
-    the tuple of every field in slot order.  Two values are equal when they
-    are of the same class and their keys are equal, and then they hash
-    alike.  Pickle and copy rebuild a value by calling its constructor with
-    its key, so a restored value has passed the same checks as the original.
-    The repr is ``Name(f, ...)``, each field formatted with ``g``.
+    the slot's own setter, ``getattr(cls, name).__set__`` (Line and Point in
+    ``elements._init3``, Motor and OddVersor in ``isometry._init4``).  ``_key()``
+    is the tuple of every field in slot order.  Two values are equal when they
+    are of the same class and their keys are equal, and then they hash alike.
+    Pickle and copy rebuild a value by calling its constructor with its key, so
+    a restored value has passed the same checks as the original.  The repr is
+    ``Name(f, ...)``, each field formatted with ``g``.
     """
 
     __slots__ = ()
@@ -70,8 +71,8 @@ def _finite(values: tuple[float, ...]) -> tuple[float, ...]:
 
     Finite operands yield inf or nan only by overflow (or through a non-finite
     scale factor).  A finite sum proves every value finite, so the one-by-one
-    test runs only when the sum is not (Line, Point, Motor and OddVersor make
-    that test inline): a value overflowed, or only the sum did."""
+    test runs only when the sum is not (Line, Point, Motor and OddVersor test
+    it inline in _init3 and _init4): a value overflowed, or only the sum did."""
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise DomainError("result is not finite (coefficient overflow or non-finite factor)")
     return values

@@ -62,6 +62,10 @@ ODD_VERSOR = (
 )
 # every value constructor's refusal of a non-finite field, with the one text
 FINITE = ("tests/test_values.py::test_constructor_rejects_non_finite_or_zero_fields",)
+# a motor is built whatever its first three fields
+MOTOR_ZERO = (
+    "tests/test_values.py::test_a_motor_of_zero_scalar_and_zero_translation_parts_is_accepted",
+)
 # printed lines reach the sink, evaluate's own or the CLI's stdout
 OUTPUT = (
     "tests/test_script.py::test_evaluate_distance_script",
@@ -184,17 +188,25 @@ MUTANTS = {
         "isometry.py", '_blades = (0, 4, 5, 6), "an even element"',
         '_blades = (0, 5, 4, 6), "an even element"', BRIDGE,
     ),
-    # the odd versor's own checks, and the class of a typed versor's conjugate
+    # the construction rule of Line and Point, and that of Motor and OddVersor:
+    # the zero refusal, which a motor skips, and the inline sum test
+    "line-point-zero-unchecked": (
+        "elements.py", "if a == 0.0 and b == 0.0 and c == 0.0:", "if False:", FINITE,
+    ),
     "odd-zero-line-unchecked": (
-        "isometry.py", "if a == 0.0 and b == 0.0 and c == 0.0:", "if False:", ODD_VERSOR,
+        "isometry.py", "if rule[4] and a == 0.0 and b == 0.0 and c == 0.0:", "if False:",
+        ODD_VERSOR,
+    ),
+    "motor-zero-refused": (
+        "isometry.py", "if rule[4] and a == 0.0 and b == 0.0 and c == 0.0:",
+        "if a == 0.0 and b == 0.0 and c == 0.0:", MOTOR_ZERO,
     ),
     "odd-finiteness-unchecked": (
-        "isometry.py", "if not math.isfinite(a + b + c + lam):", "if False:", ODD_VERSOR,
+        "isometry.py", "if not math.isfinite(a + b + c + d):", "if False:", ODD_VERSOR,
     ),
-    # each constructor defers to the one overflow check
-    "line-finiteness-unchecked": ("elements.py", "_finite((a, b, c))", "pass", FINITE),
-    "point-finiteness-unchecked": ("elements.py", "_finite((x, y, z))", "pass", FINITE),
-    "motor-finiteness-unchecked": ("isometry.py", "_finite((s, bx, by, bz))", "pass", FINITE),
+    # each construction rule defers to the one overflow check
+    "line-point-finiteness-unchecked": ("elements.py", "_finite((a, b, c))", "pass", FINITE),
+    "motor-finiteness-unchecked": ("isometry.py", "_finite((a, b, c, d))", "pass", FINITE),
     "mv-finiteness-unchecked": (
         "kernel.py", "_set_coeffs(self, _finite(coeffs))", "_set_coeffs(self, coeffs)", FINITE,
     ),

@@ -24,16 +24,24 @@ class that has them, ``Multivector.grade``, ``polar``, ``log_motor``,
 ``exp_bivector``, the ``sandwich`` of a raw multivector, ``is_ideal``,
 ``normalize``, ``norm`` and ``ideal_norm`` of each line, point and motor,
 and each function of ``geometry``, ``metric``, ``isometry`` and ``algebra``
-that calls ``metric.euclidean`` or ``metric.ideal``.  A call's record is its
-result with every float's repr, so a signed zero or one ulp shows, or the
-error's class and text.
+that calls ``metric.euclidean`` or ``metric.ideal``, and ``join`` and
+``meet``; then ``IdealPoint``, ``translator_by``, ``normalized`` of each
+motor and odd versor, ``interpolate``, ``factor_motor``, the typed
+``sandwich`` of lines, points, motors and odd versors, and the kernel's
+``gp``, ``outer`` and ``dot`` of raw multivectors.  Every function of
+``pga2d.__all__`` has a call here, and a tier-1 test keeps it so.  A call's
+record is its result with every float's repr, so a signed zero or one ulp
+shows, or the error's class and text.
 
 Each tree runs every case but the process section's in one child process
-with its own ``src`` on the path.  Any difference in stdout, stderr, exit
-code, SVG bytes or a library record is printed, and the exit code is then 1,
-unless it is a migration.  There is one rule: a difference is a migration
-only when MIGRATIONS maps the old stderr text to the new one, or a library
-record's old exception class to its new one with the error text unchanged.
+with its own ``src`` on the path.  A case whose ``main`` raises anything but
+``SystemExit`` records the exception's class and text in place of its exit
+code, so a crash in one tree is one difference and the run goes on.  Any
+difference in stdout, stderr, exit code, SVG bytes or a library record is
+printed, and the exit code is then 1, unless it is a migration.  There is
+one rule: a difference is a migration only when MIGRATIONS maps the old
+stderr text to the new one, or a library record's old exception class to
+its new one with the error text unchanged.
 Each migration is printed once, with the number of texts or records it
 covers, and leaves the exit code at 0.  An entry of MIGRATIONS that explains
 no difference is itself a difference, so a change lists only its own
@@ -96,6 +104,11 @@ FAILING = {
         "  # note\r\nline m 1 0 0\r\nreflect B A A\r\n"
     ),
     "lineno-parse": "point A 0 0\r\n\r\n# c\rprint B\r\n",
+    # a length of finite fields that overflows, of two points and of two
+    # parallel lines, and an svg path with a NUL byte
+    "dist-overflow-points": "point A 1.7e308 1.7e308\npoint B 0 0\ndist d A B\nprint d\n",
+    "dist-overflow-lines": "line m 1 1 1.7e308\nline n 1 1 -1.7e308\ndist d m n\nprint d\n",
+    "svg-nul-path": "point A 0 0\nsvg a\x00b\n",
 }
 # operands that a verb once refused: a motor reflected or applied, and an
 # ideal point as a rotation centre or projected onto a line
@@ -272,9 +285,36 @@ def _library_calls():
         ("solve_point_line_transport", g.solve_point_line_transport, [
             (*f, *f2) for f, f2 in pairs(feet, feet, 15)
         ] + [(points[i], lines[i], points[i + 1], lines[i + 1]) for i in range(5)]),
+        # join and meet check only their operands' class
+        ("join", g.join, pairs(points, points, 30) + pairs(lines, points, 4)),
+        ("meet", g.meet, pairs(lines, lines, 30) + pairs(points, lines, 4)),
     ]
     for name, f, operands in gated:
         yield from calls(name, f, [(*args, t) for args in operands for t in tols])
+
+    # the exports and methods that no gate calls
+    yield from calls("IdealPoint", g.IdealPoint, [(p.x, p.y) for p in points[:3]] + [
+        (0.0, 0.0), (-0.0, 5e-324), (1e308, -1e308), (float("inf"), 1.0),
+    ])
+    yield from calls("translator_by", g.translator_by, [
+        (u(-50, 50), u(-50, 50)) for _ in range(4)
+    ] + [(0.0, -0.0), (5e-324, 1e308), (float("nan"), 0.0)])
+    yield from calls("normalized", lambda v, t: v.normalized(t), [
+        (v, t) for v in motors + versors for t in tols
+    ])
+    yield from calls("interpolate", g.interpolate, [
+        (m, s, t) for m in motors for s in (0.0, 0.5, 1.0, -0.25) for t in tols
+    ])
+    yield from calls("factor_motor", g.factor_motor, [
+        (m, t) for m in motors + versors[:1] for t in tols
+    ])
+    yield from calls("sandwich", g.sandwich, [
+        (v, x) for v in motors + versors for x in lines + points + motors[:2] + versors[:2]
+    ])
+    for name in ("gp", "outer", "dot"):
+        yield from calls(name, getattr(Multivector, name), [
+            (x, y) for x in raw[:6] for y in raw[:6]
+        ])
 
 
 def _record(call):
@@ -292,8 +332,9 @@ def _library() -> list:
 
 def _child(folder: str) -> None:
     """Runs every case of folder/cases.json in this process; prints one JSON
-    object: "cli", a list of [stdout, stderr, exit code, SVG text or None]
-    per case, and "library", the library records."""
+    object: "cli", a list of [stdout, stderr, exit code or ["raised", class,
+    text] of what main raised, SVG text or None] per case, and "library",
+    the library records."""
     from pga2d.cli import main
 
     os.chdir(folder)
@@ -307,6 +348,8 @@ def _child(folder: str) -> None:
                 code = main(argv)
             except SystemExit as exc:  # argparse
                 code = exc.code
+            except Exception as exc:  # a crash is this case's outcome, not the run's end
+                code = ["raised", type(exc).__name__, str(exc)]
         drawn = svg.read_bytes().decode("utf-8", "backslashreplace") if svg.exists() else None
         results.append([out.getvalue(), err.getvalue(), code, drawn])
     sys.stdout.write(json.dumps({"cli": results, "library": _library()}))
@@ -345,15 +388,20 @@ def _compare(base: dict, this: dict, cases: list, processes: list) -> tuple[list
     entry of MIGRATIONS that explains none; and the count of each (old, new)
     pair that explains some."""
     fields = ("stdout", "stderr", "exit code", "SVG")
-    changed = [
-        (f"{prefix}{' '.join(case)}: {field} differs", field, a, b)
-        for section, prefix, section_cases in (
-            ("cli", "", cases), ("process", "process: ", processes)
-        )
-        for case, old, new in zip(section_cases, base[section], this[section])
-        for field, a, b in zip(fields, old, new)
-        if a != b
-    ]
+    changed = []
+    for section, prefix, section_cases in (("cli", "", cases), ("process", "process: ", processes)):
+        for case, old, new in zip(section_cases, base[section], this[section]):
+            shown = f"{prefix}{' '.join(case)}"
+            if isinstance(old[2], list) or isinstance(new[2], list):  # main raised: one line
+                if old != new:
+                    line = f"{shown}: exit code {json.dumps(old[2])} became {json.dumps(new[2])}"
+                    changed.append((line, "exit code", old[2], new[2]))
+                continue
+            changed += [
+                (f"{shown}: {field} differs", field, a, b)
+                for field, a, b in zip(fields, old, new)
+                if a != b
+            ]
     changed += [
         (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new)
         for (label, old), (_, new) in zip(base["library"], this["library"])
@@ -399,11 +447,12 @@ def main(argv: list[str]) -> int:
     for line in differences[:20]:
         print(line)
     failed = sum(result[2] != 0 for result in this["cli"])
+    crashed = sum(isinstance(result[2], list) for result in this["cli"])
     library = this["library"]
     raising = sum(record[0] == "raised" for _, record in library)
     print(
-        f"{len(cases)} cases ({failed} ending in an error), {len(processes)} process runs, "
-        f"{len(library)} library calls ({raising} raising), "
+        f"{len(cases)} cases ({failed} ending in an error, {crashed} raising), "
+        f"{len(processes)} process runs, {len(library)} library calls ({raising} raising), "
         f"{len(differences)} differences and {migrations.total()} migrations from {argv[0]}"
     )
     return 1 if differences else 0

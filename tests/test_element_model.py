@@ -627,8 +627,9 @@ def test_the_view_lint_catches_the_inline_views():
 # the calls that check their fields themselves: the value constructors, the
 # translator that builds a Motor, and algebra._part's kind
 CHECKING = {"Line", "Point", "Motor", "OddVersor", "translator_by", "kind"}
-# the constructors that test the sum of their fields inline, then defer to _finite
-SUM_TESTS = {"Line.__init__", "Point.__init__", "Motor.__init__", "OddVersor.__init__"}
+# the construction rules that test the sum of their fields inline, then defer
+# to _finite: elements' of Line and Point, and isometry's of Motor and OddVersor
+SUM_TESTS = {"_init3", "_init4"}
 
 
 def _named(node) -> str | None:
@@ -670,10 +671,10 @@ def test_only_finite_decides_that_a_value_is_not_finite():
 
 def test_the_overflow_lint_catches_the_pre_checks():
     inline = (
-        "class Point(Frozen):\n"
-        "    def __init__(self, x, y, z):\n"
-        "        if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):\n"
-        "            raise DomainError('non-finite point coordinates')\n"
+        "def _init3(self, rule, x, y, z):\n"
+        "    x, y, z = float(x), float(y), float(z)\n"
+        "    if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):\n"
+        "        raise DomainError('non-finite point coordinates')\n"
         "class Pseudoscalar(Frozen):\n"
         "    def __init__(self, s):\n"
         "        if not math.isfinite(s):\n"

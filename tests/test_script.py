@@ -2,6 +2,8 @@
 
 import ast
 import gc
+import inspect
+import json
 import math
 import os
 import re
@@ -656,6 +658,58 @@ def test_the_output_referee_reports_a_stale_migration_as_a_difference(monkeypatc
     assert migrations == {("error: old\n", "error: new\n"): 2}
     monkeypatch.setattr(same_output, "MIGRATIONS", {})
     assert same_output._compare(base, base, cases, processes) == ([], {})
+
+
+def test_the_output_referee_records_a_crash_as_that_cases_outcome(monkeypatch, tmp_path, capsys):
+    # tests/same_output.py: an exception from main is the case's exit code,
+    # the run goes on, and a crash in one tree is one difference
+    import same_output
+
+    def main(argv):
+        print("partial")
+        if argv == ["crash"]:
+            raise ZeroDivisionError("planted")
+        return 0
+
+    monkeypatch.setattr(pga2d.cli, "main", main)
+    monkeypatch.setattr(same_output, "_library", list)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cases.json").write_text(json.dumps([["crash"], ["fine"]]))
+    same_output._child(str(tmp_path))
+    crashed = ["partial\n", "", ["raised", "ZeroDivisionError", "planted"], None]
+    this = {"cli": json.loads(capsys.readouterr().out)["cli"], "process": [], "library": []}
+    assert this["cli"] == [crashed, ["partial\n", "", 0, None]]
+    base = {**this, "cli": [["A = 1\n", "", 0, "<svg/>"], this["cli"][1]]}
+    assert same_output._compare(base, this, [["crash"], ["fine"]], []) == ([
+        'crash: exit code 0 became ["raised", "ZeroDivisionError", "planted"]'
+    ], {})
+    assert same_output._compare(this, this, [["crash"], ["fine"]], []) == ([], {})
+
+
+def test_the_output_referee_calls_every_exported_function(monkeypatch):
+    # tests/same_output.py: each function of pga2d.__all__ has a call in the
+    # library corpus; classes, error types and constants are exempt
+    import same_output
+
+    called, running = set(), []
+
+    def recorded(name, f):
+        def call(*args, **kwargs):
+            if running:
+                called.add(name)
+            return f(*args, **kwargs)
+
+        return call
+
+    functions = [n for n in pga2d.__all__ if inspect.isfunction(getattr(pga2d, n))]
+    assert {"IdealPoint", "join", "translator_by", "factor_motor"} <= set(functions)
+    for name in functions:
+        monkeypatch.setattr(pga2d, name, recorded(name, getattr(pga2d, name)))
+    for _, call in same_output._library_calls():  # a corpus call, not its setup
+        running.append(call)
+        same_output._record(call)
+        running.pop()
+    assert sorted(set(functions) - called) == []
 
 
 # a fresh interpreter: only a motor operand's conjugate multiplies multivectors

@@ -2,6 +2,7 @@
 pickling, copying and the pinned repr strings."""
 
 import copy
+import inspect
 import math
 import pickle
 
@@ -105,6 +106,8 @@ REJECTED = [
     (OddVersor, (1, 0, 0, math.nan)),
     (OddVersor, (1, 0, 0, math.inf)),
     (OddVersor, (0, math.inf, 0, 1)),
+    # the overflow check comes before the zero refusal
+    (OddVersor, (0, 0, 0, math.inf)),
     (Multivector, ((0, 0, 0, 0, 0, 0, 0, math.nan),)),
 ]
 # the overflow check's one text, whichever constructor finds the value
@@ -121,6 +124,29 @@ def test_constructor_rejects_non_finite_or_zero_fields(cls, args):
         assert str(info.value) == _OVERFLOW
     else:
         assert str(info.value) in ("zero element is not a line", "zero element is not a point")
+
+
+# the zero refusal reads the first three fields, and a motor has none: a half
+# turn about the origin has zero scalar, e20 and e01 parts
+@pytest.mark.parametrize("args", [(0.0, 0.0, 0.0, 1.0), (-0.0, 0.0, 0.0, -1.0), (0.0,) * 4])
+def test_a_motor_of_zero_scalar_and_zero_translation_parts_is_accepted(args):
+    assert Motor(*args)._key() == args
+
+
+# each constructor keeps its signature, and each field its keyword
+SIGNATURES = [
+    (Line, ("a", "b", "c")),
+    (Point, ("x", "y", "z")),
+    (Motor, ("s", "bx", "by", "bz")),
+    (OddVersor, ("a", "b", "c", "lam")),
+]
+
+
+@pytest.mark.parametrize("cls, names", SIGNATURES, ids=[cls.__name__ for cls, _ in SIGNATURES])
+def test_constructors_take_their_fields_by_keyword(cls, names):
+    assert tuple(inspect.signature(cls).parameters) == names == cls.__slots__
+    fields = (1.0, -2.0, 0.5, 3.0)[: len(names)]
+    assert cls(**dict(zip(names, fields)))._key() == fields
 
 
 # finite fields whose sum alone overflows: the inline sum test defers to _finite
