@@ -92,7 +92,8 @@ _ODD = *[getattr(OddVersor, f).__set__ for f in OddVersor.__slots__], "zero elem
 def sandwich(v, x):
     """Two-sided action v x reverse(v) of a Motor or OddVersor on an element
     x: a Line or Point for a Line or Point, a value of x's class for a Motor
-    or OddVersor, else the Multivector of x.mv().
+    or OddVersor, else the Multivector of x.mv().  A null v that maps a Line
+    or Point to zero is refused with a DomainError that names v and x.
     Expanded, it maps points (x, y, z) by the rows (r, t, p), (t2, r2, q),
     (0, 0, w) and lines [a, b, c] by (r, t, 0), (t2, r2, 0), (pl, ql, w),
     each quadratic in v's components."""
@@ -108,14 +109,22 @@ def sandwich(v, x):
         e, f, g, h = a * c, -lam * b, -lam * a, b * c
     else:
         raise OperandError(f"cannot use {type(v).__name__} as a versor")
-    if isinstance(x, Line):
-        pl, ql = 2.0 * (e + f), 2.0 * (h - g)
-        a, b, c = x.a, x.b, x.c
-        return Line(r * a + t * b, t2 * a + r2 * b, pl * a + ql * b + w * c)
-    if isinstance(x, Point):
-        p, q = 2.0 * (e - f), 2.0 * (g + h)
-        px, py, pz = x.x, x.y, x.z
-        return Point(r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz)
+    try:
+        if isinstance(x, Line):
+            pl, ql = 2.0 * (e + f), 2.0 * (h - g)
+            a, b, c = x.a, x.b, x.c
+            a, b, c = r * a + t * b, t2 * a + r2 * b, pl * a + ql * b + w * c
+            return Line(a, b, c)
+        if isinstance(x, Point):
+            p, q = 2.0 * (e - f), 2.0 * (g + h)
+            px, py, pz = x.x, x.y, x.z
+            a, b, c = r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz
+            return Point(a, b, c)
+    except DomainError:
+        if a or b or c:
+            raise  # an overflow keeps _finite's text
+        # a null versor maps x to zero: the refusal names both
+        raise DomainError(f"{v!r} maps {x!r} to zero") from None
     if not hasattr(x, "mv"):
         raise OperandError(f"cannot apply a versor to {type(x).__name__}")
     vm = v.mv()

@@ -5,9 +5,9 @@ Usage, from anywhere::
     python tests/mutants.py [NAME ...]
 
 Each entry of MUTANTS replaces one line of a module in a temporary copy of
-this tree (src, tests, bench and pyproject.toml), runs the entry's tests
-(modules or pytest node ids) there with ``pytest -x``, and puts the line
-back; two copies test two mutants at a time.  A mutant is killed
+this tree (src, tests, bench, pyproject.toml and README.md), runs the
+entry's tests (modules or pytest node ids) there with ``pytest -x``, and
+puts the line back; two copies test two mutants at a time.  A mutant is killed
 when some of those tests fail; the copy must first pass them unmutated.  Each
 survivor is printed; one listed in EQUIVALENT cannot change a result, and its
 reason is printed with it.  The exit code is 1 when a mutant outside
@@ -109,6 +109,10 @@ IDEAL_OPERANDS = (
 # one normal form per ideal element: the unit free vector of weight 0, or e0
 NORMAL_FORM = (
     "tests/test_metric.py::test_an_ideal_element_normalizes_to_weight_zero_or_to_e0",
+)
+# the sandwich of a null versor names the versor and the operand
+NULL_VERSOR = (
+    "tests/test_isometry.py::test_a_null_versor_that_maps_an_element_to_zero_is_named",
 )
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
@@ -374,6 +378,11 @@ MUTANTS = {
         'an, mn = euclidean(a, Point, tol, "point a"), euclidean(a2, Point, tol, "point a2")'
         '; mn = euclidean(m, Line, tol, "line m")', OPERANDS,
     ),
+    # a null versor's zero image is refused with the constructor's text alone
+    "sandwich-names-no-versor": (
+        "isometry.py", 'raise DomainError(f"{v!r} maps {x!r} to zero") from None', "raise",
+        NULL_VERSOR,
+    ),
     # the interpreter loads geometry and isometry on import
     "script-loads-eagerly": (
         "script.py", "pga2d = sys.modules[__package__]",
@@ -402,7 +411,8 @@ def _copy(folder: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests", "bench"):
         shutil.copytree(ROOT / name, folder / name, ignore=skip)
-    shutil.copy(ROOT / "pyproject.toml", folder)
+    for name in ("pyproject.toml", "README.md"):  # README's tables are linted
+        shutil.copy(ROOT / name, folder)
 
 
 def _pytest(folder: Path, tests) -> int:

@@ -27,9 +27,11 @@ and each function of ``geometry``, ``metric``, ``isometry`` and ``algebra``
 that calls ``metric.euclidean`` or ``metric.ideal``, and ``join`` and
 ``meet``; then ``IdealPoint``, ``translator_by``, ``normalized`` of each
 motor and odd versor, ``interpolate``, ``factor_motor``, the typed
-``sandwich`` of lines, points, motors and odd versors, and the kernel's
-``gp``, ``outer`` and ``dot`` of raw multivectors.  Every function of
-``pga2d.__all__`` has a call here, and a tier-1 test keeps it so.  A call's
+``sandwich`` of lines, points, motors and odd versors, and on raw
+multivectors every public method and arithmetic operator of the kernel's
+``Multivector``, and every public function of ``pga2d.kernel``.  Every
+function of ``pga2d.__all__`` and of the kernel has a call here, and tier-1
+tests keep it so.  A call's
 record is its result with every float's repr, so a signed zero or one ulp
 shows, or the error's class and text.
 
@@ -39,9 +41,9 @@ with its own ``src`` on the path.  A case whose ``main`` raises anything but
 code, so a crash in one tree is one difference and the run goes on.  Any
 difference in stdout, stderr, exit code, SVG bytes or a library record is
 printed, and the exit code is then 1, unless it is a migration.  There is
-one rule: a difference is a migration only when MIGRATIONS maps the old
-stderr text to the new one, or a library record's old exception class to
-its new one with the error text unchanged.
+one rule: a difference is a migration only when MIGRATIONS holds the pair
+(old, new) of the stderr texts, or of a library error record's exception
+classes with its text unchanged, or of its texts with its class unchanged.
 Each migration is printed once, with the number of texts or records it
 covers, and leaves the exit code at 0.  An entry of MIGRATIONS that explains
 no difference is itself a difference, so a change lists only its own
@@ -52,6 +54,7 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -122,12 +125,31 @@ ACCEPTED = {
 }
 
 
-# old -> new: a whole stderr text, or the exception class of a library record
-# whose error text is unchanged.  A change lists only its own migrations: an
-# entry that explains no difference is itself a difference, so once the base
-# commit gives an entry's new side the entry must go, and the next change
-# starts from an empty table.
-MIGRATIONS: dict[str, str] = {}
+# (old, new) pairs: a whole stderr text, or a library error record's exception
+# class or its text, the other unchanged.  A change lists only its own
+# migrations: a pair that explains no difference is itself a difference, so
+# once the base commit gives a pair's new side the pair must go, and the next
+# change starts from an empty set.
+MIGRATIONS: set[tuple[str, str]] = {
+    # the typed sandwich of a null versor names the versor and the operand
+    (f"zero element is not a {kind}", f"{versor} maps {x} to zero")
+    for versor in ("Motor(0, 1, 0, 0)", "OddVersor(0, 0, -2.5, -0)")
+    for kind, operands in (
+        ("line", (
+            "Line[0.0781631, -0.421607, -93.9926]", "Line[0.307272, -0.579983, -48.5446]",
+            "Line[-0.205603, 0.283156, 97.7622]", "Line[-0.076934, 0.98697, 98.5144]",
+            "Line[-0.514649, -0.85471, -68.0198]", "Line[0.683805, 0.199109, 83.4925]",
+            "Line[0, 0, -2.5]", "Line[1e-12, 0, 1]", "Line[-0, 4.94066e-324, 1]",
+        )),
+        ("point", (
+            "Point(94.4338, 30.8848, 0.5)", "Point(76.414, -19.7177, 1)",
+            "Point(61.0589, 34.3939, -2.5)", "Point(13.1305, 34.7788, 0.5)",
+            "Point(12.4568, 93.9943, 0.5)", "Point(-1.10992, -38.1612, -2.5)",
+            "Point(0.754154, -0.49594, 0)", "Point(1, 0, 1e-12)", "Point(-0, 4.94066e-324, 1)",
+        )),
+    )
+    for x in operands
+}
 
 
 def _migration(field: str, old, new) -> tuple[str, str] | None:
@@ -135,11 +157,17 @@ def _migration(field: str, old, new) -> tuple[str, str] | None:
     field, if any."""
     if field == "stderr":
         old, new = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old, new))
-    elif field == "library" and old[:1] == new[:1] == ["raised"] and old[2] == new[2]:
-        old, new = old[1], new[1]
+    elif field == "library" and old[:1] == new[:1] == ["raised"]:
+        # the class moved under the same text, or the text under the same class
+        if old[2] == new[2]:
+            old, new = old[1], new[1]
+        elif old[1] == new[1]:
+            old, new = old[2], new[2]
+        else:
+            return None
     else:
         return None
-    return (old, new) if MIGRATIONS.get(old) == new else None
+    return (old, new) if (old, new) in MIGRATIONS else None
 
 
 def _write_scripts(folder: Path) -> list[str]:
@@ -207,6 +235,7 @@ def _library_calls():
     import random
 
     import pga2d as g
+    from pga2d import kernel
     from pga2d.kernel import Multivector
 
     r = random.Random(30)
@@ -232,7 +261,7 @@ def _library_calls():
     def calls(name, f, operands):
         for args in operands:
             shown = ", ".join(getattr(a, "__name__", None) or repr(a) for a in args)
-            yield f"{name}({shown})", lambda args=args: f(*args)
+            yield f"{name}({shown})", functools.partial(f, *args)
 
     yield from calls("mv", lambda x: x.mv(), [(x,) for x in typed])
     classes = (g.Line, g.Point, g.Motor, g.OddVersor)
@@ -240,7 +269,7 @@ def _library_calls():
     yield from calls("from_mv", lambda c, v, t: c.from_mv(v, t), [
         (c, v, t) for c in classes for v in every for t in tols
     ])
-    yield from calls("grade", lambda v, k: v.grade(k), [
+    yield from calls("grade", Multivector.grade, [
         (v, k) for v in raw[:4] for k in (0, 1, 2, 3, 4, -1, 1.5)
     ])
     yield from calls("polar", g.polar, [(x,) for x in typed])
@@ -311,10 +340,26 @@ def _library_calls():
     yield from calls("sandwich", g.sandwich, [
         (v, x) for v in motors + versors for x in lines + points + motors[:2] + versors[:2]
     ])
-    for name in ("gp", "outer", "dot"):
+    # the rest of the kernel, on raw multivectors
+    for name in ("gp", "outer", "dot", "join", "commutator", "__add__", "__sub__"):
         yield from calls(name, getattr(Multivector, name), [
             (x, y) for x in raw[:6] for y in raw[:6]
         ])
+    for name in ("dual", "reverse", "__neg__", "max_abs", "mv"):
+        yield from calls(f"Multivector.{name}", getattr(Multivector, name), [(x,) for x in raw])
+    yield from calls("scaled", Multivector.scaled, [
+        (x, s) for x in raw[:6] for s in (0.0, -2.5, 1e300, float("nan"))
+    ])
+    yield from calls("grades", Multivector.grades, [(x, t) for x in raw for t in tols])
+    yield from calls("approx_eq", Multivector.approx_eq, [
+        (x, y, t) for x in raw[:4] for y in raw[:4] for t in (1e-9, 10.0)
+    ])
+    yield from calls("basis", kernel.basis, [(i,) for i in (*range(8), 8, -1)])
+    yield from calls("from_scalar", kernel.from_scalar, [
+        (s,) for s in (0.0, -2.5, 1e308, float("inf"))
+    ])
+    for name in ("cayley_table", "dual_table", "format_cayley_table", "format_dual_table"):
+        yield from calls(name, getattr(kernel, name), [()])
 
 
 def _record(call):
@@ -418,7 +463,7 @@ def _compare(base: dict, this: dict, cases: list, processes: list) -> tuple[list
         differences.append(f"{len(base['library'])} library calls, then {len(this['library'])}")
     differences += [
         f"migration {old!r} -> {new!r} explains no difference"
-        for old, new in MIGRATIONS.items()
+        for old, new in sorted(MIGRATIONS)
         if (old, new) not in migrations
     ]
     return differences, migrations

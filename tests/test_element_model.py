@@ -12,10 +12,10 @@ import itertools
 import math
 import pickle
 import random
-from pathlib import Path
 
 import pytest
 
+import lints
 import pga2d
 from pga2d.algebra import (
     exp_bivector,
@@ -374,7 +374,6 @@ def test_each_norm_and_normalize_operand_is_classified_once(monkeypatch):
 
 # -- the two gates, as a lint --------------------------------------------------------
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
 # metric.euclidean and metric.ideal gate every operand; algebra's norm and
 # ideal_norm reject the kind whose norm they do not measure
 GATES = {
@@ -384,28 +383,14 @@ GATES = {
 
 def _kind_raises(tree: ast.AST, module: str):
     """(line, function) of each ClassificationError raised outside the gates."""
-
-    def walk(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        for child in ast.iter_child_nodes(node):
-            yield from walk(child, owner)
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-            if name == "ClassificationError" and (module, owner) not in GATES:
-                yield node.lineno, owner
-
-    yield from walk(tree, None)
+    for node, scopes in lints.scoped(tree):
+        if isinstance(node, ast.Raise) and lints.called(node.exc) == "ClassificationError":
+            if (module, lints.owner(scopes)) not in GATES:
+                yield node.lineno, lints.owner(scopes)
 
 
 def test_every_kind_rejection_is_raised_by_a_gate():
-    found = [
-        f"{path.name}:{lineno} in {owner}"
-        for path in sorted(SRC.glob("*.py"))
-        for lineno, owner in _kind_raises(ast.parse(path.read_text(), str(path)), path.stem)
-    ]
-    assert found == []
+    assert lints.report(_kind_raises) == []
 
 
 # each operand of the other class, or of no element class, is refused by its
@@ -544,7 +529,6 @@ SHARED_PRIVATE = {
     ("multivector", "_finite"), ("kernel", "_unchecked"),
     ("geometry", "_operands"), ("isometry", "_exp"),
 }
-MODULES = {path.stem for path in SRC.glob("*.py")}
 # print and the SVG classify and scale each point and line through metric.view
 SHOWN_BY_VIEW = {"is_ideal", "unit_direction", "normalize", "_unit"}
 
@@ -552,7 +536,7 @@ SHOWN_BY_VIEW = {"is_ideal", "unit_direction", "normalize", "_unit"}
 def _view_bypasses(tree: ast.AST, module: str):
     """(line, name) of each private name imported from another pga2d module and,
     in script and render, of each call that classifies or scales outside view."""
-    for node in ast.walk(tree):
+    for node, _ in lints.scoped(tree):
         if isinstance(node, ast.ImportFrom):
             source = node.module or ""
             if node.level == 0:
@@ -565,23 +549,16 @@ def _view_bypasses(tree: ast.AST, module: str):
                     yield node.lineno, alias.name
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             source = node.value.id
-            private = node.attr.startswith("_") and source in MODULES and source != module
+            private = node.attr.startswith("_") and source in lints.trees() and source != module
             if private and (source, node.attr) not in SHARED_PRIVATE:
                 yield node.lineno, node.attr
         elif isinstance(node, ast.Call) and module in ("script", "render"):
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in SHOWN_BY_VIEW:
-                yield node.lineno, name
+            if lints.called(node) in SHOWN_BY_VIEW:
+                yield node.lineno, lints.called(node)
 
 
 def test_print_and_the_svg_read_points_and_lines_through_the_view():
-    found = [
-        f"{path.name}:{lineno} {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for lineno, name in _view_bypasses(ast.parse(path.read_text(), str(path)), path.stem)
-    ]
-    assert found == []
+    assert lints.report(_view_bypasses) == []
 
 
 def test_the_view_lint_catches_the_inline_views():
@@ -632,41 +609,26 @@ CHECKING = {"Line", "Point", "Motor", "OddVersor", "translator_by", "kind"}
 SUM_TESTS = {"_init3", "_init4"}
 
 
-def _named(node) -> str | None:
-    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-
-
 def _overflow_checks(tree: ast.AST):
     """(line, name) of each checking call with a _finite(...) argument, starred
     or not, and of each isfinite outside _finite and the inline sum tests."""
-
-    def walk(node, owner, sum_test):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            owner = f"{owner}.{node.name}" if owner else node.name
-        if isinstance(node, ast.Call) and _named(node.func) in CHECKING:
+    sum_tests = set()  # the callee of a construction rule's isfinite(x + y + ...)
+    for node, scopes in lints.scoped(tree):
+        owner = lints.owner(scopes)
+        if isinstance(node, ast.Call) and lints.called(node) in CHECKING:
             args = [a.value if isinstance(a, (ast.Starred, ast.Subscript)) else a for a in node.args]
-            if any(isinstance(a, ast.Call) and _named(a.func) == "_finite" for a in args):
-                yield node.lineno, _named(node.func)
-        elif _named(node) == "isfinite" and owner != "_finite" and not sum_test:
-            yield node.lineno, "isfinite"
-        for child in ast.iter_child_nodes(node):
-            # the callee of a constructor's isfinite(x + y + ...)
-            sum_test = (
-                isinstance(node, ast.Call) and child is node.func and owner in SUM_TESTS
-                and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
-            )
-            yield from walk(child, owner, sum_test)
-
-    yield from walk(tree, None, False)
+            if any(isinstance(a, ast.Call) and lints.called(a) == "_finite" for a in args):
+                yield node.lineno, lints.called(node)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and lints.called(node) == "isfinite":
+            if owner != "_finite" and node not in sum_tests:
+                yield node.lineno, "isfinite"
+        elif isinstance(node, ast.Call) and owner in SUM_TESTS:
+            if len(node.args) == 1 and isinstance(node.args[0], ast.BinOp):
+                sum_tests.add(node.func)
 
 
 def test_only_finite_decides_that_a_value_is_not_finite():
-    found = [
-        f"{path.name}:{lineno} {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for lineno, name in _overflow_checks(ast.parse(path.read_text(), str(path)))
-    ]
-    assert found == []
+    assert lints.report(lambda tree, _: _overflow_checks(tree)) == []
 
 
 def test_the_overflow_lint_catches_the_pre_checks():

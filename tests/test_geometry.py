@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import gen
+import lints
 import oracle
 from pga2d.algebra import (
     ideal_norm,
@@ -53,35 +54,45 @@ def test_point_distance_examples():
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _gated_functions() -> set[str]:
-    """Each public function of src/pga2d that calls metric.euclidean or
+def _gated_functions(asts) -> set[str]:
+    """Each public function of asts that calls metric.euclidean or
     metric.ideal, itself or through a private helper of its module."""
-    callers: dict[str, set[str]] = {}
-    for path in sorted((README.parent / "src" / "pga2d").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef):
-                for call in ast.walk(node):
-                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
-                        callers.setdefault(call.func.id, set()).add(node.name)
-    found, todo = set(), ["euclidean", "ideal"]
-    while todo:
-        for caller in callers.get(todo.pop(), ()):
-            if caller.startswith("_"):
-                todo.append(caller)
-            elif caller not in found | {"euclidean", "ideal"}:
-                found.add(caller)
-    return found
+    return lints.public_callers(asts, {"euclidean", "ideal"})
 
 
 def test_the_readme_gate_table_lists_every_function_that_calls_a_gate():
-    table = README.read_text().split("### Ideal operands", 1)[1].split("\n### ", 1)[0]
-    listed = {
-        name
-        for row in table.splitlines()
-        if row.startswith("| `")
-        for name in re.findall(r"`(\w+)`", row.split(" | ")[0])
-    }
-    assert listed == _gated_functions()
+    listed = lints.table_names(README.read_text(), "### Ideal operands")
+    assert listed == _gated_functions(lints.trees().values())
+
+
+def test_the_gate_table_lint_catches_a_missing_and_a_stale_row():
+    planted = ast.parse(
+        "def euclidean(x, tol):\n"
+        "    return ideal(x, tol)\n"
+        "def ideal(x, tol):\n"
+        "    return x\n"
+        "def _pair(p, q):\n"
+        "    return euclidean(p, 0), euclidean(q, 0)\n"
+        "def midpoint(p, q):\n"
+        "    return _pair(p, q)\n"
+        "def distance(p, q):\n"
+        "    def inner():\n"
+        "        return ideal(p, 0)\n"
+        "    return inner()\n"
+        "class Line:\n"
+        "    def unit(self):\n"
+        "        return metric.euclidean(self, 0)\n"
+        "def angle(u, v):\n"
+        "    return view(u)\n"
+    )
+    readme = (
+        "### Ideal operands\n\n| function | gate |\n| -------- | ---- |\n"
+        "| `midpoint` | E |\n| `angle`, `distance` | I |\n"
+        "### Tolerance policy\n\n| `inner` | I |\n"
+    )
+    gated, listed = _gated_functions([planted]), lints.table_names(readme, "### Ideal operands")
+    assert gated == {"midpoint", "distance", "inner"}
+    assert (gated - listed, listed - gated) == ({"inner"}, {"angle"})
 
 
 def test_the_readme_library_tour_shows_the_values_it_computes():

@@ -529,6 +529,33 @@ def test_sandwich_rejects_a_versor_that_is_not_a_motor_or_odd_versor(versor):
         sandwich(versor, Point(0, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "versor, x, message",
+    [
+        (Motor(0, 1, 0, 0), Point(1, 2, 1), "Motor(0, 1, 0, 0) maps Point(1, 2, 1) to zero"),
+        (
+            OddVersor(0, 0, -2.5, 0), Line(1, 0, -1),
+            "OddVersor(0, 0, -2.5, 0) maps Line[1, 0, -1] to zero",
+        ),
+        # every product underflows, so the image is zero too
+        (
+            Motor(1e-200, 1, 0, 0), Line(1, 0, -1),
+            "Motor(1e-200, 1, 0, 0) maps Line[1, 0, -1] to zero",
+        ),
+        # an image that overflows keeps the overflow text
+        (
+            Motor(1e200, 0, 0, 1e200), Point(1e200, 1, 1),
+            "result is not finite (coefficient overflow or non-finite factor)",
+        ),
+    ],
+    ids=["motor-point", "odd-line", "underflow", "overflow"],
+)
+def test_a_null_versor_that_maps_an_element_to_zero_is_named(versor, x, message):
+    with pytest.raises(DomainError) as info:
+        sandwich(versor, x)
+    assert str(info.value) == message
+
+
 def test_isometries_keep_the_pseudoscalar():
     # a pseudoscalar has no typed sandwich: its .mv() is multiplied out
     for versor in (

@@ -25,11 +25,11 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import gen
+import lints
 import oracle
 from pga2d.algebra import (
     exp_bivector,
@@ -491,7 +491,6 @@ def test_where_symmetric_line_differs_from_the_kernel_it_is_no_farther_from_the_
 
 # -- the kernel boundary -------------------------------------------------------------
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
 # the functions that take or give a Multivector, and so may use the kernel; the
 # package and the value base answer Multivector on first read, and the CLI
 # prints the kernel's tables
@@ -513,36 +512,29 @@ ALGEBRA_API = {
 KERNEL_CALLS = {"mv", "from_mv", "polar", "log_motor", "exp_bivector"}
 
 
+def _uses_kernel(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call):
+        return lints.called(node) in KERNEL_CALLS
+    if isinstance(node, ast.Attribute):
+        v = node.value
+        return isinstance(v, ast.Name) and (v.id, node.attr) == ("multivector", "Multivector")
+    if isinstance(node, ast.ImportFrom):
+        names = {alias.name for alias in node.names}
+        return node.module == "kernel" or (
+            "kernel" in names if node.module is None else "Multivector" in names
+        )
+    return False
+
+
 def _kernel_uses(tree: ast.AST, api: set) -> list:
     """(owner, line) of each call in KERNEL_CALLS, each read of
     multivector.Multivector, and each import from or of the kernel or of
     Multivector, outside api."""
-    found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            uses = name in KERNEL_CALLS
-        elif isinstance(node, ast.Attribute):
-            v = node.value
-            uses = isinstance(v, ast.Name) and (v.id, node.attr) == ("multivector", "Multivector")
-        elif isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
-            uses = node.module == "kernel" or (
-                "kernel" in names if node.module is None else "Multivector" in names
-            )
-        else:
-            uses = False
-        if uses and owner not in api:
-            found.append((owner, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, "<module>")
-    return sorted(found)
+    return sorted(
+        (owner, node.lineno)
+        for node, scopes in lints.scoped(tree)
+        if _uses_kernel(node) and (owner := lints.owner(scopes)) not in api
+    )
 
 
 def test_only_the_algebra_api_uses_the_kernel():
@@ -551,10 +543,9 @@ def test_only_the_algebra_api_uses_the_kernel():
         for name in api:  # no exemption outlives its function
             functools.reduce(getattr, name.split("."), loaded)
     # every module but the kernel itself
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem != "kernel":
-            api = ALGEBRA_API.get(path.stem, set())
-            assert _kernel_uses(ast.parse(path.read_text()), api) == [], path.name
+    for module, tree in lints.trees().items():
+        if module != "kernel":
+            assert _kernel_uses(tree, ALGEBRA_API.get(module, set())) == [], module
 
 
 def test_the_kernel_lint_catches_each_use():

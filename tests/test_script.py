@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lints
 import pga2d
 from pga2d import isometry, metric, render
 from pga2d.cli import _parse_args, _read, main
@@ -615,21 +616,27 @@ def test_a_plain_type_error_from_the_library_is_not_wrapped(monkeypatch):
 
 
 def test_the_output_referee_passes_only_a_listed_migration(monkeypatch):
-    # tests/same_output.py: a listed stderr text or a record's error class,
-    # changed as listed, is a migration; any other change is a difference
+    # tests/same_output.py: a listed stderr text, or a record's error class
+    # or its text with the other unchanged, changed as listed, is a
+    # migration; any other change is a difference
     import same_output
 
-    monkeypatch.setattr(same_output, "MIGRATIONS", {"old\n": "new\n", "TypeError": "OperandError"})
+    listed = {("old\n", "new\n"), ("TypeError", "OperandError"), ("no join", "no join of A")}
+    monkeypatch.setattr(same_output, "MIGRATIONS", listed)
     migration = same_output._migration
     assert migration("stderr", "old\n", "new\n") == ("old\n", "new\n")
     assert migration("stderr", b"old\n", b"new\n") == ("old\n", "new\n")
     assert migration("stderr", "new\n", "old\n") is None
     assert migration("stdout", "old\n", "new\n") is None
-    raised = ["raised", "TypeError", "no join of Line and Line"]
+    raised = ["raised", "TypeError", "no join"]
     moved = ["raised", "OperandError", raised[2]]
     assert migration("library", raised, moved) == ("TypeError", "OperandError")
     assert migration("library", raised, [*moved[:2], "another text"]) is None
     assert migration("library", raised, ["Line", "1.0", "0.0", "0.0"]) is None
+    reworded = ["raised", "TypeError", "no join of A"]
+    assert migration("library", raised, reworded) == ("no join", "no join of A")
+    assert migration("library", raised, [*moved[:2], reworded[2]]) is None
+    assert migration("library", raised, [*raised[:2], "no meet"]) is None
 
 
 def test_the_output_referee_reports_a_stale_migration_as_a_difference(monkeypatch):
@@ -637,7 +644,7 @@ def test_the_output_referee_reports_a_stale_migration_as_a_difference(monkeypatc
     # entry that explains no difference, and an unlisted change, as differences
     import same_output
 
-    listed = {"error: old\n": "error: new\n", "error: gone\n": "error: here\n"}
+    listed = {("error: old\n", "error: new\n"), ("error: gone\n", "error: here\n")}
     monkeypatch.setattr(same_output, "MIGRATIONS", listed)
     base = {
         "cli": [["", "error: old\n", 2, None], ["A = 1\n", "", 0, None]],
@@ -656,7 +663,7 @@ def test_the_output_referee_reports_a_stale_migration_as_a_difference(monkeypatc
         "migration 'error: gone\\n' -> 'error: here\\n' explains no difference",
     ]
     assert migrations == {("error: old\n", "error: new\n"): 2}
-    monkeypatch.setattr(same_output, "MIGRATIONS", {})
+    monkeypatch.setattr(same_output, "MIGRATIONS", set())
     assert same_output._compare(base, base, cases, processes) == ([], {})
 
 
@@ -673,6 +680,7 @@ def test_the_output_referee_records_a_crash_as_that_cases_outcome(monkeypatch, t
 
     monkeypatch.setattr(pga2d.cli, "main", main)
     monkeypatch.setattr(same_output, "_library", list)
+    monkeypatch.setattr(same_output, "MIGRATIONS", set())  # no listed pair is stale here
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cases.json").write_text(json.dumps([["crash"], ["fine"]]))
     same_output._child(str(tmp_path))
@@ -710,6 +718,27 @@ def test_the_output_referee_calls_every_exported_function(monkeypatch):
         same_output._record(call)
         running.pop()
     assert sorted(set(functions) - called) == []
+
+
+def test_the_output_referee_calls_every_kernel_function_and_method():
+    # tests/same_output.py: each public function of pga2d.kernel, and each
+    # public method and arithmetic operator of Multivector, is a corpus call
+    import same_output
+    from pga2d import kernel
+
+    callees = {call.func for _, call in same_output._library_calls()}
+    functions = [
+        f for name, f in vars(kernel).items()
+        if inspect.isfunction(f) and f.__module__ == kernel.__name__ and not name.startswith("_")
+    ]
+    operators = ("__add__", "__sub__", "__neg__")
+    methods = [
+        f for name, f in vars(kernel.Multivector).items()
+        if inspect.isfunction(f) and (not name.startswith("_") or name in operators)
+    ]
+    names = {f.__name__ for f in functions + methods}
+    assert {"basis", "cayley_table", "join", "approx_eq", "__neg__"} <= names
+    assert sorted(f.__qualname__ for f in functions + methods if f not in callees) == []
 
 
 # a fresh interpreter: only a motor operand's conjugate multiplies multivectors
@@ -1999,6 +2028,21 @@ def test_an_old_pickle_loads_as_the_kernel_multivector_in_process(monkeypatch):
     assert vars(base)["Multivector"] is Multivector
 
 
+def _slow_imports(tree: ast.AST) -> list[str]:
+    """Each module that an import at the top level of tree names and that a
+    cold start must not load: typing, pathlib, enum, the kernel, the renderer."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            targets += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("pga2d." if node.level else "") + (node.module or "")
+            # from . import render names the module in its list
+            targets += [module] if node.module else [module + a.name for a in node.names]
+    slow = ("pga2d.kernel", "pga2d.render")
+    return [t for t in targets if t.split(".")[0] in ("typing", "pathlib", "enum") or t in slow]
+
+
 def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_level():
     # which pga2d modules the CLI loads is the same on every Python; which
     # stdlib modules it loads is not, so those are read from the source
@@ -2006,27 +2050,31 @@ def test_the_cli_path_imports_no_typing_pathlib_kernel_or_renderer_at_module_lev
         "import sys, pga2d.cli; print(*sorted(m for m in sys.modules if m.startswith('pga2d')))"
     ).split()
     assert {"pga2d.cli", "pga2d.multivector", "pga2d.script"} <= set(loaded)
-    package = Path(pga2d.__file__).resolve().parent
-    found = []
     # geometry, isometry and the renderer load on first use, and then they too
     # must not load pathlib
-    for name in loaded + ["pga2d.geometry", "pga2d.isometry", "pga2d.render"]:
-        path = package / ("__init__.py" if name == "pga2d" else name[len("pga2d."):] + ".py")
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = ("pga2d." if node.level else "") + (node.module or "")
-                # from . import render names the module in its list
-                targets = [module] if node.module else [module + a.name for a in node.names]
-            else:
-                continue
-            found += [
-                f"{path.name}: {t}" for t in targets
-                if t.split(".")[0] in ("typing", "pathlib", "enum")
-                or t in ("pga2d.kernel", "pga2d.render")
-            ]
-    assert found == []
+    names = loaded + ["pga2d.geometry", "pga2d.isometry", "pga2d.render"]
+    modules = [name.partition(".")[2] or "__init__" for name in names]
+    assert [(m, t) for m in modules for t in _slow_imports(lints.trees()[m])] == []
+
+
+def test_the_cold_path_import_lint_catches_each_slow_import():
+    planted = ast.parse(
+        "import math, typing\n"
+        "from pathlib import Path\n"
+        "from enum import Enum\n"
+        "from . import render, metric\n"
+        "from .kernel import e0\n"
+        "from pga2d.render import build_svg\n"
+        "import pga2d.kernel, pga2d.elements\n"
+        "if True:\n"
+        "    import typing\n"
+        "def f():\n"
+        "    from . import kernel\n"
+    )
+    assert _slow_imports(planted) == [
+        "typing", "pathlib", "enum", "pga2d.render", "pga2d.kernel", "pga2d.render",
+        "pga2d.kernel",
+    ]
 
 
 def test_the_library_import_loads_neither_enum_nor_re():

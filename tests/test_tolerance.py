@@ -4,15 +4,19 @@ is (within the range the README states).
 
 * pinned cases that the older absolute and floored-at-1 tests got wrong;
 * bands pinned from both sides: a value just inside and one just outside;
-* a lint over src/pga2d that keeps every tolerance product inside near_zero;
+* lints over src/pga2d that keep every tolerance product inside near_zero
+  and name every near_zero call in README's "Tolerance policy" table;
 * a metamorphic property: moving, turning and uniformly scaling a script's
-  literals moves, turns and scales everything it computes.
+  literals moves, turns and scales everything it computes;
+* the benchmark's referee: a generated script prints and draws what
+  bench/reference.py computes for it.
 """
 
 import ast
 import math
 import re
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lints
 from pga2d.algebra import factor_motor, factor_point, triple_lines
 from pga2d.elements import Line, Point
 from pga2d.errors import DomainError, EvaluationError, IncidenceError
@@ -27,14 +32,15 @@ from pga2d.geometry import join, meet
 from pga2d.isometry import Motor, OddVersor, sandwich, solve_point_line_transport
 from pga2d.metric import normalize
 from pga2d.multivector import DEFAULT_TOL, near_zero
+from pga2d.render import build_svg
 from pga2d.script import evaluate, parse
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "pga2d"
 SCRIPTS = ROOT / "tests" / "data" / "scripts"
 
 sys.path.insert(0, str(ROOT / "bench"))  # generate.py imports its sibling reference.py
 import generate  # noqa: E402
+import reference  # noqa: E402
 
 RIGHT_ANGLE = (
     "point A 0 0\npoint B 1 0\npoint C 0 1\n"
@@ -261,19 +267,14 @@ def _is_tolerance(node: ast.AST) -> bool:
 def _has_tolerance(node: ast.AST) -> bool:
     """A tolerance name in an expression, outside the arguments of a call
     (such as u.grades(tol), which decides through near_zero itself)."""
-    if isinstance(node, ast.Call):
-        return False
-    return _is_tolerance(node) or any(map(_has_tolerance, ast.iter_child_nodes(node)))
+    in_calls = {n for call in ast.walk(node) if isinstance(call, ast.Call) for n in ast.walk(call)}
+    return any(_is_tolerance(n) for n in ast.walk(node) if n not in in_calls)
 
 
 def _violations(tree: ast.AST):
-    def walk(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        for child in ast.iter_child_nodes(node):
-            yield from walk(child, owner)
-        if owner in EXEMPT:
-            return
+    for node, scopes in lints.scoped(tree):
+        if lints.owner(scopes).rpartition(".")[2] in EXEMPT:
+            continue
         if isinstance(node, ast.Constant) and node.value == 1e-15:
             yield node.lineno, "the literal 1e-15"
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
@@ -287,16 +288,9 @@ def _violations(tree: ast.AST):
                     if 0.0 < abs(side.value) < 1e-3:
                         yield node.lineno, f"a comparison with the threshold {side.value!r}"
 
-    yield from walk(tree, None)
-
 
 def test_every_tolerance_decision_goes_through_near_zero():
-    found = [
-        f"{path.name}:{lineno}: {what}"
-        for path in sorted(SRC.glob("*.py"))
-        for lineno, what in _violations(ast.parse(path.read_text(), str(path)))
-    ]
-    assert found == []
+    assert lints.report(lambda tree, _: _violations(tree)) == []
 
 
 def test_the_lint_catches_each_older_convention():
@@ -340,33 +334,27 @@ def _dropped_tol(trees: dict[str, ast.AST]):
     takers = {
         node.name
         for tree in trees.values()
-        for node in ast.walk(tree)
+        for node, _ in lints.scoped(tree)
         if _takes_tol(node) and not isinstance(node, ast.Lambda)
     }
-
-    def walk(name, node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            inside = _takes_tol(node)
-        if inside and isinstance(node, ast.Call):
-            f = node.func
-            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    for name, tree in trees.items():
+        for node, scopes in lints.scoped(tree):
+            # the innermost function or lambda decides
+            inner = next((s for s in reversed(scopes) if not isinstance(s, ast.ClassDef)), None)
+            if not isinstance(node, ast.Call) or not _takes_tol(inner):
+                continue
             # a method of a str literal, such as "".join(parts), is no function here
+            f = node.func
             on_literal = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Constant)
             if on_literal and isinstance(f.value.value, str):
-                callee = None
+                continue
             passed = (*node.args, *(k.value for k in node.keywords))
-            if callee in takers and not any(map(_has_tolerance, passed)):
-                yield name, node.lineno, callee
-        for child in ast.iter_child_nodes(node):
-            yield from walk(name, child, inside)
-
-    for name, tree in trees.items():
-        yield from walk(name, tree, False)
+            if lints.called(node) in takers and not any(map(_has_tolerance, passed)):
+                yield name, node.lineno, lints.called(node)
 
 
 def test_every_call_passes_its_callers_tol_on():
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
-    assert sorted(_dropped_tol(trees)) == []
+    assert sorted(_dropped_tol(lints.trees())) == []
 
 
 def test_the_tol_lint_catches_a_dropped_tol():
@@ -394,6 +382,78 @@ def test_the_tol_lint_catches_a_dropped_tol():
         ("f.py", 10, "join"),
         ("f.py", 11, "unit"),
     ]
+
+
+# -- every near_zero site, named in README ------------------------------------------
+#
+# Each near_zero call, by the function around it, and the number of calls there.
+# README's "Tolerance policy" table names each function, or for a private
+# helper a public caller of it in its module (geometry._cross through join
+# and meet), with or without the module.
+NEAR_ZERO_SITES = {
+    "algebra.triple_lines": 1, "algebra.factor_point": 1, "algebra.factor_motor": 2,
+    "elements.Line.is_ideal": 1, "elements.Point.is_ideal": 1,
+    "geometry.distance": 1, "geometry._cross": 1, "geometry.midline": 1,
+    "isometry.Motor.normalized": 1, "isometry.OddVersor.normalized": 1,
+    "isometry.solve_point_line_transport": 2, "kernel.Multivector.grades": 1,
+    "render._clip_line": 7, "script._point": 1, "script._line": 1,
+}
+
+
+def _near_zero_sites(trees: dict[str, ast.AST]) -> Counter:
+    """module.owner -> the number of near_zero calls in it."""
+    return Counter(
+        f"{module}.{lints.owner(scopes)}"
+        for module, tree in trees.items()
+        for node, scopes in lints.scoped(tree)
+        if isinstance(node, ast.Call) and lints.called(node) == "near_zero"
+    )
+
+
+def _unnamed(trees: dict[str, ast.AST], listed: set[str]) -> tuple[list, list]:
+    """(each site that no name of listed covers, each name of listed that
+    covers no site)."""
+    covers = {}
+    for site in _near_zero_sites(trees):
+        module, owner = site.split(".", 1)
+        names = {owner}
+        if owner.startswith("_"):
+            names |= lints.public_callers([trees[module]], {owner})
+        covers[site] = names | {f"{module}.{name}" for name in names}
+    unnamed = sorted(site for site, names in covers.items() if not names & listed)
+    return unnamed, sorted(listed - set().union(*covers.values()))
+
+
+def test_every_near_zero_site_is_named_in_the_readme_tolerance_table():
+    assert _near_zero_sites(lints.trees()) == NEAR_ZERO_SITES
+    listed = lints.table_names((ROOT / "README.md").read_text(), "### Tolerance policy")
+    assert _unnamed(lints.trees(), listed) == ([], [])
+
+
+def test_the_site_lint_catches_an_unnamed_site_and_a_stale_name():
+    planted = {
+        "m": ast.parse(
+            "def is_ideal(x, tol):\n"
+            "    return near_zero(x.z, 1.0, tol)\n"
+            "class Motor:\n"
+            "    def normalized(self, tol):\n"
+            "        return [near_zero(w, 1.0, tol) for w in self.weights]\n"
+            "def _cross(u, v, tol):\n"
+            "    return base.near_zero(u, v, tol) or near_zero(v, u, tol)\n"
+            "def join(p, q, tol):\n"
+            "    return _cross(p, q, tol)\n"
+            "def angle(u, v):\n"
+            "    return near(u, v)\n"
+        )
+    }
+    assert _near_zero_sites(planted) == {"m.is_ideal": 1, "m.Motor.normalized": 1, "m._cross": 2}
+    readme = (
+        "### Tolerance policy\n\n| function | decision |\n| -------- | -------- |\n"
+        "| `m.join`, `is_ideal` | a zero product; a point is ideal |\n"
+        "| `angle` | parallel lines |\n## Next\n| `Motor.normalized` | a null motor |\n"
+    )
+    listed = lints.table_names(readme, "### Tolerance policy")
+    assert _unnamed(planted, listed) == (["m.Motor.normalized"], ["angle"])
 
 
 # -- the metamorphic property ----------------------------------------------------
@@ -567,3 +627,18 @@ def test_a_failure_fails_alike_after_the_move(source, s):
     sim = Similarity(0.5, s, (SHIFT * s * size, 0.0))
     failure = _outcome(broken)[1]
     assert failure is not None and _outcome(sim.program(broken))[1] == failure
+
+
+# -- the benchmark's referee ---------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(generate.MIXES)), st.integers(1, 10**6), st.integers(0, 99))
+def test_a_generated_script_prints_and_draws_what_the_reference_computes(workload, seed, index):
+    # bench/reference.py computes each printed value with classical coordinate
+    # geometry, and counts the shapes the SVG must hold
+    script = generate.generate(workload, seed, index)
+    env, out = evaluate(parse(script.text))
+    assert reference.check_output(out, script.expected) == []
+    svg = build_svg(env)
+    assert reference.check_svg(svg, script.circles, script.arrows, script.lines) == []
