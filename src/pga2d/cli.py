@@ -128,7 +128,7 @@ def _main(argv: list[str]) -> int:
         return 1
     try:
         with open(script, encoding="utf-8") as handle:
-            source = handle.read()
+            source = handle.read().removeprefix("\ufeff")
         statements = parse(source)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,8 @@ g x reverse(g) and realizes a direct isometry: a rotation about its bivector
 axis point or, when the bivector is ideal, a translation.  An odd versor
 (line plus pseudoscalar) realizes a reflection or glide reflection.
 
-On points and lines a sandwich is a 3x3 linear map; any other operand is
-multiplied out over 8 slots.  Normalizing a motor, an odd versor or a
+A sandwich maps lines, points and versors in closed form; any other operand
+is multiplied out over 8 slots.  Normalizing a motor, an odd versor or a
 translation axis divides by a length only through metric.unit_direction.
 """
 
@@ -91,45 +91,45 @@ _ODD = *[getattr(OddVersor, f).__set__ for f in OddVersor.__slots__], "zero elem
 
 def sandwich(v, x):
     """Two-sided action v x reverse(v) of a Motor or OddVersor on an element
-    x: a Line or Point for a Line or Point, a value of x's class for a Motor
-    or OddVersor, else the Multivector of x.mv().  A null v that maps a Line
-    or Point to zero is refused with a DomainError that names v and x.
-    Expanded, it maps points (x, y, z) by the rows (r, t, p), (t2, r2, q),
-    (0, 0, w) and lines [a, b, c] by (r, t, 0), (t2, r2, 0), (pl, ql, w),
-    each quadratic in v's components."""
+    x: a value of x's class for a Line, Point, Motor or OddVersor, else the
+    Multivector of x.mv().  A null v that maps a Line, Point or OddVersor to
+    zero is refused with a DomainError that names v and x.  Expanded, it maps
+    points (x, y, z) by the rows (r, t, p), (t2, r2, q), (0, 0, w) and lines
+    [a, b, c] by (r, t, 0), (t2, r2, 0), (pl, ql, w), each quadratic in v; a
+    motor's bivector moves as a point, an odd versor's line part as a line,
+    and the scalar s or the weight lam scales by k = v reverse(v)."""
     if isinstance(v, Motor):
         s, bx, by, bz = v.s, v.bx, v.by, v.bz
-        r, t, w = s * s - bz * bz, 2.0 * s * bz, s * s + bz * bz
-        t2, r2 = -t, r
+        r, t, k = s * s - bz * bz, 2.0 * s * bz, s * s + bz * bz
+        t2, r2, w = -t, r, k
         e, f, g, h = bx * bz, by * s, bx * s, by * bz
     elif isinstance(v, OddVersor):
         a, b, c, lam = v.a, v.b, v.c, v.lam
-        r, t, w = a * a - b * b, 2.0 * a * b, -(a * a + b * b)
-        t2, r2 = t, -r
+        r, t, k = a * a - b * b, 2.0 * a * b, a * a + b * b
+        t2, r2, w = t, -r, -k
         e, f, g, h = a * c, -lam * b, -lam * a, b * c
     else:
         raise OperandError(f"cannot use {type(v).__name__} as a versor")
+    kind = type(x)
     try:
-        if isinstance(x, Line):
+        if kind is Line or kind is OddVersor:
             pl, ql = 2.0 * (e + f), 2.0 * (h - g)
             a, b, c = x.a, x.b, x.c
             a, b, c = r * a + t * b, t2 * a + r2 * b, pl * a + ql * b + w * c
-            return Line(a, b, c)
-        if isinstance(x, Point):
+            return Line(a, b, c) if kind is Line else OddVersor(a, b, c, k * x.lam)
+        if kind is Point or kind is Motor:
             p, q = 2.0 * (e - f), 2.0 * (g + h)
-            px, py, pz = x.x, x.y, x.z
+            px, py, pz = (x.x, x.y, x.z) if kind is Point else (x.bx, x.by, x.bz)
             a, b, c = r * px + t * py + p * pz, t2 * px + r2 * py + q * pz, w * pz
-            return Point(a, b, c)
+            return Point(a, b, c) if kind is Point else Motor(k * x.s, a, b, c)
     except DomainError:
-        if a or b or c:
-            raise  # an overflow keeps _finite's text
-        # a null versor maps x to zero: the refusal names both
-        raise DomainError(f"{v!r} maps {x!r} to zero") from None
+        if a or b or c or kind is Motor:
+            raise  # an overflow keeps _finite's text; a Motor accepts zero
+        raise DomainError(f"{v!r} maps {x!r} to zero") from None  # a null versor names both
     if not hasattr(x, "mv"):
         raise OperandError(f"cannot apply a versor to {type(x).__name__}")
     vm = v.mv()
-    y = vm.gp(x.mv().gp(vm.reverse()))
-    return x.from_mv(y) if isinstance(x, (Motor, OddVersor)) else y
+    return vm.gp(x.mv().gp(vm.reverse()))
 
 
 def reflect(a: Line, x, tol: float = DEFAULT_TOL):

@@ -183,6 +183,8 @@ def _checked(coeffs: tuple[float, ...]) -> Multivector:
 
 
 def basis(index: int) -> Multivector:
+    if index not in range(DIM):
+        raise ValueError(f"basis index must be in 0..7, got {index}")
     return Multivector(tuple(1.0 if i == index else 0.0 for i in range(DIM)))
 
 

@@ -6,7 +6,8 @@ Usage, from anywhere::
 
 Each entry of MUTANTS replaces one line of a module in a temporary copy of
 this tree (src, tests, bench, pyproject.toml and README.md), runs the
-entry's tests (modules or pytest node ids) there with ``pytest -x``, and
+entry's tests (modules or pytest node ids) there with ``pytest -x`` and
+``--hypothesis-seed=0``, so that no kill depends on the examples drawn, and
 puts the line back; two copies test two mutants at a time.  A mutant is killed
 when some of those tests fail; the copy must first pass them unmutated.  Each
 survivor is printed; one listed in EQUIVALENT cannot change a result, and its
@@ -114,6 +115,10 @@ NORMAL_FORM = (
 NULL_VERSOR = (
     "tests/test_isometry.py::test_a_null_versor_that_maps_an_element_to_zero_is_named",
 )
+# the closed-form sandwich against the kernel's 8-slot product
+SANDWICH = (
+    "tests/test_kernel_reference.py::test_sandwich_is_the_kernel_product_within_a_few_ulps",
+)
 WORKERS = 2  # copies of the tree, each testing one mutant at a time
 
 # name -> (module under src/pga2d, the text of one line, its replacement, tests)
@@ -214,10 +219,14 @@ MUTANTS = {
     "mv-finiteness-unchecked": (
         "kernel.py", "_set_coeffs(self, _finite(coeffs))", "_set_coeffs(self, coeffs)", FINITE,
     ),
-    "typed-sandwich-raw": (
-        "isometry.py", "return x.from_mv(y) if isinstance(x, (Motor, OddVersor)) else y",
-        "return y", CLASS_SAFE,
+    # a versor's image of a motor keeps its class, and an odd versor's
+    # weight scales by v reverse(v)
+    "sandwich-motor-image-a-point": (
+        "isometry.py",
+        "return Point(a, b, c) if kind is Point else Motor(k * x.s, a, b, c)",
+        "return Point(a, b, c)", CLASS_SAFE,
     ),
+    "sandwich-drops-k": ("isometry.py", "k * x.lam", "x.lam", SANDWICH),
     "from-mv-grades-unchecked": (
         "elements.py", "if u.grades(tol) - {BLADE_GRADES[i] for i in blades}:", "if False:", BRIDGE,
     ),
@@ -420,7 +429,10 @@ def _pytest(folder: Path, tests) -> int:
     shutil.rmtree(folder / ".hypothesis", ignore_errors=True)  # no example carries over
     env = dict(os.environ, PYTHONPATH=str(folder / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        [
+            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--hypothesis-seed=0", *tests,
+        ],
         cwd=folder, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     ).returncode
 

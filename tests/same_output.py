@@ -43,11 +43,14 @@ difference in stdout, stderr, exit code, SVG bytes or a library record is
 printed, and the exit code is then 1, unless it is a migration.  There is
 one rule: a difference is a migration only when MIGRATIONS holds the pair
 (old, new) of the stderr texts, or of a library error record's exception
-classes with its text unchanged, or of its texts with its class unchanged.
-Each migration is printed once, with the number of texts or records it
-covers, and leaves the exit code at 0.  An entry of MIGRATIONS that explains
-no difference is itself a difference, so a change lists only its own
-migrations.
+classes with its text unchanged, or of its texts with its class unchanged,
+or of two whole library records' JSON when not both are raised; or when it
+holds (function, bound) for a record of that function whose floats each
+move by at most bound eps of its largest |field|, class and field count
+unchanged.  Each migration is printed once, with the number of texts or
+records it covers, and leaves the exit code at 0.  An entry of MIGRATIONS
+that explains no difference is itself a difference, so a change lists only
+its own migrations.
 pytest does not collect this file.
 """
 
@@ -125,39 +128,61 @@ ACCEPTED = {
 }
 
 
-# (old, new) pairs: a whole stderr text, or a library error record's exception
-# class or its text, the other unchanged.  A change lists only its own
-# migrations: a pair that explains no difference is itself a difference, so
-# once the base commit gives a pair's new side the pair must go, and the next
-# change starts from an empty set.
-MIGRATIONS: set[tuple[str, str]] = {
-    # the typed sandwich of a null versor names the versor and the operand
-    (f"zero element is not a {kind}", f"{versor} maps {x} to zero")
-    for versor in ("Motor(0, 1, 0, 0)", "OddVersor(0, 0, -2.5, -0)")
-    for kind, operands in (
-        ("line", (
-            "Line[0.0781631, -0.421607, -93.9926]", "Line[0.307272, -0.579983, -48.5446]",
-            "Line[-0.205603, 0.283156, 97.7622]", "Line[-0.076934, 0.98697, 98.5144]",
-            "Line[-0.514649, -0.85471, -68.0198]", "Line[0.683805, 0.199109, 83.4925]",
-            "Line[0, 0, -2.5]", "Line[1e-12, 0, 1]", "Line[-0, 4.94066e-324, 1]",
-        )),
-        ("point", (
-            "Point(94.4338, 30.8848, 0.5)", "Point(76.414, -19.7177, 1)",
-            "Point(61.0589, 34.3939, -2.5)", "Point(13.1305, 34.7788, 0.5)",
-            "Point(12.4568, 93.9943, 0.5)", "Point(-1.10992, -38.1612, -2.5)",
-            "Point(0.754154, -0.49594, 0)", "Point(1, 0, 1e-12)", "Point(-0, 4.94066e-324, 1)",
-        )),
-    )
-    for x in operands
+# Each entry explains one kind of difference:
+# - (old, new), two texts: a whole stderr text, or a library error record's
+#   exception class or its text, the other unchanged;
+# - (old, new), two whole library records as JSON, when not both are raised;
+# - (function, bound), bound an int: a library record of that function that
+#   keeps its class and number of fields, each float moving by at most bound
+#   eps of the largest |field| of the two records.
+# A change lists only its own migrations: an entry that explains no
+# difference is itself a difference, so once the base commit gives an entry's
+# new side the entry must go, and the next change starts from an empty set.
+MIGRATIONS: set[tuple[str, str] | tuple[str, int]] = {
+    # a versor's sandwich of a motor or odd versor is a closed form: last
+    # digits move, and a null versor's zero motor gets a -0.0 scalar
+    ("sandwich", 5),
+    # a null versor's image of an odd versor is refused with the named text
+    *(
+        ("zero element is not a line", f"{versor} maps {x} to zero")
+        for versor in ("Motor(0, 1, 0, 0)", "OddVersor(0, 0, -2.5, -0)")
+        for x in (
+            "OddVersor(0.0781631, -0.421607, -93.9926, 4.44844)",
+            "OddVersor(0.307272, -0.579983, -48.5446, -0.257462)",
+        )
+    ),
+    # basis refuses an index outside 0..7
+    *(
+        (json.dumps(["Multivector", ["0.0"] * 8]),
+         json.dumps(["raised", "ValueError", f"basis index must be in 0..7, got {index}"]))
+        for index in (8, -1)
+    ),
 }
 
 
-def _migration(field: str, old, new) -> tuple[str, str] | None:
-    """The (old, new) pair of MIGRATIONS that explains this difference of one
-    field, if any."""
+def _within(old, new, bound: int) -> bool:
+    """Whether the value record new keeps old's class and number of fields,
+    each float moving by at most bound eps of their largest |field|."""
+    if not (isinstance(old, list) and isinstance(new, list)):
+        return False  # a float or a repr has no class and no fields
+    if old[0] != new[0] or len(old) != len(new):
+        return False
+    try:
+        a, b = [float(v) for v in old[1:]], [float(v) for v in new[1:]]
+    except (TypeError, ValueError):  # an error record, or a field that is no float
+        return False
+    tol = bound * sys.float_info.epsilon * max(map(abs, a + b), default=0.0)
+    return all(abs(x - y) <= tol for x, y in zip(a, b))
+
+
+def _migration(field: str, old, new, label: str = ""):
+    """The entry of MIGRATIONS that explains this difference of one field, if
+    any; label is a library record's call."""
     if field == "stderr":
         old, new = (v.decode("utf-8", "replace") if isinstance(v, bytes) else v for v in (old, new))
-    elif field == "library" and old[:1] == new[:1] == ["raised"]:
+    elif field != "library":
+        return None
+    elif old[:1] == new[:1] == ["raised"]:
         # the class moved under the same text, or the text under the same class
         if old[2] == new[2]:
             old, new = old[1], new[1]
@@ -166,8 +191,17 @@ def _migration(field: str, old, new) -> tuple[str, str] | None:
         else:
             return None
     else:
-        return None
+        function = label.partition("(")[0]
+        for entry in MIGRATIONS:
+            if entry[0] == function and isinstance(entry[1], int) and _within(old, new, entry[1]):
+                return entry
+        old, new = json.dumps(old), json.dumps(new)
     return (old, new) if (old, new) in MIGRATIONS else None
+
+
+def _shown(entry) -> str:
+    old, new = entry
+    return f"{old!r} within {new} eps" if isinstance(new, int) else f"{old!r} -> {new!r}"
 
 
 def _write_scripts(folder: Path) -> list[str]:
@@ -440,31 +474,31 @@ def _compare(base: dict, this: dict, cases: list, processes: list) -> tuple[list
             if isinstance(old[2], list) or isinstance(new[2], list):  # main raised: one line
                 if old != new:
                     line = f"{shown}: exit code {json.dumps(old[2])} became {json.dumps(new[2])}"
-                    changed.append((line, "exit code", old[2], new[2]))
+                    changed.append((line, "exit code", old[2], new[2], ""))
                 continue
             changed += [
-                (f"{shown}: {field} differs", field, a, b)
+                (f"{shown}: {field} differs", field, a, b, "")
                 for field, a, b in zip(fields, old, new)
                 if a != b
             ]
     changed += [
-        (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new)
+        (f"library {label}: {json.dumps(old)} became {json.dumps(new)}", "library", old, new, label)
         for (label, old), (_, new) in zip(base["library"], this["library"])
         if old != new
     ]
     differences, migrations = [], Counter()
-    for line, field, old, new in changed:
-        pair = _migration(field, old, new)
-        if pair is None:
+    for line, field, old, new, label in changed:
+        entry = _migration(field, old, new, label)
+        if entry is None:
             differences.append(line)
         else:
-            migrations[pair] += 1
+            migrations[entry] += 1
     if len(base["library"]) != len(this["library"]):
         differences.append(f"{len(base['library'])} library calls, then {len(this['library'])}")
     differences += [
-        f"migration {old!r} -> {new!r} explains no difference"
-        for old, new in sorted(MIGRATIONS)
-        if (old, new) not in migrations
+        f"migration {_shown(entry)} explains no difference"
+        for entry in sorted(MIGRATIONS, key=repr)
+        if entry not in migrations
     ]
     return differences, migrations
 
@@ -487,8 +521,8 @@ def main(argv: list[str]) -> int:
         base["process"] = _processes(base_src, folder, processes)
         this["process"] = _processes(ROOT / "src", folder, processes)
     differences, migrations = _compare(base, this, cases, processes)
-    for (old, new), count in migrations.items():
-        print(f"migration ({count}): {old!r} -> {new!r}")
+    for entry, count in migrations.items():
+        print(f"migration ({count}): {_shown(entry)}")
     for line in differences[:20]:
         print(line)
     failed = sum(result[2] != 0 for result in this["cli"])

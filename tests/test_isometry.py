@@ -537,23 +537,39 @@ def test_sandwich_rejects_a_versor_that_is_not_a_motor_or_odd_versor(versor):
             OddVersor(0, 0, -2.5, 0), Line(1, 0, -1),
             "OddVersor(0, 0, -2.5, 0) maps Line[1, 0, -1] to zero",
         ),
+        # an odd versor's image is never zero either
+        (
+            Motor(0, 1, 0, 0), OddVersor(1, 2, 3, 0.5),
+            "Motor(0, 1, 0, 0) maps OddVersor(1, 2, 3, 0.5) to zero",
+        ),
         # every product underflows, so the image is zero too
         (
             Motor(1e-200, 1, 0, 0), Line(1, 0, -1),
             "Motor(1e-200, 1, 0, 0) maps Line[1, 0, -1] to zero",
         ),
-        # an image that overflows keeps the overflow text
+        # an image that overflows keeps the overflow text, also when only a
+        # motor's scalar overflows and its bivector is zero
         (
             Motor(1e200, 0, 0, 1e200), Point(1e200, 1, 1),
             "result is not finite (coefficient overflow or non-finite factor)",
         ),
+        (
+            Motor(1e154, 0, 0, 0), Motor(10, 0, 0, 0),
+            "result is not finite (coefficient overflow or non-finite factor)",
+        ),
     ],
-    ids=["motor-point", "odd-line", "underflow", "overflow"],
+    ids=["motor-point", "odd-line", "motor-odd", "underflow", "overflow", "motor-overflow"],
 )
 def test_a_null_versor_that_maps_an_element_to_zero_is_named(versor, x, message):
     with pytest.raises(DomainError) as info:
         sandwich(versor, x)
     assert str(info.value) == message
+
+
+def test_a_null_versor_maps_a_motor_to_the_zero_motor():
+    # Motor accepts zero, so the image is the product itself
+    image = sandwich(Motor(0, 1, 0, 0), Motor(0.8, 0.3, -0.2, 0.6))
+    assert image == Motor(0, 0, 0, 0)
 
 
 def test_isometries_keep_the_pseudoscalar():

@@ -17,6 +17,7 @@ from pga2d.kernel import (
     BLADE_GRADES,
     BLADE_NAMES,
     Multivector,
+    basis,
     blades,
     cayley_table,
     dual_table,
@@ -136,6 +137,13 @@ def test_grade_range_is_enforced():
         one.grade(4)
     with pytest.raises(ValueError):
         one.grade(-1)
+
+
+@pytest.mark.parametrize("index", [8, -1])
+def test_basis_index_range_is_enforced(index):
+    # as grade's range is: an index outside 0..7 names no blade
+    with pytest.raises(ValueError, match=rf"^basis index must be in 0\.\.7, got {index}$"):
+        basis(index)
 
 
 def test_grade_examples():

@@ -639,6 +639,38 @@ def test_the_output_referee_passes_only_a_listed_migration(monkeypatch):
     assert migration("library", raised, [*raised[:2], "no meet"]) is None
 
 
+def test_the_output_referee_passes_a_listed_record_pair_or_a_move_within_a_bound(monkeypatch):
+    # tests/same_output.py: two whole records, not both raised, as listed; or
+    # a record of a listed function that keeps its class and field count,
+    # each float moving by at most the bound in eps of the largest |field|
+    import same_output
+
+    zero = ["Multivector", ["0.0"] * 8]
+    refused = ["raised", "ValueError", "basis index must be in 0..7, got 8"]
+    listed = {(json.dumps(zero), json.dumps(refused)), ("sandwich", 5)}
+    monkeypatch.setattr(same_output, "MIGRATIONS", listed)
+    migration = same_output._migration
+    assert migration("library", zero, refused, "basis(8)") == (json.dumps(zero), json.dumps(refused))
+    assert migration("library", refused, zero, "basis(8)") is None
+    eps = sys.float_info.epsilon
+    old = ["Motor", "2.0", "-1.0", "0.0", "0.5"]
+    moved = ["Motor", repr(2.0 + 8 * eps), "-1.0", repr(-5e-16), "0.5"]  # 4 and 1.1 eps of 2
+    label = "sandwich(Motor(0, 1, 0, 0), Motor(2, -1, 0, 0.5))"
+    assert migration("library", old, moved, label) == ("sandwich", 5)
+    assert migration("library", old, moved, "interpolate(Motor(2, -1, 0, 0.5), 0.5)") is None
+    assert migration("library", old, ["Motor", repr(2.0 + 12 * eps), *old[2:]], label) is None
+    assert migration("library", old, ["OddVersor", *moved[1:]], label) is None
+    assert migration("library", old, moved[:-1], label) is None
+    assert migration("library", old, ["raised", "DomainError", "text"], label) is None
+    # a signed zero moves by nothing
+    null = ["Motor", "0.0", "0.0", "0.0", "0.0"]
+    assert migration("library", null, ["Motor", "-0.0", *null[2:]], label) == ("sandwich", 5)
+    differences, _ = same_output._compare(
+        {"cli": [], "process": [], "library": []}, {"cli": [], "process": [], "library": []}, [], []
+    )
+    assert "migration 'sandwich' within 5 eps explains no difference" in differences
+
+
 def test_the_output_referee_reports_a_stale_migration_as_a_difference(monkeypatch):
     # _compare counts a listed stderr text as a migration, and reports an
     # entry that explains no difference, and an unlisted change, as differences
@@ -741,24 +773,24 @@ def test_the_output_referee_calls_every_kernel_function_and_method():
     assert sorted(f.__qualname__ for f in functions + methods if f not in callees) == []
 
 
-# a fresh interpreter: only a motor operand's conjugate multiplies multivectors
+# a fresh interpreter: every sandwich of a script is a closed form
 @pytest.mark.parametrize(
-    "source, loaded",
+    "source",
     [
-        ("line m 1 1 -1\nreflect Q m g", True),
-        ("apply Q g g", True),
-        ("line m 1 1 -1\nreflect Q m A\nreflect R m m", False),
-        ("line m 1 1 -1\napply Q g A\napply R g m", False),
+        "line m 1 1 -1\nreflect Q m g",
+        "apply Q g g",
+        "line m 1 1 -1\nreflect Q m A\nreflect R m m",
+        "line m 1 1 -1\napply Q g A\napply R g m",
     ],
     ids=["reflect-motor", "apply-motor", "reflect", "apply"],
 )
-def test_only_a_motor_operand_loads_the_kernel(source, loaded):
+def test_no_verb_loads_the_kernel(source):
     script = f"point A 1 2\nrotator g A 1\n{source}\n"
     probe = (
         f"import sys\nfrom pga2d.script import evaluate, parse\nevaluate(parse({script!r}))\n"
         "print('pga2d.kernel' in sys.modules)"
     )
-    assert _fresh(probe) == f"{loaded}\n"
+    assert _fresh(probe) == "False\n"
 
 
 def test_format_value_of_huge_ideal_point():
@@ -1547,6 +1579,17 @@ def test_cli_rejects_non_utf8_script(tmp_path, capsys):
     assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
 
 
+def test_cli_reads_past_one_leading_byte_order_mark(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_bytes("\ufeffpoint A 1 2\nprint A\n".encode())
+    assert main(["run", str(script)]) == 0
+    assert capsys.readouterr().out == "A = (1.000000, 2.000000)\n"
+    # the mark is stripped after decoding, so a bad byte's offset counts it
+    script.write_bytes("\ufeffpoint A 0 0\n".encode() + b"\xe9\n")
+    assert main(["run", str(script)]) == 1
+    assert "(invalid continuation byte at byte 15)" in capsys.readouterr().err
+
+
 def test_cli_overflow_is_an_evaluation_error(tmp_path, capsys):
     script = tmp_path / "s.pga"
     script.write_text("line m 1e300 1e300 1e300\nline n 1e300 -1e300 0\nmeet P m n\n")
@@ -1913,7 +1956,7 @@ def test_a_module_loaded_on_first_use_is_reported_by_importtime(code, loaded):
 def test_the_typed_library_functions_leave_the_kernel_unloaded():
     probe = """
 import sys
-from pga2d import Line, Motor, Point
+from pga2d import Line, Motor, OddVersor, Point, sandwich
 from pga2d.algebra import (
     factor_motor, factor_point, interpolate, log_motor, perp_line_through, symmetric_line,
     triple_lines, triple_points,
@@ -1926,14 +1969,17 @@ results = (
     symmetric_line(a, b, c), factor_point(p), factor_motor(rotation),
     factor_motor(translation), interpolate(rotation, 0.3),
 )
+# a versor on a versor is a closed form too
+glide = OddVersor(1, 2, 3, 0.5)
+images = [sandwich(v, x) for v in (rotation, glide) for x in (translation, glide)]
 # log_motor refuses an operand of another class before it loads the kernel
 try:
     log_motor(a)
 except TypeError:
     pass
-print(len(results), 'pga2d.kernel' in sys.modules)
+print(len(results) + len(images), 'pga2d.kernel' in sys.modules)
 """
-    assert _fresh(probe) == "8 False\n"
+    assert _fresh(probe) == "12 False\n"
 
 
 # the names that pga2d reads from pga2d.algebra, which no script verb reaches
