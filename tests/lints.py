@@ -1,6 +1,7 @@
 """What the source lints over src/pga2d share: each module's AST, parsed once
 (trees), one cached walk of a tree's scopes (scoped), and the names that the
-lints read from it.  pytest does not collect this file."""
+lints read from it; and what the lints of README read from its text.  pytest
+does not collect this file."""
 
 import ast
 import re
@@ -8,6 +9,7 @@ from functools import cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pga2d"
+README = SRC.parent.parent / "README.md"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -75,3 +77,13 @@ def table_names(text: str, heading: str) -> set[str]:
     section = text.split(heading, 1)[1].split("\n#", 1)[0]
     cells = [row.split(" | ")[0] for row in section.splitlines() if row.startswith("| `")]
     return {name for cell in cells for name in re.findall(r"`([\w.]+)`", cell)}
+
+
+def stale_quotes(text: str, stderrs) -> list[str]:
+    """Each `error: line ...` message that text quotes, in backticks or as a
+    line of a code block, that is no text of stderrs; whitespace compares
+    collapsed, because prose wraps a quote across lines."""
+    recorded = {" ".join(err.split()) for err in stderrs}
+    quotes = re.findall(r"`(error: line\s[^`]*)`|^ *(error: line .*)$", text, re.MULTILINE)
+    shown = [" ".join("".join(quote).split()) for quote in quotes]
+    return [quote for quote in shown if quote not in recorded]

@@ -71,17 +71,17 @@ MOTOR_ZERO = (
 OUTPUT = (
     "tests/test_script.py::test_evaluate_distance_script",
     "tests/test_script.py::test_evaluate_keeps_output_printed_before_the_failure",
-    "tests/test_script.py::test_cli_writes_output_printed_before_an_evaluation_error",
+    "tests/test_script.py::test_cli_case[failing]",
 )
 # the midpoint of coordinates whose sum overflows
 MIDPOINT = (
     "tests/test_geometry.py::test_midpoint_of_points_whose_coordinate_sums_overflow",
-    "tests/test_script.py::test_midpoint_of_points_whose_coordinate_sum_overflows_is_printed",
+    "tests/test_script.py::test_cli_case[midpoint-sum-overflow]",
 )
 # a length of finite fields that overflows, in the library and in a script
 LENGTHS = (
     "tests/test_geometry.py::test_a_length_that_overflows_is_a_domain_error",
-    "tests/test_script.py::test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error",
+    "tests/test_script.py::test_cli_case[dist-overflow-points]",
 )
 # which modules a run loads, and that -X importtime reports each one
 ON_FIRST_USE = (

@@ -8,13 +8,13 @@ BASE_DIR is another checkout of pga2d, for example a ``git worktree`` of the
 base commit of a change.  The golden scripts and the generated bench scripts
 (``bench/generate.py``, seeds 1-3, 12 per workload) run at ``--tol`` 1e-9, 1e-6
 and 0 through ``pga2d.cli.main``, each script with ``--svg``, and so does
-``pga2d tables`` and both ``--help`` texts, and so do a few failing scripts
-and arguments: one per kind of error line, a few operands of the wrong kind,
-and argument lists that argparse reads, most of them usage errors; and so do
-a few scripts of operands that a verb once refused.  The
-process section runs ``pga2d tables``, each golden script with ``--svg`` and
-the failing script of CI's console-script step (``evaluation.pga`` here)
-through the process entry, each in its own ``python -m pga2d.cli`` child.
+``pga2d tables`` and both ``--help`` texts, and so does the script of each
+of the CLI's edge cases (tests/data/cases, read through tests/cases.py),
+which also runs with its own arguments, and so do argument lists that
+argparse reads, most of them usage errors.  The process section runs
+``pga2d tables``, each golden script with ``--svg`` and the edge case
+``failing.pga`` through the process entry, each in its own
+``python -m pga2d.cli`` child.
 
 The library section calls the algebra API and the functions that gate their
 operands' kind on a fixed-seed corpus of lines, points, motors, odd versors,
@@ -67,67 +67,12 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import cases
+
 ROOT = Path(__file__).resolve().parent.parent
 TOLS = ("1e-9", "1e-6", "0")
 SEEDS = (1, 2, 3)
 PER_SEED = 12
-# one script per kind of error line the CLI prints
-FAILING = {
-    "unknown-verb": "point A 0 0\nfrobnicate B\n",
-    "arity": "point A 0\n",
-    "bad-name": "point 3x 0 0\n",
-    "redefined": "point A 0 0\npoint A 1 1\n",
-    "undefined": "print B\n",
-    "bad-number": "point A 1_0 zero\n",
-    "evaluation": "point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n",
-    "range": "point A 1e300 0\n",
-    "nothing-to-draw": "line m 1 0 5\nline n 0 1 5\n",
-    "ideal-only": "ideal U 1 0\nideal V 0 -1\nprint U\n",
-    # operands of the wrong kind, checked by the evaluator
-    "mirror": "point A 0 0\nreflect B A A\n",
-    "versor": "point A 0 0\napply B A A\n",
-    "project-target": "point A 0 0\nrotator g A 1\nproject p A g\n",
-    "project-zero": "line m 1 0 0\nline n 0 1 0\nproject p m n\n",
-    "rotation-center": "line m 1 0 0\nrotator g m 1\n",
-    "join-kind": "line m 1 0 0\nline n 0 1 0\njoin P m n\n",
-    "meet-kind": "point A 0 0\npoint B 1 1\nmeet m A B\n",
-    # a join or meet of coincident operands, after printed text
-    "join-dependent": "point A 1 2\nprint A\npoint B 1 2\njoin m A B\n",
-    "meet-dependent": "line m 1 0 2\nline n 2 0 4\nmeet P m n\n",
-    # a computed ideal point where a euclidean one is wanted
-    "computed-ideal-operand": "line m 0 1 0\nline n 0 1 -2\nmeet P m n\npoint A 0 0\ndist d P A\n",
-    # a computed direction, of weight 1e-12, projected onto a line normal to it
-    "normal-projection": (
-        "line a 1 0 0\nline b 1 1e-12 -1\nmeet V a b\nline m 0 1 -5\nproject F V m\nprint F\n"
-    ),
-    # both incidences hold within the solver's check, but the motor misses n
-    "solve-construction": (
-        "point A 0 0\nline m 0 1 4e-9\npoint B 5 0\nline n 0 1 -4e-9\nsolve g A m B n\n"
-    ),
-    # line numbers count comment and blank lines, and \r\n and \r end a line
-    "lineno-evaluation": (
-        "# head\r\n\r\npoint A 0 0\r\nprint A # shown\r\n"
-        "  # note\r\nline m 1 0 0\r\nreflect B A A\r\n"
-    ),
-    "lineno-parse": "point A 0 0\r\n\r\n# c\rprint B\r\n",
-    # a length of finite fields that overflows, of two points and of two
-    # parallel lines, and an svg path with a NUL byte
-    "dist-overflow-points": "point A 1.7e308 1.7e308\npoint B 0 0\ndist d A B\nprint d\n",
-    "dist-overflow-lines": "line m 1 1 1.7e308\nline n 1 1 -1.7e308\ndist d m n\nprint d\n",
-    "svg-nul-path": "point A 0 0\nsvg a\x00b\n",
-}
-# operands that a verb once refused: a motor reflected or applied, and an
-# ideal point as a rotation centre or projected onto a line
-ACCEPTED = {
-    "reflect-motor": "point A 1 2\nrotator g A 1\nline m 0 1 0\nreflect Q m g\nprint Q\n",
-    "apply-motor": "point P 1 2\nrotator g P 1\napply h g g\nprint h\n",
-    "ideal-operands": (
-        "point O 0 0\nideal V 1 0\nline m 1 1 0\nrotator g V 2\ntranslator t V 2\n"
-        "print g\nprint t\nproject P V m\nprint P\n"
-    ),
-}
-
-
 # Each entry explains one kind of difference:
 # - (old, new), two texts: a whole stderr text, or a library error record's
 #   exception class or its text, the other unchanged;
@@ -138,26 +83,7 @@ ACCEPTED = {
 # A change lists only its own migrations: an entry that explains no
 # difference is itself a difference, so once the base commit gives an entry's
 # new side the entry must go, and the next change starts from an empty set.
-MIGRATIONS: set[tuple[str, str] | tuple[str, int]] = {
-    # a versor's sandwich of a motor or odd versor is a closed form: last
-    # digits move, and a null versor's zero motor gets a -0.0 scalar
-    ("sandwich", 5),
-    # a null versor's image of an odd versor is refused with the named text
-    *(
-        ("zero element is not a line", f"{versor} maps {x} to zero")
-        for versor in ("Motor(0, 1, 0, 0)", "OddVersor(0, 0, -2.5, -0)")
-        for x in (
-            "OddVersor(0.0781631, -0.421607, -93.9926, 4.44844)",
-            "OddVersor(0.307272, -0.579983, -48.5446, -0.257462)",
-        )
-    ),
-    # basis refuses an index outside 0..7
-    *(
-        (json.dumps(["Multivector", ["0.0"] * 8]),
-         json.dumps(["raised", "ValueError", f"basis index must be in 0..7, got {index}"]))
-        for index in (8, -1)
-    ),
-}
+MIGRATIONS: set[tuple[str, str] | tuple[str, int]] = set()
 
 
 def _within(old, new, bound: int) -> bool:
@@ -220,14 +146,15 @@ def _write_scripts(folder: Path) -> list[str]:
                 name = f"{workload}-{seed}-{index}.pga"
                 (folder / name).write_text(generate.generate(workload, seed, index).text)
                 names.append(name)
-    for name, text in {**FAILING, **ACCEPTED}.items():
-        (folder / f"{name}.pga").write_text(text)
-        names.append(f"{name}.pga")
+    for script, source in {case.script: case.source for case in cases.load().values()}.items():
+        (folder / script).write_bytes(source)
+        names.append(script)
     return names
 
 
 def _cases(names: list[str]) -> list[list[str]]:
     runs = [["run", name, "--tol", tol, "--svg", "out.svg"] for name in names for tol in TOLS]
+    runs += [case.argv for case in cases.load().values()]
     x = names[0]
     # argv shapes that the CLI leaves to argparse: usage errors, and options
     # that argparse reads although they are not the common shape
@@ -245,9 +172,9 @@ def _cases(names: list[str]) -> list[list[str]]:
 
 
 def _process_cases() -> list[list[str]]:
-    """The argv of each process-section run; evaluation.pga is CI's failing.pga."""
+    """The argv of each process-section run."""
     golden = sorted(path.name for path in (ROOT / "tests" / "data" / "scripts").glob("*.pga"))
-    runs = [["run", name, "--svg", "out.svg"] for name in golden + ["evaluation.pga"]]
+    runs = [["run", name, "--svg", "out.svg"] for name in golden + ["failing.pga"]]
     return [["tables"], *runs]
 
 

@@ -4,7 +4,6 @@ classical analytic geometry."""
 import ast
 import math
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -51,9 +50,6 @@ def test_point_distance_examples():
     assert d == pytest.approx(5.0, abs=1e-12)
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
 def _gated_functions(asts) -> set[str]:
     """Each public function of asts that calls metric.euclidean or
     metric.ideal, itself or through a private helper of its module."""
@@ -61,7 +57,7 @@ def _gated_functions(asts) -> set[str]:
 
 
 def test_the_readme_gate_table_lists_every_function_that_calls_a_gate():
-    listed = lints.table_names(README.read_text(), "### Ideal operands")
+    listed = lints.table_names(lints.README.read_text(), "### Ideal operands")
     assert listed == _gated_functions(lints.trees().values())
 
 
@@ -96,7 +92,7 @@ def test_the_gate_table_lint_catches_a_missing_and_a_stale_row():
 
 
 def test_the_readme_library_tour_shows_the_values_it_computes():
-    tour = README.read_text().split("## Library tour", 1)[1]
+    tour = lints.README.read_text().split("## Library tour", 1)[1]
     tour = tour.split("```python\n", 1)[1].split("```", 1)[0]
     namespace, checked = {}, []
     for line in tour.splitlines():

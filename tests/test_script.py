@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cases
 import lints
 import pga2d
 from pga2d import isometry, metric, render
@@ -34,6 +35,8 @@ from pga2d.render import (
 from pga2d.script import _SIGNATURES, evaluate, format_value, parse
 
 SCRIPTS = Path(__file__).parent / "data" / "scripts"
+# the CLI's edge cases, each with its recorded exit code, stdout and stderr
+CASES = cases.load()
 
 
 # -- parsing -------------------------------------------------------------------
@@ -214,24 +217,6 @@ def test_parse_matches_the_old_parser(lines, preamble):
     assert outcome(parse) == outcome(_old_parse)
 
 
-@pytest.mark.parametrize(
-    "source, message",
-    [
-        # a form feed is whitespace inside a comment, not a line break
-        ("# a comment with a form feed \x0c here\npoint A 1 x\n",
-         "error: line 2: expected a number, got 'x'\n"),
-        # a line separator does not end the comment either
-        ("point A 1 2 # note \u2028 point B 3 4\nprint B\n", "error: line 2: undefined name 'B'\n"),
-    ],
-    ids=["form-feed", "line-separator"],
-)
-def test_a_comment_runs_to_the_end_of_its_line(tmp_path, capsys, source, message):
-    script = tmp_path / "s.pga"
-    script.write_text(source, encoding="utf-8")
-    assert main(["run", str(script)]) == 1
-    assert capsys.readouterr().err == message
-
-
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_lines_end_at_newline_crlf_or_cr(end):
     program = parse(end.join(["point A 1 2", "", "point B 3 4\x0b\x1c", "print B", ""]))
@@ -325,10 +310,7 @@ def test_evaluate_type_errors_are_evaluation_errors():
 def test_evaluate_keeps_output_printed_before_the_failure():
     lines = []
     with pytest.raises(EvaluationError) as err:
-        evaluate(
-            parse("point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"),
-            emit=lines.append,
-        )
+        evaluate(parse(CASES["failing"].source.decode()), emit=lines.append)
     assert err.value.lineno == 5
     assert "".join(lines) == "A = (1.000000, 2.000000)\n"
 
@@ -595,13 +577,6 @@ def test_an_svg_path_that_spells_a_defined_name_is_no_operand(tmp_path, monkeypa
     with pytest.raises(EvaluationError) as err:
         evaluate(parse("point A 0 0\nsvg A\n"))
     assert str(err.value) == "line 2: [Errno 21] Is a directory: 'A'"
-
-
-def test_an_svg_path_with_a_nul_byte_is_one_error_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "s.pga").write_bytes(b"point A 0 0\nsvg a\x00b\n")
-    assert main(["run", "s.pga"]) == 2
-    assert capsys.readouterr() == ("", "error: line 2: embedded null byte: 'a\\x00b'\n")
 
 
 def test_a_plain_type_error_from_the_library_is_not_wrapped(monkeypatch):
@@ -1410,27 +1385,6 @@ def test_svg_statement_writes_file(tmp_path, monkeypatch):
 # -- CLI --------------------------------------------------------------------------
 
 
-def test_cli_run_success(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 0 0\npoint B 3 4\ndist d A B\nprint d\n")
-    assert main(["run", str(script)]) == 0
-    assert capsys.readouterr().out == "d = 5.000000\n"
-
-
-def test_cli_parse_error_exit_code(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("meet P\n")
-    assert main(["run", str(script)]) == 1
-    assert "line 1" in capsys.readouterr().err
-
-
-def test_cli_evaluation_error_exit_code(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 0 0\njoin l A A\n")
-    assert main(["run", str(script)]) == 2
-    assert "line 2" in capsys.readouterr().err
-
-
 def test_cli_missing_file(capsys):
     assert main(["run", "/no/such/script.pga"]) == 1
     assert "error" in capsys.readouterr().err
@@ -1450,6 +1404,44 @@ def test_cli_golden_run_with_tol_before_svg(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr() == ((SCRIPTS / "dist345.expected.txt").read_text(), "")
     assert out.read_text() == (SCRIPTS / "dist345.expected.svg").read_text()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_case(tmp_path, monkeypatch, capsys, name):
+    """Each case of tests/data/cases exits and prints as recorded, run in a
+    directory that holds only its script; its stderr is one error line
+    exactly when the exit code is not 0, and a failed run writes no file."""
+    case = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / case.script).write_bytes(case.source)
+    assert main(case.argv) == case.exit
+    assert capsys.readouterr() == (case.stdout, case.stderr)
+    assert case.stderr.count("\n") == (case.exit != 0)
+    if case.exit:
+        assert os.listdir(tmp_path) == [case.script]
+
+
+def test_the_cases_run_alike_through_the_process_entry(monkeypatch):
+    # the loop of CI's installed-script step, on three cases and on a wrong record
+    monkeypatch.setenv("PYTHONPATH", _child_env()["PYTHONPATH"])
+    command = [sys.executable, "-m", "pga2d.cli"]
+    shown = {name: CASES[name] for name in ("failing", "svg-nul-path", "byte-order-mark")}
+    assert cases.check(command, shown) == []
+    assert len(cases.check(command, {"wrong": CASES["failing"]._replace(exit=1)})) == 1
+
+
+def test_every_error_line_the_readme_quotes_is_a_recorded_stderr():
+    stderrs = [case.stderr for case in CASES.values()]
+    assert lints.stale_quotes(lints.README.read_text(), stderrs) == []
+
+
+def test_the_readme_quote_lint_catches_a_stale_quote():
+    readme = (
+        "ends in `error: line\n3: zero  element` as\n  ```\n  $ pga2d run a.pga\n"
+        "  error: line 2: old text (A: Point, line 1)\n  ```\nand `error: ...`\n"
+    )
+    stderrs = ["error: line 3: zero element\n", "error: line 2: new text\n"]
+    assert lints.stale_quotes(readme, stderrs) == ["error: line 2: old text (A: Point, line 1)"]
 
 
 # argv lists that the CLI reads without argparse: each must read as argparse
@@ -1488,28 +1480,6 @@ def test_every_other_argv_is_left_to_argparse(argv):
     assert _read(argv) is None
 
 
-def test_cli_unwritable_svg(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 0 0\n")
-    assert main(["run", str(script), "--svg", "/no/such/dir/fig.svg"]) == 2
-
-
-def test_cli_empty_svg_path_is_an_error(tmp_path, capsys):
-    # an empty path names no file: it fails like an unwritable one, after the output
-    script = tmp_path / "s.pga"
-    script.write_text("point A 0 0\nprint A\n")
-    assert main(["run", str(script), "--svg", ""]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "A = (0.000000, 0.000000)\n"
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_cli_tol_flag(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 0 0\nprint A\n")
-    assert main(["run", str(script), "--tol", "1e-6"]) == 0
-
-
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "1"])
 def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
     # at a tol of 1 every point is ideal, and the origin has no direction
@@ -1523,173 +1493,6 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, tol):
             assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "source, error",
-    [
-        # a met direction, of weight 1e-12 inside the band
-        (
-            "line a 1 0 0\nline b 1 1e-12 -1\nmeet V a b\nline m 0 1 -5\nproject F V m\nprint F\n",
-            "line 5: zero element is not a point (V: Point, line 3; m: Line, line 4)",
-        ),
-        # the same direction, made with weight 0
-        (
-            "ideal V 0 1\nline m 0 1 -5\nproject F V m\nprint F\n",
-            "line 3: zero element is not a point (V: Point, line 1; m: Line, line 2)",
-        ),
-    ],
-    ids=["met", "made"],
-)
-def test_cli_refuses_a_direction_projected_onto_a_line_normal_to_it(
-    tmp_path, capsys, source, error
-):
-    # a direction has no part along a line normal to it, however it was made
-    script = tmp_path / "s.pga"
-    script.write_text(source)
-    assert main(["run", str(script)]) == 2
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-
-
-def test_cli_prints_an_ideal_line_at_a_coarse_tol_in_coordinate_order(tmp_path, capsys):
-    # at tol 1e-3 the line's normal (a, b) is small enough to be ideal, and
-    # print shows its normal form e0, [0, 0, 1]; a literal that far from the
-    # origin is out of range, so the line [1, 2, 0] is moved out to c = 1e4
-    script = tmp_path / "s.pga"
-    script.write_text(
-        "line m 1 2 0\nideal V -2 1\ntranslator t V 4472.13595499958\napply k t m\nprint k\n"
-    )
-    assert main(["run", str(script), "--tol", "1e-3"]) == 0
-    assert capsys.readouterr().out == "k = [0.000000, 0.000000, 1.000000]\n"
-    script.write_text("line m 1e-4 2e-4 1\nprint m\n")
-    assert main(["run", str(script), "--tol", "1e-3"]) == 2
-    assert "out of range" in capsys.readouterr().err
-
-
-def test_cli_accepts_zero_tol(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 1 0\nprint A\n")
-    assert main(["run", str(script), "--tol", "0"]) == 0
-    assert capsys.readouterr().out == "A = (1.000000, 0.000000)\n"
-
-
-def test_cli_rejects_non_utf8_script(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_bytes(b"point A 0 0\n# caf\xe9\n")
-    assert main(["run", str(script)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
-
-
-def test_cli_reads_past_one_leading_byte_order_mark(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_bytes("\ufeffpoint A 1 2\nprint A\n".encode())
-    assert main(["run", str(script)]) == 0
-    assert capsys.readouterr().out == "A = (1.000000, 2.000000)\n"
-    # the mark is stripped after decoding, so a bad byte's offset counts it
-    script.write_bytes("\ufeffpoint A 0 0\n".encode() + b"\xe9\n")
-    assert main(["run", str(script)]) == 1
-    assert "(invalid continuation byte at byte 15)" in capsys.readouterr().err
-
-
-def test_cli_overflow_is_an_evaluation_error(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("line m 1e300 1e300 1e300\nline n 1e300 -1e300 0\nmeet P m n\n")
-    assert main(["run", str(script)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: line 3: ") and "overflow" in err and err.count("\n") == 1
-
-
-def test_cli_overflow_in_a_sandwich_keeps_the_kernel_message(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text(
-        "ideal V 1 0\ntranslator g V 1e308\nline m 1e300 1e300 1e300\napply k g m\n"
-    )
-    assert main(["run", str(script)]) == 2
-    assert capsys.readouterr().err == (
-        "error: line 4: result is not finite (coefficient overflow or non-finite factor)"
-        " (g: Motor, line 2; m: Line, line 3)\n"
-    )
-
-
-# the meet (0, 1, 1e-320) is euclidean at tol 0, and its y / z overflows
-_SUBNORMAL_MEET = "line m 1 0 0\nline n 1 1e-320 -1\nmeet P m n\n"
-_OVERFLOW = "result is not finite (coefficient overflow or non-finite factor)"
-
-
-@pytest.mark.parametrize(
-    "source, error",
-    [
-        (_SUBNORMAL_MEET + "print P\n", f"line 4: {_OVERFLOW} (P: Point, line 3)"),
-        # the offset divided by the normal's length overflows
-        ("line m 1e-300 0 -1e10\nprint m\n", f"line 2: {_OVERFLOW} (m: Line, line 1)"),
-        ("line m 5e-324 5e-324 -1\nprint m\n", f"line 2: {_OVERFLOW} (m: Line, line 1)"),
-        # a gate normalizes as print does, and fails alike
-        (
-            _SUBNORMAL_MEET + "point A 0 0\ndist d P A\n",
-            f"line 5: {_OVERFLOW} (P: Point, line 3; A: Point, line 4)",
-        ),
-        (
-            "line m 1e-300 0 -1e10\npoint A 0 0\nreflect r m A\n",
-            f"line 3: {_OVERFLOW} (m: Line, line 1; A: Point, line 2)",
-        ),
-        # a distance of finite fields whose length overflows
-        (
-            "point A 1.7e308 1.7e308\npoint B 0 0\ndist d A B\nprint d\n",
-            f"line 3: {_OVERFLOW} (A: Point, line 1; B: Point, line 2)",
-        ),
-        (
-            "line m 1 1 1.7e308\nline n 1 1 -1.7e308\ndist d m n\nprint d\n",
-            f"line 3: {_OVERFLOW} (m: Line, line 1; n: Line, line 2)",
-        ),
-    ],
-)
-def test_print_of_an_overflowing_coordinate_fails_with_the_kernel_error(
-    tmp_path, capsys, source, error
-):
-    script = tmp_path / "s.pga"
-    script.write_text(source)
-    assert main(["run", str(script), "--tol", "0"]) == 2
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-
-
-def test_midpoint_of_points_whose_coordinate_sum_overflows_is_printed(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 1e308 0\npoint B 1e308 0\nmidpoint M A B\nprint M\n")
-    assert main(["run", str(script), "--tol", "0"]) == 0
-    assert capsys.readouterr() == ("M = (%.6f, 0.000000)\n" % 1e308, "")
-
-
-def test_a_non_finite_literal_fails_with_the_kernel_error(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("line m inf 0 0\n")
-    assert main(["run", str(script)]) == 2
-    assert capsys.readouterr() == ("", f"error: line 1: {_OVERFLOW}\n")
-
-
-@pytest.mark.parametrize(
-    "source, operand",
-    [("ideal V 1 0\ntranslator T V inf\n", "V"), ("point P 0 0\nrotator T P inf\n", "P")],
-)
-def test_motor_of_an_infinite_argument_fails_with_the_kernel_error(
-    tmp_path, capsys, source, operand
-):
-    script = tmp_path / "s.pga"
-    script.write_text(source)
-    assert main(["run", str(script)]) == 2
-    assert capsys.readouterr() == ("", f"error: line 2: {_OVERFLOW} ({operand}: Point, line 1)\n")
-
-
-@pytest.mark.parametrize(
-    "source", [_SUBNORMAL_MEET, "line m 1e-300 0 -1e10\n", "line m 5e-324 5e-324 -1\n"]
-)
-def test_svg_of_an_overflowing_coordinate_fails_with_the_kernel_error(tmp_path, capsys, source):
-    script = tmp_path / "s.pga"
-    script.write_text(source)
-    target = tmp_path / "out.svg"
-    assert main(["run", str(script), "--tol", "0", "--svg", str(target)]) == 2
-    assert capsys.readouterr() == ("", f"error: cannot draw the figure: {_OVERFLOW}\n")
-    assert not target.exists()
-
-
 def test_meet_of_lines_whose_size_product_overflows():
     # max|u| * max|v| = 1e316 overflows; the meet's true zero-test ratio is 1e-8
     source = "line m 1e158 1e150 0\nline n 1e158 0 1e150\nmeet P m n\nprint P\n"
@@ -1697,48 +1500,6 @@ def test_meet_of_lines_whose_size_product_overflows():
     # lines 1e-200 apart: their meet is the zero element at the default tol
     with pytest.raises(EvaluationError, match="zero element"):
         evaluate(parse("line m 1e200 0 1\nline n 1e200 0 2\nmeet P m n\n"))
-
-
-def test_cli_writes_output_printed_before_an_evaluation_error(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n")
-    assert main(["run", str(script)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "A = (1.000000, 2.000000)\n"
-    assert captured.err.startswith("error: line 5: ") and captured.err.count("\n") == 1
-
-
-def test_cli_translator_rejects_a_euclidean_direction(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 1 2\ntranslator T A 1\n")
-    assert main(["run", str(script)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: line 2: ") and err.count("\n") == 1
-
-
-def test_cli_solves_a_tiny_turn_on_a_small_figure(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text(
-        "point A -0.004555133768986475 0.006820232028580861\n"
-        "line m 0.34982891440251884 -0.9368136050719775 0.007982803655484996\n"
-        "point A2 -0.004555132938421336 0.0068202330058551785\n"
-        "line m2 0.3498288112587642 -0.93681364358835 0.007982804073310293\n"
-        "solve g A m A2 m2\n"
-        "apply B g A\n"
-        "print B\n"
-    )
-    assert main(["run", str(script)]) == 0
-    assert capsys.readouterr().out == "B = (-0.004555, 0.006820)\n"
-
-
-def test_cli_point_beyond_the_supported_range(tmp_path, capsys):
-    script = tmp_path / "s.pga"
-    script.write_text("point A 0 0\npoint B 2e9 0\ndist d A B\nprint d\n")
-    assert main(["run", str(script)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: line 2: ") and "1e-3/tol" in err and err.count("\n") == 1
-    assert main(["run", str(script), "--tol", "0"]) == 0
-    assert capsys.readouterr().out == "d = 2000000000.000000\n"
 
 
 def _child_env() -> dict:
@@ -1774,18 +1535,18 @@ def test_cold_cli_start_skips_dataclasses_and_runs_a_golden_script():
 
 
 # prints A, then fails on line 5
-_PARTIAL = "point A 1 2\nprint A\nline m 1 0 0\nline n 0 1 0\ndist d m n\n"
+_FAILING = CASES["failing"]
 # the argv of each way main returns: 0, an evaluation error, an argparse usage error
 _EXITS = {
     "ok": (["run", "dist345.pga", "--svg", "out.svg"], 0),
-    "evaluation-error": (["run", "partial.pga"], 2),
+    "evaluation-error": (_FAILING.argv, 2),
     "usage-error": (["run"], 2),
 }
 
 
 def _exits_folder(folder: Path) -> Path:
     (folder / "dist345.pga").write_text((SCRIPTS / "dist345.pga").read_text())
-    (folder / "partial.pga").write_text(_PARTIAL)
+    (folder / _FAILING.script).write_bytes(_FAILING.source)
     return folder
 
 
@@ -2169,14 +1930,14 @@ print(code, *sorted({{'argparse', 'gettext', 're', 'enum'}} & set(sys.modules)))
 @pytest.mark.parametrize(
     "args",
     [
-        ["tables"], ["run", "rotation_case.pga"], ["run", "partial.pga"],
+        ["tables"], ["run", "rotation_case.pga"], _FAILING.argv,
         ["--help"], ["run", "--help"],
     ],
     ids=["tables", "run", "run-failing", "help", "run-help"],
 )
 def test_a_closed_stdout_ends_in_one_error_line(tmp_path, args, unbuffered):
     (tmp_path / "rotation_case.pga").write_text((SCRIPTS / "rotation_case.pga").read_text())
-    (tmp_path / "partial.pga").write_text(_PARTIAL)
+    (tmp_path / _FAILING.script).write_bytes(_FAILING.source)
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -2299,7 +2060,7 @@ def _scripts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(source=_scripts(), tol=st.sampled_from([1e-9, 0.0, 1e-3]))
-@example(source=_SUBNORMAL_MEET + "print P\n", tol=0.0)
+@example(source=CASES["subnormal-meet-printed"].source.decode(), tol=0.0)
 def test_fuzzed_scripts_raise_only_script_errors(source, tol):
     """Only script errors escape, and what is printed or drawn is finite."""
     try:

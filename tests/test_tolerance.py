@@ -426,7 +426,7 @@ def _unnamed(trees: dict[str, ast.AST], listed: set[str]) -> tuple[list, list]:
 
 def test_every_near_zero_site_is_named_in_the_readme_tolerance_table():
     assert _near_zero_sites(lints.trees()) == NEAR_ZERO_SITES
-    listed = lints.table_names((ROOT / "README.md").read_text(), "### Tolerance policy")
+    listed = lints.table_names(lints.README.read_text(), "### Tolerance policy")
     assert _unnamed(lints.trees(), listed) == ([], [])
 
 
