@@ -1385,6 +1385,41 @@ def test_svg_statement_writes_file(tmp_path, monkeypatch):
 # -- CLI --------------------------------------------------------------------------
 
 
+def test_cli_run_success(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 0 0\npoint B 3 4\ndist d A B\nprint d\n")
+    assert main(["run", str(script)]) == 0
+    assert capsys.readouterr().out == "d = 5.000000\n"
+
+
+def test_cli_tol_flag(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 0 0\nprint A\n")
+    assert main(["run", str(script), "--tol", "1e-6"]) == 0
+
+
+def test_cli_accepts_zero_tol(tmp_path, capsys):
+    script = tmp_path / "s.pga"
+    script.write_text("point A 1 0\nprint A\n")
+    assert main(["run", str(script), "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "A = (1.000000, 0.000000)\n"
+
+
+def test_cli_prints_an_ideal_line_at_a_coarse_tol_in_coordinate_order(tmp_path, capsys):
+    # at tol 1e-3 the line's normal (a, b) is small enough to be ideal, and
+    # print shows its normal form e0, [0, 0, 1]; a literal that far from the
+    # origin is out of range, so the line [1, 2, 0] is moved out to c = 1e4
+    script = tmp_path / "s.pga"
+    script.write_text(
+        "line m 1 2 0\nideal V -2 1\ntranslator t V 4472.13595499958\napply k t m\nprint k\n"
+    )
+    assert main(["run", str(script), "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().out == "k = [0.000000, 0.000000, 1.000000]\n"
+    script.write_text("line m 1e-4 2e-4 1\nprint m\n")
+    assert main(["run", str(script), "--tol", "1e-3"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_cli_missing_file(capsys):
     assert main(["run", "/no/such/script.pga"]) == 1
     assert "error" in capsys.readouterr().err
